@@ -14,7 +14,8 @@ carry a stable digest of their canonicalized configuration, the code
 version, and an anchor string naming the mathematical claim they exercise.
 
 Exit codes: 0 success (possibly with warnings), 2 usage or constraint
-violation, 3 numerical nonconvergence.
+violation, 3 numerical nonconvergence, 4 a ``report`` check failed (the
+record is still written).
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from .estimators import (
     x_characteristic_fk,
 )
 from .jumplaw import (
+    _pair_moment_rows,
     damped_sign_ks,
     ks_critical_value,
-    pair_moment_table,
     sample_damped_sign_pair,
 )
 from .kernels import gaussian_overlap_element_fk, heat_kernel_component, mehler_kernel
@@ -444,43 +445,8 @@ def cmd_fk(args) -> ResultRecord:
                       ["T", "n_paths", "n_eff", "path"],
                       "ensemble dump: one record per weighted path")
 
-    ens = build_ground_ensemble(params, n, horizon, seed)
-    gs = ground_state(params)
-    if quantity == "gibbs":
-        beta = complex(_resolve(args, "beta", complex, -0.5))
-        options["beta"] = repr(beta)
-        est = gibbs_number_fk(ens, params, beta)
-        oracle = gibbs_number_ed(gs, beta)
-        return record([est_row("gibbs_number", est, oracle)], est_columns,
-                      "<exp(beta n)> = <exp(-g^2 (1 - e^beta) Jc)>_paths")
-    if quantity == "number":
-        m = _resolve(args, "m", int, 1)
-        options["m"] = m
-        est = number_moments_fk(ens, params, m)
-        oracle = number_moment_ed(gs, m)
-        return record([est_row(f"number_moment_{m}", est, oracle)], est_columns,
-                      "<n^m> = sum_l S(m,l) g^(2l) <Jc^l>_paths")
-    if quantity == "xchar":
-        beta = _resolve(args, "beta", _real, 1.0)
-        options["beta"] = beta
-        est = x_characteristic_fk(ens, params, beta)
-        oracle = x_characteristic_ed(gs, beta)
-        return record([est_row("x_characteristic", est, oracle)], est_columns,
-                      "<exp(i beta x)> = e^(-beta^2/4) <cos(beta K)>_paths")
-    if quantity == "xsquare":
-        beta = _resolve(args, "beta", _real, 0.5)
-        options["beta"] = beta
-        est = gaussian_square_fk(ens, params, beta)
-        oracle = x_square_exponential_ed(gs, beta)
-        return record([est_row("x_square_exponential", est, oracle)], est_columns,
-                      "<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>_paths")
-    if quantity == "spin-corr":
-        lag = _resolve(args, "lag", float, 1.0)
-        options["lag"] = lag
-        est = spin_correlation_fk(ens, lag / 2.0, -lag / 2.0)
-        oracle = spin_autocorrelation_ed(gs, lag)
-        return record([est_row(f"spin_correlation_{lag}", est, oracle)], est_columns,
-                      "<sz exp(-|t-s|(M-E)) sz> = <T_t T_s>_paths")
+    # Each quantity resolves its options and evaluates its exact value, whose
+    # domain checks reject bad options, before the ensemble is sampled.
     if quantity == "kernel":
         m = _resolve(args, "m", int, 1)
         x = _resolve(args, "x", float, 0.3)
@@ -492,6 +458,46 @@ def cmd_fk(args) -> ResultRecord:
                  est.stderr, base, 0.0, -1.0, -1.0, "oracle column = Mehler kernel"]]
         return record(rows, est_columns,
                       "m-flip kernel component (delta t)^m/m! E[CF_bridge] M_t")
+    if quantity == "gibbs":
+        beta = complex(_resolve(args, "beta", complex, -0.5))
+        options["beta"] = repr(beta)
+        oracle = gibbs_number_ed(ground_state(params), beta)
+        ens = build_ground_ensemble(params, n, horizon, seed)
+        est = gibbs_number_fk(ens, params, beta)
+        return record([est_row("gibbs_number", est, oracle)], est_columns,
+                      "<exp(beta n)> = <exp(-g^2 (1 - e^beta) Jc)>_paths")
+    if quantity == "number":
+        m = _resolve(args, "m", int, 1)
+        options["m"] = m
+        oracle = number_moment_ed(ground_state(params), m)
+        ens = build_ground_ensemble(params, n, horizon, seed)
+        est = number_moments_fk(ens, params, m)
+        return record([est_row(f"number_moment_{m}", est, oracle)], est_columns,
+                      "<n^m> = sum_l S(m,l) g^(2l) <Jc^l>_paths")
+    if quantity == "xchar":
+        beta = _resolve(args, "beta", _real, 1.0)
+        options["beta"] = beta
+        oracle = x_characteristic_ed(ground_state(params), beta)
+        ens = build_ground_ensemble(params, n, horizon, seed)
+        est = x_characteristic_fk(ens, params, beta)
+        return record([est_row("x_characteristic", est, oracle)], est_columns,
+                      "<exp(i beta x)> = e^(-beta^2/4) <cos(beta K)>_paths")
+    if quantity == "xsquare":
+        beta = _resolve(args, "beta", _real, 0.5)
+        options["beta"] = beta
+        oracle = x_square_exponential_ed(ground_state(params), beta)
+        ens = build_ground_ensemble(params, n, horizon, seed)
+        est = gaussian_square_fk(ens, params, beta)
+        return record([est_row("x_square_exponential", est, oracle)], est_columns,
+                      "<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>_paths")
+    if quantity == "spin-corr":
+        lag = _resolve(args, "lag", float, 1.0)
+        options["lag"] = lag
+        oracle = spin_autocorrelation_ed(ground_state(params), lag)
+        ens = build_ground_ensemble(params, n, horizon, seed)
+        est = spin_correlation_fk(ens, lag / 2.0, -lag / 2.0)
+        return record([est_row(f"spin_correlation_{lag}", est, oracle)], est_columns,
+                      "<sz exp(-|t-s|(M-E)) sz> = <T_t T_s>_paths")
     raise ParameterError(f"unknown fk quantity {quantity!r}")
 
 
@@ -500,10 +506,10 @@ def cmd_x1(args) -> ResultRecord:
     n = _resolve(args, "n", int, 100_000)
     seed = _resolve(args, "seed", int, DEFAULT_SEED)
     options = {"delta": delta, "n": n, "seed": seed}
+    x1, x2 = sample_damped_sign_pair(delta, n, seed)
     rows = []
-    for row in pair_moment_table(delta, n, seed):
+    for row in _pair_moment_rows(delta, x1, x2):
         rows.append([row["moment"], row["closed"], row["mc"], row["stderr"], row["z"]])
-    x1, _ = sample_damped_sign_pair(delta, n, seed)
     ks = damped_sign_ks(delta, x1)
     crit = ks_critical_value(n)
     rows.append(["KS_statistic", crit, ks, 0.0, ks / crit])
@@ -596,10 +602,10 @@ def _report_checks(seed: int, quick: bool) -> list[dict]:
         add(name, "jump-path estimator within 3 sigma of the exact value", z, 3.0, z < 3.0)
 
     for delta in (0.5, 1.0, 2.0):
-        worst_z = max(row["z"] for row in pair_moment_table(delta, n_mc, seed))
+        x1, x2 = sample_damped_sign_pair(delta, n_mc, seed)
+        worst_z = max(row["z"] for row in _pair_moment_rows(delta, x1, x2))
         add(f"x1-moments(delta={delta})", "closed pair moments within 3 sigma",
             worst_z, 3.0, worst_z < 3.0)
-        x1, _ = sample_damped_sign_pair(delta, n_mc, seed)
         ks = damped_sign_ks(delta, x1)
         crit = ks_critical_value(n_mc)
         add(f"x1-law(delta={delta})", "KS statistic below the 1% critical value",
@@ -664,7 +670,7 @@ def cmd_report(args) -> ResultRecord:
     checks = _report_checks(seed, quick)
     rows = [[c["check"], c["anchor"], float(c["measured"]), float(c["threshold"]), c["status"]]
             for c in checks]
-    record = ResultRecord(
+    return ResultRecord(
         config_hash=digest,
         quantity="report",
         anchor="acceptance battery: every check with pass/fail marks",
@@ -673,8 +679,6 @@ def cmd_report(args) -> ResultRecord:
         meta=options,
         timestamp=_now(),
     )
-    _cache_store(cache_dir, record)
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +794,7 @@ def main(argv=None) -> int:
         failed = [row for row in record.rows if row[-1] == "FAIL"]
         if failed:
             print(f"{len(failed)} checks FAILED", file=sys.stderr)
+            return 4
     return 0
 
 

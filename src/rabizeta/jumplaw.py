@@ -142,8 +142,13 @@ def pair_moment_table(
 ) -> list[dict]:
     """Closed moments against sampled ones, with z-scores, one row each."""
     x1, x2 = sample_damped_sign_pair(delta, n_samples, seed)
+    return _pair_moment_rows(delta, x1, x2)
+
+
+def _pair_moment_rows(delta: float, x1: np.ndarray, x2: np.ndarray) -> list[dict]:
+    """``pair_moment_table`` rows for draws already made."""
     closed = closed_pair_moments(delta)
-    n = float(n_samples)
+    n = float(len(x1))
     samples = {
         "E[X1]": x1,
         "E[X1^2]": x1**2,

@@ -127,6 +127,22 @@ def _hz(s: complex, tau: float) -> complex:
     return hurwitz_zeta(s, tau).value
 
 
+def _tail_bound(
+    s: complex, tau: float, m0: int, degeneracy: int, split: float, radius: float
+) -> float:
+    """Worst-case effect on the sum of moving every tail level by ``radius``.
+
+    The tail starts at model index ``m0`` (full-spectrum index
+    ``m0 * degeneracy``); the bound decreases as ``m0`` grows and is exactly 0
+    when ``radius`` is 0.
+    """
+    tail_edge = tau + m0 - radius - split
+    if tail_edge <= 0:
+        raise DomainError("tail start too small for the stated radius")
+    per_level = radius * abs(s) * abs(_hz(complex(s.real + 1), tail_edge))
+    return float(degeneracy * per_level)
+
+
 def spectral_zeta(
     spectrum: Spectrum,
     s: complex,
@@ -145,7 +161,8 @@ def spectral_zeta(
     (2 for the full model, 1 for a parity sector) and ``split`` displaces the
     degenerate pair to ``m -/+ split`` (asymmetric model).  ``radius`` bounds
     the distance of every true shifted level from the model; the tail bound is
-    ``radius * |s| * zeta(Re s + 1; tau + M - radius)`` for tail start M.
+    ``degeneracy * radius * |s| * |zeta(Re s + 1; tau + M - radius - split)|``
+    for a tail that starts at model index M.
     """
     s = complex(s)
     if s.real <= 1:
@@ -167,13 +184,8 @@ def spectral_zeta(
         raise DomainError("every E_n + shift + tau must be positive; increase tau")
     head = complex(np.sum(np.exp(-s * np.log(shifted))))
     tail = _model_tail(s, tau, n_use, degeneracy, split)
-
-    m0 = n_use // degeneracy
-    tail_edge = tau + m0 - radius - split
-    if tail_edge <= 0:
-        raise DomainError("tail start too small for the stated radius")
-    per_level = radius * abs(s) * abs(_hz(complex(s.real + 1), tail_edge))
-    value = ZetaValue(value=head + tail, tail_bound=float(degeneracy * per_level), n_used=n_use)
+    bound = _tail_bound(s, tau, n_use // degeneracy, degeneracy, split, radius)
+    value = ZetaValue(value=head + tail, tail_bound=bound, n_used=n_use)
     if max_tail_bound is not None and value.tail_bound > max_tail_bound:
         raise ConvergenceError(
             f"tail bound {value.tail_bound:.3e} exceeds requested {max_tail_bound:.3e}; "
@@ -234,6 +246,48 @@ def variant_target(params: ModelParams, s: complex, tau: float, variant: str) ->
     raise ParameterError(f"unknown variant {variant!r}")
 
 
+def _tail_model(params: ModelParams, variant: str) -> tuple[str, int, float, float]:
+    """(spectrum variant, degeneracy, split, radius) of one variant's tail model."""
+    if variant not in _VARIANTS:
+        raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    if variant == "asymmetric":
+        if params.eps == 0.0:
+            raise ParameterError("asymmetric variant requires eps > 0")
+        if params.eps < 0.5:
+            return "full", 2, params.eps, params.delta
+        return "full", 2, 0.0, float(np.hypot(params.delta, params.eps))
+    if variant == "full":
+        return "full", 2, 0.0, params.delta
+    return variant, 1, 0.0, params.delta
+
+
+def _head_for_tail_bound(
+    s: complex, tau: float, model: tuple[str, int, float, float], tol: float, cap: int
+) -> int:
+    """Smallest head, a multiple of the degeneracy, whose tail bound is <= ``tol``.
+
+    The bound falls as the tail start grows, so bisection over the model
+    index finds the head without any eigenvalues.  Heads are searched up to
+    ``cap`` (rounded down to the degeneracy), which is returned when even it
+    misses ``tol``.
+    """
+    _, degeneracy, split, radius = model
+
+    def bound(m0: int) -> float:
+        return _tail_bound(s, tau, m0, degeneracy, split, radius)
+
+    lo, hi = 0, cap // degeneracy  # bound(hi) <= tol; model index 0 is no head
+    if bound(hi) > tol:
+        return hi * degeneracy
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi * degeneracy
+
+
 def zeta_variant_value(
     params: ModelParams,
     s: complex,
@@ -244,20 +298,7 @@ def zeta_variant_value(
     spectrum: Spectrum | None = None,
 ) -> ZetaValue:
     """Spectral zeta of one variant at the given head size, shift g^2."""
-    if variant not in _VARIANTS:
-        raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if variant == "asymmetric":
-        if params.eps == 0.0:
-            raise ParameterError("asymmetric variant requires eps > 0")
-        spec_variant, degeneracy = "full", 2
-        split, radius = (params.eps, params.delta) if params.eps < 0.5 else (
-            0.0,
-            float(np.hypot(params.delta, params.eps)),
-        )
-    elif variant == "full":
-        spec_variant, degeneracy, split, radius = "full", 2, 0.0, params.delta
-    else:
-        spec_variant, degeneracy, split, radius = variant, 1, 0.0, params.delta
+    spec_variant, degeneracy, split, radius = _tail_model(params, variant)
     if spectrum is None:
         spectrum = _stable_spectrum(params, spec_variant, n_head, rel_tol)
     return spectral_zeta(
@@ -276,6 +317,12 @@ class ZetaLimitRow:
     n_used: int
 
 
+# Tail-bound target of every row of a limit table before refinement, relative
+# to |target|.  At delta = 0.5 the gaps between the deviations of g = 2, 4, ...,
+# 12 are at least 4.6e-4 (parity sectors, g = 10 -> 12), 30 times the bound
+# this allows, so such tables certify on their first evaluation.
+LIMIT_TAIL_REL_TOL = 1e-5
+
 def zeta_limit_table(
     params: ModelParams,
     s: complex,
@@ -289,29 +336,64 @@ def zeta_limit_table(
 
     The hypothesis ``tau > delta (+ eps)`` is enforced up front; deviations
     along an increasing grid shrink toward zero with no stated rate, so
-    downstream checks are monotonicity checks up to ``tail_bound`` slack.
+    downstream checks are monotonicity checks up to ``tail_bound`` slack:
+    ``dev[i] + tail[i] < dev[i-1] - tail[i-1]``.
+
+    With ``n_head`` given, every row sums exactly that many levels.  Without
+    it, each row's head is the smallest whose tail bound is at most
+    ``LIMIT_TAIL_REL_TOL * |target|``; it is chosen from the bound alone,
+    before any eigensolve.  Then, for every adjacent pair whose deviations
+    decrease but miss that slack, both rows are evaluated again at tail bound
+    ``(dev[i-1] - dev[i]) / 4``, until no such pair is left or its heads
+    have reached the cap.  A row's head never shrinks, and never exceeds
+    2000 levels (1000 for a parity sector), so a row is never less certified
+    than at that fixed head.  A pair whose deviations do not decrease is left
+    as computed.
     """
     s = complex(s)
     probe = ModelParams(params.delta, 0.0, params.eps if variant == "asymmetric" else 0.0, tau)
     probe.require_zeta_shift()
-    if n_head is None:
-        n_head = 1000 if variant in ("parity+", "parity-") else 2000
     target = variant_target(params, s, tau, variant)
-    rows = []
-    for g in g_grid:
-        run = ModelParams(params.delta, float(g), probe.eps, tau)
-        zv = zeta_variant_value(run, s, tau, variant, n_head, rel_tol)
-        rows.append(
-            ZetaLimitRow(
-                g=float(g),
-                value=zv.value,
-                target=target,
-                deviation=abs(zv.value - target),
-                tail_bound=zv.tail_bound,
-                n_used=zv.n_used,
-            )
+    runs = [ModelParams(params.delta, float(g), probe.eps, tau) for g in g_grid]
+
+    def row(run: ModelParams, head: int) -> ZetaLimitRow:
+        zv = zeta_variant_value(run, s, tau, variant, head, rel_tol)
+        return ZetaLimitRow(
+            g=run.g,
+            value=zv.value,
+            target=target,
+            deviation=abs(zv.value - target),
+            tail_bound=zv.tail_bound,
+            n_used=zv.n_used,
         )
-    return rows
+
+    if n_head is not None:
+        return [row(run, n_head) for run in runs]
+
+    model = _tail_model(probe, variant)
+    cap = 1000 * model[1]  # 1000 model levels: 2000 eigenvalues, 1000 per parity sector
+
+    def head(tol: float) -> int:
+        return _head_for_tail_bound(s, tau, model, tol, cap)
+
+    first = head(LIMIT_TAIL_REL_TOL * abs(target))
+    rows = [row(run, first) for run in runs]
+    while True:
+        wanted: dict[int, float] = {}
+        for i in range(1, len(rows)):
+            a, b = rows[i - 1], rows[i]
+            if b.deviation < a.deviation and not (
+                b.deviation + b.tail_bound < a.deviation - a.tail_bound
+            ):
+                tol = (a.deviation - b.deviation) / 4.0
+                for j in (i - 1, i):
+                    wanted[j] = min(wanted.get(j, tol), tol)
+        finer = {j: head(tol) for j, tol in wanted.items()}
+        finer = {j: n for j, n in finer.items() if n > rows[j].n_used}
+        if not finer:
+            return rows
+        for j, n in finer.items():
+            rows[j] = row(runs[j], n)
 
 
 @dataclass

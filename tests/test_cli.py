@@ -4,7 +4,9 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+import rabizeta.cli as cli
 from rabizeta.cli import ResultRecord, config_hash, main
 
 
@@ -139,6 +141,21 @@ class TestFkCommand:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("xsquare", "--beta", "0.5+1j"),
+        ("xsquare", "--beta", "1.5"),
+        ("xchar", "--beta", "1j"),
+        ("number", "--m", "9"),
+        ("spin-corr", "--lag", "-1"),
+    ])
+    def test_usage_error_before_sampling(self, tmp_path, monkeypatch, argv):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("ensemble built before the options were checked")
+
+        monkeypatch.setattr(cli, "build_ground_ensemble", no_sampling)
+        code, _ = run_cli(tmp_path, "fk", *argv)
+        assert code == 2
+
     def test_dump_writes_paths(self, tmp_path):
         dump = tmp_path / "paths.jsonl"
         code, _ = run_cli(tmp_path, "fk", "dump", "--n", "50", "--T", "4",
@@ -248,6 +265,26 @@ class TestCache:
                      "--output", str(out), "report", "--seed", "1", "--quick"])
         assert code == 0
         assert json.loads(out.read_text())["rows"] == [["cached-run"]]
+
+    def test_report_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        failing = [{"check": "forced", "anchor": "a check that fails", "measured": 1.0,
+                    "threshold": 0.0, "status": "FAIL"}]
+        monkeypatch.setattr(cli, "_report_checks", lambda seed, quick: failing)
+        out = tmp_path / "o.json"
+        argv = ["--cache-dir", str(tmp_path / "cache"), "--format", "json",
+                "--output", str(out), "report", "--seed", "3", "--quick"]
+        assert main(argv) == 4
+        cold = json.loads(out.read_text())
+        assert cold["rows"][0][-1] == "FAIL"
+        assert len(os.listdir(tmp_path / "cache")) == 1
+
+        def recompute(seed, quick):
+            raise AssertionError("cached report recomputed")
+
+        monkeypatch.setattr(cli, "_report_checks", recompute)
+        assert main(argv) == 4
+        assert json.loads(out.read_text()) == cold
+        assert "1 checks FAILED" in capsys.readouterr().err
 
     def test_report_skipped_without_compute(self, tmp_path):
         out = tmp_path / "o.json"

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from rabizeta.errors import DomainError, ParameterError
 from rabizeta.jumplaw import (
+    _pair_moment_rows,
     closed_pair_moments,
     damped_sign_cdf,
     damped_sign_density,
@@ -126,6 +127,11 @@ class TestDistribution:
         assert all(row["z"] < 3 for row in rows)
         cov_row = next(row for row in rows if row["moment"] == "cov(X1,X2)")
         assert cov_row["mc"] > 0
+
+    def test_rows_from_given_draws_match_table(self):
+        # the CLI reuses one draw for the moments and the KS test
+        x1, x2 = sample_damped_sign_pair(1.0, 20_000, seed=48)
+        assert _pair_moment_rows(1.0, x1, x2) == pair_moment_table(1.0, 20_000, seed=48)
 
     def test_covariance_positive_across_deltas(self):
         for delta in (0.3, 0.8, 2.5):

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from rabizeta.errors import ConvergenceError, DomainError, ParameterError
 from rabizeta.model import ModelParams, Spectrum, adaptive_spectrum
 from rabizeta.zeta import (
+    LIMIT_TAIL_REL_TOL,
+    _head_for_tail_bound,
+    _tail_bound,
+    _tail_model,
     eigenvalue_limit_table,
     hurwitz_zeta,
     spectral_zeta,
@@ -122,7 +126,64 @@ class TestSpectralZeta:
             assert abs(zv.value - 2 * hurwitz_zeta(s, tau).value) <= max(zv.tail_bound, 1e-12)
 
 
+VARIANTS = (("full", 0.0), ("parity+", 0.0), ("parity-", 0.0), ("asymmetric", 0.25))
+
+
+def first_head(params, s, variant):
+    """Head a default limit table starts from, at tau = 1."""
+    tol = LIMIT_TAIL_REL_TOL * abs(variant_target(params, s, 1.0, variant))
+    return _head_for_tail_bound(complex(s), 1.0, _tail_model(params, variant), tol, 2000)
+
+
+class TestHeadChooser:
+    @pytest.mark.parametrize("s", [2.0, 2.0 + 1.0j])
+    @pytest.mark.parametrize("variant,eps", VARIANTS)
+    def test_smallest_head_meeting_tol(self, variant, eps, s):
+        p = ModelParams(0.5, 0.0, eps)
+        _, degeneracy, split, radius = _tail_model(p, variant)
+        tol = LIMIT_TAIL_REL_TOL * abs(variant_target(p, s, 1.0, variant))
+        head = first_head(p, s, variant)
+        assert head % degeneracy == 0 and degeneracy < head < 1000
+        m0 = head // degeneracy
+        assert _tail_bound(complex(s), 1.0, m0, degeneracy, split, radius) <= tol
+        assert _tail_bound(complex(s), 1.0, m0 - 1, degeneracy, split, radius) > tol
+
+    def test_bound_matches_spectral_zeta(self, free_spectrum):
+        zv = spectral_zeta(free_spectrum, 2.0, 1.0, 0.0, radius=0.25, n_use=400)
+        assert zv.tail_bound == _tail_bound(2.0 + 0j, 1.0, 200, 2, 0.0, 0.25)
+
+    def test_zero_radius_and_cap(self):
+        exact = _tail_model(ModelParams(0.0, 0.0), "full")
+        assert _head_for_tail_bound(2.0 + 0j, 1.0, exact, 0.0, 2000) == 2
+        model = _tail_model(ModelParams(0.5, 0.0), "parity-")
+        assert _head_for_tail_bound(2.0 + 0j, 1.0, model, 1e-30, 1000) == 1000
+
+
 class TestLimitTables:
+    @pytest.mark.parametrize("variant,eps", VARIANTS)
+    def test_default_heads_certify_below_fixed_head(self, variant, eps):
+        p = ModelParams(0.5, 0.0, eps)
+        rows = zeta_limit_table(p, 2.0, 1.0, [2, 4, 6, 8, 10, 12], variant)
+        fixed = 1000 if variant.startswith("parity") else 2000
+        assert all(r.n_used == first_head(p, 2.0, variant) < fixed for r in rows)
+        for a, b in zip(rows, rows[1:]):
+            assert b.deviation + b.tail_bound < a.deviation - a.tail_bound
+
+    def test_fine_grid_refines_until_certified(self):
+        p = ModelParams(0.5, 0.0)
+        rows = zeta_limit_table(p, 2.0, 1.0, [11.9, 12.0], "full")
+        assert all(first_head(p, 2.0, "full") < r.n_used <= 2000 for r in rows)
+        a, b = rows
+        assert b.deviation + b.tail_bound < a.deviation - a.tail_bound
+
+    def test_explicit_head_is_kept(self):
+        rows = zeta_limit_table(ModelParams(0.5, 0.0), 2.0, 1.0, [6.0], "full", n_head=2000)
+        zv = zeta_variant_value(ModelParams(0.5, 6.0), 2.0, 1.0, "full", 2000)
+        assert rows[0].n_used == 2000
+        assert rows[0].value == zv.value and rows[0].tail_bound == zv.tail_bound
+        # pinned value of the 2000-level head at g = 6
+        assert abs(rows[0].value - 3.298342475923421) < 1e-12
+
     def test_full_rows_and_slack_certified_monotone(self):
         rows = zeta_limit_table(ModelParams(0.5, 0.0), 2.0, 1.0, [2, 4, 6, 8], "full")
         assert [r.g for r in rows] == [2, 4, 6, 8]
