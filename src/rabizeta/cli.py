@@ -788,7 +788,10 @@ def main(argv=None) -> int:
     except (ConvergenceError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _cache_store(args.cache_dir, record)
+    # a --no-compute run has nothing new to store, and its SKIPPED placeholder
+    # would shadow the real report under the same digest
+    if not getattr(args, "no_compute", False):
+        _cache_store(args.cache_dir, record)
     _emit(record, args.format, args.output)
     if args.subcommand == "report":
         failed = [row for row in record.rows if row[-1] == "FAIL"]

@@ -293,3 +293,27 @@ class TestCache:
                      "--no-compute"])
         assert code == 0
         assert json.loads(out.read_text())["rows"][0][-1] == "SKIPPED"
+
+    def test_skipped_report_is_never_cached(self, tmp_path, monkeypatch):
+        # the SKIPPED placeholder shares the real report's digest, so a cached
+        # placeholder would stand in for the report on every later run
+        passing = [{"check": "stub", "anchor": "a check that passes", "measured": 0.0,
+                    "threshold": 1.0, "status": "PASS"}]
+        calls = []
+
+        def stub(seed, quick):
+            calls.append((seed, quick))
+            return passing
+
+        monkeypatch.setattr(cli, "_report_checks", stub)
+        cache = tmp_path / "cache"
+        out = tmp_path / "o.json"
+        argv = ["--cache-dir", str(cache), "--format", "json", "--output", str(out),
+                "report", "--seed", "5", "--quick"]
+        assert main(argv + ["--no-compute"]) == 0
+        assert json.loads(out.read_text())["rows"][0][-1] == "SKIPPED"
+        assert not cache.exists() or os.listdir(cache) == []
+        assert main(argv) == 0
+        assert calls == [(5, True)]
+        rows = json.loads(out.read_text())["rows"]
+        assert rows == [["stub", "a check that passes", 0.0, 1.0, "PASS"]]

@@ -1,10 +1,13 @@
 """Closed laws of the damped sign integrals: moments, density, KS."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import kstest
 
 from rabizeta.errors import DomainError, ParameterError
 from rabizeta.jumplaw import (
@@ -110,6 +113,22 @@ class TestSampling:
         stderr = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - target) < 3 * stderr
 
+    @pytest.mark.parametrize("delta", [0.05, 20.0])
+    def test_extreme_rates_stay_in_support(self, delta):
+        x1, x2 = sample_damped_sign_pair(delta, 20_000, seed=49)
+        assert np.all(x1 >= -1.0) and np.all(x1 <= 1.0)
+        assert np.all(np.isfinite(x2))
+
+    def test_memory_is_linear_in_the_chunk(self):
+        # one dense chunk x window matrix of waits at this rate is ~23 MB
+        tracemalloc.start()
+        try:
+            sample_damped_sign_pair(20.0, 20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_reproducible(self):
         a, _ = sample_damped_sign_pair(0.7, 1000, seed=44)
         b, _ = sample_damped_sign_pair(0.7, 1000, seed=44)
@@ -121,6 +140,12 @@ class TestDistribution:
     def test_ks_below_critical(self, delta):
         x1, _ = sample_damped_sign_pair(delta, 100_000, seed=45)
         assert damped_sign_ks(delta, x1) < ks_critical_value(100_000)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    def test_ks_statistic_equals_scipy(self, delta):
+        x1, _ = sample_damped_sign_pair(delta, 20_000, seed=45)
+        ref = kstest(x1, lambda t: damped_sign_cdf(delta, t)).statistic
+        assert damped_sign_ks(delta, x1) == float(ref)
 
     def test_moment_table_z_scores(self):
         rows = pair_moment_table(1.0, 100_000, seed=46)
