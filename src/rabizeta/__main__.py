@@ -1,0 +1,6 @@
+"""``python -m rabizeta``: the ``rabizeta`` command without an installed entry point."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

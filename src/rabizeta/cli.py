@@ -289,7 +289,8 @@ def cmd_spectrum(args) -> ResultRecord:
         columns=["n", "parity", "energy", "shifted_energy"],
         rows=rows,
         meta={**options, "n_max": spec.truncation.n_max,
-              "converged_count": spec.converged_count},
+              "converged_count": spec.converged_count,
+              "refinement": [list(step) for step in spec.refinement]},
         timestamp=_now(),
     )
 

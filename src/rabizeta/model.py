@@ -19,7 +19,10 @@ truncating the Fock ladder at ``n_max``:
   diagonal in spin.  Its ground state carries all ground-state observables.
 
 Eigenvalues are obtained by LAPACK band/tridiagonal solvers behind the
-``eigensolve`` contract; ``adaptive_spectrum`` doubles the cutoff until the
+``eigensolve`` contract.  Every cutoff the package chooses for itself goes
+through one refiner, ``refine``: it solves at a start cutoff and at growing
+ones until two consecutive results agree.  ``turning_point_cutoff`` sets the
+start for eigenvalues; ``adaptive_spectrum`` doubles from there until the
 requested eigenvalues are stable.
 """
 
@@ -138,12 +141,16 @@ class Spectrum:
 
     ``converged_count`` is the number of leading eigenvalues that passed the
     cutoff-stability test; 0 means stability was never assessed.
+    ``refinement`` holds ``(n_max, delta)`` for each cutoff ``refine`` tried,
+    ``delta`` being the largest relative change of the required levels from
+    the cutoff before (None for the first); empty when nothing was refined.
     """
 
     eigenvalues: np.ndarray
     parity: np.ndarray | None = None
     truncation: Truncation | None = None
     converged_count: int = 0
+    refinement: tuple = ()
 
     def __post_init__(self):
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
@@ -317,6 +324,99 @@ def _variant_eigenvalues(params: ModelParams, n_max: int, variant: str):
     raise ParameterError(f"unknown spectrum variant {variant!r}")
 
 
+def turning_point_cutoff(levels: int, g: float) -> int:
+    """First Fock cutoff to try for the lowest ``levels`` levels of one chain.
+
+    A level with shifted energy m is close to a displaced-oscillator state,
+    whose Fock support ends near the classical turning point
+    ``(sqrt(m) + |g|)**2``.  With ``r = sqrt(levels) + |g|`` the rule is
+    ``ceil(r**2 + 4 r + 16)``: the turning point of the highest level needed
+    plus a margin for the decaying tail.
+
+    The rule only sets the first cutoff tried.  The stability check of
+    ``refine`` is what certifies a result, and a start that is too short just
+    costs a growth step.
+    """
+    r = np.sqrt(levels) + abs(g)
+    return int(np.ceil(r * r + 4.0 * r + 16.0))
+
+
+def refine(solve, start, grow, stable):
+    """Solve at growing Fock cutoffs until two consecutive results agree.
+
+    ``solve(n_max)`` computes the result at one cutoff, first at ``start``.
+    ``grow(n_max)`` returns the next cutoff to try and raises
+    ``ConvergenceError`` once the caller's cap is reached.
+    ``stable(previous, result)`` compares the results at two consecutive
+    cutoffs and returns ``(ok, delta)``: whether ``result`` is certified, and
+    the largest relative change over the quantities the caller requires.
+
+    Returns ``(result, trail)``; ``trail`` holds ``(n_max, delta)`` for every
+    cutoff tried, in order, with ``delta`` None for the first.
+    """
+    n_max = start
+    result = solve(n_max)
+    trail = [(n_max, None)]
+    while True:
+        previous, n_max = result, grow(n_max)
+        result = solve(n_max)
+        ok, delta = stable(previous, result)
+        trail.append((n_max, delta))
+        if ok:
+            return result, tuple(trail)
+
+
+def doubling(states_per_level: int, what: str, rel_tol: float):
+    """Growth rule for ``refine``: double ``n_max`` up to ``MAX_STATES`` states.
+
+    ``states_per_level`` is the matrix dimension per Fock level; ``what``
+    names the quantity in the ``ConvergenceError`` raised at the cap.
+    """
+
+    def grow(n_max: int) -> int:
+        if states_per_level * (2 * n_max + 1) > MAX_STATES:
+            raise ConvergenceError(
+                f"cutoff cap of {MAX_STATES} states exceeded before {what} "
+                f"stabilized to {rel_tol:g} (last n_max {n_max})"
+            )
+        return 2 * n_max
+
+    return grow
+
+
+def _refined_spectrum(
+    params: ModelParams, variant: str, levels: int, rel_tol: float, grow
+) -> Spectrum:
+    """Spectrum whose lowest ``levels`` eigenvalues are stable in the cutoff.
+
+    Starts at ``turning_point_cutoff`` of the levels needed per chain and
+    grows by ``grow`` until consecutive cutoffs agree within ``rel_tol`` on
+    each of them.
+    """
+    per_level = 1 if variant in ("parity+", "parity-") else 2
+    start = turning_point_cutoff((levels + per_level - 1) // per_level, params.g)
+    if per_level * (start + 1) > MAX_STATES:
+        raise ConvergenceError(
+            f"starting cutoff already exceeds the cap of {MAX_STATES} states "
+            f"(n_max {start}); reduce k or the coupling"
+        )
+
+    def solve(n_max: int) -> Spectrum:
+        w, tags = _variant_eigenvalues(params, n_max, variant)
+        return Spectrum(eigenvalues=w, parity=tags, truncation=Truncation(n_max, rel_tol))
+
+    def stable(previous: Spectrum, spec: Spectrum):
+        w = spec.eigenvalues[: len(previous)]  # the larger cutoff has more levels
+        deltas = np.abs(w - previous.eigenvalues) / np.maximum(1.0, np.abs(w))
+        # leading levels within rel_tol: the index of the first one that is not
+        spec.converged_count = int(np.argmin(np.append(deltas <= rel_tol, False)))
+        return spec.converged_count >= levels, float(deltas[:levels].max())
+
+    spec, trail = refine(solve, start, grow, stable)
+    spec.refinement = trail
+    return spec
+
+
 def adaptive_spectrum(
     params: ModelParams,
     k: int,
@@ -325,47 +425,16 @@ def adaptive_spectrum(
 ) -> Spectrum:
     """Spectrum with the lowest ``k`` eigenvalues stable under cutoff doubling.
 
-    Starts from ``n_max = max(64, 4*ceil(g^2) + 4k)`` (displaced-oscillator
-    support scale) and doubles until consecutive cutoffs agree within
-    ``rel_tol`` on every retained level.  ``converged_count`` records how many
-    levels of the final spectrum met the tolerance (at least ``k`` on success).
+    Starts from ``turning_point_cutoff`` and doubles until consecutive
+    cutoffs agree within ``rel_tol`` on each of the lowest ``k`` levels.
+    ``converged_count`` records how many leading levels of the final spectrum
+    met the tolerance (at least ``k``); ``refinement`` lists the cutoffs tried.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     per_level = 1 if variant in ("parity+", "parity-") else 2
-    n_max = max(64, 4 * int(np.ceil(params.g**2)) + 4 * ((k + per_level - 1) // per_level))
-    if per_level * (n_max + 1) > MAX_STATES:
-        raise ConvergenceError(
-            f"starting cutoff already exceeds the cap of {MAX_STATES} states "
-            f"(n_max {n_max}); reduce k or the coupling"
-        )
-    w_prev, _ = _variant_eigenvalues(params, n_max, variant)
-    while True:
-        n_next = 2 * n_max
-        if per_level * (n_next + 1) > MAX_STATES:
-            raise ConvergenceError(
-                f"cutoff cap of {MAX_STATES} states exceeded before the lowest {k} "
-                f"eigenvalues stabilized to {rel_tol:g} (last n_max {n_max})"
-            )
-        w_next, tags_next = _variant_eigenvalues(params, n_next, variant)
-        n_common = min(len(w_prev), len(w_next))
-        scale = np.maximum(1.0, np.abs(w_next[:n_common]))
-        deltas = np.abs(w_next[:n_common] - w_prev[:n_common]) / scale
-        stable = deltas <= rel_tol
-        converged = int(np.argmin(stable)) if not stable.all() else n_common
-        if converged >= k:
-            return Spectrum(
-                eigenvalues=w_next,
-                parity=tags_next,
-                truncation=Truncation(n_next, rel_tol),
-                converged_count=converged,
-            )
-        if per_level * (2 * n_next + 1) > MAX_STATES:
-            raise ConvergenceError(
-                f"cutoff cap of {MAX_STATES} states exceeded; lowest unstable level "
-                f"{converged} of {k}, last deltas {deltas[:k][~stable[:k]][:5]}"
-            )
-        n_max, w_prev = n_next, w_next
+    grow = doubling(per_level, f"the lowest {k} eigenvalues", rel_tol)
+    return _refined_spectrum(params, variant, k, rel_tol, grow)
 
 
 def lower_bound_gap(params: ModelParams, spectrum: Spectrum) -> float:

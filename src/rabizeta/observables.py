@@ -29,9 +29,12 @@ from .model import (
     build_full_hamiltonian,
     build_spin_boson_matrix,
     coherent_coefficients,
+    doubling,
     eigensolve,
     full_basis_labels,
+    turning_point_cutoff,
 )
+from .model import refine as refine_cutoff
 
 #: Stability tolerance used when a truncation is chosen automatically.
 _AUTO_REL_TOL = 1e-10
@@ -80,8 +83,9 @@ def ground_state(
     """Ground state of the spin-boson form, refined until the energy is stable.
 
     With ``refine`` the cutoff doubles until the lowest two eigenvalues move
-    by less than the truncation's ``rel_tol``; a near-degenerate lowest pair
-    (gap below 1e-12) triggers an ambiguity warning.
+    by less than the truncation's ``rel_tol``; ``ConvergenceError`` is raised
+    when that needs more than ``MAX_STATES`` states.  A near-degenerate
+    lowest pair (gap below 1e-12) triggers an ambiguity warning.
     """
     trunc = trunc or _auto_truncation(params, _AUTO_REL_TOL)
 
@@ -90,14 +94,18 @@ def ground_state(
         spec, vec = eigensolve(mat, k=2, want_vectors=True)
         return spec.eigenvalues, vec
 
-    n_max = trunc.n_max
-    w, v = solve(n_max)
-    while refine and 2 * (2 * n_max + 1) <= 1 << 20:
-        w2, v2 = solve(2 * n_max)
-        stable = np.max(np.abs(w2 - w) / np.maximum(1.0, np.abs(w2))) <= trunc.rel_tol
-        n_max, w, v = 2 * n_max, w2, v2
-        if stable:
-            break
+    def stable(previous, result):
+        w_prev, w = previous[0], result[0]
+        delta = float(np.max(np.abs(w - w_prev) / np.maximum(1.0, np.abs(w))))
+        return delta <= trunc.rel_tol, delta
+
+    if refine:
+        grow = doubling(2, "the lowest two eigenvalues", trunc.rel_tol)
+        (w, v), trail = refine_cutoff(solve, trunc.n_max, grow, stable)
+        n_max = trail[-1][0]
+    else:
+        n_max = trunc.n_max
+        w, v = solve(n_max)
 
     if w[1] - w[0] < 1e-12:
         warnings.warn("lowest pair nearly degenerate; ground vector is ambiguous")
@@ -332,12 +340,37 @@ def flat_state(n_max: int) -> np.ndarray:
     return phi
 
 
+def _checked_value(evaluate, params: ModelParams, trunc: Truncation | None, what: str) -> float:
+    """``evaluate(n_max)`` at ``trunc``, or at a cutoff where the value is stable.
+
+    An explicit ``trunc`` is used as given.  Otherwise the cutoff starts at
+    ``turning_point_cutoff(1, g)`` and doubles until the value changes by at
+    most ``_AUTO_REL_TOL`` relative (absolute below 1).
+    """
+    if trunc is not None:
+        return evaluate(trunc.n_max)
+
+    def stable(previous, value):
+        delta = abs(value - previous) / max(1.0, abs(value))
+        return delta <= _AUTO_REL_TOL, delta
+
+    grow = doubling(2, what, _AUTO_REL_TOL)
+    value, _ = refine_cutoff(evaluate, turning_point_cutoff(1, params.g), grow, stable)
+    return value
+
+
 def partition_ed(params: ModelParams, t: float, trunc: Truncation | None = None) -> float:
-    """Flat-state semigroup element of the spin-boson form at time ``t``."""
-    trunc = trunc or _auto_truncation(params, _AUTO_REL_TOL)
-    mat = build_spin_boson_matrix(params, trunc)
-    phi = flat_state(trunc.n_max)
-    return semigroup_matrix_element_ed(mat, phi, phi, t)
+    """Flat-state semigroup element of the spin-boson form at time ``t``.
+
+    Without ``trunc`` the cutoff is chosen by the stability of the value.
+    """
+
+    def evaluate(n_max: int) -> float:
+        mat = build_spin_boson_matrix(params, Truncation(n_max))
+        phi = flat_state(n_max)
+        return semigroup_matrix_element_ed(mat, phi, phi, t)
+
+    return _checked_value(evaluate, params, trunc, f"the partition element at t={t}")
 
 
 def displaced_flat_state(params: ModelParams, n_max: int) -> np.ndarray:
@@ -360,11 +393,13 @@ def vacuum_element_ed(params: ModelParams, t: float, trunc: Truncation | None = 
     """Exact value of the shifted vacuum semigroup element at time ``t``.
 
     This is the matrix element of exp(-t*(K + g^2)) in the displaced flat
-    state, the quantity targeted by the jump-path vacuum estimator.
+    state, the quantity targeted by the jump-path vacuum estimator.  Without
+    ``trunc`` the cutoff is chosen by the stability of the value.
     """
-    if trunc is None:
-        n_max = max(96, 4 * int(np.ceil(params.g**2)) + 32)
-        trunc = Truncation(n_max)
-    mat = build_full_hamiltonian(params, trunc)
-    phi = displaced_flat_state(params, trunc.n_max)
-    return semigroup_matrix_element_ed(mat, phi, phi, t, shift=params.g**2)
+
+    def evaluate(n_max: int) -> float:
+        mat = build_full_hamiltonian(params, Truncation(n_max))
+        phi = displaced_flat_state(params, n_max)
+        return semigroup_matrix_element_ed(mat, phi, phi, t, shift=params.g**2)
+
+    return _checked_value(evaluate, params, trunc, f"the vacuum element at t={t}")

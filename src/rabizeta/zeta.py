@@ -1,9 +1,10 @@
 """Hurwitz and spectral zeta functions with controlled tail completion.
 
 ``hurwitz_zeta`` evaluates zeta(s; tau) = sum_{n>=0} (n + tau)^(-s) by
-Euler-Maclaurin: a direct sum of ``32 + ceil(|s|)`` terms plus the integral,
-half-term, and six Bernoulli corrections.  This continues the function to all
-s != 1 and is the closed-form target of every limit table.
+Euler-Maclaurin: a direct sum of ``32 + ceil(|s|)`` terms (``8 + 2 ceil(|s|)``
+for Re s < 0) plus the integral, half-term, and six Bernoulli corrections.
+This continues the function to all s != 1 and is the closed-form target of
+every limit table.
 
 ``spectral_zeta`` sums (E_n + shift + tau)^(-s) over computed eigenvalues and
 completes the tail with a model sequence.  The tail model rests on an exact
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .model import ModelParams, Spectrum, Truncation, adaptive_spectrum
+from .model import ModelParams, Spectrum, _refined_spectrum, adaptive_spectrum
 
 # Bernoulli numbers B_2, B_4, ..., B_12 over (2k)! for the correction terms.
 _BERNOULLI_OVER_FACT = (
@@ -46,7 +47,13 @@ class ZetaValue:
 
 
 def _euler_maclaurin(s: complex, tau: float) -> ZetaValue:
-    n_direct = 32 + int(np.ceil(abs(s)))
+    # For Re s < 0 the terms grow, and the direct sum and the integral term
+    # cancel down to the value: their size N^(1 - Re s) times the rounding
+    # error bounds the accuracy, so the direct sum is kept shorter there.
+    if s.real < 0:
+        n_direct = 8 + 2 * int(np.ceil(abs(s)))
+    else:
+        n_direct = 32 + int(np.ceil(abs(s)))
     n = np.arange(n_direct)
     direct = complex(np.sum(np.exp(-s * np.log(n + tau))))
     edge = n_direct + tau
@@ -101,7 +108,10 @@ def hurwitz_zeta(s: complex, tau: float) -> ZetaValue:
     Fourier-series continuation below that.  Accuracy is ~1e-13 absolute
     where |zeta| = O(1) and ~1e-13 relative where the value is large (deep
     in the left half-plane the function grows like a Bernoulli polynomial
-    and absolute precision is limited by the double format itself).
+    and absolute precision is limited by the double format itself).  Just
+    above Re(s) = -2 cancellation costs digits: against mpmath, on 8000
+    random points with -2 < Re(s) < 0, |Im(s)| <= 10 and 0.05 <= tau <= 10,
+    the error stays below 6e-12 relative to max(1, |zeta|).
     """
     s = complex(s)
     if tau <= 0:
@@ -202,37 +212,21 @@ def _stable_spectrum(
 ) -> Spectrum:
     """Spectrum with at least ``min_levels`` levels verified stable in the cutoff.
 
-    Zeta heads consume thousands of levels, for which the generic adaptive
-    start (sized for low-lying eigenvalues) is wasteful; level m converges
-    once the cutoff covers m plus the displacement support, so start from
-    that scale and verify against a 30% larger cutoff, growing on failure.
+    Zeta heads consume hundreds of levels, so each cutoff is checked against
+    one 30% larger rather than a doubled one, growing by that factor on
+    failure, at most 8 times.
     """
-    from .model import _variant_eigenvalues  # shared solver dispatch
+    tries = iter(range(8))
 
-    per_level = 1 if variant in ("parity+", "parity-") else 2
-    need = (min_levels + per_level - 1) // per_level
-    disp = 4 * int(np.ceil(params.g**2))
-    n_max = need + disp + 8 * int(np.sqrt(need + disp)) + 64
-    for _ in range(8):
-        n_check = int(np.ceil(1.3 * n_max))
-        w_a, _ = _variant_eigenvalues(params, n_max, variant)
-        w_b, tags = _variant_eigenvalues(params, n_check, variant)
-        n_common = min(len(w_a), len(w_b))
-        deltas = np.abs(w_b[:n_common] - w_a[:n_common]) / np.maximum(1.0, np.abs(w_b[:n_common]))
-        stable = deltas <= rel_tol
-        converged = int(np.argmin(stable)) if not stable.all() else n_common
-        if converged >= min_levels:
-            return Spectrum(
-                eigenvalues=w_b,
-                parity=tags,
-                truncation=Truncation(n_check, rel_tol),
-                converged_count=converged,
+    def grow(n_max: int) -> int:
+        if next(tries, None) is None:
+            raise ConvergenceError(
+                f"could not stabilize {min_levels} levels for variant {variant!r} "
+                f"(reached n_max {n_max})"
             )
-        n_max = n_check
-    raise ConvergenceError(
-        f"could not stabilize {min_levels} levels for variant {variant!r} "
-        f"(reached n_max {n_max})"
-    )
+        return int(np.ceil(1.3 * n_max))
+
+    return _refined_spectrum(params, variant, min_levels, rel_tol, grow)
 
 
 def variant_target(params: ModelParams, s: complex, tau: float, variant: str) -> complex:

@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rabizeta
 import rabizeta.cli as cli
 from rabizeta.cli import ResultRecord, config_hash, main
 
@@ -42,6 +46,28 @@ class TestSpectrumCommand:
         _, second = run_cli(tmp_path, *args)
         strip = lambda text: [l for l in text.splitlines() if not l.startswith("# timestamp")]
         assert strip(first) == strip(second)
+
+    def test_refinement_in_meta(self, tmp_path):
+        code, text = run_cli(tmp_path, "spectrum", "--delta", "0.5", "--g", "2",
+                             "--levels", "4", fmt="json")
+        assert code == 0
+        record = json.loads(text)
+        meta = record["meta"]
+        (n_start, d_start), (n_check, d_check) = meta["refinement"]
+        assert d_start is None and n_check == meta["n_max"] == 2 * n_start
+        assert d_check <= meta["rel_tol"]
+        # the cutoffs tried are metadata, outside the configuration digest
+        options = {k: v for k, v in meta.items()
+                   if k not in ("n_max", "converged_count", "refinement")}
+        assert record["config_hash"] == config_hash("spectrum", options)
+
+    def test_python_m_entry_point(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
+        env["PYTHONPATH"] = str(Path(rabizeta.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "rabizeta", "spectrum", "--levels", "4"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert "shifted_energy" in out.stdout
 
 
 class TestZetaCommand:

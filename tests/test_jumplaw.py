@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import beta
 from scipy.stats import kstest
 
 from rabizeta.errors import DomainError, ParameterError
@@ -32,10 +33,16 @@ class TestClosedMoments:
         assert damped_sign_moment(1.0, 2) == pytest.approx(1 / 5)
 
     def test_even_odd_pairing(self):
-        # the closed form assigns the same value to orders 2m-1 and 2m
+        # the closed form is both E[X1^(2m-1)] and E[X1^(2m)]: integrate each
+        # against the density (1 + t)(1 - t^2)^(delta-1) / B(delta, 1/2)
         for delta in (0.3, 1.7):
+            norm = beta(delta, 0.5)
             for m in (1, 2, 3):
-                assert damped_sign_moment(delta, m) == damped_sign_moment(delta, m)
+                closed = damped_sign_moment(delta, m)
+                for order in (2 * m - 1, 2 * m):
+                    value, _ = quad(lambda t: t**order * (1.0 + t) / norm, -1, 1,
+                                    weight="alg", wvar=(delta - 1.0, delta - 1.0))
+                    assert abs(value - closed) <= 1e-12
 
     def test_pair_moment_closed_values(self):
         closed = closed_pair_moments(1.0)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import rabizeta.model as model
 from rabizeta.errors import ConvergenceError, ParameterError, UnsupportedConfigError
 from rabizeta.model import (
+    MAX_STATES,
     ModelParams,
     SymBandMatrix,
     Truncation,
@@ -13,9 +15,12 @@ from rabizeta.model import (
     build_parity_tridiagonal,
     build_spin_boson_matrix,
     coherent_coefficients,
+    doubling,
     eigensolve,
     full_basis_labels,
     lower_bound_gap,
+    refine,
+    turning_point_cutoff,
 )
 
 
@@ -207,6 +212,57 @@ class TestAdaptiveSpectrum:
     def test_cap_error(self):
         with pytest.raises(ConvergenceError):
             adaptive_spectrum(ModelParams(0.5, 600.0), k=200_000)
+
+    def test_refinement_recorded(self):
+        spec = adaptive_spectrum(ModelParams(0.5, 4.0), k=12, rel_tol=1e-9)
+        (n_first, d_first), (n_last, d_last) = spec.refinement
+        assert n_first == turning_point_cutoff(6, 4.0) and d_first is None
+        assert n_last == 2 * n_first == spec.truncation.n_max
+        assert d_last <= 1e-9
+
+    @pytest.mark.parametrize("variant,k", [("full", 12), ("parity-", 6)])
+    def test_short_start_grows_to_the_same_levels(self, monkeypatch, variant, k):
+        p = ModelParams(0.5, 4.0)
+        normal = adaptive_spectrum(p, k=k, rel_tol=1e-9, variant=variant)
+        monkeypatch.setattr(model, "turning_point_cutoff", lambda levels, g: 8)
+        short = adaptive_spectrum(p, k=k, rel_tol=1e-9, variant=variant)
+        assert [n for n, _ in short.refinement[:2]] == [8, 16]
+        assert len(short.refinement) > 2 and short.refinement[-1][1] <= 1e-9
+        scale = np.maximum(1.0, np.abs(normal.eigenvalues[:k]))
+        assert np.max(np.abs(short.eigenvalues[:k] - normal.eigenvalues[:k]) / scale) <= 1e-9
+
+
+class TestRefiner:
+    def test_turning_point_rule(self):
+        # g = 12: the 6 levels per chain of the level tables, and the 175 per
+        # chain of the 350-level full zeta head
+        assert turning_point_cutoff(6, 12.0) == 283
+        assert turning_point_cutoff(175, 12.0) == 754
+        assert turning_point_cutoff(1, 0.0) == 21
+        assert turning_point_cutoff(6, -12.0) == turning_point_cutoff(6, 12.0)
+
+    def test_trail_and_result(self):
+        solved = []
+
+        def solve(n):
+            solved.append(n)
+            return 1.0 / n
+
+        def stable(previous, value):
+            delta = abs(value - previous)
+            return delta <= 0.02, delta
+
+        value, trail = refine(solve, 10, lambda n: 2 * n, stable)
+        assert solved == [10, 20, 40, 80]
+        assert value == 1.0 / 80
+        assert [n for n, _ in trail] == solved and trail[0][1] is None
+        assert [d for _, d in trail[1:]] == pytest.approx([0.05, 0.025, 0.0125])
+
+    def test_doubling_cap(self):
+        grow = doubling(2, "the lowest 3 eigenvalues", 1e-9)
+        assert grow(100) == 200
+        with pytest.raises(ConvergenceError, match="cutoff cap of"):
+            grow(MAX_STATES // 4)
 
 
 class TestInvariants:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import rabizeta.model as model
+import rabizeta.observables as observables
 from rabizeta.model import ModelParams, Truncation, build_spin_boson_matrix
 from rabizeta.errors import ConvergenceError, DomainError, ParameterError
 from rabizeta.observables import (
@@ -221,3 +223,41 @@ class TestVacuumElement:
         assert partition_ed(ModelParams(0.5, 0.0), 1.0) == pytest.approx(
             2 * np.exp(0.5), rel=1e-10
         )
+
+
+class TestCheckedCutoffs:
+    @pytest.mark.parametrize("g", [0.5, 1.0])
+    def test_automatic_cutoff_matches_large_fixed_one(self, g):
+        p = ModelParams(0.5, g)
+        for oracle, t in ((vacuum_element_ed, 1.0), (partition_ed, 2.0)):
+            auto = oracle(p, t)
+            fixed = oracle(p, t, Truncation(192))
+            assert auto == pytest.approx(fixed, rel=1e-12)
+
+    def test_measured_values(self):
+        p = ModelParams(0.5, 0.5)
+        assert vacuum_element_ed(p, 1.0) == pytest.approx(2.8295183124731, rel=1e-13)
+        assert partition_ed(p, 2.0) == pytest.approx(6.5911110485489, rel=1e-13)
+
+    def test_explicit_cutoff_is_kept(self, monkeypatch):
+        dims = []
+        solve = observables.eigensolve
+
+        def counting(mat, *args, **kwargs):
+            dims.append(mat.dim)
+            return solve(mat, *args, **kwargs)
+
+        monkeypatch.setattr(observables, "eigensolve", counting)
+        p = ModelParams(0.5, 1.0)
+        vacuum_element_ed(p, 1.0, Truncation(10))
+        partition_ed(p, 2.0, Truncation(12))
+        assert dims == [22, 26]
+
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(model, "MAX_STATES", 100)
+        p = ModelParams(0.5, 1.0)
+        for oracle in (vacuum_element_ed, partition_ed):
+            with pytest.raises(ConvergenceError, match="cutoff cap"):
+                oracle(p, 1.0)
+        with pytest.raises(ConvergenceError, match="cutoff cap"):
+            ground_state(p)

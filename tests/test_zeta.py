@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rabizeta.model as model
 from rabizeta.errors import ConvergenceError, DomainError, ParameterError
 from rabizeta.model import ModelParams, Spectrum, adaptive_spectrum
 from rabizeta.zeta import (
     LIMIT_TAIL_REL_TOL,
     _head_for_tail_bound,
+    _stable_spectrum,
     _tail_bound,
     _tail_model,
     eigenvalue_limit_table,
@@ -32,6 +34,14 @@ class TestHurwitz:
 
     def test_odd_reciprocal_squares(self):
         assert hurwitz_zeta(2, 0.5).value == pytest.approx(np.pi**2 / 2, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "s,tau", [(-1.875, 0.5), (-1.9837291097824015 + 6.919383794358783j, 1.982591428827962)]
+    )
+    def test_cancellation_above_minus_two(self, s, tau):
+        # the longer direct sum missed these by 1.2e-11 and 2.5e-11
+        ref = mp_hurwitz(complex(s), tau)
+        assert abs(hurwitz_zeta(s, tau).value - ref) <= 1e-11 * max(1.0, abs(ref))
 
     def test_continuation_special_value(self):
         for tau in (0.2, 1.0, 3.7):
@@ -133,6 +143,58 @@ def first_head(params, s, variant):
     """Head a default limit table starts from, at tau = 1."""
     tol = LIMIT_TAIL_REL_TOL * abs(variant_target(params, s, 1.0, variant))
     return _head_for_tail_bound(complex(s), 1.0, _tail_model(params, variant), tol, 2000)
+
+
+def count_solves(monkeypatch) -> list:
+    """Dimensions of every eigensolve the model runs from now on."""
+    dims = []
+    solve = model.eigensolve
+
+    def counting(mat, *args, **kwargs):
+        dims.append(mat.dim)
+        return solve(mat, *args, **kwargs)
+
+    monkeypatch.setattr(model, "eigensolve", counting)
+    return dims
+
+
+# The benchmark's grids: zeta-limit rows at g = 2..12, level rows at g = 4, 8, 12.
+ZETA_GRID = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+LEVEL_GRID = [4.0, 8.0, 12.0]
+
+
+class TestCutoffStart:
+    @pytest.mark.parametrize("s", [2.0, 2.0 + 1.0j])
+    @pytest.mark.parametrize("variant,eps", VARIANTS)
+    def test_zeta_rows_certify_on_first_cutoff_pair(self, monkeypatch, variant, eps, s):
+        dims = count_solves(monkeypatch)
+        rows = zeta_limit_table(ModelParams(0.5, 0.0, eps), s, 1.0, ZETA_GRID, variant)
+        # at eps = 0 a full-model cutoff is solved as two parity chains
+        blocks = 2 if variant == "full" else 1
+        assert len(dims) == 2 * blocks * len(rows)
+
+    @pytest.mark.parametrize("variant,eps", [("parity", 0.0), ("asymmetric", 0.25)])
+    def test_level_rows_certify_on_first_cutoff_pair(self, monkeypatch, variant, eps):
+        dims = count_solves(monkeypatch)
+        eigenvalue_limit_table(ModelParams(0.5, 0.0, eps), LEVEL_GRID, 6, variant)
+        spectra = 2 * len(LEVEL_GRID) if variant == "parity" else len(LEVEL_GRID)
+        assert len(dims) == 2 * spectra
+
+    def test_short_start_grows_to_the_same_head(self, monkeypatch):
+        p = ModelParams(0.5, 8.0)
+        normal = _stable_spectrum(p, "parity+", 175, 1e-9)
+        start = model.turning_point_cutoff
+        monkeypatch.setattr(model, "turning_point_cutoff", lambda levels, g: start(levels, g) // 2)
+        short = _stable_spectrum(p, "parity+", 175, 1e-9)
+        assert short.refinement[0][0] == start(175, 8.0) // 2 and len(short.refinement) > 2
+        w, w_normal = short.eigenvalues[:175], normal.eigenvalues[:175]
+        assert np.max(np.abs(w - w_normal) / np.maximum(1.0, np.abs(w_normal))) <= 1e-9
+
+    def test_head_refinement_recorded(self):
+        spec = _stable_spectrum(ModelParams(0.5, 12.0), "full", 350, 1e-9)
+        (n_start, _), (n_check, delta) = spec.refinement
+        assert (n_start, n_check) == (754, int(np.ceil(1.3 * 754)))
+        assert spec.truncation.n_max == n_check and delta <= 1e-9
 
 
 class TestHeadChooser:
