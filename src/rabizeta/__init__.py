@@ -7,10 +7,10 @@ Four layers:
   exact ground-state observables (the oracle side of every cross-check).
 * ``zeta``: Hurwitz zeta by Euler-Maclaurin plus spectral zeta functions
   with bracketed tail completion and the coupling-limit tables.
-* ``paths`` / ``estimators`` / ``jumplaw`` / ``kernels``: Poisson spin-path
-  sampling with closed-form path functionals, importance-weighted ground
-  ensembles, and every jump-path estimator cross-validated against the
-  exact values.
+* ``paths`` / ``estimators`` / ``jumplaw`` / ``kernels``: Poisson spin paths
+  sampled in flat batches over one seed-stream rule, closed-form batch path
+  functionals, importance-weighted ground ensembles, and every jump-path
+  estimator cross-validated against the exact values.
 * ``cli``: the ``rabizeta`` executable.
 """
 
@@ -84,14 +84,8 @@ from .observables import (
 )
 from .paths import (
     DEFAULT_SEED,
-    JumpPath,
-    SeedSpec,
     WeightedPathEnsemble,
     build_ground_ensemble,
-    damped_sign_integral,
-    pair_interaction_energy,
-    sample_jump_path,
-    vacuum_suppression,
 )
 from .zeta import (
     ZetaValue,

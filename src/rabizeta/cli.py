@@ -41,6 +41,8 @@ from .errors import (
     UnsupportedConfigError,
 )
 from .estimators import (
+    _check_edge_guard,
+    _check_moment_order,
     gaussian_square_fk,
     gibbs_number_fk,
     ground_energy_fk,
@@ -71,7 +73,7 @@ from .observables import (
     x_characteristic_ed,
     x_square_exponential_ed,
 )
-from .paths import DEFAULT_SEED, build_ground_ensemble
+from .paths import DEFAULT_SEED, build_ground_ensemble, default_horizon
 from .zeta import (
     eigenvalue_limit_table,
     hurwitz_zeta,
@@ -433,13 +435,15 @@ def cmd_fk(args) -> ResultRecord:
         ens = build_ground_ensemble(params, n, horizon, seed)
         target = _resolve(args, "out", str, None) or "paths.jsonl"
         options["out"] = target
+        T = ens.half_width
+        lefts = np.split(ens.left_jumps, ens.left_offsets[1:-1])
+        rights = np.split(ens.right_jumps, ens.right_offsets[1:-1])
         with open(target, "w") as fh:
-            T = ens.half_width
-            for i, path in enumerate(ens.paths()):
+            for i, (left, right) in enumerate(zip(lefts, rights)):
                 fh.write(json.dumps({
-                    "alpha0": int(path.alpha0),
+                    "alpha0": int(ens.alpha0[i]),
                     "horizon": [-T, T],
-                    "jumps": [float(v) for v in path.jumps],
+                    "jumps": left.tolist() + right.tolist(),
                     "log_weight": float(ens.log_weights[i]),
                 }) + "\n")
         return record([[T, ens.n_samples, ens.n_eff, target]],
@@ -470,6 +474,7 @@ def cmd_fk(args) -> ResultRecord:
     if quantity == "number":
         m = _resolve(args, "m", int, 1)
         options["m"] = m
+        _check_moment_order(m)
         oracle = number_moment_ed(ground_state(params), m)
         ens = build_ground_ensemble(params, n, horizon, seed)
         est = number_moments_fk(ens, params, m)
@@ -494,6 +499,8 @@ def cmd_fk(args) -> ResultRecord:
     if quantity == "spin-corr":
         lag = _resolve(args, "lag", float, 1.0)
         options["lag"] = lag
+        T = default_horizon(params.delta) if horizon is None else horizon
+        _check_edge_guard(T, lag / 2.0, -lag / 2.0)
         oracle = spin_autocorrelation_ed(ground_state(params), lag)
         ens = build_ground_ensemble(params, n, horizon, seed)
         est = spin_correlation_fk(ens, lag / 2.0, -lag / 2.0)

@@ -14,9 +14,8 @@ an average over jump paths only:
   characteristic/Gaussian moments, spin correlation) are weighted means over
   a ``WeightedPathEnsemble``.
 
-All estimators are reproducible bit for bit from (seed, n_samples, params,
-n_streams); sampling is chunked over seed streams and reduced in stream
-order.
+Every estimator draws through ``paths._seed_streams`` and reduces in stream
+order, so it is reproducible bit for bit from (seed, n_samples, params).
 """
 
 from __future__ import annotations
@@ -29,11 +28,10 @@ from .errors import DomainError, ParameterError
 from .model import ModelParams
 from .paths import (
     DEFAULT_SEED,
-    SeedSpec,
     WeightedPathEnsemble,
-    as_seed,
-    stream_chunks,
+    _count_upto,
     _sample_segments,
+    _seed_streams,
     _square_interaction_batch,
     _vacuum_suppression_batch,
 )
@@ -46,7 +44,7 @@ class MCEstimate:
     mean: complex
     stderr: float
     n_samples: int
-    seed: SeedSpec
+    seed: int
     n_eff: float | None = None
     note: str = ""
     extras: dict = field(default_factory=dict)
@@ -73,8 +71,7 @@ def vacuum_element_fk(
     params: ModelParams,
     t: float,
     n_samples: int,
-    seed=DEFAULT_SEED,
-    n_streams: int = 8,
+    seed: int = DEFAULT_SEED,
 ) -> MCEstimate:
     """Shifted vacuum semigroup element from unit-rate jump paths.
 
@@ -83,10 +80,8 @@ def vacuum_element_fk(
     """
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
-    seed = as_seed(seed)
     values = []
-    for stream, chunk in enumerate(stream_chunks(n_samples, n_streams)):
-        rng = seed.child(stream).generator()
+    for chunk, rng in _seed_streams(seed, n_samples):
         jumps, offsets = _sample_segments(rng, 1.0, t, chunk, 0.0)
         counts = np.diff(offsets)
         xi = _vacuum_suppression_batch(jumps, offsets)
@@ -111,18 +106,13 @@ def partition_fk(
     params: ModelParams,
     t: float,
     n_samples: int,
-    seed=DEFAULT_SEED,
-    n_streams: int = 8,
+    seed: int = DEFAULT_SEED,
 ) -> MCEstimate:
     """Flat-state semigroup element 2 e^(delta t) E[exp((g^2/2) J)]."""
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
-    seed = as_seed(seed)
-    logs = []
-    for stream, chunk in enumerate(stream_chunks(n_samples, n_streams)):
-        rng = seed.child(stream).generator()
-        logs.append(_partition_samples(params, t, chunk, rng))
-    logw = np.concatenate(logs)
+    logw = np.concatenate([_partition_samples(params, t, chunk, rng)
+                           for chunk, rng in _seed_streams(seed, n_samples)])
     shift = logw.max()
     mean, stderr = _mean_stderr(np.exp(logw - shift))
     scale = np.exp(shift)
@@ -133,8 +123,7 @@ def ground_energy_fk(
     params: ModelParams,
     t_grid,
     n_samples: int,
-    seed=DEFAULT_SEED,
-    n_streams: int = 8,
+    seed: int = DEFAULT_SEED,
     min_n_eff: float = 100.0,
 ) -> MCEstimate:
     """Ground energy from the decay rate of the flat-state semigroup element.
@@ -151,32 +140,19 @@ def ground_energy_fk(
         raise ParameterError("t_grid needs at least two horizons")
     if t_grid[0] <= 0:
         raise DomainError("all horizons must be positive")
-    seed = as_seed(seed)
-    t_max = t_grid[-1]
+    batches = [_sample_segments(rng, params.delta, t_grid[-1], chunk, 0.0)
+               for chunk, rng in _seed_streams(seed, n_samples)]
 
-    jumps_all, offsets_all = [], []
-    for stream, chunk in enumerate(stream_chunks(n_samples, n_streams)):
-        rng = seed.child(stream).generator()
-        jumps, offsets = _sample_segments(rng, params.delta, t_max, chunk, 0.0)
-        jumps_all.append(jumps)
-        offsets_all.append(offsets)
-
-    span = t_max + 1.0
     weights = {}
     for t in t_grid:
         per_path = []
-        for jumps, offsets in zip(jumps_all, offsets_all):
-            n_paths = len(offsets) - 1
-            counts = np.diff(offsets)
-            # restrict each path to [0, t]; flat jumps are sorted per segment
-            seg = np.repeat(np.arange(n_paths), counts)
-            kept = np.searchsorted(jumps + seg * span, t + np.arange(n_paths) * span) - offsets[:-1]
-            within = np.arange(jumps.size) - np.repeat(offsets[:-1], counts)
-            keep = within < np.repeat(kept, counts)
-            new_offsets = np.zeros(n_paths + 1, dtype=np.int64)
-            np.cumsum(kept, out=new_offsets[1:])
+        # stream by stream: _exclusive_prefix sums over the whole flat batch, so
+        # a merged batch would round the interactions differently
+        for jumps, offsets in batches:
+            kept = np.zeros_like(offsets)
+            np.cumsum(_count_upto(jumps, offsets, t), out=kept[1:])
             inter = _square_interaction_batch(
-                jumps[keep], new_offsets, 0.0, t, np.ones(n_paths, dtype=float)
+                jumps[jumps <= t], kept, 0.0, t, np.ones(len(offsets) - 1, dtype=float)
             )
             per_path.append(params.delta * t + 0.5 * params.g**2 * inter)
         weights[t] = np.concatenate(per_path)
@@ -220,7 +196,7 @@ def ground_energy_fk(
 # ---------------------------------------------------------------------------
 
 
-def _ensemble_estimate(ens: WeightedPathEnsemble, values: np.ndarray, seed=None) -> MCEstimate:
+def _ensemble_estimate(ens: WeightedPathEnsemble, values: np.ndarray) -> MCEstimate:
     mean, stderr = ens.weighted_mean(values)
     if abs(mean.imag) < 1e-300:
         mean = mean.real
@@ -252,14 +228,19 @@ def stirling2(m: int, l: int) -> int:
     return table[m][l]
 
 
+def _check_moment_order(m: int):
+    """Reject a number moment order below 1 (also before any sampling)."""
+    if m < 1:
+        raise ParameterError(f"moment order must be >= 1, got {m}")
+
+
 def number_moments_fk(ens: WeightedPathEnsemble, params: ModelParams, m: int) -> MCEstimate:
     """m-th number moment, sum_l S(m,l) g^(2l) <Jc^l> with set-partition counts.
 
     The per-path composite sum is averaged directly so the standard error
     reflects the full covariance between powers of the cross integral.
     """
-    if m < 1:
-        raise ParameterError(f"moment order must be >= 1, got {m}")
+    _check_moment_order(m)
     jc = ens.cross_interaction
     values = np.zeros_like(jc)
     for l in range(1, m + 1):
@@ -294,17 +275,22 @@ def gaussian_square_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: flo
     return _ensemble_estimate(ens, values)
 
 
+def _check_edge_guard(half_width: float, t: float, s: float):
+    """Reject times beyond half of the window [-T, T] (also before any sampling)."""
+    guard = half_width / 2.0
+    if abs(t) > guard or abs(s) > guard:
+        raise DomainError(
+            f"|t|, |s| must be <= T/2 = {guard} (edge-effect guard), got ({t}, {s})"
+        )
+
+
 def spin_correlation_fk(ens: WeightedPathEnsemble, t: float, s: float) -> MCEstimate:
     """Weighted mean of T_t T_s; depends only on |t - s| in distribution.
 
     Both times must stay within half of the sampled window so edge effects
     of the finite horizon stay negligible.
     """
-    guard = ens.half_width / 2.0
-    if abs(t) > guard or abs(s) > guard:
-        raise DomainError(
-            f"|t|, |s| must be <= T/2 = {guard} (edge-effect guard), got ({t}, {s})"
-        )
+    _check_edge_guard(ens.half_width, t, s)
     values = ens.signs_at(t) * ens.signs_at(s)
     return _ensemble_estimate(ens, values)
 

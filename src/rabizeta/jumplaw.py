@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betainc, betaln
 
 from .errors import DomainError, ParameterError
-from .paths import DEFAULT_SEED, as_seed, stream_chunks
+from .paths import DEFAULT_SEED, _seed_streams
 
 
 def _series_cutoff(series_eps: float) -> float:
@@ -39,9 +39,8 @@ def _series_cutoff(series_eps: float) -> float:
 def sample_damped_sign_pair(
     delta: float,
     n_samples: int,
-    seed=DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
     series_eps: float = 1e-16,
-    n_streams: int = 8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X1, X2) samples; X1 always lands in [-1, 1].
 
@@ -56,11 +55,9 @@ def sample_damped_sign_pair(
         raise ParameterError(f"delta must be positive, got {delta}")
     if series_eps <= 0:
         raise ParameterError("series_eps must be positive")
-    seed = as_seed(seed)
     cutoff = _series_cutoff(series_eps)
     x1_parts, x2_parts = [], []
-    for stream, chunk in enumerate(stream_chunks(n_samples, n_streams)):
-        rng = seed.child(stream).generator()
+    for chunk, rng in _seed_streams(seed, n_samples):
         sum1, sum2 = np.empty(chunk), np.empty(chunk)
         alive = np.arange(chunk)  # paths whose last jump came before the cutoff
         t = np.zeros(chunk)
@@ -159,7 +156,7 @@ def closed_pair_moments(delta: float) -> dict[str, float]:
 def pair_moment_table(
     delta: float,
     n_samples: int = 100_000,
-    seed=DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
 ) -> list[dict]:
     """Closed moments against sampled ones, with z-scores, one row each."""
     x1, x2 = sample_damped_sign_pair(delta, n_samples, seed)

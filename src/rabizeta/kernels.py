@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
-from .paths import DEFAULT_SEED, as_seed, stream_chunks
+from .paths import DEFAULT_SEED, _seed_streams
 from .estimators import MCEstimate, _mean_stderr
 
 _MIN_TIME = 1e-8
@@ -104,6 +104,24 @@ def _bridge_characteristic(params: ModelParams, t: float, m: int, alpha: int, rn
     return a, b, q
 
 
+def _flip_average(params: ModelParams, t: float, m: int, alpha: int, n_samples: int,
+                  seed: int, integrand) -> tuple[complex, float]:
+    """Mean and stderr of ``integrand(a, b, q)`` over m-flip configurations.
+
+    The draws come from the streams keyed by the flip order m, so averages
+    for different m are independent.
+    """
+    values = [integrand(*_bridge_characteristic(params, t, m, alpha, rng, chunk))
+              for chunk, rng in _seed_streams(seed, n_samples, m)]
+    return _mean_stderr(np.concatenate(values))
+
+
+def _flip_weight(params: ModelParams, t: float, m: int) -> float:
+    """Poisson flip weight (delta t)^m / m! of the m-flip component."""
+    lam = params.delta * t
+    return float(np.exp(m * np.log(lam) - _log_factorial(m))) if lam > 0 else 0.0
+
+
 def heat_kernel_component(
     params: ModelParams,
     t: float,
@@ -111,32 +129,26 @@ def heat_kernel_component(
     x: float,
     y: float,
     n_samples: int = 50_000,
-    seed=DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
     alpha: int = +1,
-    n_streams: int = 8,
 ) -> MCEstimate:
     """m-flip component of the coupled heat kernel at (x, y).
 
     The zero-flip component is the Mehler kernel itself (exact, zero error);
-    for m >= 1 flip times are sampled and the bridge expectation is the
-    closed-form Gaussian characteristic function.
+    for m >= 1 flip times are sampled from the streams keyed by m and the
+    bridge expectation is the closed-form Gaussian characteristic function.
     """
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
-    seed = as_seed(seed)
     base = float(mehler_kernel(t, x, y))
     if m == 0:
         return MCEstimate(base, 0.0, 0, seed)
-    scale = np.exp(m * np.log(params.delta * t) - _log_factorial(m)) if params.delta > 0 else 0.0
-    values = []
-    for stream, chunk in enumerate(stream_chunks(n_samples, n_streams)):
-        rng = seed.child(stream).generator()
-        a, b, q = _bridge_characteristic(params, t, m, alpha, rng, chunk)
-        values.append(np.exp(1j * (a * x + b * y) - q / 2.0))
-    mean, stderr = _mean_stderr(np.concatenate(values))
-    return MCEstimate(mean * scale * base, stderr * abs(scale) * base, n_samples, seed)
+    scale = _flip_weight(params, t, m) * base
+    mean, stderr = _flip_average(params, t, m, alpha, n_samples, seed,
+                                 lambda a, b, q: np.exp(1j * (a * x + b * y) - q / 2.0))
+    return MCEstimate(mean * scale, stderr * scale, n_samples, seed)
 
 
 def _log_factorial(m: int) -> float:
@@ -150,17 +162,17 @@ def heat_kernel_flip_sum(
     y: float,
     m_max: int,
     n_samples: int = 50_000,
-    seed=DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
     alpha: int = +1,
 ) -> MCEstimate:
     """Sum of all m >= 1 components: the deviation of the kernel from Mehler.
 
     Shrinks to zero with growing coupling; evaluate at fixed seed across
     couplings to compare magnitudes within correlated Monte Carlo error.
+    Each flip order draws from its own streams, so the per-m variances add.
     """
     total = 0.0 + 0.0j
     var = 0.0
-    seed = as_seed(seed)
     for m in range(1, m_max + 1):
         est = heat_kernel_component(params, t, m, x, y, n_samples, seed, alpha)
         total += est.mean
@@ -173,7 +185,7 @@ def gaussian_overlap_element_fk(
     t: float,
     m_max: int,
     n_samples: int = 50_000,
-    seed=DEFAULT_SEED,
+    seed: int = DEFAULT_SEED,
 ) -> MCEstimate:
     """Kernel reconstruction of the shifted vacuum element for Gaussian states.
 
@@ -185,26 +197,24 @@ def gaussian_overlap_element_fk(
     """
     if m_max < 0:
         raise ParameterError("m_max must be >= 0")
-    seed = as_seed(seed)
     u = np.exp(-t)
+
+    def overlap(a, b, q):
+        return np.exp(-(a * a + b * b + 2.0 * a * b * u) / 4.0 - q / 2.0)
+
     total = 2.0  # m = 0 term: Gaussian overlap of the Mehler kernel is exactly 1
     var = 0.0
     for m in range(1, m_max + 1):
-        scale = 2.0 * np.exp(m * np.log(params.delta * t) - _log_factorial(m)) if params.delta > 0 else 0.0
+        scale = 2.0 * _flip_weight(params, t, m)
         if scale == 0.0:
             continue
-        vals = []
-        for stream, chunk in enumerate(stream_chunks(n_samples, 8)):
-            rng = seed.child(1000 * m + stream).generator()
-            a, b, q = _bridge_characteristic(params, t, m, +1, rng, chunk)
-            vals.append(np.exp(-(a * a + b * b + 2.0 * a * b * u) / 4.0 - q / 2.0))
-        mean, stderr = _mean_stderr(np.concatenate(vals))
+        mean, stderr = _flip_average(params, t, m, +1, n_samples, seed, overlap)
         total += scale * mean.real
         var += (scale * stderr) ** 2
     # residual mass of the flip expansion beyond m_max (scale bound: |CF| <= 1)
     lam = params.delta * t
     tail = 0.0
-    term = 2.0 * np.exp(m_max * np.log(lam) - _log_factorial(m_max)) if lam > 0 else 0.0
+    term = 2.0 * _flip_weight(params, t, m_max)
     for m in range(m_max + 1, m_max + 60):
         term *= lam / m
         tail += term

@@ -1,28 +1,28 @@
-"""Poisson spin paths and their exact path functionals.
+"""Poisson spin paths in flat batches and their exact path functionals.
 
 A path is a piecewise-constant sign trajectory: an initial sign at the left
-end of the horizon plus the ordered jump times of a Poisson clock.  Every
-functional needed by the estimators is integrated in closed form over the
-piecewise-constant sign pattern, so the only randomness is in the jump times
-themselves:
+end of the horizon plus the ordered jump times of a Poisson clock.  A batch
+of paths is stored flat: the jump times of every path concatenated in path
+order, plus ``offsets`` with path i owning ``jumps[offsets[i]:offsets[i+1]]``.
+Every functional the estimators need is integrated in closed form over the
+piecewise-constant sign pattern, one pass over the flat arrays, so the only
+randomness is in the jump times themselves: the square pair interaction
+int int T_s T_r e^{-|s-r|}, the damped sign integral int T_s e^{-|s|} ds,
+and the vacuum suppression that damps jumpy paths in the vacuum element.
 
-* ``pair_interaction_energy``: the double integral of T_s T_r e^{-|s-r|}
-  over an axis-aligned square, segment pair by segment pair.
-* ``vacuum_suppression``: the nonnegative functional whose exponential damps
-  jumpy paths in the vacuum semigroup element.
-* ``damped_sign_integral``: int T_s e^{-|s|} ds, the random shift entering
-  the position observables.
+The importance weight of a path on [-T, T] is exp((g^2/2) * J) with J the
+full square interaction, and the effective sample size is tracked from the
+log weights.
 
-Ensembles are stored in flat (offsets + concatenated jumps) form; the
-importance weight of a path on [-T, T] is exp((g^2/2) * J) with J the full
-square interaction, and the effective sample size is tracked from the log
-weights.  Sampling is chunked over independent seed streams and reduced in
-stream order, so results are reproducible bit for bit.
+Every sampler of the package draws through ``_seed_streams``: its samples
+are split into ``N_STREAMS`` fixed chunks, chunk i draws from
+``SeedSequence(seed, spawn_key=(*key, i))``, and results are reduced in
+stream order, so a fixed (seed, n_samples, params) gives identical bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -32,171 +32,29 @@ from .model import ModelParams
 
 #: Default master seed: determinism by default, overridable everywhere.
 DEFAULT_SEED = 20240915
+#: Number of independent seed streams every sampler splits its draws over.
+N_STREAMS = 8
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed plus stream id; distinct streams are independent."""
+def _seed_streams(seed: int, n_samples: int, *key: int):
+    """Yield ``(chunk, rng)`` for every stream of one sampler call.
 
-    master: int = DEFAULT_SEED
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.master, spawn_key=(self.stream,))
-        return np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, stream: int) -> "SeedSpec":
-        return SeedSpec(self.master, stream)
-
-
-def as_seed(seed) -> SeedSpec:
-    if isinstance(seed, SeedSpec):
-        return seed
-    return SeedSpec(int(seed))
-
-
-def stream_chunks(n_samples: int, n_streams: int) -> list[int]:
-    """Split ``n_samples`` into per-stream chunk sizes (fixed, order-stable)."""
-    if n_samples < 1 or n_streams < 1:
-        raise ParameterError("n_samples and n_streams must be positive")
-    base, extra = divmod(n_samples, n_streams)
-    return [base + (1 if i < extra else 0) for i in range(n_streams) if base or i < extra]
-
-
-@dataclass
-class JumpPath:
-    """One realization: initial sign at the left end plus sorted jump times.
-
-    The sign at time ``s`` is ``alpha0 * (-1)**(number of jumps <= s)``.
+    ``n_samples`` is split into ``N_STREAMS`` fixed, order-stable chunks;
+    streams that would draw nothing are dropped, so fewer than ``N_STREAMS``
+    samples use one stream each.  Stream i draws from
+    ``SeedSequence(seed, spawn_key=(*key, i))``.  A sampler that makes several
+    independent Monte Carlo averages from one seed gives each its own ``key``
+    (the kernels use the flip order m), so their streams never coincide and
+    their variances add.
     """
-
-    alpha0: int
-    horizon: tuple[float, float]
-    jumps: np.ndarray
-
-    def __post_init__(self):
-        if self.alpha0 not in (+1, -1):
-            raise ParameterError("alpha0 must be +1 or -1")
-        lo, hi = self.horizon
-        if not hi > lo:
-            raise ParameterError("horizon must be a nonempty interval")
-        self.jumps = np.asarray(self.jumps, dtype=float)
-        if self.jumps.size and (
-            np.any(np.diff(self.jumps) <= 0)
-            or self.jumps[0] <= lo
-            or self.jumps[-1] >= hi
-        ):
-            raise ParameterError("jumps must be strictly ascending inside the horizon")
-
-    @property
-    def n_jumps(self) -> int:
-        return int(self.jumps.size)
-
-    def sign_at(self, s: float) -> int:
-        lo, hi = self.horizon
-        if not lo <= s <= hi:
-            raise DomainError(f"time {s} outside horizon {self.horizon}")
-        return self.alpha0 * (-1) ** int(np.searchsorted(self.jumps, s, side="right"))
-
-
-def sample_jump_path(rate: float, horizon: tuple[float, float], rng, alpha0: int = +1) -> JumpPath:
-    """Poisson jump times on the horizon: count ~ Poisson(rate * length),
-    positions uniform order statistics (equivalently exponential waits)."""
-    if rate < 0:
-        raise ParameterError(f"rate must be nonnegative, got {rate}")
-    lo, hi = horizon
-    count = int(rng.poisson(rate * (hi - lo)))
-    jumps = np.sort(rng.uniform(lo, hi, size=count))
-    return JumpPath(alpha0=alpha0, horizon=(lo, hi), jumps=jumps)
-
-
-# ---------------------------------------------------------------------------
-# Exact segment integrals
-# ---------------------------------------------------------------------------
-
-
-def _square_block(length: float) -> float:
-    # integral of e^{-|s-r|} over an aligned square block of side `length`
-    return 2.0 * (length + np.expm1(-length))
-
-
-def _disjoint_block(gap: float, len_a: float, len_b: float) -> float:
-    # integral of e^{-|s-r|} over disjoint blocks separated by `gap`
-    return np.exp(-gap) * np.expm1(-len_a) * np.expm1(-len_b)
-
-
-def _axis_blocks(path: JumpPath, lo: float, hi: float, cuts=()) -> tuple[np.ndarray, np.ndarray]:
-    """Partition [lo, hi] at jump times and extra cuts; return (edges, signs)."""
-    plo, phi = path.horizon
-    if lo < plo - 1e-12 or hi > phi + 1e-12:
-        raise DomainError(f"square [{lo}, {hi}] exceeds the path horizon {path.horizon}")
-    inner = [c for c in cuts if lo < c < hi]
-    edges = np.unique(np.concatenate([[lo, hi], path.jumps[(path.jumps > lo) & (path.jumps < hi)], inner]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    signs = np.array([path.sign_at(m) for m in mids], dtype=float)
-    return edges, signs
-
-
-def pair_interaction_energy(path: JumpPath, square=None) -> float:
-    """Exact double integral of T_s T_r e^{-|s-r|} over ``square``.
-
-    ``square`` is ((a, b), (c, d)); by default the full horizon squared.
-    Both axes are partitioned on the common refinement of jump times and
-    square corners, so every block pair is either identical or disjoint and
-    integrates in closed form; there is no quadrature error.
-    """
-    lo, hi = path.horizon
-    (a, b), (c, d) = square if square is not None else ((lo, hi), (lo, hi))
-    if not (b > a and d > c):
-        raise ParameterError("square sides must be nonempty intervals")
-    e1, s1 = _axis_blocks(path, a, b, cuts=(c, d))
-    e2, s2 = _axis_blocks(path, c, d, cuts=(a, b))
-    total = 0.0
-    for i in range(len(s1)):
-        p, q = e1[i], e1[i + 1]
-        for j in range(len(s2)):
-            u, v = e2[j], e2[j + 1]
-            if p == u and q == v:
-                block = _square_block(q - p)
-            elif q <= u:
-                block = _disjoint_block(u - q, q - p, v - u)
-            elif v <= p:
-                block = _disjoint_block(p - v, v - u, q - p)
-            else:  # pragma: no cover - refinement guarantees no partial overlap
-                raise DomainError("partial block overlap; square corners not refined")
-            total += s1[i] * s2[j] * block
-    return float(total)
-
-
-def damped_sign_integral(path: JumpPath, lo: float, hi: float) -> float:
-    """Exact int_lo^hi T_s e^{-|s|} ds over the piecewise-constant signs."""
-    if hi <= lo:
-        raise ParameterError("empty integration range")
-    edges, signs = _axis_blocks(path, lo, hi, cuts=(0.0,))
-    starts, ends = edges[:-1], edges[1:]
-    # blocks never straddle 0 because 0 is inserted as a cut
-    pieces = np.where(starts >= 0.0, np.exp(-starts) - np.exp(-ends), np.exp(ends) - np.exp(starts))
-    return float(np.sum(signs * pieces))
-
-
-def vacuum_suppression(path: JumpPath) -> float:
-    """Nonnegative functional damping jumpy paths in the vacuum element.
-
-    For jumps s_1 < ... < s_k on [0, t] this is
-
-        (sum_j (-1)^(j-1) e^{-s_j})^2
-        + sum_{j,k} (-1)^(j+k) e^{-s_j-s_k} min(e^{2 s_j} - 1, e^{2 s_k} - 1),
-
-    which vanishes only on the jump-free event and equals 1 for one jump.
-    """
-    s = path.jumps
-    if s.size == 0:
-        return 0.0
-    signs = np.where(np.arange(s.size) % 2 == 0, 1.0, -1.0)  # (-1)^(j-1), j from 1
-    first = float(np.sum(signs * np.exp(-s)))
-    grow = np.minimum.outer(s, s)
-    second = float(np.sum(np.outer(signs, signs) * np.exp(-np.add.outer(s, s)) * (np.exp(2.0 * grow) - 1.0)))
-    return first**2 + second
+    if n_samples < 1:
+        raise ParameterError(f"n_samples must be positive, got {n_samples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
+    base, extra = divmod(n_samples, N_STREAMS)
+    for stream in range(min(n_samples, N_STREAMS)):
+        sequence = np.random.SeedSequence(seed, spawn_key=(*key, stream))
+        yield base + (stream < extra), np.random.Generator(np.random.PCG64(sequence))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +100,26 @@ def _exclusive_prefix(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     correction = np.zeros_like(values)
     correction[:] = np.repeat(base, counts[counts > 0])
     return cs - correction
+
+
+def _concat_batches(batches) -> tuple[np.ndarray, np.ndarray]:
+    """One flat batch from a sequence of ``(jumps, offsets)`` batches, in order."""
+    counts = np.concatenate([np.diff(offsets) for _, offsets in batches])
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return np.concatenate([jumps for jumps, _ in batches]), offsets
+
+
+def _count_upto(jumps: np.ndarray, offsets: np.ndarray, time: float) -> np.ndarray:
+    """Per-path number of jumps at or before ``time``.
+
+    Jumps are sorted within each path, so these are also the first jumps of
+    each path: the batch restricted to ``(-inf, time]`` is
+    ``jumps[jumps <= time]`` with offsets from the cumulative counts.
+    """
+    upto = np.zeros(jumps.size + 1, dtype=np.int64)
+    np.cumsum(jumps <= time, out=upto[1:])
+    return upto[offsets[1:]] - upto[offsets[:-1]]
 
 
 def _block_arrays(jumps: np.ndarray, offsets: np.ndarray, lo: float, hi: float, alpha0):
@@ -338,9 +216,8 @@ class WeightedPathEnsemble:
     interaction_full: np.ndarray
     damped_left: np.ndarray
     damped_right: np.ndarray
-    seed: SeedSpec
+    seed: int
     note: str = ""
-    _shifted_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_samples(self) -> int:
@@ -386,47 +263,18 @@ class WeightedPathEnsemble:
         if not -T <= time <= T:
             raise DomainError(f"time {time} outside [-{T}, {T}]")
         if time >= 0.0:
-            counts = self._counts_upto("right", self.right_jumps, self.right_offsets, time)
-            return np.where(counts % 2 == 0, 1.0, -1.0)
-        counts_ge = np.diff(self.left_offsets) - self._counts_upto(
-            "left", self.left_jumps, self.left_offsets, time
-        )
-        return np.where(counts_ge % 2 == 0, 1.0, -1.0)
-
-    def _counts_upto(self, tag: str, flat: np.ndarray, offsets: np.ndarray, time: float):
-        key = tag
-        if key not in self._shifted_cache:
-            span = 4.0 * self.half_width + 8.0
-            seg = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-            self._shifted_cache[key] = (flat + seg * span, span)
-        shifted, span = self._shifted_cache[key]
-        ids = np.arange(len(offsets) - 1)
-        pos = np.searchsorted(shifted, time + ids * span, side="right")
-        return pos - offsets[:-1]
-
-    def paths(self) -> list[JumpPath]:
-        """Materialize the ensemble as JumpPath objects (left-end convention)."""
-        out = []
-        T = self.half_width
-        for i in range(self.n_samples):
-            lj = self.left_jumps[self.left_offsets[i] : self.left_offsets[i + 1]]
-            rj = self.right_jumps[self.right_offsets[i] : self.right_offsets[i + 1]]
-            out.append(
-                JumpPath(
-                    alpha0=int(self.alpha0[i]),
-                    horizon=(-T, T),
-                    jumps=np.concatenate([lj, rj]),
-                )
-            )
-        return out
+            flips = _count_upto(self.right_jumps, self.right_offsets, time)
+        else:
+            left = _count_upto(self.left_jumps, self.left_offsets, time)
+            flips = np.diff(self.left_offsets) - left
+        return np.where(flips % 2 == 0, 1.0, -1.0)
 
 
 def build_ground_ensemble(
     params: ModelParams,
     n_samples: int,
     T: float | None = None,
-    seed=DEFAULT_SEED,
-    n_streams: int = 8,
+    seed: int = DEFAULT_SEED,
 ) -> WeightedPathEnsemble:
     """Sample the weighted two-sided ensemble representing the ground measure.
 
@@ -440,27 +288,12 @@ def build_ground_ensemble(
         T = default_horizon(params.delta)
     if T <= 0:
         raise ParameterError("T must be positive")
-    seed = as_seed(seed)
-    chunks = stream_chunks(n_samples, n_streams)
-
-    parts = []
-    for stream, chunk in enumerate(chunks):
-        rng = seed.child(stream).generator()
-        lj, lo_ = _sample_segments(rng, params.delta, T, chunk, -T)
-        rj, ro_ = _sample_segments(rng, params.delta, T, chunk, 0.0)
-        parts.append((lj, lo_, rj, ro_))
-
-    def _concat(idx):
-        flats, offsets = [], [np.zeros(1, dtype=np.int64)]
-        base = 0
-        for part in parts:
-            flats.append(part[idx])
-            offsets.append(part[idx + 1][1:] + base)
-            base += part[idx + 1][-1]
-        return np.concatenate(flats), np.concatenate(offsets)
-
-    left_jumps, left_offsets = _concat(0)
-    right_jumps, right_offsets = _concat(2)
+    left, right = [], []
+    for chunk, rng in _seed_streams(seed, n_samples):
+        left.append(_sample_segments(rng, params.delta, T, chunk, -T))
+        right.append(_sample_segments(rng, params.delta, T, chunk, 0.0))
+    left_jumps, left_offsets = _concat_batches(left)
+    right_jumps, right_offsets = _concat_batches(right)
 
     left_counts = np.diff(left_offsets)
     alpha0 = np.where(left_counts % 2 == 0, 1, -1)  # sign at -T; sign at 0 is +1

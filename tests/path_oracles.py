@@ -1,0 +1,145 @@
+"""Scalar reference implementations of the path functionals.
+
+One path at a time, integrated block pair by block pair in O(k^2), so they
+share no code with the flat batch functionals of ``rabizeta.paths`` that the
+tests compare against them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from rabizeta.errors import DomainError, ParameterError
+
+
+@dataclass
+class JumpPath:
+    """One realization: initial sign at the left end plus sorted jump times.
+
+    The sign at time ``s`` is ``alpha0 * (-1)**(number of jumps <= s)``.
+    """
+
+    alpha0: int
+    horizon: tuple[float, float]
+    jumps: np.ndarray
+
+    def __post_init__(self):
+        if self.alpha0 not in (+1, -1):
+            raise ParameterError("alpha0 must be +1 or -1")
+        lo, hi = self.horizon
+        if not hi > lo:
+            raise ParameterError("horizon must be a nonempty interval")
+        self.jumps = np.asarray(self.jumps, dtype=float)
+        if self.jumps.size and (
+            np.any(np.diff(self.jumps) <= 0)
+            or self.jumps[0] <= lo
+            or self.jumps[-1] >= hi
+        ):
+            raise ParameterError("jumps must be strictly ascending inside the horizon")
+
+    @property
+    def n_jumps(self) -> int:
+        return int(self.jumps.size)
+
+    def sign_at(self, s: float) -> int:
+        lo, hi = self.horizon
+        if not lo <= s <= hi:
+            raise DomainError(f"time {s} outside horizon {self.horizon}")
+        return self.alpha0 * (-1) ** int(np.searchsorted(self.jumps, s, side="right"))
+
+
+def ensemble_paths(ens) -> list[JumpPath]:
+    """The paths of a ``WeightedPathEnsemble`` on [-T, T] (left-end convention)."""
+    T = ens.half_width
+    lefts = np.split(ens.left_jumps, ens.left_offsets[1:-1])
+    rights = np.split(ens.right_jumps, ens.right_offsets[1:-1])
+    return [
+        JumpPath(alpha0=int(a), horizon=(-T, T), jumps=np.concatenate([left, right]))
+        for a, left, right in zip(ens.alpha0, lefts, rights)
+    ]
+
+
+def _square_block(length: float) -> float:
+    # integral of e^{-|s-r|} over an aligned square block of side `length`
+    return 2.0 * (length + np.expm1(-length))
+
+
+def _disjoint_block(gap: float, len_a: float, len_b: float) -> float:
+    # integral of e^{-|s-r|} over disjoint blocks separated by `gap`
+    return np.exp(-gap) * np.expm1(-len_a) * np.expm1(-len_b)
+
+
+def _axis_blocks(path: JumpPath, lo: float, hi: float, cuts=()) -> tuple[np.ndarray, np.ndarray]:
+    """Partition [lo, hi] at jump times and extra cuts; return (edges, signs)."""
+    plo, phi = path.horizon
+    if lo < plo - 1e-12 or hi > phi + 1e-12:
+        raise DomainError(f"square [{lo}, {hi}] exceeds the path horizon {path.horizon}")
+    inner = [c for c in cuts if lo < c < hi]
+    edges = np.unique(np.concatenate([[lo, hi], path.jumps[(path.jumps > lo) & (path.jumps < hi)], inner]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    signs = np.array([path.sign_at(m) for m in mids], dtype=float)
+    return edges, signs
+
+
+def pair_interaction_energy(path: JumpPath, square=None) -> float:
+    """Exact double integral of T_s T_r e^{-|s-r|} over ``square``.
+
+    ``square`` is ((a, b), (c, d)); by default the full horizon squared.
+    Both axes are partitioned on the common refinement of jump times and
+    square corners, so every block pair is either identical or disjoint and
+    integrates in closed form; there is no quadrature error.
+    """
+    lo, hi = path.horizon
+    (a, b), (c, d) = square if square is not None else ((lo, hi), (lo, hi))
+    if not (b > a and d > c):
+        raise ParameterError("square sides must be nonempty intervals")
+    e1, s1 = _axis_blocks(path, a, b, cuts=(c, d))
+    e2, s2 = _axis_blocks(path, c, d, cuts=(a, b))
+    total = 0.0
+    for i in range(len(s1)):
+        p, q = e1[i], e1[i + 1]
+        for j in range(len(s2)):
+            u, v = e2[j], e2[j + 1]
+            if p == u and q == v:
+                block = _square_block(q - p)
+            elif q <= u:
+                block = _disjoint_block(u - q, q - p, v - u)
+            elif v <= p:
+                block = _disjoint_block(p - v, v - u, q - p)
+            else:  # pragma: no cover - refinement guarantees no partial overlap
+                raise DomainError("partial block overlap; square corners not refined")
+            total += s1[i] * s2[j] * block
+    return float(total)
+
+
+def damped_sign_integral(path: JumpPath, lo: float, hi: float) -> float:
+    """Exact int_lo^hi T_s e^{-|s|} ds over the piecewise-constant signs."""
+    if hi <= lo:
+        raise ParameterError("empty integration range")
+    edges, signs = _axis_blocks(path, lo, hi, cuts=(0.0,))
+    starts, ends = edges[:-1], edges[1:]
+    # blocks never straddle 0 because 0 is inserted as a cut
+    pieces = np.where(starts >= 0.0, np.exp(-starts) - np.exp(-ends), np.exp(ends) - np.exp(starts))
+    return float(np.sum(signs * pieces))
+
+
+def vacuum_suppression(path: JumpPath) -> float:
+    """Nonnegative functional damping jumpy paths in the vacuum element.
+
+    For jumps s_1 < ... < s_k on [0, t] this is
+
+        (sum_j (-1)^(j-1) e^{-s_j})^2
+        + sum_{j,k} (-1)^(j+k) e^{-s_j-s_k} min(e^{2 s_j} - 1, e^{2 s_k} - 1),
+
+    which vanishes only on the jump-free event and equals 1 for one jump.
+    """
+    s = path.jumps
+    if s.size == 0:
+        return 0.0
+    signs = np.where(np.arange(s.size) % 2 == 0, 1.0, -1.0)  # (-1)^(j-1), j from 1
+    first = float(np.sum(signs * np.exp(-s)))
+    grow = np.minimum.outer(s, s)
+    second = float(np.sum(np.outer(signs, signs) * np.exp(-np.add.outer(s, s)) * (np.exp(2.0 * grow) - 1.0)))
+    return first**2 + second

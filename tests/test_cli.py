@@ -153,6 +153,11 @@ class TestFkCommand:
         assert code == 0
         assert json.loads(text)["meta"]["beta"] == 1.0
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "fk", "vacuum", "--seed", "-1", "--n", "400")
+        assert code == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
     def test_complex_beta_is_usage_error(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "fk", "xsquare", "--beta", "0.5+1j", "--n", "400")
         assert code == 2
@@ -173,6 +178,8 @@ class TestFkCommand:
         ("xchar", "--beta", "1j"),
         ("number", "--m", "9"),
         ("spin-corr", "--lag", "-1"),
+        ("number", "--m", "0"),
+        ("spin-corr", "--lag", "30"),
     ])
     def test_usage_error_before_sampling(self, tmp_path, monkeypatch, argv):
         def no_sampling(*args, **kwargs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+import rabizeta.kernels as kernels
 from rabizeta.errors import DomainError
 from rabizeta.kernels import (
     gaussian_overlap_element_fk,
@@ -141,6 +142,21 @@ class TestHeatKernelComponents:
             for g in (2.0, 6.0)
         ]
         assert devs[1] < devs[0]
+
+    def test_flip_orders_draw_from_distinct_streams(self, monkeypatch):
+        # the per-m variances of the flip sum add only if no two (m, stream)
+        # pairs share a generator state
+        states = []
+        original = kernels._bridge_characteristic
+
+        def spy(params, t, m, alpha, rng, chunk):
+            states.append((m, repr(rng.bit_generator.state)))
+            return original(params, t, m, alpha, rng, chunk)
+
+        monkeypatch.setattr(kernels, "_bridge_characteristic", spy)
+        heat_kernel_flip_sum(ModelParams(0.5, 1.0), 1.0, 0.3, -0.2, 4, n_samples=800, seed=55)
+        assert [m for m, _ in states] == [m for m in (1, 2, 3, 4) for _ in range(8)]
+        assert len({state for _, state in states}) == len(states)
 
 
 class TestReconstruction:

@@ -6,18 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from path_oracles import (
+    JumpPath,
+    damped_sign_integral,
+    ensemble_paths,
+    pair_interaction_energy,
+    vacuum_suppression,
+)
 from rabizeta.errors import DomainError, ParameterError
 from rabizeta.model import ModelParams
 from rabizeta.paths import (
-    JumpPath,
-    SeedSpec,
+    N_STREAMS,
     build_ground_ensemble,
-    damped_sign_integral,
     default_horizon,
-    pair_interaction_energy,
-    sample_jump_path,
-    vacuum_suppression,
+    _count_upto,
     _damped_batch,
+    _sample_segments,
+    _seed_streams,
     _square_interaction_batch,
     _vacuum_suppression_batch,
 )
@@ -58,36 +63,89 @@ class TestJumpPath:
             path_on([]).sign_at(2.0)
 
 
+def one_stream(seed):
+    ((_, rng),) = _seed_streams(seed, 1)
+    return rng
+
+
 class TestSamplingLaw:
     def test_poisson_mean(self):
-        rng = SeedSpec(11).generator()
         rate, t, n = 2.0, 3.0, 20_000
-        counts = [sample_jump_path(rate, (0.0, t), rng).n_jumps for _ in range(n)]
-        mean = np.mean(counts)
+        _, offsets = _sample_segments(one_stream(11), rate, t, n, 0.0)
+        mean = np.diff(offsets).mean()
         sigma = np.sqrt(rate * t / n)
         assert abs(mean - rate * t) < 3 * sigma
 
     def test_no_jump_probability(self):
-        rng = SeedSpec(12).generator()
         rate, t, n = 1.0, 1.0, 20_000
-        empty = np.mean([sample_jump_path(rate, (0.0, t), rng).n_jumps == 0 for _ in range(n)])
+        _, offsets = _sample_segments(one_stream(12), rate, t, n, 0.0)
+        empty = np.mean(np.diff(offsets) == 0)
         p = np.exp(-rate * t)
         assert abs(empty - p) < 3 * np.sqrt(p * (1 - p) / n)
 
     def test_waiting_time_mean(self):
-        rng = SeedSpec(13).generator()
         rate = 1.5
-        waits = []
-        for _ in range(4000):
-            path = sample_jump_path(rate, (0.0, 20.0), rng)
-            if path.n_jumps:
-                waits.append(path.jumps[0])
-        waits = np.array(waits)
+        jumps, offsets = _sample_segments(one_stream(13), rate, 20.0, 4000, 0.0)
+        nonempty = offsets[:-1] < offsets[1:]
+        waits = jumps[offsets[:-1][nonempty]]
         assert abs(waits.mean() - 1 / rate) < 3 * waits.std() / np.sqrt(len(waits))
 
     def test_zero_rate_degenerate(self):
-        rng = SeedSpec(14).generator()
-        assert sample_jump_path(0.0, (0.0, 5.0), rng).n_jumps == 0
+        jumps, offsets = _sample_segments(one_stream(14), 0.0, 5.0, 10, 0.0)
+        assert jumps.size == 0 and np.all(offsets == 0)
+
+
+class TestSeedStreams:
+    def draws(self, seed, n, *key):
+        return [(chunk, rng.uniform(size=3)) for chunk, rng in _seed_streams(seed, n, *key)]
+
+    def test_same_seed_and_key_repeat_bits(self):
+        a, b = self.draws(31, 1000, 2), self.draws(31, 1000, 2)
+        assert [c for c, _ in a] == [c for c, _ in b]
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
+
+    def test_empty_key_is_the_stream_index(self):
+        for stream, (_, rng) in enumerate(_seed_streams(32, 100)):
+            ref = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(32, spawn_key=(stream,))))
+            assert np.array_equal(rng.uniform(size=3), ref.uniform(size=3))
+
+    def test_distinct_keys_give_distinct_streams(self):
+        seen = set()
+        for m in (1, 2, 3):
+            for _, draw in self.draws(33, 1000, m):
+                seen.add(draw.tobytes())
+        for _, draw in self.draws(33, 1000):
+            seen.add(draw.tobytes())
+        assert len(seen) == 4 * N_STREAMS
+
+    def test_chunks_split_in_order(self):
+        assert [c for c, _ in _seed_streams(1, 1003)] == [126, 126, 126, 125, 125, 125, 125, 125]
+
+    def test_small_counts_drop_empty_chunks(self):
+        assert [c for c, _ in _seed_streams(1, 5)] == [1, 1, 1, 1, 1]
+        assert [c for c, _ in _seed_streams(1, N_STREAMS)] == [1] * N_STREAMS
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ParameterError):
+            list(_seed_streams(1, 0))
+        with pytest.raises(ParameterError):
+            list(_seed_streams(-1, 10))
+
+
+class TestCountUpto:
+    def test_matches_per_path_count(self):
+        jumps, offsets = _sample_segments(one_stream(16), 1.5, 4.0, 300, 0.0)
+        for time in (-1.0, 0.0, 0.7, 2.5, 4.0):
+            counts = _count_upto(jumps, offsets, time)
+            for i in range(300):
+                path = jumps[offsets[i]:offsets[i + 1]]
+                assert counts[i] == np.searchsorted(path, time, side="right")
+
+    def test_counts_a_jump_at_the_time(self):
+        jumps = np.array([0.5, 1.0, 0.2, 1.0, 3.0])
+        offsets = np.array([0, 2, 2, 5])
+        assert list(_count_upto(jumps, offsets, 1.0)) == [2, 0, 2]
 
 
 class TestPairInteraction:
@@ -184,7 +242,7 @@ class TestEnsemble:
     def test_weight_reflection_symmetry(self):
         # reflecting a path in time leaves its interaction integral unchanged
         ens = build_ground_ensemble(ModelParams(0.5, 1.0), 50, T=4.0, seed=22)
-        for i, path in enumerate(ens.paths()):
+        for i, path in enumerate(ensemble_paths(ens)):
             mirrored = JumpPath(
                 alpha0=path.sign_at(path.horizon[1] - 1e-12),
                 horizon=path.horizon,
@@ -198,7 +256,7 @@ class TestEnsemble:
         p = ModelParams(0.7, 1.2)
         ens = build_ground_ensemble(p, 40, T=5.0, seed=23)
         T = ens.half_width
-        for i, path in enumerate(ens.paths()):
+        for i, path in enumerate(ensemble_paths(ens)):
             assert pair_interaction_energy(path) == pytest.approx(
                 ens.interaction_full[i], abs=1e-9
             )
@@ -213,7 +271,7 @@ class TestEnsemble:
         ens = build_ground_ensemble(ModelParams(1.0, 0.8), 60, T=4.0, seed=24)
         for time in (-1.7, -0.2, 0.0, 0.9, 3.5):
             signs = ens.signs_at(time)
-            for i, path in enumerate(ens.paths()):
+            for i, path in enumerate(ensemble_paths(ens)):
                 assert signs[i] == path.sign_at(time)
 
     def test_sign_at_origin_fixed(self):
