@@ -194,6 +194,13 @@ def gaussian_overlap_element_fk(
     exp(-(a^2 + b^2 + 2ab e^{-t})/4 - q/2); the m-sum times 2 (spin trace)
     estimates the same quantity as ``observables.vacuum_element_ed``.  The
     truncation error in m is bounded by the remaining (delta t)^m / m! mass.
+
+    The m = 1 term is exact.  With one flip at s, the ground Gaussian is
+    invariant under the free semigroup on either side of the flip, so the
+    overlap does not depend on s.  At s -> 0, A = 1, B = 0 and cov = 0, so
+    a = lam_1 = 2 sqrt(2) g, b = q = 0 and the overlap is
+    exp(-lam_1^2 / 4) = e^{-2 g^2}; the term is 2 delta t e^{-2 g^2} and
+    draws nothing.  Only m >= 2 is sampled, from the streams keyed by m.
     """
     if m_max < 0:
         raise ParameterError("m_max must be >= 0")
@@ -203,8 +210,10 @@ def gaussian_overlap_element_fk(
         return np.exp(-(a * a + b * b + 2.0 * a * b * u) / 4.0 - q / 2.0)
 
     total = 2.0  # m = 0 term: Gaussian overlap of the Mehler kernel is exactly 1
+    if m_max >= 1:
+        total += 2.0 * _flip_weight(params, t, 1) * np.exp(-2.0 * params.g**2)
     var = 0.0
-    for m in range(1, m_max + 1):
+    for m in range(2, m_max + 1):
         scale = 2.0 * _flip_weight(params, t, m)
         if scale == 0.0:
             continue
@@ -218,5 +227,5 @@ def gaussian_overlap_element_fk(
     for m in range(m_max + 1, m_max + 60):
         term *= lam / m
         tail += term
-    return MCEstimate(float(total), float(np.sqrt(var)), n_samples * max(m_max, 1), seed,
+    return MCEstimate(float(total), float(np.sqrt(var)), n_samples * max(m_max - 1, 0), seed,
                       note=f"flip-expansion tail bound {tail:.2e}")

@@ -1,226 +1,72 @@
-"""Acceptance criteria: every contract checked at its stated tolerance.
+"""Acceptance criteria: every group of the acceptance battery at its tolerance.
 
-Each test prints one PASS/FAIL line with the measured quantity and elapsed
-time; run with ``pytest tests/test_acceptance.py -v -s`` for the full log.
-The Monte Carlo checks use the package's fixed default seed, so the whole
-battery is deterministic.
+The groups are the ones ``rabizeta report`` renders, defined once in
+``rabizeta.cli.AcceptanceBattery``.  Each test runs one group (the
+``zeta-limit`` group one variant at a time) at the full
+sample size (1e5) and the package's fixed default seed, prints one
+PASS/FAIL line per check, and holds the group to its runtime budget; run
+with ``pytest tests/test_acceptance.py -v -s`` for the full log.
 """
 
+import ast
 import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from rabizeta.estimators import (
-    gaussian_square_fk,
-    gibbs_number_fk,
-    ground_energy_fk,
-    number_moments_fk,
-    partition_fk,
-    spin_correlation_fk,
-    vacuum_element_fk,
-    x_characteristic_fk,
-)
-from rabizeta.jumplaw import (
-    damped_sign_ks,
-    damped_sign_moment,
-    ks_critical_value,
-    pair_moment_table,
-    sample_damped_sign_pair,
-)
-from rabizeta.kernels import (
-    gaussian_overlap_element_fk,
-    heat_kernel_flip_sum,
-    mehler_kernel,
-)
-from rabizeta.model import ModelParams, adaptive_spectrum
-from rabizeta.observables import (
-    gibbs_number_ed,
-    ground_state,
-    number_moment_ed,
-    number_parity_expectation,
-    parity_expectation,
-    partition_ed,
-    pull_through_residual,
-    spin_autocorrelation_ed,
-    vacuum_element_ed,
-    x_characteristic_ed,
-    x_square_exponential_ed,
-)
-from rabizeta.paths import DEFAULT_SEED, build_ground_ensemble
-from rabizeta.zeta import eigenvalue_limit_table, hurwitz_zeta, zeta_limit_table
+from rabizeta.cli import AcceptanceBattery
+from rabizeta.paths import DEFAULT_SEED
 
-N_MC = 100_000
-_shared = {}
+# Seconds per group, including a shared ground state or ensemble it builds first.
+BUDGETS = {
+    "free-spectrum": 1.0,
+    "delta0-shift": 5.0,
+    "zeta-g0": 5.0,
+    "zeta-limit": 120.0,
+    "level-limit": 60.0,
+    "fk": 300.0,
+    "x1": 60.0,
+    "pull-through": 5.0,
+    "parity": 10.0,
+    "kernels": 180.0,
+}
 
 
-def _report(criterion, ok, detail, started, budget):
+@pytest.fixture(scope="module")
+def battery():
+    return AcceptanceBattery(DEFAULT_SEED, quick=False)
+
+
+def _hold(label, rows, started, budget):
     elapsed = time.monotonic() - started
-    status = "PASS" if ok else "FAIL"
-    print(f"{status} {criterion}: {detail} ({elapsed:.2f} s / budget {budget:.0f} s)")
-    assert ok, f"{criterion}: {detail}"
-    assert elapsed < budget, f"{criterion} exceeded its runtime budget"
+    for check, anchor, measured, threshold, status in rows:
+        print(f"{status} {check}: {anchor} (measured {measured:.3g}, threshold {threshold:.3g})")
+    print(f"{label}: {elapsed:.2f} s / budget {budget:.0f} s")
+    assert rows and all(row[-1] == "PASS" for row in rows), [r for r in rows if r[-1] != "PASS"]
+    assert elapsed < budget, f"{label} exceeded its runtime budget"
 
 
-def test_criterion_01_free_spectrum():
+@pytest.mark.parametrize("group", [g for g in AcceptanceBattery.GROUPS if g != "zeta-limit"])
+def test_group(battery, group):
     started = time.monotonic()
-    spec = adaptive_spectrum(ModelParams(0.5, 0.0), k=12, rel_tol=1e-10)
-    target = np.sort(np.concatenate([np.arange(6) - 0.5, np.arange(6) + 0.5]))
-    dev = float(np.abs(spec.eigenvalues[:12] - target).max())
-    _report("criterion-01 free-spectrum", dev < 1e-10,
-            f"max |E_n - (n -/+ delta)| = {dev:.2e} (tol 1e-10)", started, 1.0)
+    _hold(group, battery.run(group), started, BUDGETS[group])
 
 
-def test_criterion_02_decoupled_shift():
+@pytest.mark.parametrize("variant,eps", AcceptanceBattery.ZETA_LIMIT_CASES)
+def test_criterion_04_zeta_limit_monotone(battery, variant, eps):
+    # the zeta-limit group one row at a time, each row under the group's budget
     started = time.monotonic()
-    worst = 0.0
-    for g in (1.0, 2.0, 4.0):
-        spec = adaptive_spectrum(ModelParams(0.0, g), k=42, rel_tol=1e-9)
-        shifted = spec.eigenvalues[:42] + g**2
-        target = np.repeat(np.arange(21), 2)
-        worst = max(worst, float(np.abs(shifted - target).max()))
-    _report("criterion-02 decoupled-shift", worst < 1e-8,
-            f"max |E_n + g^2 - n| = {worst:.2e} over g in (1, 2, 4) (tol 1e-8)",
-            started, 5.0)
+    _hold(f"zeta-limit/{variant}", [battery.zeta_limit_row(variant, eps)], started,
+          BUDGETS["zeta-limit"])
 
 
-def test_criterion_03_zeta_splitting_at_zero_coupling():
-    started = time.monotonic()
-    from rabizeta.zeta import zeta_variant_value
-
-    zv = zeta_variant_value(ModelParams(0.25, 0.0), 2.0, 1.0, "full", 2000)
-    target = hurwitz_zeta(2, 1.25).value + hurwitz_zeta(2, 0.75).value
-    dev = abs(zv.value - target)
-    _report("criterion-03 zeta-splitting", dev < 1e-8,
-            f"|zeta_0(2;1) - zeta(2;1.25) - zeta(2;0.75)| = {dev:.2e} (tol 1e-8)",
-            started, 5.0)
-
-
-@pytest.mark.parametrize("variant,eps", [("full", 0.0), ("parity+", 0.0),
-                                         ("parity-", 0.0), ("asymmetric", 0.25)])
-def test_criterion_04_zeta_limit_monotone(variant, eps):
-    started = time.monotonic()
-    rows = zeta_limit_table(ModelParams(0.5, 0.0, eps), 2.0, 1.0, [2, 4, 6, 8], variant)
-    certified = all(
-        b.deviation + b.tail_bound < a.deviation - a.tail_bound
-        for a, b in zip(rows, rows[1:])
-    )
-    devs = ", ".join(f"{r.deviation:.2e}" for r in rows)
-    _report(f"criterion-04 zeta-limit[{variant}]", certified,
-            f"deviations strictly decrease beyond tail slack: {devs} "
-            f"(tails <= {max(r.tail_bound for r in rows):.1e})", started, 120.0)
-
-
-def test_criterion_05_eigenvalue_limits():
-    started = time.monotonic()
-    rows = eigenvalue_limit_table(ModelParams(0.5, 0.0), [4.0, 8.0], 6)
-    dev = {(r.g, r.parity, r.n): r.deviation for r in rows}
-    ok = all(dev[(8.0, par, n)] < dev[(4.0, par, n)] for par in (1, -1) for n in range(6))
-    worst8 = max(dev[(8.0, par, n)] for par in (1, -1) for n in range(6))
-    best4 = min(dev[(4.0, par, n)] for par in (1, -1) for n in range(6))
-    _report("criterion-05 level-limits", ok,
-            f"per (parity, n<=5): dev(g=8) <= {worst8:.2e} < dev(g=4) >= {best4:.2e}",
-            started, 60.0)
-
-
-def test_criterion_06_fk_ed_equivalence():
-    started = time.monotonic()
-    p = ModelParams(0.5, 1.0)
-    gs = ground_state(p)
-    ens = build_ground_ensemble(p, N_MC, seed=DEFAULT_SEED)
-    _shared["gs"], _shared["ens"], _shared["params"] = gs, ens, p
-    checks = [
-        ("vacuum", vacuum_element_fk(p, 1.0, N_MC, DEFAULT_SEED),
-         vacuum_element_ed(p, 1.0)),
-        ("partition", partition_fk(p, 2.0, N_MC, DEFAULT_SEED), partition_ed(p, 2.0)),
-        ("energy", ground_energy_fk(p, [4, 6, 8, 10], N_MC, DEFAULT_SEED), gs.energy),
-        ("gibbs(-0.5)", gibbs_number_fk(ens, p, -0.5), gibbs_number_ed(gs, -0.5)),
-        ("gibbs(i pi)", gibbs_number_fk(ens, p, 1j * np.pi),
-         gibbs_number_ed(gs, 1j * np.pi)),
-        ("number(1)", number_moments_fk(ens, p, 1), number_moment_ed(gs, 1)),
-        ("number(2)", number_moments_fk(ens, p, 2), number_moment_ed(gs, 2)),
-        ("xchar(1)", x_characteristic_fk(ens, p, 1.0), x_characteristic_ed(gs, 1.0)),
-        ("xsquare(0.5)", gaussian_square_fk(ens, p, 0.5),
-         x_square_exponential_ed(gs, 0.5)),
-        ("spin-corr(0.5)", spin_correlation_fk(ens, 0.25, -0.25),
-         spin_autocorrelation_ed(gs, 0.5)),
-        ("spin-corr(1)", spin_correlation_fk(ens, 0.5, -0.5),
-         spin_autocorrelation_ed(gs, 1.0)),
-    ]
-    zs = {name: est.z_score(oracle) for name, est, oracle in checks}
-    worst = max(zs, key=zs.get)
-    _report("criterion-06 fk-ed-suite", all(z < 3 for z in zs.values()),
-            f"all |z| < 3 at 1e5 samples; worst {worst} z = {zs[worst]:.2f}",
-            started, 300.0)
-
-
-def test_criterion_07_damped_sign_laws():
-    started = time.monotonic()
-    failures = []
-    for delta in (0.5, 1.0, 2.0):
-        rows = pair_moment_table(delta, N_MC, DEFAULT_SEED)
-        for row in rows:
-            if row["z"] >= 3:
-                failures.append(f"{row['moment']}@delta={delta} z={row['z']:.2f}")
-        cov = next(r for r in rows if r["moment"] == "cov(X1,X2)")
-        if cov["mc"] <= 0:
-            failures.append(f"cov not positive at delta={delta}")
-        x1, _ = sample_damped_sign_pair(delta, N_MC, DEFAULT_SEED)
-        ks = damped_sign_ks(delta, x1)
-        if ks >= ks_critical_value(N_MC):
-            failures.append(f"KS {ks:.4f} above critical at delta={delta}")
-        for m in (1, 2, 3, 4):
-            draws = x1 ** (2 * m)
-            stderr = draws.std(ddof=1) / np.sqrt(len(draws))
-            z = abs(draws.mean() - damped_sign_moment(delta, m)) / stderr
-            if z >= 3:
-                failures.append(f"E[X1^{2 * m}]@delta={delta} z={z:.2f}")
-    _report("criterion-07 sign-integral-laws", not failures,
-            "moments, even powers m<=4, KS, and positive covariance all pass"
-            if not failures else "; ".join(failures), started, 60.0)
-
-
-def test_criterion_08_pull_through():
-    started = time.monotonic()
-    gs = _shared.get("gs") or ground_state(ModelParams(0.5, 1.0))
-    resid = pull_through_residual(gs)
-    _report("criterion-08 pull-through", resid < 1e-6,
-            f"relative residual = {resid:.2e} (tol 1e-6)", started, 5.0)
-
-
-def test_criterion_09_parity():
-    started = time.monotonic()
-    p = _shared.get("params") or ModelParams(0.5, 1.0)
-    gs = _shared.get("gs") or ground_state(p)
-    ens = _shared.get("ens") or build_ground_ensemble(p, N_MC, seed=DEFAULT_SEED)
-    charge = parity_expectation(gs)
-    npar_ed = number_parity_expectation(gs)
-    npar_fk = gibbs_number_fk(ens, p, 1j * np.pi)
-    ok = abs(charge + 1.0) < 1e-8 and npar_ed > 0 and float(np.real(npar_fk.mean)) > 0
-    _report("criterion-09 parity", ok,
-            f"<charge> = {charge:.10f} (tol 1e-8 to -1); "
-            f"<(-1)^n> = {npar_ed:.4f} (ED) / {float(np.real(npar_fk.mean)):.4f} (paths), both > 0",
-            started, 10.0)
-
-
-def test_criterion_10_kernels():
-    started = time.monotonic()
-    from scipy.integrate import quad
-
-    resid = 0.0
-    for (t, s, x, y) in [(0.5, 0.5, 0.3, -0.2), (0.3, 0.9, -0.7, 0.4)]:
-        val, _ = quad(lambda z: float(mehler_kernel(t, x, z) * mehler_kernel(s, z, y)),
-                      -np.inf, np.inf)
-        resid = max(resid, abs(val - float(mehler_kernel(t + s, x, y))))
-    p = ModelParams(0.5, 1.0)
-    rec = gaussian_overlap_element_fk(p, 1.0, 6, n_samples=N_MC, seed=DEFAULT_SEED)
-    z = rec.z_score(vacuum_element_ed(p, 1.0))
-    devs = [heat_kernel_flip_sum(ModelParams(0.5, g), 1.0, 0.3, -0.2, 6,
-                                 n_samples=N_MC // 5, seed=DEFAULT_SEED)
-            for g in (2.0, 6.0)]
-    shrink = abs(devs[1].mean) < abs(devs[0].mean)
-    ok = resid < 1e-6 and z < 3 and shrink
-    _report("criterion-10 kernels", ok,
-            f"composition residual {resid:.2e} (tol 1e-6); reconstruction z = {z:.2f}; "
-            f"flip-sum |dev| {abs(devs[0].mean):.2e} -> {abs(devs[1].mean):.2e} (g = 2 -> 6)",
-            started, 180.0)
+def test_battery_is_single():
+    # one budget per group, and no check body here: estimators (*_fk) and
+    # oracles (*_ed) are reached only through the battery
+    assert list(BUDGETS) == list(AcceptanceBattery.GROUPS)
+    tree = ast.parse(Path(__file__).read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not {name for name in names if name.endswith(("_fk", "_ed"))}

@@ -252,12 +252,6 @@ class TestRecordContracts:
         record = ResultRecord.from_json(text)
         assert ResultRecord.from_json(record.to_json()) == record
 
-    def test_csv_round_trip(self, tmp_path):
-        _, text = run_cli(tmp_path, "spectrum", "--delta", "0.5", "--g", "1",
-                          "--levels", "5")
-        record = ResultRecord.from_csv(text)
-        assert ResultRecord.from_csv(record.to_csv()) == record
-
     def test_hash_invariant_under_option_order(self):
         a = config_hash("spectrum", {"delta": 0.5, "g": 1.0, "levels": 5})
         b = config_hash("spectrum", {"levels": 5, "g": 1.0, "delta": 0.5})
@@ -275,13 +269,13 @@ class TestRecordContracts:
 
 class TestCache:
     def test_records_cached_by_hash(self, tmp_path):
+        # only report reads the cache, so no other subcommand writes to it
         cache = tmp_path / "cache"
         out = tmp_path / "o.csv"
         code = main(["--cache-dir", str(cache), "--output", str(out),
                      "spectrum", "--delta", "0.5", "--g", "0", "--levels", "3"])
         assert code == 0
-        entries = os.listdir(cache)
-        assert len(entries) == 1 and entries[0].endswith(".json")
+        assert not cache.exists()
 
     def test_report_uses_cache(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -300,9 +294,8 @@ class TestCache:
         assert json.loads(out.read_text())["rows"] == [["cached-run"]]
 
     def test_report_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        failing = [{"check": "forced", "anchor": "a check that fails", "measured": 1.0,
-                    "threshold": 0.0, "status": "FAIL"}]
-        monkeypatch.setattr(cli, "_report_checks", lambda seed, quick: failing)
+        failing = [["forced", "a check that fails", 1.0, 0.0, "FAIL"]]
+        monkeypatch.setattr(cli, "acceptance_rows", lambda seed, quick: failing)
         out = tmp_path / "o.json"
         argv = ["--cache-dir", str(tmp_path / "cache"), "--format", "json",
                 "--output", str(out), "report", "--seed", "3", "--quick"]
@@ -314,7 +307,7 @@ class TestCache:
         def recompute(seed, quick):
             raise AssertionError("cached report recomputed")
 
-        monkeypatch.setattr(cli, "_report_checks", recompute)
+        monkeypatch.setattr(cli, "acceptance_rows", recompute)
         assert main(argv) == 4
         assert json.loads(out.read_text()) == cold
         assert "1 checks FAILED" in capsys.readouterr().err
@@ -330,15 +323,14 @@ class TestCache:
     def test_skipped_report_is_never_cached(self, tmp_path, monkeypatch):
         # the SKIPPED placeholder shares the real report's digest, so a cached
         # placeholder would stand in for the report on every later run
-        passing = [{"check": "stub", "anchor": "a check that passes", "measured": 0.0,
-                    "threshold": 1.0, "status": "PASS"}]
+        passing = [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
         calls = []
 
         def stub(seed, quick):
             calls.append((seed, quick))
             return passing
 
-        monkeypatch.setattr(cli, "_report_checks", stub)
+        monkeypatch.setattr(cli, "acceptance_rows", stub)
         cache = tmp_path / "cache"
         out = tmp_path / "o.json"
         argv = ["--cache-dir", str(cache), "--format", "json", "--output", str(out),
@@ -350,3 +342,21 @@ class TestCache:
         assert calls == [(5, True)]
         rows = json.loads(out.read_text())["rows"]
         assert rows == [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
+
+    def test_report_from_other_sources_is_recomputed(self, tmp_path, monkeypatch):
+        # a record cached by different code must not be served to this code
+        calls = []
+
+        def stub(seed, quick):
+            calls.append((seed, quick))
+            return [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
+
+        monkeypatch.setattr(cli, "acceptance_rows", stub)
+        argv = ["--cache-dir", str(tmp_path / "cache"), "--format", "json",
+                "--output", str(tmp_path / "o.json"), "report", "--seed", "6", "--quick"]
+        with monkeypatch.context() as older:
+            older.setattr(cli, "_source_fingerprint", lambda: "older sources")
+            assert main(argv) == 0
+        assert main(argv) == 0
+        assert calls == [(6, True), (6, True)]
+        assert len(os.listdir(tmp_path / "cache")) == 2

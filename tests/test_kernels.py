@@ -165,6 +165,23 @@ class TestReconstruction:
         rec = gaussian_overlap_element_fk(p, 1.0, 6, n_samples=40_000, seed=52)
         assert rec.z_score(vacuum_element_ed(p, 1.0)) < 3
 
+    def test_single_flip_term_is_closed_form(self, monkeypatch):
+        # one flip: the overlap is e^{-2 g^2} at every flip time, so nothing is drawn
+        orders = []
+        original = kernels._flip_average
+
+        def spy(params, t, m, *args):
+            orders.append(m)
+            return original(params, t, m, *args)
+
+        monkeypatch.setattr(kernels, "_flip_average", spy)
+        p = ModelParams(0.5, 1.0)
+        rec = gaussian_overlap_element_fk(p, 1.0, 1, n_samples=400, seed=52)
+        assert rec.mean == pytest.approx(2 + 2 * 0.5 * np.exp(-2.0), rel=1e-15)
+        assert rec.stderr == 0.0 and rec.n_samples == 0
+        gaussian_overlap_element_fk(p, 1.0, 4, n_samples=400, seed=52)
+        assert orders == [2, 3, 4]
+
     def test_uncoupled_sums_to_exponential(self):
         # g = 0 components are exact: the m-sum telescopes to 2 e^(delta t)
         p = ModelParams(0.5, 0.0)
