@@ -62,7 +62,6 @@ from .model import (
     adaptive_spectrum,
     build_full_hamiltonian,
     build_parity_tridiagonal,
-    build_spin_boson_matrix,
     eigensolve,
 )
 from .observables import (
@@ -71,7 +70,6 @@ from .observables import (
     ground_state,
     number_moment_ed,
     number_parity_expectation,
-    parity_expectation,
     partition_ed,
     pull_through_residual,
     resolvent_spin_norm,

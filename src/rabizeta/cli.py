@@ -75,7 +75,7 @@ from .observables import (
     ground_state,
     number_moment_ed,
     number_parity_expectation,
-    parity_expectation,
+    parity_expectation_lab,
     partition_ed,
     pull_through_residual,
     spin_autocorrelation_ed,
@@ -186,15 +186,20 @@ def _load_config_file(path: str) -> dict:
 def _resolve(args, key: str, cast, default):
     """CLI flag if given, else config-file value, else the built-in default.
 
-    ``cast`` applies to a flag value as well as to a config-file value.
+    ``cast`` applies to a flag value as well as to a config-file value; a
+    value it cannot convert is a ``ParameterError``.
     """
-    cli = getattr(args, key, None)
-    if cli is not None:
-        return cast(cli)
-    cfg = getattr(args, "_config_values", {})
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+    value = getattr(args, key, None)
+    if value is None:
+        value = getattr(args, "_config_values", {}).get(key)
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{key} = {value!r} is not a valid value: {exc}") from exc
 
 
 def _real(value) -> float:
@@ -346,6 +351,8 @@ _FK_QUANTITIES = (
 
 def cmd_fk(args) -> ResultRecord:
     params = _params_from(args)
+    if params.eps != 0.0:
+        raise ParameterError(f"jump-path quantities exist at eps = 0 only, got {params.eps}")
     quantity = args.fk_quantity
     n = _resolve(args, "n", int, 100_000)
     seed = _resolve(args, "seed", int, DEFAULT_SEED)
@@ -635,7 +642,7 @@ class AcceptanceBattery:
         return [_check("pull-through", "|b psi|^2 = g^2 |(M-E+1)^{-1} sz psi|^2", resid, 1e-6)]
 
     def _parity(self):
-        dev = abs(parity_expectation(self.gs) + 1.0)
+        dev = abs(parity_expectation_lab(self.params, self.gs.truncation) + 1.0)
         npar_ed = number_parity_expectation(self.gs)
         npar_fk = gibbs_number_fk(self.ens, self.params, 1j * np.pi)
         return [
@@ -745,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="eigenvalue table")
     common(sp)
     sp.add_argument("--levels", type=int)
-    sp.add_argument("--variant", choices=("full", "parity+", "parity-", "spin_boson"))
+    sp.add_argument("--variant", choices=("full", "parity+", "parity-"))
     sp.add_argument("--rel-tol", dest="rel_tol", type=float)
 
     sp = sub.add_parser("zeta", help="one spectral zeta value")

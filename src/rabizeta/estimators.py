@@ -119,19 +119,22 @@ def partition_fk(
     return MCEstimate(mean.real * scale, stderr * scale, n_samples, seed)
 
 
+# Effective sample size a horizon needs to enter the ground-energy slope.
+_MIN_N_EFF = 100.0
+
+
 def ground_energy_fk(
     params: ModelParams,
     t_grid,
     n_samples: int,
     seed: int = DEFAULT_SEED,
-    min_n_eff: float = 100.0,
 ) -> MCEstimate:
     """Ground energy from the decay rate of the flat-state semigroup element.
 
     Samples one set of paths on [0, max(t_grid)] and evaluates the element on
     every grid horizon from the restriction of the same paths; the returned
     estimate is the log-ratio slope across the last two horizons whose
-    effective sample size stays above ``min_n_eff``, which cancels the
+    effective sample size stays at or above ``_MIN_N_EFF``, which cancels the
     overlap prefactor exactly.  The full horizon series is attached for
     extrapolation diagnostics.
     """
@@ -167,12 +170,12 @@ def ground_energy_fk(
         log_mean = shift + np.log(w.mean()) + np.log(2.0)
         series.append({"t": t, "log_element": float(log_mean), "n_eff": float(n_eff),
                        "energy_running": float(-log_mean / t)})
-        if n_eff >= min_n_eff:
+        if n_eff >= _MIN_N_EFF:
             stable.append(t)
 
     note = ""
     if len(stable) < 2:
-        note = f"fewer than two horizons kept n_eff >= {min_n_eff}; using first pair"
+        note = f"fewer than two horizons kept n_eff >= {_MIN_N_EFF}; using first pair"
         stable = t_grid[:2]
     t1, t2 = stable[-2], stable[-1]
     lw1, lw2 = weights[t1], weights[t2]

@@ -13,8 +13,8 @@ have closed moments and, for X1, an explicit Beta-family density on (-1, 1):
 X2 is the time-weighted partner entering the ground state's mean photon
 number.  Sampling sweeps the jump times of every path in a seed stream
 together and drops a path once its next jump lands at or beyond the cutoff
-T with (1 + T) e^(-T) < ``series_eps`` (default 1e-16, so T is about 40.6).
-Each dropped term is below ``series_eps`` in size, and the dropped tail of an
+T with (1 + T) e^(-T) < ``_SERIES_EPS`` = 1e-16, so T is about 40.6.
+Each dropped term is below ``_SERIES_EPS`` in size, and the dropped tail of an
 alternating series with decreasing terms is no larger than its first term,
 so the truncation biases each sum by less than one accumulator ulp.
 """
@@ -28,11 +28,14 @@ from .errors import DomainError, ParameterError
 from .paths import DEFAULT_SEED, _seed_streams
 
 
-def _series_cutoff(series_eps: float) -> float:
-    """Smallest T with (1 + T) e^(-T) < series_eps."""
-    t = max(4.0, -np.log(series_eps))
+_SERIES_EPS = 1e-16
+
+
+def _series_cutoff() -> float:
+    """Smallest T with (1 + T) e^(-T) < _SERIES_EPS."""
+    t = max(4.0, -np.log(_SERIES_EPS))
     for _ in range(8):
-        t = -np.log(series_eps) + np.log1p(t)
+        t = -np.log(_SERIES_EPS) + np.log1p(t)
     return t
 
 
@@ -40,7 +43,6 @@ def sample_damped_sign_pair(
     delta: float,
     n_samples: int,
     seed: int = DEFAULT_SEED,
-    series_eps: float = 1e-16,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X1, X2) samples; X1 always lands in [-1, 1].
 
@@ -53,9 +55,7 @@ def sample_damped_sign_pair(
     """
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    if series_eps <= 0:
-        raise ParameterError("series_eps must be positive")
-    cutoff = _series_cutoff(series_eps)
+    cutoff = _series_cutoff()
     x1_parts, x2_parts = [], []
     for chunk, rng in _seed_streams(seed, n_samples):
         sum1, sum2 = np.empty(chunk), np.empty(chunk)

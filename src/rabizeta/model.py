@@ -13,17 +13,18 @@ truncating the Fock ladder at ``n_max``:
   which the even/odd Z2 sectors occupy the even/odd indices.  At ``eps = 0``
   the two sectors decouple exactly into interleaved tridiagonal chains.
 * ``build_parity_tridiagonal`` is one such chain on its own: diagonal
-  ``n + parity*delta*(-1)**n``, off-diagonal ``g*sqrt(n+1)``.
-* ``build_spin_boson_matrix`` is the unitarily equivalent "spin-boson" form
-  ``-delta*sx (x) 1 + g*sz (x) (b + b^dag) + 1 (x) b^dag b`` whose coupling is
-  diagonal in spin.  Its ground state carries all ground-state observables.
+  ``n + parity*delta*(-1)**n``, off-diagonal ``g*sqrt(n+1)`` (the parity
+  chains of Casanova et al., PRL 105, 263603 (2010)).  Every spectrum at
+  ``eps = 0`` comes from the two chains, and so does every exact
+  ground-state observable (``observables``).
 
 Eigenvalues are obtained by LAPACK band/tridiagonal solvers behind the
 ``eigensolve`` contract.  Every cutoff the package chooses for itself goes
 through one refiner, ``refine``: it solves at a start cutoff and at growing
 ones until two consecutive results agree.  ``turning_point_cutoff`` sets the
-start for eigenvalues; ``adaptive_spectrum`` doubles from there until the
-requested eigenvalues are stable.
+start, for eigenvalues and for the ground-state oracles alike;
+``adaptive_spectrum`` doubles from there until the requested eigenvalues are
+stable.
 """
 
 from __future__ import annotations
@@ -74,16 +75,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Fock cutoff and the stability target used when refining it."""
+    """Fock cutoff: boson levels 0..n_max are kept."""
 
     n_max: int
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ParameterError(f"n_max must be >= 1, got {self.n_max}")
-        if not self.rel_tol > 0:
-            raise ParameterError(f"rel_tol must be positive, got {self.rel_tol}")
 
 
 class SymBandMatrix:
@@ -211,24 +209,6 @@ def build_parity_tridiagonal(params: ModelParams, trunc: Truncation, parity: int
     return SymBandMatrix(bands)
 
 
-def build_spin_boson_matrix(params: ModelParams, trunc: Truncation) -> SymBandMatrix:
-    """Spin-boson form: spin-flip -delta, boson number diagonal, spin-signed coupling.
-
-    Ordering interleaves spin within each boson level: index ``2n`` is
-    (spin +1, level n) and ``2n + 1`` is (spin -1, level n).  The asymmetry
-    ``eps`` appears as ``eps * spin`` on the diagonal in this frame.
-    """
-    n_max = trunc.n_max
-    dim = 2 * (n_max + 1)
-    n = np.arange(dim) // 2
-    spin = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    bands = np.zeros((3, dim))
-    bands[0] = n + params.eps * spin
-    bands[1, 0 : dim - 1 : 2] = -params.delta
-    bands[2, : dim - 2] = params.g * spin[: dim - 2] * np.sqrt(n[: dim - 2] + 1.0)
-    return SymBandMatrix(bands)
-
-
 def coherent_coefficients(amplitude: float, n_max: int) -> np.ndarray:
     """Fock coefficients of a coherent state with real displacement amplitude."""
     n = np.arange(n_max + 1)
@@ -318,9 +298,6 @@ def _variant_eigenvalues(params: ModelParams, n_max: int, variant: str):
         parity = +1 if variant == "parity+" else -1
         w = _sector_eigenvalues(params, n_max, parity)
         return w, np.full(len(w), parity, dtype=int)
-    if variant == "spin_boson":
-        mat = build_spin_boson_matrix(params, Truncation(n_max))
-        return eigensolve(mat).eigenvalues, None
     raise ParameterError(f"unknown spectrum variant {variant!r}")
 
 
@@ -403,7 +380,7 @@ def _refined_spectrum(
 
     def solve(n_max: int) -> Spectrum:
         w, tags = _variant_eigenvalues(params, n_max, variant)
-        return Spectrum(eigenvalues=w, parity=tags, truncation=Truncation(n_max, rel_tol))
+        return Spectrum(eigenvalues=w, parity=tags, truncation=Truncation(n_max))
 
     def stable(previous: Spectrum, spec: Spectrum):
         w = spec.eigenvalues[: len(previous)]  # the larger cutoff has more levels

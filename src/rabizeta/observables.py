@@ -1,19 +1,26 @@
-"""Exact ground-state observables from the diagonalized spin-boson form.
+"""Exact ground-state observables from the two parity chains.
 
 Everything here is deterministic linear algebra on the truncated matrices of
 ``model`` and serves as the oracle side for the stochastic estimators: number
 moments, Gibbs-weighted number, position characteristic functions, the
 pull-through identity, the spin autocorrelation, and semigroup matrix
-elements.
+elements.  All of them exist at ``eps = 0`` only, where the model splits into
+the even and odd parity chains and the Monte Carlo side has its quantities.
 
-The ground vector is stored over (boson level, spin) with spin column 0 for
-spin +1 and column 1 for spin -1, matching the interleaved ordering of
-``build_spin_boson_matrix``.
+The ground state of K is the lowest level of the odd chain.  Odd-chain
+position n holds boson level n with spin -1 at even n and spin +1 at odd n;
+the ground vector is stored in that lab frame over (boson level, spin), spin
+column 0 for spin +1 and column 1 for spin -1.  Two exact frame identities
+put the other oracles on the chains too.  The Monte Carlo side works in the
+spin-boson frame ``-delta*sx + g*sz (x) (b + b^dag) + b^dag b``, whose sz is
+the lab sx: it flips the spin at fixed boson level and so carries odd-chain
+position n onto even-chain position n.  Its flat spin state on the boson
+vacuum is sqrt(2) times the lab state (spin -1, level 0), position 0 of the
+odd chain.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +34,17 @@ from .model import (
     SymBandMatrix,
     Truncation,
     build_full_hamiltonian,
-    build_spin_boson_matrix,
+    build_parity_tridiagonal,
     coherent_coefficients,
     doubling,
     eigensolve,
     full_basis_labels,
+    refine,
     turning_point_cutoff,
 )
-from .model import refine as refine_cutoff
 
-#: Stability tolerance used when a truncation is chosen automatically.
+#: Relative stability every oracle here certifies, in its cutoff and in the
+#: level count of ``x_square_exponential_ed``.
 _AUTO_REL_TOL = 1e-10
 
 #: Level counts tried by the <exp(beta*x^2)> oracle: 16, 24, 32, ...
@@ -46,11 +54,12 @@ _XSQ_STEP_LEVELS = 8
 
 @dataclass
 class GroundState:
-    """Normalized lowest eigenvector of the spin-boson form.
+    """Normalized ground vector of K at ``eps = 0``, in the lab frame.
 
     ``coeffs[n, s]`` is the amplitude on boson level ``n`` and spin
-    ``+1 (s=0) / -1 (s=1)``; the global sign makes the overlap with the flat
-    spin state on the boson vacuum positive.
+    ``+1 (s=0) / -1 (s=1)``.  It is the odd chain's lowest eigenvector ``v``
+    with ``v[0] > 0``, so each level has one nonzero spin amplitude: spin -1
+    at even n, spin +1 at odd n.
     """
 
     energy: float
@@ -62,74 +71,73 @@ class GroundState:
     def n_levels(self) -> int:
         return self.coeffs.shape[0]
 
+    @property
+    def chain(self) -> np.ndarray:
+        """The odd-chain vector ``v``: one nonzero amplitude per level."""
+        return self.coeffs.sum(axis=1)
+
     def level_weights(self) -> np.ndarray:
         """Probability of each boson level, summed over spin."""
         return (self.coeffs**2).sum(axis=1)
 
-    def flat(self) -> np.ndarray:
-        return self.coeffs.reshape(-1)
 
+def _refined(solve, params: ModelParams, what: str, value=lambda result: result):
+    """``solve(n_max)`` at the first cutoff where ``value`` of it is stable.
 
-def _auto_truncation(params: ModelParams, rel_tol: float) -> Truncation:
-    n_max = max(64, 4 * int(np.ceil(params.g**2)) + 16)
-    return Truncation(n_max, rel_tol)
-
-
-def ground_state(
-    params: ModelParams,
-    trunc: Truncation | None = None,
-    refine: bool = True,
-) -> GroundState:
-    """Ground state of the spin-boson form, refined until the energy is stable.
-
-    With ``refine`` the cutoff doubles until the lowest two eigenvalues move
-    by less than the truncation's ``rel_tol``; ``ConvergenceError`` is raised
-    when that needs more than ``MAX_STATES`` states.  A near-degenerate
-    lowest pair (gap below 1e-12) triggers an ambiguity warning.
+    The cutoff starts at ``turning_point_cutoff(1, g)`` and doubles until the
+    value changes by at most ``_AUTO_REL_TOL`` relative (absolute below 1).
+    The cap counts the states of the truncated K, two per Fock level, even
+    where a solve needs only one chain.  The chains exist only at ``eps = 0``,
+    as do the Monte Carlo quantities these oracles check, so any other
+    ``eps`` raises ``ParameterError``.
     """
-    trunc = trunc or _auto_truncation(params, _AUTO_REL_TOL)
-
-    def solve(n_max):
-        mat = build_spin_boson_matrix(params, Truncation(n_max, trunc.rel_tol))
-        spec, vec = eigensolve(mat, k=2, want_vectors=True)
-        return spec.eigenvalues, vec
+    if params.eps != 0.0:
+        raise ParameterError(f"{what} is solved on the parity chains, which need eps = 0 "
+                             f"(got {params.eps})")
 
     def stable(previous, result):
-        w_prev, w = previous[0], result[0]
-        delta = float(np.max(np.abs(w - w_prev) / np.maximum(1.0, np.abs(w))))
-        return delta <= trunc.rel_tol, delta
+        a, b = value(previous), value(result)
+        delta = abs(b - a) / max(1.0, abs(b))
+        return delta <= _AUTO_REL_TOL, delta
 
-    if refine:
-        grow = doubling(2, "the lowest two eigenvalues", trunc.rel_tol)
-        (w, v), trail = refine_cutoff(solve, trunc.n_max, grow, stable)
-        n_max = trail[-1][0]
-    else:
-        n_max = trunc.n_max
-        w, v = solve(n_max)
-
-    if w[1] - w[0] < 1e-12:
-        warnings.warn("lowest pair nearly degenerate; ground vector is ambiguous")
-    coeffs = v[:, 0].reshape(-1, 2)
-    flat_overlap = coeffs[0, 0] + coeffs[0, 1]
-    if flat_overlap < 0:
-        coeffs = -coeffs
-    coeffs /= np.linalg.norm(coeffs)
-    return GroundState(float(w[0]), coeffs, params, Truncation(n_max, trunc.rel_tol))
+    grow = doubling(2, what, _AUTO_REL_TOL)
+    result, _ = refine(solve, turning_point_cutoff(1, params.g), grow, stable)
+    return result
 
 
-def parity_expectation(gs: GroundState) -> float:
-    """Expectation of the conserved Z2 charge in the ground state.
+def _ground_state_at(params: ModelParams, n_max: int) -> GroundState:
+    """Ground state at the fixed cutoff ``n_max``: the odd chain's lowest eigenpair."""
+    trunc = Truncation(n_max)
+    spec, vec = eigensolve(build_parity_tridiagonal(params, trunc, -1), k=1, want_vectors=True)
+    v = vec[:, 0] if vec[0, 0] > 0 else -vec[:, 0]
+    coeffs = np.zeros((n_max + 1, 2))
+    n = np.arange(n_max + 1)
+    coeffs[n, 1 - n % 2] = v
+    return GroundState(float(spec.eigenvalues[0]), coeffs, params, trunc)
 
-    The lab-frame charge sz*(-1)^n maps to -sx*(-1)^n in the spin-boson
-    frame; the ground state lies in its -1 eigenspace.
+
+def ground_state(params: ModelParams) -> GroundState:
+    """Ground state of K at ``eps = 0``, at a cutoff where its energy is stable.
+
+    It is the lowest level of the odd chain, which is simple and lies about 1
+    below the next odd level at every coupling, so its vector is as well
+    conditioned as its energy.  (In a matrix that holds both chains it sits
+    only about delta*exp(-2 g^2) below the even ground level, and a solver
+    mixes the two.)  The cutoff starts at ``turning_point_cutoff(1, g)`` and
+    doubles until the energy moves by at most ``_AUTO_REL_TOL``;
+    ``ConvergenceError`` is raised when that needs more than ``MAX_STATES``
+    states, and ``ParameterError`` at ``eps != 0``.
     """
-    c = gs.coeffs
-    signs = np.where(np.arange(gs.n_levels) % 2 == 0, 1.0, -1.0)
-    return float(-2.0 * np.sum(signs * c[:, 0] * c[:, 1]))
+    return _refined(lambda n_max: _ground_state_at(params, n_max), params,
+                    "the ground energy", lambda gs: gs.energy)
 
 
 def parity_expectation_lab(params: ModelParams, trunc: Truncation) -> float:
-    """Same charge evaluated directly on the full model's ground vector."""
+    """Conserved Z2 charge sz*(-1)^n of the full model's ground vector at ``trunc``.
+
+    An independent check of ``ground_state``: one solve of the matrix that
+    holds both chains, whose lowest level is the odd one (charge -1).
+    """
     mat = build_full_hamiltonian(params, trunc)
     _, vec = eigensolve(mat, k=1, want_vectors=True)
     _, _, charge = full_basis_labels(trunc.n_max)
@@ -232,17 +240,17 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
     computed ground vector stops decaying at a noise floor (about 1e-55 at
     g=1), so summing over every stored level diverges as the cutoff grows.
     N therefore grows from 16 by 8 levels at a time, and the value is
-    returned once one step changes it by at most the state's
-    ``truncation.rel_tol``; it does not change when ``n_max`` doubles.  Once
-    the changes have fallen below sqrt(rel_tol) the levels cover the state
-    and its true changes keep shrinking, so a change larger than the one
-    before marks the noise floor.  There, or when the stored levels run out first (for example
-    at g=1, beta=0.9, where double-precision coefficients cannot carry the
-    value), ``ConvergenceError`` is raised.
+    returned once one step changes it by at most ``_AUTO_REL_TOL``; it does
+    not change when ``n_max`` doubles.  Once the changes have fallen below
+    the square root of that tolerance the levels cover the state and its
+    true changes keep shrinking, so a change larger than the one before
+    marks the noise floor.  There, or when the stored levels run out first
+    (for example at g=1, beta=0.9, where double-precision coefficients cannot
+    carry the value), ``ConvergenceError`` is raised.
     """
     if abs(beta) >= 1:
         raise DomainError(f"<exp(beta*x^2)> diverges for |beta| >= 1, got {beta}")
-    tol = gs.truncation.rel_tol
+    tol = _AUTO_REL_TOL
     log_prev = _log_x_square_exponential(gs.coeffs[:_XSQ_START_LEVELS], beta)
     change_prev = np.inf
     for n in range(_XSQ_START_LEVELS + _XSQ_STEP_LEVELS, gs.n_levels + 1, _XSQ_STEP_LEVELS):
@@ -270,19 +278,18 @@ def annihilate(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def spin_z_apply(coeffs: np.ndarray) -> np.ndarray:
-    """Apply the spin-z operator of the spin-boson frame (diagonal +1/-1)."""
-    out = coeffs.copy()
-    out[:, 1] *= -1.0
-    return out
+def _even_chain(gs: GroundState) -> SymBandMatrix:
+    return build_parity_tridiagonal(gs.params, gs.truncation, +1)
 
 
 def resolvent_spin_norm(gs: GroundState) -> float:
-    """Squared norm of (M - E + 1)^{-1} sz |ground>, via a banded Cholesky solve."""
-    mat = build_spin_boson_matrix(gs.params, gs.truncation)
-    shifted = mat.shifted(1.0 - gs.energy)
-    rhs = spin_z_apply(gs.coeffs).reshape(-1)
-    sol = solveh_banded(shifted.bands, rhs, lower=True)
+    """Squared norm of (M - E + 1)^{-1} sz |ground>, via a banded Cholesky solve.
+
+    M is the spin-boson form and sz its spin operator, the lab sx; sz |ground>
+    is the ground chain vector on the even chain, which M leaves invariant.
+    """
+    shifted = _even_chain(gs).shifted(1.0 - gs.energy)
+    sol = solveh_banded(shifted.bands, gs.chain, lower=True)
     return float(sol @ sol)
 
 
@@ -301,13 +308,15 @@ def pull_through_residual(gs: GroundState) -> float:
 
 
 def spin_autocorrelation_ed(gs: GroundState, lag: float) -> float:
-    """<sz exp(-lag*(M - E)) sz> from the full eigendecomposition."""
+    """<sz exp(-lag*(M - E)) sz> in the spin-boson frame, from the even chain.
+
+    sz |ground> is the ground chain vector on the even chain, so this is the
+    even chain's semigroup element in that vector.
+    """
     if lag < 0:
         raise DomainError(f"lag must be >= 0, got {lag}")
-    mat = build_spin_boson_matrix(gs.params, gs.truncation)
-    spec, vecs = eigensolve(mat, want_vectors=True)
-    amps = vecs.T @ spin_z_apply(gs.coeffs).reshape(-1)
-    return float(np.sum(amps**2 * np.exp(-lag * (spec.eigenvalues - gs.energy))))
+    v = gs.chain
+    return semigroup_matrix_element_ed(_even_chain(gs), v, v, lag, shift=-gs.energy)
 
 
 def semigroup_matrix_element_ed(
@@ -333,44 +342,21 @@ def semigroup_trace_ed(spectrum: Spectrum, t: float, shift: float = 0.0) -> floa
     return float(np.sum(np.exp(-t * (spectrum.eigenvalues + shift))))
 
 
-def flat_state(n_max: int) -> np.ndarray:
-    """The flat spin state on the boson vacuum in spin-boson ordering (norm sqrt(2))."""
-    phi = np.zeros(2 * (n_max + 1))
-    phi[0] = phi[1] = 1.0
-    return phi
+def _partition_at(params: ModelParams, t: float, n_max: int) -> float:
+    odd = build_parity_tridiagonal(params, Truncation(n_max), -1)
+    vacuum = np.zeros(n_max + 1)
+    vacuum[0] = 1.0
+    return 2.0 * semigroup_matrix_element_ed(odd, vacuum, vacuum, t)
 
 
-def _checked_value(evaluate, params: ModelParams, trunc: Truncation | None, what: str) -> float:
-    """``evaluate(n_max)`` at ``trunc``, or at a cutoff where the value is stable.
-
-    An explicit ``trunc`` is used as given.  Otherwise the cutoff starts at
-    ``turning_point_cutoff(1, g)`` and doubles until the value changes by at
-    most ``_AUTO_REL_TOL`` relative (absolute below 1).
-    """
-    if trunc is not None:
-        return evaluate(trunc.n_max)
-
-    def stable(previous, value):
-        delta = abs(value - previous) / max(1.0, abs(value))
-        return delta <= _AUTO_REL_TOL, delta
-
-    grow = doubling(2, what, _AUTO_REL_TOL)
-    value, _ = refine_cutoff(evaluate, turning_point_cutoff(1, params.g), grow, stable)
-    return value
-
-
-def partition_ed(params: ModelParams, t: float, trunc: Truncation | None = None) -> float:
+def partition_ed(params: ModelParams, t: float) -> float:
     """Flat-state semigroup element of the spin-boson form at time ``t``.
 
-    Without ``trunc`` the cutoff is chosen by the stability of the value.
+    The flat state is sqrt(2) times odd-chain position 0, so the element is
+    2 (exp(-t T_odd))_00.  The cutoff is chosen by the stability of the value.
     """
-
-    def evaluate(n_max: int) -> float:
-        mat = build_spin_boson_matrix(params, Truncation(n_max))
-        phi = flat_state(n_max)
-        return semigroup_matrix_element_ed(mat, phi, phi, t)
-
-    return _checked_value(evaluate, params, trunc, f"the partition element at t={t}")
+    return _refined(lambda n_max: _partition_at(params, t, n_max), params,
+                    f"the partition element at t={t}")
 
 
 def displaced_flat_state(params: ModelParams, n_max: int) -> np.ndarray:
@@ -389,17 +375,23 @@ def displaced_flat_state(params: ModelParams, n_max: int) -> np.ndarray:
     return phi
 
 
-def vacuum_element_ed(params: ModelParams, t: float, trunc: Truncation | None = None) -> float:
+def _vacuum_element_at(params: ModelParams, t: float, n_max: int) -> float:
+    phi = displaced_flat_state(params, n_max)
+    return sum(
+        semigroup_matrix_element_ed(build_parity_tridiagonal(params, Truncation(n_max), parity),
+                                    phi[c::2], phi[c::2], t, shift=params.g**2)
+        for c, parity in enumerate((+1, -1))
+    )
+
+
+def vacuum_element_ed(params: ModelParams, t: float) -> float:
     """Exact value of the shifted vacuum semigroup element at time ``t``.
 
     This is the matrix element of exp(-t*(K + g^2)) in the displaced flat
-    state, the quantity targeted by the jump-path vacuum estimator.  Without
-    ``trunc`` the cutoff is chosen by the stability of the value.
+    state, the quantity targeted by the jump-path vacuum estimator.  K keeps
+    each parity chain, so the element is the sum of the two chains' elements
+    in the state's components on them.  The cutoff is chosen by the
+    stability of the value.
     """
-
-    def evaluate(n_max: int) -> float:
-        mat = build_full_hamiltonian(params, Truncation(n_max))
-        phi = displaced_flat_state(params, n_max)
-        return semigroup_matrix_element_ed(mat, phi, phi, t, shift=params.g**2)
-
-    return _checked_value(evaluate, params, trunc, f"the vacuum element at t={t}")
+    return _refined(lambda n_max: _vacuum_element_at(params, t, n_max), params,
+                    f"the vacuum element at t={t}")

@@ -229,10 +229,6 @@ class WeightedPathEnsemble:
         return self.damped_left * self.damped_right
 
     @property
-    def normalizer(self) -> float:
-        return float(logsumexp(self.log_weights))
-
-    @property
     def n_eff(self) -> float:
         lw = self.log_weights
         return float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))

@@ -163,7 +163,6 @@ def spectral_zeta(
     degeneracy: int = 2,
     split: float = 0.0,
     n_use: int | None = None,
-    max_tail_bound: float | None = None,
 ) -> ZetaValue:
     """Sum 1/(E_n + shift + tau)^s with a bracketed Hurwitz tail.
 
@@ -195,21 +194,18 @@ def spectral_zeta(
     head = complex(np.sum(np.exp(-s * np.log(shifted))))
     tail = _model_tail(s, tau, n_use, degeneracy, split)
     bound = _tail_bound(s, tau, n_use // degeneracy, degeneracy, split, radius)
-    value = ZetaValue(value=head + tail, tail_bound=bound, n_used=n_use)
-    if max_tail_bound is not None and value.tail_bound > max_tail_bound:
-        raise ConvergenceError(
-            f"tail bound {value.tail_bound:.3e} exceeds requested {max_tail_bound:.3e}; "
-            f"supply more converged eigenvalues"
-        )
-    return value
+    return ZetaValue(value=head + tail, tail_bound=bound, n_used=n_use)
 
 
 _VARIANTS = ("full", "parity+", "parity-", "asymmetric")
 
+# Relative cutoff stability of every level a zeta head sums, and of every
+# level of an eigenvalue limit table.
+_HEAD_REL_TOL = 1e-9
+_LEVEL_REL_TOL = 1e-10
 
-def _stable_spectrum(
-    params: ModelParams, variant: str, min_levels: int, rel_tol: float
-) -> Spectrum:
+
+def _stable_spectrum(params: ModelParams, variant: str, min_levels: int) -> Spectrum:
     """Spectrum with at least ``min_levels`` levels verified stable in the cutoff.
 
     Zeta heads consume hundreds of levels, so each cutoff is checked against
@@ -226,7 +222,7 @@ def _stable_spectrum(
             )
         return int(np.ceil(1.3 * n_max))
 
-    return _refined_spectrum(params, variant, min_levels, rel_tol, grow)
+    return _refined_spectrum(params, variant, min_levels, _HEAD_REL_TOL, grow)
 
 
 def variant_target(params: ModelParams, s: complex, tau: float, variant: str) -> complex:
@@ -241,9 +237,18 @@ def variant_target(params: ModelParams, s: complex, tau: float, variant: str) ->
 
 
 def _tail_model(params: ModelParams, variant: str) -> tuple[str, int, float, float]:
-    """(spectrum variant, degeneracy, split, radius) of one variant's tail model."""
+    """(spectrum variant, degeneracy, split, radius) of one variant's tail model.
+
+    The full and parity tail models are the untilted ladders of radius delta,
+    which do not bound levels also split by +-eps, so those variants are
+    refused at ``eps != 0``.
+    """
     if variant not in _VARIANTS:
         raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    if variant != "asymmetric" and params.eps != 0.0:
+        raise ParameterError(
+            f"variant {variant!r} needs eps = 0 (got {params.eps}); use 'asymmetric'"
+        )
     if variant == "asymmetric":
         if params.eps == 0.0:
             raise ParameterError("asymmetric variant requires eps > 0")
@@ -288,13 +293,10 @@ def zeta_variant_value(
     tau: float,
     variant: str,
     n_head: int,
-    rel_tol: float = 1e-9,
-    spectrum: Spectrum | None = None,
 ) -> ZetaValue:
     """Spectral zeta of one variant at the given head size, shift g^2."""
     spec_variant, degeneracy, split, radius = _tail_model(params, variant)
-    if spectrum is None:
-        spectrum = _stable_spectrum(params, spec_variant, n_head, rel_tol)
+    spectrum = _stable_spectrum(params, spec_variant, n_head)
     return spectral_zeta(
         spectrum, s, tau, shift=params.g**2,
         radius=radius, degeneracy=degeneracy, split=split, n_use=n_head,
@@ -324,7 +326,6 @@ def zeta_limit_table(
     g_grid,
     variant: str = "full",
     n_head: int | None = None,
-    rel_tol: float = 1e-9,
 ) -> list[ZetaLimitRow]:
     """Deviation of the spectral zeta from its large-coupling target per g.
 
@@ -345,13 +346,14 @@ def zeta_limit_table(
     as computed.
     """
     s = complex(s)
-    probe = ModelParams(params.delta, 0.0, params.eps if variant == "asymmetric" else 0.0, tau)
+    probe = ModelParams(params.delta, 0.0, params.eps, tau)
+    model = _tail_model(probe, variant)
     probe.require_zeta_shift()
     target = variant_target(params, s, tau, variant)
-    runs = [ModelParams(params.delta, float(g), probe.eps, tau) for g in g_grid]
+    runs = [ModelParams(params.delta, float(g), params.eps, tau) for g in g_grid]
 
     def row(run: ModelParams, head: int) -> ZetaLimitRow:
-        zv = zeta_variant_value(run, s, tau, variant, head, rel_tol)
+        zv = zeta_variant_value(run, s, tau, variant, head)
         return ZetaLimitRow(
             g=run.g,
             value=zv.value,
@@ -364,7 +366,6 @@ def zeta_limit_table(
     if n_head is not None:
         return [row(run, n_head) for run in runs]
 
-    model = _tail_model(probe, variant)
     cap = 1000 * model[1]  # 1000 model levels: 2000 eigenvalues, 1000 per parity sector
 
     def head(tol: float) -> int:
@@ -405,7 +406,6 @@ def eigenvalue_limit_table(
     g_grid,
     n_levels: int,
     variant: str = "parity",
-    rel_tol: float = 1e-10,
 ) -> list[LevelLimitRow]:
     """Shifted low-lying levels E + g^2 against their integer (or split) limits.
 
@@ -418,7 +418,7 @@ def eigenvalue_limit_table(
         run = ModelParams(params.delta, float(g), params.eps, params.tau)
         if variant == "parity":
             for parity, tag in ((+1, "parity+"), (-1, "parity-")):
-                spec = adaptive_spectrum(run, k=n_levels, rel_tol=rel_tol, variant=tag)
+                spec = adaptive_spectrum(run, k=n_levels, rel_tol=_LEVEL_REL_TOL, variant=tag)
                 for n in range(n_levels):
                     shifted = spec.eigenvalues[n] + g**2
                     rows.append(
@@ -428,7 +428,7 @@ def eigenvalue_limit_table(
         elif variant == "asymmetric":
             if run.eps <= 0:
                 raise ParameterError("asymmetric level table requires eps > 0")
-            spec = adaptive_spectrum(run, k=2 * n_levels, rel_tol=rel_tol, variant="full")
+            spec = adaptive_spectrum(run, k=2 * n_levels, rel_tol=_LEVEL_REL_TOL, variant="full")
             for n in range(2 * n_levels):
                 m, odd = divmod(n, 2)
                 target = m + (run.eps if odd else -run.eps)

@@ -11,6 +11,7 @@ import pytest
 
 import rabizeta
 import rabizeta.cli as cli
+import rabizeta.zeta as zeta
 from rabizeta.cli import ResultRecord, config_hash, main
 
 
@@ -94,6 +95,12 @@ class TestZetaCommand:
         code, _ = run_cli(tmp_path, "zeta", "--delta", "0.9", "--tau", "0.5")
         assert code == 2
 
+    def test_untilted_variant_refuses_eps(self, tmp_path, capsys):
+        # the full tail model of radius delta does not bound levels split by +-eps
+        code, text = run_cli(tmp_path, "zeta", "--variant", "full", "--eps", "0.25")
+        assert code == 2 and text == ""
+        assert "use 'asymmetric'" in capsys.readouterr().err
+
 
 class TestLimitsCommand:
     def test_parity_monotone_deviation(self, tmp_path):
@@ -103,6 +110,16 @@ class TestLimitsCommand:
         record = json.loads(text)
         devs = [dict(zip(record["columns"], row))["deviation"] for row in record["rows"]]
         assert all(devs[i + 1] < devs[i] for i in range(len(devs) - 1))
+
+    @pytest.mark.parametrize("variant", ["full", "parity+", "parity-"])
+    def test_untilted_variant_refuses_eps(self, tmp_path, monkeypatch, variant):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a zeta head was solved before eps was checked")
+
+        monkeypatch.setattr(zeta, "_stable_spectrum", no_solve)
+        code, text = run_cli(tmp_path, "limits", "--variant", variant, "--eps", "0.25",
+                             "--g-grid", "2,4")
+        assert code == 2 and text == ""
 
     def test_level_table(self, tmp_path):
         code, text = run_cli(tmp_path, "limits", "--table", "levels",
@@ -180,6 +197,9 @@ class TestFkCommand:
         ("spin-corr", "--lag", "-1"),
         ("number", "--m", "0"),
         ("spin-corr", "--lag", "30"),
+        ("number", "--eps", "0.25"),
+        ("kernel", "--eps", "0.25"),
+        ("dump", "--eps", "0.25"),
     ])
     def test_usage_error_before_sampling(self, tmp_path, monkeypatch, argv):
         def no_sampling(*args, **kwargs):
@@ -243,6 +263,13 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("not a key value line\n")
         assert main(["--config", str(cfg), "spectrum"]) == 2
+
+    def test_malformed_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("levels = abc\n")
+        assert main(["--config", str(cfg), "spectrum"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "levels" in err
 
 
 class TestRecordContracts:

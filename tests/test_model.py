@@ -13,7 +13,6 @@ from rabizeta.model import (
     adaptive_spectrum,
     build_full_hamiltonian,
     build_parity_tridiagonal,
-    build_spin_boson_matrix,
     coherent_coefficients,
     doubling,
     eigensolve,
@@ -45,8 +44,6 @@ class TestParams:
     def test_truncation_validation(self):
         with pytest.raises(ParameterError):
             Truncation(0)
-        with pytest.raises(ParameterError):
-            Truncation(4, rel_tol=0.0)
 
 
 class TestFullHamiltonian:
@@ -125,30 +122,6 @@ class TestParitySectors:
     def test_eps_unsupported(self):
         with pytest.raises(UnsupportedConfigError):
             build_parity_tridiagonal(ModelParams(0.5, 1.0, eps=0.1), Truncation(4), +1)
-
-
-class TestSpinBosonForm:
-    def test_unitary_equivalence(self):
-        p = ModelParams(0.5, 1.0)
-        tr = Truncation(200)
-        w_sb = eigensolve(build_spin_boson_matrix(p, tr)).eigenvalues
-        w_full = eigensolve(build_full_hamiltonian(p, tr)).eigenvalues
-        assert np.abs(w_sb[:20] - w_full[:20]).max() < 1e-9
-
-    def test_free_levels(self):
-        w = eigensolve(build_spin_boson_matrix(ModelParams(0.0, 0.0), Truncation(3))).eigenvalues
-        assert np.allclose(w, [0, 0, 1, 1, 2, 2, 3, 3])
-
-    def test_uncoupled_ground_pair(self):
-        spec, vec = eigensolve(
-            build_spin_boson_matrix(ModelParams(0.7, 0.0), Truncation(6)), k=1, want_vectors=True
-        )
-        assert spec.eigenvalues[0] == pytest.approx(-0.7)
-        v = vec[:, 0]
-        # ground vector is the symmetric spin combination on the boson vacuum
-        assert abs(abs(v[0]) - 1 / np.sqrt(2)) < 1e-12
-        assert abs(v[0] - v[1]) < 1e-12
-        assert np.abs(v[2:]).max() < 1e-12
 
 
 class TestEigensolve:

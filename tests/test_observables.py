@@ -5,16 +5,17 @@ import pytest
 
 import rabizeta.model as model
 import rabizeta.observables as observables
-from rabizeta.model import ModelParams, Truncation, build_spin_boson_matrix
+from rabizeta.model import ModelParams, Truncation, build_parity_tridiagonal
 from rabizeta.errors import ConvergenceError, DomainError, ParameterError
 from rabizeta.observables import (
+    _ground_state_at,
+    _partition_at,
+    _vacuum_element_at,
     annihilate,
-    flat_state,
     gibbs_number_ed,
     ground_state,
     number_moment_ed,
     number_parity_expectation,
-    parity_expectation,
     parity_expectation_lab,
     partition_ed,
     pull_through_residual,
@@ -40,24 +41,60 @@ def gs_free():
     return ground_state(ModelParams(0.5, 0.0))
 
 
+def charge(gs):
+    """Z2 charge sum of spin * (-1)^n * |c|^2 of a lab-frame ground state."""
+    signs = np.where(np.arange(gs.n_levels) % 2 == 0, 1.0, -1.0)
+    return float(np.sum(signs * (gs.coeffs[:, 0] ** 2 - gs.coeffs[:, 1] ** 2)))
+
+
 class TestGroundState:
     def test_uncoupled_closed_form(self, gs_free):
+        # g = 0: spin -1 on the boson vacuum
         assert gs_free.energy == pytest.approx(-0.5, abs=1e-12)
         c = gs_free.coeffs
-        assert c[0, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-10)
-        assert c[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-10)
+        assert c[0, 0] == 0.0
+        assert c[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(c[1:]).max() < 1e-10
 
     def test_normalized_and_sign_fixed(self, gs_std):
         assert np.linalg.norm(gs_std.coeffs) == pytest.approx(1.0, abs=1e-12)
-        assert gs_std.coeffs[0, 0] + gs_std.coeffs[0, 1] > 0
+        assert gs_std.coeffs[0, 1] > 0
 
     def test_parity_is_odd(self, gs_std):
-        assert parity_expectation(gs_std) == pytest.approx(-1.0, abs=1e-8)
+        lab = parity_expectation_lab(gs_std.params, gs_std.truncation)
+        assert lab == pytest.approx(-1.0, abs=1e-8)
 
     def test_parity_matches_lab_frame(self, gs_std):
         lab = parity_expectation_lab(gs_std.params, Truncation(160))
-        assert lab == pytest.approx(parity_expectation(gs_std), abs=1e-9)
+        assert lab == pytest.approx(charge(gs_std), abs=1e-9)
+
+    @pytest.mark.parametrize("g", [3.0, 4.0])
+    def test_strong_coupling_vector_is_odd(self, g):
+        # a matrix holding both chains mixes in the even ground level here
+        assert charge(ground_state(ModelParams(0.5, g))) == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("g", [3.0, 4.0])
+    def test_strong_coupling_vector_is_converged(self, g):
+        p = ModelParams(0.5, g)
+        gs = ground_state(p)
+        bigger = _ground_state_at(p, 2 * gs.truncation.n_max)
+        for oracle, beta in ((x_characteristic_ed, 1.0), (x_square_exponential_ed, 0.5)):
+            assert oracle(gs, beta) == pytest.approx(oracle(bigger, beta), rel=1e-12)
+
+    def test_ground_state_cutoff_is_checked(self):
+        p = ModelParams(0.5, 4.0)
+        gs = ground_state(p)
+        start = model.turning_point_cutoff(1, 4.0)
+        assert gs.truncation.n_max == 2 * start
+        assert _ground_state_at(p, start).energy == pytest.approx(gs.energy, rel=1e-10)
+
+    def test_tilt_rejected(self):
+        p = ModelParams(0.5, 1.0, eps=0.25)
+        with pytest.raises(ParameterError):
+            ground_state(p)
+        for oracle in (vacuum_element_ed, partition_ed):
+            with pytest.raises(ParameterError):
+                oracle(p, 1.0)
 
     def test_number_parity_positive(self, gs_std):
         assert number_parity_expectation(gs_std) > 0
@@ -114,7 +151,7 @@ class TestPositionObservables:
     def test_square_exponential_independent_of_cutoff(self):
         params = ModelParams(0.5, 1.0)
         vals = [
-            x_square_exponential_ed(ground_state(params, Truncation(n), refine=False), 0.5)
+            x_square_exponential_ed(_ground_state_at(params, n), 0.5)
             for n in (64, 128, 256)
         ]
         assert vals[1] == pytest.approx(vals[0], rel=1e-10)
@@ -161,7 +198,7 @@ class TestSpinAutocorrelation:
 class TestSemigroup:
     def test_time_zero_is_overlap(self):
         p = ModelParams(0.5, 1.0)
-        mat = build_spin_boson_matrix(p, Truncation(30))
+        mat = build_parity_tridiagonal(p, Truncation(30), -1)
         rng = np.random.default_rng(5)
         phi, psi = rng.normal(size=(2, mat.dim))
         val = semigroup_matrix_element_ed(mat, phi, psi, 0.0)
@@ -170,10 +207,8 @@ class TestSemigroup:
     def test_uncoupled_flat_element(self):
         # flat state on the boson vacuum decays with the spin ground energy
         p = ModelParams(0.5, 0.0)
-        mat = build_spin_boson_matrix(p, Truncation(30))
-        phi = flat_state(30)
         for t in (0.5, 1.0, 2.0):
-            val = semigroup_matrix_element_ed(mat, phi, phi, t)
+            val = _partition_at(p, t, 30)
             assert val == pytest.approx(2 * np.exp(0.5 * t), rel=1e-10)
 
     def test_trace_decoupled(self):
@@ -229,10 +264,9 @@ class TestCheckedCutoffs:
     @pytest.mark.parametrize("g", [0.5, 1.0])
     def test_automatic_cutoff_matches_large_fixed_one(self, g):
         p = ModelParams(0.5, g)
-        for oracle, t in ((vacuum_element_ed, 1.0), (partition_ed, 2.0)):
-            auto = oracle(p, t)
-            fixed = oracle(p, t, Truncation(192))
-            assert auto == pytest.approx(fixed, rel=1e-12)
+        for oracle, at, t in ((vacuum_element_ed, _vacuum_element_at, 1.0),
+                              (partition_ed, _partition_at, 2.0)):
+            assert oracle(p, t) == pytest.approx(at(p, t, 192), rel=1e-12)
 
     def test_measured_values(self):
         p = ModelParams(0.5, 0.5)
@@ -249,9 +283,10 @@ class TestCheckedCutoffs:
 
         monkeypatch.setattr(observables, "eigensolve", counting)
         p = ModelParams(0.5, 1.0)
-        vacuum_element_ed(p, 1.0, Truncation(10))
-        partition_ed(p, 2.0, Truncation(12))
-        assert dims == [22, 26]
+        _vacuum_element_at(p, 1.0, 10)
+        _partition_at(p, 2.0, 12)
+        _ground_state_at(p, 14)
+        assert dims == [11, 11, 13, 15]
 
     def test_cap_raises(self, monkeypatch):
         monkeypatch.setattr(model, "MAX_STATES", 100)

@@ -131,9 +131,9 @@ class TestSpectralZeta:
             spectral_zeta(free_spectrum, 2.0, -1.0, 0.0, radius=0.25)
 
     def test_insufficient_levels(self):
-        tiny = Spectrum(np.array([0.5, 1.5]), converged_count=2)
+        tiny = Spectrum(np.array([0.5]), converged_count=1)
         with pytest.raises(ConvergenceError):
-            spectral_zeta(tiny, 2.0, 1.0, 0.0, radius=0.5, max_tail_bound=1e-12)
+            spectral_zeta(tiny, 2.0, 1.0, 0.0, radius=0.5)
 
     def test_doubly_degenerate_integer_ladder(self):
         # the uncoupled reference spectrum {0,0,1,1,...} gives 2 zeta(s;tau)
@@ -189,16 +189,16 @@ class TestCutoffStart:
 
     def test_short_start_grows_to_the_same_head(self, monkeypatch):
         p = ModelParams(0.5, 8.0)
-        normal = _stable_spectrum(p, "parity+", 175, 1e-9)
+        normal = _stable_spectrum(p, "parity+", 175)
         start = model.turning_point_cutoff
         monkeypatch.setattr(model, "turning_point_cutoff", lambda levels, g: start(levels, g) // 2)
-        short = _stable_spectrum(p, "parity+", 175, 1e-9)
+        short = _stable_spectrum(p, "parity+", 175)
         assert short.refinement[0][0] == start(175, 8.0) // 2 and len(short.refinement) > 2
         w, w_normal = short.eigenvalues[:175], normal.eigenvalues[:175]
         assert np.max(np.abs(w - w_normal) / np.maximum(1.0, np.abs(w_normal))) <= 1e-9
 
     def test_head_refinement_recorded(self):
-        spec = _stable_spectrum(ModelParams(0.5, 12.0), "full", 350, 1e-9)
+        spec = _stable_spectrum(ModelParams(0.5, 12.0), "full", 350)
         (n_start, _), (n_check, delta) = spec.refinement
         assert (n_start, n_check) == (754, int(np.ceil(1.3 * 754)))
         assert spec.truncation.n_max == n_check and delta <= 1e-9
