@@ -7,12 +7,15 @@
     rabizeta x1 --delta 1 --n 100000
     rabizeta report --cache-dir ./cache
 
-Flags may come from a flat ``key=value`` config file (``--config``); explicit
-flags win.  The seed defaults to a fixed constant so identical invocations
-produce byte-identical data rows.  Output is CSV (default) or JSON; records
-carry a stable digest of their canonicalized configuration and of the
-package sources, and an anchor string naming the mathematical claim they
-exercise.  Only ``report`` keeps a cache (``--cache-dir`` or
+Each option is declared once, with its type and default, on the parser of
+the command that reads it (each ``fk`` quantity is a command of its own), so
+an option a command does not read is a usage error.  A flat ``key=value``
+config file (``--config``) is read as flags given before the command's own
+flags.  The seed defaults to a fixed constant so identical invocations
+produce byte-identical data rows.  Output is CSV (default) or JSON; a
+record's meta holds the command's options and its digest covers them and
+the package sources; its anchor string names the mathematical claim it
+exercises.  Only ``report`` keeps a cache (``--cache-dir`` or
 ``$RABIZETA_CACHE``), keyed by that digest.
 
 Exit codes: 0 success (possibly with warnings), 2 usage or constraint
@@ -33,6 +36,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +89,7 @@ from .observables import (
 )
 from .paths import DEFAULT_SEED, build_ground_ensemble, default_horizon
 from .zeta import (
+    _require_tilt_rule,
     eigenvalue_limit_table,
     hurwitz_zeta,
     variant_target,
@@ -133,9 +138,8 @@ class ResultRecord:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    # numpy floats subclass float, and their repr names the type
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def _source_fingerprint() -> str:
@@ -155,6 +159,34 @@ def config_hash(subcommand: str, options: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _options(args, skip=()) -> dict:
+    """The parsed values of the options the command declares, JSON-ready."""
+    options = {dest: getattr(args, dest) for dest in args.command.options if dest not in skip}
+    return {k: repr(v) if isinstance(v, complex) else v for k, v in options.items()}
+
+
+def _record(args, anchor: str, columns: list, rows: list, quantity: str | None = None,
+            skip=(), **result_meta) -> ResultRecord:
+    """A command's record: its options, all but ``skip``, are its digest and meta.
+
+    ``quantity`` defaults to the command's name.
+    """
+    options = _options(args, skip)
+    return ResultRecord(
+        config_hash=config_hash(args.command.name, options),
+        quantity=quantity or args.command.name,
+        anchor=anchor,
+        columns=columns,
+        rows=rows,
+        meta={**options, **result_meta},
+        timestamp=_now(),
+    )
+
+
+def _now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+
+
 def _emit(record: ResultRecord, fmt: str, output: str | None):
     text = record.to_json() if fmt == "json" else record.to_csv()
     if output:
@@ -165,345 +197,213 @@ def _emit(record: ResultRecord, fmt: str, output: str | None):
 
 
 # ---------------------------------------------------------------------------
-# Shared option plumbing
-# ---------------------------------------------------------------------------
-
-
-def _load_config_file(path: str) -> dict:
-    values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"config line {raw!r} is not key=value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _resolve(args, key: str, cast, default):
-    """CLI flag if given, else config-file value, else the built-in default.
-
-    ``cast`` applies to a flag value as well as to a config-file value; a
-    value it cannot convert is a ``ParameterError``.
-    """
-    value = getattr(args, key, None)
-    if value is None:
-        value = getattr(args, "_config_values", {}).get(key)
-    if value is None:
-        return default
-    try:
-        return cast(value)
-    except ParameterError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{key} = {value!r} is not a valid value: {exc}") from exc
-
-
-def _real(value) -> float:
-    """Cast a complex-typed option (``--beta``) for a quantity that needs it real."""
-    z = complex(value)
-    if z.imag:
-        raise ParameterError(f"beta must be real for this quantity, got {value}")
-    return z.real
-
-
-def _params_from(args) -> ModelParams:
-    return ModelParams(
-        delta=_resolve(args, "delta", float, 0.5),
-        g=_resolve(args, "g", float, 1.0),
-        eps=_resolve(args, "eps", float, 0.0),
-        tau=_resolve(args, "tau", float, 1.0),
-    )
-
-
-def _common_options(args) -> dict:
-    p = _params_from(args)
-    return {
-        "delta": p.delta,
-        "g": p.g,
-        "eps": p.eps,
-        "tau": p.tau,
-        "seed": _resolve(args, "seed", int, DEFAULT_SEED),
-    }
-
-
-def _grid(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
+def _default_variant(args) -> str:
+    """``--variant``, by default ``asymmetric`` at eps > 0 and ``full`` otherwise."""
+    if args.variant is None:
+        args.variant = "asymmetric" if args.eps > 0 else "full"
+    return args.variant
+
+
 def cmd_spectrum(args) -> ResultRecord:
-    params = _params_from(args)
-    levels = _resolve(args, "levels", int, 12)
-    variant = _resolve(args, "variant", str, "full")
-    rel_tol = _resolve(args, "rel_tol", float, 1e-10)
-    options = {**_common_options(args), "levels": levels, "variant": variant,
-               "rel_tol": rel_tol}
-    spec = adaptive_spectrum(params, k=levels, rel_tol=rel_tol, variant=variant)
+    params = ModelParams(args.delta, args.g, args.eps)
+    spec = adaptive_spectrum(params, k=args.levels, rel_tol=args.rel_tol, variant=args.variant)
     rows = []
-    for n in range(min(levels, len(spec))):
+    for n in range(min(args.levels, len(spec))):
         tag = int(spec.parity[n]) if spec.parity is not None else 0
         energy = float(spec.eigenvalues[n])
         rows.append([n, tag, energy, energy + params.g**2])
-    return ResultRecord(
-        config_hash=config_hash("spectrum", options),
-        quantity="spectrum",
-        anchor="eigenvalues ascending; E_0 + g^2 >= -delta - eps",
-        columns=["n", "parity", "energy", "shifted_energy"],
-        rows=rows,
-        meta={**options, "n_max": spec.truncation.n_max,
-              "converged_count": spec.converged_count,
-              "refinement": [list(step) for step in spec.refinement]},
-        timestamp=_now(),
-    )
+    return _record(args, "eigenvalues ascending; E_0 + g^2 >= -delta - eps",
+                   ["n", "parity", "energy", "shifted_energy"], rows,
+                   n_max=spec.truncation.n_max, converged_count=spec.converged_count,
+                   refinement=[list(step) for step in spec.refinement])
 
 
 def cmd_zeta(args) -> ResultRecord:
-    params = _params_from(args)
+    params = ModelParams(args.delta, args.g, args.eps, args.tau)
     params.require_zeta_shift()
-    s = complex(_resolve(args, "s", complex, 2.0))
-    tau = params.tau
-    n_head = _resolve(args, "n_head", int, 2000)
-    variant = _resolve(args, "variant", str, "asymmetric" if params.eps > 0 else "full")
-    options = {**_common_options(args), "s": repr(s), "n_head": n_head, "variant": variant}
-    zv = zeta_variant_value(params, s, tau, variant, n_head)
-    target = variant_target(params, s, tau, variant)
+    variant = _default_variant(args)
+    zv = zeta_variant_value(params, args.s, args.tau, variant, args.n_head)
+    target = variant_target(params, args.s, args.tau, variant)
     rows = [[
         variant, float(zv.value.real), float(zv.value.imag),
         float(target.real), float(target.imag),
         abs(zv.value - target), zv.tail_bound, zv.n_used,
     ]]
-    return ResultRecord(
-        config_hash=config_hash("zeta", options),
-        quantity="zeta",
-        anchor="spectral zeta zeta_g(s; g^2 + tau) with bracketed Hurwitz tail",
-        columns=["variant", "value_re", "value_im", "limit_re", "limit_im",
-                 "deviation_from_limit", "tail_bound", "n_used"],
-        rows=rows,
-        meta=options,
-        timestamp=_now(),
-    )
+    return _record(args, "spectral zeta zeta_g(s; g^2 + tau) with bracketed Hurwitz tail",
+                   ["variant", "value_re", "value_im", "limit_re", "limit_im",
+                    "deviation_from_limit", "tail_bound", "n_used"], rows)
+
+
+#: The ``limits`` options that only one table reads.
+_TABLE_OPTIONS = {"zeta": ("tau", "s", "n_head"), "levels": ("levels",)}
+
+_ZETA_LIMIT_ANCHORS = {
+    "full": "limit |g|->inf: zeta_g(s; g^2+tau) -> 2 zeta(s; tau)",
+    "parity+": "limit |g|->inf: sector zeta -> zeta(s; tau)",
+    "parity-": "limit |g|->inf: sector zeta -> zeta(s; tau)",
+    "asymmetric": "limit |g|->inf: zeta_eps -> zeta(s;tau+eps) + zeta(s;tau-eps)",
+}
 
 
 def cmd_limits(args) -> ResultRecord:
-    params = _params_from(args)
-    table = _resolve(args, "table", str, "zeta")
-    grid = _grid(_resolve(args, "g_grid", str, "2,4,6,8"))
-    variant = _resolve(args, "variant", str, "full")
-    options = {**_common_options(args), "table": table, "variant": variant,
-               "g_grid": ",".join(repr(g) for g in grid)}
-    if table == "zeta":
-        s = complex(_resolve(args, "s", complex, 2.0))
-        n_head = _resolve(args, "n_head", int, None) or None
-        options["s"] = repr(s)
-        rows_out = zeta_limit_table(params, s, params.tau, grid, variant, n_head)
-        anchors = {
-            "full": "limit |g|->inf: zeta_g(s; g^2+tau) -> 2 zeta(s; tau)",
-            "parity+": "limit |g|->inf: sector zeta -> zeta(s; tau)",
-            "parity-": "limit |g|->inf: sector zeta -> zeta(s; tau)",
-            "asymmetric": "limit |g|->inf: zeta_eps -> zeta(s;tau+eps) + zeta(s;tau-eps)",
-        }
+    other = [dest for table, dests in _TABLE_OPTIONS.items() if table != args.table
+             for dest in dests]
+    for dest in getattr(args, "given", ()):
+        if dest in other:
+            raise ParameterError(f"{args.command.options[dest]} is not an option of "
+                                 f"the {args.table} table")
+    variant = _default_variant(args)
+    params = ModelParams(args.delta, 0.0, args.eps, args.tau)
+    _require_tilt_rule(params, variant)
+    if args.table == "zeta":
         rows = [
             [r.g, float(r.value.real), float(r.value.imag), float(r.target.real),
              r.deviation, r.tail_bound, r.n_used]
-            for r in rows_out
+            for r in zeta_limit_table(params, args.s, args.tau, args.g_grid, variant,
+                                      args.n_head or None)
         ]
-        return ResultRecord(
-            config_hash=config_hash("limits", options),
-            quantity="limits/zeta",
-            anchor=anchors[variant],
-            columns=["g", "value_re", "value_im", "target_re", "deviation",
-                     "tail_bound", "n_used"],
-            rows=rows,
-            meta=options,
-            timestamp=_now(),
-        )
-    if table == "levels":
-        n_levels = _resolve(args, "levels", int, 6)
-        options["levels"] = n_levels
-        lvl_variant = "asymmetric" if params.eps > 0 else "parity"
-        rows_out = eigenvalue_limit_table(params, grid, n_levels, lvl_variant)
-        rows = [[r.g, r.n, r.parity, r.shifted, r.target, r.deviation] for r in rows_out]
-        return ResultRecord(
-            config_hash=config_hash("limits", options),
-            quantity="limits/levels",
-            anchor="limit |g|->inf: E_n(g) + g^2 -> integer (split by eps when tilted)",
-            columns=["g", "n", "parity", "shifted_energy", "target", "deviation"],
-            rows=rows,
-            meta=options,
-            timestamp=_now(),
-        )
-    raise ParameterError(f"unknown limits table {table!r}")
+        return _record(args, _ZETA_LIMIT_ANCHORS[variant],
+                       ["g", "value_re", "value_im", "target_re", "deviation",
+                        "tail_bound", "n_used"], rows, "limits/zeta", skip=other)
+    # the library names the two-sector table after its parity tags
+    table = eigenvalue_limit_table(params, args.g_grid, args.levels,
+                                   "parity" if variant == "full" else variant)
+    rows = [[r.g, r.n, r.parity, r.shifted, r.target, r.deviation] for r in table]
+    return _record(args, "limit |g|->inf: E_n(g) + g^2 -> integer (split by eps when tilted)",
+                   ["g", "n", "parity", "shifted_energy", "target", "deviation"], rows,
+                   "limits/levels", skip=other)
 
 
-_FK_QUANTITIES = (
-    "vacuum", "partition", "energy", "gibbs", "number",
-    "xchar", "xsquare", "spin-corr", "kernel", "dump",
-)
+# Each ``fk`` quantity is its own command.  One that samples a ground-path
+# ensemble evaluates its exact value first, whose domain checks reject bad
+# options before the ensemble is sampled.
+
+_EST_COLUMNS = ["quantity", "value_re", "value_im", "stderr",
+                "oracle_re", "oracle_im", "z", "n_eff", "note"]
 
 
-def cmd_fk(args) -> ResultRecord:
-    params = _params_from(args)
-    if params.eps != 0.0:
-        raise ParameterError(f"jump-path quantities exist at eps = 0 only, got {params.eps}")
-    quantity = args.fk_quantity
-    n = _resolve(args, "n", int, 100_000)
-    seed = _resolve(args, "seed", int, DEFAULT_SEED)
-    t = _resolve(args, "t", float, 1.0)
-    horizon = _resolve(args, "T", float, None)
-    options = {**_common_options(args), "fk": quantity, "n": n, "t": t,
-               "T": horizon if horizon is None else float(horizon)}
+def _estimate(args, name: str, est, oracle, anchor: str, **result_meta) -> ResultRecord:
+    """An ``fk`` record: one Monte Carlo estimate beside its exact value."""
+    oracle = complex(oracle)
+    row = [name, float(np.real(est.mean)), float(np.imag(est.mean)),
+           est.stderr, oracle.real, oracle.imag, est.z_score(oracle),
+           -1.0 if est.n_eff is None else float(est.n_eff), est.note or "ok"]
+    return _record(args, anchor, _EST_COLUMNS, [row], **result_meta)
 
-    def record(rows, columns, anchor, meta_extra=None):
-        return ResultRecord(
-            config_hash=config_hash("fk/" + quantity, options),
-            quantity="fk/" + quantity,
-            anchor=anchor,
-            columns=columns,
-            rows=rows,
-            meta={**options, **(meta_extra or {})},
-            timestamp=_now(),
-        )
 
-    est_columns = ["quantity", "value_re", "value_im", "stderr",
-                   "oracle_re", "oracle_im", "z", "n_eff", "note"]
+def _fk_params(args) -> ModelParams:
+    return ModelParams(args.delta, args.g)
 
-    def est_row(name, est, oracle):
-        oracle = complex(oracle)
-        return [name, float(np.real(est.mean)), float(np.imag(est.mean)),
-                est.stderr, oracle.real, oracle.imag, est.z_score(oracle),
-                -1.0 if est.n_eff is None else float(est.n_eff), est.note or "ok"]
 
-    if quantity == "vacuum":
-        est = vacuum_element_fk(params, t, n, seed)
-        oracle = vacuum_element_ed(params, t)
-        return record([est_row("vacuum_element", est, oracle)], est_columns,
-                      "vacuum semigroup element: 2 e^t E[delta^N exp(-2 g^2 xi)]")
-    if quantity == "partition":
-        est = partition_fk(params, t, n, seed)
-        oracle = partition_ed(params, t)
-        return record([est_row("partition", est, oracle)], est_columns,
-                      "flat-state element: 2 e^(delta t) E[exp((g^2/2) J)]")
-    if quantity == "energy":
-        t_grid = _grid(_resolve(args, "t_grid", str, "4,6,8,10"))
-        options["t_grid"] = ",".join(repr(v) for v in t_grid)
-        est = ground_energy_fk(params, t_grid, n, seed)
-        oracle = ground_state(params).energy
-        rows = [est_row("ground_energy", est, oracle)]
-        return record(rows, est_columns,
-                      "ground energy from the semigroup decay rate",
-                      {"series": est.extras["series"]})
+def _ensemble(args):
+    return build_ground_ensemble(_fk_params(args), args.n, args.T, args.seed)
 
-    if quantity == "dump":
-        ens = build_ground_ensemble(params, n, horizon, seed)
-        target = _resolve(args, "out", str, None) or "paths.jsonl"
-        options["out"] = target
-        T = ens.half_width
-        lefts = np.split(ens.left_jumps, ens.left_offsets[1:-1])
-        rights = np.split(ens.right_jumps, ens.right_offsets[1:-1])
-        with open(target, "w") as fh:
-            for i, (left, right) in enumerate(zip(lefts, rights)):
-                fh.write(json.dumps({
-                    "alpha0": int(ens.alpha0[i]),
-                    "horizon": [-T, T],
-                    "jumps": left.tolist() + right.tolist(),
-                    "log_weight": float(ens.log_weights[i]),
-                }) + "\n")
-        return record([[T, ens.n_samples, ens.n_eff, target]],
-                      ["T", "n_paths", "n_eff", "path"],
-                      "ensemble dump: one record per weighted path")
 
-    # Each quantity resolves its options and evaluates its exact value, whose
-    # domain checks reject bad options, before the ensemble is sampled.
-    if quantity == "kernel":
-        m = _resolve(args, "m", int, 1)
-        x = _resolve(args, "x", float, 0.3)
-        y = _resolve(args, "y", float, -0.2)
-        options.update({"m": m, "x": x, "y": y})
-        est = heat_kernel_component(params, t, m, x, y, n, seed)
-        base = float(mehler_kernel(t, x, y))
-        rows = [[f"heat_kernel_m{m}", float(np.real(est.mean)), float(np.imag(est.mean)),
-                 est.stderr, base, 0.0, -1.0, -1.0, "oracle column = Mehler kernel"]]
-        return record(rows, est_columns,
-                      "m-flip kernel component (delta t)^m/m! E[CF_bridge] M_t")
-    if quantity == "gibbs":
-        beta = complex(_resolve(args, "beta", complex, -0.5))
-        options["beta"] = repr(beta)
-        oracle = gibbs_number_ed(ground_state(params), beta)
-        ens = build_ground_ensemble(params, n, horizon, seed)
-        est = gibbs_number_fk(ens, params, beta)
-        return record([est_row("gibbs_number", est, oracle)], est_columns,
-                      "<exp(beta n)> = <exp(-g^2 (1 - e^beta) Jc)>_paths")
-    if quantity == "number":
-        m = _resolve(args, "m", int, 1)
-        options["m"] = m
-        _check_moment_order(m)
-        oracle = number_moment_ed(ground_state(params), m)
-        ens = build_ground_ensemble(params, n, horizon, seed)
-        est = number_moments_fk(ens, params, m)
-        return record([est_row(f"number_moment_{m}", est, oracle)], est_columns,
-                      "<n^m> = sum_l S(m,l) g^(2l) <Jc^l>_paths")
-    if quantity == "xchar":
-        beta = _resolve(args, "beta", _real, 1.0)
-        options["beta"] = beta
-        oracle = x_characteristic_ed(ground_state(params), beta)
-        ens = build_ground_ensemble(params, n, horizon, seed)
-        est = x_characteristic_fk(ens, params, beta)
-        return record([est_row("x_characteristic", est, oracle)], est_columns,
-                      "<exp(i beta x)> = e^(-beta^2/4) <cos(beta K)>_paths")
-    if quantity == "xsquare":
-        beta = _resolve(args, "beta", _real, 0.5)
-        options["beta"] = beta
-        oracle = x_square_exponential_ed(ground_state(params), beta)
-        ens = build_ground_ensemble(params, n, horizon, seed)
-        est = gaussian_square_fk(ens, params, beta)
-        return record([est_row("x_square_exponential", est, oracle)], est_columns,
-                      "<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>_paths")
-    if quantity == "spin-corr":
-        lag = _resolve(args, "lag", float, 1.0)
-        options["lag"] = lag
-        T = default_horizon(params.delta) if horizon is None else horizon
-        _check_edge_guard(T, lag / 2.0, -lag / 2.0)
-        oracle = spin_autocorrelation_ed(ground_state(params), lag)
-        ens = build_ground_ensemble(params, n, horizon, seed)
-        est = spin_correlation_fk(ens, lag / 2.0, -lag / 2.0)
-        return record([est_row(f"spin_correlation_{lag}", est, oracle)], est_columns,
-                      "<sz exp(-|t-s|(M-E)) sz> = <T_t T_s>_paths")
-    raise ParameterError(f"unknown fk quantity {quantity!r}")
+def _fk_vacuum(args) -> ResultRecord:
+    p = _fk_params(args)
+    return _estimate(args, "vacuum_element", vacuum_element_fk(p, args.t, args.n, args.seed),
+                     vacuum_element_ed(p, args.t),
+                     "vacuum semigroup element: 2 e^t E[delta^N exp(-2 g^2 xi)]")
+
+
+def _fk_partition(args) -> ResultRecord:
+    p = _fk_params(args)
+    return _estimate(args, "partition", partition_fk(p, args.t, args.n, args.seed),
+                     partition_ed(p, args.t),
+                     "flat-state element: 2 e^(delta t) E[exp((g^2/2) J)]")
+
+
+def _fk_energy(args) -> ResultRecord:
+    p = _fk_params(args)
+    est = ground_energy_fk(p, args.t_grid, args.n, args.seed)
+    return _estimate(args, "ground_energy", est, ground_state(p).energy,
+                     "ground energy from the semigroup decay rate",
+                     series=est.extras["series"])
+
+
+def _fk_kernel(args) -> ResultRecord:
+    est = heat_kernel_component(_fk_params(args), args.t, args.m, args.x, args.y, args.n,
+                                args.seed)
+    base = float(mehler_kernel(args.t, args.x, args.y))
+    rows = [[f"heat_kernel_m{args.m}", float(np.real(est.mean)), float(np.imag(est.mean)),
+             est.stderr, base, 0.0, -1.0, -1.0, "oracle column = Mehler kernel"]]
+    return _record(args, "m-flip kernel component (delta t)^m/m! E[CF_bridge] M_t",
+                   _EST_COLUMNS, rows)
+
+
+def _fk_gibbs(args) -> ResultRecord:
+    p = _fk_params(args)
+    oracle = gibbs_number_ed(ground_state(p), args.beta)
+    return _estimate(args, "gibbs_number", gibbs_number_fk(_ensemble(args), p, args.beta),
+                     oracle, "<exp(beta n)> = <exp(-g^2 (1 - e^beta) Jc)>_paths")
+
+
+def _fk_number(args) -> ResultRecord:
+    p = _fk_params(args)
+    _check_moment_order(args.m)
+    oracle = number_moment_ed(ground_state(p), args.m)
+    return _estimate(args, f"number_moment_{args.m}",
+                     number_moments_fk(_ensemble(args), p, args.m), oracle,
+                     "<n^m> = sum_l S(m,l) g^(2l) <Jc^l>_paths")
+
+
+def _fk_xchar(args) -> ResultRecord:
+    p = _fk_params(args)
+    oracle = x_characteristic_ed(ground_state(p), args.beta)
+    return _estimate(args, "x_characteristic",
+                     x_characteristic_fk(_ensemble(args), p, args.beta), oracle,
+                     "<exp(i beta x)> = e^(-beta^2/4) <cos(beta K)>_paths")
+
+
+def _fk_xsquare(args) -> ResultRecord:
+    p = _fk_params(args)
+    oracle = x_square_exponential_ed(ground_state(p), args.beta)
+    return _estimate(args, "x_square_exponential",
+                     gaussian_square_fk(_ensemble(args), p, args.beta), oracle,
+                     "<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>_paths")
+
+
+def _fk_spin_corr(args) -> ResultRecord:
+    p, lag = _fk_params(args), args.lag
+    _check_edge_guard(default_horizon(p.delta) if args.T is None else args.T,
+                      lag / 2.0, -lag / 2.0)
+    oracle = spin_autocorrelation_ed(ground_state(p), lag)
+    return _estimate(args, f"spin_correlation_{lag}",
+                     spin_correlation_fk(_ensemble(args), lag / 2.0, -lag / 2.0), oracle,
+                     "<sz exp(-|t-s|(M-E)) sz> = <T_t T_s>_paths")
+
+
+def _fk_dump(args) -> ResultRecord:
+    ens = _ensemble(args)
+    T = ens.half_width
+    lefts = np.split(ens.left_jumps, ens.left_offsets[1:-1])
+    rights = np.split(ens.right_jumps, ens.right_offsets[1:-1])
+    with open(args.out, "w") as fh:
+        for i, (left, right) in enumerate(zip(lefts, rights)):
+            fh.write(json.dumps({
+                "alpha0": int(ens.alpha0[i]),
+                "horizon": [-T, T],
+                "jumps": left.tolist() + right.tolist(),
+                "log_weight": float(ens.log_weights[i]),
+            }) + "\n")
+    return _record(args, "ensemble dump: one record per weighted path",
+                   ["T", "n_paths", "n_eff", "path"], [[T, ens.n_samples, ens.n_eff, args.out]])
 
 
 def cmd_x1(args) -> ResultRecord:
-    delta = _resolve(args, "delta", float, 1.0)
-    n = _resolve(args, "n", int, 100_000)
-    seed = _resolve(args, "seed", int, DEFAULT_SEED)
-    options = {"delta": delta, "n": n, "seed": seed}
-    x1, x2 = sample_damped_sign_pair(delta, n, seed)
+    x1, x2 = sample_damped_sign_pair(args.delta, args.n, args.seed)
     rows = []
-    for row in _pair_moment_rows(delta, x1, x2):
+    for row in _pair_moment_rows(args.delta, x1, x2):
         rows.append([row["moment"], row["closed"], row["mc"], row["stderr"], row["z"]])
-    ks = damped_sign_ks(delta, x1)
-    crit = ks_critical_value(n)
+    ks = damped_sign_ks(args.delta, x1)
+    crit = ks_critical_value(args.n)
     rows.append(["KS_statistic", crit, ks, 0.0, ks / crit])
-    return ResultRecord(
-        config_hash=config_hash("x1", options),
-        quantity="x1",
-        anchor="damped sign integrals: Beta-family law and closed moments",
-        columns=["moment", "closed_or_critical", "mc", "stderr", "z_or_ratio"],
-        rows=rows,
-        meta=options,
-        timestamp=_now(),
-    )
-
-
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    return _record(args, "damped sign integrals: Beta-family law and closed moments",
+                   ["moment", "closed_or_critical", "mc", "stderr", "z_or_ratio"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -687,27 +587,19 @@ def cmd_report(args) -> ResultRecord:
     A record is stored under its digest, which covers the seed, ``--quick``
     and the source fingerprint, so a cache hit is what this code computes.
     """
-    seed = _resolve(args, "seed", int, DEFAULT_SEED)
-    quick = bool(_resolve(args, "quick", lambda v: v in (True, "1", "true", "yes"), False))
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    options = {"seed": seed, "quick": quick}
-    digest = config_hash("report", options)
+    digest = config_hash(args.command.name, _options(args))
     path = os.path.join(cache_dir, digest + ".json") if cache_dir else None
     if path and os.path.exists(path):
         with open(path) as fh:
             return ResultRecord.from_json(fh.read())
-
-    def record(anchor, rows):
-        return ResultRecord(config_hash=digest, quantity="report", anchor=anchor,
-                            columns=["check", "anchor", "measured", "threshold", "status"],
-                            rows=rows, meta=options, timestamp=_now())
-
+    columns = ["check", "anchor", "measured", "threshold", "status"]
     if args.no_compute:
         # never stored: it would stand in for the real report under the same digest
-        return record("acceptance battery (cache only)",
-                      [["all", "no cache entry and compute disabled", 0.0, 0.0, "SKIPPED"]])
-    report = record("acceptance battery: every check with pass/fail marks",
-                    acceptance_rows(seed, quick))
+        return _record(args, "acceptance battery (cache only)", columns,
+                       [["all", "no cache entry and compute disabled", 0.0, 0.0, "SKIPPED"]])
+    report = _record(args, "acceptance battery: every check with pass/fail marks",
+                     columns, acceptance_rows(args.seed, args.quick))
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         with open(path, "w") as fh:
@@ -718,6 +610,74 @@ def cmd_report(args) -> ResultRecord:
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ``ParameterError``, which ``main`` turns into exit 2
+    and one stderr line, and matches option names only in full."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
+class _Command(NamedTuple):
+    """A command with its options: destination -> flag."""
+
+    name: str
+    run: object
+    parser: argparse.ArgumentParser
+    options: dict
+
+
+class _TableOption(argparse.Action):
+    """A ``limits`` option that one table reads: stored, and noted as given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.dest)
+
+
+def _grid(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok]
+
+
+def _real(text: str) -> float:
+    """A complex-typed option value (``--beta``) for a quantity that needs it real."""
+    z = complex(text)
+    if z.imag:
+        raise argparse.ArgumentTypeError(f"beta must be real for this quantity, got {text}")
+    return z.real
+
+
+def _boolean(text: str) -> bool:
+    """``--quick`` takes an optional value so that a config file can set it."""
+    if text.lower() in ("1", "true", "yes"):
+        return True
+    if text.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(text)
+
+
+# Options that several commands declare: (flag, add_argument keywords).
+_DELTA = ("--delta", {"type": float, "default": 0.5})
+_G = ("--g", {"type": float, "default": 1.0})
+_EPS = ("--eps", {"type": float, "default": ModelParams.eps})
+_TAU = ("--tau", {"type": float, "default": ModelParams.tau})
+_S = ("--s", {"type": complex, "default": "2"})
+_VARIANT = ("--variant", {"choices": ("full", "parity+", "parity-", "asymmetric"),
+                          "help": "default: asymmetric at eps > 0, else full"})
+_SEED = ("--seed", {"type": int, "default": DEFAULT_SEED})
+_N = ("--n", {"type": int, "default": 100_000, "help": "Monte Carlo samples"})
+_TIME = ("--t", {"type": float, "default": 1.0})
+_HORIZON = ("--T", {"type": float, "help": "path horizon half-width (default: from delta)"})
+
+
+def _table_only(option):
+    flag, keywords = option
+    return flag, {**keywords, "action": _TableOption}
 
 
 def _add_global_options(parser, suppress: bool):
@@ -733,87 +693,109 @@ def _add_global_options(parser, suppress: bool):
                         help=f"report cache directory (or ${CACHE_ENV})")
 
 
+def _command(group, name: str, run, help: str, *options) -> argparse.ArgumentParser:
+    """Add the parser of command ``name`` (``fk/<quantity>`` for an ``fk`` quantity)."""
+    sp = group.add_parser(name.rsplit("/", 1)[-1], help=help)
+    _add_global_options(sp, suppress=True)
+    declared = {sp.add_argument(flag, **keywords).dest: flag for flag, keywords in options}
+    sp.set_defaults(command=_Command(name, run, sp, declared))
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rabizeta",
         description="spectra, spectral zeta functions, and jump-path Monte Carlo",
     )
     _add_global_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    _command(sub, "spectrum", cmd_spectrum, "eigenvalue table", _DELTA, _G, _EPS,
+             ("--levels", {"type": int, "default": 12}),
+             ("--variant", {"choices": ("full", "parity+", "parity-"), "default": "full"}),
+             ("--rel-tol", {"type": float, "default": 1e-10}))
+    _command(sub, "zeta", cmd_zeta, "one spectral zeta value", _DELTA, _G, _EPS, _TAU, _S,
+             ("--n-head", {"type": int, "default": 2000}), _VARIANT)
+    _command(sub, "limits", cmd_limits, "coupling-limit tables", _DELTA, _EPS,
+             ("--table", {"choices": tuple(_TABLE_OPTIONS), "default": "zeta"}), _VARIANT,
+             ("--g-grid", {"type": _grid, "default": "2,4,6,8"}),
+             *map(_table_only, (_TAU, _S, ("--n-head", {"type": int}),
+                                ("--levels", {"type": int, "default": 6}))))
 
-    def common(sp):
-        _add_global_options(sp, suppress=True)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--g", type=float)
-        sp.add_argument("--eps", type=float)
-        sp.add_argument("--tau", type=float)
-        sp.add_argument("--seed", type=int)
+    fk = sub.add_parser("fk", help="jump-path estimators vs exact values")
+    quantities = fk.add_subparsers(dest="quantity", required=True)
+    paths = (_DELTA, _G, _N, _SEED)  # quantities that sample their own paths
+    ensemble = (*paths, _HORIZON)  # quantities on the ground-path ensemble
+    _command(quantities, "fk/vacuum", _fk_vacuum, "vacuum semigroup element", *paths, _TIME)
+    _command(quantities, "fk/partition", _fk_partition, "flat-state semigroup element",
+             *paths, _TIME)
+    _command(quantities, "fk/energy", _fk_energy, "ground energy from the decay rate", *paths,
+             ("--t-grid", {"type": _grid, "default": "4,6,8,10"}))
+    _command(quantities, "fk/kernel", _fk_kernel, "m-flip heat-kernel component", *paths, _TIME,
+             ("--m", {"type": int, "default": 1}), ("--x", {"type": float, "default": 0.3}),
+             ("--y", {"type": float, "default": -0.2}))
+    _command(quantities, "fk/gibbs", _fk_gibbs, "<exp(beta n)>", *ensemble,
+             ("--beta", {"type": complex, "default": "-0.5"}))
+    _command(quantities, "fk/number", _fk_number, "<n^m>", *ensemble,
+             ("--m", {"type": int, "default": 1}))
+    _command(quantities, "fk/xchar", _fk_xchar, "<exp(i beta x)>", *ensemble,
+             ("--beta", {"type": _real, "default": 1.0}))
+    _command(quantities, "fk/xsquare", _fk_xsquare, "<exp(beta x^2)>", *ensemble,
+             ("--beta", {"type": _real, "default": 0.5}))
+    _command(quantities, "fk/spin-corr", _fk_spin_corr, "spin autocorrelation", *ensemble,
+             ("--lag", {"type": float, "default": 1.0}))
+    _command(quantities, "fk/dump", _fk_dump, "write the path ensemble as JSON lines",
+             *ensemble, ("--out", {"default": "paths.jsonl"}))
 
-    sp = sub.add_parser("spectrum", help="eigenvalue table")
-    common(sp)
-    sp.add_argument("--levels", type=int)
-    sp.add_argument("--variant", choices=("full", "parity+", "parity-"))
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-
-    sp = sub.add_parser("zeta", help="one spectral zeta value")
-    common(sp)
-    sp.add_argument("--s", type=complex)
-    sp.add_argument("--n-head", dest="n_head", type=int)
-    sp.add_argument("--variant", choices=("full", "parity+", "parity-", "asymmetric"))
-
-    sp = sub.add_parser("limits", help="coupling-limit tables")
-    common(sp)
-    sp.add_argument("--table", choices=("zeta", "levels"))
-    sp.add_argument("--variant", choices=("full", "parity+", "parity-", "asymmetric"))
-    sp.add_argument("--g-grid", dest="g_grid")
-    sp.add_argument("--s", type=complex)
-    sp.add_argument("--n-head", dest="n_head", type=int)
-    sp.add_argument("--levels", type=int)
-
-    sp = sub.add_parser("fk", help="jump-path estimators vs exact values")
-    sp.add_argument("fk_quantity", choices=_FK_QUANTITIES)
-    common(sp)
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--t-grid", dest="t_grid")
-    sp.add_argument("--T", dest="T", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--beta", type=complex)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--lag", type=float)
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--y", type=float)
-    sp.add_argument("--out", help="path-ensemble dump target (fk dump)")
-
-    sp = sub.add_parser("x1", help="damped sign integral laws")
-    _add_global_options(sp, suppress=True)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int)
-
-    sp = sub.add_parser("report", help="acceptance battery with pass/fail marks")
-    _add_global_options(sp, suppress=True)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--quick", action="store_const", const=True)
-    sp.add_argument("--no-compute", dest="no_compute", action="store_true")
+    _command(sub, "x1", cmd_x1, "damped sign integral laws",
+             ("--delta", {"type": float, "default": 1.0}), _N, _SEED)
+    report = _command(sub, "report", cmd_report, "acceptance battery with pass/fail marks",
+                      _SEED, ("--quick", {"type": _boolean, "nargs": "?", "const": True,
+                                          "default": False}))
+    # how to run, not what is computed: outside the record's options and digest
+    report.add_argument("--no-compute", dest="no_compute", action="store_true",
+                        help="print a cached report or SKIPPED; never compute")
     return parser
 
 
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "zeta": cmd_zeta,
-    "limits": cmd_limits,
-    "fk": cmd_fk,
-    "x1": cmd_x1,
-    "report": cmd_report,
-}
+def _load_config_file(path: str) -> dict:
+    values = {}
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file: {exc}") from exc
+    with fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParameterError(f"config line {raw!r} is not key=value")
+            key, value = line.split("=", 1)
+            values[key.strip().replace("-", "_")] = value.strip()
+    return values
+
+
+def _parse(argv):
+    """Parse ``argv``, with the ``--config`` file's keys as the command's first flags."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        command = args.command
+        flags = []
+        for key, value in _load_config_file(args.config).items():
+            if key not in command.options:
+                raise ParameterError(f"config key {key!r} is not an option of "
+                                     f"{command.parser.prog}")
+            flags.append(f"{command.options[key]}={value}")
+        command.parser.set_defaults(**vars(command.parser.parse_args(flags)))
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args._config_values = _load_config_file(args.config) if args.config else {}
-        record = _COMMANDS[args.subcommand](args)
+        args = _parse(argv)
+        record = args.command.run(args)
     except (ParameterError, DomainError, UnsupportedConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -821,7 +803,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     _emit(record, args.format, args.output)
-    if args.subcommand == "report":
+    if args.command.name == "report":
         failed = [row for row in record.rows if row[-1] == "FAIL"]
         if failed:
             print(f"{len(failed)} checks FAILED", file=sys.stderr)

@@ -244,30 +244,41 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
     not change when ``n_max`` doubles.  Once the changes have fallen below
     the square root of that tolerance the levels cover the state and its
     true changes keep shrinking, so a change larger than the one before
-    marks the noise floor.  There, or when the stored levels run out first
-    (for example at g=1, beta=0.9, where double-precision coefficients cannot
-    carry the value), ``ConvergenceError`` is raised.
+    marks the noise floor, and ``ConvergenceError`` is raised there (for
+    example at g=1, beta=0.9, where double-precision coefficients cannot
+    carry the value).
+
+    The ground state's cutoff is sized by the stability of its energy, which
+    can leave too few levels for this value (at delta=0.5, beta=0.5 from
+    g=5 on).  When the stored levels run out, the state is solved again at
+    twice the cutoff, up to ``MAX_STATES``, and the count keeps growing on
+    the new vector.
     """
     if abs(beta) >= 1:
         raise DomainError(f"<exp(beta*x^2)> diverges for |beta| >= 1, got {beta}")
     tol = _AUTO_REL_TOL
-    log_prev = _log_x_square_exponential(gs.coeffs[:_XSQ_START_LEVELS], beta)
+    what = f"<exp({beta}*x^2)>"
+    grow = doubling(2, what, tol)
+    coeffs, n_max = gs.coeffs, gs.truncation.n_max
+    log_prev = _log_x_square_exponential(coeffs[:_XSQ_START_LEVELS], beta)
     change_prev = np.inf
-    for n in range(_XSQ_START_LEVELS + _XSQ_STEP_LEVELS, gs.n_levels + 1, _XSQ_STEP_LEVELS):
-        log_value = _log_x_square_exponential(gs.coeffs[:n], beta)
+    n = _XSQ_START_LEVELS + _XSQ_STEP_LEVELS
+    while True:
+        if n > coeffs.shape[0]:
+            n_max = grow(n_max)
+            coeffs = _ground_state_at(gs.params, n_max).coeffs
+            log_prev = _log_x_square_exponential(coeffs[:n - _XSQ_STEP_LEVELS], beta)
+        log_value = _log_x_square_exponential(coeffs[:n], beta)
         change = abs(np.expm1(log_prev - log_value))
         if change <= tol:
             return float(np.exp(log_value))
         if change > change_prev and change_prev < np.sqrt(tol):
             raise ConvergenceError(
-                f"<exp({beta}*x^2)> hit the coefficient noise floor at {n} levels: "
+                f"{what} hit the coefficient noise floor at {n} levels: "
                 f"its change grew from {change_prev:.1e} to {change:.1e} (rel_tol {tol:g})"
             )
         log_prev, change_prev = log_value, change
-    raise ConvergenceError(
-        f"<exp({beta}*x^2)> is not stable to rel_tol {tol:g} within "
-        f"{gs.n_levels} levels (last change {change_prev:.1e})"
-    )
+        n += _XSQ_STEP_LEVELS
 
 
 def annihilate(coeffs: np.ndarray) -> np.ndarray:

@@ -236,6 +236,16 @@ def variant_target(params: ModelParams, s: complex, tau: float, variant: str) ->
     raise ParameterError(f"unknown variant {variant!r}")
 
 
+def _require_tilt_rule(params: ModelParams, variant: str):
+    """Only ``asymmetric`` describes levels split by +-eps, and it needs eps > 0."""
+    if variant != "asymmetric" and params.eps != 0.0:
+        raise ParameterError(
+            f"variant {variant!r} needs eps = 0 (got {params.eps}); use 'asymmetric'"
+        )
+    if variant == "asymmetric" and params.eps == 0.0:
+        raise ParameterError("asymmetric variant requires eps > 0")
+
+
 def _tail_model(params: ModelParams, variant: str) -> tuple[str, int, float, float]:
     """(spectrum variant, degeneracy, split, radius) of one variant's tail model.
 
@@ -245,13 +255,8 @@ def _tail_model(params: ModelParams, variant: str) -> tuple[str, int, float, flo
     """
     if variant not in _VARIANTS:
         raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if variant != "asymmetric" and params.eps != 0.0:
-        raise ParameterError(
-            f"variant {variant!r} needs eps = 0 (got {params.eps}); use 'asymmetric'"
-        )
+    _require_tilt_rule(params, variant)
     if variant == "asymmetric":
-        if params.eps == 0.0:
-            raise ParameterError("asymmetric variant requires eps > 0")
         if params.eps < 0.5:
             return "full", 2, params.eps, params.delta
         return "full", 2, 0.0, float(np.hypot(params.delta, params.eps))
@@ -391,6 +396,10 @@ def zeta_limit_table(
             rows[j] = row(runs[j], n)
 
 
+#: Parity sectors of each untilted level-table variant.
+_LEVEL_SECTORS = {"parity": (+1, -1), "parity+": (+1,), "parity-": (-1,)}
+
+
 @dataclass
 class LevelLimitRow:
     g: float
@@ -409,25 +418,28 @@ def eigenvalue_limit_table(
 ) -> list[LevelLimitRow]:
     """Shifted low-lying levels E + g^2 against their integer (or split) limits.
 
-    ``parity`` rows target m per sector; ``asymmetric`` rows target m -/+ eps
-    for the even/odd members of each pair (parity column reports the pair
-    member as +1/-1 in that case).
+    ``parity`` rows target m in both sectors, ``parity+`` and ``parity-`` rows
+    in one; ``asymmetric`` rows target m -/+ eps for the even/odd members of
+    each pair (parity column reports the pair member as +1/-1 in that case).
+    The eps rule of the zeta variants applies, before any eigensolve.
     """
+    if variant not in (*_LEVEL_SECTORS, "asymmetric"):
+        raise ParameterError(f"unknown level-table variant {variant!r}")
+    _require_tilt_rule(params, variant)
     rows = []
     for g in g_grid:
         run = ModelParams(params.delta, float(g), params.eps, params.tau)
-        if variant == "parity":
-            for parity, tag in ((+1, "parity+"), (-1, "parity-")):
-                spec = adaptive_spectrum(run, k=n_levels, rel_tol=_LEVEL_REL_TOL, variant=tag)
+        if variant in _LEVEL_SECTORS:
+            for parity in _LEVEL_SECTORS[variant]:
+                spec = adaptive_spectrum(run, k=n_levels, rel_tol=_LEVEL_REL_TOL,
+                                         variant="parity+" if parity > 0 else "parity-")
                 for n in range(n_levels):
                     shifted = spec.eigenvalues[n] + g**2
                     rows.append(
                         LevelLimitRow(float(g), n, parity, float(shifted), float(n),
                                       abs(shifted - n))
                     )
-        elif variant == "asymmetric":
-            if run.eps <= 0:
-                raise ParameterError("asymmetric level table requires eps > 0")
+        else:
             spec = adaptive_spectrum(run, k=2 * n_levels, rel_tol=_LEVEL_REL_TOL, variant="full")
             for n in range(2 * n_levels):
                 m, odd = divmod(n, 2)
@@ -437,6 +449,4 @@ def eigenvalue_limit_table(
                     LevelLimitRow(float(g), n, -1 if odd else +1, float(shifted),
                                   float(target), abs(shifted - target))
                 )
-        else:
-            raise ParameterError(f"unknown level-table variant {variant!r}")
     return rows

@@ -71,6 +71,104 @@ class TestSpectrumCommand:
         assert "shifted_energy" in out.stdout
 
 
+#: (argv, the options the command declares) for every command
+OPTION_CASES = [
+    (["spectrum", "--levels", "3"], {"delta", "g", "eps", "levels", "variant", "rel_tol"}),
+    (["zeta", "--variant", "full", "--n-head", "40"],
+     {"delta", "g", "eps", "tau", "s", "n_head", "variant"}),
+    (["limits", "--variant", "full", "--g-grid", "2,4", "--n-head", "40"],
+     {"delta", "eps", "table", "variant", "g_grid", "tau", "s", "n_head"}),
+    (["limits", "--table", "levels", "--variant", "full", "--g-grid", "4", "--levels", "1"],
+     {"delta", "eps", "table", "variant", "g_grid", "levels"}),
+    (["fk", "vacuum", "--n", "400"], {"delta", "g", "n", "seed", "t"}),
+    (["fk", "partition", "--n", "400"], {"delta", "g", "n", "seed", "t"}),
+    (["fk", "energy", "--n", "400"], {"delta", "g", "n", "seed", "t_grid"}),
+    (["fk", "kernel", "--n", "400"], {"delta", "g", "n", "seed", "t", "m", "x", "y"}),
+    (["fk", "gibbs", "--n", "400"], {"delta", "g", "n", "seed", "T", "beta"}),
+    (["fk", "number", "--n", "400"], {"delta", "g", "n", "seed", "T", "m"}),
+    (["fk", "xchar", "--n", "400"], {"delta", "g", "n", "seed", "T", "beta"}),
+    (["fk", "xsquare", "--n", "400"], {"delta", "g", "n", "seed", "T", "beta"}),
+    (["fk", "spin-corr", "--n", "400"], {"delta", "g", "n", "seed", "T", "lag"}),
+    (["fk", "dump", "--n", "40"], {"delta", "g", "n", "seed", "T", "out"}),
+    (["x1", "--n", "2000"], {"delta", "n", "seed"}),
+    (["report", "--quick", "--no-compute"], {"seed", "quick"}),
+]
+
+
+@pytest.mark.parametrize("argv, declared", OPTION_CASES,
+                         ids=[" ".join(argv) for argv, _ in OPTION_CASES])
+def test_meta_is_the_parsed_options(tmp_path, monkeypatch, argv, declared):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, text = run_cli(tmp_path, *argv, fmt="json")
+    assert code == 0
+    record = json.loads(text)
+    options = {k: v for k, v in record["meta"].items()
+               if k not in ("n_max", "converged_count", "refinement", "series")}
+    parsed = cli.build_parser().parse_args(argv)
+    expected = {k: getattr(parsed, k) for k in declared}
+    expected = {k: repr(v) if isinstance(v, complex) else v for k, v in expected.items()}
+    assert options == expected
+    command = "/".join(argv[:2]) if argv[0] == "fk" else argv[0]
+    assert record["config_hash"] == config_hash(command, options)
+
+
+#: Usage errors: options a command does not read (a config file supplies
+#: ``beta``), a table's option with the other table, a bad value, a bad choice
+#: and a config file that does not exist.
+USAGE_ERRORS = [
+    ("spectrum", "--seed", "1"),
+    ("spectrum", "--tau", "2"),
+    ("limits", "--g", "3"),
+    ("limits", "--table", "levels", "--s", "3"),
+    ("fk", "vacuum", "--beta", "2"),
+    ("fk", "energy", "--t", "3"),
+    ("fk", "gibbs", "--m", "2"),
+    ("zeta", "--seed", "1"),
+    ("--config", "CONFIG", "fk", "vacuum"),
+    ("limits", "--levels", "3"),
+    ("spectrum", "--levels", "abc"),
+    ("spectrum", "--variant", "bogus"),
+    ("--config", "missing.cfg", "spectrum"),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved or sampled before the options were checked")
+
+    for name in ("adaptive_spectrum", "zeta_variant_value", "zeta_limit_table",
+                 "eigenvalue_limit_table", "ground_state", "build_ground_ensemble",
+                 "vacuum_element_fk", "vacuum_element_ed", "ground_energy_fk"):
+        monkeypatch.setattr(cli, name, no_solve)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 2\n")
+    argv = [str(cfg) if word == "CONFIG" else word for word in argv]
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every line of the README's command-line block but ``report``."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [words[1:] for words in lines if words and words[1] != "report"]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--output", str(tmp_path / "record.out")]) == 0
+
+
 class TestZetaCommand:
     def test_decoupled_value(self, tmp_path):
         code, text = run_cli(tmp_path, "zeta", "--s", "2", "--tau", "1",
@@ -114,12 +212,41 @@ class TestLimitsCommand:
     @pytest.mark.parametrize("variant", ["full", "parity+", "parity-"])
     def test_untilted_variant_refuses_eps(self, tmp_path, monkeypatch, variant):
         def no_solve(*args, **kwargs):
-            raise AssertionError("a zeta head was solved before eps was checked")
+            raise AssertionError("a level was solved before eps was checked")
 
         monkeypatch.setattr(zeta, "_stable_spectrum", no_solve)
-        code, text = run_cli(tmp_path, "limits", "--variant", variant, "--eps", "0.25",
-                             "--g-grid", "2,4")
-        assert code == 2 and text == ""
+        monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
+        for table in ("zeta", "levels"):
+            code, text = run_cli(tmp_path, "limits", "--table", table, "--variant", variant,
+                                 "--eps", "0.25", "--g-grid", "2,4")
+            assert code == 2 and text == ""
+
+    @pytest.mark.parametrize("variant, eps, parities", [
+        ("full", "0", [1, 1, -1, -1]),
+        ("parity+", "0", [1, 1]),
+        ("parity-", "0", [-1, -1]),
+        ("asymmetric", "0.25", [1, -1, 1, -1]),
+    ])
+    def test_level_table_variant(self, tmp_path, variant, eps, parities):
+        code, text = run_cli(tmp_path, "limits", "--table", "levels", "--variant", variant,
+                             "--eps", eps, "--g-grid", "4", "--levels", "2", fmt="json")
+        assert code == 0
+        record = json.loads(text)
+        rows = [dict(zip(record["columns"], row)) for row in record["rows"]]
+        assert [r["parity"] for r in rows] == parities
+        assert record["meta"]["variant"] == variant
+        if variant == "asymmetric":
+            assert [r["target"] for r in rows] == [-0.25, 0.25, 0.75, 1.25]
+
+    def test_level_table_csv_cells_are_numbers(self, tmp_path):
+        code, text = run_cli(tmp_path, "limits", "--table", "levels", "--g-grid", "4",
+                             "--levels", "1")
+        assert code == 0
+        data = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        assert len(data) == 2
+        for line in data:
+            for cell in line.split(","):
+                float(cell)
 
     def test_level_table(self, tmp_path):
         code, text = run_cli(tmp_path, "limits", "--table", "levels",

@@ -157,6 +157,16 @@ class TestPositionObservables:
         assert vals[1] == pytest.approx(vals[0], rel=1e-10)
         assert vals[2] == pytest.approx(vals[0], rel=1e-10)
 
+    @pytest.mark.parametrize("g, value", [(5.0, 7.3063702171e21), (6.0, 2.6221469777e31)])
+    def test_square_exponential_outgrows_the_energy_cutoff(self, g, value):
+        # the energy certifies at cutoffs 152 and 186, too short for this value
+        p = ModelParams(0.5, g)
+        gs = ground_state(p)
+        val = x_square_exponential_ed(gs, 0.5)
+        assert val == pytest.approx(value, rel=1e-9)
+        longer = _ground_state_at(p, 4 * gs.truncation.n_max)
+        assert val == pytest.approx(x_square_exponential_ed(longer, 0.5), rel=1e-10)
+
     def test_square_exponential_refuses_noise_floor(self, gs_std):
         # double-precision coefficients cannot carry <exp(0.9 x^2)> at g=1
         with pytest.raises(ConvergenceError):
