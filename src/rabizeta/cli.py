@@ -598,10 +598,14 @@ def cmd_report(args) -> ResultRecord:
         # never stored: it would stand in for the real report under the same digest
         return _record(args, "acceptance battery (cache only)", columns,
                        [["all", "no cache entry and compute disabled", 0.0, 0.0, "SKIPPED"]])
+    if path:
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"cannot create the cache directory: {exc}") from exc
     report = _record(args, "acceptance battery: every check with pass/fail marks",
                      columns, acceptance_rows(args.seed, args.quick))
     if path:
-        os.makedirs(cache_dir, exist_ok=True)
         with open(path, "w") as fh:
             fh.write(report.to_json())
     return report
@@ -641,7 +645,20 @@ class _TableOption(argparse.Action):
 
 
 def _grid(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    grid = [float(tok) for tok in text.split(",") if tok]
+    if not grid:
+        raise argparse.ArgumentTypeError("the grid is empty")
+    return grid
+
+
+def _output_path(text: str) -> str:
+    """A file to write once the command is done, checked before it starts."""
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no such directory: {str(path.parent)!r}")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
 
 
 def _real(text: str) -> float:
@@ -687,7 +704,7 @@ def _add_global_options(parser, suppress: bool):
     parser.add_argument("--config", default=d, help="flat key=value configuration file")
     parser.add_argument("--format", choices=("csv", "json"),
                         default=argparse.SUPPRESS if suppress else "csv")
-    parser.add_argument("--output", default=d,
+    parser.add_argument("--output", type=_output_path, default=d,
                         help="write the record here instead of stdout")
     parser.add_argument("--cache-dir", default=d,
                         help=f"report cache directory (or ${CACHE_ENV})")
@@ -744,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(quantities, "fk/spin-corr", _fk_spin_corr, "spin autocorrelation", *ensemble,
              ("--lag", {"type": float, "default": 1.0}))
     _command(quantities, "fk/dump", _fk_dump, "write the path ensemble as JSON lines",
-             *ensemble, ("--out", {"default": "paths.jsonl"}))
+             *ensemble, ("--out", {"type": _output_path, "default": "paths.jsonl"}))
 
     _command(sub, "x1", cmd_x1, "damped sign integral laws",
              ("--delta", {"type": float, "default": 1.0}), _N, _SEED)

@@ -21,10 +21,10 @@ truncating the Fock ladder at ``n_max``:
 Eigenvalues are obtained by LAPACK band/tridiagonal solvers behind the
 ``eigensolve`` contract.  Every cutoff the package chooses for itself goes
 through one refiner, ``refine``: it solves at a start cutoff and at growing
-ones until two consecutive results agree.  ``turning_point_cutoff`` sets the
-start, for eigenvalues and for the ground-state oracles alike;
-``adaptive_spectrum`` doubles from there until the requested eigenvalues are
-stable.
+ones, ``n -> ceil(1.3 n)``, until two consecutive results agree, and no
+cutoff it tries, the start included, may exceed ``MAX_STATES`` states.
+``turning_point_cutoff`` sets the start, for eigenvalues and for the
+ground-state oracles alike.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ from .errors import ConvergenceError, NumericalError, ParameterError, Unsupporte
 
 # Hard cap on matrix dimension for adaptive refinement (2**20 basis states).
 MAX_STATES = 1 << 20
+
+# Each cutoff ``refine`` tries after the first is ceil(_GROWTH * the one before).
+_GROWTH = 1.3
 
 
 @dataclass(frozen=True)
@@ -226,9 +229,10 @@ def coherent_coefficients(amplitude: float, n_max: int) -> np.ndarray:
 def eigensolve(mat: SymBandMatrix, k: int | None = None, want_vectors: bool = False):
     """Ascending eigenvalues (and optionally vectors) of a symmetric band matrix.
 
-    Tridiagonal input goes straight to the symmetric tridiagonal solver; wider
-    bands are reduced first (LAPACK).  Returned eigenvectors are checked to
-    satisfy ``|M v - lam v| <= 1e-10 * scale(M)``.
+    Eigenvalues alone come from the band solver at any bandwidth; vectors of
+    a tridiagonal matrix from the tridiagonal solver, and of a wider one from
+    the band solver (LAPACK).  Returned eigenvectors are checked to satisfy
+    ``|M v - lam v| <= 1e-10 * scale(M)``.
 
     Returns ``Spectrum`` or ``(Spectrum, vectors)`` with vectors in columns.
     """
@@ -237,24 +241,17 @@ def eigensolve(mat: SymBandMatrix, k: int | None = None, want_vectors: bool = Fa
     select = "a" if k is None else "i"
     select_range = None if k is None else (0, k - 1)
     try:
-        if mat.bandwidth == 1 and not want_vectors:
-            w = eigh_tridiagonal(
-                mat.bands[0], mat.bands[1, :-1], eigvals_only=True,
-                select=select, select_range=select_range,
-            )
-            v = None
+        if not want_vectors:
+            w = eigvals_banded(mat.bands, lower=True, select=select, select_range=select_range)
         elif mat.bandwidth == 1:
             w, v = eigh_tridiagonal(
                 mat.bands[0], mat.bands[1, :-1],
                 select=select, select_range=select_range,
             )
-        elif want_vectors:
+        else:
             w, v = eig_banded(
                 mat.bands, lower=True, select=select, select_range=select_range,
             )
-        else:
-            w = eigvals_banded(mat.bands, lower=True, select=select, select_range=select_range)
-            v = None
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise NumericalError(f"band eigensolver failed to converge: {exc}") from exc
 
@@ -273,32 +270,25 @@ def eigensolve(mat: SymBandMatrix, k: int | None = None, want_vectors: bool = Fa
     return spectrum, v
 
 
-def _sector_eigenvalues(params: ModelParams, n_max: int, parity: int) -> np.ndarray:
-    mat = build_parity_tridiagonal(params, Truncation(n_max), parity)
-    return eigensolve(mat).eigenvalues
+def _variant_spectrum(params: ModelParams, n_max: int, variant: str) -> Spectrum:
+    """Every eigenvalue of one spectrum variant at the cutoff ``n_max``.
 
-
-def _merged_parity_spectrum(params: ModelParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted union of the two sector spectra with parity tags (eps = 0 only)."""
-    w_plus = _sector_eigenvalues(params, n_max, +1)
-    w_minus = _sector_eigenvalues(params, n_max, -1)
-    w = np.concatenate([w_plus, w_minus])
-    tags = np.concatenate([np.ones_like(w_plus, dtype=int), -np.ones_like(w_minus, dtype=int)])
+    ``parity+`` and ``parity-`` solve one chain; ``full`` merges the two
+    chains with parity tags at ``eps = 0`` and solves the tilted matrix,
+    untagged, otherwise.
+    """
+    trunc = Truncation(n_max)
+    if variant == "full" and params.eps != 0.0:
+        w = eigensolve(build_full_hamiltonian(params, trunc)).eigenvalues
+        return Spectrum(eigenvalues=w, truncation=trunc)
+    sectors = {"full": (+1, -1), "parity+": (+1,), "parity-": (-1,)}.get(variant)
+    if sectors is None:
+        raise ParameterError(f"unknown spectrum variant {variant!r}")
+    parts = [eigensolve(build_parity_tridiagonal(params, trunc, p)).eigenvalues for p in sectors]
+    w = np.concatenate(parts)
+    tags = np.concatenate([np.full(len(part), p) for part, p in zip(parts, sectors)])
     order = np.argsort(w, kind="stable")
-    return w[order], tags[order]
-
-
-def _variant_eigenvalues(params: ModelParams, n_max: int, variant: str):
-    if variant == "full":
-        if params.eps == 0.0:
-            return _merged_parity_spectrum(params, n_max)
-        mat = build_full_hamiltonian(params, Truncation(n_max))
-        return eigensolve(mat).eigenvalues, None
-    if variant in ("parity+", "parity-"):
-        parity = +1 if variant == "parity+" else -1
-        w = _sector_eigenvalues(params, n_max, parity)
-        return w, np.full(len(w), parity, dtype=int)
-    raise ParameterError(f"unknown spectrum variant {variant!r}")
+    return Spectrum(eigenvalues=w[order], parity=tags[order], truncation=trunc)
 
 
 def turning_point_cutoff(levels: int, g: float) -> int:
@@ -318,80 +308,46 @@ def turning_point_cutoff(levels: int, g: float) -> int:
     return int(np.ceil(r * r + 4.0 * r + 16.0))
 
 
-def refine(solve, start, grow, stable):
+def _capped(n_max: int, states_per_level: int, what: str) -> int:
+    """``n_max`` itself, or ``ConvergenceError`` when it needs over ``MAX_STATES`` states."""
+    if states_per_level * (n_max + 1) > MAX_STATES:
+        raise ConvergenceError(
+            f"cutoff cap of {MAX_STATES} states reached before {what} "
+            f"stabilized (n_max {n_max})"
+        )
+    return n_max
+
+
+def _next_cutoff(n_max: int, states_per_level: int, what: str) -> int:
+    """The cutoff tried after ``n_max``: ``ceil(1.3 n_max)``, within the cap."""
+    return _capped(int(np.ceil(_GROWTH * n_max)), states_per_level, what)
+
+
+def refine(solve, start: int, stable, states_per_level: int, what: str):
     """Solve at growing Fock cutoffs until two consecutive results agree.
 
-    ``solve(n_max)`` computes the result at one cutoff, first at ``start``.
-    ``grow(n_max)`` returns the next cutoff to try and raises
-    ``ConvergenceError`` once the caller's cap is reached.
+    ``solve(n_max)`` computes the result at one cutoff, first at ``start``
+    and then at ``ceil(1.3 n_max)`` after each ``n_max``.
     ``stable(previous, result)`` compares the results at two consecutive
     cutoffs and returns ``(ok, delta)``: whether ``result`` is certified, and
     the largest relative change over the quantities the caller requires.
+    A cutoff, the start included, is never solved when its matrix would hold
+    more than ``MAX_STATES`` states, ``states_per_level`` per Fock level;
+    ``ConvergenceError`` naming ``what`` is raised instead.
 
     Returns ``(result, trail)``; ``trail`` holds ``(n_max, delta)`` for every
     cutoff tried, in order, with ``delta`` None for the first.
     """
-    n_max = start
+    n_max = _capped(start, states_per_level, what)
     result = solve(n_max)
     trail = [(n_max, None)]
     while True:
-        previous, n_max = result, grow(n_max)
+        previous, n_max = result, _next_cutoff(n_max, states_per_level, what)
         result = solve(n_max)
         ok, delta = stable(previous, result)
         trail.append((n_max, delta))
         if ok:
             return result, tuple(trail)
-
-
-def doubling(states_per_level: int, what: str, rel_tol: float):
-    """Growth rule for ``refine``: double ``n_max`` up to ``MAX_STATES`` states.
-
-    ``states_per_level`` is the matrix dimension per Fock level; ``what``
-    names the quantity in the ``ConvergenceError`` raised at the cap.
-    """
-
-    def grow(n_max: int) -> int:
-        if states_per_level * (2 * n_max + 1) > MAX_STATES:
-            raise ConvergenceError(
-                f"cutoff cap of {MAX_STATES} states exceeded before {what} "
-                f"stabilized to {rel_tol:g} (last n_max {n_max})"
-            )
-        return 2 * n_max
-
-    return grow
-
-
-def _refined_spectrum(
-    params: ModelParams, variant: str, levels: int, rel_tol: float, grow
-) -> Spectrum:
-    """Spectrum whose lowest ``levels`` eigenvalues are stable in the cutoff.
-
-    Starts at ``turning_point_cutoff`` of the levels needed per chain and
-    grows by ``grow`` until consecutive cutoffs agree within ``rel_tol`` on
-    each of them.
-    """
-    per_level = 1 if variant in ("parity+", "parity-") else 2
-    start = turning_point_cutoff((levels + per_level - 1) // per_level, params.g)
-    if per_level * (start + 1) > MAX_STATES:
-        raise ConvergenceError(
-            f"starting cutoff already exceeds the cap of {MAX_STATES} states "
-            f"(n_max {start}); reduce k or the coupling"
-        )
-
-    def solve(n_max: int) -> Spectrum:
-        w, tags = _variant_eigenvalues(params, n_max, variant)
-        return Spectrum(eigenvalues=w, parity=tags, truncation=Truncation(n_max))
-
-    def stable(previous: Spectrum, spec: Spectrum):
-        w = spec.eigenvalues[: len(previous)]  # the larger cutoff has more levels
-        deltas = np.abs(w - previous.eigenvalues) / np.maximum(1.0, np.abs(w))
-        # leading levels within rel_tol: the index of the first one that is not
-        spec.converged_count = int(np.argmin(np.append(deltas <= rel_tol, False)))
-        return spec.converged_count >= levels, float(deltas[:levels].max())
-
-    spec, trail = refine(solve, start, grow, stable)
-    spec.refinement = trail
-    return spec
 
 
 def adaptive_spectrum(
@@ -400,18 +356,30 @@ def adaptive_spectrum(
     rel_tol: float = 1e-8,
     variant: str = "full",
 ) -> Spectrum:
-    """Spectrum with the lowest ``k`` eigenvalues stable under cutoff doubling.
+    """Spectrum whose lowest ``k`` eigenvalues are stable in the cutoff.
 
-    Starts from ``turning_point_cutoff`` and doubles until consecutive
-    cutoffs agree within ``rel_tol`` on each of the lowest ``k`` levels.
-    ``converged_count`` records how many leading levels of the final spectrum
-    met the tolerance (at least ``k``); ``refinement`` lists the cutoffs tried.
+    ``refine`` starts at ``turning_point_cutoff`` of the levels needed per
+    chain and grows the cutoff until consecutive cutoffs agree within
+    ``rel_tol`` on each of the lowest ``k`` levels.  ``converged_count``
+    records how many leading levels of the final spectrum met the tolerance
+    (at least ``k``); ``refinement`` lists the cutoffs tried.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     per_level = 1 if variant in ("parity+", "parity-") else 2
-    grow = doubling(per_level, f"the lowest {k} eigenvalues", rel_tol)
-    return _refined_spectrum(params, variant, k, rel_tol, grow)
+    start = turning_point_cutoff((k + per_level - 1) // per_level, params.g)
+
+    def stable(previous: Spectrum, spec: Spectrum):
+        w = spec.eigenvalues[: len(previous)]  # the larger cutoff has more levels
+        deltas = np.abs(w - previous.eigenvalues) / np.maximum(1.0, np.abs(w))
+        # leading levels within rel_tol: the index of the first one that is not
+        spec.converged_count = int(np.argmin(np.append(deltas <= rel_tol, False)))
+        return spec.converged_count >= k, float(deltas[:k].max())
+
+    spec, trail = refine(lambda n_max: _variant_spectrum(params, n_max, variant), start,
+                         stable, per_level, f"the lowest {k} eigenvalues")
+    spec.refinement = trail
+    return spec
 
 
 def lower_bound_gap(params: ModelParams, spectrum: Spectrum) -> float:

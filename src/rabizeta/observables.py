@@ -33,10 +33,10 @@ from .model import (
     Spectrum,
     SymBandMatrix,
     Truncation,
+    _next_cutoff,
     build_full_hamiltonian,
     build_parity_tridiagonal,
     coherent_coefficients,
-    doubling,
     eigensolve,
     full_basis_labels,
     refine,
@@ -84,12 +84,12 @@ class GroundState:
 def _refined(solve, params: ModelParams, what: str, value=lambda result: result):
     """``solve(n_max)`` at the first cutoff where ``value`` of it is stable.
 
-    The cutoff starts at ``turning_point_cutoff(1, g)`` and doubles until the
-    value changes by at most ``_AUTO_REL_TOL`` relative (absolute below 1).
-    The cap counts the states of the truncated K, two per Fock level, even
-    where a solve needs only one chain.  The chains exist only at ``eps = 0``,
-    as do the Monte Carlo quantities these oracles check, so any other
-    ``eps`` raises ``ParameterError``.
+    ``refine`` starts the cutoff at ``turning_point_cutoff(1, g)`` and grows
+    it until the value changes by at most ``_AUTO_REL_TOL`` relative
+    (absolute below 1).  The cap counts the states of the truncated K, two
+    per Fock level, even where a solve needs only one chain.  The chains
+    exist only at ``eps = 0``, as do the Monte Carlo quantities these oracles
+    check, so any other ``eps`` raises ``ParameterError``.
     """
     if params.eps != 0.0:
         raise ParameterError(f"{what} is solved on the parity chains, which need eps = 0 "
@@ -100,8 +100,7 @@ def _refined(solve, params: ModelParams, what: str, value=lambda result: result)
         delta = abs(b - a) / max(1.0, abs(b))
         return delta <= _AUTO_REL_TOL, delta
 
-    grow = doubling(2, what, _AUTO_REL_TOL)
-    result, _ = refine(solve, turning_point_cutoff(1, params.g), grow, stable)
+    result, _ = refine(solve, turning_point_cutoff(1, params.g), stable, 2, what)
     return result
 
 
@@ -124,7 +123,7 @@ def ground_state(params: ModelParams) -> GroundState:
     conditioned as its energy.  (In a matrix that holds both chains it sits
     only about delta*exp(-2 g^2) below the even ground level, and a solver
     mixes the two.)  The cutoff starts at ``turning_point_cutoff(1, g)`` and
-    doubles until the energy moves by at most ``_AUTO_REL_TOL``;
+    grows until the energy moves by at most ``_AUTO_REL_TOL``;
     ``ConvergenceError`` is raised when that needs more than ``MAX_STATES``
     states, and ``ParameterError`` at ``eps != 0``.
     """
@@ -241,7 +240,7 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
     g=1), so summing over every stored level diverges as the cutoff grows.
     N therefore grows from 16 by 8 levels at a time, and the value is
     returned once one step changes it by at most ``_AUTO_REL_TOL``; it does
-    not change when ``n_max`` doubles.  Once the changes have fallen below
+    not change when ``n_max`` grows.  Once the changes have fallen below
     the square root of that tolerance the levels cover the state and its
     true changes keep shrinking, so a change larger than the one before
     marks the noise floor, and ``ConvergenceError`` is raised there (for
@@ -251,21 +250,21 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
     The ground state's cutoff is sized by the stability of its energy, which
     can leave too few levels for this value (at delta=0.5, beta=0.5 from
     g=5 on).  When the stored levels run out, the state is solved again at
-    twice the cutoff, up to ``MAX_STATES``, and the count keeps growing on
-    the new vector.
+    the next cutoff of ``refine``'s growth rule, within its cap, and the
+    count keeps growing on the new vector.
     """
     if abs(beta) >= 1:
         raise DomainError(f"<exp(beta*x^2)> diverges for |beta| >= 1, got {beta}")
     tol = _AUTO_REL_TOL
     what = f"<exp({beta}*x^2)>"
-    grow = doubling(2, what, tol)
     coeffs, n_max = gs.coeffs, gs.truncation.n_max
     log_prev = _log_x_square_exponential(coeffs[:_XSQ_START_LEVELS], beta)
     change_prev = np.inf
     n = _XSQ_START_LEVELS + _XSQ_STEP_LEVELS
     while True:
         if n > coeffs.shape[0]:
-            n_max = grow(n_max)
+            while n > n_max + 1:  # one growth step may add fewer than 8 levels
+                n_max = _next_cutoff(n_max, 2, what)
             coeffs = _ground_state_at(gs.params, n_max).coeffs
             log_prev = _log_x_square_exponential(coeffs[:n - _XSQ_STEP_LEVELS], beta)
         log_value = _log_x_square_exponential(coeffs[:n], beta)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .model import ModelParams, Spectrum, _refined_spectrum, adaptive_spectrum
+from .model import ModelParams, Spectrum, adaptive_spectrum
 
 # Bernoulli numbers B_2, B_4, ..., B_12 over (2k)! for the correction terms.
 _BERNOULLI_OVER_FACT = (
@@ -205,26 +205,6 @@ _HEAD_REL_TOL = 1e-9
 _LEVEL_REL_TOL = 1e-10
 
 
-def _stable_spectrum(params: ModelParams, variant: str, min_levels: int) -> Spectrum:
-    """Spectrum with at least ``min_levels`` levels verified stable in the cutoff.
-
-    Zeta heads consume hundreds of levels, so each cutoff is checked against
-    one 30% larger rather than a doubled one, growing by that factor on
-    failure, at most 8 times.
-    """
-    tries = iter(range(8))
-
-    def grow(n_max: int) -> int:
-        if next(tries, None) is None:
-            raise ConvergenceError(
-                f"could not stabilize {min_levels} levels for variant {variant!r} "
-                f"(reached n_max {n_max})"
-            )
-        return int(np.ceil(1.3 * n_max))
-
-    return _refined_spectrum(params, variant, min_levels, _HEAD_REL_TOL, grow)
-
-
 def variant_target(params: ModelParams, s: complex, tau: float, variant: str) -> complex:
     """Large-coupling limit value of the spectral zeta for each variant."""
     if variant == "full":
@@ -299,9 +279,13 @@ def zeta_variant_value(
     variant: str,
     n_head: int,
 ) -> ZetaValue:
-    """Spectral zeta of one variant at the given head size, shift g^2."""
+    """Spectral zeta of one variant at the given head size, shift g^2.
+
+    Every one of the ``n_head`` levels summed is stable in the cutoff to
+    ``_HEAD_REL_TOL``, as ``adaptive_spectrum`` certifies it.
+    """
     spec_variant, degeneracy, split, radius = _tail_model(params, variant)
-    spectrum = _stable_spectrum(params, spec_variant, n_head)
+    spectrum = adaptive_spectrum(params, n_head, _HEAD_REL_TOL, spec_variant)
     return spectral_zeta(
         spectrum, s, tau, shift=params.g**2,
         radius=radius, degeneracy=degeneracy, split=split, n_use=n_head,

@@ -55,7 +55,7 @@ class TestSpectrumCommand:
         record = json.loads(text)
         meta = record["meta"]
         (n_start, d_start), (n_check, d_check) = meta["refinement"]
-        assert d_start is None and n_check == meta["n_max"] == 2 * n_start
+        assert d_start is None and n_check == meta["n_max"] == int(np.ceil(1.3 * n_start))
         assert d_check <= meta["rel_tol"]
         # the cutoffs tried are metadata, outside the configuration digest
         options = {k: v for k, v in meta.items()
@@ -114,8 +114,10 @@ def test_meta_is_the_parsed_options(tmp_path, monkeypatch, argv, declared):
 
 
 #: Usage errors: options a command does not read (a config file supplies
-#: ``beta``), a table's option with the other table, a bad value, a bad choice
-#: and a config file that does not exist.
+#: ``beta``), a table's option with the other table, a bad value, a bad choice,
+#: a config file that does not exist, empty grids, output files in a directory
+#: that does not exist (``MISSING``) and a cache directory that cannot be
+#: created because a file stands in its path (``BLOCKED``).
 USAGE_ERRORS = [
     ("spectrum", "--seed", "1"),
     ("spectrum", "--tau", "2"),
@@ -130,6 +132,13 @@ USAGE_ERRORS = [
     ("spectrum", "--levels", "abc"),
     ("spectrum", "--variant", "bogus"),
     ("--config", "missing.cfg", "spectrum"),
+    ("limits", "--g-grid", ""),
+    ("limits", "--table", "levels", "--g-grid", ""),
+    ("fk", "energy", "--t-grid", ","),
+    ("spectrum", "--output", "MISSING"),
+    ("--output", "MISSING", "limits"),
+    ("fk", "dump", "--out", "MISSING"),
+    ("report", "--quick", "--cache-dir", "BLOCKED"),
 ]
 
 
@@ -142,13 +151,19 @@ def test_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv):
 
     for name in ("adaptive_spectrum", "zeta_variant_value", "zeta_limit_table",
                  "eigenvalue_limit_table", "ground_state", "build_ground_ensemble",
-                 "vacuum_element_fk", "vacuum_element_ed", "ground_energy_fk"):
+                 "vacuum_element_fk", "vacuum_element_ed", "ground_energy_fk",
+                 "acceptance_rows"):
         monkeypatch.setattr(cli, name, no_solve)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("beta = 2\n")
-    argv = [str(cfg) if word == "CONFIG" else word for word in argv]
+    (tmp_path / "file").write_text("")
+    words = {"CONFIG": cfg, "MISSING": tmp_path / "missing" / "out.csv",
+             "BLOCKED": tmp_path / "file" / "cache"}
+    argv = [str(words[word]) if word in words else word for word in argv]
+    # a failing command leaves an existing output file as it was
+    (tmp_path / "record.out").write_text("kept\n")
     code, text = run_cli(tmp_path, *argv)
-    assert code == 2 and text == ""
+    assert code == 2 and text == "kept\n"
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
@@ -214,7 +229,6 @@ class TestLimitsCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("a level was solved before eps was checked")
 
-        monkeypatch.setattr(zeta, "_stable_spectrum", no_solve)
         monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
         for table in ("zeta", "levels"):
             code, text = run_cli(tmp_path, "limits", "--table", table, "--variant", variant,

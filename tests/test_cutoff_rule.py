@@ -1,0 +1,117 @@
+"""One cutoff growth rule: every refined cutoff sequence is ``n -> ceil(1.3 n)``.
+
+``model.refine`` owns the cutoff policy: the growth factor and the
+``MAX_STATES`` cap.  The behavioural test follows the cutoffs that spectra,
+zeta heads and the ground-state oracles actually solve at; the source guard
+keeps the factor and the cap out of every other module's code.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+import rabizeta
+import rabizeta.model as model
+import rabizeta.observables as observables
+import rabizeta.zeta as zeta
+from rabizeta.errors import ConvergenceError
+from rabizeta.model import ModelParams, adaptive_spectrum, turning_point_cutoff
+
+PACKAGE = Path(rabizeta.__file__).parent
+
+
+def follows_rule(cutoffs) -> bool:
+    return all(b == math.ceil(1.3 * a) for a, b in zip(cutoffs, cutoffs[1:]))
+
+
+def solved_cutoffs(monkeypatch, compute) -> list:
+    """The cutoffs of the eigensolves ``compute()`` runs in ``observables``, in order."""
+    cutoffs = []
+    solve = observables.eigensolve
+
+    def counting(mat, *args, **kwargs):
+        if not cutoffs or cutoffs[-1] != mat.dim - 1:  # both chains of one cutoff count once
+            cutoffs.append(mat.dim - 1)
+        return solve(mat, *args, **kwargs)
+
+    monkeypatch.setattr(observables, "eigensolve", counting)
+    compute()
+    monkeypatch.setattr(observables, "eigensolve", solve)
+    return cutoffs
+
+
+def test_every_cutoff_sequence_grows_by_the_one_rule(monkeypatch):
+    p = ModelParams(0.5, 5.0)
+    spec = adaptive_spectrum(p, k=12, rel_tol=1e-9)
+    sequences = [[n for n, _ in spec.refinement]]
+
+    spectrum = zeta.adaptive_spectrum
+
+    def recording(*args, **kwargs):
+        head = spectrum(*args, **kwargs)
+        sequences.append([n for n, _ in head.refinement])
+        return head
+
+    monkeypatch.setattr(zeta, "adaptive_spectrum", recording)
+    for variant, eps in (("full", 0.0), ("parity+", 0.0), ("asymmetric", 0.25)):
+        zeta.zeta_variant_value(ModelParams(0.5, 5.0, eps), 2.0, 1.0, variant, 200)
+    assert len(sequences) == 4
+
+    for oracle in (lambda: observables.ground_state(p),
+                   lambda: observables.partition_ed(p, 2.0),
+                   lambda: observables.vacuum_element_ed(p, 1.0)):
+        cutoffs = solved_cutoffs(monkeypatch, oracle)
+        assert cutoffs[0] == turning_point_cutoff(1, p.g)
+        sequences.append(cutoffs)
+
+    # at g = 5 the x^2 oracle outgrows the ground state's cutoff and solves again
+    gs = observables.ground_state(p)
+    resolves = solved_cutoffs(monkeypatch, lambda: observables.x_square_exponential_ed(gs, 0.5))
+    assert resolves
+    sequences.append([gs.truncation.n_max, *resolves])
+
+    for cutoffs in sequences:
+        assert len(cutoffs) >= 2 and follows_rule(cutoffs), cutoffs
+
+
+def test_start_over_the_cap_solves_nothing(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved at a cutoff over the cap")
+
+    p = ModelParams(0.5, 1.0)
+    # two states per level at the start cutoff 28 is 58 states
+    monkeypatch.setattr(model, "MAX_STATES", 40)
+    monkeypatch.setattr(observables, "eigensolve", no_solve)
+    monkeypatch.setattr(model, "eigensolve", no_solve)
+    for oracle in (observables.ground_state, lambda q: observables.partition_ed(q, 1.0),
+                   lambda q: observables.vacuum_element_ed(q, 1.0),
+                   lambda q: adaptive_spectrum(q, k=1)):
+        with pytest.raises(ConvergenceError, match="cutoff cap"):
+            oracle(p)
+
+
+def _policy_names(tree: ast.AST) -> list[str]:
+    """``MAX_STATES`` references and ``1.3`` literals in code (not strings or comments)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "MAX_STATES":
+            found.append(f"{node.lineno}: MAX_STATES")
+        elif isinstance(node, ast.Attribute) and node.attr == "MAX_STATES":
+            found.append(f"{node.lineno}: .MAX_STATES")
+        elif isinstance(node, ast.alias) and "MAX_STATES" in (node.name, node.asname):
+            found.append(f"{node.lineno}: import MAX_STATES")
+        elif isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1.3:
+            found.append(f"{node.lineno}: 1.3")
+    return found
+
+
+def test_only_model_holds_the_cutoff_policy():
+    offenders = []
+    for source in sorted(PACKAGE.glob("*.py")):
+        if source.name == "model.py":
+            continue
+        offenders += [f"{source.name}:{hit}" for hit in _policy_names(ast.parse(source.read_text()))]
+    assert not offenders, "cutoff policy outside model.py:\n" + "\n".join(offenders)
+    assert _policy_names(ast.parse((PACKAGE / "model.py").read_text()))

@@ -12,6 +12,7 @@ from scipy.stats import kstest
 
 from rabizeta.errors import DomainError, ParameterError
 from rabizeta.jumplaw import (
+    _damped_sign_survival_near_one,
     _pair_moment_rows,
     closed_pair_moments,
     damped_sign_cdf,
@@ -153,6 +154,21 @@ class TestDistribution:
         x1, _ = sample_damped_sign_pair(delta, 20_000, seed=45)
         ref = kstest(x1, lambda t: damped_sign_cdf(delta, t)).statistic
         assert damped_sign_ks(delta, x1) == float(ref)
+
+    def test_ks_below_critical_with_mass_at_one(self):
+        # about 15% of the samples round to exactly 1 at delta = 0.05
+        x1, _ = sample_damped_sign_pair(0.05, 100_000, seed=45)
+        assert np.mean(x1 == 1.0) > 0.1
+        assert damped_sign_ks(0.05, x1) < ks_critical_value(100_000)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.5, 2.0])
+    def test_survival_near_one_matches_cdf(self, delta):
+        t = np.linspace(-0.99, 0.99, 41)
+        survival = _damped_sign_survival_near_one(delta, 1.0 - t)
+        assert np.abs(1.0 - survival - damped_sign_cdf(delta, t)).max() < 1e-14
+        # the mass within 2^-54 of 1, which 1 - u cannot resolve
+        assert _damped_sign_survival_near_one(delta, np.array([0.0]))[0] == 0.0
+        assert _damped_sign_survival_near_one(delta, np.array([2.0**-54]))[0] > 0.0
 
     def test_moment_table_z_scores(self):
         rows = pair_moment_table(1.0, 100_000, seed=46)

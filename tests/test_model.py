@@ -6,7 +6,6 @@ import pytest
 import rabizeta.model as model
 from rabizeta.errors import ConvergenceError, ParameterError, UnsupportedConfigError
 from rabizeta.model import (
-    MAX_STATES,
     ModelParams,
     SymBandMatrix,
     Truncation,
@@ -14,7 +13,6 @@ from rabizeta.model import (
     build_full_hamiltonian,
     build_parity_tridiagonal,
     coherent_coefficients,
-    doubling,
     eigensolve,
     full_basis_labels,
     lower_bound_gap,
@@ -190,7 +188,7 @@ class TestAdaptiveSpectrum:
         spec = adaptive_spectrum(ModelParams(0.5, 4.0), k=12, rel_tol=1e-9)
         (n_first, d_first), (n_last, d_last) = spec.refinement
         assert n_first == turning_point_cutoff(6, 4.0) and d_first is None
-        assert n_last == 2 * n_first == spec.truncation.n_max
+        assert n_last == int(np.ceil(1.3 * n_first)) == spec.truncation.n_max
         assert d_last <= 1e-9
 
     @pytest.mark.parametrize("variant,k", [("full", 12), ("parity-", 6)])
@@ -199,7 +197,7 @@ class TestAdaptiveSpectrum:
         normal = adaptive_spectrum(p, k=k, rel_tol=1e-9, variant=variant)
         monkeypatch.setattr(model, "turning_point_cutoff", lambda levels, g: 8)
         short = adaptive_spectrum(p, k=k, rel_tol=1e-9, variant=variant)
-        assert [n for n, _ in short.refinement[:2]] == [8, 16]
+        assert [n for n, _ in short.refinement[:2]] == [8, 11]
         assert len(short.refinement) > 2 and short.refinement[-1][1] <= 1e-9
         scale = np.maximum(1.0, np.abs(normal.eigenvalues[:k]))
         assert np.max(np.abs(short.eigenvalues[:k] - normal.eigenvalues[:k]) / scale) <= 1e-9
@@ -225,17 +223,31 @@ class TestRefiner:
             delta = abs(value - previous)
             return delta <= 0.02, delta
 
-        value, trail = refine(solve, 10, lambda n: 2 * n, stable)
-        assert solved == [10, 20, 40, 80]
-        assert value == 1.0 / 80
+        value, trail = refine(solve, 10, stable, 1, "the value")
+        assert solved == [10, 13, 17]
+        assert value == 1.0 / 17
         assert [n for n, _ in trail] == solved and trail[0][1] is None
-        assert [d for _, d in trail[1:]] == pytest.approx([0.05, 0.025, 0.0125])
+        assert [d for _, d in trail[1:]] == pytest.approx([1 / 10 - 1 / 13, 1 / 13 - 1 / 17])
 
-    def test_doubling_cap(self):
-        grow = doubling(2, "the lowest 3 eigenvalues", 1e-9)
-        assert grow(100) == 200
-        with pytest.raises(ConvergenceError, match="cutoff cap of"):
-            grow(MAX_STATES // 4)
+    def test_growth_cap(self, monkeypatch):
+        solved = []
+
+        def solve(n):
+            solved.append(n)
+            return n
+
+        def never(previous, value):
+            return False, 1.0
+
+        # 2 * (49 + 1) = 100 states fit in the cap; the next cutoff, 64, needs 130
+        monkeypatch.setattr(model, "MAX_STATES", 100)
+        with pytest.raises(ConvergenceError, match="cutoff cap of 100 states .* the value"):
+            refine(solve, 21, never, 2, "the value")
+        assert solved == [21, 28, 37, 49]
+        # the start cutoff is held to the cap too, before it is solved
+        with pytest.raises(ConvergenceError, match="cutoff cap"):
+            refine(solve, 50, never, 2, "the value")
+        assert solved == [21, 28, 37, 49]
 
 
 class TestInvariants:

@@ -85,7 +85,7 @@ class TestGroundState:
         p = ModelParams(0.5, 4.0)
         gs = ground_state(p)
         start = model.turning_point_cutoff(1, 4.0)
-        assert gs.truncation.n_max == 2 * start
+        assert gs.truncation.n_max == int(np.ceil(1.3 * start))
         assert _ground_state_at(p, start).energy == pytest.approx(gs.energy, rel=1e-10)
 
     def test_tilt_rejected(self):
@@ -299,7 +299,8 @@ class TestCheckedCutoffs:
         assert dims == [11, 11, 13, 15]
 
     def test_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(model, "MAX_STATES", 100)
+        # two states per level: the start cutoff 28 fits, the next one, 37, does not
+        monkeypatch.setattr(model, "MAX_STATES", 60)
         p = ModelParams(0.5, 1.0)
         for oracle in (vacuum_element_ed, partition_ed):
             with pytest.raises(ConvergenceError, match="cutoff cap"):

@@ -13,8 +13,8 @@ from rabizeta.errors import ConvergenceError, DomainError, ParameterError
 from rabizeta.model import ModelParams, Spectrum, adaptive_spectrum
 from rabizeta.zeta import (
     LIMIT_TAIL_REL_TOL,
+    _HEAD_REL_TOL,
     _head_for_tail_bound,
-    _stable_spectrum,
     _tail_bound,
     _tail_model,
     eigenvalue_limit_table,
@@ -189,16 +189,16 @@ class TestCutoffStart:
 
     def test_short_start_grows_to_the_same_head(self, monkeypatch):
         p = ModelParams(0.5, 8.0)
-        normal = _stable_spectrum(p, "parity+", 175)
+        normal = adaptive_spectrum(p, 175, _HEAD_REL_TOL, "parity+")
         start = model.turning_point_cutoff
         monkeypatch.setattr(model, "turning_point_cutoff", lambda levels, g: start(levels, g) // 2)
-        short = _stable_spectrum(p, "parity+", 175)
+        short = adaptive_spectrum(p, 175, _HEAD_REL_TOL, "parity+")
         assert short.refinement[0][0] == start(175, 8.0) // 2 and len(short.refinement) > 2
         w, w_normal = short.eigenvalues[:175], normal.eigenvalues[:175]
         assert np.max(np.abs(w - w_normal) / np.maximum(1.0, np.abs(w_normal))) <= 1e-9
 
     def test_head_refinement_recorded(self):
-        spec = _stable_spectrum(ModelParams(0.5, 12.0), "full", 350)
+        spec = adaptive_spectrum(ModelParams(0.5, 12.0), 350, _HEAD_REL_TOL, "full")
         (n_start, _), (n_check, delta) = spec.refinement
         assert (n_start, n_check) == (754, int(np.ceil(1.3 * 754)))
         assert spec.truncation.n_max == n_check and delta <= 1e-9
