@@ -219,7 +219,8 @@ def cmd_spectrum(args) -> ResultRecord:
     return _record(args, "eigenvalues ascending; E_0 + g^2 >= -delta - eps",
                    ["n", "parity", "energy", "shifted_energy"], rows,
                    n_max=spec.truncation.n_max, converged_count=spec.converged_count,
-                   refinement=[list(step) for step in spec.refinement])
+                   refinement=[list(step) for step in spec.refinement],
+                   max_bracket=float(spec.error_bound[:args.levels].max()))
 
 
 def cmd_zeta(args) -> ResultRecord:

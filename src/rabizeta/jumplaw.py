@@ -51,10 +51,13 @@ def sample_damped_sign_pair(
     the next wait of every such path, in path order, drops the paths whose
     new time reaches the cutoff, and adds the jump's signed terms to the
     rest.  A stream therefore draws about delta * cutoff + 1 waits per path
-    and holds O(chunk) memory.
+    and holds O(chunk) memory.  Fewer than two samples have no standard
+    error, so ``n_samples < 2`` raises ``ParameterError`` before any draw.
     """
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
+    if n_samples < 2:
+        raise ParameterError(f"n_samples must be at least 2, got {n_samples}")
     cutoff = _series_cutoff()
     x1_parts, x2_parts = [], []
     for chunk, rng in _seed_streams(seed, n_samples):

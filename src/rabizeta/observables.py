@@ -96,6 +96,8 @@ def _refined(solve, params: ModelParams, what: str, value=lambda result: result)
                              f"(got {params.eps})")
 
     def stable(previous, result):
+        if previous is None:
+            return False, None
         a, b = value(previous), value(result)
         delta = abs(b - a) / max(1.0, abs(b))
         return delta <= _AUTO_REL_TOL, delta

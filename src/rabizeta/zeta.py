@@ -13,7 +13,8 @@ tilted) Hamiltonian leaves displaced oscillators whose shifted spectrum is
 known exactly, so every shifted eigenvalue lies within ``radius`` of its model
 value (radius = delta, or sqrt(delta^2 + eps^2) when the tilt cannot be kept
 in the model).  The reported ``tail_bound`` is the worst-case effect of moving
-each tail level by ``radius``.
+each tail level by ``radius``, plus that of moving each head level within its
+bracket when the spectrum carries brackets (``model.refine``).
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ def spectral_zeta(
     degenerate pair to ``m -/+ split`` (asymmetric model).  ``radius`` bounds
     the distance of every true shifted level from the model; the tail bound is
     ``degeneracy * radius * |s| * |zeta(Re s + 1; tau + M - radius - split)|``
-    for a tail that starts at model index M.
+    for a tail that starts at model index M.  When the spectrum carries
+    brackets (``Spectrum.error_bound``), the bound also holds the worst-case
+    effect of each head level's bracket on its term.
     """
     s = complex(s)
     if s.real <= 1:
@@ -194,13 +197,27 @@ def spectral_zeta(
     head = complex(np.sum(np.exp(-s * np.log(shifted))))
     tail = _model_tail(s, tau, n_use, degeneracy, split)
     bound = _tail_bound(s, tau, n_use // degeneracy, degeneracy, split, radius)
+    if spectrum.error_bound is not None:
+        bound += _head_bound(s, shifted, spectrum.error_bound[:n_use])
     return ZetaValue(value=head + tail, tail_bound=bound, n_used=n_use)
+
+
+def _head_bound(s: complex, shifted: np.ndarray, brackets: np.ndarray) -> float:
+    """Worst-case effect on the head sum of moving each level within its bracket.
+
+    ``|d x^-s / dx| = |s| x^(-Re s - 1)`` falls with x, so a level within
+    ``w`` of ``x`` moves its term by at most ``w |s| (x - w)^(-Re s - 1)``.
+    """
+    low = shifted - brackets
+    if np.any(low <= 0):
+        raise DomainError("a bracketed level reaches E + shift + tau <= 0; increase tau")
+    return float(abs(s) * np.sum(brackets * low ** (-s.real - 1.0)))
 
 
 _VARIANTS = ("full", "parity+", "parity-", "asymmetric")
 
-# Relative cutoff stability of every level a zeta head sums, and of every
-# level of an eigenvalue limit table.
+# Relative bracket of every level a zeta head sums, and of every level of an
+# eigenvalue limit table.
 _HEAD_REL_TOL = 1e-9
 _LEVEL_REL_TOL = 1e-10
 
@@ -281,10 +298,16 @@ def zeta_variant_value(
 ) -> ZetaValue:
     """Spectral zeta of one variant at the given head size, shift g^2.
 
-    Every one of the ``n_head`` levels summed is stable in the cutoff to
-    ``_HEAD_REL_TOL``, as ``adaptive_spectrum`` certifies it.
+    Every one of the ``n_head`` levels summed is enclosed to
+    ``_HEAD_REL_TOL``, as ``adaptive_spectrum`` certifies it, and the tail
+    bound holds the head's brackets.  A head smaller than the tail model's
+    degeneracy sums no whole model level and raises ``ParameterError``
+    before any eigensolve.
     """
     spec_variant, degeneracy, split, radius = _tail_model(params, variant)
+    if n_head < degeneracy:
+        raise ParameterError(f"the {variant} head needs at least {degeneracy} levels, "
+                             f"got {n_head}")
     spectrum = adaptive_spectrum(params, n_head, _HEAD_REL_TOL, spec_variant)
     return spectral_zeta(
         spectrum, s, tau, shift=params.g**2,

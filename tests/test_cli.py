@@ -54,12 +54,14 @@ class TestSpectrumCommand:
         assert code == 0
         record = json.loads(text)
         meta = record["meta"]
-        (n_start, d_start), (n_check, d_check) = meta["refinement"]
-        assert d_start is None and n_check == meta["n_max"] == int(np.ceil(1.3 * n_start))
-        assert d_check <= meta["rel_tol"]
-        # the cutoffs tried are metadata, outside the configuration digest
+        # one solve: its delta is the largest relative bracket of the levels
+        ((n_start, d_start),) = meta["refinement"]
+        assert n_start == meta["n_max"] and d_start <= meta["rel_tol"]
+        energies = [row[2] for row in record["rows"]]
+        assert 0.0 < meta["max_bracket"] <= d_start * max(1.0, *map(abs, energies))
+        # the cutoffs tried and the brackets are metadata, outside the configuration digest
         options = {k: v for k, v in meta.items()
-                   if k not in ("n_max", "converged_count", "refinement")}
+                   if k not in ("n_max", "converged_count", "refinement", "max_bracket")}
         assert record["config_hash"] == config_hash("spectrum", options)
 
     def test_python_m_entry_point(self, tmp_path):
@@ -104,7 +106,7 @@ def test_meta_is_the_parsed_options(tmp_path, monkeypatch, argv, declared):
     assert code == 0
     record = json.loads(text)
     options = {k: v for k, v in record["meta"].items()
-               if k not in ("n_max", "converged_count", "refinement", "series")}
+               if k not in ("n_max", "converged_count", "refinement", "max_bracket", "series")}
     parsed = cli.build_parser().parse_args(argv)
     expected = {k: getattr(parsed, k) for k in declared}
     expected = {k: repr(v) if isinstance(v, complex) else v for k, v in expected.items()}
@@ -207,6 +209,15 @@ class TestZetaCommand:
     def test_constraint_violation_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, "zeta", "--delta", "0.9", "--tau", "0.5")
         assert code == 2
+
+    def test_head_below_the_degeneracy_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before the head size was checked")
+
+        monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
+        code, text = run_cli(tmp_path, "zeta", "--n-head", "1")
+        assert code == 2 and text == ""
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_untilted_variant_refuses_eps(self, tmp_path, capsys):
         # the full tail model of radius delta does not bound levels split by +-eps
@@ -364,6 +375,16 @@ class TestFkCommand:
 
 
 class TestX1Command:
+    def test_one_sample_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the sample count was checked")
+
+        monkeypatch.setattr(rabizeta.jumplaw, "_seed_streams", no_draw)
+        code, text = run_cli(tmp_path, "x1", "--n", "1")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "at least 2" in err
+
     def test_moment_rows(self, tmp_path):
         code, text = run_cli(tmp_path, "x1", "--delta", "1", "--n", "20000", fmt="json")
         assert code == 0

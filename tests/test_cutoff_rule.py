@@ -2,8 +2,9 @@
 
 ``model.refine`` owns the cutoff policy: the growth factor and the
 ``MAX_STATES`` cap.  The behavioural test follows the cutoffs that spectra,
-zeta heads and the ground-state oracles actually solve at; the source guard
-keeps the factor and the cap out of every other module's code.
+zeta heads and the ground-state oracles actually solve at (a spectrum that
+its brackets certify at the start cutoff solves only there); the source
+guard keeps the factor and the cap out of every other module's code.
 """
 
 import ast
@@ -46,6 +47,10 @@ def test_every_cutoff_sequence_grows_by_the_one_rule(monkeypatch):
     p = ModelParams(0.5, 5.0)
     spec = adaptive_spectrum(p, k=12, rel_tol=1e-9)
     sequences = [[n for n, _ in spec.refinement]]
+    with monkeypatch.context() as patch:  # a start too short for its brackets grows
+        patch.setattr(model, "turning_point_cutoff", lambda levels, g: 20)
+        short = adaptive_spectrum(p, k=12, rel_tol=1e-9)
+    grown = [[n for n, _ in short.refinement]]
 
     spectrum = zeta.adaptive_spectrum
 
@@ -57,22 +62,24 @@ def test_every_cutoff_sequence_grows_by_the_one_rule(monkeypatch):
     monkeypatch.setattr(zeta, "adaptive_spectrum", recording)
     for variant, eps in (("full", 0.0), ("parity+", 0.0), ("asymmetric", 0.25)):
         zeta.zeta_variant_value(ModelParams(0.5, 5.0, eps), 2.0, 1.0, variant, 200)
-    assert len(sequences) == 4
+    assert len(sequences) == 4 and len(grown[0]) >= 2
 
     for oracle in (lambda: observables.ground_state(p),
                    lambda: observables.partition_ed(p, 2.0),
                    lambda: observables.vacuum_element_ed(p, 1.0)):
         cutoffs = solved_cutoffs(monkeypatch, oracle)
         assert cutoffs[0] == turning_point_cutoff(1, p.g)
-        sequences.append(cutoffs)
+        grown.append(cutoffs)
 
     # at g = 5 the x^2 oracle outgrows the ground state's cutoff and solves again
     gs = observables.ground_state(p)
     resolves = solved_cutoffs(monkeypatch, lambda: observables.x_square_exponential_ed(gs, 0.5))
     assert resolves
-    sequences.append([gs.truncation.n_max, *resolves])
+    grown.append([gs.truncation.n_max, *resolves])
 
     for cutoffs in sequences:
+        assert follows_rule(cutoffs), cutoffs
+    for cutoffs in grown:  # the short start grows; the oracles compare two cutoffs
         assert len(cutoffs) >= 2 and follows_rule(cutoffs), cutoffs
 
 

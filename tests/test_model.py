@@ -15,7 +15,6 @@ from rabizeta.model import (
     coherent_coefficients,
     eigensolve,
     full_basis_labels,
-    lower_bound_gap,
     refine,
     turning_point_cutoff,
 )
@@ -23,6 +22,11 @@ from rabizeta.model import (
 
 def dense_eigs(mat):
     return np.linalg.eigvalsh(mat.to_dense())
+
+
+def lower_bound_gap(params: ModelParams, spectrum) -> float:
+    """Slack of the exact bound ``E_0 + g^2 >= -delta - eps`` (negative = violated)."""
+    return float(spectrum.eigenvalues[0] + params.g**2 + params.delta + params.eps)
 
 
 class TestParams:
@@ -180,16 +184,31 @@ class TestAdaptiveSpectrum:
         large = eigensolve(build_full_hamiltonian(p, Truncation(120))).eigenvalues
         assert np.all(large[:40] <= small[:40] + 1e-12)
 
+    def test_tolerance_below_the_solver_error_raises_at_once(self, monkeypatch):
+        solved = []
+        solve = model.eigensolve
+
+        def counting(mat, *args, **kwargs):
+            solved.append(mat.dim)
+            return solve(mat, *args, **kwargs)
+
+        monkeypatch.setattr(model, "eigensolve", counting)
+        with pytest.raises(ConvergenceError, match="below the eigensolver's error bound"):
+            adaptive_spectrum(ModelParams(0.5, 1.0), k=4, rel_tol=1e-17)
+        assert len(solved) == 2  # the two chains of the start cutoff
+
     def test_cap_error(self):
         with pytest.raises(ConvergenceError):
             adaptive_spectrum(ModelParams(0.5, 600.0), k=200_000)
 
     def test_refinement_recorded(self):
+        # one solve at the start cutoff certifies: its delta is the largest
+        # relative bracket of the 12 levels
         spec = adaptive_spectrum(ModelParams(0.5, 4.0), k=12, rel_tol=1e-9)
-        (n_first, d_first), (n_last, d_last) = spec.refinement
-        assert n_first == turning_point_cutoff(6, 4.0) and d_first is None
-        assert n_last == int(np.ceil(1.3 * n_first)) == spec.truncation.n_max
-        assert d_last <= 1e-9
+        ((n_first, d_first),) = spec.refinement
+        assert n_first == turning_point_cutoff(6, 4.0) == spec.truncation.n_max
+        scale = np.maximum(1.0, np.abs(spec.eigenvalues[:12]))
+        assert d_first == np.max(spec.error_bound[:12] / scale) <= 1e-9
 
     @pytest.mark.parametrize("variant,k", [("full", 12), ("parity-", 6)])
     def test_short_start_grows_to_the_same_levels(self, monkeypatch, variant, k):
@@ -201,6 +220,92 @@ class TestAdaptiveSpectrum:
         assert len(short.refinement) > 2 and short.refinement[-1][1] <= 1e-9
         scale = np.maximum(1.0, np.abs(normal.eigenvalues[:k]))
         assert np.max(np.abs(short.eigenvalues[:k] - normal.eigenvalues[:k]) / scale) <= 1e-9
+
+
+# (variant, delta, eps): the parity chains and their merge, the tilted matrix of
+# the asymmetric variant, and delta = 0, where the model bracket is exact.
+BRACKET_VARIANTS = [("full", 0.5, 0.0), ("parity+", 0.5, 0.0), ("parity-", 0.5, 0.0),
+                    ("full", 0.5, 0.25), ("full", 0.0, 0.0)]
+
+
+def solved_blocks(params, n_max, variant):
+    """``(parity tag, matrix, eigenvalues)`` of each matrix a variant solves at ``n_max``."""
+    trunc = Truncation(n_max)
+    if params.eps != 0.0:
+        mats = [(None, build_full_hamiltonian(params, trunc))]
+    else:
+        sectors = {"full": (1, -1), "parity+": (1,), "parity-": (-1,)}[variant]
+        mats = [(p, build_parity_tridiagonal(params, trunc, p)) for p in sectors]
+    return [(tag, mat, eigensolve(mat).eigenvalues) for tag, mat in mats]
+
+
+class TestBrackets:
+    @pytest.mark.parametrize("g", [0.05, 0.5, 2.0, 8.0, 12.0])
+    @pytest.mark.parametrize("variant,delta,eps", BRACKET_VARIANTS)
+    def test_brackets_hold_the_levels_of_twice_the_cutoff(self, variant, delta, eps, g):
+        p = ModelParams(delta, g, eps)
+        spec = adaptive_spectrum(p, k=12, rel_tol=1e-10, variant=variant)
+        scale = np.maximum(1.0, np.abs(spec.eigenvalues[:12]))
+        assert np.all(spec.error_bound[:12] <= 1e-10 * scale)
+        # every level, required or not, against the same level of its chain at 2N
+        for tag, mat, big in solved_blocks(p, 2 * spec.truncation.n_max, variant):
+            mine = slice(None) if tag is None else spec.parity == tag
+            w, width = spec.eigenvalues[mine], spec.error_bound[mine]
+            assert np.all(np.abs(big[:len(w)] - w) <= width + model._backward_error(mat))
+
+    @pytest.mark.parametrize("delta,eps,g", [(0.5, 0.5, 8.0), (1.0, 0.5, 0.5), (1.0, 0.5, 0.0)])
+    def test_clusters_and_the_feshbach_anchor(self, delta, eps, g):
+        # eps = 1/2 pairs levels into near-degenerate clusters, and at delta = 1
+        # no level clears the model bound of the one above it
+        p = ModelParams(delta, g, eps)
+        spec = adaptive_spectrum(p, k=12, rel_tol=1e-10)
+        assert np.all(spec.error_bound[:12] <= 1e-10 * np.maximum(1.0, np.abs(spec.eigenvalues[:12])))
+        ((_, mat, big),) = solved_blocks(p, 2 * spec.truncation.n_max, "full")
+        assert np.all(np.abs(big[:len(spec)] - spec.eigenvalues)
+                      <= spec.error_bound + model._backward_error(mat))
+
+    @pytest.mark.parametrize("variant,delta,eps", BRACKET_VARIANTS + [("full", 1.0, 0.5)])
+    @pytest.mark.parametrize("g", [0.5, 2.0, 8.0])
+    def test_brackets_hold_at_cutoffs_too_short_to_converge(self, variant, delta, eps, g):
+        # at 0.4 of the start cutoff most levels are far from converged: their
+        # brackets must widen to hold the level of a four times larger cutoff
+        p = ModelParams(delta, g, eps)
+        n_max = int(0.4 * turning_point_cutoff(12, g))
+        spec = model._variant_spectrum(p, n_max, variant, 12)
+        moved = 0
+        for tag, mat, big in solved_blocks(p, 4 * n_max, variant):
+            mine = slice(None) if tag is None else spec.parity == tag
+            w, width = spec.eigenvalues[mine], spec.error_bound[mine]
+            slack = model._backward_error(mat)
+            assert np.all(big[:len(w)] >= w - width - slack)
+            assert np.all(big[:len(w)] <= w + width + slack)
+            moved += np.sum(w - big[:len(w)] > 1e-6)
+        assert moved > 0
+
+    def test_backward_error_covers_the_solver(self):
+        # at delta = 0 a chain's levels are exactly j - g^2 up to truncation,
+        # which is negligible far below the cutoff
+        p = ModelParams(0.0, 1e-3)
+        mat = build_parity_tridiagonal(p, Truncation(1200), 1)
+        w = eigensolve(mat).eigenvalues[:900]
+        assert np.max(np.abs(w - (np.arange(900) - 1e-6))) <= model._backward_error(mat)
+
+    @pytest.mark.parametrize("delta,eps,g", [(0.5, 0.0, 0.5), (0.5, 0.0, 4.0), (0.5, 0.0, 12.0),
+                                             (0.5, 0.25, 2.0), (0.5, 0.25, 8.0), (1.0, 0.5, 0.5)])
+    def test_recurrence_bounds_the_last_block_of_every_eigenvector(self, delta, eps, g):
+        p = ModelParams(delta, g, eps)
+        n_max = turning_point_cutoff(12, g)
+        if eps == 0.0:
+            mat, radius = build_parity_tridiagonal(p, Truncation(n_max), -1), delta
+        else:
+            mat, radius = build_full_hamiltonian(p, Truncation(n_max)), float(np.hypot(delta, eps))
+        spec, vec = eigensolve(mat, want_vectors=True)
+        last = np.linalg.norm(vec[-mat.bandwidth:, :], axis=0)
+        edge = g * np.sqrt(n_max + 1.0)
+        upper = spec.eigenvalues + model._backward_error(mat)
+        bound = model._tail_residuals(upper, g, radius, n_max, np.zeros(len(upper))) / edge
+        checked = last > 1e-12
+        assert checked.sum() > 10 and np.all(bound[checked] >= last[checked])
 
 
 class TestRefiner:
@@ -220,6 +325,8 @@ class TestRefiner:
             return 1.0 / n
 
         def stable(previous, value):
+            if previous is None:
+                return False, None
             delta = abs(value - previous)
             return delta <= 0.02, delta
 
@@ -228,6 +335,16 @@ class TestRefiner:
         assert value == 1.0 / 17
         assert [n for n, _ in trail] == solved and trail[0][1] is None
         assert [d for _, d in trail[1:]] == pytest.approx([1 / 10 - 1 / 13, 1 / 13 - 1 / 17])
+
+    def test_certified_first_result_is_the_only_solve(self):
+        solved = []
+
+        def solve(n):
+            solved.append(n)
+            return 1.0 / n
+
+        value, trail = refine(solve, 10, lambda previous, value: (value < 0.2, value), 1, "it")
+        assert solved == [10] and value == 0.1 and trail == ((10, 0.1),)
 
     def test_growth_cap(self, monkeypatch):
         solved = []

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabizeta.model as model
+import rabizeta.zeta as zeta
 from rabizeta.errors import ConvergenceError, DomainError, ParameterError
 from rabizeta.model import ModelParams, Spectrum, adaptive_spectrum
 from rabizeta.zeta import (
     LIMIT_TAIL_REL_TOL,
     _HEAD_REL_TOL,
+    _head_bound,
     _head_for_tail_bound,
     _tail_bound,
     _tail_model,
@@ -94,10 +96,35 @@ def free_spectrum():
 
 class TestSpectralZeta:
     def test_decoupled_exact(self):
-        # delta = 0: the value is exactly twice the Hurwitz target, zero bound
+        # delta = 0: the value is exactly twice the Hurwitz target, and the tail
+        # bound is zero; what the reported bound holds is the head's brackets
         zv = zeta_variant_value(ModelParams(0.0, 2.0), 2.0, 1.0, "full", 1500)
         assert abs(zv.value - 2 * hurwitz_zeta(2, 1).value) < 1e-10
-        assert zv.tail_bound == 0.0
+        spec = adaptive_spectrum(ModelParams(0.0, 2.0), 1500, _HEAD_REL_TOL, "full")
+        shifted = spec.eigenvalues[:1500] + 4.0 + 1.0
+        assert _tail_bound(2.0 + 0j, 1.0, 750, 2, 0.0, 0.0) == 0.0
+        assert zv.tail_bound == _head_bound(2.0 + 0j, shifted, spec.error_bound[:1500])
+
+    def test_tail_bound_holds_the_head_brackets(self):
+        spec = adaptive_spectrum(ModelParams(0.5, 4.0), 200, _HEAD_REL_TOL, "full")
+        bare = Spectrum(spec.eigenvalues, spec.parity, converged_count=spec.converged_count)
+        with_brackets = spectral_zeta(spec, 2.0, 1.0, 16.0, radius=0.5, n_use=200)
+        without = spectral_zeta(bare, 2.0, 1.0, 16.0, radius=0.5, n_use=200)
+        assert with_brackets.value == without.value
+        head = with_brackets.tail_bound - without.tail_bound
+        # each term moves by at most |s| w / x^3 for a level within w of x
+        shifted = spec.eigenvalues[:200] + 17.0
+        assert 0.0 < head <= 1.01 * np.sum(2.0 * spec.error_bound[:200] / (shifted - 1e-9) ** 3)
+
+    def test_head_below_the_degeneracy_solves_nothing(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before the head size was checked")
+
+        monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
+        with pytest.raises(ParameterError, match="at least 2 levels"):
+            zeta_variant_value(ModelParams(0.5, 1.0), 2.0, 1.0, "full", 1)
+        with pytest.raises(ParameterError, match="at least 1 levels"):
+            zeta_variant_value(ModelParams(0.5, 1.0), 2.0, 1.0, "parity+", 0)
 
     def test_free_splitting_identity(self, free_spectrum):
         zv = spectral_zeta(free_spectrum, 2.0, 1.0, 0.0, radius=0.25, degeneracy=2)
@@ -174,18 +201,30 @@ class TestCutoffStart:
     @pytest.mark.parametrize("s", [2.0, 2.0 + 1.0j])
     @pytest.mark.parametrize("variant,eps", VARIANTS)
     def test_zeta_rows_certify_on_first_cutoff_pair(self, monkeypatch, variant, eps, s):
+        # every row's head is bracketed from one solve at its start cutoff
         dims = count_solves(monkeypatch)
         rows = zeta_limit_table(ModelParams(0.5, 0.0, eps), s, 1.0, ZETA_GRID, variant)
         # at eps = 0 a full-model cutoff is solved as two parity chains
         blocks = 2 if variant == "full" else 1
-        assert len(dims) == 2 * blocks * len(rows)
+        assert len(dims) == blocks * len(rows)
 
     @pytest.mark.parametrize("variant,eps", [("parity", 0.0), ("asymmetric", 0.25)])
     def test_level_rows_certify_on_first_cutoff_pair(self, monkeypatch, variant, eps):
+        # each level-table spectrum takes at most one growth step
+        trails = []
+        spectrum = zeta.adaptive_spectrum
+
+        def recording(*args, **kwargs):
+            spec = spectrum(*args, **kwargs)
+            trails.append(spec.refinement)
+            return spec
+
+        monkeypatch.setattr(zeta, "adaptive_spectrum", recording)
         dims = count_solves(monkeypatch)
         eigenvalue_limit_table(ModelParams(0.5, 0.0, eps), LEVEL_GRID, 6, variant)
         spectra = 2 * len(LEVEL_GRID) if variant == "parity" else len(LEVEL_GRID)
-        assert len(dims) == 2 * spectra
+        assert len(trails) == spectra and all(len(trail) <= 2 for trail in trails)
+        assert len(dims) == sum(len(trail) for trail in trails)
 
     def test_short_start_grows_to_the_same_head(self, monkeypatch):
         p = ModelParams(0.5, 8.0)
@@ -199,9 +238,8 @@ class TestCutoffStart:
 
     def test_head_refinement_recorded(self):
         spec = adaptive_spectrum(ModelParams(0.5, 12.0), 350, _HEAD_REL_TOL, "full")
-        (n_start, _), (n_check, delta) = spec.refinement
-        assert (n_start, n_check) == (754, int(np.ceil(1.3 * 754)))
-        assert spec.truncation.n_max == n_check and delta <= 1e-9
+        ((n_start, delta),) = spec.refinement
+        assert n_start == spec.truncation.n_max == 754 and delta <= 1e-9
 
 
 class TestHeadChooser:
@@ -219,7 +257,9 @@ class TestHeadChooser:
 
     def test_bound_matches_spectral_zeta(self, free_spectrum):
         zv = spectral_zeta(free_spectrum, 2.0, 1.0, 0.0, radius=0.25, n_use=400)
-        assert zv.tail_bound == _tail_bound(2.0 + 0j, 1.0, 200, 2, 0.0, 0.25)
+        head = _head_bound(2.0 + 0j, free_spectrum.eigenvalues[:400] + 1.0,
+                           free_spectrum.error_bound[:400])
+        assert zv.tail_bound == _tail_bound(2.0 + 0j, 1.0, 200, 2, 0.0, 0.25) + head
 
     def test_zero_radius_and_cap(self):
         exact = _tail_model(ModelParams(0.0, 0.0), "full")
