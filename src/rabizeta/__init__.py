@@ -38,7 +38,6 @@ from .estimators import (
 from .jumplaw import (
     closed_pair_moments,
     damped_sign_cdf,
-    damped_sign_density,
     damped_sign_ks,
     damped_sign_moment,
     ks_critical_value,
@@ -52,7 +51,6 @@ from .kernels import (
     mehler_kernel,
     ou_bridge_coefficients,
     ou_bridge_covariance,
-    ou_transition_density,
 )
 from .model import (
     ModelParams,
@@ -74,7 +72,6 @@ from .observables import (
     pull_through_residual,
     resolvent_spin_norm,
     semigroup_matrix_element_ed,
-    semigroup_trace_ed,
     spin_autocorrelation_ed,
     vacuum_element_ed,
     x_characteristic_ed,

@@ -93,17 +93,6 @@ def damped_sign_moment(delta: float, m: int) -> float:
     return float(np.prod((2 * j - 1) / (2 * j - 1 + 2 * delta)))
 
 
-def damped_sign_density(delta: float, t) -> np.ndarray:
-    """Density of X1 at t in (-1, 1)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) >= 1):
-        raise DomainError("the density lives on (-1, 1)")
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    log_norm = betaln(delta, 0.5)
-    return (1.0 + t) * np.exp((delta - 1.0) * np.log1p(-t * t) - log_norm)
-
-
 def damped_sign_cdf(delta: float, t) -> np.ndarray:
     """Distribution function of X1 via regularized incomplete Beta pieces.
 

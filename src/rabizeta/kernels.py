@@ -1,7 +1,6 @@
 """Oscillator heat kernels and the jump expansion of the coupled kernel.
 
-The stationary Ornstein-Uhlenbeck transition density and the Mehler kernel
-are evaluated in closed form.  The coupled two-level/oscillator heat kernel
+The Mehler kernel is evaluated in closed form.  The coupled two-level/oscillator heat kernel
 is expanded over the number of spin flips m: the m-flip component is
 
     (delta^m t^m / m!) * E[ exp(i g * lam . X_bridge) ] * M_t(x, y)
@@ -27,16 +26,6 @@ from .paths import DEFAULT_SEED, _seed_streams
 from .estimators import MCEstimate, _mean_stderr
 
 _MIN_TIME = 1e-8
-
-
-def ou_transition_density(t: float, y, x) -> np.ndarray:
-    """Transition density of the stationary-variance-1/2 OU process."""
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    var = -np.expm1(-2.0 * t)  # 1 - e^{-2t}
-    return np.exp(-((y - np.exp(-t) * x) ** 2) / var) / np.sqrt(np.pi * var)
 
 
 def mehler_kernel(t: float, x, y) -> np.ndarray:

@@ -22,11 +22,12 @@ Eigenvalues are obtained by LAPACK band/tridiagonal solvers behind the
 ``eigensolve`` contract.  Every cutoff the package chooses for itself goes
 through one refiner, ``refine``: it solves at a start cutoff and at growing
 ones, ``n -> ceil(1.3 n)``, until the caller certifies the result, and no
-cutoff it tries, the start included, may exceed ``MAX_STATES`` states.  A
-spectrum certifies from one solve, by an enclosure of each level (its proof
-is in ``refine``); an oracle value, by agreement of two consecutive
-cutoffs.  ``turning_point_cutoff`` sets the start, for eigenvalues and for
-the ground-state oracles alike.
+cutoff it tries, the start included, may exceed ``MAX_STATES`` states.
+Every result certifies from one solve, by an enclosure of the untruncated
+value it approximates: a spectrum by one of each level (its proof is in
+``refine``), an exact oracle by one of its value (the proofs are in
+``observables``).  No two cutoffs are compared.  ``turning_point_cutoff``
+sets the start, for eigenvalues and for the ground-state oracles alike.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal, eigvals_banded
+from scipy.special import gammaln, xlogy
 
 from .errors import ConvergenceError, NumericalError, ParameterError, UnsupportedConfigError
 
@@ -108,16 +110,6 @@ class SymBandMatrix:
     @property
     def bandwidth(self) -> int:
         return self.bands.shape[0] - 1
-
-    def to_dense(self) -> np.ndarray:
-        n = self.dim
-        dense = np.zeros((n, n))
-        for k in range(self.bandwidth + 1):
-            vals = self.bands[k, : n - k]
-            idx = np.arange(n - k)
-            dense[idx + k, idx] = vals
-            dense[idx, idx + k] = vals
-        return dense
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
@@ -226,15 +218,8 @@ def build_parity_tridiagonal(params: ModelParams, trunc: Truncation, parity: int
 def coherent_coefficients(amplitude: float, n_max: int) -> np.ndarray:
     """Fock coefficients of a coherent state with real displacement amplitude."""
     n = np.arange(n_max + 1)
-    with np.errstate(divide="ignore"):
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))))
-    if amplitude == 0.0:
-        coeffs = np.zeros(n_max + 1)
-        coeffs[0] = 1.0
-        return coeffs
-    sign = np.sign(amplitude) ** n
-    log_mag = n * np.log(abs(amplitude)) - 0.5 * log_fact - amplitude**2 / 2.0
-    return sign * np.exp(log_mag)
+    log_mag = xlogy(n, abs(amplitude)) - 0.5 * gammaln(n + 1.0) - amplitude**2 / 2.0
+    return np.sign(amplitude) ** n * np.exp(log_mag)
 
 
 def eigensolve(mat: SymBandMatrix, k: int | None = None, want_vectors: bool = False):
@@ -503,19 +488,18 @@ def _next_cutoff(n_max: int, states_per_level: int, what: str) -> int:
     return _capped(int(np.ceil(_GROWTH * n_max)), states_per_level, what)
 
 
-def refine(solve, start: int, stable, states_per_level: int, what: str):
+def refine(solve, start: int, certified, states_per_level: int, what: str):
     """Solve at growing Fock cutoffs until the caller certifies a result.
 
     ``solve(n_max)`` computes the result at one cutoff, first at ``start``
     and then at ``ceil(1.3 n_max)`` after each ``n_max``.  After every solve,
-    ``stable(previous, result)`` returns ``(ok, delta)``: whether ``result``
-    is certified, and the caller's measure of its error.  ``previous`` is the
-    result at the cutoff before, None after the first solve.  A check that
-    compares two cutoffs returns not-ok on None; a spectrum certifies from
-    its own brackets and ignores ``previous``.  A cutoff, the start included,
-    is never solved when its matrix would hold more than ``MAX_STATES``
-    states, ``states_per_level`` per Fock level; ``ConvergenceError`` naming
-    ``what`` is raised instead.
+    ``certified(result)`` returns ``(ok, delta)``: whether ``result`` is
+    certified, and the caller's measure of its error.  A result certifies
+    from its own solve, by an enclosure of the untruncated value it
+    approximates; no two cutoffs are compared.  A cutoff, the start
+    included, is never solved when its matrix would hold more than
+    ``MAX_STATES`` states, ``states_per_level`` per Fock level;
+    ``ConvergenceError`` naming ``what`` is raised instead.
 
     The spectrum brackets enclose each level of the untruncated operator K
     from one solve at cutoff N.  Let ``lam`` be the exact level k of the
@@ -552,14 +536,14 @@ def refine(solve, start: int, stable, states_per_level: int, what: str):
     Returns ``(result, trail)``; ``trail`` holds ``(n_max, delta)`` for every
     cutoff tried, in order.
     """
-    n_max, previous, trail = _capped(start, states_per_level, what), None, []
+    n_max, trail = _capped(start, states_per_level, what), []
     while True:
         result = solve(n_max)
-        ok, delta = stable(previous, result)
+        ok, delta = certified(result)
         trail.append((n_max, delta))
         if ok:
             return result, tuple(trail)
-        previous, n_max = result, _next_cutoff(n_max, states_per_level, what)
+        n_max = _next_cutoff(n_max, states_per_level, what)
 
 
 def adaptive_spectrum(
@@ -585,7 +569,7 @@ def adaptive_spectrum(
     per_level = 1 if variant in ("parity+", "parity-") else 2
     start = turning_point_cutoff((k + per_level - 1) // per_level, params.g)
 
-    def stable(previous: Spectrum | None, spec: Spectrum):
+    def certified(spec: Spectrum):
         scale = np.maximum(1.0, np.abs(spec.eigenvalues))
         rel = spec.error_bound / scale
         # leading levels within rel_tol: the index of the first one that is not
@@ -598,6 +582,6 @@ def adaptive_spectrum(
         return spec.converged_count >= k, float(rel[:k].max())
 
     spec, trail = refine(lambda n_max: _variant_spectrum(params, n_max, variant, k), start,
-                         stable, per_level, f"the lowest {k} eigenvalues")
+                         certified, per_level, f"the lowest {k} eigenvalues")
     spec.refinement = trail
     return spec

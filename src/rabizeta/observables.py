@@ -25,15 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
-from scipy.special import logsumexp, roots_hermite
+from scipy.special import exprel, gammainc, gammaln, logsumexp, roots_hermite, xlogy
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, NumericalError, ParameterError
 from .model import (
     ModelParams,
-    Spectrum,
     SymBandMatrix,
     Truncation,
     _next_cutoff,
+    _variant_spectrum,
     build_full_hamiltonian,
     build_parity_tridiagonal,
     coherent_coefficients,
@@ -43,8 +43,8 @@ from .model import (
     turning_point_cutoff,
 )
 
-#: Relative stability every oracle here certifies, in its cutoff and in the
-#: level count of ``x_square_exponential_ed``.
+#: Relative error every oracle here certifies: the enclosure of its value at
+#: the cutoff, and the stability of ``x_square_exponential_ed`` in its level count.
 _AUTO_REL_TOL = 1e-10
 
 #: Level counts tried by the <exp(beta*x^2)> oracle: 16, 24, 32, ...
@@ -59,13 +59,15 @@ class GroundState:
     ``coeffs[n, s]`` is the amplitude on boson level ``n`` and spin
     ``+1 (s=0) / -1 (s=1)``.  It is the odd chain's lowest eigenvector ``v``
     with ``v[0] > 0``, so each level has one nonzero spin amplitude: spin -1
-    at even n, spin +1 at odd n.
+    at even n, spin +1 at odd n.  The untruncated ground energy lies within
+    ``error_bound`` of ``energy``.
     """
 
     energy: float
     coeffs: np.ndarray
     params: ModelParams
     truncation: Truncation
+    error_bound: float
 
     @property
     def n_levels(self) -> int:
@@ -81,56 +83,75 @@ class GroundState:
         return (self.coeffs**2).sum(axis=1)
 
 
-def _refined(solve, params: ModelParams, what: str, value=lambda result: result):
-    """``solve(n_max)`` at the first cutoff where ``value`` of it is stable.
+def _refined(solve, params: ModelParams, what: str):
+    """``solve(n_max)`` at the first cutoff whose enclosure certifies it.
 
+    ``solve`` returns a tuple whose first two entries are a value and a bound
+    on its distance from the untruncated value, proven from that one solve.
     ``refine`` starts the cutoff at ``turning_point_cutoff(1, g)`` and grows
-    it until the value changes by at most ``_AUTO_REL_TOL`` relative
-    (absolute below 1).  The cap counts the states of the truncated K, two
-    per Fock level, even where a solve needs only one chain.  The chains
-    exist only at ``eps = 0``, as do the Monte Carlo quantities these oracles
-    check, so any other ``eps`` raises ``ParameterError``.
+    it until the bound is at most ``_AUTO_REL_TOL`` relative (absolute below
+    1).  The cap counts the states of the truncated K, two per Fock level,
+    even where a solve needs only one chain.  The chains exist only at
+    ``eps = 0``, as do the Monte Carlo quantities these oracles check, so any
+    other ``eps`` raises ``ParameterError``.  The bounds cover the cutoff;
+    rounding is outside them.  A value past the double range raises
+    ``NumericalError`` at once: no cutoff brings it back.
     """
     if params.eps != 0.0:
         raise ParameterError(f"{what} is solved on the parity chains, which need eps = 0 "
                              f"(got {params.eps})")
 
-    def stable(previous, result):
-        if previous is None:
-            return False, None
-        a, b = value(previous), value(result)
-        delta = abs(b - a) / max(1.0, abs(b))
+    def certified(solved):
+        if not np.isfinite(solved[0]):
+            raise NumericalError(f"{what} is {solved[0]}, past the double range")
+        delta = solved[1] / max(1.0, abs(solved[0]))
         return delta <= _AUTO_REL_TOL, delta
 
-    result, _ = refine(solve, turning_point_cutoff(1, params.g), stable, 2, what)
-    return result
+    # an overflowing bound grows the cutoff; an overflowing value raises in certified
+    with np.errstate(over="ignore", invalid="ignore"):
+        solved, _ = refine(solve, turning_point_cutoff(1, params.g), certified, 2, what)
+    return solved
 
 
-def _ground_state_at(params: ModelParams, n_max: int) -> GroundState:
-    """Ground state at the fixed cutoff ``n_max``: the odd chain's lowest eigenpair."""
-    trunc = Truncation(n_max)
-    spec, vec = eigensolve(build_parity_tridiagonal(params, trunc, -1), k=1, want_vectors=True)
+def _ground_pair(params: ModelParams, n_max: int) -> tuple[float, np.ndarray]:
+    """The odd chain's lowest eigenpair at the cutoff ``n_max``, the vector in the lab frame."""
+    spec, vec = eigensolve(build_parity_tridiagonal(params, Truncation(n_max), -1), k=1,
+                           want_vectors=True)
     v = vec[:, 0] if vec[0, 0] > 0 else -vec[:, 0]
     coeffs = np.zeros((n_max + 1, 2))
     n = np.arange(n_max + 1)
     coeffs[n, 1 - n % 2] = v
-    return GroundState(float(spec.eigenvalues[0]), coeffs, params, trunc)
+    return float(spec.eigenvalues[0]), coeffs
+
+
+def _ground_state_at(params: ModelParams, n_max: int) -> GroundState:
+    """Ground state at the fixed cutoff ``n_max``, its energy bracketed.
+
+    The bracket is the Kato-Temple one of the odd chain's lowest level, from
+    one solve of the chain's spectrum (``model.refine`` has the proof).
+    """
+    bound = float(_variant_spectrum(params, n_max, "parity-", 1).error_bound[0])
+    return GroundState(*_ground_pair(params, n_max), params, Truncation(n_max), bound)
 
 
 def ground_state(params: ModelParams) -> GroundState:
-    """Ground state of K at ``eps = 0``, at a cutoff where its energy is stable.
+    """Ground state of K at ``eps = 0``, at a cutoff that encloses its energy.
 
     It is the lowest level of the odd chain, which is simple and lies about 1
     below the next odd level at every coupling, so its vector is as well
     conditioned as its energy.  (In a matrix that holds both chains it sits
     only about delta*exp(-2 g^2) below the even ground level, and a solver
     mixes the two.)  The cutoff starts at ``turning_point_cutoff(1, g)`` and
-    grows until the energy moves by at most ``_AUTO_REL_TOL``;
-    ``ConvergenceError`` is raised when that needs more than ``MAX_STATES``
-    states, and ``ParameterError`` at ``eps != 0``.
+    grows until the Kato-Temple bracket of the energy is at most
+    ``_AUTO_REL_TOL`` relative; ``ConvergenceError`` is raised when that
+    needs more than ``MAX_STATES`` states, and ``ParameterError`` at
+    ``eps != 0``.
     """
-    return _refined(lambda n_max: _ground_state_at(params, n_max), params,
-                    "the ground energy", lambda gs: gs.energy)
+    def solve(n_max):
+        gs = _ground_state_at(params, n_max)
+        return gs.energy, gs.error_bound, gs
+
+    return _refined(solve, params, "the ground energy")[2]
 
 
 def parity_expectation_lab(params: ModelParams, trunc: Truncation) -> float:
@@ -249,7 +270,7 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
     example at g=1, beta=0.9, where double-precision coefficients cannot
     carry the value).
 
-    The ground state's cutoff is sized by the stability of its energy, which
+    The ground state's cutoff is sized by the enclosure of its energy, which
     can leave too few levels for this value (at delta=0.5, beta=0.5 from
     g=5 on).  When the stored levels run out, the state is solved again at
     the next cutoff of ``refine``'s growth rule, within its cap, and the
@@ -267,7 +288,7 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
         if n > coeffs.shape[0]:
             while n > n_max + 1:  # one growth step may add fewer than 8 levels
                 n_max = _next_cutoff(n_max, 2, what)
-            coeffs = _ground_state_at(gs.params, n_max).coeffs
+            coeffs = _ground_pair(gs.params, n_max)[1]
             log_prev = _log_x_square_exponential(coeffs[:n - _XSQ_STEP_LEVELS], beta)
         log_value = _log_x_square_exponential(coeffs[:n], beta)
         change = abs(np.expm1(log_prev - log_value))
@@ -280,14 +301,6 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
             )
         log_prev, change_prev = log_value, change
         n += _XSQ_STEP_LEVELS
-
-
-def annihilate(coeffs: np.ndarray) -> np.ndarray:
-    """Apply the boson annihilation matrix to (level, spin) coefficients."""
-    out = np.zeros_like(coeffs)
-    n = np.arange(1, coeffs.shape[0], dtype=float)
-    out[:-1] = np.sqrt(n)[:, None] * coeffs[1:]
-    return out
 
 
 def _even_chain(gs: GroundState) -> SymBandMatrix:
@@ -310,8 +323,9 @@ def pull_through_residual(gs: GroundState) -> float:
 
     The identity is exact in the untruncated model; at a converged cutoff the
     relative residual stays below 1e-6.  Returns 0 when both sides vanish.
+    |b psi|^2 is the mean boson number.
     """
-    lhs = float(np.sum(annihilate(gs.coeffs) ** 2))
+    lhs = number_moment_ed(gs, 1)
     rhs = gs.params.g**2 * resolvent_spin_norm(gs)
     denom = max(lhs, rhs)
     if denom == 0.0:
@@ -347,63 +361,108 @@ def semigroup_matrix_element_ed(
     )
 
 
-def semigroup_trace_ed(spectrum: Spectrum, t: float, shift: float = 0.0) -> float:
-    """Trace of exp(-t*(M + shift)) over the computed eigenvalues."""
+def _odd_chain_element(params: ModelParams, phi: np.ndarray, t: float,
+                       shift: float) -> tuple[float, float]:
+    """``<phi| exp(-t (T_N + shift)) |phi>`` and its flux J through the last level.
+
+    ``T_N`` is the odd chain cut to the ``len(phi)`` levels of ``phi``, and
+    ``T_N + shift`` has eigenpairs ``(lam_k, V[:, k])``; with ``c = V^T phi``,
+    ``J = |int_0^t (exp(-s (T_N + shift)) phi)_N ds|
+    = |sum_k V[N, k] c_k (1 - exp(-t lam_k)) / lam_k|`` (t V[N, k] c_k where
+    ``lam_k = 0``).  One full eigensolve with vectors.
+    """
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
-    return float(np.sum(np.exp(-t * (spectrum.eigenvalues + shift))))
+    mat = build_parity_tridiagonal(params, Truncation(len(phi) - 1), -1)
+    spec, vecs = eigensolve(mat, want_vectors=True)
+    lam, c = spec.eigenvalues + shift, vecs.T @ phi
+    return (float(np.sum(c * c * np.exp(-t * lam))),
+            abs(float(np.sum(vecs[-1] * c * t * exprel(-t * lam)))))
 
 
 def _partition_at(params: ModelParams, t: float, n_max: int) -> float:
-    odd = build_parity_tridiagonal(params, Truncation(n_max), -1)
-    vacuum = np.zeros(n_max + 1)
-    vacuum[0] = 1.0
-    return 2.0 * semigroup_matrix_element_ed(odd, vacuum, vacuum, t)
+    """``partition_ed`` at the cutoff ``n_max``: the flat state is sqrt(2) coherent(0)."""
+    flat = np.sqrt(2.0) * coherent_coefficients(0.0, n_max)
+    return _odd_chain_element(params, flat, t, 0.0)[0]
+
+
+def _partition_bound(params: ModelParams, t: float, n_max: int) -> float:
+    """A priori bound of the truncation error of ``_partition_at`` (see ``partition_ed``)."""
+    m = n_max + 1.0
+    return 2.0 * float(np.exp(t * (params.g**2 + params.delta) + xlogy(2 * m, t * abs(params.g))
+                              + gammaln(m + 1) - gammaln(2 * m + 1)))
 
 
 def partition_ed(params: ModelParams, t: float) -> float:
     """Flat-state semigroup element of the spin-boson form at time ``t``.
 
     The flat state is sqrt(2) times odd-chain position 0, so the element is
-    2 (exp(-t T_odd))_00.  The cutoff is chosen by the stability of the value.
+    2 (exp(-t T))_00, T the untruncated odd chain.  The cutoff N is the
+    first whose a priori bound below is within ``_AUTO_REL_TOL``.
+
+    Enclosure: T is the Jacobi matrix of the spectral measure mu of position
+    0 (its off-diagonals ``b_n = g sqrt(n+1)`` are the recurrence
+    coefficients of mu's orthogonal polynomials, and sum 1/b_n diverges, so
+    mu is unique), and the value at cutoff N,
+    ``2 sum_k V[0, k]^2 exp(-t lam_k)``, is the M-point Gauss rule, M = N+1,
+    for ``2 int exp(-t lam) dmu``.  Its error is
+    ``int f^(2M)(xi(lam)) / (2M)! pi_M(lam)^2 dmu`` with f = exp(-t lam),
+    ``pi_M`` the monic orthogonal polynomial and xi(lam) between lam and the
+    nodes, so xi is at least the bottom of the spectrum of T, -(g^2 + delta)
+    (a displaced oscillator plus a diagonal of norm delta).
+    ``f^(2M) = t^(2M) exp(-t lam)`` is positive and, there, at most
+    ``t^(2M) exp(t (g^2 + delta))``, and ``int pi_M^2 dmu = prod_{n<M} b_n^2
+    = g^(2M) M!``.  Hence
+    ``0 <= exact - value <= 2 exp(t (g^2 + delta)) (t |g|)^(2M) M! / (2M)!``.
     """
-    return _refined(lambda n_max: _partition_at(params, t, n_max), params,
-                    f"the partition element at t={t}")
-
-
-def displaced_flat_state(params: ModelParams, n_max: int) -> np.ndarray:
-    """Image of the flat vacuum state in the full model's basis.
-
-    Rotating the flat spin state from the frame with diagonal coupling back to
-    the lab frame turns it into (anti)symmetric combinations of coherent
-    states displaced by -g and +g.
-    """
-    minus = coherent_coefficients(-params.g, n_max)
-    plus = coherent_coefficients(+params.g, n_max)
-    up_fock = (minus - plus) / np.sqrt(2.0)
-    down_fock = (minus + plus) / np.sqrt(2.0)
-    spin, fock, _ = full_basis_labels(n_max)
-    phi = np.where(spin == 1, up_fock[fock], down_fock[fock])
-    return phi
+    return _refined(lambda n_max: (_partition_at(params, t, n_max),
+                                   _partition_bound(params, t, n_max)),
+                    params, f"the partition element at t={t}")[0]
 
 
 def _vacuum_element_at(params: ModelParams, t: float, n_max: int) -> float:
-    phi = displaced_flat_state(params, n_max)
-    return sum(
-        semigroup_matrix_element_ed(build_parity_tridiagonal(params, Truncation(n_max), parity),
-                                    phi[c::2], phi[c::2], t, shift=params.g**2)
-        for c, parity in enumerate((+1, -1))
-    )
+    """``vacuum_element_ed`` at the cutoff ``n_max``."""
+    return _vacuum_enclosure(params, t, n_max)[0]
+
+
+def _vacuum_enclosure(params: ModelParams, t: float, n_max: int) -> tuple[float, float]:
+    """``vacuum_element_ed`` at the cutoff ``n_max`` and the bound of its truncation error."""
+    g2, phi = params.g**2, np.sqrt(2.0) * coherent_coefficients(-params.g, n_max)
+    value, flux = _odd_chain_element(params, phi, t, g2)
+    tail = np.sqrt(2.0 * gammainc(n_max + 1.0, g2))
+    cut = g2 * (n_max + 1) * flux**2
+    return value, float(np.exp(t * params.delta) * (cut + (2 * np.linalg.norm(phi) + tail) * tail))
 
 
 def vacuum_element_ed(params: ModelParams, t: float) -> float:
     """Exact value of the shifted vacuum semigroup element at time ``t``.
 
     This is the matrix element of exp(-t*(K + g^2)) in the displaced flat
-    state, the quantity targeted by the jump-path vacuum estimator.  K keeps
-    each parity chain, so the element is the sum of the two chains' elements
-    in the state's components on them.  The cutoff is chosen by the
-    stability of the value.
+    state, the quantity targeted by the jump-path vacuum estimator.  In the
+    lab frame that state is the (anti)symmetric pair of coherent states
+    displaced by -g and +g; its even-chain component vanishes, and its
+    odd-chain one is ``phi = sqrt(2) coherent(-g)``.  K keeps each chain, so
+    the element is ``<phi, exp(-t A) phi>`` with A = T + g^2 >= -delta, T
+    the untruncated odd chain.  The cutoff N is the first whose bound below
+    is within ``_AUTO_REL_TOL``.
+
+    Enclosure, with ``phi_N`` the first N+1 entries of phi, ``A_N`` the cut
+    chain and ``b = g sqrt(N+1)`` its coupling to level N+1:
+
+    * Tail: ``phi - phi_N`` has norm tau, ``tau^2 = 2 P(N+1, g^2)`` (the
+      regularized incomplete gamma function, a Poisson tail), and
+      ``||exp(-t A)|| <= exp(t delta)``, so the tail moves the element by at
+      most ``exp(t delta) (2 ||phi_N|| + tau) tau``.
+    * Cut: Duhamel's formula, applied twice across the coupling b, gives
+      ``<phi_N, (exp(-t A) - exp(-t A_N)) phi_N> = b^2 int int y(s) y(r)
+      <e_{N+1}, exp(-(t - s - r) A) e_{N+1}> dr ds`` over ``s + r <= t``,
+      with ``y(s) = (exp(-s A_N) phi_N)_N``.  The middle factor lies in
+      ``(0, exp(t delta)]``.  With D = diag((-1)^n) for g > 0 (D = 1 for
+      g < 0), ``D A_N D`` has non-positive off-diagonals and ``D phi_N >= 0``,
+      so ``D exp(-s A_N) phi_N >= 0`` entrywise and y keeps one sign.  The
+      double integral is then at most ``(int_0^t y)^2 = J^2``, the flux of
+      ``_odd_chain_element``, and the cut moves the element by at most
+      ``exp(t delta) g^2 (N+1) J^2``.
     """
-    return _refined(lambda n_max: _vacuum_element_at(params, t, n_max), params,
-                    f"the vacuum element at t={t}")
+    return _refined(lambda n_max: _vacuum_enclosure(params, t, n_max), params,
+                    f"the vacuum element at t={t}")[0]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import beta
+from scipy.special import beta, betaln
 from scipy.stats import kstest
 
 from rabizeta.errors import DomainError, ParameterError
@@ -16,13 +16,23 @@ from rabizeta.jumplaw import (
     _pair_moment_rows,
     closed_pair_moments,
     damped_sign_cdf,
-    damped_sign_density,
     damped_sign_ks,
     damped_sign_moment,
     ks_critical_value,
     pair_moment_table,
     sample_damped_sign_pair,
 )
+
+
+def damped_sign_density(delta: float, t) -> np.ndarray:
+    """Density of X1 at t in (-1, 1): (1 + t) (1 - t^2)^(delta - 1) / B(delta, 1/2)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) >= 1):
+        raise DomainError("the density lives on (-1, 1)")
+    if delta <= 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
+    log_norm = betaln(delta, 0.5)
+    return (1.0 + t) * np.exp((delta - 1.0) * np.log1p(-t * t) - log_norm)
 
 
 class TestClosedMoments:

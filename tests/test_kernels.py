@@ -13,10 +13,19 @@ from rabizeta.kernels import (
     mehler_kernel,
     ou_bridge_coefficients,
     ou_bridge_covariance,
-    ou_transition_density,
 )
 from rabizeta.model import ModelParams
 from rabizeta.observables import vacuum_element_ed
+
+
+def ou_transition_density(t: float, y, x) -> np.ndarray:
+    """Transition density of the stationary-variance-1/2 OU process."""
+    if t <= 0:
+        raise DomainError(f"t must be positive, got {t}")
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    var = -np.expm1(-2.0 * t)  # 1 - e^{-2t}
+    return np.exp(-((y - np.exp(-t) * x) ** 2) / var) / np.sqrt(np.pi * var)
 
 
 class TestTransitionDensity:

@@ -5,13 +5,20 @@ import pytest
 
 import rabizeta.model as model
 import rabizeta.observables as observables
-from rabizeta.model import ModelParams, Truncation, build_parity_tridiagonal
-from rabizeta.errors import ConvergenceError, DomainError, ParameterError
+from rabizeta.model import (
+    ModelParams,
+    Truncation,
+    build_parity_tridiagonal,
+    coherent_coefficients,
+    full_basis_labels,
+)
+from rabizeta.errors import ConvergenceError, DomainError, NumericalError, ParameterError
 from rabizeta.observables import (
     _ground_state_at,
     _partition_at,
+    _partition_bound,
     _vacuum_element_at,
-    annihilate,
+    _vacuum_enclosure,
     gibbs_number_ed,
     ground_state,
     number_moment_ed,
@@ -21,7 +28,6 @@ from rabizeta.observables import (
     pull_through_residual,
     resolvent_spin_norm,
     semigroup_matrix_element_ed,
-    semigroup_trace_ed,
     spin_autocorrelation_ed,
     vacuum_element_ed,
     x_characteristic_ed,
@@ -29,6 +35,13 @@ from rabizeta.observables import (
 )
 from rabizeta.zeta import hurwitz_zeta
 from rabizeta.model import adaptive_spectrum
+
+
+def semigroup_trace_ed(spectrum, t: float, shift: float = 0.0) -> float:
+    """Trace of exp(-t*(M + shift)) over the computed eigenvalues."""
+    if t < 0:
+        raise DomainError(f"t must be >= 0, got {t}")
+    return float(np.sum(np.exp(-t * (spectrum.eigenvalues + shift))))
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +52,22 @@ def gs_std():
 @pytest.fixture(scope="module")
 def gs_free():
     return ground_state(ModelParams(0.5, 0.0))
+
+
+def certified(monkeypatch, compute):
+    """``compute()``, the result ``refine`` certified in it, and its trail of cutoffs."""
+    runs = []
+    refine = observables.refine
+
+    def recording(*args):
+        result, trail = refine(*args)
+        runs.append((result, [n for n, _ in trail]))
+        return result, trail
+
+    monkeypatch.setattr(observables, "refine", recording)
+    value = compute()
+    monkeypatch.setattr(observables, "refine", refine)
+    return value, *runs[-1]
 
 
 def charge(gs):
@@ -82,11 +111,13 @@ class TestGroundState:
             assert oracle(gs, beta) == pytest.approx(oracle(bigger, beta), rel=1e-12)
 
     def test_ground_state_cutoff_is_checked(self):
+        # the energy's bracket certifies it at the start cutoff, with no second solve
         p = ModelParams(0.5, 4.0)
         gs = ground_state(p)
-        start = model.turning_point_cutoff(1, 4.0)
-        assert gs.truncation.n_max == int(np.ceil(1.3 * start))
-        assert _ground_state_at(p, start).energy == pytest.approx(gs.energy, rel=1e-10)
+        assert gs.truncation.n_max == model.turning_point_cutoff(1, 4.0)
+        assert gs.error_bound <= 1e-10 * abs(gs.energy)
+        bigger = _ground_state_at(p, 2 * gs.truncation.n_max)
+        assert bigger.energy == pytest.approx(gs.energy, rel=1e-10)
 
     def test_tilt_rejected(self):
         p = ModelParams(0.5, 1.0, eps=0.25)
@@ -180,7 +211,7 @@ class TestPositionObservables:
 class TestPullThrough:
     def test_uncoupled_both_sides_zero(self, gs_free):
         assert pull_through_residual(gs_free) == 0.0
-        assert np.sum(annihilate(gs_free.coeffs) ** 2) == pytest.approx(0.0, abs=1e-18)
+        assert number_moment_ed(gs_free, 1) == pytest.approx(0.0, abs=1e-18)
 
     def test_identity_residual(self, gs_std):
         assert pull_through_residual(gs_std) < 1e-6
@@ -296,14 +327,98 @@ class TestCheckedCutoffs:
         _vacuum_element_at(p, 1.0, 10)
         _partition_at(p, 2.0, 12)
         _ground_state_at(p, 14)
-        assert dims == [11, 11, 13, 15]
+        assert dims == [11, 13, 15]
+
+    def test_overflow_raises_at_once(self, monkeypatch):
+        # exp(t (g^2 + delta)) overflows: no cutoff certifies an infinite value
+        dims = []
+        solve = observables.eigensolve
+
+        def counting(mat, *args, **kwargs):
+            dims.append(mat.dim)
+            return solve(mat, *args, **kwargs)
+
+        monkeypatch.setattr(observables, "eigensolve", counting)
+        with pytest.raises(NumericalError, match="past the double range"):
+            partition_ed(ModelParams(0.5, 12.0), 5.0)
+        assert dims == [model.turning_point_cutoff(1, 12.0) + 1]
 
     def test_cap_raises(self, monkeypatch):
-        # two states per level: the start cutoff 28 fits, the next one, 37, does not
-        monkeypatch.setattr(model, "MAX_STATES", 60)
-        p = ModelParams(0.5, 1.0)
+        # none of the three certifies at the start cutoff 76 here; two states
+        # per level: 76 fits, the next one, 99, does not
+        monkeypatch.setattr(model, "MAX_STATES", 154)
+        p = ModelParams(2.0, 5.0)
         for oracle in (vacuum_element_ed, partition_ed):
             with pytest.raises(ConvergenceError, match="cutoff cap"):
-                oracle(p, 1.0)
+                oracle(p, 2.0)
         with pytest.raises(ConvergenceError, match="cutoff cap"):
             ground_state(p)
+
+
+ENCLOSURE_DELTAS = (0.0, 0.5, 2.0)
+ENCLOSURE_GS = (0.05, 0.5, 2.0, 5.0, -3.0)
+ENCLOSURE_TS = (0.25, 1.0, 2.0)
+
+
+def encloses(value, bound, reference):
+    """``reference`` lies within ``bound`` of ``value``, up to rounding."""
+    return abs(reference - value) <= bound + 1e-12 * max(1.0, abs(value))
+
+
+class TestEnclosures:
+    """Each certified oracle value lies within its bound of a solve at twice its cutoff."""
+
+    @pytest.mark.parametrize("delta", ENCLOSURE_DELTAS)
+    def test_ground_energy(self, delta):
+        for g in ENCLOSURE_GS:
+            p = ModelParams(delta, g)
+            gs = ground_state(p)
+            assert gs.error_bound <= 1e-10 * max(1.0, abs(gs.energy))
+            bigger = _ground_state_at(p, 2 * gs.truncation.n_max)
+            assert encloses(gs.energy, gs.error_bound, bigger.energy), (g, gs.truncation)
+
+    @pytest.mark.parametrize("delta", ENCLOSURE_DELTAS)
+    def test_partition(self, delta, monkeypatch):
+        for g in ENCLOSURE_GS:
+            p = ModelParams(delta, g)
+            for t in ENCLOSURE_TS:
+                value, (at, bound), cutoffs = certified(monkeypatch, lambda: partition_ed(p, t))
+                n_max = cutoffs[-1]
+                assert value == at == _partition_at(p, t, n_max)
+                assert bound == _partition_bound(p, t, n_max) <= 1e-10 * max(1.0, abs(value))
+                bigger = _partition_at(p, t, 2 * n_max)
+                assert encloses(value, bound, bigger), (g, t, n_max)
+                # the Gauss rule never overshoots
+                assert bigger >= value - 1e-12 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("delta", ENCLOSURE_DELTAS)
+    def test_vacuum(self, delta, monkeypatch):
+        for g in ENCLOSURE_GS + (8.0, 12.0):
+            p = ModelParams(delta, g)
+            for t in ENCLOSURE_TS + (4.0,):
+                value, (at, bound), cutoffs = certified(monkeypatch,
+                                                        lambda: vacuum_element_ed(p, t))
+                n_max = cutoffs[-1]
+                assert value == at and (at, bound) == _vacuum_enclosure(p, t, n_max)
+                assert bound <= 1e-10 * max(1.0, abs(value))
+                bigger = _vacuum_element_at(p, t, 2 * n_max)
+                assert encloses(value, bound, bigger), (g, t, n_max)
+
+    @pytest.mark.parametrize("g", [0.05, 0.5, 1.0, 3.0, 8.0, 12.0, -3.0])
+    def test_flat_state_has_no_even_chain_component(self, g):
+        # the displaced flat state in the lab frame: the (anti)symmetric pair of
+        # coherent states at -g and +g, in the full model's interleaved basis
+        n_max = 200
+        minus, plus = coherent_coefficients(-g, n_max), coherent_coefficients(g, n_max)
+        up, down = (minus - plus) / np.sqrt(2.0), (minus + plus) / np.sqrt(2.0)
+        spin, fock, _ = full_basis_labels(n_max)
+        phi = np.where(spin == 1, up[fock], down[fock])
+        assert np.all(phi[0::2] == 0.0)
+        assert phi[1::2] == pytest.approx(np.sqrt(2.0) * minus, rel=1e-15, abs=0.0)
+
+    def test_strong_coupling_partition_certifies(self, monkeypatch):
+        # two consecutive cutoffs never agreed here: eigenvector rounding moves
+        # the value by about 1e-8 between them, so the cutoff grew without end
+        p = ModelParams(0.5, 8.0)
+        _, _, cutoffs = certified(monkeypatch, lambda: partition_ed(p, 2.0))
+        assert cutoffs == [133, 173, 225, 293]
