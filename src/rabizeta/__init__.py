@@ -50,7 +50,6 @@ from .kernels import (
     heat_kernel_flip_sum,
     mehler_kernel,
     ou_bridge_coefficients,
-    ou_bridge_covariance,
 )
 from .model import (
     ModelParams,

@@ -29,10 +29,10 @@ from .model import ModelParams
 from .paths import (
     DEFAULT_SEED,
     WeightedPathEnsemble,
-    _count_upto,
+    _horizon_interactions,
     _sample_segments,
     _seed_streams,
-    _square_interaction_batch,
+    _square_functionals,
     _vacuum_suppression_batch,
 )
 
@@ -96,9 +96,7 @@ def vacuum_element_fk(
 
 def _partition_samples(params, t, chunk, rng):
     jumps, offsets = _sample_segments(rng, params.delta, t, chunk, 0.0)
-    interaction = _square_interaction_batch(
-        jumps, offsets, 0.0, t, np.ones(chunk, dtype=float)
-    )
+    interaction, _, _ = _square_functionals(jumps, offsets, 0.0, t, np.ones(chunk))
     return np.log(2.0) + params.delta * t + 0.5 * params.g**2 * interaction
 
 
@@ -143,22 +141,12 @@ def ground_energy_fk(
         raise ParameterError("t_grid needs at least two horizons")
     if t_grid[0] <= 0:
         raise DomainError("all horizons must be positive")
-    batches = [_sample_segments(rng, params.delta, t_grid[-1], chunk, 0.0)
-               for chunk, rng in _seed_streams(seed, n_samples)]
-
-    weights = {}
-    for t in t_grid:
-        per_path = []
-        # stream by stream: _exclusive_prefix sums over the whole flat batch, so
-        # a merged batch would round the interactions differently
-        for jumps, offsets in batches:
-            kept = np.zeros_like(offsets)
-            np.cumsum(_count_upto(jumps, offsets, t), out=kept[1:])
-            inter = _square_interaction_batch(
-                jumps[jumps <= t], kept, 0.0, t, np.ones(len(offsets) - 1, dtype=float)
-            )
-            per_path.append(params.delta * t + 0.5 * params.g**2 * inter)
-        weights[t] = np.concatenate(per_path)
+    per_stream = []
+    for chunk, rng in _seed_streams(seed, n_samples):
+        jumps, offsets = _sample_segments(rng, params.delta, t_grid[-1], chunk, 0.0)
+        per_stream.append(_horizon_interactions(jumps, offsets, t_grid))
+    weights = {t: params.delta * t + 0.5 * params.g**2 * np.concatenate(inter)
+               for t, inter in zip(t_grid, zip(*per_stream))}
 
     series = []
     stable = []

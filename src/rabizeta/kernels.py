@@ -19,6 +19,7 @@ Only the flip times are Monte Carlo; everything Gaussian is exact.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import gammainc
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
@@ -55,25 +56,10 @@ def ou_bridge_coefficients(s: np.ndarray, t: float) -> tuple[np.ndarray, np.ndar
     return a, b
 
 
-def ou_bridge_covariance(s: np.ndarray, t: float) -> np.ndarray:
-    """Covariance matrix of the OU bridge at times ``s`` (last axis pairs).
-
-    cov(s, u) = sinh(min) sinh(t - max) / sinh(t), evaluated in the
-    overflow-free form e^{min-max} (1-e^{-2 min}) (1-e^{-2(t-max)}) /
-    (2 (1-e^{-2t})).
-    """
-    if t <= _MIN_TIME:
-        raise DomainError(f"bridge horizon must exceed {_MIN_TIME}")
-    s = np.asarray(s, dtype=float)
-    lo = np.minimum(s[..., :, None], s[..., None, :])
-    hi = np.maximum(s[..., :, None], s[..., None, :])
-    denom = -np.expm1(-2.0 * t)
-    return (
-        np.exp(lo - hi)
-        * (-np.expm1(-2.0 * lo))
-        * (-np.expm1(-2.0 * (t - hi)))
-        / (2.0 * denom)
-    )
+def _check_alpha(alpha: int):
+    """Reject a spin label other than +1 or -1 (also before any sampling)."""
+    if alpha not in (+1, -1):
+        raise ParameterError(f"alpha must be +1 or -1, got {alpha}")
 
 
 def _flip_couplings(g: float, alpha: int, m: int) -> np.ndarray:
@@ -81,16 +67,33 @@ def _flip_couplings(g: float, alpha: int, m: int) -> np.ndarray:
     return 2.0 * np.sqrt(2.0) * g * alpha * np.where(j % 2 == 0, 1.0, -1.0)
 
 
+def _bridge_quadratic(s: np.ndarray, t: float, lam: np.ndarray) -> np.ndarray:
+    """q = lam^T C lam for the bridge covariance C at sorted times ``s`` (last axis).
+
+    O(m), with no (m, m) matrix: C is semiseparable, for j <= k
+    C_jk = e^{s_j-s_k} (1-e^{-2 s_j}) (1-e^{-2(t-s_k)}) / (2 (1-e^{-2t})).
+    With P_k = sum_{j<k} lam_j e^{s_j-s_k} (1-e^{-2 s_j}), built by
+    P_{k+1} = e^{s_k-s_{k+1}} (P_k + lam_k (1-e^{-2 s_k})) from factors of
+    at most 1, q = sum_k lam_k (1-e^{-2(t-s_k)}) (lam_k (1-e^{-2 s_k}) + 2 P_k)
+    / (2 (1-e^{-2t})).
+    """
+    grow = -np.expm1(-2.0 * s)
+    decay = -np.expm1(-2.0 * (t - s))
+    prefix = np.zeros(s.shape[:-1])
+    q = np.zeros(s.shape[:-1])
+    for k in range(s.shape[-1]):
+        if k:
+            prefix = np.exp(s[..., k - 1] - s[..., k]) * (prefix + lam[k - 1] * grow[..., k - 1])
+        q += lam[k] * decay[..., k] * (lam[k] * grow[..., k] + 2.0 * prefix)
+    return q / (2.0 * -np.expm1(-2.0 * t))
+
+
 def _bridge_characteristic(params: ModelParams, t: float, m: int, alpha: int, rng, chunk: int):
     """Per-configuration CF pieces (a, b, q): exp(i(ax + by) - q/2)."""
     s = np.sort(rng.uniform(0.0, t, size=(chunk, m)), axis=1)
     lam = _flip_couplings(params.g, alpha, m)
     coef_a, coef_b = ou_bridge_coefficients(s, t)
-    a = coef_a @ lam
-    b = coef_b @ lam
-    cov = ou_bridge_covariance(s, t)
-    q = np.einsum("j,njk,k->n", lam, cov, lam)
-    return a, b, q
+    return coef_a @ lam, coef_b @ lam, _bridge_quadratic(s, t, lam)
 
 
 def _flip_average(params: ModelParams, t: float, m: int, alpha: int, n_samples: int,
@@ -129,6 +132,7 @@ def heat_kernel_component(
     """
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
+    _check_alpha(alpha)
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
     base = float(mehler_kernel(t, x, y))
@@ -160,6 +164,9 @@ def heat_kernel_flip_sum(
     couplings to compare magnitudes within correlated Monte Carlo error.
     Each flip order draws from its own streams, so the per-m variances add.
     """
+    if m_max < 0:
+        raise ParameterError(f"m_max must be >= 0, got {m_max}")
+    _check_alpha(alpha)
     total = 0.0 + 0.0j
     var = 0.0
     for m in range(1, m_max + 1):
@@ -192,7 +199,7 @@ def gaussian_overlap_element_fk(
     draws nothing.  Only m >= 2 is sampled, from the streams keyed by m.
     """
     if m_max < 0:
-        raise ParameterError("m_max must be >= 0")
+        raise ParameterError(f"m_max must be >= 0, got {m_max}")
     u = np.exp(-t)
 
     def overlap(a, b, q):
@@ -209,12 +216,9 @@ def gaussian_overlap_element_fk(
         mean, stderr = _flip_average(params, t, m, +1, n_samples, seed, overlap)
         total += scale * mean.real
         var += (scale * stderr) ** 2
-    # residual mass of the flip expansion beyond m_max (scale bound: |CF| <= 1)
+    # residual mass of the flip expansion beyond m_max (scale bound: |CF| <= 1):
+    # 2 sum_{m > m_max} (delta t)^m / m! = 2 e^{delta t} P(m_max + 1, delta t)
     lam = params.delta * t
-    tail = 0.0
-    term = 2.0 * _flip_weight(params, t, m_max)
-    for m in range(m_max + 1, m_max + 60):
-        term *= lam / m
-        tail += term
+    tail = 2.0 * np.exp(lam) * gammainc(m_max + 1, lam)
     return MCEstimate(float(total), float(np.sqrt(var)), n_samples * max(m_max - 1, 0), seed,
                       note=f"flip-expansion tail bound {tail:.2e}")

@@ -5,10 +5,11 @@ end of the horizon plus the ordered jump times of a Poisson clock.  A batch
 of paths is stored flat: the jump times of every path concatenated in path
 order, plus ``offsets`` with path i owning ``jumps[offsets[i]:offsets[i+1]]``.
 Every functional the estimators need is integrated in closed form over the
-piecewise-constant sign pattern, one pass over the flat arrays, so the only
-randomness is in the jump times themselves: the square pair interaction
-int int T_s T_r e^{-|s-r|}, the damped sign integral int T_s e^{-|s|} ds,
-and the vacuum suppression that damps jumpy paths in the vacuum element.
+piecewise-constant sign pattern, so the only randomness is in the jump times
+themselves: the square pair interaction int int T_s T_r e^{-|s-r|} and the
+damped sign integral int T_s e^{-|s|} ds come from one block pass (every
+horizon of a path from one decomposition), and the vacuum suppression damps
+jumpy paths in the vacuum element.  Samplers form them stream by stream.
 
 The importance weight of a path on [-T, T] is exp((g^2/2) * J) with J the
 full square interaction, and the effective sample size is tracked from the
@@ -122,52 +123,60 @@ def _count_upto(jumps: np.ndarray, offsets: np.ndarray, time: float) -> np.ndarr
     return upto[offsets[1:]] - upto[offsets[:-1]]
 
 
-def _block_arrays(jumps: np.ndarray, offsets: np.ndarray, lo: float, hi: float, alpha0):
-    """Block starts/ends/signs and block offsets for one-sided horizons."""
-    counts = np.diff(offsets)
-    nblocks = counts + 1
-    bo = np.zeros(len(offsets), dtype=np.int64)
-    np.cumsum(nblocks, out=bo[1:])
-    total = int(bo[-1])
-    starts = np.empty(total)
-    ends = np.empty(total)
-    first = bo[:-1]
-    last = bo[1:] - 1
-    starts[first] = lo
-    mask = np.ones(total, dtype=bool)
-    mask[first] = False
-    starts[mask] = jumps
-    ends[last] = hi
-    mask = np.ones(total, dtype=bool)
-    mask[last] = False
-    ends[mask] = jumps
-    within = np.arange(total) - np.repeat(first, nblocks)
-    signs = np.repeat(np.asarray(alpha0, dtype=float), nblocks) * np.where(within % 2 == 0, 1.0, -1.0)
-    return starts, ends, signs, bo
+def _block_terms(jumps, offsets, lo, hi, alpha0):
+    """Blocks of every path on [lo, hi] and their closed-form terms.
 
-
-def _square_interaction_batch(jumps, offsets, lo, hi, alpha0) -> np.ndarray:
-    """Per-path interaction integral over [lo, hi]^2 (exact, O(total jumps))."""
-    starts, ends, signs, bo = _block_arrays(jumps, offsets, lo, hi, alpha0)
+    Path i owns blocks ``bo[i]:bo[i+1]``: they start at ``lo`` and at its
+    jumps, end at its jumps and at ``hi``, and their signs alternate from
+    ``alpha0[i]``.  A block of sign c on [s, e], l = e - s, has ``same`` =
+    2 (l - 1 + e^{-l}), the integral over its own square, and the factors
+    ``a`` = c (1 - e^{-l}) e^e and ``b`` = c (1 - e^{-l}) e^{-s}: blocks i
+    before j add 2 a_i b_j to the square interaction.  On [0, hi] the block's
+    damped integral c int e^{-s} ds is ``b``; on [lo, 0] it is ``a``.
+    Returns ``(starts, signs, bo, same, a, b)``.
+    """
+    bo = offsets + np.arange(len(offsets))
+    starts = np.insert(jumps, offsets[:-1], lo)
+    ends = np.insert(jumps, offsets[1:], hi)
     lengths = ends - starts
+    parity = np.where(np.arange(starts.size) % 2 == 0, 1.0, -1.0)
+    signs = np.repeat(np.asarray(alpha0, dtype=float) * parity[bo[:-1]], np.diff(bo)) * parity
     shrink = -np.expm1(-lengths)  # 1 - e^{-length}
     same = 2.0 * (lengths + np.expm1(-lengths))
-    a = signs * shrink * np.exp(ends)
-    b = signs * shrink * np.exp(-starts)
-    cross = b * _exclusive_prefix(a, bo)
-    return _segment_sums(same, bo) + 2.0 * _segment_sums(cross, bo)
+    return starts, signs, bo, same, signs * shrink * np.exp(ends), signs * shrink * np.exp(-starts)
 
 
-def _damped_batch(jumps, offsets, lo, hi, alpha0) -> np.ndarray:
-    """Per-path int T_s e^{-|s|} ds for horizons entirely on one side of 0."""
-    starts, ends, signs, bo = _block_arrays(jumps, offsets, lo, hi, alpha0)
-    if lo >= 0.0:
-        pieces = np.exp(-starts) - np.exp(-ends)
-    elif hi <= 0.0:
-        pieces = np.exp(ends) - np.exp(starts)
-    else:
-        raise ParameterError("damped batch requires a one-sided horizon")
-    return _segment_sums(signs * pieces, bo)
+def _square_functionals(jumps, offsets, lo, hi, alpha0):
+    """Per-path square interaction over [lo, hi]^2 and sums of ``a`` and ``b``.
+
+    One block pass, O(total jumps).  For a horizon on one side of 0 the sum
+    of ``b`` (``lo >= 0``) or of ``a`` (``hi <= 0``) is int T_s e^{-|s|} ds.
+    """
+    _, _, bo, same, a, b = _block_terms(jumps, offsets, lo, hi, alpha0)
+    interaction = _segment_sums(same + 2.0 * b * _exclusive_prefix(a, bo), bo)
+    return interaction, _segment_sums(a, bo), _segment_sums(b, bo)
+
+
+def _horizon_interactions(jumps, offsets, horizons):
+    """Per-path square interaction over [0, t]^2 for every t, sign +1 at 0.
+
+    The paths lie on [0, max(horizons)], and one block decomposition there
+    serves every horizon: for each t the within-path prefix sums at the
+    block holding t give every block that ends before t, and that block,
+    clipped at t, is added in closed form.
+    """
+    n = len(offsets) - 1
+    starts, signs, bo, same, a, b = _block_terms(jumps, offsets, 0.0, max(horizons), np.ones(n))
+    before = _exclusive_prefix(a, bo)
+    done = _exclusive_prefix(same + 2.0 * b * before, bo)
+    out = []
+    for t in horizons:
+        last = bo[:-1] + _count_upto(jumps, offsets, t)
+        start = starts[last]
+        length = t - start
+        clipped_b = signs[last] * -np.expm1(-length) * np.exp(-start)
+        out.append(done[last] + 2.0 * (length + np.expm1(-length)) + 2.0 * clipped_b * before[last])
+    return out
 
 
 def _vacuum_suppression_batch(jumps, offsets) -> np.ndarray:
@@ -284,21 +293,19 @@ def build_ground_ensemble(
         T = default_horizon(params.delta)
     if T <= 0:
         raise ParameterError("T must be positive")
-    left, right = [], []
+    streams = []
     for chunk, rng in _seed_streams(seed, n_samples):
-        left.append(_sample_segments(rng, params.delta, T, chunk, -T))
-        right.append(_sample_segments(rng, params.delta, T, chunk, 0.0))
-    left_jumps, left_offsets = _concat_batches(left)
-    right_jumps, right_offsets = _concat_batches(right)
-
-    left_counts = np.diff(left_offsets)
-    alpha0 = np.where(left_counts % 2 == 0, 1, -1)  # sign at -T; sign at 0 is +1
-
-    j_left = _square_interaction_batch(left_jumps, left_offsets, -T, 0.0, alpha0)
-    j_right = _square_interaction_batch(right_jumps, right_offsets, 0.0, T, np.ones_like(alpha0))
-    u_left = _damped_batch(left_jumps, left_offsets, -T, 0.0, alpha0)
-    v_right = _damped_batch(right_jumps, right_offsets, 0.0, T, np.ones_like(alpha0))
-    j_full = j_left + j_right + 2.0 * u_left * v_right
+        left = _sample_segments(rng, params.delta, T, chunk, -T)
+        right = _sample_segments(rng, params.delta, T, chunk, 0.0)
+        alpha0 = np.where(np.diff(left[1]) % 2 == 0, 1, -1)  # sign at -T; sign at 0 is +1
+        j_left, u_left, _ = _square_functionals(*left, -T, 0.0, alpha0)
+        j_right, _, v_right = _square_functionals(*right, 0.0, T, np.ones(chunk))
+        streams.append((left, right, alpha0, j_left + j_right + 2.0 * u_left * v_right,
+                        u_left, v_right))
+    lefts, rights, *per_path = zip(*streams)
+    left_jumps, left_offsets = _concat_batches(lefts)
+    right_jumps, right_offsets = _concat_batches(rights)
+    alpha0, j_full, u_left, v_right = (np.concatenate(values) for values in per_path)
     log_weights = 0.5 * params.g**2 * j_full
 
     ens = WeightedPathEnsemble(

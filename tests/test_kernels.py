@@ -1,18 +1,20 @@
 """Oscillator kernels, the conditioned-bridge law, and the flip expansion."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
 import rabizeta.kernels as kernels
-from rabizeta.errors import DomainError
+from rabizeta.errors import DomainError, ParameterError
 from rabizeta.kernels import (
+    _bridge_quadratic,
+    _flip_couplings,
     gaussian_overlap_element_fk,
     heat_kernel_component,
     heat_kernel_flip_sum,
     mehler_kernel,
     ou_bridge_coefficients,
-    ou_bridge_covariance,
 )
 from rabizeta.model import ModelParams
 from rabizeta.observables import vacuum_element_ed
@@ -26,6 +28,38 @@ def ou_transition_density(t: float, y, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     var = -np.expm1(-2.0 * t)  # 1 - e^{-2t}
     return np.exp(-((y - np.exp(-t) * x) ** 2) / var) / np.sqrt(np.pi * var)
+
+
+def ou_bridge_covariance(s: np.ndarray, t: float) -> np.ndarray:
+    """Covariance matrix of the OU bridge at times ``s`` (last axis pairs).
+
+    cov(s, u) = sinh(min) sinh(t - max) / sinh(t), evaluated in the
+    overflow-free form e^{min-max} (1-e^{-2 min}) (1-e^{-2(t-max)}) /
+    (2 (1-e^{-2t})).
+    """
+    s = np.asarray(s, dtype=float)
+    lo = np.minimum(s[..., :, None], s[..., None, :])
+    hi = np.maximum(s[..., :, None], s[..., None, :])
+    denom = -np.expm1(-2.0 * t)
+    return (
+        np.exp(lo - hi)
+        * (-np.expm1(-2.0 * lo))
+        * (-np.expm1(-2.0 * (t - hi)))
+        / (2.0 * denom)
+    )
+
+
+def bridge_quadratic_mp(s, t, lam) -> float:
+    """lam^T C lam in 50-digit arithmetic from cov(s, u) = sinh(min) sinh(t - max) / sinh(t)."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(float(t))
+        s = [mpmath.mpf(float(x)) for x in s]
+        total = mpmath.mpf(0)
+        for j, sj in enumerate(s):
+            for k, sk in enumerate(s):
+                lo, hi = min(sj, sk), max(sj, sk)
+                total += float(lam[j]) * float(lam[k]) * mpmath.sinh(lo) * mpmath.sinh(t - hi) / mpmath.sinh(t)
+        return float(total)
 
 
 class TestTransitionDensity:
@@ -119,6 +153,42 @@ class TestBridge:
         assert np.linalg.eigvalsh(cov).min() > -1e-12
 
 
+class TestBridgeQuadratic:
+    """The O(m) form of lam^T C lam against the dense covariance and 50 digits."""
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 2.0, 30.0])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_dense_and_mpmath(self, m, t):
+        rng = np.random.default_rng(100 * m + int(10 * t))
+        s = np.sort(rng.uniform(0.0, t, size=(6, m)), axis=1)
+        for lam in (_flip_couplings(1.3, +1, m), rng.normal(size=m)):
+            q = _bridge_quadratic(s, t, lam)
+            cov = ou_bridge_covariance(s, t)
+            for i in range(len(s)):
+                scale = np.sum(np.abs(np.outer(lam, lam) * cov[i]))
+                assert abs(q[i] - lam @ cov[i] @ lam) <= 1e-12 * scale
+                assert abs(q[i] - bridge_quadratic_mp(s[i], t, lam)) <= 1e-12 * scale
+
+    def test_tied_and_edge_times(self):
+        t = 1.5
+        s = np.array([[0.0, 0.4, 0.4, t], [0.2, 0.2, 0.2, 0.2]])
+        lam = _flip_couplings(0.8, -1, 4)
+        cov = ou_bridge_covariance(s, t)
+        for i in range(len(s)):
+            scale = np.sum(np.abs(np.outer(lam, lam) * cov[i]))
+            assert abs(_bridge_quadratic(s, t, lam)[i] - lam @ cov[i] @ lam) <= 1e-12 * scale
+
+    def test_characteristic_uses_the_drawn_times(self):
+        p, t, m = ModelParams(0.5, 1.1), 0.9, 5
+        a, b, q = kernels._bridge_characteristic(p, t, m, +1, np.random.default_rng(7), 50)
+        s = np.sort(np.random.default_rng(7).uniform(0.0, t, size=(50, m)), axis=1)
+        lam = _flip_couplings(p.g, +1, m)
+        coef_a, coef_b = ou_bridge_coefficients(s, t)
+        assert np.array_equal(a, coef_a @ lam) and np.array_equal(b, coef_b @ lam)
+        dense = np.einsum("j,njk,k->n", lam, ou_bridge_covariance(s, t), lam)
+        assert np.allclose(q, dense, rtol=0, atol=1e-12 * np.abs(lam).sum() ** 2)
+
+
 class TestHeatKernelComponents:
     def test_zero_flip_is_mehler(self):
         p = ModelParams(0.5, 1.0)
@@ -151,6 +221,25 @@ class TestHeatKernelComponents:
             for g in (2.0, 6.0)
         ]
         assert devs[1] < devs[0]
+
+    def test_rejects_bad_arguments_before_sampling(self):
+        p = ModelParams(0.5, 1.0)
+        with pytest.raises(ParameterError):
+            heat_kernel_flip_sum(p, 1.0, 0.3, -0.2, -2, n_samples=100)
+        for m in (0, 2):
+            with pytest.raises(ParameterError):
+                heat_kernel_component(p, 1.0, m, 0.3, -0.2, n_samples=100, alpha=5)
+        for m_max in (0, 3):
+            with pytest.raises(ParameterError):
+                heat_kernel_flip_sum(p, 1.0, 0.3, -0.2, m_max, n_samples=100, alpha=5)
+        with pytest.raises(ParameterError):
+            heat_kernel_component(p, 1.0, 2, 0.3, -0.2, n_samples=100, alpha=0)
+        with pytest.raises(ParameterError):
+            gaussian_overlap_element_fk(p, 1.0, -1, n_samples=100)
+
+    def test_empty_flip_sum_is_exact_zero(self):
+        est = heat_kernel_flip_sum(ModelParams(0.5, 1.0), 1.0, 0.3, -0.2, 0, n_samples=100)
+        assert est.mean == 0.0 and est.stderr == 0.0 and est.n_samples == 0
 
     def test_flip_orders_draw_from_distinct_streams(self, monkeypatch):
         # the per-m variances of the flip sum add only if no two (m, stream)
@@ -196,6 +285,17 @@ class TestReconstruction:
         p = ModelParams(0.5, 0.0)
         rec = gaussian_overlap_element_fk(p, 1.0, 20, n_samples=200, seed=53)
         assert rec.mean == pytest.approx(2 * np.exp(0.5), rel=1e-10)
+
+    @pytest.mark.parametrize("delta, t", [(0.5, 1.0), (10.0, 10.0)])
+    def test_tail_bound_is_the_poisson_tail(self, delta, t):
+        # 2 sum_{m > 6} (delta t)^m / m!, summed in 50 digits; stopped after
+        # 59 terms, the (10, 10) bound read 6.62e+39 where this is 5.38e+43
+        rec = gaussian_overlap_element_fk(ModelParams(delta, 1.0), t, 6, n_samples=16, seed=56)
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(delta * t)
+            exact = 2 * (mpmath.exp(lam) - mpmath.fsum(lam**m / mpmath.factorial(m) for m in range(7)))
+        bound = float(rec.note.removeprefix("flip-expansion tail bound "))
+        assert bound == pytest.approx(float(exact), rel=5e-3)  # the note keeps 3 digits
 
     def test_strong_coupling_approaches_free_value(self):
         rec = gaussian_overlap_element_fk(ModelParams(0.5, 6.0), 1.0, 6,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rabizeta.model as model
-from rabizeta.errors import ConvergenceError, ParameterError, UnsupportedConfigError
+from rabizeta.errors import ConvergenceError, NumericalError, ParameterError, UnsupportedConfigError
 from rabizeta.model import (
     ModelParams,
     SymBandMatrix,
@@ -160,6 +160,32 @@ class TestEigensolve:
         for j in range(5):
             r = np.linalg.norm(mat.matvec(vec[:, j]) - spec.eigenvalues[j] * vec[:, j])
             assert r <= 1e-10 * mat.norm_upper_bound()
+
+    def test_block_matvec_is_columnwise(self):
+        rng = np.random.default_rng(3)
+        mat = SymBandMatrix(rng.normal(size=(4, 30)))
+        block = rng.normal(size=(30, 5))
+        assert np.allclose(mat.matvec(block), to_dense(mat) @ block, rtol=0, atol=1e-12)
+        for j in range(5):
+            assert np.array_equal(mat.matvec(block[:, j]), mat.matvec(block)[:, j])
+
+    @pytest.mark.parametrize("bandwidth", [1, 3])
+    def test_residual_check_sees_one_bad_column(self, monkeypatch, bandwidth):
+        # the block check must still reject a pair when only its last column is off
+        solver = "eigh_tridiagonal" if bandwidth == 1 else "eig_banded"
+        original = getattr(model, solver)
+
+        def spoiled(*args, **kwargs):
+            w, v = original(*args, **kwargs)
+            v = v.copy()
+            v[0, -1] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(model, solver, spoiled)
+        rng = np.random.default_rng(4)
+        mat = SymBandMatrix(rng.normal(size=(bandwidth + 1, 40)))
+        with pytest.raises(NumericalError):
+            eigensolve(mat, k=4, want_vectors=True)
 
     def test_bad_k(self):
         mat = SymBandMatrix(np.array([[1.0, 2.0]]))

@@ -1,5 +1,7 @@
 """Jump-path sampling laws and exact path functionals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,16 +22,23 @@ from rabizeta.paths import (
     build_ground_ensemble,
     default_horizon,
     _count_upto,
-    _damped_batch,
+    _horizon_interactions,
     _sample_segments,
     _seed_streams,
-    _square_interaction_batch,
+    _square_functionals,
     _vacuum_suppression_batch,
 )
 
 
 def path_on(jumps, horizon=(0.0, 1.0), alpha0=1):
     return JumpPath(alpha0=alpha0, horizon=horizon, jumps=np.asarray(jumps, dtype=float))
+
+
+def flat_batch(paths):
+    """``(jumps, offsets)`` of per-path jump arrays, in order."""
+    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
+    np.cumsum([len(j) for j in paths], out=offsets[1:])
+    return np.concatenate([np.zeros(0), *paths]), offsets
 
 
 @st.composite
@@ -41,6 +50,20 @@ def random_paths(draw):
     )
     # neighbouring fractions can round to one jump time once scaled: drop those
     return path_on(np.unique([hi * j for j in jumps]), horizon=(0.0, hi))
+
+
+@st.composite
+def path_batches(draw):
+    """(hi, per-path jump arrays on (0, hi), left-end signs) of one to six paths."""
+    hi = draw(st.floats(0.5, 6.0))
+    n = draw(st.integers(1, 6))
+    paths = []
+    for _ in range(n):
+        k = draw(st.integers(0, 8))
+        fractions = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=k, max_size=k, unique=True))
+        paths.append(np.unique([hi * f for f in fractions]))
+    alpha0 = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    return hi, paths, alpha0
 
 
 class TestJumpPath:
@@ -185,8 +208,43 @@ class TestPairInteraction:
     def test_batch_matches_reference(self, path):
         lo, hi = path.horizon
         offsets = np.array([0, path.n_jumps], dtype=np.int64)
-        batch = _square_interaction_batch(path.jumps, offsets, lo, hi, np.array([1.0]))
+        batch, _, _ = _square_functionals(path.jumps, offsets, lo, hi, np.array([1.0]))
         assert batch[0] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(path_batches(), st.booleans())
+    def test_every_path_of_a_batch_matches_the_oracles(self, batch, left):
+        # one block pass gives the interaction and, as the sum of b on [0, hi]
+        # or of a on [-hi, 0], the damped integral of every path in the batch
+        hi, paths, alpha0 = batch
+        lo, top = (-hi, 0.0) if left else (0.0, hi)
+        if left:
+            paths = [np.sort(-jumps) for jumps in paths]
+        inter, sum_a, sum_b = _square_functionals(*flat_batch(paths), lo, top, alpha0)
+        damped = sum_a if left else sum_b
+        for i, jumps in enumerate(paths):
+            path = JumpPath(alpha0=int(alpha0[i]), horizon=(lo, top), jumps=jumps)
+            assert inter[i] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
+            assert damped[i] == pytest.approx(damped_sign_integral(path, lo, top), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(path_batches(), st.lists(st.floats(0.01, 1.0), max_size=4), st.booleans())
+    def test_horizons_match_a_restricted_batch(self, batch, fractions, at_a_jump):
+        hi, paths, _ = batch
+        jumps, offsets = flat_batch(paths)
+        horizons = {hi * f for f in fractions} | {hi}
+        if at_a_jump and jumps.size:
+            horizons.add(float(jumps[0]))  # a horizon exactly at a jump
+        horizons = sorted(horizons)
+        for t, inter in zip(horizons, _horizon_interactions(jumps, offsets, horizons)):
+            kept = np.zeros_like(offsets)
+            np.cumsum(_count_upto(jumps, offsets, t), out=kept[1:])
+            restricted, _, _ = _square_functionals(jumps[jumps <= t], kept, 0.0, t,
+                                                   np.ones(len(paths)))
+            assert inter == pytest.approx(restricted, abs=1e-12)
+            for i, path_jumps in enumerate(paths):
+                path = path_on(path_jumps[path_jumps < t], horizon=(0.0, t))
+                assert inter[i] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
 
 
 class TestDampedIntegral:
@@ -199,8 +257,8 @@ class TestDampedIntegral:
     def test_batch_matches_reference(self):
         path = path_on([0.2, 0.8, 1.4], horizon=(0.0, 2.0))
         offsets = np.array([0, 3], dtype=np.int64)
-        batch = _damped_batch(path.jumps, offsets, 0.0, 2.0, np.array([1.0]))
-        assert batch[0] == pytest.approx(damped_sign_integral(path, 0.0, 2.0), abs=1e-12)
+        _, _, right = _square_functionals(path.jumps, offsets, 0.0, 2.0, np.array([1.0]))
+        assert right[0] == pytest.approx(damped_sign_integral(path, 0.0, 2.0), abs=1e-12)
 
 
 class TestVacuumSuppression:
@@ -287,6 +345,17 @@ class TestEnsemble:
         b = build_ground_ensemble(ModelParams(0.5, 1.0), 500, T=6.0, seed=27)
         assert np.array_equal(a.log_weights, b.log_weights)
         assert np.array_equal(a.right_jumps, b.right_jumps)
+
+    def test_memory_peak(self):
+        # functionals are formed stream by stream, so only one stream's block
+        # arrays are alive at a time; the whole sample's at once take 90 MB
+        tracemalloc.start()
+        try:
+            build_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_low_ess_note(self):
         ens = build_ground_ensemble(ModelParams(0.5, 2.5), 300, T=12.0, seed=28)
