@@ -12,9 +12,10 @@ have closed moments and, for X1, an explicit Beta-family density on (-1, 1):
 
 X2 is the time-weighted partner entering the ground state's mean photon
 number.  Sampling sweeps the jump times of every path in a seed stream
-together and drops a path once its next jump lands at or beyond the cutoff
-T with (1 + T) e^(-T) < ``_SERIES_EPS`` = 1e-16, so T is about 40.6.
-Each dropped term is below ``_SERIES_EPS`` in size, and the dropped tail of an
+together.  A jump at or beyond the cutoff T with (1 + T) e^(-T) <
+``_SERIES_EPS`` = 1e-16, so T is about 40.6, is never added: such a path
+retires, and its time only grows, so its mask stays false.  Each dropped
+term is below ``_SERIES_EPS`` in size, and the dropped tail of an
 alternating series with decreasing terms is no larger than its first term,
 so the truncation biases each sum by less than one accumulator ulp.
 """
@@ -46,41 +47,57 @@ def sample_damped_sign_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X1, X2) samples; X1 always lands in [-1, 1].
 
-    Each seed stream keeps, for every path whose last jump came before the
-    cutoff, its running jump time and its two partial sums.  One step draws
-    the next wait of every such path, in path order, drops the paths whose
-    new time reaches the cutoff, and adds the jump's signed terms to the
-    rest.  A stream therefore draws about delta * cutoff + 1 waits per path
-    and holds O(chunk) memory.  Fewer than two samples have no standard
-    error, so ``n_samples < 2`` raises ``ParameterError`` before any draw.
+    Each seed stream keeps, in buffers it reuses, every path's running jump
+    time and its two partial sums.  One step draws the next wait of every
+    path still in the buffers, in buffer order, and adds the jump's signed
+    terms masked by ``t < cutoff``, so a retired path adds an exact 0 from
+    then on.  The buffers are compacted, through one ``flatnonzero``, only
+    once at most half of their paths are live, so a step draws at most
+    about twice the live paths: at 100 000 samples a sample costs 1.02 to
+    1.18 times the ideal delta * cutoff + 1 waits, for delta from 20 down
+    to 0.05.  Memory is O(chunk).  A wait is ``standard_exponential()``
+    times 1 / delta, the value ``exponential(1 / delta)`` draws: numpy's
+    ziggurat caps no wait, and a test generator can hand the sampler exact
+    waits.  Inversion, -log1p(-U) / delta from one uniform, ran about 10%
+    faster in the sampler alone, but caps a wait at 36.7 / delta.  Fewer
+    than two samples have no standard error, so ``n_samples < 2`` raises
+    ``ParameterError`` before any draw.
     """
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:  # an infinite or NaN rate never reaches the cutoff
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
     if n_samples < 2:
         raise ParameterError(f"n_samples must be at least 2, got {n_samples}")
-    cutoff = _series_cutoff()
-    x1_parts, x2_parts = [], []
+    cutoff, scale = _series_cutoff(), 1.0 / delta
+    parts = []
     for chunk, rng in _seed_streams(seed, n_samples):
-        sum1, sum2 = np.empty(chunk), np.empty(chunk)
-        alive = np.arange(chunk)  # paths whose last jump came before the cutoff
-        t = np.zeros(chunk)
-        acc1, acc2 = np.zeros(chunk), np.zeros(chunk)
-        sign = -1.0  # (-1)^k of the k-th jump
-        while alive.size:
-            t += rng.exponential(1.0 / delta, size=alive.size)
-            done = t >= cutoff
-            if done.any():
-                sum1[alive[done]] = acc1[done]
-                sum2[alive[done]] = acc2[done]
-                keep = ~done
-                alive, t, acc1, acc2 = alive[keep], t[keep], acc1[keep], acc2[keep]
-            term = sign * np.exp(-t)
-            acc1 += term
-            acc2 += (1.0 + t) * term
-            sign = -sign
-        x1_parts.append(1.0 + 2.0 * sum1)
-        x2_parts.append(1.0 + 2.0 * sum2)
-    return np.concatenate(x1_parts), np.concatenate(x2_parts)
+        sums = np.empty((2, chunk))  # the X1 and X2 series of every path
+        path = np.arange(chunk)  # the path held in each buffer slot
+        t, acc1, acc2 = np.zeros(chunk), np.zeros(chunk), np.zeros(chunk)
+        wait, term, live = np.empty(chunk), np.empty(chunk), np.empty(chunk, dtype=bool)
+        n, step = chunk, np.add  # step adds the k-th jump's terms with sign (-1)^k
+        while n:
+            tn, a1, a2, w, e, lv = (b[:n] for b in (t, acc1, acc2, wait, term, live))
+            rng.standard_exponential(out=w)
+            w *= scale
+            tn += w
+            np.less(tn, cutoff, out=lv)
+            np.exp(np.negative(tn, out=e), out=e)
+            n_live = np.count_nonzero(lv)
+            if n_live < n:
+                e *= lv
+            np.add(tn, 1.0, out=w)
+            w *= e
+            step = np.subtract if step is np.add else np.add
+            step(a1, e, out=a1)
+            step(a2, w, out=a2)
+            if 2 * n_live <= n:
+                sums[0, path[:n]], sums[1, path[:n]] = a1, a2
+                keep = np.flatnonzero(lv)
+                for buffer in (path, t, acc1, acc2):
+                    buffer[:n_live] = buffer[keep]
+                n = n_live
+        parts.append(1.0 + 2.0 * sums)
+    return tuple(np.concatenate(parts, axis=1))
 
 
 def damped_sign_moment(delta: float, m: int) -> float:

@@ -23,7 +23,7 @@ from scipy.special import gammainc
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
-from .paths import DEFAULT_SEED, _seed_streams
+from .paths import DEFAULT_SEED, _check_draws, _seed_streams
 from .estimators import MCEstimate, _mean_stderr
 
 _MIN_TIME = 1e-8
@@ -56,10 +56,11 @@ def ou_bridge_coefficients(s: np.ndarray, t: float) -> tuple[np.ndarray, np.ndar
     return a, b
 
 
-def _check_alpha(alpha: int):
-    """Reject a spin label other than +1 or -1 (also before any sampling)."""
+def _check_flip_args(alpha: int, seed: int, n_samples: int):
+    """Reject a spin label other than +1 or -1 and bad draw arguments, before any draw."""
     if alpha not in (+1, -1):
         raise ParameterError(f"alpha must be +1 or -1, got {alpha}")
+    _check_draws(seed, n_samples)
 
 
 def _flip_couplings(g: float, alpha: int, m: int) -> np.ndarray:
@@ -132,7 +133,7 @@ def heat_kernel_component(
     """
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
-    _check_alpha(alpha)
+    _check_flip_args(alpha, seed, n_samples)
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
     base = float(mehler_kernel(t, x, y))
@@ -166,7 +167,7 @@ def heat_kernel_flip_sum(
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
-    _check_alpha(alpha)
+    _check_flip_args(alpha, seed, n_samples)
     total = 0.0 + 0.0j
     var = 0.0
     for m in range(1, m_max + 1):
@@ -200,6 +201,7 @@ def gaussian_overlap_element_fk(
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
+    _check_draws(seed, n_samples)
     u = np.exp(-t)
 
     def overlap(a, b, q):
@@ -217,8 +219,12 @@ def gaussian_overlap_element_fk(
         total += scale * mean.real
         var += (scale * stderr) ** 2
     # residual mass of the flip expansion beyond m_max (scale bound: |CF| <= 1):
-    # 2 sum_{m > m_max} (delta t)^m / m! = 2 e^{delta t} P(m_max + 1, delta t)
+    # 2 sum_{m > m_max} (delta t)^m / m! = 2 e^{delta t} P(m_max + 1, delta t),
+    # formed as a logarithm, since e^{delta t} alone overflows past delta t = 709.78
     lam = params.delta * t
-    tail = 2.0 * np.exp(lam) * gammainc(m_max + 1, lam)
+    with np.errstate(divide="ignore"):  # where P underflows, log 0 = -inf: the bound reads 0
+        log_tail = np.log(2.0) + lam + np.log(gammainc(m_max + 1, lam))
+    bound = (f"{np.exp(log_tail):.2e}" if log_tail < np.log(np.finfo(float).max)
+             else f"e^{log_tail:.1f}, beyond the double range")
     return MCEstimate(float(total), float(np.sqrt(var)), n_samples * max(m_max - 1, 0), seed,
-                      note=f"flip-expansion tail bound {tail:.2e}")
+                      note=f"flip-expansion tail bound {bound}")

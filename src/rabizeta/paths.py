@@ -37,6 +37,14 @@ DEFAULT_SEED = 20240915
 N_STREAMS = 8
 
 
+def _check_draws(seed: int, n_samples: int) -> None:
+    """Reject a sample count below 1 or a negative seed with ``ParameterError``."""
+    if n_samples < 1:
+        raise ParameterError(f"n_samples must be positive, got {n_samples}")
+    if seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def _seed_streams(seed: int, n_samples: int, *key: int):
     """Yield ``(chunk, rng)`` for every stream of one sampler call.
 
@@ -48,10 +56,7 @@ def _seed_streams(seed: int, n_samples: int, *key: int):
     (the kernels use the flip order m), so their streams never coincide and
     their variances add.
     """
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be positive, got {n_samples}")
-    if seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
+    _check_draws(seed, n_samples)
     base, extra = divmod(n_samples, N_STREAMS)
     for stream in range(min(n_samples, N_STREAMS)):
         sequence = np.random.SeedSequence(seed, spawn_key=(*key, stream))
@@ -73,8 +78,7 @@ def _sample_segments(rng, rate: float, length: float, n: int, lo: float):
     if total:
         seg = np.repeat(np.arange(n), counts)
         span = length + 1.0
-        keyed = np.sort(u + seg * span)
-        u = keyed - np.repeat(np.arange(n), counts) * span
+        u = np.sort(u + seg * span) - seg * span
         np.clip(u, 0.0, length, out=u)
     return lo + u, offsets
 
@@ -137,13 +141,15 @@ def _block_terms(jumps, offsets, lo, hi, alpha0):
     """
     bo = offsets + np.arange(len(offsets))
     starts = np.insert(jumps, offsets[:-1], lo)
-    ends = np.insert(jumps, offsets[1:], hi)
+    ends = np.append(starts[1:], hi)  # a block ends where the next one starts,
+    ends[bo[1:] - 1] = hi  # except the last block of each path
     lengths = ends - starts
-    parity = np.where(np.arange(starts.size) % 2 == 0, 1.0, -1.0)
+    parity = np.ones(starts.size)
+    parity[1::2] = -1.0
     signs = np.repeat(np.asarray(alpha0, dtype=float) * parity[bo[:-1]], np.diff(bo)) * parity
-    shrink = -np.expm1(-lengths)  # 1 - e^{-length}
-    same = 2.0 * (lengths + np.expm1(-lengths))
-    return starts, signs, bo, same, signs * shrink * np.exp(ends), signs * shrink * np.exp(-starts)
+    decay = np.expm1(-lengths)  # e^{-length} - 1
+    same, weight = 2.0 * (lengths + decay), signs * -decay
+    return starts, signs, bo, same, weight * np.exp(ends), weight * np.exp(-starts)
 
 
 def _square_functionals(jumps, offsets, lo, hi, alpha0):
@@ -181,13 +187,12 @@ def _horizon_interactions(jumps, offsets, horizons):
 
 def _vacuum_suppression_batch(jumps, offsets) -> np.ndarray:
     """Per-path vacuum suppression for paths on [0, t]."""
-    counts = np.diff(offsets)
-    within = np.arange(jumps.size) - np.repeat(offsets[:-1], counts)
-    signs = np.where(within % 2 == 0, 1.0, -1.0)
-    first = _segment_sums(signs * np.exp(-jumps), offsets)
+    within = np.arange(jumps.size) - np.repeat(offsets[:-1], np.diff(offsets))
+    signs = np.where(within & 1, -1.0, 1.0)
+    b = signs * np.exp(-jumps)
+    first = _segment_sums(b, offsets)
     diag = _segment_sums(-np.expm1(-2.0 * jumps), offsets)
     a = signs * 2.0 * np.sinh(jumps)
-    b = signs * np.exp(-jumps)
     cross = 2.0 * _segment_sums(b * _exclusive_prefix(a, offsets), offsets)
     return first**2 + diag + cross
 

@@ -1,5 +1,6 @@
 """Closed laws of the damped sign integrals: moments, density, KS."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,12 @@ from scipy.integrate import quad
 from scipy.special import beta, betaln
 from scipy.stats import kstest
 
+from rabizeta import jumplaw
 from rabizeta.errors import DomainError, ParameterError
 from rabizeta.jumplaw import (
     _damped_sign_survival_near_one,
     _pair_moment_rows,
+    _series_cutoff,
     closed_pair_moments,
     damped_sign_cdf,
     damped_sign_ks,
@@ -147,10 +150,140 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 16e6
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_a_rate_without_a_finite_walk(self, monkeypatch, delta):
+        # at delta = inf every wait is 0 and the walk never reached the cutoff
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before delta was checked")
+
+        monkeypatch.setattr(jumplaw, "_seed_streams", no_draw)
+        with pytest.raises(ParameterError):
+            sample_damped_sign_pair(delta, 16)
+
     def test_reproducible(self):
         a, _ = sample_damped_sign_pair(0.7, 1000, seed=44)
         b, _ = sample_damped_sign_pair(0.7, 1000, seed=44)
         assert np.array_equal(a, b)
+
+
+class WaitStub:
+    """A generator that hands the sampler known standard-exponential waits.
+
+    ``steps[i]`` is the whole draw of the sampler's i-th step, one wait per
+    path still in its buffers, so its length pins the compaction schedule.
+    """
+
+    def __init__(self, steps):
+        self.steps = [np.asarray(step, dtype=float) for step in steps]
+        self.calls = 0
+
+    def standard_exponential(self, out):
+        step = self.steps[self.calls]
+        self.calls += 1
+        assert out.shape == step.shape
+        out[:] = step
+        return out
+
+
+class CountingGenerator:
+    """Counts the waits a real generator hands the sampler."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.waits = 0
+
+    def standard_exponential(self, out):
+        self.waits += out.size
+        return self.rng.standard_exponential(out=out)
+
+
+def truncated_series(times, cutoff):
+    """(X1, X2) of one path from its jump times, summed term by term."""
+    s1 = s2 = 0.0
+    for k, t in enumerate(times, start=1):
+        if t >= cutoff:
+            break
+        term = (-1) ** k * math.exp(-t)
+        s1 += term
+        s2 += (1.0 + t) * term
+    return 1.0 + 2.0 * s1, 1.0 + 2.0 * s2
+
+
+class TestRetirement:
+    def test_known_waits_give_the_truncated_series(self, monkeypatch):
+        # cutoff 2 and delta 1/2, so every time is exact and every term
+        # visible.  Path 0 retires at step 2 but keeps drawing (a junk wait
+        # at step 3) until the compaction at step 3, where path 1 lands
+        # exactly on the cutoff and only paths 2 and 3 stay live; path 2
+        # retires at step 5 (second compaction) and path 3 at step 6.
+        waits = [
+            [0.25, 0.125, 0.0625, 0.1875],
+            [0.875, 0.25, 0.125, 0.0625],
+            [0.05, 0.625, 0.125, 0.125],
+            [0.25, 0.125],
+            [0.5, 0.25],
+            [0.375],
+        ]
+        per_path = [[0.25, 0.875, 0.05], [0.125, 0.25, 0.625],
+                    [0.0625, 0.125, 0.125, 0.25, 0.5],
+                    [0.1875, 0.0625, 0.125, 0.125, 0.25, 0.375]]
+        stub = WaitStub(waits)
+        monkeypatch.setattr(jumplaw, "_series_cutoff", lambda: 2.0)
+        monkeypatch.setattr(jumplaw, "_seed_streams", lambda seed, n: iter([(4, stub)]))
+        x1, x2 = sample_damped_sign_pair(0.5, 4)
+        assert stub.calls == len(waits)
+        times = [np.cumsum(np.asarray(w) / 0.5) for w in per_path]
+        assert times[1][-1] == 2.0  # exactly at the cutoff: dropped
+        for i, path_times in enumerate(times):
+            want1, want2 = truncated_series(path_times, 2.0)
+            assert x1[i] == pytest.approx(want1, rel=0, abs=1e-15)
+            assert x2[i] == pytest.approx(want2, rel=0, abs=1e-15)
+        assert x1[1] == pytest.approx(1.0 - 2.0 * np.exp(-0.25) + 2.0 * np.exp(-0.75), abs=1e-15)
+
+    def test_a_jump_at_the_true_cutoff_adds_nothing(self, monkeypatch):
+        # a first jump exactly at the cutoff leaves X1 = X2 = 1 bit for bit;
+        # one just below it moves X2, since 2 (1 + T) e^(-T) is a 1-ulp term
+        cutoff = _series_cutoff()
+        stub = WaitStub([[cutoff, np.nextafter(cutoff, 0.0)], [1.0]])
+        monkeypatch.setattr(jumplaw, "_seed_streams", lambda seed, n: iter([(2, stub)]))
+        x1, x2 = sample_damped_sign_pair(1.0, 2)
+        assert x1[0] == 1.0 and x2[0] == 1.0
+        assert x2[1] < 1.0
+        assert x2[1] == truncated_series([np.nextafter(cutoff, 0.0)], cutoff)[1]
+
+    @pytest.mark.parametrize("delta", [0.05, 2.0, 20.0])
+    def test_waits_per_sample_stay_near_the_ideal(self, monkeypatch, delta):
+        # the ideal is delta * cutoff + 1 waits per sample; retired paths
+        # draw until the next compaction, which comes once half are retired
+        counters = []
+        streams = jumplaw._seed_streams
+
+        def counting_streams(seed, n_samples):
+            for chunk, rng in streams(seed, n_samples):
+                counters.append(CountingGenerator(rng))
+                yield chunk, counters[-1]
+
+        monkeypatch.setattr(jumplaw, "_seed_streams", counting_streams)
+        n = 20_000
+        sample_damped_sign_pair(delta, n)
+        waits = sum(counter.waits for counter in counters)
+        assert waits <= 1.25 * (delta * _series_cutoff() + 1.0) * n
+
+    def test_calibrated_across_seeds(self):
+        # 40 seeds x 20 000 samples at delta = 1: the signed z-scores of three
+        # closed moments must look standard normal, with their mean within 3
+        # standard errors (1/sqrt(40)) of 0 and their sd in [0.6, 1.4]
+        closed = closed_pair_moments(1.0)
+        scores = {"E[X1]": [], "E[X2]": [], "E[X1*X2]": []}
+        for seed in range(40):
+            x1, x2 = sample_damped_sign_pair(1.0, 20_000, seed=seed)
+            for name, draw in (("E[X1]", x1), ("E[X2]", x2), ("E[X1*X2]", x1 * x2)):
+                stderr = draw.std(ddof=1) / np.sqrt(draw.size)
+                scores[name].append((draw.mean() - closed[name]) / stderr)
+        for name, z in scores.items():
+            z = np.asarray(z)
+            assert abs(z.mean()) < 3.0 / np.sqrt(z.size), name
+            assert 0.6 <= z.std(ddof=1) <= 1.4, name
 
 
 class TestDistribution:

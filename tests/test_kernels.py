@@ -237,6 +237,20 @@ class TestHeatKernelComponents:
         with pytest.raises(ParameterError):
             gaussian_overlap_element_fk(p, 1.0, -1, n_samples=100)
 
+    def test_rejects_bad_sample_counts_without_a_draw(self):
+        # the zero-flip component, the empty flip sum and the closed m <= 1
+        # reconstruction draw nothing, and still check n_samples
+        p = ModelParams(0.5, 1.0)
+        with pytest.raises(ParameterError):
+            heat_kernel_component(p, 1.0, 0, 0.3, -0.2, n_samples=-5)
+        with pytest.raises(ParameterError):
+            heat_kernel_flip_sum(p, 1.0, 0.3, -0.2, 0, n_samples=-5)
+        for m_max in (0, 1):
+            with pytest.raises(ParameterError):
+                gaussian_overlap_element_fk(p, 1.0, m_max, n_samples=-5)
+        with pytest.raises(ParameterError):
+            heat_kernel_component(p, 1.0, 0, 0.3, -0.2, n_samples=0)
+
     def test_empty_flip_sum_is_exact_zero(self):
         est = heat_kernel_flip_sum(ModelParams(0.5, 1.0), 1.0, 0.3, -0.2, 0, n_samples=100)
         assert est.mean == 0.0 and est.stderr == 0.0 and est.n_samples == 0
@@ -296,6 +310,18 @@ class TestReconstruction:
             exact = 2 * (mpmath.exp(lam) - mpmath.fsum(lam**m / mpmath.factorial(m) for m in range(7)))
         bound = float(rec.note.removeprefix("flip-expansion tail bound "))
         assert bound == pytest.approx(float(exact), rel=5e-3)  # the note keeps 3 digits
+
+    def test_tail_bound_beyond_the_double_range(self):
+        # delta t = 800: e^800 overflows a double, so the bound is reported
+        # by its logarithm, log 2 + 800 + log P(2, 800) = 800.69, and no
+        # overflow warning is raised (warnings are errors in this suite)
+        rec = gaussian_overlap_element_fk(ModelParams(800.0, 1.0), 1.0, 1)
+        assert rec.note == "flip-expansion tail bound e^800.7, beyond the double range"
+        assert rec.mean == pytest.approx(2 + 2 * 800 * np.exp(-2.0), rel=1e-15)
+        # the last bound inside the range is still printed as a number
+        rec = gaussian_overlap_element_fk(ModelParams(700.0, 1.0), 1.0, 1)
+        bound = float(rec.note.removeprefix("flip-expansion tail bound "))
+        assert bound == pytest.approx(2 * np.exp(700.0), rel=5e-3)
 
     def test_strong_coupling_approaches_free_value(self):
         rec = gaussian_overlap_element_fk(ModelParams(0.5, 6.0), 1.0, 6,

@@ -21,10 +21,13 @@ from rabizeta.paths import (
     N_STREAMS,
     build_ground_ensemble,
     default_horizon,
+    _block_terms,
     _count_upto,
+    _exclusive_prefix,
     _horizon_interactions,
     _sample_segments,
     _seed_streams,
+    _segment_sums,
     _square_functionals,
     _vacuum_suppression_batch,
 )
@@ -245,6 +248,85 @@ class TestPairInteraction:
             for i, path_jumps in enumerate(paths):
                 path = path_on(path_jumps[path_jumps < t], horizon=(0.0, t))
                 assert inter[i] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
+
+
+def reference_block_terms(jumps, offsets, lo, hi, alpha0):
+    """The block pass as first written, with two inserts and an integer modulo."""
+    bo = offsets + np.arange(len(offsets))
+    starts = np.insert(jumps, offsets[:-1], lo)
+    ends = np.insert(jumps, offsets[1:], hi)
+    lengths = ends - starts
+    parity = np.where(np.arange(starts.size) % 2 == 0, 1.0, -1.0)
+    signs = np.repeat(np.asarray(alpha0, dtype=float) * parity[bo[:-1]], np.diff(bo)) * parity
+    shrink = -np.expm1(-lengths)
+    same = 2.0 * (lengths + np.expm1(-lengths))
+    return starts, signs, bo, same, signs * shrink * np.exp(ends), signs * shrink * np.exp(-starts)
+
+
+def reference_vacuum_suppression(jumps, offsets):
+    """The vacuum suppression batch as first written, signs from ``% 2``."""
+    counts = np.diff(offsets)
+    within = np.arange(jumps.size) - np.repeat(offsets[:-1], counts)
+    signs = np.where(within % 2 == 0, 1.0, -1.0)
+    first = _segment_sums(signs * np.exp(-jumps), offsets)
+    diag = _segment_sums(-np.expm1(-2.0 * jumps), offsets)
+    a = signs * 2.0 * np.sinh(jumps)
+    b = signs * np.exp(-jumps)
+    cross = 2.0 * _segment_sums(b * _exclusive_prefix(a, offsets), offsets)
+    return first**2 + diag + cross
+
+
+class TestBlockPassBits:
+    """The block pass keeps every bit of the formulas it replaced."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(path_batches(), st.booleans())
+    def test_block_terms(self, batch, left):
+        hi, paths, alpha0 = batch
+        lo, top = (-hi, 0.0) if left else (0.0, hi)
+        if left:
+            paths = [np.sort(-jumps) for jumps in paths]
+        jumps, offsets = flat_batch(paths)
+        self.assert_same_bits(_block_terms(jumps, offsets, lo, top, alpha0),
+                              reference_block_terms(jumps, offsets, lo, top, alpha0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(path_batches())
+    def test_vacuum_suppression(self, batch):
+        _, paths, _ = batch
+        jumps, offsets = flat_batch(paths)
+        self.assert_same_bits([_vacuum_suppression_batch(jumps, offsets)],
+                              [reference_vacuum_suppression(jumps, offsets)])
+
+    @pytest.mark.parametrize("paths", [[np.zeros(0)], [np.zeros(0)] * 3, [np.array([0.4])],
+                                       [np.array([0.1, 0.7, 1.3])]])
+    def test_empty_and_single_paths(self, paths):
+        jumps, offsets = flat_batch(paths)
+        alpha0 = np.array([-1] * len(paths))
+        for lo, hi in ((0.0, 2.0), (-2.0, 0.0)):
+            shifted = jumps + lo
+            self.assert_same_bits(_block_terms(shifted, offsets, lo, hi, alpha0),
+                                  reference_block_terms(shifted, offsets, lo, hi, alpha0))
+        self.assert_same_bits([_vacuum_suppression_batch(jumps, offsets)],
+                              [reference_vacuum_suppression(jumps, offsets)])
+
+    def test_sampled_ensemble_sides(self):
+        # whole streams of sampled paths, as the ensemble builds them
+        rng = np.random.default_rng(7)
+        for lo in (-12.0, 0.0):
+            jumps, offsets = _sample_segments(rng, 0.5, 12.0, 500, lo)
+            alpha0 = np.where(np.diff(offsets) % 2 == 0, 1, -1)
+            self.assert_same_bits(_block_terms(jumps, offsets, lo, lo + 12.0, alpha0),
+                                  reference_block_terms(jumps, offsets, lo, lo + 12.0, alpha0))
+        self.assert_same_bits([_vacuum_suppression_batch(jumps, offsets)],
+                              [reference_vacuum_suppression(jumps, offsets)])
 
 
 class TestDampedIntegral:
