@@ -424,8 +424,9 @@ class AcceptanceBattery:
     ``run(group)`` returns rows ``[check, anchor, measured, threshold,
     status]``; ``rabizeta report`` renders every group and the test suite
     runs each group under a runtime budget.  The Monte Carlo groups share one
-    ground state and one path ensemble (delta = 0.5, g = 1), built on first
-    use whatever order the groups run in.  Group bodies reach the layer
+    ground state and one path ensemble (delta = 0.5, g = 1), and each value
+    that two groups check, built on first use whatever order the groups run
+    in.  Group bodies reach the layer
     functions through this module's globals when they run, so wrappers
     installed on those names see every call.
     """
@@ -447,6 +448,16 @@ class AcceptanceBattery:
     @cached_property
     def ens(self):
         return build_ground_ensemble(self.params, self.n_mc, seed=self.seed)
+
+    @cached_property
+    def vacuum(self):
+        """The exact vacuum element at t = 1, which ``fk`` and ``kernels`` both check."""
+        return vacuum_element_ed(self.params, 1.0)
+
+    @cached_property
+    def number_parity_fk(self):
+        """The jump-path estimate of <(-1)^n>, which ``fk`` and ``parity`` both check."""
+        return gibbs_number_fk(self.ens, self.params, 1j * np.pi)
 
     def run(self, group: str) -> list[list]:
         return getattr(self, "_" + group.replace("-", "_"))()
@@ -497,12 +508,11 @@ class AcceptanceBattery:
     def _fk(self):
         p, gs, ens, n, seed = self.params, self.gs, self.ens, self.n_mc, self.seed
         pairs = [
-            ("fk/vacuum", vacuum_element_fk(p, 1.0, n, seed), vacuum_element_ed(p, 1.0)),
+            ("fk/vacuum", vacuum_element_fk(p, 1.0, n, seed), self.vacuum),
             ("fk/partition", partition_fk(p, 2.0, n, seed), partition_ed(p, 2.0)),
             ("fk/energy", ground_energy_fk(p, [4, 6, 8, 10], n, seed), gs.energy),
             ("fk/gibbs(-0.5)", gibbs_number_fk(ens, p, -0.5), gibbs_number_ed(gs, -0.5)),
-            ("fk/gibbs(i pi)", gibbs_number_fk(ens, p, 1j * np.pi),
-             gibbs_number_ed(gs, 1j * np.pi)),
+            ("fk/gibbs(i pi)", self.number_parity_fk, gibbs_number_ed(gs, 1j * np.pi)),
             ("fk/number(1)", number_moments_fk(ens, p, 1), number_moment_ed(gs, 1)),
             ("fk/number(2)", number_moments_fk(ens, p, 2), number_moment_ed(gs, 2)),
             ("fk/xchar(1)", x_characteristic_fk(ens, p, 1.0), x_characteristic_ed(gs, 1.0)),
@@ -545,7 +555,7 @@ class AcceptanceBattery:
     def _parity(self):
         dev = abs(parity_expectation_lab(self.params, self.gs.truncation) + 1.0)
         npar_ed = number_parity_expectation(self.gs)
-        npar_fk = gibbs_number_fk(self.ens, self.params, 1j * np.pi)
+        npar_fk = self.number_parity_fk
         return [
             _check("parity", "ground state is odd under the conserved Z2 charge", dev, 1e-8),
             _check("number-parity", "<(-1)^n> positive in both routes", npar_ed, 0.0,
@@ -553,16 +563,17 @@ class AcceptanceBattery:
         ]
 
     def _kernels(self):
-        from scipy.integrate import quad
-
+        # the trapezoid rule on a uniform grid: the integrand is analytic and
+        # Gaussian-decaying, so the rule converges geometrically
+        grid, step = np.linspace(-12.0, 12.0, 4801, retstep=True)
         comp = 0.0
         for t, s, x, y in ((0.5, 0.5, 0.3, -0.2), (0.3, 0.9, -0.7, 0.4)):
-            val, _ = quad(lambda z: float(mehler_kernel(t, x, z) * mehler_kernel(s, z, y)),
-                          -np.inf, np.inf)
-            comp = max(comp, abs(val - float(mehler_kernel(t + s, x, y))))
+            f = mehler_kernel(t, x, grid) * mehler_kernel(s, grid, y)
+            val = step * (f.sum() - 0.5 * (f[0] + f[-1]))
+            comp = max(comp, abs(float(val) - float(mehler_kernel(t + s, x, y))))
         rec = gaussian_overlap_element_fk(self.params, 1.0, 6, n_samples=self.n_mc,
                                           seed=self.seed)
-        z = rec.z_score(vacuum_element_ed(self.params, 1.0))
+        z = rec.z_score(self.vacuum)
         devs = [abs(heat_kernel_flip_sum(ModelParams(0.5, g), 1.0, 0.3, -0.2, 6,
                                          n_samples=max(self.n_mc // 5, 4000),
                                          seed=self.seed).mean)

@@ -389,7 +389,7 @@ def _level_brackets(mat: SymBandMatrix, w: np.ndarray, params: ModelParams,
     ``_feshbach_lower`` of the level above it.
     """
     block = mat.bandwidth
-    eta = _backward_error(mat)
+    eta = float(_backward_error(mat))
     model = _model_floor(params, len(w) + 1, block)
     widths = np.maximum(w - model[:-1], eta)
     tight = np.diff(w) <= np.sqrt(eta)  # level i and i + 1 share a cluster
@@ -401,7 +401,9 @@ def _level_brackets(mat: SymBandMatrix, w: np.ndarray, params: ModelParams,
     need = np.where(near <= np.sqrt(eta), eta, np.sqrt(eta * near))
     upper = w[:top] + eta
     resid = _tail_residuals(upper, params.g, radius, mat.dim // block - 1, need)
-    lower = model[:top + 1].copy()
+    # the pass walks one level at a time, so it runs on Python floats
+    lower, level, r = model[:top + 1].tolist(), w[:top].tolist(), resid.tolist()
+    upper, tight = upper.tolist(), tight.tolist()
     d, anchor_tried = top - 1, False
     while d >= 0:
         c = d
@@ -412,13 +414,14 @@ def _level_brackets(mat: SymBandMatrix, w: np.ndarray, params: ModelParams,
             lower[d + 1] = max(lower[d + 1], _feshbach_lower(mat, params, radius, w, d + 1))
         for i in range(d, c - 1, -1):  # Kato-Temple, beta from the level above
             if lower[i + 1] > upper[i]:
-                temple = w[i] - eta - resid[i] ** 2 / (lower[i + 1] - upper[i])
-                lower[i] = max(lower[i], temple)
-        rho = float(np.sqrt(np.sum(resid[c:d + 1] ** 2)))
-        if d > c and lower[d + 1] > upper[d] + rho and (c == 0 or upper[c - 1] < w[c] - eta - rho):
-            lower[c:d + 1] = np.maximum(lower[c:d + 1], w[c:d + 1] - eta - rho)
+                lower[i] = max(lower[i], level[i] - eta - r[i] ** 2 / (lower[i + 1] - upper[i]))
+        if d > c:  # Kahan: every member of the cluster within its residual norm
+            rho = float(np.sqrt(np.sum(resid[c:d + 1] ** 2)))
+            if lower[d + 1] > upper[d] + rho and (c == 0 or upper[c - 1] < level[c] - eta - rho):
+                for i in range(c, d + 1):
+                    lower[i] = max(lower[i], level[i] - eta - rho)
         d = c - 1
-    widths[:top] = np.maximum(w[:top] - lower[:top], eta)
+    widths[:top] = np.maximum(w[:top] - np.array(lower[:top]), eta)
     return widths
 
 

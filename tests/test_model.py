@@ -346,6 +346,84 @@ class TestBrackets:
         assert checked.sum() > 10 and np.all(bound[checked] >= last[checked])
 
 
+def reference_level_brackets(mat, w, params, radius, count, hits):
+    """``model._level_brackets`` as a numpy loop, one numpy scalar per level.
+
+    Kept to pin the float pass bit for bit.  ``hits`` counts the lower ends
+    that each step raises: ``"anchor"`` (``_feshbach_lower``), ``"temple"``
+    and ``"kahan"``.
+    """
+    block = mat.bandwidth
+    eta = model._backward_error(mat)
+    floor = model._model_floor(params, len(w) + 1, block)
+    widths = np.maximum(w - floor[:-1], eta)
+    tight = np.diff(w) <= np.sqrt(eta)
+    top = min(len(w), count + model._BRACKET_PAD)
+    while top < len(w) and tight[top - 1]:
+        top += 1
+    gaps = np.diff(w[:top + 1], append=np.inf)[:top]
+    near = np.minimum(gaps, np.append(np.inf, gaps[:-1]))
+    need = np.where(near <= np.sqrt(eta), eta, np.sqrt(eta * near))
+    upper = w[:top] + eta
+    resid = model._tail_residuals(upper, params.g, radius, mat.dim // block - 1, need)
+    lower = floor[:top + 1].copy()
+    d, anchor_tried = top - 1, False
+    while d >= 0:
+        c = d
+        while c > 0 and tight[c - 1]:
+            c -= 1
+        if c < count and lower[d + 1] <= upper[d] and not anchor_tried:
+            anchor_tried = True
+            anchored = max(lower[d + 1], model._feshbach_lower(mat, params, radius, w, d + 1))
+            hits["anchor"] += anchored > lower[d + 1]
+            lower[d + 1] = anchored
+        for i in range(d, c - 1, -1):
+            if lower[i + 1] > upper[i]:
+                temple = w[i] - eta - resid[i] ** 2 / (lower[i + 1] - upper[i])
+                hits["temple"] += temple > lower[i]
+                lower[i] = max(lower[i], temple)
+        rho = float(np.sqrt(np.sum(resid[c:d + 1] ** 2)))
+        if d > c and lower[d + 1] > upper[d] + rho and (c == 0 or upper[c - 1] < w[c] - eta - rho):
+            kahan = np.maximum(lower[c:d + 1], w[c:d + 1] - eta - rho)
+            hits["kahan"] += int(np.sum(kahan > lower[c:d + 1]))
+            lower[c:d + 1] = kahan
+        d = c - 1
+    widths[:top] = np.maximum(w[:top] - lower[:top], eta)
+    return widths
+
+
+class TestBracketPassBits:
+    def test_float_pass_matches_the_numpy_loop(self, monkeypatch):
+        # a seeded sweep plus the near-degenerate clusters at eps = 1/2 and
+        # Feshbach-anchored spectra, each at its start cutoff and 1.3 times it
+        rng = np.random.default_rng(20)
+        cases = [(float(rng.uniform(0, 2)),
+                  0.0 if rng.random() < 0.5 else float(rng.uniform(0, 1.2)),
+                  float(rng.uniform(0, 7)), int(rng.integers(1, 25))) for _ in range(40)]
+        cases += [(0.5, 0.5, g, 12) for g in (0.0, 2.0, 5.0, 8.0)]
+        cases += [(1.0, 0.5, g, 12) for g in (0.0, 0.3, 0.5)]
+        cases += [(d, e, g, 12) for d in (1.5, 2.0) for e in (0.0, 0.7) for g in (5.0, 6.5)]
+        hits = {"anchor": 0, "temple": 0, "kahan": 0}
+        new = model._level_brackets
+
+        def reference(*args):
+            return reference_level_brackets(*args, hits)
+
+        for i, (delta, eps, g, k) in enumerate(cases):
+            p = ModelParams(delta, g, eps)
+            variant = "full" if eps else ("full", "parity+", "parity-")[i % 3]
+            per_level = 1 if variant.startswith("parity") else 2
+            start = turning_point_cutoff((k + per_level - 1) // per_level, g)
+            for n_max in (start, int(np.ceil(1.3 * start))):
+                monkeypatch.setattr(model, "_level_brackets", new)
+                mine = model._variant_spectrum(p, n_max, variant, k).error_bound
+                monkeypatch.setattr(model, "_level_brackets", reference)
+                ref = model._variant_spectrum(p, n_max, variant, k).error_bound
+                assert mine.tobytes() == ref.tobytes(), (delta, eps, g, k, n_max)
+        # every step of the pass raised some lower end in the sweep
+        assert min(hits.values()) > 0, hits
+
+
 class TestRefiner:
     def test_turning_point_rule(self):
         # g = 12: the 6 levels per chain of the level tables, and the 175 per
