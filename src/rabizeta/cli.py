@@ -90,6 +90,7 @@ from .observables import (
 from .paths import DEFAULT_SEED, build_ground_ensemble, default_horizon
 from .zeta import (
     _require_tilt_rule,
+    _require_zeta_shift,
     eigenvalue_limit_table,
     hurwitz_zeta,
     variant_target,
@@ -224,8 +225,8 @@ def cmd_spectrum(args) -> ResultRecord:
 
 
 def cmd_zeta(args) -> ResultRecord:
-    params = ModelParams(args.delta, args.g, args.eps, args.tau)
-    params.require_zeta_shift()
+    params = ModelParams(args.delta, args.g, args.eps)
+    _require_zeta_shift(params, args.tau)
     variant = _default_variant(args)
     zv = zeta_variant_value(params, args.s, args.tau, variant, args.n_head)
     target = variant_target(params, args.s, args.tau, variant)
@@ -258,7 +259,7 @@ def cmd_limits(args) -> ResultRecord:
             raise ParameterError(f"{args.command.options[dest]} is not an option of "
                                  f"the {args.table} table")
     variant = _default_variant(args)
-    params = ModelParams(args.delta, 0.0, args.eps, args.tau)
+    params = ModelParams(args.delta, 0.0, args.eps)
     _require_tilt_rule(params, variant)
     if args.table == "zeta":
         rows = [
@@ -694,7 +695,7 @@ def _boolean(text: str) -> bool:
 _DELTA = ("--delta", {"type": float, "default": 0.5})
 _G = ("--g", {"type": float, "default": 1.0})
 _EPS = ("--eps", {"type": float, "default": ModelParams.eps})
-_TAU = ("--tau", {"type": float, "default": ModelParams.tau})
+_TAU = ("--tau", {"type": float, "default": 1.0})
 _S = ("--s", {"type": complex, "default": "2"})
 _VARIANT = ("--variant", {"choices": ("full", "parity+", "parity-", "asymmetric"),
                           "help": "default: asymmetric at eps > 0, else full"})

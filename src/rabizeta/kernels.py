@@ -6,7 +6,7 @@ is expanded over the number of spin flips m: the m-flip component is
     (delta^m t^m / m!) * E[ exp(i g * lam . X_bridge) ] * M_t(x, y)
 
 where the flip times are order statistics of m uniforms on [0, t], the
-alternating couplings are lam_j = 2 sqrt(2) g alpha (-1)^(j-1), and the
+alternating couplings are lam_j = 2 sqrt(2) g (-1)^(j-1), and the
 Gaussian bridge expectation is the characteristic function of the OU bridge
 from x to y, available in closed form from the bridge mean and covariance:
 
@@ -14,6 +14,11 @@ from x to y, available in closed form from the bridge mean and covariance:
     cov(s, u)    = sinh(min) sinh(t - max) / sinh(t)
 
 Only the flip times are Monte Carlo; everything Gaussian is exact.
+
+The couplings are those of a path that starts in spin +1.  Starting in spin
+-1 negates every coupling, and so the bridge's linear pieces a and b but not
+its quadratic q: that component is the complex conjugate, which is exactly
+the component at (-x, -y), bit for bit on the same draws.
 """
 
 from __future__ import annotations
@@ -56,16 +61,9 @@ def ou_bridge_coefficients(s: np.ndarray, t: float) -> tuple[np.ndarray, np.ndar
     return a, b
 
 
-def _check_flip_args(alpha: int, seed: int, n_samples: int):
-    """Reject a spin label other than +1 or -1 and bad draw arguments, before any draw."""
-    if alpha not in (+1, -1):
-        raise ParameterError(f"alpha must be +1 or -1, got {alpha}")
-    _check_draws(seed, n_samples)
-
-
-def _flip_couplings(g: float, alpha: int, m: int) -> np.ndarray:
+def _flip_couplings(g: float, m: int) -> np.ndarray:
     j = np.arange(m)
-    return 2.0 * np.sqrt(2.0) * g * alpha * np.where(j % 2 == 0, 1.0, -1.0)
+    return 2.0 * np.sqrt(2.0) * g * np.where(j % 2 == 0, 1.0, -1.0)
 
 
 def _bridge_quadratic(s: np.ndarray, t: float, lam: np.ndarray) -> np.ndarray:
@@ -89,22 +87,22 @@ def _bridge_quadratic(s: np.ndarray, t: float, lam: np.ndarray) -> np.ndarray:
     return q / (2.0 * -np.expm1(-2.0 * t))
 
 
-def _bridge_characteristic(params: ModelParams, t: float, m: int, alpha: int, rng, chunk: int):
+def _bridge_characteristic(params: ModelParams, t: float, m: int, rng, chunk: int):
     """Per-configuration CF pieces (a, b, q): exp(i(ax + by) - q/2)."""
     s = np.sort(rng.uniform(0.0, t, size=(chunk, m)), axis=1)
-    lam = _flip_couplings(params.g, alpha, m)
+    lam = _flip_couplings(params.g, m)
     coef_a, coef_b = ou_bridge_coefficients(s, t)
     return coef_a @ lam, coef_b @ lam, _bridge_quadratic(s, t, lam)
 
 
-def _flip_average(params: ModelParams, t: float, m: int, alpha: int, n_samples: int,
-                  seed: int, integrand) -> tuple[complex, float]:
+def _flip_average(params: ModelParams, t: float, m: int, n_samples: int, seed: int,
+                  integrand) -> tuple[complex, float]:
     """Mean and stderr of ``integrand(a, b, q)`` over m-flip configurations.
 
     The draws come from the streams keyed by the flip order m, so averages
     for different m are independent.
     """
-    values = [integrand(*_bridge_characteristic(params, t, m, alpha, rng, chunk))
+    values = [integrand(*_bridge_characteristic(params, t, m, rng, chunk))
               for chunk, rng in _seed_streams(seed, n_samples, m)]
     return _mean_stderr(np.concatenate(values))
 
@@ -123,7 +121,6 @@ def heat_kernel_component(
     y: float,
     n_samples: int = 50_000,
     seed: int = DEFAULT_SEED,
-    alpha: int = +1,
 ) -> MCEstimate:
     """m-flip component of the coupled heat kernel at (x, y).
 
@@ -133,14 +130,14 @@ def heat_kernel_component(
     """
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
-    _check_flip_args(alpha, seed, n_samples)
+    _check_draws(seed, n_samples)
     if t <= 0:
         raise DomainError(f"t must be positive, got {t}")
     base = float(mehler_kernel(t, x, y))
     if m == 0:
         return MCEstimate(base, 0.0, 0, seed)
     scale = _flip_weight(params, t, m) * base
-    mean, stderr = _flip_average(params, t, m, alpha, n_samples, seed,
+    mean, stderr = _flip_average(params, t, m, n_samples, seed,
                                  lambda a, b, q: np.exp(1j * (a * x + b * y) - q / 2.0))
     return MCEstimate(mean * scale, stderr * scale, n_samples, seed)
 
@@ -157,7 +154,6 @@ def heat_kernel_flip_sum(
     m_max: int,
     n_samples: int = 50_000,
     seed: int = DEFAULT_SEED,
-    alpha: int = +1,
 ) -> MCEstimate:
     """Sum of all m >= 1 components: the deviation of the kernel from Mehler.
 
@@ -167,11 +163,11 @@ def heat_kernel_flip_sum(
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
-    _check_flip_args(alpha, seed, n_samples)
+    _check_draws(seed, n_samples)
     total = 0.0 + 0.0j
     var = 0.0
     for m in range(1, m_max + 1):
-        est = heat_kernel_component(params, t, m, x, y, n_samples, seed, alpha)
+        est = heat_kernel_component(params, t, m, x, y, n_samples, seed)
         total += est.mean
         var += est.stderr**2
     return MCEstimate(total, float(np.sqrt(var)), n_samples * m_max, seed)
@@ -215,7 +211,7 @@ def gaussian_overlap_element_fk(
         scale = 2.0 * _flip_weight(params, t, m)
         if scale == 0.0:
             continue
-        mean, stderr = _flip_average(params, t, m, +1, n_samples, seed, overlap)
+        mean, stderr = _flip_average(params, t, m, n_samples, seed, overlap)
         total += scale * mean.real
         var += (scale * stderr) ** 2
     # residual mass of the flip expansion beyond m_max (scale bound: |CF| <= 1):

@@ -26,8 +26,11 @@ cutoff it tries, the start included, may exceed ``MAX_STATES`` states.
 Every result certifies from one solve, by an enclosure of the untruncated
 value it approximates: a spectrum by one of each level (its proof is in
 ``refine``), an exact oracle by one of its value (the proofs are in
-``observables``).  No two cutoffs are compared.  ``turning_point_cutoff``
-sets the start, for eigenvalues and for the ground-state oracles alike.
+``observables``); or, for the sums over the ground vector that outgrow its
+cutoff, by a rule read from that one vector (``observables._settled``).
+No two cutoffs are compared, and no other module grows a cutoff.
+``turning_point_cutoff`` sets the start, for eigenvalues and for the
+ground-state oracles alike.
 """
 
 from __future__ import annotations
@@ -49,12 +52,11 @@ _GROWTH = 1.3
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters: level splitting, coupling, asymmetry, zeta shift."""
+    """Physical parameters: level splitting, coupling, asymmetry."""
 
     delta: float
     g: float
     eps: float = 0.0
-    tau: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.delta) or self.delta < 0:
@@ -63,21 +65,6 @@ class ModelParams:
             raise ParameterError(f"g must be finite, got {self.g}")
         if not np.isfinite(self.eps) or self.eps < 0:
             raise ParameterError(f"eps must be a finite nonnegative real, got {self.eps}")
-        if not np.isfinite(self.tau) or self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
-
-    def require_zeta_shift(self):
-        """Enforce ``tau > delta + eps`` (positivity of every shifted level)."""
-        if self.tau <= self.delta + self.eps:
-            raise ParameterError(
-                f"zeta evaluation requires tau > delta + |eps| "
-                f"(tau={self.tau}, delta={self.delta}, eps={self.eps})"
-            )
-
-    def require_spin_rate(self):
-        """Enforce ``delta > 0`` where a rate-delta spin process is sampled."""
-        if self.delta <= 0:
-            raise ParameterError("a rate-delta spin process requires delta > 0")
 
 
 @dataclass(frozen=True)
@@ -486,11 +473,6 @@ def _capped(n_max: int, states_per_level: int, what: str) -> int:
     return n_max
 
 
-def _next_cutoff(n_max: int, states_per_level: int, what: str) -> int:
-    """The cutoff tried after ``n_max``: ``ceil(1.3 n_max)``, within the cap."""
-    return _capped(int(np.ceil(_GROWTH * n_max)), states_per_level, what)
-
-
 def refine(solve, start: int, certified, states_per_level: int, what: str):
     """Solve at growing Fock cutoffs until the caller certifies a result.
 
@@ -499,10 +481,10 @@ def refine(solve, start: int, certified, states_per_level: int, what: str):
     ``certified(result)`` returns ``(ok, delta)``: whether ``result`` is
     certified, and the caller's measure of its error.  A result certifies
     from its own solve, by an enclosure of the untruncated value it
-    approximates; no two cutoffs are compared.  A cutoff, the start
-    included, is never solved when its matrix would hold more than
-    ``MAX_STATES`` states, ``states_per_level`` per Fock level;
-    ``ConvergenceError`` naming ``what`` is raised instead.
+    approximates or a rule read from that solve; no two cutoffs are
+    compared.  A cutoff, the start included, is never solved when its
+    matrix would hold more than ``MAX_STATES`` states, ``states_per_level``
+    per Fock level; ``ConvergenceError`` naming ``what`` is raised instead.
 
     The spectrum brackets enclose each level of the untruncated operator K
     from one solve at cutoff N.  Let ``lam`` be the exact level k of the
@@ -546,7 +528,7 @@ def refine(solve, start: int, certified, states_per_level: int, what: str):
         trail.append((n_max, delta))
         if ok:
             return result, tuple(trail)
-        n_max = _next_cutoff(n_max, states_per_level, what)
+        n_max = _capped(int(np.ceil(_GROWTH * n_max)), states_per_level, what)
 
 
 def adaptive_spectrum(

@@ -6,6 +6,10 @@ moments, Gibbs-weighted number, position characteristic functions, the
 pull-through identity, the spin autocorrelation, and semigroup matrix
 elements.  All of them exist at ``eps = 0`` only, where the model splits into
 the even and odd parity chains and the Monte Carlo side has its quantities.
+Every cutoff here comes from ``model.refine``: the enclosed oracles go
+through ``_refined``, and the two sums over the ground vector that can
+outgrow its cutoff, ``gibbs_number_ed`` and ``x_square_exponential_ed``,
+through ``_settled``.
 
 The ground state of K is the lowest level of the odd chain.  Odd-chain
 position n holds boson level n with spin -1 at even n and spin +1 at odd n;
@@ -32,7 +36,6 @@ from .model import (
     ModelParams,
     SymBandMatrix,
     Truncation,
-    _next_cutoff,
     _variant_spectrum,
     build_full_hamiltonian,
     build_parity_tridiagonal,
@@ -44,12 +47,14 @@ from .model import (
 )
 
 #: Relative error every oracle here certifies: the enclosure of its value at
-#: the cutoff, and the stability of ``x_square_exponential_ed`` in its level count.
+#: the cutoff, the stability of ``x_square_exponential_ed`` in its level
+#: count, and the share of ``gibbs_number_ed`` that its last levels carry.
 _AUTO_REL_TOL = 1e-10
 
-#: Level counts tried by the <exp(beta*x^2)> oracle: 16, 24, 32, ...
+#: Level counts tried by the <exp(beta*x^2)> oracle: 16, 24, 32, ...; the
+#: Gibbs oracle's tail is its last ``_STEP_LEVELS`` levels.
 _XSQ_START_LEVELS = 16
-_XSQ_STEP_LEVELS = 8
+_STEP_LEVELS = 8
 
 
 @dataclass
@@ -180,10 +185,56 @@ def number_moment_ed(gs: GroundState, m: int) -> float:
     return float(np.sum(n**m * gs.level_weights()))
 
 
+def _settled(gs: GroundState, settle, what: str):
+    """The value ``settle`` accepts, from the stored ground vector or a longer one.
+
+    ``settle(coeffs)`` returns ``(value, delta)``: the value, or None while
+    the levels of ``coeffs`` do not settle it, and its measure of the error.
+    ``refine`` drives it on ``gs.coeffs`` at the ground state's cutoff, and
+    then on the ground vector solved at each larger cutoff of its growth
+    rule, within its cap.  A larger cutoff is solved only while the last
+    component of the vector is still its smallest past its peak; otherwise
+    ``ConvergenceError`` is raised.  The exact eigenvector of a truncated
+    chain decays monotonically past its turning point (the backward ratio
+    recurrence of ``model._tail_residuals``), so a computed tail that rises
+    again has reached the solver's rounding, and no larger cutoff brings
+    those digits back.  A tail of exact zeros (g = 0) ties, counts as
+    decaying and is solved again; it adds nothing to either sum, so the
+    value settles on the next vector.
+    """
+    value = None
+
+    def solve(n_max):
+        return gs.coeffs if n_max == gs.truncation.n_max else _ground_pair(gs.params, n_max)[1]
+
+    def certified(coeffs):
+        nonlocal value
+        value, delta = settle(coeffs)
+        size = np.abs(coeffs).sum(axis=1)
+        if value is None and size[-1] > size[np.argmax(size):].min():
+            raise ConvergenceError(
+                f"{what} did not settle before the ground vector's tail stopped decaying "
+                f"at n_max {coeffs.shape[0] - 1}: it has reached rounding")
+        return value is not None, delta
+
+    refine(solve, gs.truncation.n_max, certified, 2, what)
+    return value
+
+
 def gibbs_number_ed(gs: GroundState, beta: complex) -> complex:
-    """<exp(beta * n)> over the ground state, for real or imaginary beta."""
-    n = np.arange(gs.n_levels, dtype=float)
-    return complex(np.sum(np.exp(beta * n) * gs.level_weights()))
+    """<exp(beta * n)> over the ground state, for real or imaginary beta.
+
+    The sum runs over every stored level, and is accepted once its last
+    ``_STEP_LEVELS`` levels carry at most ``_AUTO_REL_TOL`` of it; at real
+    beta > 0 the ground state's cutoff, sized by its energy, is often too
+    short for that, and ``_settled`` solves the vector at larger cutoffs.
+    """
+    def settle(coeffs):
+        terms = np.exp(beta * np.arange(coeffs.shape[0], dtype=float)) * (coeffs**2).sum(axis=1)
+        total, tail = complex(np.sum(terms)), abs(np.sum(terms[-_STEP_LEVELS:]))
+        return (total if tail <= _AUTO_REL_TOL * abs(total) else None), tail
+
+    return _settled(gs, settle, f"<exp({beta}*n)>")
 
 
 def _position_eigensystem(n_levels: int):
@@ -259,48 +310,40 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
 
     The level count N is chosen by the stability of the value itself.  The
     matrix elements <n|exp(beta*x^2)|n> grow geometrically in n, while the
-    computed ground vector stops decaying at a noise floor (about 1e-55 at
-    g=1), so summing over every stored level diverges as the cutoff grows.
-    N therefore grows from 16 by 8 levels at a time, and the value is
+    computed ground vector stops decaying at its rounding floor (about 1e-50
+    at g=1), so summing over every stored level diverges as the cutoff
+    grows.  N therefore grows from 16 by 8 levels at a time, and the value is
     returned once one step changes it by at most ``_AUTO_REL_TOL``; it does
-    not change when ``n_max`` grows.  Once the changes have fallen below
-    the square root of that tolerance the levels cover the state and its
-    true changes keep shrinking, so a change larger than the one before
-    marks the noise floor, and ``ConvergenceError`` is raised there (for
-    example at g=1, beta=0.9, where double-precision coefficients cannot
-    carry the value).
+    not change when ``n_max`` grows.
 
     The ground state's cutoff is sized by the enclosure of its energy, which
     can leave too few levels for this value (at delta=0.5, beta=0.5 from
-    g=5 on).  When the stored levels run out, the state is solved again at
-    the next cutoff of ``refine``'s growth rule, within its cap, and the
-    count keeps growing on the new vector.
+    g=5 on).  When the stored levels run out, ``_settled`` solves the vector
+    at a larger cutoff while its tail still decays, and raises
+    ``ConvergenceError`` once it has reached rounding (for example at g=1,
+    beta=0.9, where double-precision coefficients cannot carry the value).
+    The count carries over to the new vector, whose sum at the count before
+    is evaluated again.
     """
     if abs(beta) >= 1:
         raise DomainError(f"<exp(beta*x^2)> diverges for |beta| >= 1, got {beta}")
-    tol = _AUTO_REL_TOL
-    what = f"<exp({beta}*x^2)>"
-    coeffs, n_max = gs.coeffs, gs.truncation.n_max
-    log_prev = _log_x_square_exponential(coeffs[:_XSQ_START_LEVELS], beta)
-    change_prev = np.inf
-    n = _XSQ_START_LEVELS + _XSQ_STEP_LEVELS
-    while True:
-        if n > coeffs.shape[0]:
-            while n > n_max + 1:  # one growth step may add fewer than 8 levels
-                n_max = _next_cutoff(n_max, 2, what)
-            coeffs = _ground_pair(gs.params, n_max)[1]
-            log_prev = _log_x_square_exponential(coeffs[:n - _XSQ_STEP_LEVELS], beta)
-        log_value = _log_x_square_exponential(coeffs[:n], beta)
-        change = abs(np.expm1(log_prev - log_value))
-        if change <= tol:
-            return float(np.exp(log_value))
-        if change > change_prev and change_prev < np.sqrt(tol):
-            raise ConvergenceError(
-                f"{what} hit the coefficient noise floor at {n} levels: "
-                f"its change grew from {change_prev:.1e} to {change:.1e} (rel_tol {tol:g})"
-            )
-        log_prev, change_prev = log_value, change
-        n += _XSQ_STEP_LEVELS
+    n = _XSQ_START_LEVELS + _STEP_LEVELS
+
+    def settle(coeffs):
+        nonlocal n
+        change = np.inf
+        if n <= coeffs.shape[0]:
+            log_prev = _log_x_square_exponential(coeffs[:n - _STEP_LEVELS], beta)
+        while n <= coeffs.shape[0]:
+            log_value = _log_x_square_exponential(coeffs[:n], beta)
+            change = abs(np.expm1(log_prev - log_value))
+            if change <= _AUTO_REL_TOL:
+                return float(np.exp(log_value)), change
+            log_prev = log_value
+            n += _STEP_LEVELS
+        return None, change
+
+    return _settled(gs, settle, f"<exp({beta}*x^2)>")
 
 
 def _even_chain(gs: GroundState) -> SymBandMatrix:
@@ -418,11 +461,6 @@ def partition_ed(params: ModelParams, t: float) -> float:
     return _refined(lambda n_max: (_partition_at(params, t, n_max),
                                    _partition_bound(params, t, n_max)),
                     params, f"the partition element at t={t}")[0]
-
-
-def _vacuum_element_at(params: ModelParams, t: float, n_max: int) -> float:
-    """``vacuum_element_ed`` at the cutoff ``n_max``."""
-    return _vacuum_enclosure(params, t, n_max)[0]
 
 
 def _vacuum_enclosure(params: ModelParams, t: float, n_max: int) -> tuple[float, float]:

@@ -293,7 +293,8 @@ def build_ground_ensemble(
     exp((g^2/2) * J_full).  An n_eff below 100 is flagged in ``note`` with a
     resampling recommendation.
     """
-    params.require_spin_rate()
+    if params.delta <= 0:
+        raise ParameterError("a rate-delta spin process requires delta > 0")
     if T is None:
         T = default_horizon(params.delta)
     if T <= 0:

@@ -243,6 +243,13 @@ def _require_tilt_rule(params: ModelParams, variant: str):
         raise ParameterError("asymmetric variant requires eps > 0")
 
 
+def _require_zeta_shift(params: ModelParams, tau: float):
+    """Enforce ``tau > delta + eps``: every shifted level of every coupling is positive."""
+    if not (np.isfinite(tau) and tau > params.delta + params.eps):
+        raise ParameterError(f"zeta evaluation requires a finite tau > delta + eps "
+                             f"(tau={tau}, delta={params.delta}, eps={params.eps})")
+
+
 def _tail_model(params: ModelParams, variant: str) -> tuple[str, int, float, float]:
     """(spectrum variant, degeneracy, split, radius) of one variant's tail model.
 
@@ -358,11 +365,10 @@ def zeta_limit_table(
     as computed.
     """
     s = complex(s)
-    probe = ModelParams(params.delta, 0.0, params.eps, tau)
-    model = _tail_model(probe, variant)
-    probe.require_zeta_shift()
+    model = _tail_model(params, variant)
+    _require_zeta_shift(params, tau)
     target = variant_target(params, s, tau, variant)
-    runs = [ModelParams(params.delta, float(g), params.eps, tau) for g in g_grid]
+    runs = [ModelParams(params.delta, float(g), params.eps) for g in g_grid]
 
     def row(run: ModelParams, head: int) -> ZetaLimitRow:
         zv = zeta_variant_value(run, s, tau, variant, head)
@@ -435,7 +441,7 @@ def eigenvalue_limit_table(
     _require_tilt_rule(params, variant)
     rows = []
     for g in g_grid:
-        run = ModelParams(params.delta, float(g), params.eps, params.tau)
+        run = ModelParams(params.delta, float(g), params.eps)
         if variant in _LEVEL_SECTORS:
             for parity in _LEVEL_SECTORS[variant]:
                 spec = adaptive_spectrum(run, k=n_levels, rel_tol=_LEVEL_REL_TOL,

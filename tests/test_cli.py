@@ -341,6 +341,15 @@ class TestFkCommand:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_xsquare_refusal_terminates(self, tmp_path, capsys):
+        code, text = run_cli(tmp_path, "fk", "xsquare", "--g", "3", "--beta", "0.8",
+                             "--n", "400")
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ("xsquare", "--beta", "0.5+1j"),
         ("xsquare", "--beta", "1.5"),

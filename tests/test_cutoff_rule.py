@@ -84,6 +84,30 @@ def test_every_cutoff_sequence_grows_by_the_one_rule(monkeypatch):
     assert [len(cutoffs) >= 2 for cutoffs in grown] == [True, False, True, True, True]
 
 
+@pytest.mark.parametrize("g, beta", [(1.0, 0.95), (3.0, 0.8)])
+def test_x_square_refusal_terminates(monkeypatch, g, beta):
+    # a rule read from the value's changes alone never fires here, and grows
+    # the cutoff toward the cap; the tail rule refuses within a few solves
+    gs = observables.ground_state(ModelParams(0.5, g))
+
+    def refused():
+        with pytest.raises(ConvergenceError, match="stopped decaying"):
+            observables.x_square_exponential_ed(gs, beta)
+
+    resolves = solved_cutoffs(monkeypatch, refused)
+    assert len(resolves) <= 6
+    assert follows_rule([gs.truncation.n_max, *resolves])
+
+
+def test_exact_zero_tail_solves_once(monkeypatch):
+    # at g = 0 the ground vector is e_0: its zero tail ties, and the value
+    # settles on the vector of the next cutoff
+    gs = observables.ground_state(ModelParams(0.5, 0.0))
+    resolves = solved_cutoffs(monkeypatch,
+                              lambda: observables.x_square_exponential_ed(gs, 0.8))
+    assert resolves == [math.ceil(1.3 * gs.truncation.n_max)]
+
+
 def test_start_over_the_cap_solves_nothing(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved at a cutoff over the cap")

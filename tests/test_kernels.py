@@ -161,7 +161,7 @@ class TestBridgeQuadratic:
     def test_matches_dense_and_mpmath(self, m, t):
         rng = np.random.default_rng(100 * m + int(10 * t))
         s = np.sort(rng.uniform(0.0, t, size=(6, m)), axis=1)
-        for lam in (_flip_couplings(1.3, +1, m), rng.normal(size=m)):
+        for lam in (_flip_couplings(1.3, m), rng.normal(size=m)):
             q = _bridge_quadratic(s, t, lam)
             cov = ou_bridge_covariance(s, t)
             for i in range(len(s)):
@@ -172,7 +172,7 @@ class TestBridgeQuadratic:
     def test_tied_and_edge_times(self):
         t = 1.5
         s = np.array([[0.0, 0.4, 0.4, t], [0.2, 0.2, 0.2, 0.2]])
-        lam = _flip_couplings(0.8, -1, 4)
+        lam = -_flip_couplings(0.8, 4)
         cov = ou_bridge_covariance(s, t)
         for i in range(len(s)):
             scale = np.sum(np.abs(np.outer(lam, lam) * cov[i]))
@@ -180,9 +180,9 @@ class TestBridgeQuadratic:
 
     def test_characteristic_uses_the_drawn_times(self):
         p, t, m = ModelParams(0.5, 1.1), 0.9, 5
-        a, b, q = kernels._bridge_characteristic(p, t, m, +1, np.random.default_rng(7), 50)
+        a, b, q = kernels._bridge_characteristic(p, t, m, np.random.default_rng(7), 50)
         s = np.sort(np.random.default_rng(7).uniform(0.0, t, size=(50, m)), axis=1)
-        lam = _flip_couplings(p.g, +1, m)
+        lam = _flip_couplings(p.g, m)
         coef_a, coef_b = ou_bridge_coefficients(s, t)
         assert np.array_equal(a, coef_a @ lam) and np.array_equal(b, coef_b @ lam)
         dense = np.einsum("j,njk,k->n", lam, ou_bridge_covariance(s, t), lam)
@@ -209,9 +209,10 @@ class TestHeatKernelComponents:
             assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
     def test_spin_mirror_conjugates(self):
+        # the spin -1 component is the one at (-x, -y): the complex conjugate
         p = ModelParams(0.5, 1.5)
-        up = heat_kernel_component(p, 1.0, 3, 0.3, -0.2, n_samples=4000, alpha=+1)
-        down = heat_kernel_component(p, 1.0, 3, 0.3, -0.2, n_samples=4000, alpha=-1)
+        up = heat_kernel_component(p, 1.0, 3, 0.3, -0.2, n_samples=4000)
+        down = heat_kernel_component(p, 1.0, 3, -0.3, 0.2, n_samples=4000)
         assert up.mean == pytest.approx(np.conj(down.mean), abs=1e-12)
 
     def test_flip_sum_shrinks_with_coupling(self):
@@ -226,14 +227,6 @@ class TestHeatKernelComponents:
         p = ModelParams(0.5, 1.0)
         with pytest.raises(ParameterError):
             heat_kernel_flip_sum(p, 1.0, 0.3, -0.2, -2, n_samples=100)
-        for m in (0, 2):
-            with pytest.raises(ParameterError):
-                heat_kernel_component(p, 1.0, m, 0.3, -0.2, n_samples=100, alpha=5)
-        for m_max in (0, 3):
-            with pytest.raises(ParameterError):
-                heat_kernel_flip_sum(p, 1.0, 0.3, -0.2, m_max, n_samples=100, alpha=5)
-        with pytest.raises(ParameterError):
-            heat_kernel_component(p, 1.0, 2, 0.3, -0.2, n_samples=100, alpha=0)
         with pytest.raises(ParameterError):
             gaussian_overlap_element_fk(p, 1.0, -1, n_samples=100)
 
@@ -261,9 +254,9 @@ class TestHeatKernelComponents:
         states = []
         original = kernels._bridge_characteristic
 
-        def spy(params, t, m, alpha, rng, chunk):
+        def spy(params, t, m, rng, chunk):
             states.append((m, repr(rng.bit_generator.state)))
-            return original(params, t, m, alpha, rng, chunk)
+            return original(params, t, m, rng, chunk)
 
         monkeypatch.setattr(kernels, "_bridge_characteristic", spy)
         heat_kernel_flip_sum(ModelParams(0.5, 1.0), 1.0, 0.3, -0.2, 4, n_samples=800, seed=55)

@@ -46,14 +46,7 @@ class TestParams:
         with pytest.raises(ParameterError):
             ModelParams(delta=-1.0, g=0.0)
         with pytest.raises(ParameterError):
-            ModelParams(delta=0.5, g=0.0, tau=0.0)
-        with pytest.raises(ParameterError):
             ModelParams(delta=0.5, g=np.inf)
-
-    def test_zeta_shift_hypothesis(self):
-        ModelParams(0.5, 1.0, tau=1.0).require_zeta_shift()
-        with pytest.raises(ParameterError):
-            ModelParams(0.5, 1.0, eps=0.6, tau=1.0).require_zeta_shift()
 
     def test_truncation_validation(self):
         with pytest.raises(ParameterError):

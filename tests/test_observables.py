@@ -17,7 +17,6 @@ from rabizeta.observables import (
     _ground_state_at,
     _partition_at,
     _partition_bound,
-    _vacuum_element_at,
     _vacuum_enclosure,
     gibbs_number_ed,
     ground_state,
@@ -42,6 +41,11 @@ def semigroup_trace_ed(spectrum, t: float, shift: float = 0.0) -> float:
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     return float(np.sum(np.exp(-t * (spectrum.eigenvalues + shift))))
+
+
+def _vacuum_element_at(params: ModelParams, t: float, n_max: int) -> float:
+    """``vacuum_element_ed`` at the cutoff ``n_max``."""
+    return _vacuum_enclosure(params, t, n_max)[0]
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +157,13 @@ class TestNumberObservables:
         val = gibbs_number_ed(gs_std, 1j * np.pi)
         assert abs(val.imag) < 1e-12
         assert val.real > 0
+
+    def test_gibbs_real_beta_outgrows_the_energy_cutoff(self):
+        # at g = 5 the energy's cutoff leaves a third of <e^n> in its last 8 levels
+        p = ModelParams(0.5, 5.0)
+        full = _ground_state_at(p, 228)
+        reference = np.sum(np.exp(np.arange(full.n_levels)) * full.level_weights())
+        assert gibbs_number_ed(ground_state(p), 1.0).real == pytest.approx(reference, rel=1e-10)
 
     def test_gibbs_matches_moment(self, gs_std):
         # derivative of <e^{beta n}> at 0 equals <n>, via central difference

@@ -16,6 +16,7 @@ from rabizeta.zeta import (
     LIMIT_TAIL_REL_TOL,
     _HEAD_REL_TOL,
     _head_bound,
+    _require_zeta_shift,
     _head_for_tail_bound,
     _tail_bound,
     _tail_model,
@@ -321,6 +322,15 @@ class TestLimitTables:
     def test_hypothesis_enforced(self):
         with pytest.raises(ParameterError):
             zeta_limit_table(ModelParams(1.5, 0.0), 2.0, 1.0, [2, 4], "full")
+
+    def test_zeta_shift_hypothesis(self):
+        _require_zeta_shift(ModelParams(0.5, 1.0), 1.0)
+        for eps, tau in ((0.6, 1.0), (0.0, 0.0), (0.0, np.nan), (0.0, np.inf)):
+            with pytest.raises(ParameterError):
+                _require_zeta_shift(ModelParams(0.5, 1.0, eps), tau)
+        # a single value needs only positive shifted levels, not the hypothesis
+        value = zeta_variant_value(ModelParams(0.5, 1.0), 2.0, 0.4, "full", 20).value
+        assert value.real == pytest.approx(24.508017883608876, rel=1e-12)
 
     def test_level_limits_halving(self):
         rows = eigenvalue_limit_table(ModelParams(0.5, 0.0), [4.0, 8.0], 4)
