@@ -70,7 +70,6 @@ from .observables import (
     partition_ed,
     pull_through_residual,
     resolvent_spin_norm,
-    semigroup_matrix_element_ed,
     spin_autocorrelation_ed,
     vacuum_element_ed,
     x_characteristic_ed,

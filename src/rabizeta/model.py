@@ -25,10 +25,11 @@ ones, ``n -> ceil(1.3 n)``, until the caller certifies the result, and no
 cutoff it tries, the start included, may exceed ``MAX_STATES`` states.
 Every result certifies from one solve, by an enclosure of the untruncated
 value it approximates: a spectrum by one of each level (its proof is in
-``refine``), an exact oracle by one of its value (the proofs are in
-``observables``); or, for the sums over the ground vector that outgrow its
-cutoff, by a rule read from that one vector (``observables._settled``).
-No two cutoffs are compared, and no other module grows a cutoff.
+``refine``), an exact oracle by one of its value, rounding included (the
+proofs are in ``observables``).  No two cutoffs are compared, and no other
+module grows a cutoff.  Eigenvectors of a chain come from its own ratio
+recurrences (``_chain_vectors``), with a small relative error also in the
+tiny components, which LAPACK's vectors give only to absolute accuracy.
 ``turning_point_cutoff`` sets the start, for eigenvalues and for the
 ground-state oracles alike.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal, eigvals_banded
+from scipy.linalg import eig_banded, eigvals_banded
 from scipy.special import gammaln, xlogy
 
 from .errors import ConvergenceError, NumericalError, ParameterError, UnsupportedConfigError
@@ -108,11 +109,6 @@ class SymBandMatrix:
             out[k:] += band * v[: self.dim - k]
             out[: self.dim - k] += band * v[k:]
         return out
-
-    def shifted(self, c: float) -> "SymBandMatrix":
-        bands = self.bands.copy()
-        bands[0] += c
-        return SymBandMatrix(bands)
 
     def norm_upper_bound(self) -> float:
         """Infinity-norm bound, cheap scale reference for residual tests."""
@@ -214,29 +210,21 @@ def coherent_coefficients(amplitude: float, n_max: int) -> np.ndarray:
 def eigensolve(mat: SymBandMatrix, k: int | None = None, want_vectors: bool = False):
     """Ascending eigenvalues (and optionally vectors) of a symmetric band matrix.
 
-    Eigenvalues alone come from the band solver at any bandwidth; vectors of
-    a tridiagonal matrix from the tridiagonal solver, and of a wider one from
-    the band solver (LAPACK).  Returned eigenvectors are checked to satisfy
-    ``|M v - lam v| <= 1e-10 * scale(M)``.
+    Eigenvalues and vectors both come from LAPACK's band solver at any
+    bandwidth.  Returned eigenvectors are checked to satisfy
+    ``|M v - lam v| <= 1e-10 * scale(M)``.  The exact oracles take a
+    chain's vectors from ``_chain_vectors`` instead.
 
     Returns ``Spectrum`` or ``(Spectrum, vectors)`` with vectors in columns.
     """
     if k is not None and not 1 <= k <= mat.dim:
         raise ParameterError(f"k must be in [1, {mat.dim}], got {k}")
-    select = "a" if k is None else "i"
-    select_range = None if k is None else (0, k - 1)
+    select = {} if k is None else {"select": "i", "select_range": (0, k - 1)}
     try:
         if not want_vectors:
-            w = eigvals_banded(mat.bands, lower=True, select=select, select_range=select_range)
-        elif mat.bandwidth == 1:
-            w, v = eigh_tridiagonal(
-                mat.bands[0], mat.bands[1, :-1],
-                select=select, select_range=select_range,
-            )
+            w = eigvals_banded(mat.bands, lower=True, **select)
         else:
-            w, v = eig_banded(
-                mat.bands, lower=True, select=select, select_range=select_range,
-            )
+            w, v = eig_banded(mat.bands, lower=True, **select)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise NumericalError(f"band eigensolver failed to converge: {exc}") from exc
 
@@ -304,6 +292,46 @@ def _tail_residuals(upper: np.ndarray, g: float, radius: float, n_max: int,
             np.minimum(best, product, out=best)
             live &= edge * best > need
     return edge * best
+
+
+def _chain_vectors(mat: SymBandMatrix, w: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors, in columns, of the chain ``mat`` at its computed levels ``w``.
+
+    A twisted factorization (Dhillon & Parlett, SIAM J. Matrix Anal. Appl.
+    25 (2004)), vectorized over the levels.  With ``d = a - w``, the pivots
+    ``top[i] = d[i] - b[i-1]^2 / top[i-1]`` sweep down from the first row
+    and ``bot[i] = d[i] - b[i]^2 / bot[i+1]`` up from the last; the vector
+    is 1 at the twist r, the row of least ``|top + bot - d|``, and extends
+    by the ratios ``v[i] / v[i+1] = -b[i] / top[i]`` above it and
+    ``v[i] / v[i-1] = -b[i-1] / bot[i]`` below it.  So every component is a
+    product of ratios, each accurate to a few units in the last place, and
+    keeps a small relative error however small it is, except near a sign
+    change of an excited level, where its size comes from cancellation
+    (``observables._rounding`` has measurements); a component past the
+    double range underflows to zero.  Each vector is signed so that its
+    first component is not negative.  A pivot that vanishes is replaced by
+    the smallest normal times ``max(1, b^2)``, as LAPACK does.  At g = 0 the
+    chain is diagonal and its vectors are unit vectors, in the order of
+    ``w``.
+    """
+    a, b = mat.bands[0], mat.bands[1, :-1]
+    if not b.any():
+        return np.eye(len(a))[:, np.argsort(a, kind="stable")[:len(w)]]
+    b2, d = b * b, a[:, None] - w
+    pivmin = np.finfo(float).tiny * max(1.0, float(b2.max()))
+    top, bot = d.copy(), d.copy()
+    for i in range(1, len(a)):
+        top[i] -= b2[i - 1] / top[i - 1]
+        top[i][np.abs(top[i]) < pivmin] = pivmin
+        bot[-1 - i] -= b2[-i] / bot[-i]
+        bot[-1 - i][np.abs(bot[-1 - i]) < pivmin] = pivmin
+    twist = np.argmin(np.abs(top + bot - d), axis=0)
+    rows = np.arange(len(a))[:, None]
+    v = np.ones_like(d)
+    v[:-1] = np.cumprod(np.where(rows[:-1] < twist, -b[:, None] / top[:-1], 1.0)[::-1],
+                        axis=0)[::-1]
+    v[1:] *= np.cumprod(np.where(rows[1:] > twist, -b[:, None] / bot[1:], 1.0), axis=0)
+    return v / np.copysign(np.linalg.norm(v, axis=0), v[0])
 
 
 def _feshbach_lower(mat: SymBandMatrix, params: ModelParams, radius: float,
@@ -463,16 +491,6 @@ def turning_point_cutoff(levels: int, g: float) -> int:
     return int(np.ceil(r * r + 4.0 * r + 16.0))
 
 
-def _capped(n_max: int, states_per_level: int, what: str) -> int:
-    """``n_max`` itself, or ``ConvergenceError`` when it needs over ``MAX_STATES`` states."""
-    if states_per_level * (n_max + 1) > MAX_STATES:
-        raise ConvergenceError(
-            f"cutoff cap of {MAX_STATES} states reached before {what} "
-            f"converged (n_max {n_max})"
-        )
-    return n_max
-
-
 def refine(solve, start: int, certified, states_per_level: int, what: str):
     """Solve at growing Fock cutoffs until the caller certifies a result.
 
@@ -521,14 +539,16 @@ def refine(solve, start: int, certified, states_per_level: int, what: str):
     Returns ``(result, trail)``; ``trail`` holds ``(n_max, delta)`` for every
     cutoff tried, in order.
     """
-    n_max, trail = _capped(start, states_per_level, what), []
-    while True:
+    n_max, trail = start, []
+    while states_per_level * (n_max + 1) <= MAX_STATES:
         result = solve(n_max)
         ok, delta = certified(result)
         trail.append((n_max, delta))
         if ok:
             return result, tuple(trail)
-        n_max = _capped(int(np.ceil(_GROWTH * n_max)), states_per_level, what)
+        n_max = int(np.ceil(_GROWTH * n_max))
+    raise ConvergenceError(f"cutoff cap of {MAX_STATES} states reached before {what} "
+                           f"converged (n_max {n_max})")
 
 
 def adaptive_spectrum(

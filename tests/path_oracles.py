@@ -134,12 +134,24 @@ def vacuum_suppression(path: JumpPath) -> float:
         + sum_{j,k} (-1)^(j+k) e^{-s_j-s_k} min(e^{2 s_j} - 1, e^{2 s_k} - 1),
 
     which vanishes only on the jump-free event and equals 1 for one jump.
+
+    The two sums collapse to sum_{j,k} (-1)^(j+k) e^{-|s_j - s_k|}, the
+    variance of sum_j (-1)^(j-1) X_{s_j} for a stationary Ornstein-Uhlenbeck
+    process X.  Writing X_{s_j} = rho_j X_{s_{j-1}} + sqrt(1 - rho_j^2) Z_j with
+    rho_j = e^{-(s_j - s_{j-1})} gives the value as b_1^2 + sum_{j>1}
+    (1 - rho_j^2) b_j^2, where b_k = 1 and b_j = 1 - rho_{j+1} b_{j+1}.  Every
+    term is nonnegative, so near-coincident jumps lose nothing to cancellation
+    (the expanded sums round to zero or below once s_2 - s_1 is under an ulp).
     """
     s = path.jumps
     if s.size == 0:
         return 0.0
-    signs = np.where(np.arange(s.size) % 2 == 0, 1.0, -1.0)  # (-1)^(j-1), j from 1
-    first = float(np.sum(signs * np.exp(-s)))
-    grow = np.minimum.outer(s, s)
-    second = float(np.sum(np.outer(signs, signs) * np.exp(-np.add.outer(s, s)) * (np.exp(2.0 * grow) - 1.0)))
-    return first**2 + second
+    gaps = np.diff(s)
+    rho = np.exp(-gaps)
+    one_minus_rho = -np.expm1(-gaps)
+    b = np.ones(s.size)
+    for j in range(s.size - 2, -1, -1):
+        # 1 - rho_j b_{j+1} = (1 - rho_j) + rho_j (1 - b_{j+1}), with 1 - b_{j+1} = rho_{j+1} b_{j+2}
+        rest = rho[j + 1] * b[j + 2] if j + 2 < s.size else 0.0
+        b[j] = one_minus_rho[j] + rho[j] * rest
+    return float(b[0] ** 2 + np.sum(-np.expm1(-2.0 * gaps) * b[1:] ** 2))

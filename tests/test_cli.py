@@ -11,6 +11,7 @@ import pytest
 
 import rabizeta
 import rabizeta.cli as cli
+import rabizeta.observables as observables
 import rabizeta.zeta as zeta
 from rabizeta.cli import ResultRecord, config_hash, main
 
@@ -332,23 +333,38 @@ class TestFkCommand:
         assert code == 2
         assert "beta must be real" in capsys.readouterr().err
 
-    def test_xsquare_unstable_oracle_exit_code(self, tmp_path, capsys):
+    def test_xsquare_unstable_oracle_exit_code(self, tmp_path):
+        # the oracle that once exited 3 here certifies (test_observables.TestReferences)
         code, text = run_cli(tmp_path, "fk", "xsquare", "--g", "1", "--beta", "0.9",
-                             "--n", "400")
-        assert code == 3
-        assert text == ""
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
+                             "--n", "400", fmt="json")
+        assert code == 0
+        named = dict(zip(json.loads(text)["columns"], json.loads(text)["rows"][0]))
+        assert named["oracle_re"] == pytest.approx(78432834.53863283023, rel=1e-12)
 
-    def test_xsquare_refusal_terminates(self, tmp_path, capsys):
+    def test_xsquare_refusal_terminates(self, tmp_path):
         code, text = run_cli(tmp_path, "fk", "xsquare", "--g", "3", "--beta", "0.8",
+                             "--n", "400", fmt="json")
+        assert code == 0
+        named = dict(zip(json.loads(text)["columns"], json.loads(text)["rows"][0]))
+        assert named["oracle_re"] == pytest.approx(4.0594913544174409e31, rel=1e-12)
+
+    def test_xsquare_past_the_double_range_exit_code(self, tmp_path, monkeypatch, capsys):
+        solves = []
+        solve = observables.eigensolve
+
+        def counting(mat, *args, **kwargs):
+            solves.append(mat.dim)
+            return solve(mat, *args, **kwargs)
+
+        monkeypatch.setattr(observables, "eigensolve", counting)
+        code, text = run_cli(tmp_path, "fk", "xsquare", "--g", "7", "--beta", "0.9",
                              "--n", "400")
         assert code == 3
         assert text == ""
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
+        assert len(err.strip().splitlines()) == 1 and "past the double range" in err
         assert "Traceback" not in err
+        assert len(solves) <= 8
 
     @pytest.mark.parametrize("argv", [
         ("xsquare", "--beta", "0.5+1j"),

@@ -84,28 +84,37 @@ def test_every_cutoff_sequence_grows_by_the_one_rule(monkeypatch):
     assert [len(cutoffs) >= 2 for cutoffs in grown] == [True, False, True, True, True]
 
 
+# <exp(beta x^2)> at delta = 0.5 from 60-digit ground vectors, the Gauss-Hermite
+# sum of each at two cutoffs (N = 170 and 200; 260 and 320) that agree to 20
+# digits; and the solves past the ground state's cutoff that certify each
+X_SQUARE_REFERENCES = {(1.0, 0.95): (4.3315001393372696e16, 6),
+                       (3.0, 0.8): (4.0594913544174409e31, 6)}
+
+
 @pytest.mark.parametrize("g, beta", [(1.0, 0.95), (3.0, 0.8)])
 def test_x_square_refusal_terminates(monkeypatch, g, beta):
-    # a rule read from the value's changes alone never fires here, and grows
-    # the cutoff toward the cap; the tail rule refuses within a few solves
+    # a rule read from the value's changes alone never fired here, and a rule
+    # read from the rounded tail refused; the certificate reaches the
+    # reference within a few solves on the growth rule
     gs = observables.ground_state(ModelParams(0.5, g))
-
-    def refused():
-        with pytest.raises(ConvergenceError, match="stopped decaying"):
-            observables.x_square_exponential_ed(gs, beta)
-
-    resolves = solved_cutoffs(monkeypatch, refused)
-    assert len(resolves) <= 6
+    reference, solves = X_SQUARE_REFERENCES[g, beta]
+    value = []
+    resolves = solved_cutoffs(
+        monkeypatch, lambda: value.append(observables.x_square_exponential_ed(gs, beta)))
+    assert value[0] == pytest.approx(reference, rel=1e-12)
+    assert 1 <= len(resolves) <= solves
     assert follows_rule([gs.truncation.n_max, *resolves])
 
 
 def test_exact_zero_tail_solves_once(monkeypatch):
-    # at g = 0 the ground vector is e_0: its zero tail ties, and the value
-    # settles on the vector of the next cutoff
+    # at g = 0 the ground vector is e_0, exact with no tail: the stored
+    # vector certifies the value, and nothing is solved again
     gs = observables.ground_state(ModelParams(0.5, 0.0))
-    resolves = solved_cutoffs(monkeypatch,
-                              lambda: observables.x_square_exponential_ed(gs, 0.8))
-    assert resolves == [math.ceil(1.3 * gs.truncation.n_max)]
+    value = []
+    resolves = solved_cutoffs(
+        monkeypatch, lambda: value.append(observables.x_square_exponential_ed(gs, 0.8)))
+    assert resolves == []
+    assert value[0] == pytest.approx(1 / math.sqrt(0.2), rel=1e-14)
 
 
 def test_start_over_the_cap_solves_nothing(monkeypatch):

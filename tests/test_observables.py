@@ -15,8 +15,7 @@ from rabizeta.model import (
 from rabizeta.errors import ConvergenceError, DomainError, NumericalError, ParameterError
 from rabizeta.observables import (
     _ground_state_at,
-    _partition_at,
-    _partition_bound,
+    _partition_enclosure,
     _vacuum_enclosure,
     gibbs_number_ed,
     ground_state,
@@ -26,7 +25,6 @@ from rabizeta.observables import (
     partition_ed,
     pull_through_residual,
     resolvent_spin_norm,
-    semigroup_matrix_element_ed,
     spin_autocorrelation_ed,
     vacuum_element_ed,
     x_characteristic_ed,
@@ -43,9 +41,26 @@ def semigroup_trace_ed(spectrum, t: float, shift: float = 0.0) -> float:
     return float(np.sum(np.exp(-t * (spectrum.eigenvalues + shift))))
 
 
+def semigroup_matrix_element_ed(mat, phi, psi, t: float, shift: float = 0.0) -> float:
+    """<phi| exp(-t*(M + shift)) |psi> by full diagonalization of the chain ``mat``."""
+    w = model.eigensolve(mat).eigenvalues
+    vecs = model._chain_vectors(mat, w)
+    return float(np.sum((vecs.T @ phi) * (vecs.T @ psi) * np.exp(-t * (w + shift))))
+
+
 def _vacuum_element_at(params: ModelParams, t: float, n_max: int) -> float:
     """``vacuum_element_ed`` at the cutoff ``n_max``."""
     return _vacuum_enclosure(params, t, n_max)[0]
+
+
+def _partition_at(params: ModelParams, t: float, n_max: int) -> float:
+    """``partition_ed`` at the cutoff ``n_max``."""
+    return _partition_enclosure(params, t, n_max)[0]
+
+
+def _partition_bound(params: ModelParams, t: float, n_max: int) -> float:
+    """The bound ``partition_ed`` reports at the cutoff ``n_max``."""
+    return _partition_enclosure(params, t, n_max)[1]
 
 
 @pytest.fixture(scope="module")
@@ -210,9 +225,19 @@ class TestPositionObservables:
         assert val == pytest.approx(x_square_exponential_ed(longer, 0.5), rel=1e-10)
 
     def test_square_exponential_refuses_noise_floor(self, gs_std):
-        # double-precision coefficients cannot carry <exp(0.9 x^2)> at g=1
-        with pytest.raises(ConvergenceError):
-            x_square_exponential_ed(gs_std, 0.9)
+        # LAPACK's ground vector stopped decaying near 1e-50 here; the chain's
+        # own recurrences carry every component, and the value certifies
+        # (reference: Gauss-Hermite sum of the 60-digit ground vector at
+        # N = 110 and 140, which agree to 20 digits)
+        assert x_square_exponential_ed(gs_std, 0.9) == pytest.approx(78432834.53863283023,
+                                                                     rel=1e-12)
+
+    def test_value_past_the_double_range_raises(self):
+        # at g = 7 the partial sums pass 1e308 on the way to the value
+        with pytest.raises(NumericalError, match="past the double range"):
+            x_square_exponential_ed(ground_state(ModelParams(0.5, 7.0)), 0.9)
+        with pytest.raises(NumericalError, match="past the double range"):
+            gibbs_number_ed(ground_state(ModelParams(0.5, 0.5)), 20.0)
 
     def test_square_domain(self, gs_std):
         with pytest.raises(DomainError):
@@ -433,3 +458,38 @@ class TestEnclosures:
         p = ModelParams(0.5, 8.0)
         _, _, cutoffs = certified(monkeypatch, lambda: partition_ed(p, 2.0))
         assert cutoffs == [133, 173, 225, 293]
+
+
+# Reference values at delta = 0.5, computed outside the package.  Partition
+# element 2 (exp(-2 T))_00 on the odd chain T: the mpmath Taylor series of
+# exp(-t T) e_0 with 613 digits at N = 200 (g = 6) and 420 digits at N = 293
+# (g = 8).  <exp(beta x^2)>: the Gauss-Hermite sum of the 60-digit ground
+# vector at two cutoffs that agree to 20 digits (N = 110 and 140 at g = 1,
+# beta = 0.9; 170 and 200 at g = 1, beta = 0.95; 260 and 320 at g = 3,
+# beta = 0.8).
+class TestReferences:
+    """Each certified value lies within its tolerance and its own bound of the reference."""
+
+    @pytest.mark.parametrize("g, reference, rel", [(6.0, 1.1517813698902734e18, 1e-13),
+                                                   (8.0, 7.2943411145029217e31, 1e-12)])
+    def test_partition(self, monkeypatch, g, reference, rel):
+        p = ModelParams(0.5, g)
+        value, (_, bound), _ = certified(monkeypatch, lambda: partition_ed(p, 2.0))
+        assert value == pytest.approx(reference, rel=rel, abs=0.0)
+        assert abs(value - reference) <= bound
+
+    @pytest.mark.parametrize("g, beta, reference", [(1.0, 0.9, 78432834.53863283023),
+                                                    (1.0, 0.95, 4.3315001393372696e16),
+                                                    (3.0, 0.8, 4.0594913544174409e31)])
+    def test_x_square(self, monkeypatch, g, beta, reference):
+        gs = ground_state(ModelParams(0.5, g))
+        value, (_, bound), _ = certified(monkeypatch, lambda: x_square_exponential_ed(gs, beta))
+        assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert abs(value - reference) <= bound
+
+    def test_gibbs_certifies_past_the_energy_cutoff(self, monkeypatch):
+        gs = ground_state(ModelParams(0.5, 5.0))
+        value, (_, bound), cutoffs = certified(monkeypatch, lambda: gibbs_number_ed(gs, 1.0))
+        # the sum of LAPACK's vector at N = 152 and 228 (ROADMAP item 2) reads 4.5147e18
+        assert value.real == pytest.approx(4.5147031475827e18, rel=1e-10) and value.imag == 0.0
+        assert bound <= 1e-10 * abs(value) and cutoffs[0] == gs.truncation.n_max
