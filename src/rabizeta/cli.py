@@ -89,7 +89,7 @@ from .observables import (
 )
 from .paths import DEFAULT_SEED, build_ground_ensemble, default_horizon
 from .zeta import (
-    _require_tilt_rule,
+    _ladder,
     _require_zeta_shift,
     eigenvalue_limit_table,
     hurwitz_zeta,
@@ -260,13 +260,13 @@ def cmd_limits(args) -> ResultRecord:
                                  f"the {args.table} table")
     variant = _default_variant(args)
     params = ModelParams(args.delta, 0.0, args.eps)
-    _require_tilt_rule(params, variant)
+    _ladder(params, variant)  # the variant and its eps rule, as given
     if args.table == "zeta":
         rows = [
             [r.g, float(r.value.real), float(r.value.imag), float(r.target.real),
              r.deviation, r.tail_bound, r.n_used]
             for r in zeta_limit_table(params, args.s, args.tau, args.g_grid, variant,
-                                      args.n_head or None)
+                                      args.n_head)
         ]
         return _record(args, _ZETA_LIMIT_ANCHORS[variant],
                        ["g", "value_re", "value_im", "target_re", "deviation",

@@ -42,7 +42,7 @@ from .model import (
     Truncation,
     _backward_error,
     _chain_vectors,
-    _level_brackets,
+    _variant_spectrum,
     build_full_hamiltonian,
     build_parity_tridiagonal,
     coherent_coefficients,
@@ -197,18 +197,18 @@ def _refined(solve, params: ModelParams, what: str, start: int | None = None,
 def _ground_state_at(params: ModelParams, n_max: int) -> GroundState:
     """Ground state at the fixed cutoff ``n_max``, its energy and vector bounded.
 
-    One eigenvalue solve of the odd chain: the Kato-Temple brackets of its
-    levels (``model.refine`` has the proof) enclose the energy and give the
-    gap of ``vector_error`` (``_refined`` has the proof), and
-    ``model._chain_vectors`` gives the vector at the computed level.
+    One eigenvalue solve of the odd chain, ``model._variant_spectrum`` of
+    ``parity-``: the Kato-Temple brackets of its levels (``model.refine`` has
+    the proof) enclose the energy and give the gap of ``vector_error``
+    (``_refined`` has the proof), and ``model._chain_vectors`` gives the
+    vector at the computed level.
     """
-    mat = build_parity_tridiagonal(params, Truncation(n_max), -1)
-    w = eigensolve(mat).eigenvalues
-    widths = _level_brackets(mat, w, params, params.delta, 1)
-    v = _chain_vectors(mat, w[:1])[:, 0]
+    spec = _variant_spectrum(params, n_max, "parity-", 1)
+    w, widths = spec.eigenvalues, spec.error_bound
+    v = _chain_vectors(build_parity_tridiagonal(params, Truncation(n_max), -1), w[:1])[:, 0]
     coeffs = np.zeros((n_max + 1, 2))
     coeffs[1::2, 0], coeffs[::2, 1] = v[1::2], v[::2]
-    gap = w[1] - widths[1] - w[0] - _backward_error(mat)
+    gap = w[1] - widths[1] - w[0] - spec.backward_error
     resid = abs(params.g) * np.sqrt(2.0 * n_max + 2.0) * max(abs(v[-1]), _TINY)  # sqrt(2) r
     return GroundState(float(w[0]), coeffs, params, Truncation(n_max), float(widths[0]),
                        float(resid / gap) if gap > 0 else np.inf)

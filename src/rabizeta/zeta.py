@@ -7,19 +7,20 @@ This continues the function to all s != 1 and is the closed-form target of
 every limit table.
 
 ``spectral_zeta`` sums (E_n + shift + tau)^(-s) over computed eigenvalues and
-completes the tail with a model sequence.  The tail model rests on an exact
-perturbation bracket: removing the level-splitting term from the (possibly
-tilted) Hamiltonian leaves displaced oscillators whose shifted spectrum is
-known exactly, so every shifted eigenvalue lies within ``radius`` of its model
-value (radius = delta, or sqrt(delta^2 + eps^2) when the tilt cannot be kept
-in the model).  The reported ``tail_bound`` is the worst-case effect of moving
-each tail level by ``radius``, plus that of moving each head level within its
-bracket when the spectrum carries brackets (``model.refine``).
+completes the tail with the variant's large-coupling ladder (``_ladder``).
+Removing the level-splitting term from the (possibly tilted) Hamiltonian
+leaves displaced oscillators whose shifted levels are exactly that ladder, so
+by Weyl's inequality every sorted shifted eigenvalue lies within delta of the
+ladder point of its rank, at every eps.  The reported ``tail_bound`` is the
+worst-case effect of moving each tail level by delta, plus that of moving
+each head level within its bracket when the spectrum carries brackets
+(``model.refine``).
 """
 
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,34 +125,82 @@ def hurwitz_zeta(s: complex, tau: float) -> ZetaValue:
     return _euler_maclaurin(s, tau)
 
 
-def _model_tail(s: complex, tau: float, start: int, degeneracy: int, split: float) -> complex:
-    """Tail sum over the model sequence from full-spectrum index ``start``."""
-    m0 = start // degeneracy
-    if degeneracy == 1:
-        return _hz(s, tau + m0)
-    if split == 0.0:
-        return 2.0 * _hz(s, tau + m0)
-    return _hz(s, tau + m0 - split) + _hz(s, tau + m0 + split)
-
-
 def _hz(s: complex, tau: float) -> complex:
     return hurwitz_zeta(s, tau).value
 
 
-def _tail_bound(
-    s: complex, tau: float, m0: int, degeneracy: int, split: float, radius: float
-) -> float:
-    """Worst-case effect on the sum of moving every tail level by ``radius``.
+def _ladder(params: ModelParams, variant: str) -> tuple[float, ...]:
+    """Offsets o of the large-coupling ladder ``{m + o : m >= 0}`` of one zeta variant.
 
-    The tail starts at model index ``m0`` (full-spectrum index
-    ``m0 * degeneracy``); the bound decreases as ``m0`` grows and is exactly 0
-    when ``radius`` is 0.
+    Without its ``delta sz`` term, K is a pair of displaced oscillators
+    split by ``eps sx``: its sorted levels, shifted by g^2, are the sorted
+    points of this ladder (the model of ``model._model_floor``), two at each
+    integer for ``full``, one per parity sector, and ``m -/+ eps`` for
+    ``asymmetric``.  ``delta sz`` has norm delta, so by Weyl's inequality the
+    k-th sorted shifted level ``E_k + g^2`` lies within delta of the k-th
+    sorted ladder point, at every eps and every k.  The ladder is thus the
+    variant's large-coupling limit, and the tail model of radius delta past a
+    head of any size.  Only ``asymmetric`` describes levels split by +-eps,
+    and it needs eps > 0.
     """
-    tail_edge = tau + m0 - radius - split
-    if tail_edge <= 0:
+    ladders = {"full": (0.0, 0.0), "parity+": (0.0,), "parity-": (0.0,),
+               "asymmetric": (-params.eps, params.eps)}
+    if variant not in ladders:
+        raise ParameterError(f"variant must be one of {tuple(ladders)}, got {variant!r}")
+    if variant != "asymmetric" and params.eps != 0.0:
+        raise ParameterError(f"variant {variant!r} needs eps = 0 (got {params.eps}); "
+                             f"use 'asymmetric'")
+    if variant == "asymmetric" and params.eps == 0.0:
+        raise ParameterError("asymmetric variant requires eps > 0")
+    return ladders[variant]
+
+
+def _ladder_points(ladder: tuple[float, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` lowest ladder points ``m + o`` ascending, and the offset index of each.
+
+    The points with ``m <= n`` hold them all; of two equal points, the one
+    of the larger offset comes first.
+    """
+    offsets = np.repeat(ladder, n + 1)
+    points = np.tile(np.arange(n + 1.0), len(ladder)) + offsets
+    order = np.lexsort((-offsets, points))[:n]
+    return points[order], np.repeat(np.arange(len(ladder)), n + 1)[order]
+
+
+def _tail_starts(tau: float, n: int, ladder: tuple[float, ...]) -> list[float]:
+    """``tau + o + m_o`` per offset o, where m_o of the ``n`` lowest ladder points carry o."""
+    counts = np.bincount(_ladder_points(ladder, n)[1], minlength=len(ladder))
+    return [tau + o + int(m) for o, m in zip(ladder, counts)]
+
+
+def _model_tail(s: complex, tau: float, n: int, ladder: tuple[float, ...]) -> complex:
+    """Sum of ``(x + tau)^(-s)`` over the ladder points x past the ``n`` lowest."""
+    return sum(_hz(s, start) for start in _tail_starts(tau, n, ladder))
+
+
+def _tail_bound(
+    s: complex, tau: float, n: int, ladder: tuple[float, ...], radius: float
+) -> float:
+    """Worst-case effect on the sum of moving every level past the ``n`` lowest by ``radius``.
+
+    A level within ``radius`` of its ladder point x moves its term by at most
+    ``radius |s| (x + tau - radius)^(-Re s - 1)``; over the points past the
+    ``n`` lowest that is ``radius |s| sum_o zeta(Re s + 1; tau + o + m_o -
+    radius)``.  The bound falls as ``n`` grows and is exactly 0 when
+    ``radius`` is 0.
+    """
+    edges = [start - radius for start in _tail_starts(tau, n, ladder)]
+    if min(edges) <= 0:
         raise DomainError("tail start too small for the stated radius")
-    per_level = radius * abs(s) * abs(_hz(complex(s.real + 1), tail_edge))
-    return float(degeneracy * per_level)
+    return float(radius * abs(s) * sum(abs(_hz(complex(s.real + 1), edge)) for edge in edges))
+
+
+def _require_sum(s) -> complex:
+    """``s`` as a complex number; the spectral sums converge only for Re(s) > 1."""
+    s = complex(s)
+    if s.real <= 1:
+        raise DomainError(f"spectral zeta sums require Re(s) > 1, got {s}")
+    return s
 
 
 def spectral_zeta(
@@ -161,24 +210,22 @@ def spectral_zeta(
     shift: float,
     *,
     radius: float,
-    degeneracy: int = 2,
-    split: float = 0.0,
+    ladder: tuple[float, ...] = (0.0, 0.0),
     n_use: int | None = None,
 ) -> ZetaValue:
     """Sum 1/(E_n + shift + tau)^s with a bracketed Hurwitz tail.
 
-    ``degeneracy`` is how many levels the model sequence puts at each integer
-    (2 for the full model, 1 for a parity sector) and ``split`` displaces the
-    degenerate pair to ``m -/+ split`` (asymmetric model).  ``radius`` bounds
-    the distance of every true shifted level from the model; the tail bound is
-    ``degeneracy * radius * |s| * |zeta(Re s + 1; tau + M - radius - split)|``
-    for a tail that starts at model index M.  When the spectrum carries
-    brackets (``Spectrum.error_bound``), the bound also holds the worst-case
-    effect of each head level's bracket on its term.
+    The head sums the lowest ``n_use`` levels (by default every converged
+    one), at least one.  The tail sums the ladder points ``m + o`` past the
+    ``n_use`` lowest, ``ladder`` holding the offsets o (``_ladder``: two at
+    0 for the full model, one for a parity sector, ``-/+ eps`` for the
+    asymmetric one).  ``radius`` bounds the distance of every true shifted
+    level from the ladder point of its rank, and the tail bound is that of
+    ``_tail_bound``.  When the spectrum carries brackets
+    (``Spectrum.error_bound``), the bound also holds the worst-case effect of
+    each head level's bracket on its term.
     """
-    s = complex(s)
-    if s.real <= 1:
-        raise DomainError(f"spectral zeta sums require Re(s) > 1, got {s}")
+    s = _require_sum(s)
     if tau <= 0:
         raise DomainError(f"tau must be positive, got {tau}")
     if radius < 0:
@@ -187,16 +234,15 @@ def spectral_zeta(
     if n_use is None:
         n_use = avail
     n_use = min(n_use, avail, len(spectrum))
-    n_use -= n_use % degeneracy  # tail must start on a model boundary
-    if n_use < degeneracy:
+    if n_use < 1:
         raise ConvergenceError("not enough converged eigenvalues for a head sum")
 
     shifted = spectrum.eigenvalues[:n_use] + shift + tau
     if np.any(shifted <= 0):
         raise DomainError("every E_n + shift + tau must be positive; increase tau")
     head = complex(np.sum(np.exp(-s * np.log(shifted))))
-    tail = _model_tail(s, tau, n_use, degeneracy, split)
-    bound = _tail_bound(s, tau, n_use // degeneracy, degeneracy, split, radius)
+    tail = _model_tail(s, tau, n_use, ladder)
+    bound = _tail_bound(s, tau, n_use, ladder, radius)
     if spectrum.error_bound is not None:
         bound += _head_bound(s, shifted, spectrum.error_bound[:n_use])
     return ZetaValue(value=head + tail, tail_bound=bound, n_used=n_use)
@@ -214,8 +260,6 @@ def _head_bound(s: complex, shifted: np.ndarray, brackets: np.ndarray) -> float:
     return float(abs(s) * np.sum(brackets * low ** (-s.real - 1.0)))
 
 
-_VARIANTS = ("full", "parity+", "parity-", "asymmetric")
-
 # Relative bracket of every level a zeta head sums, and of every level of an
 # eigenvalue limit table.
 _HEAD_REL_TOL = 1e-9
@@ -223,24 +267,8 @@ _LEVEL_REL_TOL = 1e-10
 
 
 def variant_target(params: ModelParams, s: complex, tau: float, variant: str) -> complex:
-    """Large-coupling limit value of the spectral zeta for each variant."""
-    if variant == "full":
-        return 2.0 * _hz(s, tau)
-    if variant in ("parity+", "parity-"):
-        return _hz(s, tau)
-    if variant == "asymmetric":
-        return _hz(s, tau + params.eps) + _hz(s, tau - params.eps)
-    raise ParameterError(f"unknown variant {variant!r}")
-
-
-def _require_tilt_rule(params: ModelParams, variant: str):
-    """Only ``asymmetric`` describes levels split by +-eps, and it needs eps > 0."""
-    if variant != "asymmetric" and params.eps != 0.0:
-        raise ParameterError(
-            f"variant {variant!r} needs eps = 0 (got {params.eps}); use 'asymmetric'"
-        )
-    if variant == "asymmetric" and params.eps == 0.0:
-        raise ParameterError("asymmetric variant requires eps > 0")
+    """Large-coupling limit value of the spectral zeta for each variant: the ladder sum."""
+    return _model_tail(s, tau, 0, _ladder(params, variant))
 
 
 def _require_zeta_shift(params: ModelParams, tau: float):
@@ -250,50 +278,18 @@ def _require_zeta_shift(params: ModelParams, tau: float):
                              f"(tau={tau}, delta={params.delta}, eps={params.eps})")
 
 
-def _tail_model(params: ModelParams, variant: str) -> tuple[str, int, float, float]:
-    """(spectrum variant, degeneracy, split, radius) of one variant's tail model.
-
-    The full and parity tail models are the untilted ladders of radius delta,
-    which do not bound levels also split by +-eps, so those variants are
-    refused at ``eps != 0``.
-    """
-    if variant not in _VARIANTS:
-        raise ParameterError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    _require_tilt_rule(params, variant)
-    if variant == "asymmetric":
-        if params.eps < 0.5:
-            return "full", 2, params.eps, params.delta
-        return "full", 2, 0.0, float(np.hypot(params.delta, params.eps))
-    if variant == "full":
-        return "full", 2, 0.0, params.delta
-    return variant, 1, 0.0, params.delta
-
-
 def _head_for_tail_bound(
-    s: complex, tau: float, model: tuple[str, int, float, float], tol: float, cap: int
+    s: complex, tau: float, ladder: tuple[float, ...], radius: float, tol: float, cap: int
 ) -> int:
-    """Smallest head, a multiple of the degeneracy, whose tail bound is <= ``tol``.
+    """Smallest head, of at least one level, whose tail bound is <= ``tol``.
 
-    The bound falls as the tail start grows, so bisection over the model
-    index finds the head without any eigenvalues.  Heads are searched up to
-    ``cap`` (rounded down to the degeneracy), which is returned when even it
-    misses ``tol``.
+    The bound falls as the head grows, so bisection finds the head without
+    any eigenvalues.  Heads are searched up to ``cap`` levels, which is
+    returned when even it misses ``tol``.
     """
-    _, degeneracy, split, radius = model
-
-    def bound(m0: int) -> float:
-        return _tail_bound(s, tau, m0, degeneracy, split, radius)
-
-    lo, hi = 0, cap // degeneracy  # bound(hi) <= tol; model index 0 is no head
-    if bound(hi) > tol:
-        return hi * degeneracy
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi * degeneracy
+    heads = range(1, cap + 1)
+    first = bisect_left(heads, True, key=lambda n: _tail_bound(s, tau, n, ladder, radius) <= tol)
+    return heads[min(first, cap - 1)]
 
 
 def zeta_variant_value(
@@ -307,19 +303,19 @@ def zeta_variant_value(
 
     Every one of the ``n_head`` levels summed is enclosed to
     ``_HEAD_REL_TOL``, as ``adaptive_spectrum`` certifies it, and the tail
-    bound holds the head's brackets.  A head smaller than the tail model's
-    degeneracy sums no whole model level and raises ``ParameterError``
-    before any eigensolve.
+    bound holds the head's brackets.  The tail is the variant's ladder
+    (``_ladder``) past the head, with radius delta.  The variant and its eps
+    rule, ``Re(s) > 1`` and a head of at least one level are checked before
+    any eigensolve.
     """
-    spec_variant, degeneracy, split, radius = _tail_model(params, variant)
-    if n_head < degeneracy:
-        raise ParameterError(f"the {variant} head needs at least {degeneracy} levels, "
-                             f"got {n_head}")
-    spectrum = adaptive_spectrum(params, n_head, _HEAD_REL_TOL, spec_variant)
-    return spectral_zeta(
-        spectrum, s, tau, shift=params.g**2,
-        radius=radius, degeneracy=degeneracy, split=split, n_use=n_head,
-    )
+    ladder = _ladder(params, variant)
+    s = _require_sum(s)
+    if n_head < 1:
+        raise ParameterError(f"a zeta head needs at least 1 level, got {n_head}")
+    spectrum = adaptive_spectrum(params, n_head, _HEAD_REL_TOL,
+                                 "full" if variant == "asymmetric" else variant)
+    return spectral_zeta(spectrum, s, tau, shift=params.g**2, radius=params.delta,
+                         ladder=ladder, n_use=n_head)
 
 
 @dataclass
@@ -348,9 +344,10 @@ def zeta_limit_table(
 ) -> list[ZetaLimitRow]:
     """Deviation of the spectral zeta from its large-coupling target per g.
 
-    The hypothesis ``tau > delta (+ eps)`` is enforced up front; deviations
-    along an increasing grid shrink toward zero with no stated rate, so
-    downstream checks are monotonicity checks up to ``tail_bound`` slack:
+    ``Re(s) > 1`` and the hypothesis ``tau > delta (+ eps)`` are enforced up
+    front; deviations along an increasing grid shrink toward zero with no
+    stated rate, so downstream checks are monotonicity checks up to
+    ``tail_bound`` slack:
     ``dev[i] + tail[i] < dev[i-1] - tail[i-1]``.
 
     With ``n_head`` given, every row sums exactly that many levels.  Without
@@ -364,10 +361,10 @@ def zeta_limit_table(
     than at that fixed head.  A pair whose deviations do not decrease is left
     as computed.
     """
-    s = complex(s)
-    model = _tail_model(params, variant)
+    ladder = _ladder(params, variant)
+    s = _require_sum(s)
     _require_zeta_shift(params, tau)
-    target = variant_target(params, s, tau, variant)
+    target = _model_tail(s, tau, 0, ladder)
     runs = [ModelParams(params.delta, float(g), params.eps) for g in g_grid]
 
     def row(run: ModelParams, head: int) -> ZetaLimitRow:
@@ -384,10 +381,10 @@ def zeta_limit_table(
     if n_head is not None:
         return [row(run, n_head) for run in runs]
 
-    cap = 1000 * model[1]  # 1000 model levels: 2000 eigenvalues, 1000 per parity sector
+    cap = 1000 * len(ladder)  # 2000 eigenvalues, 1000 per parity sector
 
     def head(tol: float) -> int:
-        return _head_for_tail_bound(s, tau, model, tol, cap)
+        return _head_for_tail_bound(s, tau, ladder, params.delta, tol, cap)
 
     first = head(LIMIT_TAIL_REL_TOL * abs(target))
     rows = [row(run, first) for run in runs]
@@ -409,8 +406,14 @@ def zeta_limit_table(
             rows[j] = row(runs[j], n)
 
 
-#: Parity sectors of each untilted level-table variant.
-_LEVEL_SECTORS = {"parity": (+1, -1), "parity+": (+1,), "parity-": (-1,)}
+#: (sector, parity tag of each offset of the sector's ladder) of each level-table
+#: variant: an asymmetric pair tags its m - eps member +1 and its m + eps member -1.
+_LEVEL_SECTORS = {
+    "parity": (("parity+", (+1,)), ("parity-", (-1,))),
+    "parity+": (("parity+", (+1,)),),
+    "parity-": (("parity-", (-1,)),),
+    "asymmetric": (("asymmetric", (+1, -1)),),
+}
 
 
 @dataclass
@@ -429,37 +432,30 @@ def eigenvalue_limit_table(
     n_levels: int,
     variant: str = "parity",
 ) -> list[LevelLimitRow]:
-    """Shifted low-lying levels E + g^2 against their integer (or split) limits.
+    """Shifted low-lying levels E + g^2 against the sorted points of their ladder.
 
-    ``parity`` rows target m in both sectors, ``parity+`` and ``parity-`` rows
-    in one; ``asymmetric`` rows target m -/+ eps for the even/odd members of
-    each pair (parity column reports the pair member as +1/-1 in that case).
-    The eps rule of the zeta variants applies, before any eigensolve.
+    ``parity`` rows hold the lowest ``n_levels`` levels of both sectors,
+    ``parity+`` and ``parity-`` rows of one, each against the integers;
+    ``asymmetric`` rows hold the lowest ``2 n_levels`` levels against the
+    sorted points ``m -/+ eps`` of ``_ladder``, within delta of them by its
+    proof (parity column reports the pair member as +1/-1 in that case; of
+    two equal points, the -1 member comes first).  The eps rule of the zeta
+    variants applies, before any eigensolve.
     """
-    if variant not in (*_LEVEL_SECTORS, "asymmetric"):
+    if variant not in _LEVEL_SECTORS:
         raise ParameterError(f"unknown level-table variant {variant!r}")
-    _require_tilt_rule(params, variant)
+    sectors = [(sector, _ladder(params, sector), np.array(tags))
+               for sector, tags in _LEVEL_SECTORS[variant]]
     rows = []
     for g in g_grid:
         run = ModelParams(params.delta, float(g), params.eps)
-        if variant in _LEVEL_SECTORS:
-            for parity in _LEVEL_SECTORS[variant]:
-                spec = adaptive_spectrum(run, k=n_levels, rel_tol=_LEVEL_REL_TOL,
-                                         variant="parity+" if parity > 0 else "parity-")
-                for n in range(n_levels):
-                    shifted = spec.eigenvalues[n] + g**2
-                    rows.append(
-                        LevelLimitRow(float(g), n, parity, float(shifted), float(n),
-                                      abs(shifted - n))
-                    )
-        else:
-            spec = adaptive_spectrum(run, k=2 * n_levels, rel_tol=_LEVEL_REL_TOL, variant="full")
-            for n in range(2 * n_levels):
-                m, odd = divmod(n, 2)
-                target = m + (run.eps if odd else -run.eps)
+        for sector, ladder, tags in sectors:
+            count = n_levels * len(ladder)
+            spec = adaptive_spectrum(run, k=count, rel_tol=_LEVEL_REL_TOL,
+                                     variant="full" if sector == "asymmetric" else sector)
+            targets, index = _ladder_points(ladder, count)
+            for n, (target, tag) in enumerate(zip(targets, tags[index])):
                 shifted = spec.eigenvalues[n] + g**2
-                rows.append(
-                    LevelLimitRow(float(g), n, -1 if odd else +1, float(shifted),
-                                  float(target), abs(shifted - target))
-                )
+                rows.append(LevelLimitRow(float(g), n, int(tag), float(shifted),
+                                          float(target), abs(shifted - target)))
     return rows

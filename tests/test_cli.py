@@ -11,7 +11,6 @@ import pytest
 
 import rabizeta
 import rabizeta.cli as cli
-import rabizeta.observables as observables
 import rabizeta.zeta as zeta
 from rabizeta.cli import ResultRecord, config_hash, main
 
@@ -216,9 +215,22 @@ class TestZetaCommand:
             raise AssertionError("a level was solved before the head size was checked")
 
         monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
-        code, text = run_cli(tmp_path, "zeta", "--n-head", "1")
+        for command in ("zeta", "limits"):
+            code, text = run_cli(tmp_path, command, "--n-head", "0")
+            assert code == 2 and text == ""
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [("zeta", "--s", "0.5", "--g", "3"),
+                                      ("limits", "--s", "0.5"), ("limits", "--s", "0")])
+    def test_divergent_sum_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before Re(s) was checked")
+
+        monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
+        code, text = run_cli(tmp_path, *argv)
         assert code == 2 and text == ""
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "Re(s) > 1" in err[0]
 
     def test_untilted_variant_refuses_eps(self, tmp_path, capsys):
         # the full tail model of radius delta does not bound levels split by +-eps
@@ -348,15 +360,7 @@ class TestFkCommand:
         named = dict(zip(json.loads(text)["columns"], json.loads(text)["rows"][0]))
         assert named["oracle_re"] == pytest.approx(4.0594913544174409e31, rel=1e-12)
 
-    def test_xsquare_past_the_double_range_exit_code(self, tmp_path, monkeypatch, capsys):
-        solves = []
-        solve = observables.eigensolve
-
-        def counting(mat, *args, **kwargs):
-            solves.append(mat.dim)
-            return solve(mat, *args, **kwargs)
-
-        monkeypatch.setattr(observables, "eigensolve", counting)
+    def test_xsquare_past_the_double_range_exit_code(self, tmp_path, capsys, solves):
         code, text = run_cli(tmp_path, "fk", "xsquare", "--g", "7", "--beta", "0.9",
                              "--n", "400")
         assert code == 3
@@ -364,7 +368,7 @@ class TestFkCommand:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "past the double range" in err
         assert "Traceback" not in err
-        assert len(solves) <= 8
+        assert len([dim for dim, k in solves if k is None]) <= 8
 
     @pytest.mark.parametrize("argv", [
         ("xsquare", "--beta", "0.5+1j"),

@@ -214,18 +214,10 @@ class TestAdaptiveSpectrum:
         large = eigensolve(build_full_hamiltonian(p, Truncation(120))).eigenvalues
         assert np.all(large[:40] <= small[:40] + 1e-12)
 
-    def test_tolerance_below_the_solver_error_raises_at_once(self, monkeypatch):
-        solved = []
-        solve = model.eigensolve
-
-        def counting(mat, *args, **kwargs):
-            solved.append(mat.dim)
-            return solve(mat, *args, **kwargs)
-
-        monkeypatch.setattr(model, "eigensolve", counting)
+    def test_tolerance_below_the_solver_error_raises_at_once(self, solves):
         with pytest.raises(ConvergenceError, match="below the eigensolver's error bound"):
             adaptive_spectrum(ModelParams(0.5, 1.0), k=4, rel_tol=1e-17)
-        assert len(solved) == 2  # the two chains of the start cutoff
+        assert len(solves) == 2  # the two chains of the start cutoff
 
     def test_cap_error(self):
         with pytest.raises(ConvergenceError):

@@ -350,34 +350,18 @@ class TestCheckedCutoffs:
         assert vacuum_element_ed(p, 1.0) == pytest.approx(2.8295183124731, rel=1e-13)
         assert partition_ed(p, 2.0) == pytest.approx(6.5911110485489, rel=1e-13)
 
-    def test_explicit_cutoff_is_kept(self, monkeypatch):
-        dims = []
-        solve = observables.eigensolve
-
-        def counting(mat, *args, **kwargs):
-            dims.append(mat.dim)
-            return solve(mat, *args, **kwargs)
-
-        monkeypatch.setattr(observables, "eigensolve", counting)
+    def test_explicit_cutoff_is_kept(self, solves):
         p = ModelParams(0.5, 1.0)
         _vacuum_element_at(p, 1.0, 10)
         _partition_at(p, 2.0, 12)
         _ground_state_at(p, 14)
-        assert dims == [11, 13, 15]
+        assert solves == [(11, None), (13, None), (15, None)]
 
-    def test_overflow_raises_at_once(self, monkeypatch):
+    def test_overflow_raises_at_once(self, solves):
         # exp(t (g^2 + delta)) overflows: no cutoff certifies an infinite value
-        dims = []
-        solve = observables.eigensolve
-
-        def counting(mat, *args, **kwargs):
-            dims.append(mat.dim)
-            return solve(mat, *args, **kwargs)
-
-        monkeypatch.setattr(observables, "eigensolve", counting)
         with pytest.raises(NumericalError, match="past the double range"):
             partition_ed(ModelParams(0.5, 12.0), 5.0)
-        assert dims == [model.turning_point_cutoff(1, 12.0) + 1]
+        assert solves == [(model.turning_point_cutoff(1, 12.0) + 1, None)]
 
     def test_cap_raises(self, monkeypatch):
         # none of the three certifies at the start cutoff 76 here; two states

@@ -18,8 +18,9 @@ from rabizeta.zeta import (
     _head_bound,
     _require_zeta_shift,
     _head_for_tail_bound,
+    _ladder,
+    _ladder_points,
     _tail_bound,
-    _tail_model,
     eigenvalue_limit_table,
     hurwitz_zeta,
     spectral_zeta,
@@ -103,7 +104,7 @@ class TestSpectralZeta:
         assert abs(zv.value - 2 * hurwitz_zeta(2, 1).value) < 1e-10
         spec = adaptive_spectrum(ModelParams(0.0, 2.0), 1500, _HEAD_REL_TOL, "full")
         shifted = spec.eigenvalues[:1500] + 4.0 + 1.0
-        assert _tail_bound(2.0 + 0j, 1.0, 750, 2, 0.0, 0.0) == 0.0
+        assert _tail_bound(2.0 + 0j, 1.0, 1500, (0.0, 0.0), 0.0) == 0.0
         assert zv.tail_bound == _head_bound(2.0 + 0j, shifted, spec.error_bound[:1500])
 
     def test_tail_bound_holds_the_head_brackets(self):
@@ -122,13 +123,24 @@ class TestSpectralZeta:
             raise AssertionError("a level was solved before the head size was checked")
 
         monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
-        with pytest.raises(ParameterError, match="at least 2 levels"):
-            zeta_variant_value(ModelParams(0.5, 1.0), 2.0, 1.0, "full", 1)
-        with pytest.raises(ParameterError, match="at least 1 levels"):
-            zeta_variant_value(ModelParams(0.5, 1.0), 2.0, 1.0, "parity+", 0)
+        for variant in ("full", "parity+"):
+            with pytest.raises(ParameterError, match="at least 1 level"):
+                zeta_variant_value(ModelParams(0.5, 1.0), 2.0, 1.0, variant, 0)
+
+    @pytest.mark.parametrize("s", [1.0, 0.5, 0.0, 1.0 + 3.0j])
+    def test_divergent_sum_solves_nothing(self, monkeypatch, s):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before Re(s) was checked")
+
+        monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
+        p = ModelParams(0.5, 0.0)
+        with pytest.raises(DomainError, match=r"Re\(s\) > 1"):
+            zeta_variant_value(p, s, 1.0, "full", 40)
+        with pytest.raises(DomainError, match=r"Re\(s\) > 1"):
+            zeta_limit_table(p, s, 1.0, [2.0, 4.0], "full")
 
     def test_free_splitting_identity(self, free_spectrum):
-        zv = spectral_zeta(free_spectrum, 2.0, 1.0, 0.0, radius=0.25, degeneracy=2)
+        zv = spectral_zeta(free_spectrum, 2.0, 1.0, 0.0, radius=0.25)
         target = hurwitz_zeta(2, 1.25).value + hurwitz_zeta(2, 0.75).value
         assert abs(zv.value - target) < 1e-8
 
@@ -159,9 +171,8 @@ class TestSpectralZeta:
             spectral_zeta(free_spectrum, 2.0, -1.0, 0.0, radius=0.25)
 
     def test_insufficient_levels(self):
-        tiny = Spectrum(np.array([0.5]), converged_count=1)
         with pytest.raises(ConvergenceError):
-            spectral_zeta(tiny, 2.0, 1.0, 0.0, radius=0.5)
+            spectral_zeta(Spectrum(np.array([])), 2.0, 1.0, 0.0, radius=0.5)
 
     def test_doubly_degenerate_integer_ladder(self):
         # the uncoupled reference spectrum {0,0,1,1,...} gives 2 zeta(s;tau)
@@ -170,6 +181,20 @@ class TestSpectralZeta:
             zv = spectral_zeta(ladder, s, tau, 0.0, radius=0.0)
             assert abs(zv.value - 2 * hurwitz_zeta(s, tau).value) <= max(zv.tail_bound, 1e-12)
 
+    @pytest.mark.parametrize("variant,eps", [("parity+", 0.0), ("full", 0.0),
+                                             ("asymmetric", 0.25), ("asymmetric", 0.75),
+                                             ("asymmetric", 1.0)])
+    def test_exact_ladder_identity(self, variant, eps):
+        # the sorted ladder points themselves: head plus tail is the target at every head
+        ladder = _ladder(ModelParams(0.5, 0.0, eps), variant)
+        points = np.sort(np.concatenate([np.arange(60.0) + o for o in ladder]))
+        spec = Spectrum(points, converged_count=len(points))
+        target = variant_target(ModelParams(0.5, 0.0, eps), 2.0, 2.0, variant)
+        for n in (1, 2, 3, 7, 50):
+            zv = spectral_zeta(spec, 2.0, 2.0, 0.0, radius=0.0, ladder=ladder, n_use=n)
+            assert zv.n_used == n and zv.tail_bound == 0.0
+            assert abs(zv.value - target) < 1e-12
+
 
 VARIANTS = (("full", 0.0), ("parity+", 0.0), ("parity-", 0.0), ("asymmetric", 0.25))
 
@@ -177,20 +202,8 @@ VARIANTS = (("full", 0.0), ("parity+", 0.0), ("parity-", 0.0), ("asymmetric", 0.
 def first_head(params, s, variant):
     """Head a default limit table starts from, at tau = 1."""
     tol = LIMIT_TAIL_REL_TOL * abs(variant_target(params, s, 1.0, variant))
-    return _head_for_tail_bound(complex(s), 1.0, _tail_model(params, variant), tol, 2000)
-
-
-def count_solves(monkeypatch) -> list:
-    """Dimensions of every eigensolve the model runs from now on."""
-    dims = []
-    solve = model.eigensolve
-
-    def counting(mat, *args, **kwargs):
-        dims.append(mat.dim)
-        return solve(mat, *args, **kwargs)
-
-    monkeypatch.setattr(model, "eigensolve", counting)
-    return dims
+    return _head_for_tail_bound(complex(s), 1.0, _ladder(params, variant), params.delta, tol,
+                                2000)
 
 
 # The benchmark's grids: zeta-limit rows at g = 2..12, level rows at g = 4, 8, 12.
@@ -201,16 +214,15 @@ LEVEL_GRID = [4.0, 8.0, 12.0]
 class TestCutoffStart:
     @pytest.mark.parametrize("s", [2.0, 2.0 + 1.0j])
     @pytest.mark.parametrize("variant,eps", VARIANTS)
-    def test_zeta_rows_certify_on_first_cutoff_pair(self, monkeypatch, variant, eps, s):
+    def test_zeta_rows_certify_on_first_cutoff_pair(self, solves, variant, eps, s):
         # every row's head is bracketed from one solve at its start cutoff
-        dims = count_solves(monkeypatch)
         rows = zeta_limit_table(ModelParams(0.5, 0.0, eps), s, 1.0, ZETA_GRID, variant)
         # at eps = 0 a full-model cutoff is solved as two parity chains
         blocks = 2 if variant == "full" else 1
-        assert len(dims) == blocks * len(rows)
+        assert len(solves) == blocks * len(rows)
 
     @pytest.mark.parametrize("variant,eps", [("parity", 0.0), ("asymmetric", 0.25)])
-    def test_level_rows_certify_on_first_cutoff_pair(self, monkeypatch, variant, eps):
+    def test_level_rows_certify_on_first_cutoff_pair(self, monkeypatch, solves, variant, eps):
         # each level-table spectrum takes at most one growth step
         trails = []
         spectrum = zeta.adaptive_spectrum
@@ -221,11 +233,10 @@ class TestCutoffStart:
             return spec
 
         monkeypatch.setattr(zeta, "adaptive_spectrum", recording)
-        dims = count_solves(monkeypatch)
         eigenvalue_limit_table(ModelParams(0.5, 0.0, eps), LEVEL_GRID, 6, variant)
         spectra = 2 * len(LEVEL_GRID) if variant == "parity" else len(LEVEL_GRID)
         assert len(trails) == spectra and all(len(trail) <= 2 for trail in trails)
-        assert len(dims) == sum(len(trail) for trail in trails)
+        assert len(solves) == sum(len(trail) for trail in trails)
 
     def test_short_start_grows_to_the_same_head(self, monkeypatch):
         p = ModelParams(0.5, 8.0)
@@ -248,25 +259,24 @@ class TestHeadChooser:
     @pytest.mark.parametrize("variant,eps", VARIANTS)
     def test_smallest_head_meeting_tol(self, variant, eps, s):
         p = ModelParams(0.5, 0.0, eps)
-        _, degeneracy, split, radius = _tail_model(p, variant)
+        ladder = _ladder(p, variant)
         tol = LIMIT_TAIL_REL_TOL * abs(variant_target(p, s, 1.0, variant))
         head = first_head(p, s, variant)
-        assert head % degeneracy == 0 and degeneracy < head < 1000
-        m0 = head // degeneracy
-        assert _tail_bound(complex(s), 1.0, m0, degeneracy, split, radius) <= tol
-        assert _tail_bound(complex(s), 1.0, m0 - 1, degeneracy, split, radius) > tol
+        assert 1 < head < 1000
+        assert _tail_bound(complex(s), 1.0, head, ladder, 0.5) <= tol
+        assert _tail_bound(complex(s), 1.0, head - 1, ladder, 0.5) > tol
 
     def test_bound_matches_spectral_zeta(self, free_spectrum):
         zv = spectral_zeta(free_spectrum, 2.0, 1.0, 0.0, radius=0.25, n_use=400)
         head = _head_bound(2.0 + 0j, free_spectrum.eigenvalues[:400] + 1.0,
                            free_spectrum.error_bound[:400])
-        assert zv.tail_bound == _tail_bound(2.0 + 0j, 1.0, 200, 2, 0.0, 0.25) + head
+        assert zv.tail_bound == _tail_bound(2.0 + 0j, 1.0, 400, (0.0, 0.0), 0.25) + head
 
     def test_zero_radius_and_cap(self):
-        exact = _tail_model(ModelParams(0.0, 0.0), "full")
-        assert _head_for_tail_bound(2.0 + 0j, 1.0, exact, 0.0, 2000) == 2
-        model = _tail_model(ModelParams(0.5, 0.0), "parity-")
-        assert _head_for_tail_bound(2.0 + 0j, 1.0, model, 1e-30, 1000) == 1000
+        full = _ladder(ModelParams(0.0, 0.0), "full")
+        assert _head_for_tail_bound(2.0 + 0j, 1.0, full, 0.0, 0.0, 2000) == 1
+        sector = _ladder(ModelParams(0.5, 0.0), "parity-")
+        assert _head_for_tail_bound(2.0 + 0j, 1.0, sector, 0.5, 1e-30, 1000) == 1000
 
 
 class TestLimitTables:
@@ -319,6 +329,24 @@ class TestLimitTables:
         closed = hurwitz_zeta(2, 1 + split).value + hurwitz_zeta(2, 1 - split).value
         assert abs(zv.value - closed) < 1e-8
 
+    def test_asymmetric_g0_past_half_within_its_bound(self):
+        # at g = 0 the levels are m -/+ hypot(delta, eps), within delta of m -/+ eps
+        zv = zeta_variant_value(ModelParams(0.5, 0.0, 0.75), 2.0, 2.0, "asymmetric", 400)
+        h = np.hypot(0.5, 0.75)
+        closed = hurwitz_zeta(2, 2 + h).value + hurwitz_zeta(2, 2 - h).value
+        assert abs(zv.value - closed) <= zv.tail_bound
+
+    @pytest.mark.parametrize("eps", [0.75, 1.3])
+    @pytest.mark.parametrize("g", [0.0, 1.0, 3.0, 6.0])
+    def test_levels_within_delta_of_the_sorted_ladder(self, g, eps):
+        # Weyl: delta sz moves each sorted level of the split oscillators by at most delta
+        p = ModelParams(0.5, g, eps)
+        spec = adaptive_spectrum(p, 40, 1e-10, "full")
+        n = spec.converged_count
+        points, _ = _ladder_points(_ladder(p, "asymmetric"), n)
+        shifted = spec.eigenvalues[:n] + g**2
+        assert np.all(np.abs(shifted - points) <= 0.5 + spec.error_bound[:n])
+
     def test_hypothesis_enforced(self):
         with pytest.raises(ParameterError):
             zeta_limit_table(ModelParams(1.5, 0.0), 2.0, 1.0, [2, 4], "full")
@@ -351,3 +379,13 @@ class TestLimitTables:
         assert max(r.deviation for r in rows) < 0.05
         targets = [r.target for r in rows]
         assert targets[:4] == [-0.5, 0.5, 0.5, 1.5]
+
+    @pytest.mark.parametrize("eps", [0.75, 1.0])
+    def test_asymmetric_levels_converge_past_half(self, eps):
+        rows = eigenvalue_limit_table(ModelParams(0.5, 0.0, eps), [8, 12], 3, "asymmetric")
+        m = np.arange(6.0)
+        ladder = list(np.sort(np.concatenate([m - eps, m + eps]))[:6])
+        at = {g: [r for r in rows if r.g == g] for g in (8.0, 12.0)}
+        assert [r.target for r in at[8.0]] == [r.target for r in at[12.0]] == ladder
+        assert max(r.deviation for r in at[8.0]) < 1e-3
+        assert all(b.deviation < a.deviation for a, b in zip(at[8.0], at[12.0]))
