@@ -24,6 +24,7 @@ stream order, so a fixed (seed, n_samples, params) gives identical bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -99,32 +100,62 @@ def _exclusive_prefix(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Within-segment exclusive prefix sums of a flat array."""
     if values.size == 0:
         return values.copy()
-    cs = np.cumsum(values) - values
+    cs = np.cumsum(values)
+    cs -= values
     counts = np.diff(offsets)
-    base = cs[offsets[:-1][counts > 0]]
-    correction = np.zeros_like(values)
-    correction[:] = np.repeat(base, counts[counts > 0])
-    return cs - correction
+    cs -= np.repeat(cs[offsets[:-1][counts > 0]], counts[counts > 0])
+    return cs
 
 
-def _concat_batches(batches) -> tuple[np.ndarray, np.ndarray]:
-    """One flat batch from a sequence of ``(jumps, offsets)`` batches, in order."""
-    counts = np.concatenate([np.diff(offsets) for _, offsets in batches])
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return np.concatenate([jumps for jumps, _ in batches]), offsets
+def _jump_capacity(rate: float, length: float, n: int) -> int:
+    """Room for the jumps of n rate-``rate`` Poisson paths on ``length``.
+
+    The Poisson mean plus ten standard deviations.  Pages of an ``np.empty``
+    buffer that are never written are never resident, so the margin costs
+    no resident memory, and ``_write_batch`` grows a buffer it overflows.
+    """
+    mean = rate * length * n
+    return int(mean + 10.0 * np.sqrt(mean)) + 1
+
+
+def _write_batch(buffer, offsets, first, jumps, batch_offsets) -> np.ndarray:
+    """Write a batch as paths ``first:`` of a flat batch; return the buffer.
+
+    The batch's jumps go to ``buffer`` from ``offsets[first]`` on, and its
+    offsets, shifted there, to ``offsets[first + 1:]``.  A buffer without
+    room is replaced by one at least twice its size holding the same jumps.
+    """
+    filled = int(offsets[first])
+    end = filled + jumps.size
+    if end > buffer.size:
+        grown = np.empty(max(2 * buffer.size, end))
+        grown[:filled] = buffer[:filled]
+        buffer = grown
+    buffer[filled:end] = jumps
+    offsets[first + 1:first + batch_offsets.size] = batch_offsets[1:] + filled
+    return buffer
 
 
 def _count_upto(jumps: np.ndarray, offsets: np.ndarray, time: float) -> np.ndarray:
     """Per-path number of jumps at or before ``time``.
 
     Jumps are sorted within each path, so these are also the first jumps of
-    each path: the batch restricted to ``(-inf, time]`` is
-    ``jumps[jumps <= time]`` with offsets from the cumulative counts.
+    each path, and one binary search over every path at once finds their
+    number: a path takes ``step`` more jumps when the last of them is still
+    at or before ``time``.  O(paths) memory and log2(most jumps) passes.
     """
-    upto = np.zeros(jumps.size + 1, dtype=np.int64)
-    np.cumsum(jumps <= time, out=upto[1:])
-    return upto[offsets[1:]] - upto[offsets[:-1]]
+    start, stop = offsets[:-1], offsets[1:]
+    end = start.copy()  # one past each path's last jump at or before ``time``
+    if jumps.size == 0:
+        return end - start
+    step = 1 << (int((stop - start).max()).bit_length() - 1)
+    while step:
+        probe = end + (step - 1)
+        take = probe < stop
+        take &= jumps.take(probe, mode="clip") <= time
+        end += take * step
+        step >>= 1
+    return end - start
 
 
 def _block_terms(jumps, offsets, lo, hi, alpha0):
@@ -137,19 +168,30 @@ def _block_terms(jumps, offsets, lo, hi, alpha0):
     ``a`` = c (1 - e^{-l}) e^e and ``b`` = c (1 - e^{-l}) e^{-s}: blocks i
     before j add 2 a_i b_j to the square interaction.  On [0, hi] the block's
     damped integral c int e^{-s} ds is ``b``; on [lo, 0] it is ``a``.
-    Returns ``(starts, signs, bo, same, a, b)``.
+    Returns ``(starts, signs, bo, same, a, b)``.  The terms are formed in
+    place, so a pass holds six arrays of blocks at once.
     """
     bo = offsets + np.arange(len(offsets))
     starts = np.insert(jumps, offsets[:-1], lo)
     ends = np.append(starts[1:], hi)  # a block ends where the next one starts,
     ends[bo[1:] - 1] = hi  # except the last block of each path
     lengths = ends - starts
-    parity = np.ones(starts.size)
-    parity[1::2] = -1.0
-    signs = np.repeat(np.asarray(alpha0, dtype=float) * parity[bo[:-1]], np.diff(bo)) * parity
-    decay = np.expm1(-lengths)  # e^{-length} - 1
-    same, weight = 2.0 * (lengths + decay), signs * -decay
-    return starts, signs, bo, same, weight * np.exp(ends), weight * np.exp(-starts)
+    first = np.asarray(alpha0, dtype=float) * np.where(bo[:-1] & 1, -1.0, 1.0)
+    signs = np.repeat(first, np.diff(bo))
+    signs[1::2] *= -1.0  # signs alternate from each path's first block
+    weight = np.negative(lengths)
+    np.expm1(weight, out=weight)  # e^{-length} - 1
+    same = lengths  # 2 (length - 1 + e^{-length})
+    same += weight
+    same *= 2.0
+    np.negative(weight, out=weight)
+    weight *= signs  # c (1 - e^{-length})
+    a = np.exp(ends, out=ends)
+    a *= weight
+    b = np.negative(starts)
+    np.exp(b, out=b)
+    b *= weight
+    return starts, signs, bo, same, a, b
 
 
 def _square_functionals(jumps, offsets, lo, hi, alpha0):
@@ -159,8 +201,21 @@ def _square_functionals(jumps, offsets, lo, hi, alpha0):
     of ``b`` (``lo >= 0``) or of ``a`` (``hi <= 0``) is int T_s e^{-|s|} ds.
     """
     _, _, bo, same, a, b = _block_terms(jumps, offsets, lo, hi, alpha0)
-    interaction = _segment_sums(same + 2.0 * b * _exclusive_prefix(a, bo), bo)
-    return interaction, _segment_sums(a, bo), _segment_sums(b, bo)
+    sum_a, sum_b = _segment_sums(a, bo), _segment_sums(b, bo)
+    pairs = _pair_terms(same, b, _exclusive_prefix(a, bo))
+    return _segment_sums(pairs, bo), sum_a, sum_b
+
+
+def _pair_terms(same, b, before):
+    """``same + 2 b before`` per block, formed in ``b``, which is spent.
+
+    With ``before`` the within-path exclusive prefix sums of ``a``, each
+    block's own square plus its pairs with every earlier block.
+    """
+    b *= 2.0
+    b *= before
+    b += same
+    return b
 
 
 def _horizon_interactions(jumps, offsets, horizons):
@@ -174,7 +229,7 @@ def _horizon_interactions(jumps, offsets, horizons):
     n = len(offsets) - 1
     starts, signs, bo, same, a, b = _block_terms(jumps, offsets, 0.0, max(horizons), np.ones(n))
     before = _exclusive_prefix(a, bo)
-    done = _exclusive_prefix(same + 2.0 * b * before, bo)
+    done = _exclusive_prefix(_pair_terms(same, b, before), bo)
     out = []
     for t in horizons:
         last = bo[:-1] + _count_upto(jumps, offsets, t)
@@ -242,8 +297,9 @@ class WeightedPathEnsemble:
         """Pair interaction restricted to the mixed quadrant [-T,0] x [0,T]."""
         return self.damped_left * self.damped_right
 
-    @property
+    @cached_property
     def n_eff(self) -> float:
+        """Effective sample size of the log-weights, computed on first read."""
         lw = self.log_weights
         return float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
 
@@ -292,6 +348,10 @@ def build_ground_ensemble(
     halves glued at 0 (sign fixed to +1 there); weights are
     exp((g^2/2) * J_full).  An n_eff below 100 is flagged in ``note`` with a
     resampling recommendation.
+
+    Every per-path array is allocated once, at ``n_samples``, and the jumps
+    of each side go to one buffer: each seed stream writes its slice, so
+    each path is written once and the jump arrays returned are views.
     """
     if params.delta <= 0:
         raise ParameterError("a rate-delta spin process requires delta > 0")
@@ -299,28 +359,34 @@ def build_ground_ensemble(
         T = default_horizon(params.delta)
     if T <= 0:
         raise ParameterError("T must be positive")
-    streams = []
+    capacity = _jump_capacity(params.delta, T, n_samples)
+    left_jumps, right_jumps = np.empty(capacity), np.empty(capacity)
+    left_offsets = np.zeros(n_samples + 1, dtype=np.int64)
+    right_offsets = np.zeros(n_samples + 1, dtype=np.int64)
+    alpha0 = np.empty(n_samples, dtype=int)
+    j_full, u_left, v_right = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples)
+    first = 0
     for chunk, rng in _seed_streams(seed, n_samples):
+        rows = slice(first, first + chunk)
         left = _sample_segments(rng, params.delta, T, chunk, -T)
         right = _sample_segments(rng, params.delta, T, chunk, 0.0)
-        alpha0 = np.where(np.diff(left[1]) % 2 == 0, 1, -1)  # sign at -T; sign at 0 is +1
-        j_left, u_left, _ = _square_functionals(*left, -T, 0.0, alpha0)
-        j_right, _, v_right = _square_functionals(*right, 0.0, T, np.ones(chunk))
-        streams.append((left, right, alpha0, j_left + j_right + 2.0 * u_left * v_right,
-                        u_left, v_right))
-    lefts, rights, *per_path = zip(*streams)
-    left_jumps, left_offsets = _concat_batches(lefts)
-    right_jumps, right_offsets = _concat_batches(rights)
-    alpha0, j_full, u_left, v_right = (np.concatenate(values) for values in per_path)
+        left_jumps = _write_batch(left_jumps, left_offsets, first, *left)
+        right_jumps = _write_batch(right_jumps, right_offsets, first, *right)
+        alpha0[rows] = np.where(np.diff(left[1]) % 2 == 0, 1, -1)  # sign at -T; sign at 0 is +1
+        j_left, u_left[rows], _ = _square_functionals(*left, -T, 0.0, alpha0[rows])
+        j_right, _, v_right[rows] = _square_functionals(*right, 0.0, T, np.ones(chunk))
+        j_full[rows] = j_left + j_right + 2.0 * u_left[rows] * v_right[rows]
+        del left, right, j_left, j_right  # freed before the next stream draws
+        first += chunk
     log_weights = 0.5 * params.g**2 * j_full
 
     ens = WeightedPathEnsemble(
         params=params,
         half_width=float(T),
         alpha0=alpha0,
-        left_jumps=left_jumps,
+        left_jumps=left_jumps[:left_offsets[-1]],
         left_offsets=left_offsets,
-        right_jumps=right_jumps,
+        right_jumps=right_jumps[:right_offsets[-1]],
         right_offsets=right_offsets,
         log_weights=log_weights,
         interaction_full=j_full,

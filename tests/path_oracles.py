@@ -2,7 +2,8 @@
 
 One path at a time, integrated block pair by block pair in O(k^2), so they
 share no code with the flat batch functionals of ``rabizeta.paths`` that the
-tests compare against them.
+tests compare against them.  ``reference_ground_ensemble`` is the one
+exception: it checks the ensemble's assembly, not its functionals.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rabizeta import paths
 from rabizeta.errors import DomainError, ParameterError
 
 
@@ -155,3 +157,42 @@ def vacuum_suppression(path: JumpPath) -> float:
         rest = rho[j + 1] * b[j + 2] if j + 2 < s.size else 0.0
         b[j] = one_minus_rho[j] + rho[j] * rest
     return float(b[0] ** 2 + np.sum(-np.expm1(-2.0 * gaps) * b[1:] ** 2))
+
+
+def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
+                              seed: int = paths.DEFAULT_SEED):
+    """``build_ground_ensemble`` as first written: per-stream batches, concatenated.
+
+    Unlike the scalar oracles above it shares the sampler and the batch
+    functionals with ``rabizeta.paths``: it checks how the ensemble is
+    assembled from its streams, not the functionals themselves.
+    """
+    if T is None:
+        T = paths.default_horizon(params.delta)
+    streams = []
+    for chunk, rng in paths._seed_streams(seed, n_samples):
+        left = paths._sample_segments(rng, params.delta, T, chunk, -T)
+        right = paths._sample_segments(rng, params.delta, T, chunk, 0.0)
+        alpha0 = np.where(np.diff(left[1]) % 2 == 0, 1, -1)
+        j_left, u_left, _ = paths._square_functionals(*left, -T, 0.0, alpha0)
+        j_right, _, v_right = paths._square_functionals(*right, 0.0, T, np.ones(chunk))
+        streams.append((left, right, alpha0, j_left + j_right + 2.0 * u_left * v_right,
+                        u_left, v_right))
+    lefts, rights, *per_path = zip(*streams)
+
+    def concat_batches(batches):
+        counts = np.concatenate([np.diff(offsets) for _, offsets in batches])
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return np.concatenate([jumps for jumps, _ in batches]), offsets
+
+    left_jumps, left_offsets = concat_batches(lefts)
+    right_jumps, right_offsets = concat_batches(rights)
+    alpha0, j_full, u_left, v_right = (np.concatenate(values) for values in per_path)
+    return paths.WeightedPathEnsemble(
+        params=params, half_width=float(T), alpha0=alpha0,
+        left_jumps=left_jumps, left_offsets=left_offsets,
+        right_jumps=right_jumps, right_offsets=right_offsets,
+        log_weights=0.5 * params.g**2 * j_full, interaction_full=j_full,
+        damped_left=u_left, damped_right=v_right, seed=seed,
+    )

@@ -1,5 +1,6 @@
 """Jump-path sampling laws and exact path functionals."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.special import logsumexp
 
 from path_oracles import (
     JumpPath,
     damped_sign_integral,
     ensemble_paths,
     pair_interaction_energy,
+    reference_ground_ensemble,
     vacuum_suppression,
 )
 from rabizeta.errors import DomainError, ParameterError
@@ -173,6 +176,22 @@ class TestCountUpto:
         offsets = np.array([0, 2, 2, 5])
         assert list(_count_upto(jumps, offsets, 1.0)) == [2, 0, 2]
 
+    def test_paths_of_every_length(self):
+        # the search takes power-of-two steps: lengths around powers of two
+        lengths = [0, 1, 2, 3, 7, 8, 9, 0, 63, 64, 65, 100]
+        rng = np.random.default_rng(17)
+        per_path = [np.sort(rng.uniform(0.0, 1.0, k)) for k in lengths]
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        jumps = np.concatenate(per_path)
+        for time in (-0.5, 0.0, 0.01, 0.3, 0.5, 0.99, 1.0, *jumps[::7]):
+            want = [np.searchsorted(path, time, side="right") for path in per_path]
+            assert list(_count_upto(jumps, offsets, time)) == want
+
+    def test_no_jumps(self):
+        offsets = np.zeros(4, dtype=np.int64)
+        assert list(_count_upto(np.zeros(0), offsets, 1.0)) == [0, 0, 0]
+
 
 class TestPairInteraction:
     def test_jump_free_closed_form(self):
@@ -276,6 +295,43 @@ def reference_vacuum_suppression(jumps, offsets):
     return first**2 + diag + cross
 
 
+def reference_exclusive_prefix(values, offsets):
+    """Within-segment exclusive prefix sums as first written, out of place."""
+    if values.size == 0:
+        return values.copy()
+    cs = np.cumsum(values) - values
+    counts = np.diff(offsets)
+    correction = np.zeros_like(values)
+    correction[:] = np.repeat(cs[offsets[:-1][counts > 0]], counts[counts > 0])
+    return cs - correction
+
+
+def reference_square_functionals(jumps, offsets, lo, hi, alpha0):
+    """The square functionals as first written, every block term out of place."""
+    _, _, bo, same, a, b = reference_block_terms(jumps, offsets, lo, hi, alpha0)
+    interaction = _segment_sums(same + 2.0 * b * reference_exclusive_prefix(a, bo), bo)
+    return interaction, _segment_sums(a, bo), _segment_sums(b, bo)
+
+
+def reference_horizon_interactions(jumps, offsets, horizons):
+    """The interaction at every horizon as first written, counts from a cumulative sum."""
+    n = len(offsets) - 1
+    starts, signs, bo, same, a, b = reference_block_terms(jumps, offsets, 0.0, max(horizons),
+                                                          np.ones(n))
+    before = reference_exclusive_prefix(a, bo)
+    done = reference_exclusive_prefix(same + 2.0 * b * before, bo)
+    out = []
+    for t in horizons:
+        upto = np.zeros(jumps.size + 1, dtype=np.int64)
+        np.cumsum(jumps <= t, out=upto[1:])
+        last = bo[:-1] + upto[offsets[1:]] - upto[offsets[:-1]]
+        start = starts[last]
+        length = t - start
+        clipped_b = signs[last] * -np.expm1(-length) * np.exp(-start)
+        out.append(done[last] + 2.0 * (length + np.expm1(-length)) + 2.0 * clipped_b * before[last])
+    return out
+
+
 class TestBlockPassBits:
     """The block pass keeps every bit of the formulas it replaced."""
 
@@ -296,6 +352,26 @@ class TestBlockPassBits:
         jumps, offsets = flat_batch(paths)
         self.assert_same_bits(_block_terms(jumps, offsets, lo, top, alpha0),
                               reference_block_terms(jumps, offsets, lo, top, alpha0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(path_batches(), st.booleans())
+    def test_square_functionals(self, batch, left):
+        hi, paths, alpha0 = batch
+        lo, top = (-hi, 0.0) if left else (0.0, hi)
+        if left:
+            paths = [np.sort(-jumps) for jumps in paths]
+        jumps, offsets = flat_batch(paths)
+        self.assert_same_bits(_square_functionals(jumps, offsets, lo, top, alpha0),
+                              reference_square_functionals(jumps, offsets, lo, top, alpha0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(path_batches(), st.lists(st.floats(0.01, 1.0), max_size=4))
+    def test_horizon_interactions(self, batch, fractions):
+        hi, paths, _ = batch
+        jumps, offsets = flat_batch(paths)
+        horizons = sorted({hi * f for f in fractions} | {hi})
+        self.assert_same_bits(_horizon_interactions(jumps, offsets, horizons),
+                              reference_horizon_interactions(jumps, offsets, horizons))
 
     @settings(max_examples=80, deadline=None)
     @given(path_batches())
@@ -327,6 +403,16 @@ class TestBlockPassBits:
                                   reference_block_terms(jumps, offsets, lo, lo + 12.0, alpha0))
         self.assert_same_bits([_vacuum_suppression_batch(jumps, offsets)],
                               [reference_vacuum_suppression(jumps, offsets)])
+
+    def test_sampled_stream_functionals(self):
+        # a whole stream of sampled paths, as the ensemble and the energy estimate use them
+        jumps, offsets = _sample_segments(np.random.default_rng(8), 0.5, 12.0, 2000, 0.0)
+        alpha0 = np.where(np.diff(offsets) % 2 == 0, 1, -1)
+        self.assert_same_bits(_square_functionals(jumps, offsets, 0.0, 12.0, alpha0),
+                              reference_square_functionals(jumps, offsets, 0.0, 12.0, alpha0))
+        horizons = [4.0, 6.0, float(jumps[5]), 12.0]
+        self.assert_same_bits(_horizon_interactions(jumps, offsets, horizons),
+                              reference_horizon_interactions(jumps, offsets, horizons))
 
 
 class TestDampedIntegral:
@@ -429,15 +515,48 @@ class TestEnsemble:
         assert np.array_equal(a.right_jumps, b.right_jumps)
 
     def test_memory_peak(self):
-        # functionals are formed stream by stream, so only one stream's block
-        # arrays are alive at a time; the whole sample's at once take 90 MB
+        # every stream writes into the final arrays, and only one stream's
+        # block arrays, under 12 MB at 100 000 paths, are alive at a time
         tracemalloc.start()
         try:
-            build_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
+            ens = build_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 50e6
+        resident = sum(getattr(ens, field.name).nbytes for field in dataclasses.fields(ens)
+                       if isinstance(getattr(ens, field.name), np.ndarray))
+        assert peak < resident + 12e6
+
+    @pytest.mark.parametrize("n", [1, 3, 1001, 20_000])
+    @pytest.mark.parametrize("delta", [0.5, 2.0])
+    @pytest.mark.parametrize("T", [None, 2.0])
+    def test_same_bits_as_concatenated_streams(self, n, delta, T):
+        p = ModelParams(delta, 0.8)
+        self.assert_same_ensemble(build_ground_ensemble(p, n, T, seed=29),
+                                  reference_ground_ensemble(p, n, T, seed=29))
+
+    def test_same_bits_when_the_jump_buffers_grow(self, monkeypatch):
+        monkeypatch.setattr("rabizeta.paths._jump_capacity", lambda rate, length, n: 1)
+        p = ModelParams(0.5, 0.8)
+        self.assert_same_ensemble(build_ground_ensemble(p, 1001, seed=30),
+                                  reference_ground_ensemble(p, 1001, seed=30))
+
+    @staticmethod
+    def assert_same_ensemble(got, want):
+        for field in dataclasses.fields(want):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(w, np.ndarray):
+                assert g.dtype == w.dtype and g.shape == w.shape, field.name
+                assert g.tobytes() == w.tobytes(), field.name
+            elif field.name != "note":  # the reference sets no low-ESS note
+                assert g == w, field.name
+
+    def test_n_eff_is_computed_once(self):
+        ens = build_ground_ensemble(ModelParams(0.5, 1.0), 1000, seed=31)
+        lw = ens.log_weights
+        assert ens.n_eff == float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
+        ens.log_weights = np.zeros(3)
+        assert ens.n_eff == float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
 
     def test_low_ess_note(self):
         ens = build_ground_ensemble(ModelParams(0.5, 2.5), 300, T=12.0, seed=28)
