@@ -16,6 +16,9 @@ an average over jump paths only:
 
 Every estimator draws through ``paths._seed_streams`` and reduces in stream
 order, so it is reproducible bit for bit from (seed, n_samples, params).
+Each stream's path functionals come from one rank pass (``paths._rank_pass``):
+``ground_energy_fk`` takes the interaction at every horizon of its grid from
+the same pass over paths on [0, max(t_grid)].
 """
 
 from __future__ import annotations
@@ -29,11 +32,9 @@ from .model import ModelParams
 from .paths import (
     DEFAULT_SEED,
     WeightedPathEnsemble,
-    _horizon_interactions,
+    _rank_pass,
     _sample_segments,
     _seed_streams,
-    _square_functionals,
-    _vacuum_suppression_batch,
 )
 
 
@@ -78,13 +79,13 @@ def vacuum_element_fk(
     Every path contributes the positive weight
     2 e^t delta^(jumps) exp(-2 g^2 * suppression); there is no oscillation.
     """
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     values = []
     for chunk, rng in _seed_streams(seed, n_samples):
         jumps, offsets = _sample_segments(rng, 1.0, t, chunk, 0.0)
         counts = np.diff(offsets)
-        xi = _vacuum_suppression_batch(jumps, offsets)
+        xi = _rank_pass(jumps, offsets, 0.0, (t,), suppression=True)
         if params.delta > 0:
             logw = t + counts * np.log(params.delta) - 2.0 * params.g**2 * xi
             values.append(2.0 * np.exp(logw))
@@ -96,7 +97,7 @@ def vacuum_element_fk(
 
 def _partition_samples(params, t, chunk, rng):
     jumps, offsets = _sample_segments(rng, params.delta, t, chunk, 0.0)
-    interaction, _, _ = _square_functionals(jumps, offsets, 0.0, t, np.ones(chunk))
+    (interaction,), _ = _rank_pass(jumps, offsets, 0.0, (t,))
     return np.log(2.0) + params.delta * t + 0.5 * params.g**2 * interaction
 
 
@@ -107,8 +108,8 @@ def partition_fk(
     seed: int = DEFAULT_SEED,
 ) -> MCEstimate:
     """Flat-state semigroup element 2 e^(delta t) E[exp((g^2/2) J)]."""
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     logw = np.concatenate([_partition_samples(params, t, chunk, rng)
                            for chunk, rng in _seed_streams(seed, n_samples)])
     shift = logw.max()
@@ -139,14 +140,19 @@ def ground_energy_fk(
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 2:
         raise ParameterError("t_grid needs at least two horizons")
-    if t_grid[0] <= 0:
-        raise DomainError("all horizons must be positive")
-    per_stream = []
+    if not all(0.0 < t < np.inf for t in t_grid):
+        raise DomainError(f"all horizons must be positive and finite, got {t_grid}")
+    if len(set(t_grid)) < len(t_grid):
+        raise ParameterError(f"t_grid repeats a horizon: {t_grid}")
+    weights = np.empty((len(t_grid), n_samples))  # the interactions, then the log weights
+    first = 0
     for chunk, rng in _seed_streams(seed, n_samples):
         jumps, offsets = _sample_segments(rng, params.delta, t_grid[-1], chunk, 0.0)
-        per_stream.append(_horizon_interactions(jumps, offsets, t_grid))
-    weights = {t: params.delta * t + 0.5 * params.g**2 * np.concatenate(inter)
-               for t, inter in zip(t_grid, zip(*per_stream))}
+        weights[:, first:first + chunk] = _rank_pass(jumps, offsets, 0.0, t_grid)[0]
+        first += chunk
+    weights *= 0.5 * params.g**2
+    weights += params.delta * np.array(t_grid)[:, None]
+    weights = dict(zip(t_grid, weights))
 
     series = []
     stable = []

@@ -6,10 +6,13 @@ of paths is stored flat: the jump times of every path concatenated in path
 order, plus ``offsets`` with path i owning ``jumps[offsets[i]:offsets[i+1]]``.
 Every functional the estimators need is integrated in closed form over the
 piecewise-constant sign pattern, so the only randomness is in the jump times
-themselves: the square pair interaction int int T_s T_r e^{-|s-r|} and the
-damped sign integral int T_s e^{-|s|} ds come from one block pass (every
-horizon of a path from one decomposition), and the vacuum suppression damps
-jumpy paths in the vacuum element.  Samplers form them stream by stream.
+themselves: the square pair interaction int int T_s T_r e^{-|s-r|} (at every
+horizon of a path), the damped sign integral int T_s e^{-|s|} ds and the
+vacuum suppression that damps jumpy paths in the vacuum element.  They come
+from one forward pass over jump rank, ``_rank_pass``, which carries a few
+numbers per path through recurrences whose terms stay of size about 1, so a
+path's value rounds at its own scale, not at that of its stream.  Samplers
+form them stream by stream.
 
 The importance weight of a path on [-T, T] is exp((g^2/2) * J) with J the
 full square interaction, and the effective sample size is tracked from the
@@ -84,29 +87,6 @@ def _sample_segments(rng, rate: float, length: float, n: int, lo: float):
     return lo + u, offsets
 
 
-def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sums for a flat array described by ``offsets``."""
-    n = len(offsets) - 1
-    out = np.zeros(n)
-    if values.size == 0:
-        return out
-    nonempty = offsets[:-1] < offsets[1:]
-    sums = np.add.reduceat(values, offsets[:-1][nonempty])
-    out[nonempty] = sums
-    return out
-
-
-def _exclusive_prefix(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Within-segment exclusive prefix sums of a flat array."""
-    if values.size == 0:
-        return values.copy()
-    cs = np.cumsum(values)
-    cs -= values
-    counts = np.diff(offsets)
-    cs -= np.repeat(cs[offsets[:-1][counts > 0]], counts[counts > 0])
-    return cs
-
-
 def _jump_capacity(rate: float, length: float, n: int) -> int:
     """Room for the jumps of n rate-``rate`` Poisson paths on ``length``.
 
@@ -158,98 +138,131 @@ def _count_upto(jumps: np.ndarray, offsets: np.ndarray, time: float) -> np.ndarr
     return end - start
 
 
-def _block_terms(jumps, offsets, lo, hi, alpha0):
-    """Blocks of every path on [lo, hi] and their closed-form terms.
+def _rank_pass(jumps, offsets, lo, horizons, suppression=False):
+    """Per-path functionals of a flat batch on [lo, hi], hi = ``horizons[-1]``.
 
-    Path i owns blocks ``bo[i]:bo[i+1]``: they start at ``lo`` and at its
-    jumps, end at its jumps and at ``hi``, and their signs alternate from
-    ``alpha0[i]``.  A block of sign c on [s, e], l = e - s, has ``same`` =
-    2 (l - 1 + e^{-l}), the integral over its own square, and the factors
-    ``a`` = c (1 - e^{-l}) e^e and ``b`` = c (1 - e^{-l}) e^{-s}: blocks i
-    before j add 2 a_i b_j to the square interaction.  On [0, hi] the block's
-    damped integral c int e^{-s} ds is ``b``; on [lo, 0] it is ``a``.
-    Returns ``(starts, signs, bo, same, a, b)``.  The terms are formed in
-    place, so a pass holds six arrays of blocks at once.
+    One forward pass over jump rank.  The paths are ranked by jump count,
+    most first and stably, so the paths that still have a k-th jump are a
+    prefix of the ranking.  Step k gathers that prefix's k-th jumps and
+    advances each path by one block (or one jump), on contiguous slices of
+    the rows of one array; the results return to path order once, at the
+    end.  A path carries a few numbers, each updated by terms of size at
+    most about 1: no array over the jumps is formed, and nothing grows like
+    e^{hi - lo}.
+
+    Path i has blocks j = 0..k_i on [s_j, e_j], with s_0 = lo, e_{k_i} = hi
+    and its jumps between, of sign c_j = (-1)^j times that of the first.
+    The interaction is even in the signs; the damped integral is odd, and is
+    taken with the sign +1 at 0, on the block that touches it.  Let
+    l_j = e_j - s_j and m_j = 1 - e^{-l_j}, formed as -expm1(-l_j).
+
+    * Interaction J = int int T_s T_r e^{-|s-r|} over [lo, hi]^2.  A block's
+      own square gives 2 (l_j - m_j).  Blocks i < j give
+      2 c_i c_j int int e^{r-s} = 2 a_i b_j, with a_i = c_i m_i e^{e_i} and
+      b_j = c_j m_j e^{-s_j}.  With A_j = e^{-s_j} sum_{i<j} a_i the pairs
+      of block j sum to 2 c_j m_j A_j, and e^{-s_{j+1}} = (1 - m_j) e^{-s_j}
+      gives A_0 = 0 and A_{j+1} = (1 - m_j) A_j + c_j m_j.  Each A_{j+1} is a
+      convex combination of A_j and c_j, so |A_j| <= 1, and a rounding error
+      of A is damped, never amplified.  The pass carries B_j = c_j A_j, for
+      which B_{j+1} = m_j (1 - B_j) - B_j; the l_j sum to hi - lo, so
+      J = 2 (hi - lo) - 2 sum_j m_j (1 - B_j), with terms in [0, 2].
+    * Damped integral int T_s e^{-|s|} ds, for [lo, hi] on one side of 0:
+      on [0, hi] it is sum_j b_j with c_0 = 1, and e^{-s_j} is carried as the
+      product of the 1 - m_i; its terms are at most e^{-s_j} - e^{-e_j},
+      which sum to at most 1.  On [lo, 0] it is sum_j a_j = A after the last
+      block, with c_{k_i} = 1, so c_{k_i + 1} = -1 and it is -B.
+    * Horizons h < hi in ``horizons``: the block j that holds h, the last
+      with s_j <= h, clipped to [s_j, h], ends the path, so
+      J_h = 2 (h - lo) - 2 sum_{i<j} m_i (1 - B_i) - 2 m' (1 - B_j), with
+      m' = 1 - e^{-(h - s_j)}.  j is the number of jumps at or before h,
+      counted over the ranks before the pass, so step j keeps s_j, the
+      partial sum and B_j of the path for h, and every horizon comes from
+      the one pass.
+    * Vacuum suppression, with ``suppression``: for jumps x_1 < ... < x_k,
+      xi = sum_{j,k} (-1)^{j+k} e^{-|x_j - x_k|} is the variance of
+      S_k = sum_j (-1)^{j-1} X_{x_j} for a stationary Ornstein-Uhlenbeck
+      process X of unit variance.  Time reversal gives
+      X_{x_{j-1}} = rho_j X_{x_j} + sqrt(1 - rho_j^2) Z_j with
+      rho_j = e^{-(x_j - x_{j-1})} and Z_j independent of X on [x_j, oo).
+      So S_j = R_j X_{x_j} + N_j with N_j independent of X_{x_j}, where
+      R_1 = 1, Var N_1 = Q_1 = 0, R_j = rho_j R_{j-1} + (-1)^{j-1} and
+      Q_j = Q_{j-1} + (1 - rho_j^2) R_{j-1}^2; xi = Q_k + R_k^2, and 0 for
+      a path without jumps.  Every term is nonnegative, so near-coincident
+      jumps lose nothing to cancellation.
+
+    Returns the suppression with ``suppression``, else ``(interactions,
+    damped)``: one row per h of ``horizons`` (ascending) of the interaction
+    over [lo, h]^2, and the damped integral over [lo, hi].
     """
-    bo = offsets + np.arange(len(offsets))
-    starts = np.insert(jumps, offsets[:-1], lo)
-    ends = np.append(starts[1:], hi)  # a block ends where the next one starts,
-    ends[bo[1:] - 1] = hi  # except the last block of each path
-    lengths = ends - starts
-    first = np.asarray(alpha0, dtype=float) * np.where(bo[:-1] & 1, -1.0, 1.0)
-    signs = np.repeat(first, np.diff(bo))
-    signs[1::2] *= -1.0  # signs alternate from each path's first block
-    weight = np.negative(lengths)
-    np.expm1(weight, out=weight)  # e^{-length} - 1
-    same = lengths  # 2 (length - 1 + e^{-length})
-    same += weight
-    same *= 2.0
-    np.negative(weight, out=weight)
-    weight *= signs  # c (1 - e^{-length})
-    a = np.exp(ends, out=ends)
-    a *= weight
-    b = np.negative(starts)
-    np.exp(b, out=b)
-    b *= weight
-    return starts, signs, bo, same, a, b
+    n = offsets.size - 1
+    counts = np.diff(offsets)
+    most = int(counts.max(initial=0))
+    key = np.min_scalar_type(most)
+    # a stable radix sort of a small unsigned key: most jumps first
+    order = np.argsort((most - counts).astype(key), kind="stable")
+    more = (n - np.cumsum(np.bincount(counts, minlength=most + 1))).tolist()  # paths with > k jumps
+    position = offsets[:-1][order]  # each ranked path's next jump
+    hi, right = horizons[-1], lo >= 0.0
+    below = len(horizons) - 1  # horizons before hi
+    state = np.zeros((4 * below + 9, n))  # every row of the pass, in one array
+    start, total, prefix, damped, decay, end, shrink = state[:7]  # prefix: B, or R
+    out = state[7:9 + below]  # the interaction at each horizon, the damped integral
+    kept = state[9 + below:].reshape(below, 3, n)  # start, total and B at each h < hi
+    # the block that holds each h < hi: the jumps at or before h, counted by rank
+    cuts = np.reshape(horizons[:-1], (-1, 1))
+    blocks = np.zeros((below, n), key)
+    for k, ahead in enumerate(more[:-1] if below else ()):
+        blocks[:, :ahead] += jumps.take(position[:ahead] + k) <= cuts
+    held = []  # per horizon h < hi: the ranked paths by block, and where each block's run starts
+    for block in blocks:
+        bounds = [0] + np.cumsum(np.bincount(block, minlength=most + 1)).tolist()
+        held.append((np.argsort(block, kind="stable"), bounds))
+    start[:] = lo
+    decay[:] = np.exp(-lo) if right else 0.0
+    reach = n  # paths with at least k jumps: a block (or a jump) k to take
+    for k, ahead in enumerate(more):
+        for (by_block, bounds), keep in zip(held, kept):
+            at = slice(bounds[k], bounds[k + 1])
+            np.take(state[:3], by_block[at], axis=1, out=keep[:, at])
+        np.take(jumps, position[:ahead], out=end[:ahead], mode="clip")
+        position[:ahead] += 1
+        s = slice(0, ahead if suppression else reach)
+        end[ahead:s.stop] = hi
+        np.subtract(start[s], end[s], out=shrink[s])  # -l
+        start[s] = end[s]
+        np.expm1(shrink[s], out=shrink[s])  # -m, or rho - 1
+        t = end[s]
+        if suppression:  # Q in ``total``, R in ``prefix``
+            total[s] -= (shrink[s] + 2.0) * shrink[s] * prefix[s] ** 2  # + (1 - rho^2) R^2
+            prefix[s] += shrink[s] * prefix[s] + (-1.0 if k & 1 else 1.0)
+        else:
+            np.subtract(1.0, prefix[s], out=t)
+            t *= shrink[s]  # -m (1 - B)
+            total[s] += t
+            np.subtract(t, prefix[s], out=prefix[s])
+            if right:
+                np.multiply(shrink[s], decay[s], out=t)  # -m e^{-s}
+                (np.add if k & 1 else np.subtract)(damped[s], t, out=damped[s])
+                decay[s] += t
+        reach = ahead
 
-
-def _square_functionals(jumps, offsets, lo, hi, alpha0):
-    """Per-path square interaction over [lo, hi]^2 and sums of ``a`` and ``b``.
-
-    One block pass, O(total jumps).  For a horizon on one side of 0 the sum
-    of ``b`` (``lo >= 0``) or of ``a`` (``hi <= 0``) is int T_s e^{-|s|} ds.
-    """
-    _, _, bo, same, a, b = _block_terms(jumps, offsets, lo, hi, alpha0)
-    sum_a, sum_b = _segment_sums(a, bo), _segment_sums(b, bo)
-    pairs = _pair_terms(same, b, _exclusive_prefix(a, bo))
-    return _segment_sums(pairs, bo), sum_a, sum_b
-
-
-def _pair_terms(same, b, before):
-    """``same + 2 b before`` per block, formed in ``b``, which is spent.
-
-    With ``before`` the within-path exclusive prefix sums of ``a``, each
-    block's own square plus its pairs with every earlier block.
-    """
-    b *= 2.0
-    b *= before
-    b += same
-    return b
-
-
-def _horizon_interactions(jumps, offsets, horizons):
-    """Per-path square interaction over [0, t]^2 for every t, sign +1 at 0.
-
-    The paths lie on [0, max(horizons)], and one block decomposition there
-    serves every horizon: for each t the within-path prefix sums at the
-    block holding t give every block that ends before t, and that block,
-    clipped at t, is added in closed form.
-    """
-    n = len(offsets) - 1
-    starts, signs, bo, same, a, b = _block_terms(jumps, offsets, 0.0, max(horizons), np.ones(n))
-    before = _exclusive_prefix(a, bo)
-    done = _exclusive_prefix(_pair_terms(same, b, before), bo)
-    out = []
-    for t in horizons:
-        last = bo[:-1] + _count_upto(jumps, offsets, t)
-        start = starts[last]
-        length = t - start
-        clipped_b = signs[last] * -np.expm1(-length) * np.exp(-start)
-        out.append(done[last] + 2.0 * (length + np.expm1(-length)) + 2.0 * clipped_b * before[last])
-    return out
-
-
-def _vacuum_suppression_batch(jumps, offsets) -> np.ndarray:
-    """Per-path vacuum suppression for paths on [0, t]."""
-    within = np.arange(jumps.size) - np.repeat(offsets[:-1], np.diff(offsets))
-    signs = np.where(within & 1, -1.0, 1.0)
-    b = signs * np.exp(-jumps)
-    first = _segment_sums(b, offsets)
-    diag = _segment_sums(-np.expm1(-2.0 * jumps), offsets)
-    a = signs * 2.0 * np.sinh(jumps)
-    cross = 2.0 * _segment_sums(b * _exclusive_prefix(a, offsets), offsets)
-    return first**2 + diag + cross
+    if suppression:
+        out[0][order] = total + prefix**2
+        return out[0]
+    for row, h, (by_block, _), (begin, done, signed) in zip(out, horizons, held, kept):
+        np.expm1(np.subtract(begin, h, out=begin), out=begin)  # -m', as a pass that ends at h
+        np.subtract(1.0, signed, out=signed)
+        signed *= begin
+        done += signed
+        done += h - lo
+        row[order[by_block]] = done
+    total += hi - lo
+    out[-2][order] = total
+    out[:-1] *= 2.0
+    if not right:
+        np.negative(prefix, out=damped)
+    out[-1][order] = damped
+    return out[:-1], out[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +370,8 @@ def build_ground_ensemble(
         raise ParameterError("a rate-delta spin process requires delta > 0")
     if T is None:
         T = default_horizon(params.delta)
-    if T <= 0:
-        raise ParameterError("T must be positive")
+    if not 0.0 < T < np.inf:
+        raise ParameterError(f"T must be positive and finite, got {T}")
     capacity = _jump_capacity(params.delta, T, n_samples)
     left_jumps, right_jumps = np.empty(capacity), np.empty(capacity)
     left_offsets = np.zeros(n_samples + 1, dtype=np.int64)
@@ -373,8 +386,8 @@ def build_ground_ensemble(
         left_jumps = _write_batch(left_jumps, left_offsets, first, *left)
         right_jumps = _write_batch(right_jumps, right_offsets, first, *right)
         alpha0[rows] = np.where(np.diff(left[1]) % 2 == 0, 1, -1)  # sign at -T; sign at 0 is +1
-        j_left, u_left[rows], _ = _square_functionals(*left, -T, 0.0, alpha0[rows])
-        j_right, _, v_right[rows] = _square_functionals(*right, 0.0, T, np.ones(chunk))
+        (j_left,), u_left[rows] = _rank_pass(*left, -T, (0.0,))
+        (j_right,), v_right[rows] = _rank_pass(*right, 0.0, (T,))
         j_full[rows] = j_left + j_right + 2.0 * u_left[rows] * v_right[rows]
         del left, right, j_left, j_right  # freed before the next stream draws
         first += chunk

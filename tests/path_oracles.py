@@ -163,9 +163,9 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
                               seed: int = paths.DEFAULT_SEED):
     """``build_ground_ensemble`` as first written: per-stream batches, concatenated.
 
-    Unlike the scalar oracles above it shares the sampler and the batch
-    functionals with ``rabizeta.paths``: it checks how the ensemble is
-    assembled from its streams, not the functionals themselves.
+    Unlike the scalar oracles above it shares the sampler and the rank pass
+    with ``rabizeta.paths``: it checks how the ensemble is assembled from
+    its streams, not the functionals themselves.
     """
     if T is None:
         T = paths.default_horizon(params.delta)
@@ -174,8 +174,8 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
         left = paths._sample_segments(rng, params.delta, T, chunk, -T)
         right = paths._sample_segments(rng, params.delta, T, chunk, 0.0)
         alpha0 = np.where(np.diff(left[1]) % 2 == 0, 1, -1)
-        j_left, u_left, _ = paths._square_functionals(*left, -T, 0.0, alpha0)
-        j_right, _, v_right = paths._square_functionals(*right, 0.0, T, np.ones(chunk))
+        (j_left,), u_left = paths._rank_pass(*left, -T, (0.0,))
+        (j_right,), v_right = paths._rank_pass(*right, 0.0, (T,))
         streams.append((left, right, alpha0, j_left + j_right + 2.0 * u_left * v_right,
                         u_left, v_right))
     lefts, rights, *per_path = zip(*streams)

@@ -11,6 +11,8 @@ import pytest
 
 import rabizeta
 import rabizeta.cli as cli
+import rabizeta.estimators as estimators
+import rabizeta.paths as paths
 import rabizeta.zeta as zeta
 from rabizeta.cli import ResultRecord, config_hash, main
 
@@ -334,6 +336,20 @@ class TestFkCommand:
                              fmt="json")
         assert code == 0
         assert json.loads(text)["meta"]["beta"] == 1.0
+
+    @pytest.mark.parametrize("argv", [("partition", "--t", "nan"), ("vacuum", "--t", "inf"),
+                                      ("energy", "--t-grid", "1,inf"),
+                                      ("energy", "--t-grid", "4,6,6"), ("gibbs", "--T", "nan")],
+                             ids=" ".join)
+    def test_bad_horizon_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the horizon was checked")
+
+        monkeypatch.setattr(estimators, "_seed_streams", no_draw)
+        monkeypatch.setattr(paths, "_seed_streams", no_draw)
+        code, text = run_cli(tmp_path, "fk", *argv, "--n", "400")
+        assert code == 2 and text == ""
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "fk", "vacuum", "--seed", "-1", "--n", "400")

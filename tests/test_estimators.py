@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rabizeta.estimators as estimators
 from rabizeta.errors import DomainError, ParameterError
 from rabizeta.estimators import (
     gaussian_square_fk,
@@ -45,6 +46,15 @@ def ens():
     return build_ground_ensemble(P_STD, N, seed=SEED)
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail any estimator that draws before its arguments are checked."""
+    def draw(*args, **kwargs):
+        raise AssertionError("drew before the horizon was checked")
+
+    monkeypatch.setattr(estimators, "_seed_streams", draw)
+
+
 class TestVacuumElement:
     def test_uncoupled_mean(self):
         p = ModelParams(0.5, 0.0)
@@ -68,6 +78,11 @@ class TestVacuumElement:
         with pytest.raises(DomainError):
             vacuum_element_fk(P_STD, 0.0, 100)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_time_not_finite(self, no_draw, t):
+        with pytest.raises(DomainError):
+            vacuum_element_fk(P_STD, t, 100)
+
 
 class TestPartition:
     def test_uncoupled_zero_variance(self):
@@ -86,6 +101,11 @@ class TestPartition:
     def test_matches_ed(self):
         est = partition_fk(P_STD, 2.0, N, seed=7)
         assert est.z_score(partition_ed(P_STD, 2.0)) < 3
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    def test_time_not_positive_and_finite(self, no_draw, t):
+        with pytest.raises(DomainError):
+            partition_fk(P_STD, t, 100)
 
 
 class TestGroundEnergy:
@@ -107,6 +127,15 @@ class TestGroundEnergy:
     def test_needs_two_horizons(self):
         with pytest.raises(ParameterError):
             ground_energy_fk(P_STD, [4.0], 100)
+
+    def test_repeated_horizon(self, no_draw):
+        with pytest.raises(ParameterError):
+            ground_energy_fk(P_STD, [4.0, 6.0, 6.0], 100)
+
+    @pytest.mark.parametrize("grid", [[1.0, np.inf], [np.nan, 4.0], [0.0, 4.0]])
+    def test_horizons_not_positive_and_finite(self, no_draw, grid):
+        with pytest.raises(DomainError):
+            ground_energy_fk(P_STD, grid, 100)
 
 
 class TestEnsembleEstimators:

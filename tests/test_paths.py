@@ -24,15 +24,10 @@ from rabizeta.paths import (
     N_STREAMS,
     build_ground_ensemble,
     default_horizon,
-    _block_terms,
     _count_upto,
-    _exclusive_prefix,
-    _horizon_interactions,
+    _rank_pass,
     _sample_segments,
     _seed_streams,
-    _segment_sums,
-    _square_functionals,
-    _vacuum_suppression_batch,
 )
 
 
@@ -230,20 +225,21 @@ class TestPairInteraction:
     def test_batch_matches_reference(self, path):
         lo, hi = path.horizon
         offsets = np.array([0, path.n_jumps], dtype=np.int64)
-        batch, _, _ = _square_functionals(path.jumps, offsets, lo, hi, np.array([1.0]))
+        (batch,), _ = _rank_pass(path.jumps, offsets, lo, (hi,))
         assert batch[0] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(path_batches(), st.booleans())
     def test_every_path_of_a_batch_matches_the_oracles(self, batch, left):
-        # one block pass gives the interaction and, as the sum of b on [0, hi]
-        # or of a on [-hi, 0], the damped integral of every path in the batch
+        # one rank pass gives the interaction and the damped integral of every
+        # path in the batch, on either side of 0
         hi, paths, alpha0 = batch
         lo, top = (-hi, 0.0) if left else (0.0, hi)
         if left:
             paths = [np.sort(-jumps) for jumps in paths]
-        inter, sum_a, sum_b = _square_functionals(*flat_batch(paths), lo, top, alpha0)
-        damped = sum_a if left else sum_b
+        offsets = flat_batch(paths)[1]
+        (inter,), damped = _rank_pass(*flat_batch(paths), lo, (top,))
+        damped *= sign_at_zero(alpha0, offsets, left)
         for i, jumps in enumerate(paths):
             path = JumpPath(alpha0=int(alpha0[i]), horizon=(lo, top), jumps=jumps)
             assert inter[i] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
@@ -258,82 +254,60 @@ class TestPairInteraction:
         if at_a_jump and jumps.size:
             horizons.add(float(jumps[0]))  # a horizon exactly at a jump
         horizons = sorted(horizons)
-        for t, inter in zip(horizons, _horizon_interactions(jumps, offsets, horizons)):
-            kept = np.zeros_like(offsets)
-            np.cumsum(_count_upto(jumps, offsets, t), out=kept[1:])
-            restricted, _, _ = _square_functionals(jumps[jumps <= t], kept, 0.0, t,
-                                                   np.ones(len(paths)))
+        for t, inter in zip(horizons, _rank_pass(jumps, offsets, 0.0, horizons)[0]):
+            (restricted,), _ = _rank_pass(*restricted_batch(jumps, offsets, t), 0.0, (t,))
             assert inter == pytest.approx(restricted, abs=1e-12)
             for i, path_jumps in enumerate(paths):
                 path = path_on(path_jumps[path_jumps < t], horizon=(0.0, t))
                 assert inter[i] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
 
 
-def reference_block_terms(jumps, offsets, lo, hi, alpha0):
-    """The block pass as first written, with two inserts and an integer modulo."""
-    bo = offsets + np.arange(len(offsets))
-    starts = np.insert(jumps, offsets[:-1], lo)
-    ends = np.insert(jumps, offsets[1:], hi)
-    lengths = ends - starts
-    parity = np.where(np.arange(starts.size) % 2 == 0, 1.0, -1.0)
-    signs = np.repeat(np.asarray(alpha0, dtype=float) * parity[bo[:-1]], np.diff(bo)) * parity
-    shrink = -np.expm1(-lengths)
-    same = 2.0 * (lengths + np.expm1(-lengths))
-    return starts, signs, bo, same, signs * shrink * np.exp(ends), signs * shrink * np.exp(-starts)
+def sign_at_zero(alpha0, offsets, left):
+    """The sign at 0 of paths with sign ``alpha0`` at their left end."""
+    return alpha0 * np.where(np.diff(offsets) % 2, -1, 1) if left else alpha0
 
 
-def reference_vacuum_suppression(jumps, offsets):
-    """The vacuum suppression batch as first written, signs from ``% 2``."""
-    counts = np.diff(offsets)
-    within = np.arange(jumps.size) - np.repeat(offsets[:-1], counts)
-    signs = np.where(within % 2 == 0, 1.0, -1.0)
-    first = _segment_sums(signs * np.exp(-jumps), offsets)
-    diag = _segment_sums(-np.expm1(-2.0 * jumps), offsets)
-    a = signs * 2.0 * np.sinh(jumps)
-    b = signs * np.exp(-jumps)
-    cross = 2.0 * _segment_sums(b * _exclusive_prefix(a, offsets), offsets)
-    return first**2 + diag + cross
+def restricted_batch(jumps, offsets, t):
+    """The jumps at or before ``t`` of every path of a flat batch, flat + offsets."""
+    kept = np.zeros_like(offsets)
+    np.cumsum(_count_upto(jumps, offsets, t), out=kept[1:])
+    return jumps[jumps <= t], kept
 
 
-def reference_exclusive_prefix(values, offsets):
-    """Within-segment exclusive prefix sums as first written, out of place."""
-    if values.size == 0:
-        return values.copy()
-    cs = np.cumsum(values) - values
-    counts = np.diff(offsets)
-    correction = np.zeros_like(values)
-    correction[:] = np.repeat(cs[offsets[:-1][counts > 0]], counts[counts > 0])
-    return cs - correction
+def suppression(jumps, offsets):
+    """Vacuum suppression of every path of a flat batch on [0, t], t past every jump."""
+    top = float(jumps.max(initial=0.0)) + 1.0
+    return _rank_pass(jumps, offsets, 0.0, (top,), suppression=True)
 
 
-def reference_square_functionals(jumps, offsets, lo, hi, alpha0):
-    """The square functionals as first written, every block term out of place."""
-    _, _, bo, same, a, b = reference_block_terms(jumps, offsets, lo, hi, alpha0)
-    interaction = _segment_sums(same + 2.0 * b * reference_exclusive_prefix(a, bo), bo)
-    return interaction, _segment_sums(a, bo), _segment_sums(b, bo)
+def one_at_a_time(jumps, offsets, lo, horizons):
+    """The rank pass on every path of a flat batch alone, in path order."""
+    alone = [_rank_pass(path, np.array([0, path.size]), lo, horizons)
+             for path in np.split(jumps, offsets[1:-1])]
+    return np.hstack([inter for inter, _ in alone]), np.concatenate([d for _, d in alone])
 
 
-def reference_horizon_interactions(jumps, offsets, horizons):
-    """The interaction at every horizon as first written, counts from a cumulative sum."""
-    n = len(offsets) - 1
-    starts, signs, bo, same, a, b = reference_block_terms(jumps, offsets, 0.0, max(horizons),
-                                                          np.ones(n))
-    before = reference_exclusive_prefix(a, bo)
-    done = reference_exclusive_prefix(same + 2.0 * b * before, bo)
-    out = []
-    for t in horizons:
-        upto = np.zeros(jumps.size + 1, dtype=np.int64)
-        np.cumsum(jumps <= t, out=upto[1:])
-        last = bo[:-1] + upto[offsets[1:]] - upto[offsets[:-1]]
-        start = starts[last]
-        length = t - start
-        clipped_b = signs[last] * -np.expm1(-length) * np.exp(-start)
-        out.append(done[last] + 2.0 * (length + np.expm1(-length)) + 2.0 * clipped_b * before[last])
-    return out
+def check_stream(jumps, offsets, lo, hi, alpha0, horizons=()):
+    """Every path of a stream against the scalar oracles, at every horizon."""
+    inters, damped = _rank_pass(jumps, offsets, lo, (*horizons, hi))
+    damped *= sign_at_zero(alpha0, offsets, hi <= 0.0)
+    for i in range(len(offsets) - 1):
+        path = jumps[offsets[i]:offsets[i + 1]]
+        whole = JumpPath(alpha0=int(alpha0[i]), horizon=(lo, hi), jumps=path)
+        assert inters[-1][i] == pytest.approx(pair_interaction_energy(whole), abs=1e-10)
+        assert damped[i] == pytest.approx(damped_sign_integral(whole, lo, hi), abs=1e-12)
+        for t, inter in zip(horizons, inters):
+            part = JumpPath(alpha0=int(alpha0[i]), horizon=(lo, t), jumps=path[path < t])
+            assert inter[i] == pytest.approx(pair_interaction_energy(part), abs=1e-10)
 
 
 class TestBlockPassBits:
-    """The block pass keeps every bit of the formulas it replaced."""
+    """Each path's blocks take the same float operations alone and in any batch.
+
+    So every functional of a path keeps its bits whatever the batch, its
+    order or the horizon it ends at; on whole sampled streams the functionals
+    match the scalar oracles.
+    """
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -345,74 +319,83 @@ class TestBlockPassBits:
     @settings(max_examples=80, deadline=None)
     @given(path_batches(), st.booleans())
     def test_block_terms(self, batch, left):
-        hi, paths, alpha0 = batch
+        # a path alone gives the bits it has in its batch
+        hi, paths, _ = batch
         lo, top = (-hi, 0.0) if left else (0.0, hi)
         if left:
             paths = [np.sort(-jumps) for jumps in paths]
         jumps, offsets = flat_batch(paths)
-        self.assert_same_bits(_block_terms(jumps, offsets, lo, top, alpha0),
-                              reference_block_terms(jumps, offsets, lo, top, alpha0))
+        inter, damped = _rank_pass(jumps, offsets, lo, (top,))
+        alone, alone_damped = one_at_a_time(jumps, offsets, lo, (top,))
+        self.assert_same_bits([*inter, damped], [*alone, alone_damped])
 
     @settings(max_examples=80, deadline=None)
     @given(path_batches(), st.booleans())
     def test_square_functionals(self, batch, left):
-        hi, paths, alpha0 = batch
+        # the ranking does not depend on the order of the paths in the batch
+        hi, paths, _ = batch
         lo, top = (-hi, 0.0) if left else (0.0, hi)
         if left:
             paths = [np.sort(-jumps) for jumps in paths]
-        jumps, offsets = flat_batch(paths)
-        self.assert_same_bits(_square_functionals(jumps, offsets, lo, top, alpha0),
-                              reference_square_functionals(jumps, offsets, lo, top, alpha0))
+        inter, damped = _rank_pass(*flat_batch(paths), lo, (top,))
+        back, back_damped = _rank_pass(*flat_batch(paths[::-1]), lo, (top,))
+        self.assert_same_bits([*inter, damped], [back[0][::-1], back_damped[::-1]])
 
     @settings(max_examples=60, deadline=None)
-    @given(path_batches(), st.lists(st.floats(0.01, 1.0), max_size=4))
-    def test_horizon_interactions(self, batch, fractions):
+    @given(path_batches(), st.lists(st.floats(0.01, 1.0), max_size=4), st.booleans())
+    def test_horizon_interactions(self, batch, fractions, at_a_jump):
+        # every horizon keeps the bits of a pass that ends there
         hi, paths, _ = batch
         jumps, offsets = flat_batch(paths)
-        horizons = sorted({hi * f for f in fractions} | {hi})
-        self.assert_same_bits(_horizon_interactions(jumps, offsets, horizons),
-                              reference_horizon_interactions(jumps, offsets, horizons))
+        horizons = {hi * f for f in fractions} | {hi}
+        if at_a_jump and jumps.size:
+            horizons.add(float(jumps[-1]))
+        horizons = sorted(horizons)
+        inters, _ = _rank_pass(jumps, offsets, 0.0, horizons)
+        restricted = [_rank_pass(*restricted_batch(jumps, offsets, t), 0.0, (t,))[0][0]
+                      for t in horizons]
+        self.assert_same_bits(inters, restricted)
 
     @settings(max_examples=80, deadline=None)
     @given(path_batches())
     def test_vacuum_suppression(self, batch):
         _, paths, _ = batch
         jumps, offsets = flat_batch(paths)
-        self.assert_same_bits([_vacuum_suppression_batch(jumps, offsets)],
-                              [reference_vacuum_suppression(jumps, offsets)])
+        alone = [suppression(*flat_batch([path])) for path in paths]
+        self.assert_same_bits([suppression(jumps, offsets)], [np.concatenate(alone)])
 
     @pytest.mark.parametrize("paths", [[np.zeros(0)], [np.zeros(0)] * 3, [np.array([0.4])],
                                        [np.array([0.1, 0.7, 1.3])]])
     def test_empty_and_single_paths(self, paths):
         jumps, offsets = flat_batch(paths)
         alpha0 = np.array([-1] * len(paths))
-        for lo, hi in ((0.0, 2.0), (-2.0, 0.0)):
-            shifted = jumps + lo
-            self.assert_same_bits(_block_terms(shifted, offsets, lo, hi, alpha0),
-                                  reference_block_terms(shifted, offsets, lo, hi, alpha0))
-        self.assert_same_bits([_vacuum_suppression_batch(jumps, offsets)],
-                              [reference_vacuum_suppression(jumps, offsets)])
+        for lo in (0.0, -2.0):
+            check_stream(jumps + lo, offsets, lo, lo + 2.0, alpha0, horizons=(0.5 + lo,))
+        for value, path in zip(suppression(jumps, offsets), paths):
+            assert value == pytest.approx(vacuum_suppression(path_on(path, horizon=(0.0, 2.0))),
+                                          abs=1e-12)
 
     def test_sampled_ensemble_sides(self):
         # whole streams of sampled paths, as the ensemble builds them
         rng = np.random.default_rng(7)
         for lo in (-12.0, 0.0):
             jumps, offsets = _sample_segments(rng, 0.5, 12.0, 500, lo)
-            alpha0 = np.where(np.diff(offsets) % 2 == 0, 1, -1)
-            self.assert_same_bits(_block_terms(jumps, offsets, lo, lo + 12.0, alpha0),
-                                  reference_block_terms(jumps, offsets, lo, lo + 12.0, alpha0))
-        self.assert_same_bits([_vacuum_suppression_batch(jumps, offsets)],
-                              [reference_vacuum_suppression(jumps, offsets)])
+            alpha0 = np.where(np.diff(offsets) % 2 == 0, 1, -1) if lo < 0 else np.ones(500)
+            check_stream(jumps, offsets, lo, lo + 12.0, alpha0)
+        # the right side's paths as vacuum paths on [0, 12]
+        for i, value in enumerate(suppression(jumps, offsets)):
+            path = path_on(jumps[offsets[i]:offsets[i + 1]], horizon=(0.0, 12.0))
+            assert value == pytest.approx(vacuum_suppression(path), abs=1e-12)
 
     def test_sampled_stream_functionals(self):
-        # a whole stream of sampled paths, as the ensemble and the energy estimate use them
-        jumps, offsets = _sample_segments(np.random.default_rng(8), 0.5, 12.0, 2000, 0.0)
+        # whole streams of sampled paths, as the ensemble and the energy estimate use them
+        rng = np.random.default_rng(8)
+        jumps, offsets = _sample_segments(rng, 0.5, 12.0, 2000, 0.0)
         alpha0 = np.where(np.diff(offsets) % 2 == 0, 1, -1)
-        self.assert_same_bits(_square_functionals(jumps, offsets, 0.0, 12.0, alpha0),
-                              reference_square_functionals(jumps, offsets, 0.0, 12.0, alpha0))
-        horizons = [4.0, 6.0, float(jumps[5]), 12.0]
-        self.assert_same_bits(_horizon_interactions(jumps, offsets, horizons),
-                              reference_horizon_interactions(jumps, offsets, horizons))
+        check_stream(jumps, offsets, 0.0, 12.0, alpha0,
+                     horizons=sorted([4.0, 6.0, float(jumps[5])]))
+        jumps, offsets = _sample_segments(rng, 0.5, 12.0, 2000, -12.0)
+        check_stream(jumps, offsets, -12.0, 0.0, np.where(np.diff(offsets) % 2 == 0, 1, -1))
 
 
 class TestDampedIntegral:
@@ -425,7 +408,7 @@ class TestDampedIntegral:
     def test_batch_matches_reference(self):
         path = path_on([0.2, 0.8, 1.4], horizon=(0.0, 2.0))
         offsets = np.array([0, 3], dtype=np.int64)
-        _, _, right = _square_functionals(path.jumps, offsets, 0.0, 2.0, np.array([1.0]))
+        _, right = _rank_pass(path.jumps, offsets, 0.0, (2.0,))
         assert right[0] == pytest.approx(damped_sign_integral(path, 0.0, 2.0), abs=1e-12)
 
 
@@ -448,9 +431,27 @@ class TestVacuumSuppression:
     def test_batch_matches_reference(self):
         jumps = np.array([0.2, 0.5, 0.6, 1.3])
         offsets = np.array([0, 4], dtype=np.int64)
-        batch = _vacuum_suppression_batch(jumps, offsets)
+        batch = suppression(jumps, offsets)
         ref = vacuum_suppression(path_on(jumps, horizon=(0.0, 2.0)))
         assert batch[0] == pytest.approx(ref, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(path_batches())
+    def test_batch_positive_with_jumps(self, batch):
+        _, paths, _ = batch
+        values = suppression(*flat_batch(paths))
+        for value, jumps in zip(values, paths):
+            assert value >= 0.0
+            if jumps.size:
+                assert value > 0.0
+
+    def test_near_coincident_jumps(self):
+        # the expanded sums of the first batch rounded this to -8.7e-19
+        jumps = np.array([0.001, np.nextafter(0.001, 1.0)])
+        batch = suppression(jumps, np.array([0, 2], dtype=np.int64))
+        ref = vacuum_suppression(path_on(jumps))
+        assert batch[0] >= 0.0
+        assert batch[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 class TestEnsemble:
@@ -516,7 +517,7 @@ class TestEnsemble:
 
     def test_memory_peak(self):
         # every stream writes into the final arrays, and only one stream's
-        # block arrays, under 12 MB at 100 000 paths, are alive at a time
+        # draws and rank pass, under 12 MB at 100 000 paths, are alive at a time
         tracemalloc.start()
         try:
             ens = build_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
@@ -557,6 +558,28 @@ class TestEnsemble:
         assert ens.n_eff == float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
         ens.log_weights = np.zeros(3)
         assert ens.n_eff == float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
+
+    def test_interactions_late_in_a_stream(self):
+        # paths 12 000-12 499 are the second half of the first seed stream:
+        # stream-wide prefix sums once missed their interaction by 1.7e-7
+        ens = build_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
+        T = ens.half_width
+        for i in range(12_000, 12_500):
+            left = ens.left_jumps[ens.left_offsets[i]:ens.left_offsets[i + 1]]
+            right = ens.right_jumps[ens.right_offsets[i]:ens.right_offsets[i + 1]]
+            path = JumpPath(alpha0=int(ens.alpha0[i]), horizon=(-T, T),
+                            jumps=np.concatenate([left, right]))
+            assert ens.interaction_full[i] == pytest.approx(pair_interaction_energy(path),
+                                                            rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+    def test_horizon_not_positive_and_finite(self, monkeypatch, T):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before T was checked")
+
+        monkeypatch.setattr("rabizeta.paths._seed_streams", no_draw)
+        with pytest.raises(ParameterError):
+            build_ground_ensemble(ModelParams(0.5, 1.0), 100, T=T)
 
     def test_low_ess_note(self):
         ens = build_ground_ensemble(ModelParams(0.5, 2.5), 300, T=12.0, seed=28)
