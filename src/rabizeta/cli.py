@@ -2,21 +2,22 @@
 
     rabizeta spectrum --delta 0.5 --g 0 --levels 6
     rabizeta zeta --s 2 --tau 1 --delta 0 --g 3
-    rabizeta limits --variant parity+ --g-grid 2,4,6,8
+    rabizeta limits zeta --variant parity+ --g-grid 2,4,6,8
     rabizeta fk vacuum --t 1 --delta 0.5 --g 1 --n 100000
     rabizeta x1 --delta 1 --n 100000
     rabizeta report --cache-dir ./cache
 
 Each option is declared once, with its type and default, on the parser of
-the command that reads it (each ``fk`` quantity is a command of its own), so
-an option a command does not read is a usage error.  A flat ``key=value``
-config file (``--config``) is read as flags given before the command's own
-flags.  The seed defaults to a fixed constant so identical invocations
-produce byte-identical data rows.  Output is CSV (default) or JSON; a
-record's meta holds the command's options and its digest covers them and
-the package sources; its anchor string names the mathematical claim it
-exercises.  Only ``report`` keeps a cache (``--cache-dir`` or
-``$RABIZETA_CACHE``), keyed by that digest.
+the command that reads it (each ``fk`` quantity and each ``limits`` table is
+a command of its own), so an option a command does not read is a usage
+error.  A flat ``key=value`` config file (``--config``) is read as flags
+given before the command's own flags.  The seed defaults to a fixed constant
+so identical invocations produce byte-identical data rows.  Output is CSV
+(default) or JSON; a record's meta holds the command's options and its
+digest covers them and the package sources; its quantity is the command's
+name (``limits/zeta``, ``fk/vacuum``) and its anchor string names the
+mathematical claim it exercises.  Only ``report`` keeps a cache
+(``--cache-dir`` or ``$RABIZETA_CACHE``), keyed by that digest.
 
 Exit codes: 0 success (possibly with warnings), 2 usage or constraint
 violation, 3 numerical nonconvergence, 4 a ``report`` check failed (the
@@ -87,7 +88,7 @@ from .observables import (
     x_characteristic_ed,
     x_square_exponential_ed,
 )
-from .paths import DEFAULT_SEED, build_ground_ensemble, default_horizon
+from .paths import DEFAULT_SEED, _horizon, build_ground_ensemble
 from .zeta import (
     _ladder,
     _require_zeta_shift,
@@ -160,22 +161,18 @@ def config_hash(subcommand: str, options: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _options(args, skip=()) -> dict:
+def _options(args) -> dict:
     """The parsed values of the options the command declares, JSON-ready."""
-    options = {dest: getattr(args, dest) for dest in args.command.options if dest not in skip}
+    options = {dest: getattr(args, dest) for dest in args.command.options}
     return {k: repr(v) if isinstance(v, complex) else v for k, v in options.items()}
 
 
-def _record(args, anchor: str, columns: list, rows: list, quantity: str | None = None,
-            skip=(), **result_meta) -> ResultRecord:
-    """A command's record: its options, all but ``skip``, are its digest and meta.
-
-    ``quantity`` defaults to the command's name.
-    """
-    options = _options(args, skip)
+def _record(args, anchor: str, columns: list, rows: list, **result_meta) -> ResultRecord:
+    """A command's record: its options are its digest and meta, its name the quantity."""
+    options = _options(args)
     return ResultRecord(
         config_hash=config_hash(args.command.name, options),
-        quantity=quantity or args.command.name,
+        quantity=args.command.name,
         anchor=anchor,
         columns=columns,
         rows=rows,
@@ -240,9 +237,6 @@ def cmd_zeta(args) -> ResultRecord:
                     "deviation_from_limit", "tail_bound", "n_used"], rows)
 
 
-#: The ``limits`` options that only one table reads.
-_TABLE_OPTIONS = {"zeta": ("tau", "s", "n_head"), "levels": ("levels",)}
-
 _ZETA_LIMIT_ANCHORS = {
     "full": "limit |g|->inf: zeta_g(s; g^2+tau) -> 2 zeta(s; tau)",
     "parity+": "limit |g|->inf: sector zeta -> zeta(s; tau)",
@@ -251,38 +245,39 @@ _ZETA_LIMIT_ANCHORS = {
 }
 
 
-def cmd_limits(args) -> ResultRecord:
-    other = [dest for table, dests in _TABLE_OPTIONS.items() if table != args.table
-             for dest in dests]
-    for dest in getattr(args, "given", ()):
-        if dest in other:
-            raise ParameterError(f"{args.command.options[dest]} is not an option of "
-                                 f"the {args.table} table")
+def _limit_params(args) -> tuple[ModelParams, str]:
+    """A ``limits`` table's parameters at g = 0 and its variant, checked as given."""
     variant = _default_variant(args)
     params = ModelParams(args.delta, 0.0, args.eps)
-    _ladder(params, variant)  # the variant and its eps rule, as given
-    if args.table == "zeta":
-        rows = [
-            [r.g, float(r.value.real), float(r.value.imag), float(r.target.real),
-             r.deviation, r.tail_bound, r.n_used]
-            for r in zeta_limit_table(params, args.s, args.tau, args.g_grid, variant,
-                                      args.n_head)
-        ]
-        return _record(args, _ZETA_LIMIT_ANCHORS[variant],
-                       ["g", "value_re", "value_im", "target_re", "deviation",
-                        "tail_bound", "n_used"], rows, "limits/zeta", skip=other)
+    _ladder(params, variant)  # the variant and its eps rule
+    return params, variant
+
+
+def _limits_zeta(args) -> ResultRecord:
+    params, variant = _limit_params(args)
+    rows = [
+        [r.g, float(r.value.real), float(r.value.imag), float(r.target.real),
+         r.deviation, r.tail_bound, r.n_used]
+        for r in zeta_limit_table(params, args.s, args.tau, args.g_grid, variant, args.n_head)
+    ]
+    return _record(args, _ZETA_LIMIT_ANCHORS[variant],
+                   ["g", "value_re", "value_im", "target_re", "deviation",
+                    "tail_bound", "n_used"], rows)
+
+
+def _limits_levels(args) -> ResultRecord:
+    params, variant = _limit_params(args)
     # the library names the two-sector table after its parity tags
     table = eigenvalue_limit_table(params, args.g_grid, args.levels,
                                    "parity" if variant == "full" else variant)
     rows = [[r.g, r.n, r.parity, r.shifted, r.target, r.deviation] for r in table]
     return _record(args, "limit |g|->inf: E_n(g) + g^2 -> integer (split by eps when tilted)",
-                   ["g", "n", "parity", "shifted_energy", "target", "deviation"], rows,
-                   "limits/levels", skip=other)
+                   ["g", "n", "parity", "shifted_energy", "target", "deviation"], rows)
 
 
-# Each ``fk`` quantity is its own command.  One that samples a ground-path
-# ensemble evaluates its exact value first, whose domain checks reject bad
-# options before the ensemble is sampled.
+# Each ``fk`` quantity is its own command.  One on the ground-path ensemble
+# checks its horizon ``--T`` first, then evaluates its exact value, whose
+# domain checks reject bad options, and only then samples the ensemble.
 
 _EST_COLUMNS = ["quantity", "value_re", "value_im", "stderr",
                 "oracle_re", "oracle_im", "z", "n_eff", "note"]
@@ -299,6 +294,12 @@ def _estimate(args, name: str, est, oracle, anchor: str, **result_meta) -> Resul
 
 def _fk_params(args) -> ModelParams:
     return ModelParams(args.delta, args.g)
+
+
+def _on_ensemble(args) -> tuple[ModelParams, float]:
+    """The parameters and the checked horizon of a quantity on the ensemble."""
+    p = _fk_params(args)
+    return p, _horizon(p.delta, args.T)
 
 
 def _ensemble(args):
@@ -338,14 +339,14 @@ def _fk_kernel(args) -> ResultRecord:
 
 
 def _fk_gibbs(args) -> ResultRecord:
-    p = _fk_params(args)
+    p, _ = _on_ensemble(args)
     oracle = gibbs_number_ed(ground_state(p), args.beta)
     return _estimate(args, "gibbs_number", gibbs_number_fk(_ensemble(args), p, args.beta),
                      oracle, "<exp(beta n)> = <exp(-g^2 (1 - e^beta) Jc)>_paths")
 
 
 def _fk_number(args) -> ResultRecord:
-    p = _fk_params(args)
+    p, _ = _on_ensemble(args)
     _check_moment_order(args.m)
     oracle = number_moment_ed(ground_state(p), args.m)
     return _estimate(args, f"number_moment_{args.m}",
@@ -354,7 +355,7 @@ def _fk_number(args) -> ResultRecord:
 
 
 def _fk_xchar(args) -> ResultRecord:
-    p = _fk_params(args)
+    p, _ = _on_ensemble(args)
     oracle = x_characteristic_ed(ground_state(p), args.beta)
     return _estimate(args, "x_characteristic",
                      x_characteristic_fk(_ensemble(args), p, args.beta), oracle,
@@ -362,7 +363,7 @@ def _fk_xchar(args) -> ResultRecord:
 
 
 def _fk_xsquare(args) -> ResultRecord:
-    p = _fk_params(args)
+    p, _ = _on_ensemble(args)
     oracle = x_square_exponential_ed(ground_state(p), args.beta)
     return _estimate(args, "x_square_exponential",
                      gaussian_square_fk(_ensemble(args), p, args.beta), oracle,
@@ -370,9 +371,8 @@ def _fk_xsquare(args) -> ResultRecord:
 
 
 def _fk_spin_corr(args) -> ResultRecord:
-    p, lag = _fk_params(args), args.lag
-    _check_edge_guard(default_horizon(p.delta) if args.T is None else args.T,
-                      lag / 2.0, -lag / 2.0)
+    (p, T), lag = _on_ensemble(args), args.lag
+    _check_edge_guard(T, lag / 2.0, -lag / 2.0)
     oracle = spin_autocorrelation_ed(ground_state(p), lag)
     return _estimate(args, f"spin_correlation_{lag}",
                      spin_correlation_fk(_ensemble(args), lag / 2.0, -lag / 2.0), oracle,
@@ -649,14 +649,6 @@ class _Command(NamedTuple):
     options: dict
 
 
-class _TableOption(argparse.Action):
-    """A ``limits`` option that one table reads: stored, and noted as given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = (*getattr(namespace, "given", ()), self.dest)
-
-
 def _grid(text: str) -> list[float]:
     grid = [float(tok) for tok in text.split(",") if tok]
     if not grid:
@@ -705,11 +697,6 @@ _TIME = ("--t", {"type": float, "default": 1.0})
 _HORIZON = ("--T", {"type": float, "help": "path horizon half-width (default: from delta)"})
 
 
-def _table_only(option):
-    flag, keywords = option
-    return flag, {**keywords, "action": _TableOption}
-
-
 def _add_global_options(parser, suppress: bool):
     # duplicated on subparsers with SUPPRESS defaults so the flags are
     # accepted on either side of the subcommand without clobbering
@@ -724,7 +711,7 @@ def _add_global_options(parser, suppress: bool):
 
 
 def _command(group, name: str, run, help: str, *options) -> argparse.ArgumentParser:
-    """Add the parser of command ``name`` (``fk/<quantity>`` for an ``fk`` quantity)."""
+    """Add the parser of command ``name`` (``<group>/<leaf>`` for a leaf of a group)."""
     sp = group.add_parser(name.rsplit("/", 1)[-1], help=help)
     _add_global_options(sp, suppress=True)
     declared = {sp.add_argument(flag, **keywords).dest: flag for flag, keywords in options}
@@ -745,11 +732,14 @@ def build_parser() -> argparse.ArgumentParser:
              ("--rel-tol", {"type": float, "default": 1e-10}))
     _command(sub, "zeta", cmd_zeta, "one spectral zeta value", _DELTA, _G, _EPS, _TAU, _S,
              ("--n-head", {"type": int, "default": 2000}), _VARIANT)
-    _command(sub, "limits", cmd_limits, "coupling-limit tables", _DELTA, _EPS,
-             ("--table", {"choices": tuple(_TABLE_OPTIONS), "default": "zeta"}), _VARIANT,
-             ("--g-grid", {"type": _grid, "default": "2,4,6,8"}),
-             *map(_table_only, (_TAU, _S, ("--n-head", {"type": int}),
-                                ("--levels", {"type": int, "default": 6}))))
+
+    limits = sub.add_parser("limits", help="coupling-limit tables")
+    tables = limits.add_subparsers(dest="table", required=True)
+    limit = (_DELTA, _EPS, _VARIANT, ("--g-grid", {"type": _grid, "default": "2,4,6,8"}))
+    _command(tables, "limits/zeta", _limits_zeta, "zeta_g(s; g^2 + tau) -> its coupling limit",
+             *limit, _TAU, _S, ("--n-head", {"type": int}))
+    _command(tables, "limits/levels", _limits_levels, "E_n(g) + g^2 -> n", *limit,
+             ("--levels", {"type": int, "default": 6}))
 
     fk = sub.add_parser("fk", help="jump-path estimators vs exact values")
     quantities = fk.add_subparsers(dest="quantity", required=True)

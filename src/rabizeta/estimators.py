@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
@@ -76,8 +77,9 @@ def vacuum_element_fk(
 ) -> MCEstimate:
     """Shifted vacuum semigroup element from unit-rate jump paths.
 
-    Every path contributes the positive weight
-    2 e^t delta^(jumps) exp(-2 g^2 * suppression); there is no oscillation.
+    Every path contributes the nonnegative weight
+    2 e^t delta^(jumps) exp(-2 g^2 * suppression), with 0^0 = 1; there is no
+    oscillation.
     """
     if not 0.0 < t < np.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
@@ -86,11 +88,7 @@ def vacuum_element_fk(
         jumps, offsets = _sample_segments(rng, 1.0, t, chunk, 0.0)
         counts = np.diff(offsets)
         xi = _rank_pass(jumps, offsets, 0.0, (t,), suppression=True)
-        if params.delta > 0:
-            logw = t + counts * np.log(params.delta) - 2.0 * params.g**2 * xi
-            values.append(2.0 * np.exp(logw))
-        else:
-            values.append(np.where(counts == 0, 2.0 * np.exp(t), 0.0))
+        values.append(2.0 * np.exp(t + xlogy(counts, params.delta) - 2.0 * params.g**2 * xi))
     mean, stderr = _mean_stderr(np.concatenate(values))
     return MCEstimate(mean.real, stderr, n_samples, seed)
 

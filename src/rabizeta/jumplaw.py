@@ -6,9 +6,21 @@ functionals
     X1 = int_0^inf (-1)^(N_t) e^(-t) dt = 1 + 2 sum_k (-1)^k e^(-t_k)
     X2 = int_0^inf t (-1)^(N_t) e^(-t) dt = 1 + 2 sum_k (-1)^k (1 + t_k) e^(-t_k)
 
-have closed moments and, for X1, an explicit Beta-family density on (-1, 1):
+have closed moments, and X1 has an affine Beta law on (-1, 1):
 
+    X1 = 2B - 1,  B ~ Beta(delta + 1, delta),
     density(t) = (1 + t) (1 - t^2)^(delta - 1) / B(delta, 1/2).
+
+The two lines agree: with b = (1 + t)/2 the Beta(delta + 1, delta) density
+b^delta (1 - b)^(delta - 1) / B(delta + 1, delta), times db/dt = 1/2, is
+(1 + t)(1 - t^2)^(delta - 1) / (4^delta B(delta + 1, delta)), and
+4^delta B(delta + 1, delta) = B(delta, 1/2).  For the last identity,
+B(delta + 1, delta) = Gamma(delta)^2 / (2 Gamma(2 delta)), and Legendre's
+duplication Gamma(2 delta) = 2^(2 delta - 1) Gamma(delta) Gamma(delta + 1/2)
+/ sqrt(pi) turns it into Gamma(delta) Gamma(1/2) / (4^delta
+Gamma(delta + 1/2)) = B(delta, 1/2) / 4^delta.  So the distribution
+function of X1 is I_{(1+t)/2}(delta + 1, delta), a regularized incomplete
+Beta function.
 
 X2 is the time-weighted partner entering the ground state's mean photon
 number.  Sampling sweeps the jump times of every path in a seed stream
@@ -23,7 +35,7 @@ so the truncation biases each sum by less than one accumulator ulp.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.special import betainc
 
 from .errors import DomainError, ParameterError
 from .paths import DEFAULT_SEED, _seed_streams
@@ -111,35 +123,22 @@ def damped_sign_moment(delta: float, m: int) -> float:
 
 
 def damped_sign_cdf(delta: float, t) -> np.ndarray:
-    """Distribution function of X1 via regularized incomplete Beta pieces.
-
-    Splitting (1 + u)(1 - u^2)^(d-1) into even and odd parts gives
-    an I_x(d, d) term plus the exact antiderivative of the odd part.
-    """
+    """Distribution function of X1, P(2B - 1 <= t) = I_{(1+t)/2}(delta + 1, delta)."""
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1):
         raise DomainError("the law is supported on [-1, 1]")
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    log_even = (
-        np.log(2.0) + (delta - 1.0) * np.log(4.0) + betaln(delta, delta) - betaln(delta, 0.5)
-    )
-    even = np.exp(log_even) * betainc(delta, delta, (1.0 + t) / 2.0)
-    with np.errstate(divide="ignore"):
-        odd = -np.exp(delta * np.log1p(-t * t) - betaln(delta, 0.5)) / (2.0 * delta)
-    odd = np.where(np.abs(t) == 1.0, 0.0, odd)
-    return even + odd
+    return betainc(delta + 1.0, delta, (1.0 + t) / 2.0)
 
 
 def _damped_sign_survival_near_one(delta: float, u: np.ndarray) -> np.ndarray:
     """P(X1 > 1 - u) for 0 <= u <= 1, accurate where 1 - u rounds to 1.
 
-    By the symmetry I_x(d, d) = 1 - I_{1-x}(d, d), one minus the distribution
-    function is S(1 - u) = I_{u/2}(d, d) + (u (2 - u))^d / (2 d B(d, 1/2)).
+    P(B > 1 - u/2) = 1 - I_{1-u/2}(delta + 1, delta) = I_{u/2}(delta, delta + 1),
+    by the symmetry I_x(a, b) = 1 - I_{1-x}(b, a).
     """
-    with np.errstate(divide="ignore"):
-        odd = np.exp(delta * np.log(u * (2.0 - u)) - betaln(delta, 0.5)) / (2.0 * delta)
-    return betainc(delta, delta, u / 2.0) + odd
+    return betainc(delta, delta + 1.0, u / 2.0)
 
 
 #: Law mass in one rounding cell above which ``damped_sign_ks`` compares the

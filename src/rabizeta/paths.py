@@ -277,6 +277,16 @@ def default_horizon(delta: float) -> float:
     return max(8.0, 6.0 / delta)
 
 
+def _horizon(delta: float, T: float | None) -> float:
+    """The half-width T at rate delta > 0, checked; ``default_horizon(delta)`` when None."""
+    if delta <= 0:
+        raise ParameterError("a rate-delta spin process requires delta > 0")
+    T = default_horizon(delta) if T is None else T
+    if not 0.0 < T < np.inf:
+        raise ParameterError(f"T must be positive and finite, got {T}")
+    return T
+
+
 @dataclass
 class WeightedPathEnsemble:
     """Independent two-sided spin paths with importance log-weights.
@@ -366,12 +376,7 @@ def build_ground_ensemble(
     of each side go to one buffer: each seed stream writes its slice, so
     each path is written once and the jump arrays returned are views.
     """
-    if params.delta <= 0:
-        raise ParameterError("a rate-delta spin process requires delta > 0")
-    if T is None:
-        T = default_horizon(params.delta)
-    if not 0.0 < T < np.inf:
-        raise ParameterError(f"T must be positive and finite, got {T}")
+    T = _horizon(params.delta, T)
     capacity = _jump_capacity(params.delta, T, n_samples)
     left_jumps, right_jumps = np.empty(capacity), np.empty(capacity)
     left_offsets = np.zeros(n_samples + 1, dtype=np.int64)

@@ -80,10 +80,10 @@ OPTION_CASES = [
     (["spectrum", "--levels", "3"], {"delta", "g", "eps", "levels", "variant", "rel_tol"}),
     (["zeta", "--variant", "full", "--n-head", "40"],
      {"delta", "g", "eps", "tau", "s", "n_head", "variant"}),
-    (["limits", "--variant", "full", "--g-grid", "2,4", "--n-head", "40"],
-     {"delta", "eps", "table", "variant", "g_grid", "tau", "s", "n_head"}),
-    (["limits", "--table", "levels", "--variant", "full", "--g-grid", "4", "--levels", "1"],
-     {"delta", "eps", "table", "variant", "g_grid", "levels"}),
+    (["limits", "zeta", "--variant", "full", "--g-grid", "2,4", "--n-head", "40"],
+     {"delta", "eps", "variant", "g_grid", "tau", "s", "n_head"}),
+    (["limits", "levels", "--variant", "full", "--g-grid", "4", "--levels", "1"],
+     {"delta", "eps", "variant", "g_grid", "levels"}),
     (["fk", "vacuum", "--n", "400"], {"delta", "g", "n", "seed", "t"}),
     (["fk", "partition", "--n", "400"], {"delta", "g", "n", "seed", "t"}),
     (["fk", "energy", "--n", "400"], {"delta", "g", "n", "seed", "t_grid"}),
@@ -113,18 +113,21 @@ def test_meta_is_the_parsed_options(tmp_path, monkeypatch, argv, declared):
     expected = {k: getattr(parsed, k) for k in declared}
     expected = {k: repr(v) if isinstance(v, complex) else v for k, v in expected.items()}
     assert options == expected
-    command = "/".join(argv[:2]) if argv[0] == "fk" else argv[0]
+    command = "/".join(argv[:2]) if argv[0] in ("fk", "limits") else argv[0]
     assert record["config_hash"] == config_hash(command, options)
 
 
 #: Usage errors: options a command does not read (a config file supplies
-#: ``beta``), a table's option with the other table, a bad value, a bad choice,
-#: a config file that does not exist, empty grids, output files in a directory
-#: that does not exist (``MISSING``) and a cache directory that cannot be
-#: created because a file stands in its path (``BLOCKED``).
+#: ``beta``), a group without its command (``limits`` with no table, also in
+#: the retired ``--table`` spelling, which has no alias), a bad value, a bad
+#: choice, a config file that does not exist, empty grids, output files in a
+#: directory that does not exist (``MISSING``) and a cache directory that
+#: cannot be created because a file stands in its path (``BLOCKED``).
 USAGE_ERRORS = [
     ("spectrum", "--seed", "1"),
     ("spectrum", "--tau", "2"),
+    ("limits", "zeta", "--g", "3"),
+    ("limits", "levels", "--s", "3"),
     ("limits", "--g", "3"),
     ("limits", "--table", "levels", "--s", "3"),
     ("fk", "vacuum", "--beta", "2"),
@@ -132,10 +135,14 @@ USAGE_ERRORS = [
     ("fk", "gibbs", "--m", "2"),
     ("zeta", "--seed", "1"),
     ("--config", "CONFIG", "fk", "vacuum"),
+    ("limits", "zeta", "--levels", "3"),
+    ("limits",),
     ("limits", "--levels", "3"),
     ("spectrum", "--levels", "abc"),
     ("spectrum", "--variant", "bogus"),
     ("--config", "missing.cfg", "spectrum"),
+    ("limits", "zeta", "--g-grid", ""),
+    ("limits", "levels", "--g-grid", ""),
     ("limits", "--g-grid", ""),
     ("limits", "--table", "levels", "--g-grid", ""),
     ("fk", "energy", "--t-grid", ","),
@@ -147,7 +154,7 @@ USAGE_ERRORS = [
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
-def test_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv):
+def test_usage_error_is_one_line(tmp_path, monkeypatch, capsys, solves, argv):
     monkeypatch.chdir(tmp_path)
 
     def no_solve(*args, **kwargs):
@@ -167,7 +174,7 @@ def test_usage_error_is_one_line(tmp_path, monkeypatch, capsys, argv):
     # a failing command leaves an existing output file as it was
     (tmp_path / "record.out").write_text("kept\n")
     code, text = run_cli(tmp_path, *argv)
-    assert code == 2 and text == "kept\n"
+    assert code == 2 and text == "kept\n" and solves == []
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
@@ -217,13 +224,14 @@ class TestZetaCommand:
             raise AssertionError("a level was solved before the head size was checked")
 
         monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
-        for command in ("zeta", "limits"):
-            code, text = run_cli(tmp_path, command, "--n-head", "0")
+        for command in (("zeta",), ("limits", "zeta")):
+            code, text = run_cli(tmp_path, *command, "--n-head", "0")
             assert code == 2 and text == ""
             assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [("zeta", "--s", "0.5", "--g", "3"),
-                                      ("limits", "--s", "0.5"), ("limits", "--s", "0")])
+                                      ("limits", "zeta", "--s", "0.5"),
+                                      ("limits", "zeta", "--s", "0")])
     def test_divergent_sum_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         def no_solve(*args, **kwargs):
             raise AssertionError("a level was solved before Re(s) was checked")
@@ -243,7 +251,7 @@ class TestZetaCommand:
 
 class TestLimitsCommand:
     def test_parity_monotone_deviation(self, tmp_path):
-        code, text = run_cli(tmp_path, "limits", "--variant", "parity+",
+        code, text = run_cli(tmp_path, "limits", "zeta", "--variant", "parity+",
                              "--g-grid", "2,4,6,8", "--delta", "0.5", fmt="json")
         assert code == 0
         record = json.loads(text)
@@ -257,7 +265,7 @@ class TestLimitsCommand:
 
         monkeypatch.setattr(zeta, "adaptive_spectrum", no_solve)
         for table in ("zeta", "levels"):
-            code, text = run_cli(tmp_path, "limits", "--table", table, "--variant", variant,
+            code, text = run_cli(tmp_path, "limits", table, "--variant", variant,
                                  "--eps", "0.25", "--g-grid", "2,4")
             assert code == 2 and text == ""
 
@@ -268,7 +276,7 @@ class TestLimitsCommand:
         ("asymmetric", "0.25", [1, -1, 1, -1]),
     ])
     def test_level_table_variant(self, tmp_path, variant, eps, parities):
-        code, text = run_cli(tmp_path, "limits", "--table", "levels", "--variant", variant,
+        code, text = run_cli(tmp_path, "limits", "levels", "--variant", variant,
                              "--eps", eps, "--g-grid", "4", "--levels", "2", fmt="json")
         assert code == 0
         record = json.loads(text)
@@ -279,7 +287,7 @@ class TestLimitsCommand:
             assert [r["target"] for r in rows] == [-0.25, 0.25, 0.75, 1.25]
 
     def test_level_table_csv_cells_are_numbers(self, tmp_path):
-        code, text = run_cli(tmp_path, "limits", "--table", "levels", "--g-grid", "4",
+        code, text = run_cli(tmp_path, "limits", "levels", "--g-grid", "4",
                              "--levels", "1")
         assert code == 0
         data = [line for line in text.splitlines() if not line.startswith("#")][1:]
@@ -289,7 +297,7 @@ class TestLimitsCommand:
                 float(cell)
 
     def test_level_table(self, tmp_path):
-        code, text = run_cli(tmp_path, "limits", "--table", "levels",
+        code, text = run_cli(tmp_path, "limits", "levels",
                              "--g-grid", "4,8", "--levels", "3", fmt="json")
         assert code == 0
         record = json.loads(text)
@@ -337,18 +345,22 @@ class TestFkCommand:
         assert code == 0
         assert json.loads(text)["meta"]["beta"] == 1.0
 
-    @pytest.mark.parametrize("argv", [("partition", "--t", "nan"), ("vacuum", "--t", "inf"),
-                                      ("energy", "--t-grid", "1,inf"),
-                                      ("energy", "--t-grid", "4,6,6"), ("gibbs", "--T", "nan")],
-                             ids=" ".join)
-    def test_bad_horizon_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+    # each is refused before any draw, and before the exact value is solved
+    @pytest.mark.parametrize("argv", [
+        ("partition", "--t", "nan"), ("vacuum", "--t", "inf"), ("energy", "--t-grid", "1,inf"),
+        ("energy", "--t-grid", "4,6,6"),
+        *[(quantity, *options) for quantity in ("gibbs", "number", "xchar", "xsquare", "spin-corr")
+          for options in (("--T", "nan"), ("--T", "inf"), ("--T", "0"), ("--T", "-1"),
+                          ("--delta", "0", "--T", "8"))],
+    ], ids=" ".join)
+    def test_bad_horizon_is_usage_error(self, tmp_path, monkeypatch, capsys, solves, argv):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before the horizon was checked")
 
         monkeypatch.setattr(estimators, "_seed_streams", no_draw)
         monkeypatch.setattr(paths, "_seed_streams", no_draw)
         code, text = run_cli(tmp_path, "fk", *argv, "--n", "400")
-        assert code == 2 and text == ""
+        assert code == 2 and text == "" and solves == []
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
