@@ -52,6 +52,7 @@ from .errors import (
 from .estimators import (
     _check_edge_guard,
     _check_moment_order,
+    _z_score,
     gaussian_square_fk,
     gibbs_number_fk,
     ground_energy_fk,
@@ -80,7 +81,6 @@ from .observables import (
     ground_state,
     number_moment_ed,
     number_parity_expectation,
-    parity_expectation_lab,
     partition_ed,
     pull_through_residual,
     spin_autocorrelation_ed,
@@ -536,7 +536,7 @@ class AcceptanceBattery:
             for m in (1, 2, 3, 4):
                 draws = x1 ** (2 * m)
                 stderr = draws.std(ddof=1) / np.sqrt(draws.size)
-                zs.append(abs(draws.mean() - damped_sign_moment(delta, m)) / stderr)
+                zs.append(_z_score(draws.mean(), stderr, damped_sign_moment(delta, m)))
             rows.append(_check(f"x1-moments(delta={delta})",
                                "closed pair moments and E[X1^2m] for m<=4 within 3 sigma",
                                max(zs), 3.0))
@@ -553,12 +553,23 @@ class AcceptanceBattery:
         resid = pull_through_residual(self.gs)
         return [_check("pull-through", "|b psi|^2 = g^2 |(M-E+1)^{-1} sz psi|^2", resid, 1e-6)]
 
+    def parity_row(self, params: ModelParams) -> list:
+        """The ``parity`` row at ``params``: the certified gap from the odd ground level up.
+
+        It passes when the lowest level is odd, the next one even, and the
+        lower end of the even one's bracket lies above the upper end of the odd one's.
+        """
+        spec = adaptive_spectrum(params, k=2, rel_tol=1e-10)
+        w, widths = spec.eigenvalues, spec.error_bound
+        gap = (w[1] - widths[1]) - (w[0] + spec.backward_error)
+        return _check("parity", "ground state is odd under the conserved Z2 charge", gap, 0.0,
+                      gap > 0 and list(spec.parity[:2]) == [-1, 1])
+
     def _parity(self):
-        dev = abs(parity_expectation_lab(self.params, self.gs.truncation) + 1.0)
         npar_ed = number_parity_expectation(self.gs)
         npar_fk = self.number_parity_fk
         return [
-            _check("parity", "ground state is odd under the conserved Z2 charge", dev, 1e-8),
+            self.parity_row(self.params),
             _check("number-parity", "<(-1)^n> positive in both routes", npar_ed, 0.0,
                    npar_ed > 0 and npar_fk.real > 0),
         ]

@@ -33,6 +33,7 @@ from .model import ModelParams
 from .paths import (
     DEFAULT_SEED,
     WeightedPathEnsemble,
+    _check_time,
     _rank_pass,
     _sample_segments,
     _seed_streams,
@@ -57,9 +58,14 @@ class MCEstimate:
 
     def z_score(self, reference: complex) -> float:
         """Distance to a reference value in combined standard errors."""
-        if self.stderr == 0.0:
-            return 0.0 if abs(self.mean - reference) == 0.0 else float("inf")
-        return float(abs(self.mean - reference) / self.stderr)
+        return _z_score(self.mean, self.stderr, reference)
+
+
+def _z_score(mean: complex, stderr: float, reference: complex) -> float:
+    """``|mean - reference| / stderr``; at zero stderr 0 on exact equality, inf otherwise."""
+    if stderr == 0.0:
+        return 0.0 if abs(mean - reference) == 0.0 else float("inf")
+    return float(abs(mean - reference) / stderr)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[complex, float]:
@@ -81,8 +87,7 @@ def vacuum_element_fk(
     2 e^t delta^(jumps) exp(-2 g^2 * suppression), with 0^0 = 1; there is no
     oscillation.
     """
-    if not 0.0 < t < np.inf:
-        raise DomainError(f"t must be positive and finite, got {t}")
+    _check_time(t)
     values = []
     for chunk, rng in _seed_streams(seed, n_samples):
         jumps, offsets = _sample_segments(rng, 1.0, t, chunk, 0.0)
@@ -106,8 +111,7 @@ def partition_fk(
     seed: int = DEFAULT_SEED,
 ) -> MCEstimate:
     """Flat-state semigroup element 2 e^(delta t) E[exp((g^2/2) J)]."""
-    if not 0.0 < t < np.inf:
-        raise DomainError(f"t must be positive and finite, got {t}")
+    _check_time(t)
     logw = np.concatenate([_partition_samples(params, t, chunk, rng)
                            for chunk, rng in _seed_streams(seed, n_samples)])
     shift = logw.max()
@@ -138,8 +142,8 @@ def ground_energy_fk(
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 2:
         raise ParameterError("t_grid needs at least two horizons")
-    if not all(0.0 < t < np.inf for t in t_grid):
-        raise DomainError(f"all horizons must be positive and finite, got {t_grid}")
+    for t in t_grid:
+        _check_time(t)
     if len(set(t_grid)) < len(t_grid):
         raise ParameterError(f"t_grid repeats a horizon: {t_grid}")
     weights = np.empty((len(t_grid), n_samples))  # the interactions, then the log weights
@@ -273,7 +277,7 @@ def gaussian_square_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: flo
 def _check_edge_guard(half_width: float, t: float, s: float):
     """Reject times beyond half of the window [-T, T] (also before any sampling)."""
     guard = half_width / 2.0
-    if abs(t) > guard or abs(s) > guard:
+    if not (abs(t) <= guard and abs(s) <= guard):  # also a NaN time
         raise DomainError(
             f"|t|, |s| must be <= T/2 = {guard} (edge-effect guard), got ({t}, {s})"
         )

@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import DomainError, ParameterError
+from .estimators import _z_score
 from .paths import DEFAULT_SEED, _seed_streams
 
 
@@ -224,14 +225,13 @@ def _pair_moment_rows(delta: float, x1: np.ndarray, x2: np.ndarray) -> list[dict
     for name, draw in samples.items():
         mc = draw.mean()
         stderr = draw.std(ddof=1) / np.sqrt(n)
-        z = abs(mc - closed[name]) / stderr if stderr else 0.0
         rows.append({"moment": name, "closed": closed[name], "mc": float(mc),
-                     "stderr": float(stderr), "z": float(z)})
+                     "stderr": float(stderr), "z": _z_score(mc, stderr, closed[name])})
     cov_mc = float(np.mean((x1 - x1.mean()) * (x2 - x2.mean())))
     spread = (x1 - x1.mean()) * (x2 - x2.mean()) - cov_mc
     cov_err = float(np.sqrt(np.mean(spread**2) / n))
     rows.append({
         "moment": "cov(X1,X2)", "closed": closed["cov(X1,X2)"], "mc": cov_mc,
-        "stderr": cov_err, "z": abs(cov_mc - closed["cov(X1,X2)"]) / cov_err,
+        "stderr": cov_err, "z": _z_score(cov_mc, cov_err, closed["cov(X1,X2)"]),
     })
     return rows

@@ -28,7 +28,7 @@ from scipy.special import gammainc
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
-from .paths import DEFAULT_SEED, _check_draws, _seed_streams
+from .paths import DEFAULT_SEED, _check_draws, _check_time, _seed_streams
 from .estimators import MCEstimate, _mean_stderr
 
 _MIN_TIME = 1e-8
@@ -36,10 +36,11 @@ _MIN_TIME = 1e-8
 
 def mehler_kernel(t: float, x, y) -> np.ndarray:
     """Oscillator heat kernel; symmetric in (x, y)."""
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
+    _check_time(t)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("x and y must be finite")
     u = np.exp(-t)
     var = -np.expm1(-2.0 * t)
     quad = ((1.0 + u * u) * (x * x + y * y) - 4.0 * x * y * u) / (2.0 * var)
@@ -131,8 +132,6 @@ def heat_kernel_component(
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
     _check_draws(seed, n_samples)
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
     base = float(mehler_kernel(t, x, y))
     if m == 0:
         return MCEstimate(base, 0.0, 0, seed)
@@ -164,6 +163,7 @@ def heat_kernel_flip_sum(
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
     _check_draws(seed, n_samples)
+    _check_time(t)
     total = 0.0 + 0.0j
     var = 0.0
     for m in range(1, m_max + 1):
@@ -198,6 +198,7 @@ def gaussian_overlap_element_fk(
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
     _check_draws(seed, n_samples)
+    _check_time(t)
     u = np.exp(-t)
 
     def overlap(a, b, q):

@@ -14,13 +14,16 @@ cutoff and the rounding of the levels and vectors they read
 place of their terms, is not bounded apart.  Their proofs are in
 ``_refined`` (ground vector and level sums), ``x_square_exponential_ed``,
 ``x_characteristic_ed``, ``spin_autocorrelation_ed``, ``partition_ed`` and
-``vacuum_element_ed``.
+``vacuum_element_ed``.  Every eigenvector here is a chain's, from
+``model._chain_vectors``.
 
-The ground state of K is the lowest level of the odd chain.  Odd-chain
-position n holds boson level n with spin -1 at even n and spin +1 at odd n;
-the ground vector is stored in that lab frame over (boson level, spin), spin
-column 0 for spin +1 and column 1 for spin -1.  Two exact frame identities
-put the other oracles on the chains too.  The Monte Carlo side works in the
+The ground state of K is the lowest level of the odd chain; that it lies
+below the lowest even level is read from the brackets of the two chains'
+levels, as the ``parity`` row of ``rabizeta report`` checks, not from a
+vector.  Odd-chain position n holds boson level n with spin -1 at even n
+and spin +1 at odd n; the ground vector is stored in that lab frame over
+(boson level, spin), spin column 0 for spin +1 and column 1 for spin -1.
+Two exact frame identities put the other oracles on the chains too.  The Monte Carlo side works in the
 spin-boson frame ``-delta*sx + g*sz (x) (b + b^dag) + b^dag b``, whose sz is
 the lab sx: it flips the spin at fixed boson level and so carries odd-chain
 position n onto even-chain position n.  Its flat spin state on the boson
@@ -43,11 +46,9 @@ from .model import (
     _backward_error,
     _chain_vectors,
     _variant_spectrum,
-    build_full_hamiltonian,
     build_parity_tridiagonal,
     coherent_coefficients,
     eigensolve,
-    full_basis_labels,
     refine,
     turning_point_cutoff,
 )
@@ -284,18 +285,6 @@ def _level_sum(gs: GroundState, weight, what: str) -> complex:
     return _ground_certified(gs, evaluate, what)
 
 
-def parity_expectation_lab(params: ModelParams, trunc: Truncation) -> float:
-    """Conserved Z2 charge sz*(-1)^n of the full model's ground vector at ``trunc``.
-
-    An independent check of ``ground_state``: one solve of the matrix that
-    holds both chains, whose lowest level is the odd one (charge -1).
-    """
-    mat = build_full_hamiltonian(params, trunc)
-    _, vec = eigensolve(mat, k=1, want_vectors=True)
-    _, _, charge = full_basis_labels(trunc.n_max)
-    return float(np.sum(charge * vec[:, 0] ** 2))
-
-
 def number_parity_expectation(gs: GroundState) -> float:
     """<(-1)^n> over boson levels, ``gibbs_number_ed`` at i*pi; positive for the ground state."""
     return gibbs_number_ed(gs, 1j * np.pi).real
@@ -484,8 +473,8 @@ def spin_autocorrelation_ed(gs: GroundState, lag: float) -> float:
     to the chain's N + 1 levels at ``exp(lag e) g^2 (N+1) J^2``, and
     ``_chain_element`` bounds its own rounding.
     """
-    if lag < 0:
-        raise DomainError(f"lag must be >= 0, got {lag}")
+    if not 0.0 <= lag < np.inf:
+        raise DomainError(f"lag must be finite and >= 0, got {lag}")
 
     def evaluate(state):
         value, cut, rounding = _chain_element(state.params, +1, state.chain, lag, -state.energy)
@@ -516,7 +505,7 @@ def _chain_element(params: ModelParams, parity: int, phi: np.ndarray, t: float,
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t}")
     mat = build_parity_tridiagonal(params, Truncation(len(phi) - 1), parity)
-    w = eigensolve(mat).eigenvalues
+    w = eigensolve(mat)
     vecs = _chain_vectors(mat, w)
     lam, c = w + shift, vecs.T @ phi
     decay, eta = np.exp(-t * lam), t * _backward_error(mat)

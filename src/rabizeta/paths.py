@@ -49,6 +49,12 @@ def _check_draws(seed: int, n_samples: int) -> None:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
 
 
+def _check_time(t: float) -> None:
+    """Reject a time that is not positive and finite with ``DomainError``."""
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+
+
 def _seed_streams(seed: int, n_samples: int, *key: int):
     """Yield ``(chunk, rng)`` for every stream of one sampler call.
 

@@ -104,7 +104,7 @@ def _fourier_continuation(s: complex, tau: float) -> ZetaValue:
 
 
 def hurwitz_zeta(s: complex, tau: float) -> ZetaValue:
-    """zeta(s; tau) continued to all s != 1, tau > 0.
+    """zeta(s; tau) continued to all finite s != 1, tau > 0.
 
     Euler-Maclaurin with six Bernoulli corrections for Re(s) > -2, the
     Fourier-series continuation below that.  Accuracy is ~1e-13 absolute
@@ -116,6 +116,8 @@ def hurwitz_zeta(s: complex, tau: float) -> ZetaValue:
     the error stays below 6e-12 relative to max(1, |zeta|).
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     if tau <= 0:
         raise DomainError(f"tau must be positive, got {tau}")
     if s == 1:
@@ -196,10 +198,10 @@ def _tail_bound(
 
 
 def _require_sum(s) -> complex:
-    """``s`` as a complex number; the spectral sums converge only for Re(s) > 1."""
+    """``s`` as a complex number; the spectral sums converge only for a finite s, Re(s) > 1."""
     s = complex(s)
-    if s.real <= 1:
-        raise DomainError(f"spectral zeta sums require Re(s) > 1, got {s}")
+    if not (cmath.isfinite(s) and s.real > 1):
+        raise DomainError(f"spectral zeta sums require a finite s with Re(s) > 1, got {s}")
     return s
 
 

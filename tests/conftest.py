@@ -17,9 +17,9 @@ def solves(monkeypatch) -> list:
     record = []
     solve = model.eigensolve
 
-    def recording(mat, k=None, want_vectors=False):
+    def recording(mat, k=None):
         record.append((mat.dim, k))
-        return solve(mat, k, want_vectors)
+        return solve(mat, k)
 
     for module in (model, observables):
         monkeypatch.setattr(module, "eigensolve", recording)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from rabizeta.cli import AcceptanceBattery
+from rabizeta.model import ModelParams
 from rabizeta.paths import DEFAULT_SEED
 
 # Seconds per group, including a shared ground state or ensemble it builds first.
@@ -58,6 +59,16 @@ def test_criterion_04_zeta_limit_monotone(battery, variant, eps):
     started = time.monotonic()
     _hold(f"zeta-limit/{variant}", [battery.zeta_limit_row(variant, eps)], started,
           BUDGETS["zeta-limit"])
+
+
+def test_parity_row_is_certified_from_brackets(battery):
+    # the brackets separate the odd ground level from the even one up to g = 3;
+    # at g = 4 the two lie within delta*exp(-2 g^2) and the row must fail
+    for g, status in ((0.5, "PASS"), (1.0, "PASS"), (2.0, "PASS"), (3.0, "PASS"),
+                      (4.0, "FAIL")):
+        check, _, gap, threshold, mark = battery.parity_row(ModelParams(0.5, g))
+        assert (check, threshold, mark) == ("parity", 0.0, status)
+        assert (gap > 0) == (status == "PASS"), (g, gap)
 
 
 def test_battery_is_single():

@@ -179,6 +179,35 @@ def test_usage_error_is_one_line(tmp_path, monkeypatch, capsys, solves, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+#: Inputs that are not finite, or a tolerance that is not positive: usage
+#: errors, each refused before any draw or eigensolve.
+NON_FINITE_INPUTS = [
+    ("spectrum", "--levels", "2", "--rel-tol", "nan"),
+    ("spectrum", "--levels", "2", "--rel-tol", "-1"),
+    ("fk", "kernel", "--t", "nan"),
+    ("fk", "kernel", "--t", "inf"),
+    ("fk", "kernel", "--x", "nan"),
+    ("zeta", "--s", "nan"),
+    ("zeta", "--s", "inf"),
+    ("zeta", "--s", "2+nanj"),
+    ("limits", "zeta", "--s", "nan"),
+    ("fk", "spin-corr", "--lag", "nan"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_INPUTS, ids=" ".join)
+def test_non_finite_input_is_usage_error(tmp_path, monkeypatch, capsys, solves, argv):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the input was checked")
+
+    for module in (estimators, paths, rabizeta.kernels, rabizeta.jumplaw):
+        monkeypatch.setattr(module, "_seed_streams", no_draw)
+    code, text = run_cli(tmp_path, *argv)
+    assert code == 2 and text == "" and solves == []
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -441,6 +470,14 @@ class TestX1Command:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "at least 2" in err
+
+    def test_two_samples_give_an_infinite_cov_z(self, tmp_path):
+        # the two centered products of two samples are equal, so the cov row's
+        # stderr is exactly 0, and its z follows MCEstimate.z_score
+        code, text = run_cli(tmp_path, "x1", "--n", "2", fmt="json")
+        assert code == 0
+        rows = {row[0]: row for row in json.loads(text)["rows"]}
+        assert rows["cov(X1,X2)"][3:] == [0.0, float("inf")]
 
     def test_moment_rows(self, tmp_path):
         code, text = run_cli(tmp_path, "x1", "--delta", "1", "--n", "20000", fmt="json")

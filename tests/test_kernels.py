@@ -96,6 +96,11 @@ class TestMehler:
         )
         assert abs(val - float(mehler_kernel(t + s, x, y))) < 1e-6
 
+    def test_rejects_a_point_that_is_not_finite(self):
+        for x, y in (([0.3, np.nan], -0.2), (0.3, np.inf), (-np.inf, 0.0)):
+            with pytest.raises(DomainError):
+                mehler_kernel(1.0, x, y)
+
     def test_relation_to_transition_density(self):
         # M_t(x, y) = gauss(x)/gauss(y) * kappa_t(y, x)
         x, y, t = 0.6, -0.4, 0.9
@@ -243,6 +248,20 @@ class TestHeatKernelComponents:
                 gaussian_overlap_element_fk(p, 1.0, m_max, n_samples=-5)
         with pytest.raises(ParameterError):
             heat_kernel_component(p, 1.0, 0, 0.3, -0.2, n_samples=0)
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_a_time_not_positive_and_finite_without_a_draw(self, monkeypatch, t):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the time was checked")
+
+        monkeypatch.setattr(kernels, "_seed_streams", no_draw)
+        p = ModelParams(0.5, 1.0)
+        for call in (lambda: mehler_kernel(t, 0.3, -0.2),
+                     lambda: heat_kernel_component(p, t, 2, 0.3, -0.2, n_samples=100),
+                     lambda: heat_kernel_flip_sum(p, t, 0.3, -0.2, 0, n_samples=100),
+                     lambda: gaussian_overlap_element_fk(p, t, 6, n_samples=100)):
+            with pytest.raises(DomainError):
+                call()
 
     def test_empty_flip_sum_is_exact_zero(self):
         est = heat_kernel_flip_sum(ModelParams(0.5, 1.0), 1.0, 0.3, -0.2, 0, n_samples=100)

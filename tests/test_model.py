@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded
 
 import rabizeta.model as model
-from rabizeta.errors import ConvergenceError, NumericalError, ParameterError, UnsupportedConfigError
+from rabizeta.errors import ConvergenceError, ParameterError, UnsupportedConfigError
 from rabizeta.model import (
     ModelParams,
     SymBandMatrix,
@@ -68,7 +69,7 @@ class TestFullHamiltonian:
     def test_matches_dense_oracle(self):
         mat = build_full_hamiltonian(ModelParams(0.5, 1.0), Truncation(1))
         assert mat.dim == 4
-        band = eigensolve(mat).eigenvalues
+        band = eigensolve(mat)
         assert np.abs(band - dense_eigs(mat)).max() < 1e-12
 
     def test_asymmetric_entries(self):
@@ -107,12 +108,12 @@ class TestParitySectors:
         w_union = np.sort(
             np.concatenate(
                 [
-                    eigensolve(build_parity_tridiagonal(p, tr, +1)).eigenvalues,
-                    eigensolve(build_parity_tridiagonal(p, tr, -1)).eigenvalues,
+                    eigensolve(build_parity_tridiagonal(p, tr, +1)),
+                    eigensolve(build_parity_tridiagonal(p, tr, -1)),
                 ]
             )
         )
-        w_full = eigensolve(build_full_hamiltonian(p, tr)).eigenvalues
+        w_full = eigensolve(build_full_hamiltonian(p, tr))
         assert np.abs(w_union[:40] - w_full[:40]).max() < 1e-9
 
     def test_projection_oracle(self):
@@ -123,7 +124,7 @@ class TestParitySectors:
         _, _, charge = full_basis_labels(tr.n_max)
         idx = np.where(charge == 1)[0]
         w_proj = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
-        w_sector = eigensolve(build_parity_tridiagonal(p, tr, +1)).eigenvalues
+        w_sector = eigensolve(build_parity_tridiagonal(p, tr, +1))
         assert np.abs(w_proj[:20] - w_sector[:20]).max() < 1e-10
 
     def test_eps_unsupported(self):
@@ -134,50 +135,18 @@ class TestParitySectors:
 class TestEigensolve:
     def test_diagonal(self):
         mat = SymBandMatrix(np.array([[3.0, 1.0, 2.0]]))
-        assert np.allclose(eigensolve(mat).eigenvalues, [1, 2, 3])
+        assert np.allclose(eigensolve(mat), [1, 2, 3])
 
     def test_spin_flip_two_level(self):
         mat = SymBandMatrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert np.allclose(eigensolve(mat).eigenvalues, [-1, 1])
+        assert np.allclose(eigensolve(mat), [-1, 1])
 
     def test_shifted_oscillator(self):
         # tridiagonal (diag n, off g sqrt(n+1)) has levels n - g^2
         g = 1.0
         mat = build_parity_tridiagonal(ModelParams(0.0, g), Truncation(200), +1)
-        w = eigensolve(mat).eigenvalues
+        w = eigensolve(mat)
         assert np.abs(w[:21] + g**2 - np.arange(21)).max() < 1e-8
-
-    def test_residual_contract(self):
-        mat = build_full_hamiltonian(ModelParams(0.5, 1.5), Truncation(60))
-        spec, vec = eigensolve(mat, k=5, want_vectors=True)
-        for j in range(5):
-            r = np.linalg.norm(mat.matvec(vec[:, j]) - spec.eigenvalues[j] * vec[:, j])
-            assert r <= 1e-10 * mat.norm_upper_bound()
-
-    def test_block_matvec_is_columnwise(self):
-        rng = np.random.default_rng(3)
-        mat = SymBandMatrix(rng.normal(size=(4, 30)))
-        block = rng.normal(size=(30, 5))
-        assert np.allclose(mat.matvec(block), to_dense(mat) @ block, rtol=0, atol=1e-12)
-        for j in range(5):
-            assert np.array_equal(mat.matvec(block[:, j]), mat.matvec(block)[:, j])
-
-    @pytest.mark.parametrize("bandwidth", [1, 3])
-    def test_residual_check_sees_one_bad_column(self, monkeypatch, bandwidth):
-        # the block check must still reject a pair when only its last column is off
-        original = model.eig_banded  # the vector solver at every bandwidth
-
-        def spoiled(*args, **kwargs):
-            w, v = original(*args, **kwargs)
-            v = v.copy()
-            v[0, -1] += 1e-6
-            return w, v
-
-        monkeypatch.setattr(model, "eig_banded", spoiled)
-        rng = np.random.default_rng(4)
-        mat = SymBandMatrix(rng.normal(size=(bandwidth + 1, 40)))
-        with pytest.raises(NumericalError):
-            eigensolve(mat, k=4, want_vectors=True)
 
     def test_bad_k(self):
         mat = SymBandMatrix(np.array([[1.0, 2.0]]))
@@ -202,16 +171,14 @@ class TestAdaptiveSpectrum:
         p = ModelParams(0.5, 2.0)
         rel_tol = 1e-9
         spec = adaptive_spectrum(p, k=12, rel_tol=rel_tol)
-        bigger = eigensolve(
-            build_full_hamiltonian(p, Truncation(2 * spec.truncation.n_max))
-        ).eigenvalues
+        bigger = eigensolve(build_full_hamiltonian(p, Truncation(2 * spec.truncation.n_max)))
         scale = np.maximum(1.0, np.abs(bigger[:12]))
         assert np.max(np.abs(spec.eigenvalues[:12] - bigger[:12]) / scale) < rel_tol
 
     def test_variational_monotonicity(self):
         p = ModelParams(0.5, 1.5)
-        small = eigensolve(build_full_hamiltonian(p, Truncation(60))).eigenvalues
-        large = eigensolve(build_full_hamiltonian(p, Truncation(120))).eigenvalues
+        small = eigensolve(build_full_hamiltonian(p, Truncation(60)))
+        large = eigensolve(build_full_hamiltonian(p, Truncation(120)))
         assert np.all(large[:40] <= small[:40] + 1e-12)
 
     def test_tolerance_below_the_solver_error_raises_at_once(self, solves):
@@ -258,7 +225,7 @@ def solved_blocks(params, n_max, variant):
     else:
         sectors = {"full": (1, -1), "parity+": (1,), "parity-": (-1,)}[variant]
         mats = [(p, build_parity_tridiagonal(params, trunc, p)) for p in sectors]
-    return [(tag, mat, eigensolve(mat).eigenvalues) for tag, mat in mats]
+    return [(tag, mat, eigensolve(mat)) for tag, mat in mats]
 
 
 class TestBrackets:
@@ -309,7 +276,7 @@ class TestBrackets:
         # which is negligible far below the cutoff
         p = ModelParams(0.0, 1e-3)
         mat = build_parity_tridiagonal(p, Truncation(1200), 1)
-        w = eigensolve(mat).eigenvalues[:900]
+        w = eigensolve(mat)[:900]
         assert np.max(np.abs(w - (np.arange(900) - 1e-6))) <= model._backward_error(mat)
 
     @pytest.mark.parametrize("delta,eps,g", [(0.5, 0.0, 0.5), (0.5, 0.0, 4.0), (0.5, 0.0, 12.0),
@@ -321,10 +288,10 @@ class TestBrackets:
             mat, radius = build_parity_tridiagonal(p, Truncation(n_max), -1), delta
         else:
             mat, radius = build_full_hamiltonian(p, Truncation(n_max)), float(np.hypot(delta, eps))
-        spec, vec = eigensolve(mat, want_vectors=True)
+        w, vec = eig_banded(mat.bands, lower=True)  # LAPACK's vectors, at every bandwidth
         last = np.linalg.norm(vec[-mat.bandwidth:, :], axis=0)
         edge = g * np.sqrt(n_max + 1.0)
-        upper = spec.eigenvalues + model._backward_error(mat)
+        upper = w + model._backward_error(mat)
         bound = model._tail_residuals(upper, g, radius, n_max, np.zeros(len(upper))) / edge
         checked = last > 1e-12
         assert checked.sum() > 10 and np.all(bound[checked] >= last[checked])

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded
 
 import rabizeta.model as model
 import rabizeta.observables as observables
 from rabizeta.model import (
     ModelParams,
     Truncation,
+    build_full_hamiltonian,
     build_parity_tridiagonal,
     coherent_coefficients,
     full_basis_labels,
@@ -21,7 +23,6 @@ from rabizeta.observables import (
     ground_state,
     number_moment_ed,
     number_parity_expectation,
-    parity_expectation_lab,
     partition_ed,
     pull_through_residual,
     resolvent_spin_norm,
@@ -43,7 +44,7 @@ def semigroup_trace_ed(spectrum, t: float, shift: float = 0.0) -> float:
 
 def semigroup_matrix_element_ed(mat, phi, psi, t: float, shift: float = 0.0) -> float:
     """<phi| exp(-t*(M + shift)) |psi> by full diagonalization of the chain ``mat``."""
-    w = model.eigensolve(mat).eigenvalues
+    w = model.eigensolve(mat)
     vecs = model._chain_vectors(mat, w)
     return float(np.sum((vecs.T @ phi) * (vecs.T @ psi) * np.exp(-t * (w + shift))))
 
@@ -87,6 +88,19 @@ def certified(monkeypatch, compute):
     value = compute()
     monkeypatch.setattr(observables, "refine", refine)
     return value, *runs[-1]
+
+
+def parity_expectation_lab(params: ModelParams, trunc: Truncation) -> float:
+    """Conserved Z2 charge sz*(-1)^n of the full model's ground vector at ``trunc``.
+
+    An independent check of ``ground_state``: LAPACK's lowest eigenvector of
+    the matrix that holds both chains, whose lowest level is the odd one
+    (charge -1).
+    """
+    mat = build_full_hamiltonian(params, trunc)
+    _, vec = eig_banded(mat.bands, lower=True, select="i", select_range=(0, 0))
+    _, _, z2 = full_basis_labels(trunc.n_max)
+    return float(np.sum(z2 * vec[:, 0] ** 2))
 
 
 def charge(gs):
