@@ -385,12 +385,13 @@ def _fk_dump(args) -> ResultRecord:
     lefts = np.split(ens.left_jumps, ens.left_offsets[1:-1])
     rights = np.split(ens.right_jumps, ens.right_offsets[1:-1])
     with open(args.out, "w") as fh:
-        for i, (left, right) in enumerate(zip(lefts, rights)):
+        for alpha0, left, right, log_weight in zip(ens.alpha0.tolist(), lefts, rights,
+                                                   ens.log_weights.tolist()):
             fh.write(json.dumps({
-                "alpha0": int(ens.alpha0[i]),
+                "alpha0": alpha0,
                 "horizon": [-T, T],
                 "jumps": left.tolist() + right.tolist(),
-                "log_weight": float(ens.log_weights[i]),
+                "log_weight": log_weight,
             }) + "\n")
     return _record(args, "ensemble dump: one record per weighted path",
                    ["T", "n_paths", "n_eff", "path"], [[T, ens.n_samples, ens.n_eff, args.out]])
@@ -425,9 +426,11 @@ class AcceptanceBattery:
     ``run(group)`` returns rows ``[check, anchor, measured, threshold,
     status]``; ``rabizeta report`` renders every group and the test suite
     runs each group under a runtime budget.  The Monte Carlo groups share one
-    ground state and one path ensemble (delta = 0.5, g = 1), and each value
-    that two groups check, built on first use whatever order the groups run
-    in.  Group bodies reach the layer
+    ground state (delta = 0.5, g = 1) and each value that two groups check,
+    built on first use whatever order the groups run in.  The path ensemble
+    is the largest Monte Carlo working set: it lives only while
+    ``ensemble_estimates`` forms the estimates read from it, so no later
+    group's working set stacks on it.  Group bodies reach the layer
     functions through this module's globals when they run, so wrappers
     installed on those names see every call.
     """
@@ -447,18 +450,29 @@ class AcceptanceBattery:
         return ground_state(self.params)
 
     @cached_property
-    def ens(self):
-        return build_ground_ensemble(self.params, self.n_mc, seed=self.seed)
-
-    @cached_property
     def vacuum(self):
         """The exact vacuum element at t = 1, which ``fk`` and ``kernels`` both check."""
         return vacuum_element_ed(self.params, 1.0)
 
     @cached_property
-    def number_parity_fk(self):
-        """The jump-path estimate of <(-1)^n>, which ``fk`` and ``parity`` both check."""
-        return gibbs_number_fk(self.ens, self.params, 1j * np.pi)
+    def ensemble_estimates(self) -> dict:
+        """Every estimate the battery forms on the path ensemble, by row name.
+
+        ``fk`` checks them all and ``parity`` reads ``gibbs(i pi)``.  The
+        ensemble is a local, garbage once they are formed.
+        """
+        p = self.params
+        ens = build_ground_ensemble(p, self.n_mc, seed=self.seed)
+        return {
+            "gibbs(-0.5)": gibbs_number_fk(ens, p, -0.5),
+            "gibbs(i pi)": gibbs_number_fk(ens, p, 1j * np.pi),
+            "number(1)": number_moments_fk(ens, p, 1),
+            "number(2)": number_moments_fk(ens, p, 2),
+            "xchar(1)": x_characteristic_fk(ens, p, 1.0),
+            "xsquare(0.5)": gaussian_square_fk(ens, p, 0.5),
+            "spin-corr(0.5)": spin_correlation_fk(ens, 0.25, -0.25),
+            "spin-corr(1)": spin_correlation_fk(ens, 0.5, -0.5),
+        }
 
     def run(self, group: str) -> list[list]:
         return getattr(self, "_" + group.replace("-", "_"))()
@@ -507,24 +521,25 @@ class AcceptanceBattery:
                        min(dev[(4.0, *lv)] for lv in levels), ok)]
 
     def _fk(self):
-        p, gs, ens, n, seed = self.params, self.gs, self.ens, self.n_mc, self.seed
+        p, gs, n, seed = self.params, self.gs, self.n_mc, self.seed
+        # the estimators that draw their own paths run before the ensemble is built
         pairs = [
-            ("fk/vacuum", vacuum_element_fk(p, 1.0, n, seed), self.vacuum),
-            ("fk/partition", partition_fk(p, 2.0, n, seed), partition_ed(p, 2.0)),
-            ("fk/energy", ground_energy_fk(p, [4, 6, 8, 10], n, seed), gs.energy),
-            ("fk/gibbs(-0.5)", gibbs_number_fk(ens, p, -0.5), gibbs_number_ed(gs, -0.5)),
-            ("fk/gibbs(i pi)", self.number_parity_fk, gibbs_number_ed(gs, 1j * np.pi)),
-            ("fk/number(1)", number_moments_fk(ens, p, 1), number_moment_ed(gs, 1)),
-            ("fk/number(2)", number_moments_fk(ens, p, 2), number_moment_ed(gs, 2)),
-            ("fk/xchar(1)", x_characteristic_fk(ens, p, 1.0), x_characteristic_ed(gs, 1.0)),
-            ("fk/xsquare(0.5)", gaussian_square_fk(ens, p, 0.5),
-             x_square_exponential_ed(gs, 0.5)),
-            ("fk/spin-corr(0.5)", spin_correlation_fk(ens, 0.25, -0.25),
-             spin_autocorrelation_ed(gs, 0.5)),
-            ("fk/spin-corr(1)", spin_correlation_fk(ens, 0.5, -0.5),
-             spin_autocorrelation_ed(gs, 1.0)),
+            ("vacuum", vacuum_element_fk(p, 1.0, n, seed), self.vacuum),
+            ("partition", partition_fk(p, 2.0, n, seed), partition_ed(p, 2.0)),
+            ("energy", ground_energy_fk(p, [4, 6, 8, 10], n, seed), gs.energy),
         ]
-        return [_check(name, "jump-path estimator within 3 sigma of the exact value",
+        oracles = {
+            "gibbs(-0.5)": gibbs_number_ed(gs, -0.5),
+            "gibbs(i pi)": gibbs_number_ed(gs, 1j * np.pi),
+            "number(1)": number_moment_ed(gs, 1),
+            "number(2)": number_moment_ed(gs, 2),
+            "xchar(1)": x_characteristic_ed(gs, 1.0),
+            "xsquare(0.5)": x_square_exponential_ed(gs, 0.5),
+            "spin-corr(0.5)": spin_autocorrelation_ed(gs, 0.5),
+            "spin-corr(1)": spin_autocorrelation_ed(gs, 1.0),
+        }
+        pairs += [(name, est, oracles[name]) for name, est in self.ensemble_estimates.items()]
+        return [_check(f"fk/{name}", "jump-path estimator within 3 sigma of the exact value",
                        est.z_score(oracle), 3.0) for name, est, oracle in pairs]
 
     def _x1(self):
@@ -567,7 +582,7 @@ class AcceptanceBattery:
 
     def _parity(self):
         npar_ed = number_parity_expectation(self.gs)
-        npar_fk = self.number_parity_fk
+        npar_fk = self.ensemble_estimates["gibbs(i pi)"]
         return [
             self.parity_row(self.params),
             _check("number-parity", "<(-1)^n> positive in both routes", npar_ed, 0.0,

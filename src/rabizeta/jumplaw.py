@@ -34,6 +34,8 @@ so the truncation biases each sum by less than one accumulator ulp.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import betainc
 
@@ -147,6 +149,26 @@ def _damped_sign_survival_near_one(delta: float, u: np.ndarray) -> np.ndarray:
 _CELL_MASS = 1e-12
 
 
+def _may_be_wide(delta: float, v: np.ndarray) -> np.ndarray:
+    """Mask of the values 0 < v <= 1 whose rounding cell can hold more than ``_CELL_MASS``.
+
+    On [0, 1) the density is (1 + t) (1 - t^2)^(delta - 1) / B(delta, 1/2),
+    so a cell [lo, hi] holds at most (hi - lo) 2 / B(delta, 1/2) for
+    delta >= 1.  For delta < 1 the density is (1 + t)^delta
+    (1 - t)^(delta - 1) / B(delta, 1/2), increasing in t, so the cell holds
+    at most (hi - lo) 2^delta (1 - hi)^(delta - 1) / B(delta, 1/2), and a
+    cell that reaches 1 always may be wide.  The bound is held against
+    ``_CELL_MASS / 2``, so its own rounding cannot drop a wide cell.
+    """
+    log_beta = math.lgamma(delta) + math.lgamma(0.5) - math.lgamma(delta + 0.5)
+    scale = 2.0 ** min(delta, 1.0) / 2.0 * math.exp(-log_beta)  # 1/2: hi - lo is half the span
+    bound = (np.nextafter(v, 2.0) - np.nextafter(v, -2.0)) * scale
+    if delta < 1.0:
+        with np.errstate(divide="ignore"):  # inf for a cell that reaches 1
+            bound *= np.maximum(1.0 - v - (np.nextafter(v, 2.0) - v) / 2.0, 0.0) ** (delta - 1.0)
+    return bound > _CELL_MASS / 2.0
+
+
 def damped_sign_ks(delta: float, samples: np.ndarray) -> float:
     """Kolmogorov-Smirnov statistic of samples against the closed law, ties included.
 
@@ -163,6 +185,8 @@ def damped_sign_ks(delta: float, samples: np.ndarray) -> float:
     holds less than ``_CELL_MASS`` for every d below about 6e7.  Without
     wider cells this is the plain statistic, bit for bit as
     ``scipy.stats.kstest`` forms it.
+
+    The edges are evaluated only on the cells that ``_may_be_wide``.
     """
     n = samples.size
     values, counts = np.unique(samples, return_counts=True)
@@ -170,6 +194,7 @@ def damped_sign_ks(delta: float, samples: np.ndarray) -> float:
     law_lo = damped_sign_cdf(delta, values)
     law_hi = law_lo.copy()
     upper = np.flatnonzero(values > 0)
+    upper = upper[_may_be_wide(delta, values[upper])]
     v = values[upper]
     surv_lo = _damped_sign_survival_near_one(delta, 1.0 - v + (v - np.nextafter(v, -2.0)) / 2.0)
     surv_hi = _damped_sign_survival_near_one(

@@ -34,13 +34,19 @@ from .estimators import MCEstimate, _mean_stderr
 _MIN_TIME = 1e-8
 
 
-def mehler_kernel(t: float, x, y) -> np.ndarray:
-    """Oscillator heat kernel; symmetric in (x, y)."""
-    _check_time(t)
+def _check_points(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float arrays; ``DomainError`` unless every point is finite."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("x and y must be finite")
+    return x, y
+
+
+def mehler_kernel(t: float, x, y) -> np.ndarray:
+    """Oscillator heat kernel; symmetric in (x, y)."""
+    _check_time(t)
+    x, y = _check_points(x, y)
     u = np.exp(-t)
     var = -np.expm1(-2.0 * t)
     quad = ((1.0 + u * u) * (x * x + y * y) - 4.0 * x * y * u) / (2.0 * var)
@@ -164,6 +170,7 @@ def heat_kernel_flip_sum(
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
     _check_draws(seed, n_samples)
     _check_time(t)
+    _check_points(x, y)
     total = 0.0 + 0.0j
     var = 0.0
     for m in range(1, m_max + 1):

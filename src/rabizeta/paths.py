@@ -301,11 +301,12 @@ class WeightedPathEnsemble:
     pair-interaction integral over the full square; expectations under the
     tilted law follow from ``weighted_mean``.  ``n_eff`` collapses when
     g^2 * T grows; consumers should compare against the sample count.
+    The sign at 0 is +1, so every sign follows from the jumps: no per-path
+    sign is stored, and ``alpha0``, the sign at -T, is derived on read.
     """
 
     params: ModelParams
     half_width: float
-    alpha0: np.ndarray
     left_jumps: np.ndarray
     left_offsets: np.ndarray
     right_jumps: np.ndarray
@@ -320,6 +321,11 @@ class WeightedPathEnsemble:
     @property
     def n_samples(self) -> int:
         return len(self.log_weights)
+
+    @property
+    def alpha0(self) -> np.ndarray:
+        """Sign of every path at -T: +1 after an even number of left jumps."""
+        return np.where(np.diff(self.left_offsets) % 2 == 0, 1, -1)
 
     @property
     def cross_interaction(self) -> np.ndarray:
@@ -387,7 +393,6 @@ def build_ground_ensemble(
     left_jumps, right_jumps = np.empty(capacity), np.empty(capacity)
     left_offsets = np.zeros(n_samples + 1, dtype=np.int64)
     right_offsets = np.zeros(n_samples + 1, dtype=np.int64)
-    alpha0 = np.empty(n_samples, dtype=int)
     j_full, u_left, v_right = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples)
     first = 0
     for chunk, rng in _seed_streams(seed, n_samples):
@@ -396,7 +401,6 @@ def build_ground_ensemble(
         right = _sample_segments(rng, params.delta, T, chunk, 0.0)
         left_jumps = _write_batch(left_jumps, left_offsets, first, *left)
         right_jumps = _write_batch(right_jumps, right_offsets, first, *right)
-        alpha0[rows] = np.where(np.diff(left[1]) % 2 == 0, 1, -1)  # sign at -T; sign at 0 is +1
         (j_left,), u_left[rows] = _rank_pass(*left, -T, (0.0,))
         (j_right,), v_right[rows] = _rank_pass(*right, 0.0, (T,))
         j_full[rows] = j_left + j_right + 2.0 * u_left[rows] * v_right[rows]
@@ -407,7 +411,6 @@ def build_ground_ensemble(
     ens = WeightedPathEnsemble(
         params=params,
         half_width=float(T),
-        alpha0=alpha0,
         left_jumps=left_jumps[:left_offsets[-1]],
         left_offsets=left_offsets,
         right_jumps=right_jumps[:right_offsets[-1]],

@@ -104,7 +104,7 @@ def _fourier_continuation(s: complex, tau: float) -> ZetaValue:
 
 
 def hurwitz_zeta(s: complex, tau: float) -> ZetaValue:
-    """zeta(s; tau) continued to all finite s != 1, tau > 0.
+    """zeta(s; tau) continued to all finite s != 1 and finite tau > 0.
 
     Euler-Maclaurin with six Bernoulli corrections for Re(s) > -2, the
     Fourier-series continuation below that.  Accuracy is ~1e-13 absolute
@@ -118,8 +118,8 @@ def hurwitz_zeta(s: complex, tau: float) -> ZetaValue:
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
-    if tau <= 0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
     if s == 1:
         raise DomainError("zeta(s; tau) has a pole at s = 1")
     if s.real <= -2.0:

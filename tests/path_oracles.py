@@ -165,7 +165,9 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
 
     Unlike the scalar oracles above it shares the sampler and the rank pass
     with ``rabizeta.paths``: it checks how the ensemble is assembled from
-    its streams, not the functionals themselves.
+    its streams, not the functionals themselves.  Returns the ensemble and
+    the sign of every path at -T, formed stream by stream as the ensemble
+    once stored it.
     """
     if T is None:
         T = paths.default_horizon(params.delta)
@@ -189,10 +191,11 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
     left_jumps, left_offsets = concat_batches(lefts)
     right_jumps, right_offsets = concat_batches(rights)
     alpha0, j_full, u_left, v_right = (np.concatenate(values) for values in per_path)
-    return paths.WeightedPathEnsemble(
-        params=params, half_width=float(T), alpha0=alpha0,
+    ens = paths.WeightedPathEnsemble(
+        params=params, half_width=float(T),
         left_jumps=left_jumps, left_offsets=left_offsets,
         right_jumps=right_jumps, right_offsets=right_offsets,
         log_weights=0.5 * params.g**2 * j_full, interaction_full=j_full,
         damped_left=u_left, damped_right=v_right, seed=seed,
     )
+    return ens, alpha0

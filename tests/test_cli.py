@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -643,3 +644,52 @@ class TestCache:
         assert main(argv) == 0
         assert calls == [(6, True), (6, True)]
         assert len(os.listdir(tmp_path / "cache")) == 2
+
+
+class TestBatteryWorkingSets:
+    """The battery's path ensemble lives only while its estimates are formed."""
+
+    def test_fk_leaves_no_ensemble_and_x1_does_not_stack_on_it(self):
+        # at 1e5 paths the ensemble alone holds 14.4 MB: it must be garbage
+        # once fk returns, and x1's working set must not stack on it
+        battery = cli.AcceptanceBattery(paths.DEFAULT_SEED, quick=False)
+        battery.gs, battery.vacuum  # warm: built before the trace
+        tracemalloc.start()
+        try:
+            battery.run("fk")
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            battery.run("x1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6
+        assert peak < 12e6
+
+    @staticmethod
+    def spy_calls(monkeypatch, names):
+        calls = []
+        for name in names:
+            original = getattr(cli, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(f"rabizeta.cli.{name}", spy)
+        return calls
+
+    def test_fk_draws_its_own_paths_before_the_ensemble(self, monkeypatch):
+        calls = self.spy_calls(monkeypatch, ["vacuum_element_fk", "partition_fk",
+                                             "ground_energy_fk", "build_ground_ensemble"])
+        cli.AcceptanceBattery(paths.DEFAULT_SEED, quick=True).run("fk")
+        assert calls == ["vacuum_element_fk", "partition_fk", "ground_energy_fk",
+                         "build_ground_ensemble"]
+
+    @pytest.mark.parametrize("groups", [("fk", "parity"), ("parity", "fk"), ("parity",)])
+    def test_one_ensemble_whatever_the_groups(self, monkeypatch, groups):
+        calls = self.spy_calls(monkeypatch, ["build_ground_ensemble"])
+        battery = cli.AcceptanceBattery(paths.DEFAULT_SEED, quick=True)
+        for group in groups:
+            battery.run(group)
+        assert calls == ["build_ground_ensemble"]

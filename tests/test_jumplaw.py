@@ -286,6 +286,26 @@ class TestRetirement:
             assert 0.6 <= z.std(ddof=1) <= 1.4, name
 
 
+def full_edge_ks(delta, samples):
+    """``damped_sign_ks`` with both edges of every positive value evaluated."""
+    n = samples.size
+    values, counts = np.unique(samples, return_counts=True)
+    ecdf_below = np.cumsum(counts) - counts
+    law_lo = damped_sign_cdf(delta, values)
+    law_hi = law_lo.copy()
+    upper = np.flatnonzero(values > 0)
+    v = values[upper]
+    surv_lo = _damped_sign_survival_near_one(delta, 1.0 - v + (v - np.nextafter(v, -2.0)) / 2.0)
+    surv_hi = _damped_sign_survival_near_one(
+        delta, np.maximum(1.0 - v - (np.nextafter(v, 2.0) - v) / 2.0, 0.0))
+    wide = surv_lo - surv_hi > jumplaw._CELL_MASS
+    law_lo[upper[wide]] = 1.0 - surv_lo[wide]
+    law_hi[upper[wide]] = 1.0 - surv_hi[wide]
+    above = ((ecdf_below + counts) / n - law_hi).max()
+    below = (law_lo - ecdf_below / n).max()
+    return float(max(above, below))
+
+
 class TestDistribution:
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
     def test_ks_below_critical(self, delta):
@@ -303,6 +323,24 @@ class TestDistribution:
         x1, _ = sample_damped_sign_pair(0.05, 100_000, seed=45)
         assert np.mean(x1 == 1.0) > 0.1
         assert damped_sign_ks(0.05, x1) < ks_critical_value(100_000)
+
+    @pytest.mark.parametrize("seed", [45, 49])
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.3, 0.5, 0.9, 1.0, 2.0, 5.0])
+    def test_ks_edges_only_where_a_cell_can_be_wide(self, monkeypatch, delta, seed):
+        # the statistic with both edges of every positive value evaluated, bit
+        # for bit; at delta = 0.05 about 29 500 of 75 000 cells are wide
+        x1, _ = sample_damped_sign_pair(delta, 100_000, seed=seed)
+        want = full_edge_ks(delta, x1)
+        seen = []
+
+        def spy(delta, u):
+            seen.append(u.size)
+            return _damped_sign_survival_near_one(delta, u)
+
+        monkeypatch.setattr(jumplaw, "_damped_sign_survival_near_one", spy)
+        assert damped_sign_ks(delta, x1) == want
+        if delta >= 1.0:
+            assert sum(seen) == 0
 
     @pytest.mark.parametrize("delta", [0.05, 0.5, 2.0])
     def test_survival_near_one_matches_cdf(self, delta):

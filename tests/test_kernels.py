@@ -263,6 +263,17 @@ class TestHeatKernelComponents:
             with pytest.raises(DomainError):
                 call()
 
+    @pytest.mark.parametrize("m_max", [0, 3])
+    @pytest.mark.parametrize("x,y", [(np.nan, -0.2), (0.3, np.inf)])
+    def test_flip_sum_rejects_a_point_not_finite_without_a_draw(self, monkeypatch, m_max, x, y):
+        # at m_max = 0 no component runs, so only the flip sum itself checks the points
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the points were checked")
+
+        monkeypatch.setattr(kernels, "_seed_streams", no_draw)
+        with pytest.raises(DomainError):
+            heat_kernel_flip_sum(ModelParams(0.5, 1.0), 1.0, x, y, m_max)
+
     def test_empty_flip_sum_is_exact_zero(self):
         est = heat_kernel_flip_sum(ModelParams(0.5, 1.0), 1.0, 0.3, -0.2, 0, n_samples=100)
         assert est.mean == 0.0 and est.stderr == 0.0 and est.n_samples == 0

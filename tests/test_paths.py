@@ -534,16 +534,16 @@ class TestEnsemble:
     def test_same_bits_as_concatenated_streams(self, n, delta, T):
         p = ModelParams(delta, 0.8)
         self.assert_same_ensemble(build_ground_ensemble(p, n, T, seed=29),
-                                  reference_ground_ensemble(p, n, T, seed=29))
+                                  *reference_ground_ensemble(p, n, T, seed=29))
 
     def test_same_bits_when_the_jump_buffers_grow(self, monkeypatch):
         monkeypatch.setattr("rabizeta.paths._jump_capacity", lambda rate, length, n: 1)
         p = ModelParams(0.5, 0.8)
         self.assert_same_ensemble(build_ground_ensemble(p, 1001, seed=30),
-                                  reference_ground_ensemble(p, 1001, seed=30))
+                                  *reference_ground_ensemble(p, 1001, seed=30))
 
     @staticmethod
-    def assert_same_ensemble(got, want):
+    def assert_same_ensemble(got, want, want_alpha0):
         for field in dataclasses.fields(want):
             g, w = getattr(got, field.name), getattr(want, field.name)
             if isinstance(w, np.ndarray):
@@ -551,6 +551,10 @@ class TestEnsemble:
                 assert g.tobytes() == w.tobytes(), field.name
             elif field.name != "note":  # the reference sets no low-ESS note
                 assert g == w, field.name
+        # the signs at -T, derived from the jump counts, are the per-stream ones
+        assert got.alpha0.dtype == want_alpha0.dtype
+        assert got.alpha0.tobytes() == want_alpha0.tobytes()
+        assert np.array_equal(got.signs_at(-got.half_width), want_alpha0)
 
     def test_n_eff_is_computed_once(self):
         ens = build_ground_ensemble(ModelParams(0.5, 1.0), 1000, seed=31)
@@ -563,11 +567,11 @@ class TestEnsemble:
         # paths 12 000-12 499 are the second half of the first seed stream:
         # stream-wide prefix sums once missed their interaction by 1.7e-7
         ens = build_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
-        T = ens.half_width
+        T, alpha0 = ens.half_width, ens.alpha0
         for i in range(12_000, 12_500):
             left = ens.left_jumps[ens.left_offsets[i]:ens.left_offsets[i + 1]]
             right = ens.right_jumps[ens.right_offsets[i]:ens.right_offsets[i + 1]]
-            path = JumpPath(alpha0=int(ens.alpha0[i]), horizon=(-T, T),
+            path = JumpPath(alpha0=int(alpha0[i]), horizon=(-T, T),
                             jumps=np.concatenate([left, right]))
             assert ens.interaction_full[i] == pytest.approx(pair_interaction_energy(path),
                                                             rel=0.0, abs=1e-12)

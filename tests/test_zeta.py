@@ -68,6 +68,14 @@ class TestHurwitz:
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 0.0)
 
+    def test_nan_shift_is_domain_error(self):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(2.0, np.nan)
+
+    def test_infinite_shift_is_domain_error(self):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(2.0, np.inf)
+
     @settings(max_examples=60, deadline=None)
     @given(
         sr=st.floats(-18, 18),
