@@ -1,7 +1,9 @@
 """CLI surface: subcommand examples, formats, caching, exit codes."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -68,8 +70,7 @@ class TestSpectrumCommand:
         assert record["config_hash"] == config_hash("spectrum", options)
 
     def test_python_m_entry_point(self, tmp_path):
-        env = {k: v for k, v in os.environ.items() if k != cli.CACHE_ENV}
-        env["PYTHONPATH"] = str(Path(rabizeta.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": str(Path(rabizeta.__file__).resolve().parents[1])}
         out = subprocess.run([sys.executable, "-m", "rabizeta", "spectrum", "--levels", "4"],
                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
@@ -96,7 +97,7 @@ OPTION_CASES = [
     (["fk", "spin-corr", "--n", "400"], {"delta", "g", "n", "seed", "T", "lag"}),
     (["fk", "dump", "--n", "40"], {"delta", "g", "n", "seed", "T", "out"}),
     (["x1", "--n", "2000"], {"delta", "n", "seed"}),
-    (["report", "--quick", "--no-compute"], {"seed", "quick"}),
+    (["report", "--quick"], {"seed", "quick"}),
 ]
 
 
@@ -104,7 +105,8 @@ OPTION_CASES = [
                          ids=[" ".join(argv) for argv, _ in OPTION_CASES])
 def test_meta_is_the_parsed_options(tmp_path, monkeypatch, argv, declared):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    # the report case checks its options, not the battery's rows
+    monkeypatch.setattr(cli, "acceptance_rows", lambda seed, quick: [])
     code, text = run_cli(tmp_path, *argv, fmt="json")
     assert code == 0
     record = json.loads(text)
@@ -118,12 +120,13 @@ def test_meta_is_the_parsed_options(tmp_path, monkeypatch, argv, declared):
     assert record["config_hash"] == config_hash(command, options)
 
 
-#: Usage errors: options a command does not read (a config file supplies
-#: ``beta``), a group without its command (``limits`` with no table, also in
-#: the retired ``--table`` spelling, which has no alias), a bad value, a bad
-#: choice, a config file that does not exist, empty grids, output files in a
-#: directory that does not exist (``MISSING``) and a cache directory that
-#: cannot be created because a file stands in its path (``BLOCKED``).
+#: Usage errors: options a command does not read (``--cache-dir`` belongs to
+#: ``report`` alone), a group without its command (``limits`` with no table),
+#: retired spellings, which have no alias (``--table``, ``--config``,
+#: ``--no-compute`` and a value given to ``--quick``), a bad value, a bad
+#: choice, empty grids, output files in a directory that does not exist
+#: (``MISSING``) and a cache directory that cannot be created because a file
+#: stands in its path (``BLOCKED``).
 USAGE_ERRORS = [
     ("spectrum", "--seed", "1"),
     ("spectrum", "--tau", "2"),
@@ -135,7 +138,8 @@ USAGE_ERRORS = [
     ("fk", "energy", "--t", "3"),
     ("fk", "gibbs", "--m", "2"),
     ("zeta", "--seed", "1"),
-    ("--config", "CONFIG", "fk", "vacuum"),
+    ("spectrum", "--cache-dir", "X"),
+    ("--cache-dir", "X", "report"),
     ("limits", "zeta", "--levels", "3"),
     ("limits",),
     ("limits", "--levels", "3"),
@@ -151,6 +155,8 @@ USAGE_ERRORS = [
     ("--output", "MISSING", "limits"),
     ("fk", "dump", "--out", "MISSING"),
     ("report", "--quick", "--cache-dir", "BLOCKED"),
+    ("report", "--no-compute"),
+    ("report", "--quick=1"),
 ]
 
 
@@ -166,10 +172,8 @@ def test_usage_error_is_one_line(tmp_path, monkeypatch, capsys, solves, argv):
                  "vacuum_element_fk", "vacuum_element_ed", "ground_energy_fk",
                  "acceptance_rows"):
         monkeypatch.setattr(cli, name, no_solve)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("beta = 2\n")
     (tmp_path / "file").write_text("")
-    words = {"CONFIG": cfg, "MISSING": tmp_path / "missing" / "out.csv",
+    words = {"MISSING": tmp_path / "missing" / "out.csv",
              "BLOCKED": tmp_path / "file" / "cache"}
     argv = [str(words[word]) if word in words else word for word in argv]
     # a failing command leaves an existing output file as it was
@@ -223,6 +227,43 @@ def _readme_commands() -> list[list[str]]:
 def test_readme_command_runs(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--output", str(tmp_path / "record.out")]) == 0
+
+
+def _readme_option_rows() -> list[tuple[list[str], set[str]]]:
+    """The README's option table: (the commands of a row, the flags it names)."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip().strip("|").split(" | ") for line in section.splitlines()
+            if line.strip().startswith("| `")]
+    return [(re.findall(r"`([^`]+)`", commands), set(re.findall(r"--[\w-]+", flags)))
+            for commands, flags in rows]
+
+
+def _leaf_parsers(parser, words=()) -> dict[str, argparse.ArgumentParser]:
+    """Every command's parser, by its words (``fk vacuum``)."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return {" ".join(words): parser}
+    return {name: leaf for word, sub in groups[0].choices.items()
+            for name, leaf in _leaf_parsers(sub, (*words, word)).items()}
+
+
+def _flags(parser) -> set[str]:
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+@pytest.mark.parametrize("commands, flags", _readme_option_rows(),
+                         ids=[", ".join(commands) for commands, _ in _readme_option_rows()])
+def test_readme_option_table_matches_the_parser(commands, flags):
+    parser = cli.build_parser()
+    leaves = _leaf_parsers(parser)
+    for command in commands:
+        # every command also takes the top-level options (--format, --output, --help)
+        assert _flags(leaves[command]) - _flags(parser) == flags, command
+
+
+def test_readme_option_table_names_every_command():
+    named = [command for commands, _ in _readme_option_rows() for command in commands]
+    assert sorted(named) == sorted(_leaf_parsers(cli.build_parser()))
 
 
 class TestZetaCommand:
@@ -494,41 +535,6 @@ class TestX1Command:
         assert ks["mc"] < ks["closed_or_critical"]
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("delta = 0.5\ng = 0\nlevels = 4\n# comment\n")
-        out = tmp_path / "o.csv"
-        code = main(["--config", str(cfg), "--output", str(out), "spectrum"])
-        assert code == 0
-        rows = [l for l in out.read_text().splitlines()
-                if l and not l.startswith("#") and not l.startswith("n,")]
-        assert len(rows) == 4
-
-    def test_cli_overrides_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("levels = 4\ndelta = 0.5\ng = 0\n")
-        out = tmp_path / "o.csv"
-        code = main(["--config", str(cfg), "--output", str(out),
-                     "spectrum", "--levels", "2"])
-        assert code == 0
-        rows = [l for l in out.read_text().splitlines()
-                if l and not l.startswith("#") and not l.startswith("n,")]
-        assert len(rows) == 2
-
-    def test_malformed_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("not a key value line\n")
-        assert main(["--config", str(cfg), "spectrum"]) == 2
-
-    def test_malformed_config_value(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("levels = abc\n")
-        assert main(["--config", str(cfg), "spectrum"]) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and "levels" in err
-
-
 class TestRecordContracts:
     def test_json_round_trip(self, tmp_path):
         _, text = run_cli(tmp_path, "spectrum", "--delta", "0.5", "--g", "1",
@@ -552,15 +558,6 @@ class TestRecordContracts:
 
 
 class TestCache:
-    def test_records_cached_by_hash(self, tmp_path):
-        # only report reads the cache, so no other subcommand writes to it
-        cache = tmp_path / "cache"
-        out = tmp_path / "o.csv"
-        code = main(["--cache-dir", str(cache), "--output", str(out),
-                     "spectrum", "--delta", "0.5", "--g", "0", "--levels", "3"])
-        assert code == 0
-        assert not cache.exists()
-
     def test_report_uses_cache(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         cache.mkdir()
@@ -572,8 +569,8 @@ class TestCache:
                   columns=["check"], rows=[["cached-run"]], timestamp="t")
         (cache / f"{digest}.json").write_text(fake.to_json())
         out = tmp_path / "o.json"
-        code = main(["--cache-dir", str(cache), "--format", "json",
-                     "--output", str(out), "report", "--seed", "1", "--quick"])
+        code = main(["--format", "json", "--output", str(out),
+                     "report", "--cache-dir", str(cache), "--seed", "1", "--quick"])
         assert code == 0
         assert json.loads(out.read_text())["rows"] == [["cached-run"]]
 
@@ -581,8 +578,8 @@ class TestCache:
         failing = [["forced", "a check that fails", 1.0, 0.0, "FAIL"]]
         monkeypatch.setattr(cli, "acceptance_rows", lambda seed, quick: failing)
         out = tmp_path / "o.json"
-        argv = ["--cache-dir", str(tmp_path / "cache"), "--format", "json",
-                "--output", str(out), "report", "--seed", "3", "--quick"]
+        argv = ["--format", "json", "--output", str(out),
+                "report", "--cache-dir", str(tmp_path / "cache"), "--seed", "3", "--quick"]
         assert main(argv) == 4
         cold = json.loads(out.read_text())
         assert cold["rows"][0][-1] == "FAIL"
@@ -596,37 +593,6 @@ class TestCache:
         assert json.loads(out.read_text()) == cold
         assert "1 checks FAILED" in capsys.readouterr().err
 
-    def test_report_skipped_without_compute(self, tmp_path):
-        out = tmp_path / "o.json"
-        code = main(["--cache-dir", str(tmp_path / "cache"), "--format", "json",
-                     "--output", str(out), "report", "--seed", "2", "--quick",
-                     "--no-compute"])
-        assert code == 0
-        assert json.loads(out.read_text())["rows"][0][-1] == "SKIPPED"
-
-    def test_skipped_report_is_never_cached(self, tmp_path, monkeypatch):
-        # the SKIPPED placeholder shares the real report's digest, so a cached
-        # placeholder would stand in for the report on every later run
-        passing = [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
-        calls = []
-
-        def stub(seed, quick):
-            calls.append((seed, quick))
-            return passing
-
-        monkeypatch.setattr(cli, "acceptance_rows", stub)
-        cache = tmp_path / "cache"
-        out = tmp_path / "o.json"
-        argv = ["--cache-dir", str(cache), "--format", "json", "--output", str(out),
-                "report", "--seed", "5", "--quick"]
-        assert main(argv + ["--no-compute"]) == 0
-        assert json.loads(out.read_text())["rows"][0][-1] == "SKIPPED"
-        assert not cache.exists() or os.listdir(cache) == []
-        assert main(argv) == 0
-        assert calls == [(5, True)]
-        rows = json.loads(out.read_text())["rows"]
-        assert rows == [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
-
     def test_report_from_other_sources_is_recomputed(self, tmp_path, monkeypatch):
         # a record cached by different code must not be served to this code
         calls = []
@@ -636,14 +602,29 @@ class TestCache:
             return [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
 
         monkeypatch.setattr(cli, "acceptance_rows", stub)
-        argv = ["--cache-dir", str(tmp_path / "cache"), "--format", "json",
-                "--output", str(tmp_path / "o.json"), "report", "--seed", "6", "--quick"]
+        argv = ["--format", "json", "--output", str(tmp_path / "o.json"),
+                "report", "--cache-dir", str(tmp_path / "cache"), "--seed", "6", "--quick"]
         with monkeypatch.context() as older:
             older.setattr(cli, "_source_fingerprint", lambda: "older sources")
             assert main(argv) == 0
         assert main(argv) == 0
         assert calls == [(6, True), (6, True)]
         assert len(os.listdir(tmp_path / "cache")) == 2
+
+    def test_truncated_entry_is_recomputed(self, tmp_path, monkeypatch):
+        # a run killed while writing must not break every later run with its options
+        passing = [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
+        monkeypatch.setattr(cli, "acceptance_rows", lambda seed, quick: passing)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        entry = cache / f"{config_hash('report', {'seed': 7, 'quick': True})}.json"
+        entry.write_text('{"config_hash": "x", "rows": [')
+        out = tmp_path / "o.json"
+        assert main(["--format", "json", "--output", str(out),
+                     "report", "--cache-dir", str(cache), "--seed", "7", "--quick"]) == 0
+        assert json.loads(out.read_text())["rows"] == passing
+        assert ResultRecord.from_json(entry.read_text()).rows == passing
+        assert os.listdir(cache) == [entry.name]
 
 
 class TestBatteryWorkingSets:
