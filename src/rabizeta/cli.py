@@ -303,6 +303,12 @@ def _ensemble(args):
     return build_ground_ensemble(_fk_params(args), args.n, args.T, args.seed)
 
 
+def _estimate_on_ensemble(args, name: str, estimate, oracle, anchor: str) -> ResultRecord:
+    """An ``fk`` record of ``estimate(ensemble)``; its meta names the clock rate drawn at."""
+    ens = _ensemble(args)
+    return _estimate(args, name, estimate(ens), oracle, anchor, clock_rate=ens.rate)
+
+
 def _fk_vacuum(args) -> ResultRecord:
     p = _fk_params(args)
     return _estimate(args, "vacuum_element", vacuum_element_fk(p, args.t, args.n, args.seed),
@@ -338,42 +344,43 @@ def _fk_kernel(args) -> ResultRecord:
 def _fk_gibbs(args) -> ResultRecord:
     p, _ = _on_ensemble(args)
     oracle = gibbs_number_ed(ground_state(p), args.beta)
-    return _estimate(args, "gibbs_number", gibbs_number_fk(_ensemble(args), p, args.beta),
-                     oracle, "<exp(beta n)> = <exp(-g^2 (1 - e^beta) Jc)>_paths")
+    return _estimate_on_ensemble(args, "gibbs_number",
+                                 lambda ens: gibbs_number_fk(ens, p, args.beta), oracle,
+                                 "<exp(beta n)> = <exp(-g^2 (1 - e^beta) Jc)>_paths")
 
 
 def _fk_number(args) -> ResultRecord:
     p, _ = _on_ensemble(args)
     _check_moment_order(args.m)
     oracle = number_moment_ed(ground_state(p), args.m)
-    return _estimate(args, f"number_moment_{args.m}",
-                     number_moments_fk(_ensemble(args), p, args.m), oracle,
-                     "<n^m> = sum_l S(m,l) g^(2l) <Jc^l>_paths")
+    return _estimate_on_ensemble(args, f"number_moment_{args.m}",
+                                 lambda ens: number_moments_fk(ens, p, args.m), oracle,
+                                 "<n^m> = sum_l S(m,l) g^(2l) <Jc^l>_paths")
 
 
 def _fk_xchar(args) -> ResultRecord:
     p, _ = _on_ensemble(args)
     oracle = x_characteristic_ed(ground_state(p), args.beta)
-    return _estimate(args, "x_characteristic",
-                     x_characteristic_fk(_ensemble(args), p, args.beta), oracle,
-                     "<exp(i beta x)> = e^(-beta^2/4) <cos(beta K)>_paths")
+    return _estimate_on_ensemble(args, "x_characteristic",
+                                 lambda ens: x_characteristic_fk(ens, p, args.beta), oracle,
+                                 "<exp(i beta x)> = e^(-beta^2/4) <cos(beta K)>_paths")
 
 
 def _fk_xsquare(args) -> ResultRecord:
     p, _ = _on_ensemble(args)
     oracle = x_square_exponential_ed(ground_state(p), args.beta)
-    return _estimate(args, "x_square_exponential",
-                     gaussian_square_fk(_ensemble(args), p, args.beta), oracle,
-                     "<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>_paths")
+    return _estimate_on_ensemble(args, "x_square_exponential",
+                                 lambda ens: gaussian_square_fk(ens, p, args.beta), oracle,
+                                 "<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>_paths")
 
 
 def _fk_spin_corr(args) -> ResultRecord:
     (p, T), lag = _on_ensemble(args), args.lag
     _check_edge_guard(T, lag / 2.0, -lag / 2.0)
     oracle = spin_autocorrelation_ed(ground_state(p), lag)
-    return _estimate(args, f"spin_correlation_{lag}",
-                     spin_correlation_fk(_ensemble(args), lag / 2.0, -lag / 2.0), oracle,
-                     "<sz exp(-|t-s|(M-E)) sz> = <T_t T_s>_paths")
+    return _estimate_on_ensemble(args, f"spin_correlation_{lag}",
+                                 lambda ens: spin_correlation_fk(ens, lag / 2.0, -lag / 2.0),
+                                 oracle, "<sz exp(-|t-s|(M-E)) sz> = <T_t T_s>_paths")
 
 
 def _fk_dump(args) -> ResultRecord:
@@ -391,7 +398,8 @@ def _fk_dump(args) -> ResultRecord:
                 "log_weight": log_weight,
             }) + "\n")
     return _record(args, "ensemble dump: one record per weighted path",
-                   ["T", "n_paths", "n_eff", "path"], [[T, ens.n_samples, ens.n_eff, args.out]])
+                   ["T", "rate", "n_paths", "n_eff", "path"],
+                   [[T, ens.rate, ens.n_samples, ens.n_eff, args.out]])
 
 
 def cmd_x1(args) -> ResultRecord:
@@ -629,18 +637,19 @@ def cmd_report(args) -> ResultRecord:
 
     A record is stored under its digest, which covers the seed, ``--quick``
     and the source fingerprint, so a cache hit is what this code computes.
-    An entry is written whole or not at all; one that does not parse as a
-    record is a miss, recomputed and overwritten.
+    An entry is written whole or not at all; one that cannot be read or
+    does not parse as a record is a miss, recomputed and overwritten.  An
+    entry that cannot be replaced, such as a directory of its name, is a
+    usage error.
     """
     digest = config_hash(args.command.name, _options(args))
     path = os.path.join(args.cache_dir, digest + ".json") if args.cache_dir else None
-    if path and os.path.exists(path):
+    if path:
         try:
             with open(path) as fh:
                 return ResultRecord.from_json(fh.read())
-        except (ValueError, TypeError):
+        except (OSError, ValueError, TypeError):
             pass
-    if path:
         try:
             os.makedirs(args.cache_dir, exist_ok=True)
         except OSError as exc:
@@ -653,7 +662,11 @@ def cmd_report(args) -> ResultRecord:
         partial = f"{path}.{os.getpid()}.partial"
         with open(partial, "w") as fh:
             fh.write(report.to_json())
-        os.replace(partial, path)
+        try:
+            os.replace(partial, path)
+        except OSError as exc:
+            os.remove(partial)
+            raise ParameterError(f"cannot write the cache entry {path}: {exc}") from exc
     return report
 
 

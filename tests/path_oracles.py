@@ -167,14 +167,17 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
     with ``rabizeta.paths``: it checks how the ensemble is assembled from
     its streams, not the functionals themselves.  Returns the ensemble and
     the sign of every path at -T, formed stream by stream as the ensemble
-    once stored it.
+    once stored it.  It draws on the clock ``paths._clock_rate`` gives and
+    adds the clock change m log(delta/r) to the log weights, as the
+    ensemble does.
     """
     if T is None:
         T = paths.default_horizon(params.delta)
+    rate = paths._clock_rate(params)
     streams = []
     for chunk, rng in paths._seed_streams(seed, n_samples):
-        left = paths._sample_segments(rng, params.delta, T, chunk, -T)
-        right = paths._sample_segments(rng, params.delta, T, chunk, 0.0)
+        left = paths._sample_segments(rng, rate, T, chunk, -T)
+        right = paths._sample_segments(rng, rate, T, chunk, 0.0)
         alpha0 = np.where(np.diff(left[1]) % 2 == 0, 1, -1)
         (j_left,), u_left = paths._rank_pass(*left, -T, (0.0,))
         (j_right,), v_right = paths._rank_pass(*right, 0.0, (T,))
@@ -191,11 +194,15 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
     left_jumps, left_offsets = concat_batches(lefts)
     right_jumps, right_offsets = concat_batches(rights)
     alpha0, j_full, u_left, v_right = (np.concatenate(values) for values in per_path)
+    log_weights = 0.5 * params.g**2 * j_full
+    if rate != params.delta:  # the clock change, (delta/r)^m
+        counts = np.diff(left_offsets) + np.diff(right_offsets)
+        log_weights += counts * np.log(params.delta / rate)
     ens = paths.WeightedPathEnsemble(
-        params=params, half_width=float(T),
+        params=params, half_width=float(T), rate=rate,
         left_jumps=left_jumps, left_offsets=left_offsets,
         right_jumps=right_jumps, right_offsets=right_offsets,
-        log_weights=0.5 * params.g**2 * j_full, interaction_full=j_full,
+        log_weights=log_weights, interaction_full=j_full,
         damped_left=u_left, damped_right=v_right, seed=seed,
     )
     return ens, alpha0

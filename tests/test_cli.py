@@ -18,6 +18,7 @@ import rabizeta.estimators as estimators
 import rabizeta.paths as paths
 import rabizeta.zeta as zeta
 from rabizeta.cli import ResultRecord, config_hash, main
+from rabizeta.model import ModelParams
 
 
 def run_cli(tmp_path, *argv, fmt="csv"):
@@ -111,7 +112,8 @@ def test_meta_is_the_parsed_options(tmp_path, monkeypatch, argv, declared):
     assert code == 0
     record = json.loads(text)
     options = {k: v for k, v in record["meta"].items()
-               if k not in ("n_max", "converged_count", "refinement", "max_bracket", "series")}
+               if k not in ("n_max", "converged_count", "refinement", "max_bracket", "series",
+                            "clock_rate")}
     parsed = cli.build_parser().parse_args(argv)
     expected = {k: getattr(parsed, k) for k in declared}
     expected = {k: repr(v) if isinstance(v, complex) else v for k, v in expected.items()}
@@ -501,6 +503,22 @@ class TestFkCommand:
         assert rec["alpha0"] in (-1, 1)
         assert rec["horizon"] == [-4.0, 4.0]
 
+    def test_dump_row_names_the_clock_rate(self, tmp_path):
+        code, text = run_cli(tmp_path, "fk", "dump", "--g", "1", "--n", "50", "--T", "4",
+                             "--out", str(tmp_path / "paths.jsonl"), fmt="json")
+        assert code == 0
+        record = json.loads(text)
+        named = dict(zip(record["columns"], record["rows"][0]))
+        assert named["rate"] == paths._clock_rate(ModelParams(0.5, 1.0)) == 0.25
+
+    @pytest.mark.parametrize("quantity", ["gibbs", "number", "xchar", "xsquare", "spin-corr"])
+    @pytest.mark.parametrize("g", ["0.5", "1"])
+    def test_ensemble_meta_names_the_clock_rate(self, tmp_path, quantity, g):
+        code, text = run_cli(tmp_path, "fk", quantity, "--g", g, "--n", "400", fmt="json")
+        assert code == 0
+        meta = json.loads(text)["meta"]
+        assert meta["clock_rate"] == paths._clock_rate(ModelParams(0.5, float(g)))
+
 
 class TestX1Command:
     def test_one_sample_is_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -626,12 +644,28 @@ class TestCache:
         assert ResultRecord.from_json(entry.read_text()).rows == passing
         assert os.listdir(cache) == [entry.name]
 
+    def test_directory_in_place_of_an_entry_is_usage_error(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # unreadable: a miss; irreplaceable: one error line, exit 2, no partial file left
+        passing = [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
+        monkeypatch.setattr(cli, "acceptance_rows", lambda seed, quick: passing)
+        cache = tmp_path / "cache"
+        entry = cache / f"{config_hash('report', {'seed': 8, 'quick': True})}.json"
+        entry.mkdir(parents=True)
+        code = main(["--output", str(tmp_path / "o.csv"),
+                     "report", "--cache-dir", str(cache), "--seed", "8", "--quick"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and entry.name in err
+        assert "Traceback" not in err
+        assert os.listdir(cache) == [entry.name] and entry.is_dir()
+
 
 class TestBatteryWorkingSets:
     """The battery's path ensemble lives only while its estimates are formed."""
 
     def test_fk_leaves_no_ensemble_and_x1_does_not_stack_on_it(self):
-        # at 1e5 paths the ensemble alone holds 14.4 MB: it must be garbage
+        # at 1e5 paths the ensemble alone holds 9.6 MB: it must be garbage
         # once fk returns, and x1's working set must not stack on it
         battery = cli.AcceptanceBattery(paths.DEFAULT_SEED, quick=False)
         battery.gs, battery.vacuum  # warm: built before the trace

@@ -19,11 +19,14 @@ from path_oracles import (
     vacuum_suppression,
 )
 from rabizeta.errors import DomainError, ParameterError
+from rabizeta.estimators import number_moments_fk
 from rabizeta.model import ModelParams
+from rabizeta.observables import ground_state, number_parity_expectation
 from rabizeta.paths import (
     N_STREAMS,
     build_ground_ensemble,
     default_horizon,
+    _clock_rate,
     _count_upto,
     _rank_pass,
     _sample_segments,
@@ -454,6 +457,47 @@ class TestVacuumSuppression:
         assert batch[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
+class TestClockRate:
+    """The ensemble's clock: the ground measure's jump rate without ED, and its weights."""
+
+    @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0, 1.5])
+    def test_near_the_exact_jump_rate(self, delta):
+        # rho = -delta dE0/d(delta) = delta <(-1)^N> (Hellmann-Feynman); ED serves only here
+        for g in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0):
+            p = ModelParams(delta, g)
+            rho = delta * number_parity_expectation(ground_state(p))
+            assert 0.4 <= _clock_rate(p) / rho <= 2.5, g
+
+    @given(st.floats(0.01, 20.0), st.floats(0.0, 20.0))
+    def test_never_above_delta(self, delta, g):
+        assert 0.0 < _clock_rate(ModelParams(delta, g)) <= delta
+
+    @pytest.mark.parametrize("delta, g", [(0.05, 0.0), (0.5, 0.0), (2.0, 0.0), (0.5, 0.5)])
+    def test_delta_at_weak_coupling(self, delta, g):
+        # below g = sqrt(delta/2) the clock is delta and the draws keep their bits
+        assert _clock_rate(ModelParams(delta, g)) == delta
+
+    def test_clock_at_delta_is_the_rate_delta_draw(self, monkeypatch):
+        p = ModelParams(0.5, 1.0)
+        free = build_ground_ensemble(ModelParams(0.5, 0.0), 2001, seed=32)  # drawn at delta
+        monkeypatch.setattr("rabizeta.paths._clock_rate", lambda params: params.delta)
+        ens = build_ground_ensemble(p, 2001, seed=32)
+        assert ens.rate == 0.5
+        for name in ("left_jumps", "left_offsets", "right_jumps", "right_offsets",
+                     "interaction_full", "damped_left", "damped_right"):
+            assert getattr(ens, name).tobytes() == getattr(free, name).tobytes(), name
+        assert ens.log_weights.tobytes() == (0.5 * p.g**2 * ens.interaction_full).tobytes()
+
+    def test_clock_moves_only_the_variance(self, monkeypatch):
+        p = ModelParams(0.5, 1.0)
+        matched = number_moments_fk(build_ground_ensemble(p, 100_000), p, 1)
+        monkeypatch.setattr("rabizeta.paths._clock_rate", lambda params: params.delta)
+        at_delta = number_moments_fk(build_ground_ensemble(p, 100_000), p, 1)
+        assert abs(matched.mean - at_delta.mean) <= 4.0 * np.hypot(matched.stderr,
+                                                                    at_delta.stderr)
+        assert matched.stderr < at_delta.stderr / 2.0
+
+
 class TestEnsemble:
     def test_default_horizon(self):
         assert default_horizon(0.5) == 12.0
@@ -527,6 +571,8 @@ class TestEnsemble:
         resident = sum(getattr(ens, field.name).nbytes for field in dataclasses.fields(ens)
                        if isinstance(getattr(ens, field.name), np.ndarray))
         assert peak < resident + 12e6
+        # on the clock at the ground measure's jump rate: 9.6 MB, where rate delta held 14.4
+        assert resident <= 10.5e6
 
     @pytest.mark.parametrize("n", [1, 3, 1001, 20_000])
     @pytest.mark.parametrize("delta", [0.5, 2.0])
