@@ -61,11 +61,26 @@ class MCEstimate:
         return _z_score(self.mean, self.stderr, reference)
 
 
+#: Ulps of max(1, |reference|) within which an estimate with zero stderr matches it.
+_REFERENCE_ULPS = 4
+
+
 def _z_score(mean: complex, stderr: float, reference: complex) -> float:
-    """``|mean - reference| / stderr``; at zero stderr 0 on exact equality, inf otherwise."""
+    """``|mean - reference| / stderr``; at zero stderr 0 within the reference's rounding.
+
+    Zero stderr comes from a constant estimand, which ``weighted_mean``
+    reports exactly, such as the value 1 of every path at beta = 0 or at
+    lag 0.  The reference is a floating-point evaluation (an ED oracle, a
+    sum over eigenvectors) that reads such a value only to within its
+    rounding: 1 comes out 1 to 2 ulps off.  So a difference of at most
+    ``_REFERENCE_ULPS`` ulps of max(1, |reference|) is no sampling error and
+    reads 0; any larger difference at zero stderr reads inf.
+    """
+    diff = abs(mean - reference)
     if stderr == 0.0:
-        return 0.0 if abs(mean - reference) == 0.0 else float("inf")
-    return float(abs(mean - reference) / stderr)
+        rounding = _REFERENCE_ULPS * np.spacing(max(1.0, abs(reference)))
+        return 0.0 if diff <= rounding else float("inf")
+    return float(diff / stderr)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[complex, float]:
@@ -209,8 +224,12 @@ def gibbs_number_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: comple
     mixed-quadrant interaction; beta = i pi gives the number parity.
     """
     factor = -params.g**2 * (1.0 - np.exp(beta))
-    values = np.exp(factor * ens.cross_interaction)
-    return _ensemble_estimate(ens, values)
+    values = ens.cross_interaction
+    if np.iscomplexobj(factor):
+        values = values * factor
+    else:
+        values *= factor
+    return _ensemble_estimate(ens, np.exp(values, out=values))
 
 
 def stirling2(m: int, l: int) -> int:
@@ -241,15 +260,26 @@ def number_moments_fk(ens: WeightedPathEnsemble, params: ModelParams, m: int) ->
     """
     _check_moment_order(m)
     jc = ens.cross_interaction
+    power = jc  # Jc^l, one running power
     values = np.zeros_like(jc)
     for l in range(1, m + 1):
-        values += stirling2(m, l) * params.g ** (2 * l) * jc**l
+        if l > 1:
+            power = power * jc
+        coefficient = stirling2(m, l) * params.g ** (2 * l)
+        if l < m:
+            values += coefficient * power
+        else:  # the last power is not needed again: scaled in place
+            power *= coefficient
+            values += power
+    del jc, power  # freed before the weighted mean takes its scratch
     return _ensemble_estimate(ens, values)
 
 
 def position_shift(ens: WeightedPathEnsemble, params: ModelParams) -> np.ndarray:
     """Per-path Gaussian shift -(g/sqrt 2) * int T_s e^{-|s|} ds."""
-    return -params.g / np.sqrt(2.0) * (ens.damped_left + ens.damped_right)
+    k = np.add(ens.damped_left, ens.damped_right)
+    k *= -params.g / np.sqrt(2.0)
+    return k
 
 
 def x_characteristic_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: float) -> MCEstimate:
@@ -260,8 +290,10 @@ def x_characteristic_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: fl
     the per-path contribution is cos(beta K), keeping the estimator exactly
     real where the observable is.
     """
-    k = position_shift(ens, params)
-    values = np.exp(-(beta**2) / 4.0) * np.cos(beta * k) + 0.0j
+    values = position_shift(ens, params)
+    values *= beta
+    np.cos(values, out=values)
+    values *= np.exp(-(beta**2) / 4.0)
     return _ensemble_estimate(ens, values)
 
 
@@ -269,8 +301,12 @@ def gaussian_square_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: flo
     """<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>, |beta| < 1."""
     if abs(beta) >= 1:
         raise DomainError(f"<exp(beta x^2)> requires |beta| < 1, got {beta}")
-    k = position_shift(ens, params)
-    values = np.exp(beta * k**2 / (1.0 - beta)) / np.sqrt(1.0 - beta)
+    values = position_shift(ens, params)
+    np.square(values, out=values)
+    values *= beta
+    values /= 1.0 - beta
+    np.exp(values, out=values)
+    values /= np.sqrt(1.0 - beta)
     return _ensemble_estimate(ens, values)
 
 
@@ -290,7 +326,8 @@ def spin_correlation_fk(ens: WeightedPathEnsemble, t: float, s: float) -> MCEsti
     of the finite horizon stay negligible.
     """
     _check_edge_guard(ens.half_width, t, s)
-    values = ens.signs_at(t) * ens.signs_at(s)
+    values = ens.signs_at(t)
+    values *= ens.signs_at(s)
     return _ensemble_estimate(ens, values)
 
 

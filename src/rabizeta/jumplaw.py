@@ -70,22 +70,29 @@ def sample_damped_sign_pair(
     once at most half of their paths are live, so a step draws at most
     about twice the live paths: at 100 000 samples a sample costs 1.02 to
     1.18 times the ideal delta * cutoff + 1 waits, for delta from 20 down
-    to 0.05.  Memory is O(chunk).  A wait is ``standard_exponential()``
-    times 1 / delta, the value ``exponential(1 / delta)`` draws: numpy's
-    ziggurat caps no wait, and a test generator can hand the sampler exact
-    waits.  Inversion, -log1p(-U) / delta from one uniform, ran about 10%
-    faster in the sampler alone, but caps a wait at 36.7 / delta.  Fewer
-    than two samples have no standard error, so ``n_samples < 2`` raises
-    ``ParameterError`` before any draw.
+    to 0.05.  Each stream writes its samples straight into its slice of
+    one (2, n_samples) array.  Memory is O(chunk) beyond the result.  A wait
+    is ``standard_exponential()`` times 1 / delta, the value
+    ``exponential(1 / delta)`` draws, and a test generator can hand the
+    sampler exact waits.  numpy's ziggurat draws its tail as r - log1p(-U),
+    with r about 7.697 and U on a 2^-53 grid, so it caps a standard
+    exponential at about 44.43, and a wait at 44.43 / delta, which for
+    delta > 1.094 lies below the series cutoff; but the capped mass is
+    e^-44.43, about 5e-20 per draw.  Inversion, -log1p(-U) / delta from one
+    uniform, ran about 10% faster in the sampler alone, but caps a standard
+    exponential at 36.74, a mass of 2^-53, about 1.1e-16 per draw, so the
+    ziggurat stays.  Fewer than two samples have no standard error, so
+    ``n_samples < 2`` raises ``ParameterError`` before any draw.
     """
     if not 0 < delta < np.inf:  # an infinite or NaN rate never reaches the cutoff
         raise ParameterError(f"delta must be positive and finite, got {delta}")
     if n_samples < 2:
         raise ParameterError(f"n_samples must be at least 2, got {n_samples}")
     cutoff, scale = _series_cutoff(), 1.0 / delta
-    parts = []
+    pair = np.empty((2, n_samples))  # X1 and X2: each stream writes its slice
+    first = 0
     for chunk, rng in _seed_streams(seed, n_samples):
-        sums = np.empty((2, chunk))  # the X1 and X2 series of every path
+        sums = pair[:, first:first + chunk]  # the X1 and X2 series of every path
         path = np.arange(chunk)  # the path held in each buffer slot
         t, acc1, acc2 = np.zeros(chunk), np.zeros(chunk), np.zeros(chunk)
         wait, term, live = np.empty(chunk), np.empty(chunk), np.empty(chunk, dtype=bool)
@@ -111,8 +118,10 @@ def sample_damped_sign_pair(
                 for buffer in (path, t, acc1, acc2):
                     buffer[:n_live] = buffer[keep]
                 n = n_live
-        parts.append(1.0 + 2.0 * sums)
-    return tuple(np.concatenate(parts, axis=1))
+        sums *= 2.0
+        sums += 1.0
+        first += chunk
+    return tuple(pair)
 
 
 def damped_sign_moment(delta: float, m: int) -> float:
@@ -189,10 +198,8 @@ def damped_sign_ks(delta: float, samples: np.ndarray) -> float:
     The edges are evaluated only on the cells that ``_may_be_wide``.
     """
     n = samples.size
-    values, counts = np.unique(samples, return_counts=True)
-    ecdf_below = np.cumsum(counts) - counts  # samples below each value
-    law_lo = damped_sign_cdf(delta, values)
-    law_hi = law_lo.copy()
+    values, ecdf = np.unique(samples, return_counts=True)
+    law = damped_sign_cdf(delta, values)
     upper = np.flatnonzero(values > 0)
     upper = upper[_may_be_wide(delta, values[upper])]
     v = values[upper]
@@ -200,11 +207,20 @@ def damped_sign_ks(delta: float, samples: np.ndarray) -> float:
     surv_hi = _damped_sign_survival_near_one(
         delta, np.maximum(1.0 - v - (np.nextafter(v, 2.0) - v) / 2.0, 0.0))
     wide = surv_lo - surv_hi > _CELL_MASS
-    law_lo[upper[wide]] = 1.0 - surv_lo[wide]
-    law_hi[upper[wide]] = 1.0 - surv_hi[wide]
-    above = ((ecdf_below + counts) / n - law_hi).max()
-    below = (law_lo - ecdf_below / n).max()
-    return float(max(above, below))
+    cells, law_lo, law_hi = upper[wide], 1.0 - surv_lo[wide], 1.0 - surv_hi[wide]
+    del values
+    np.cumsum(ecdf, out=ecdf)  # samples at or below each value
+    gap = np.divide(ecdf, n, out=np.empty_like(law))  # F_n(v)
+    at_cells = gap[cells]
+    gap -= law
+    gap[cells] = at_cells - law_hi
+    above = gap.max()
+    gap[0] = 0.0  # F_n(v-): the samples below v are those at or below the value before
+    np.divide(ecdf[:-1], n, out=gap[1:])
+    at_cells = gap[cells]
+    np.subtract(law, gap, out=gap)
+    gap[cells] = law_lo - at_cells
+    return float(max(above, gap.max()))
 
 
 def ks_critical_value(n: int, alpha: float = 0.01) -> float:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
@@ -88,11 +87,15 @@ def _sample_segments(rng, rate: float, length: float, n: int, lo: float):
     total = int(offsets[-1])
     u = rng.uniform(0.0, length, size=total)
     if total:
-        seg = np.repeat(np.arange(n), counts)
-        span = length + 1.0
-        u = np.sort(u + seg * span) - seg * span
+        # sort on the key seg * span + u, formed in place: seg is the path of
+        # each jump, and span keeps the paths' keys apart
+        shift = np.repeat(np.arange(n) * (length + 1.0), counts)
+        u += shift
+        u.sort()
+        u -= shift
         np.clip(u, 0.0, length, out=u)
-    return lo + u, offsets
+    u += lo
+    return u, offsets
 
 
 def _jump_capacity(rate: float, length: float, n: int) -> int:
@@ -130,20 +133,24 @@ def _count_upto(jumps: np.ndarray, offsets: np.ndarray, time: float) -> np.ndarr
     Jumps are sorted within each path, so these are also the first jumps of
     each path, and one binary search over every path at once finds their
     number: a path takes ``step`` more jumps when the last of them is still
-    at or before ``time``.  O(paths) memory and log2(most jumps) passes.
+    at or before ``time``.  O(paths) memory, one index array and a gather
+    at a time, and log2(most jumps) passes.
     """
     start, stop = offsets[:-1], offsets[1:]
+    most = int((stop - start).max(initial=0))
     end = start.copy()  # one past each path's last jump at or before ``time``
-    if jumps.size == 0:
-        return end - start
-    step = 1 << (int((stop - start).max()).bit_length() - 1)
-    while step:
-        probe = end + (step - 1)
-        take = probe < stop
-        take &= jumps.take(probe, mode="clip") <= time
-        end += take * step
-        step >>= 1
-    return end - start
+    if most:
+        take = np.empty(end.size, dtype=bool)
+        step = 1 << (most.bit_length() - 1)
+        while step:
+            end += step - 1  # the last of the next ``step`` jumps, probed
+            np.less(end, stop, out=take)
+            take &= jumps.take(end, mode="clip") <= time
+            end -= step - 1
+            np.add(end, step, out=end, where=take)
+            step >>= 1
+    end -= start
+    return end
 
 
 def _rank_pass(jumps, offsets, lo, horizons, suppression=False):
@@ -345,7 +352,11 @@ class WeightedPathEnsemble:
     ``weighted_mean``.  ``n_eff`` collapses when g^2 * T grows; consumers
     should compare against the sample count.  The sign at 0 is +1, so every
     sign follows from the jumps: no per-path sign is stored, and
-    ``alpha0``, the sign at -T, is derived on read.
+    ``alpha0``, the sign at -T, is derived on read.  J is not stored
+    either: the log weights are the one per-path weight array, and at
+    r = delta they are (g^2/2) J.  So the arrays are the two sides' jumps
+    and offsets, the log weights and the two damped integrals: 8.8 MB at
+    delta = 0.5, g = 1 and 100 000 paths.
     """
 
     params: ModelParams
@@ -356,7 +367,6 @@ class WeightedPathEnsemble:
     right_jumps: np.ndarray
     right_offsets: np.ndarray
     log_weights: np.ndarray
-    interaction_full: np.ndarray
     damped_left: np.ndarray
     damped_right: np.ndarray
     seed: int
@@ -376,43 +386,71 @@ class WeightedPathEnsemble:
         """Pair interaction restricted to the mixed quadrant [-T,0] x [0,T]."""
         return self.damped_left * self.damped_right
 
+    def _weights(self) -> np.ndarray:
+        """w = exp(lw - max lw), the weights scaled to a largest of 1, in one array."""
+        lw = self.log_weights
+        w = np.subtract(lw, lw.max())
+        return np.exp(w, out=w)
+
     @cached_property
     def n_eff(self) -> float:
-        """Effective sample size of the log-weights, computed on first read."""
-        lw = self.log_weights
-        return float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
+        """Effective sample size (sum w)^2 / sum w^2, computed on first read.
+
+        Equal log weights give exactly ``n_samples``: every w is 1, so
+        both sums are exact and their ratio is n^2 / n.
+        """
+        w = self._weights()
+        total = w.sum()
+        return float(total**2 / np.square(w, out=w).sum())
 
     def normalized_weights(self) -> np.ndarray:
-        lw = self.log_weights
-        w = np.exp(lw - lw.max())
-        return w / w.sum()
+        """The weights divided by their sum, built in one array."""
+        w = self._weights()
+        w /= w.sum()
+        return w
 
     def weighted_mean(self, values: np.ndarray) -> tuple[complex, float]:
         """Self-normalized importance mean and linearized standard error.
 
-        A constant estimand is exact regardless of the weights and is
-        reported with zero error.
+        With normalized weights w the mean is sum w v and the standard error
+        sqrt(sum w^2 |v - mean|^2).  A constant estimand is exact regardless
+        of the weights and is reported with zero error.  ``values`` is left
+        as it is; the only scratch is the normalized weights and one real
+        residual buffer.  Complex values go through their real and
+        imaginary parts, each with its own sum, so no complex temporary is
+        made: the variance is the sum of the two parts' sums of w^2 r^2.
         """
         values = np.asarray(values)
         if np.all(values == values.flat[0]):
             return values.flat[0], 0.0
         w = self.normalized_weights()
-        mean = np.sum(w * values)
-        resid = values - mean
-        var = np.sum((w * np.abs(resid)) ** 2)
+        parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+        resid = np.empty_like(w)
+        means = [np.multiply(w, part, out=resid).sum() for part in parts]
+        var = 0.0
+        for part, mean in zip(parts, means):
+            np.subtract(part, mean, out=resid)
+            resid *= w  # w |r|, squared below, is (w r)^2: w >= 0
+            var += np.square(resid, out=resid).sum()
+        mean = means[0] if len(parts) == 1 else complex(*means)
         return mean, float(np.sqrt(var))
 
     def signs_at(self, time: float) -> np.ndarray:
-        """Sign of every path at a fixed time in [-T, T]."""
+        """Sign of every path at a fixed time in [-T, T], +1 or -1 in one array."""
         T = self.half_width
         if not -T <= time <= T:
             raise DomainError(f"time {time} outside [-{T}, {T}]")
         if time >= 0.0:
             flips = _count_upto(self.right_jumps, self.right_offsets, time)
-        else:
-            left = _count_upto(self.left_jumps, self.left_offsets, time)
-            flips = np.diff(self.left_offsets) - left
-        return np.where(flips % 2 == 0, 1.0, -1.0)
+        else:  # the left jumps after time, all less those up to it: all plus those, in parity
+            flips = _count_upto(self.left_jumps, self.left_offsets, time)
+            flips += self.left_offsets[1:]
+            flips -= self.left_offsets[:-1]
+        flips &= 1  # 1 after an odd number of flips
+        signs = flips.astype(float)
+        signs *= -2.0
+        signs += 1.0
+        return signs
 
 
 def build_ground_ensemble(
@@ -432,7 +470,10 @@ def build_ground_ensemble(
 
     Every per-path array is allocated once, at ``n_samples``, and the jumps
     of each side go to one buffer: each seed stream writes its slice, so
-    each path is written once and the jump arrays returned are views.
+    each path is written once and the jump arrays returned are views.  A
+    stream adds each side's J to its rows as soon as that side's rank pass
+    returns, so only one pass's state is alive at a time, and the log
+    weights are formed in place over J.
     """
     T = _horizon(params.delta, T)
     rate = _clock_rate(params)
@@ -448,15 +489,20 @@ def build_ground_ensemble(
         right = _sample_segments(rng, rate, T, chunk, 0.0)
         left_jumps = _write_batch(left_jumps, left_offsets, first, *left)
         right_jumps = _write_batch(right_jumps, right_offsets, first, *right)
-        (j_left,), u_left[rows] = _rank_pass(*left, -T, (0.0,))
+        # each J is a view of its pass's whole state: dropped before the next pass
+        (j_full[rows],), u_left[rows] = _rank_pass(*left, -T, (0.0,))
         (j_right,), v_right[rows] = _rank_pass(*right, 0.0, (T,))
-        j_full[rows] = j_left + j_right + 2.0 * u_left[rows] * v_right[rows]
-        del left, right, j_left, j_right  # freed before the next stream draws
+        j_full[rows] += j_right
+        del left, right, j_right  # freed before the next stream draws
+        j_full[rows] += 2.0 * u_left[rows] * v_right[rows]
         first += chunk
-    log_weights = 0.5 * params.g**2 * j_full
+    log_weights = j_full  # J becomes the log weights, in place
+    log_weights *= 0.5 * params.g**2
     if rate != params.delta:
-        counts = np.diff(left_offsets) + np.diff(right_offsets)
+        counts = np.diff(left_offsets)
+        counts += np.diff(right_offsets)
         log_weights += counts * np.log(params.delta / rate)
+        del counts  # before n_eff takes its scratch array
 
     ens = WeightedPathEnsemble(
         params=params,
@@ -467,7 +513,6 @@ def build_ground_ensemble(
         right_jumps=right_jumps[:right_offsets[-1]],
         right_offsets=right_offsets,
         log_weights=log_weights,
-        interaction_full=j_full,
         damped_left=u_left,
         damped_right=v_right,
         seed=seed,

@@ -165,11 +165,11 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
 
     Unlike the scalar oracles above it shares the sampler and the rank pass
     with ``rabizeta.paths``: it checks how the ensemble is assembled from
-    its streams, not the functionals themselves.  Returns the ensemble and
-    the sign of every path at -T, formed stream by stream as the ensemble
-    once stored it.  It draws on the clock ``paths._clock_rate`` gives and
-    adds the clock change m log(delta/r) to the log weights, as the
-    ensemble does.
+    its streams, not the functionals themselves.  Returns the ensemble, the
+    sign of every path at -T and the full square interaction J of every
+    path, both formed stream by stream as the ensemble once stored them.
+    It draws on the clock ``paths._clock_rate`` gives and adds the clock
+    change m log(delta/r) to the log weights, as the ensemble does.
     """
     if T is None:
         T = paths.default_horizon(params.delta)
@@ -202,7 +202,6 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
         params=params, half_width=float(T), rate=rate,
         left_jumps=left_jumps, left_offsets=left_offsets,
         right_jumps=right_jumps, right_offsets=right_offsets,
-        log_weights=log_weights, interaction_full=j_full,
-        damped_left=u_left, damped_right=v_right, seed=seed,
+        log_weights=log_weights, damped_left=u_left, damped_right=v_right, seed=seed,
     )
-    return ens, alpha0
+    return ens, alpha0, j_full

@@ -519,6 +519,28 @@ class TestFkCommand:
         meta = json.loads(text)["meta"]
         assert meta["clock_rate"] == paths._clock_rate(ModelParams(0.5, float(g)))
 
+    @pytest.mark.parametrize("n", ["1", "400"])
+    @pytest.mark.parametrize("leaf", [("xchar", "--beta", "0"), ("xsquare", "--beta", "0"),
+                                      ("gibbs", "--beta", "0"), ("spin-corr", "--lag", "0")])
+    def test_trivial_points_read_z_zero(self, tmp_path, leaf, n):
+        # every path gives exactly 1 (stderr 0); the ED value is 1 within its rounding
+        code, text = run_cli(tmp_path, "fk", *leaf, "--n", n, fmt="json")
+        assert code == 0
+        record = json.loads(text)
+        named = dict(zip(record["columns"], record["rows"][0]))
+        assert (named["value_re"], named["stderr"]) == (1.0, 0.0)
+        assert named["oracle_re"] != 1.0 and abs(named["oracle_re"] - 1.0) < 1e-15
+        assert named["z"] == 0.0
+
+    def test_one_path_misses_the_number_moment(self, tmp_path):
+        # one path: a constant estimand with stderr 0, far from the exact value
+        code, text = run_cli(tmp_path, "fk", "number", "--n", "1", fmt="json")
+        assert code == 0
+        record = json.loads(text)
+        named = dict(zip(record["columns"], record["rows"][0]))
+        assert named["stderr"] == 0.0
+        assert named["z"] == float("inf")
+
 
 class TestX1Command:
     def test_one_sample_is_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -665,14 +687,14 @@ class TestBatteryWorkingSets:
     """The battery's path ensemble lives only while its estimates are formed."""
 
     def test_fk_leaves_no_ensemble_and_x1_does_not_stack_on_it(self):
-        # at 1e5 paths the ensemble alone holds 9.6 MB: it must be garbage
+        # at 1e5 paths the ensemble alone holds 8.8 MB: it must be garbage
         # once fk returns, and x1's working set must not stack on it
         battery = cli.AcceptanceBattery(paths.DEFAULT_SEED, quick=False)
         battery.gs, battery.vacuum  # warm: built before the trace
         tracemalloc.start()
         try:
             battery.run("fk")
-            held, _ = tracemalloc.get_traced_memory()
+            held, fk_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             battery.run("x1")
             _, peak = tracemalloc.get_traced_memory()
@@ -680,6 +702,12 @@ class TestBatteryWorkingSets:
             tracemalloc.stop()
         assert held < 1e6
         assert peak < 12e6
+        # one lean working set each: the ensemble's arrays plus at most two
+        # per-path scratch arrays (15.4 MB before the estimators worked in
+        # place), and the X1 draws written straight into one (2, n) array
+        # with a KS statistic on one law array (9.7 MB before)
+        assert fk_peak <= 12.5e6
+        assert peak <= 8.5e6
 
     @staticmethod
     def spy_calls(monkeypatch, names):

@@ -1,5 +1,7 @@
 """Jump-path estimators against exact diagonalization and closed limits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,49 @@ class TestEnsembleEstimators:
     def test_resolvent_cross_moment(self, ens, gs):
         est = resolvent_cross_moment_fk(ens)
         assert est.z_score(resolvent_spin_norm(gs)) < 3
+
+
+class TestEnsembleWorkingSets:
+    """An ensemble estimator stacks at most 3.3 MB on the report's ensemble."""
+
+    ESTIMATES = {
+        "gibbs(-0.5)": lambda ens: gibbs_number_fk(ens, P_STD, -0.5),
+        "gibbs(i pi)": lambda ens: gibbs_number_fk(ens, P_STD, 1j * np.pi),
+        "number(1)": lambda ens: number_moments_fk(ens, P_STD, 1),
+        "number(2)": lambda ens: number_moments_fk(ens, P_STD, 2),
+        "xchar(1)": lambda ens: x_characteristic_fk(ens, P_STD, 1.0),
+        "xsquare(0.5)": lambda ens: gaussian_square_fk(ens, P_STD, 0.5),
+        "spin-corr(0.5)": lambda ens: spin_correlation_fk(ens, 0.25, -0.25),
+        "spin-corr(1)": lambda ens: spin_correlation_fk(ens, 0.5, -0.5),
+        "resolvent": resolvent_cross_moment_fk,
+    }
+
+    @pytest.fixture(scope="class")
+    def report_ens(self):
+        """The report's ensemble: 1e5 paths at delta = 0.5, g = 1, the default seed."""
+        return build_ground_ensemble(P_STD, 100_000)
+
+    @pytest.mark.parametrize("name", list(ESTIMATES))
+    def test_at_most_3_3_mb(self, report_ens, name):
+        # 3.2-5.6 MB when the per-path values were built out of place; at
+        # 1e5 paths a real per-path array is 0.8 MB, a complex one 1.6 MB
+        tracemalloc.start()
+        try:
+            self.ESTIMATES[name](report_ens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3e6
+
+    def test_weighted_mean_leaves_values_alone(self, ens):
+        values = np.exp(1j * ens.damped_left)
+        kept = values.copy()
+        mean, stderr = ens.weighted_mean(values)
+        assert values.tobytes() == kept.tobytes()
+        w = ens.normalized_weights()
+        assert mean == pytest.approx(np.sum(w * kept), rel=1e-14)
+        assert stderr == pytest.approx(np.sqrt(np.sum((w * np.abs(kept - mean)) ** 2)),
+                                       rel=1e-12)
 
 
 class TestReproducibility:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
-from scipy.special import logsumexp
 
 from path_oracles import (
     JumpPath,
@@ -480,13 +479,16 @@ class TestClockRate:
     def test_clock_at_delta_is_the_rate_delta_draw(self, monkeypatch):
         p = ModelParams(0.5, 1.0)
         free = build_ground_ensemble(ModelParams(0.5, 0.0), 2001, seed=32)  # drawn at delta
+        *_, j_free = reference_ground_ensemble(ModelParams(0.5, 0.0), 2001, seed=32)
         monkeypatch.setattr("rabizeta.paths._clock_rate", lambda params: params.delta)
         ens = build_ground_ensemble(p, 2001, seed=32)
+        *_, j = reference_ground_ensemble(p, 2001, seed=32)
         assert ens.rate == 0.5
         for name in ("left_jumps", "left_offsets", "right_jumps", "right_offsets",
-                     "interaction_full", "damped_left", "damped_right"):
+                     "damped_left", "damped_right"):
             assert getattr(ens, name).tobytes() == getattr(free, name).tobytes(), name
-        assert ens.log_weights.tobytes() == (0.5 * p.g**2 * ens.interaction_full).tobytes()
+        assert j.tobytes() == j_free.tobytes()
+        assert ens.log_weights.tobytes() == (0.5 * p.g**2 * j).tobytes()
 
     def test_clock_moves_only_the_variance(self, monkeypatch):
         p = ModelParams(0.5, 1.0)
@@ -510,27 +512,33 @@ class TestEnsemble:
         assert np.all(ens.log_weights == 0.0)
         assert ens.n_eff == pytest.approx(2000.0)
 
+    @pytest.mark.parametrize("n", [100, 1000, 100_000])
+    def test_n_eff_exact_at_zero_coupling(self, n):
+        # equal weights: (sum w)^2 / sum w^2 of n ones is n, with no rounding
+        assert build_ground_ensemble(ModelParams(0.5, 0.0), n).n_eff == n
+
     def test_weight_reflection_symmetry(self):
         # reflecting a path in time leaves its interaction integral unchanged
         ens = build_ground_ensemble(ModelParams(0.5, 1.0), 50, T=4.0, seed=22)
+        *_, j = reference_ground_ensemble(ModelParams(0.5, 1.0), 50, T=4.0, seed=22)
         for i, path in enumerate(ensemble_paths(ens)):
             mirrored = JumpPath(
                 alpha0=path.sign_at(path.horizon[1] - 1e-12),
                 horizon=path.horizon,
                 jumps=np.sort(-path.jumps),
             )
-            assert pair_interaction_energy(mirrored) == pytest.approx(
-                ens.interaction_full[i], abs=1e-9
-            )
+            assert pair_interaction_energy(mirrored) == pytest.approx(j[i], abs=1e-9)
 
     def test_functionals_match_per_path(self):
         p = ModelParams(0.7, 1.2)
         ens = build_ground_ensemble(p, 40, T=5.0, seed=23)
-        T = ens.half_width
+        *_, j = reference_ground_ensemble(p, 40, T=5.0, seed=23)
+        T, clock = ens.half_width, np.log(p.delta / ens.rate)
         for i, path in enumerate(ensemble_paths(ens)):
-            assert pair_interaction_energy(path) == pytest.approx(
-                ens.interaction_full[i], abs=1e-9
-            )
+            full = pair_interaction_energy(path)
+            assert full == pytest.approx(j[i], abs=1e-9)
+            assert 0.5 * p.g**2 * full + path.n_jumps * clock == pytest.approx(
+                ens.log_weights[i], abs=0.5 * p.g**2 * 1e-9)
             cross = pair_interaction_energy(path, square=((-T, 0.0), (0.0, T)))
             assert cross == pytest.approx(ens.cross_interaction[i], abs=1e-10)
             u = damped_sign_integral(path, -T, 0.0)
@@ -561,7 +569,8 @@ class TestEnsemble:
 
     def test_memory_peak(self):
         # every stream writes into the final arrays, and only one stream's
-        # draws and rank pass, under 12 MB at 100 000 paths, are alive at a time
+        # draws and one rank pass are alive at a time; the log weights are
+        # formed in place over J, and n_eff takes one scratch array
         tracemalloc.start()
         try:
             ens = build_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
@@ -570,9 +579,9 @@ class TestEnsemble:
             tracemalloc.stop()
         resident = sum(getattr(ens, field.name).nbytes for field in dataclasses.fields(ens)
                        if isinstance(getattr(ens, field.name), np.ndarray))
-        assert peak < resident + 12e6
-        # on the clock at the ground measure's jump rate: 9.6 MB, where rate delta held 14.4
-        assert resident <= 10.5e6
+        assert peak <= resident + 2.5e6
+        # on the clock at the ground measure's jump rate and without J: 8.8 MB
+        assert resident <= 9.0e6
 
     @pytest.mark.parametrize("n", [1, 3, 1001, 20_000])
     @pytest.mark.parametrize("delta", [0.5, 2.0])
@@ -580,13 +589,13 @@ class TestEnsemble:
     def test_same_bits_as_concatenated_streams(self, n, delta, T):
         p = ModelParams(delta, 0.8)
         self.assert_same_ensemble(build_ground_ensemble(p, n, T, seed=29),
-                                  *reference_ground_ensemble(p, n, T, seed=29))
+                                  *reference_ground_ensemble(p, n, T, seed=29)[:2])
 
     def test_same_bits_when_the_jump_buffers_grow(self, monkeypatch):
         monkeypatch.setattr("rabizeta.paths._jump_capacity", lambda rate, length, n: 1)
         p = ModelParams(0.5, 0.8)
         self.assert_same_ensemble(build_ground_ensemble(p, 1001, seed=30),
-                                  *reference_ground_ensemble(p, 1001, seed=30))
+                                  *reference_ground_ensemble(p, 1001, seed=30)[:2])
 
     @staticmethod
     def assert_same_ensemble(got, want, want_alpha0):
@@ -604,23 +613,24 @@ class TestEnsemble:
 
     def test_n_eff_is_computed_once(self):
         ens = build_ground_ensemble(ModelParams(0.5, 1.0), 1000, seed=31)
-        lw = ens.log_weights
-        assert ens.n_eff == float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
+        w = np.exp(ens.log_weights - ens.log_weights.max())
+        n_eff = float(w.sum() ** 2 / np.sum(w**2))
+        assert ens.n_eff == n_eff
         ens.log_weights = np.zeros(3)
-        assert ens.n_eff == float(np.exp(2.0 * logsumexp(lw) - logsumexp(2.0 * lw)))
+        assert ens.n_eff == n_eff
 
     def test_interactions_late_in_a_stream(self):
         # paths 12 000-12 499 are the second half of the first seed stream:
         # stream-wide prefix sums once missed their interaction by 1.7e-7
         ens = build_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
+        *_, j = reference_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
         T, alpha0 = ens.half_width, ens.alpha0
         for i in range(12_000, 12_500):
             left = ens.left_jumps[ens.left_offsets[i]:ens.left_offsets[i + 1]]
             right = ens.right_jumps[ens.right_offsets[i]:ens.right_offsets[i + 1]]
             path = JumpPath(alpha0=int(alpha0[i]), horizon=(-T, T),
                             jumps=np.concatenate([left, right]))
-            assert ens.interaction_full[i] == pytest.approx(pair_interaction_energy(path),
-                                                            rel=0.0, abs=1e-12)
+            assert j[i] == pytest.approx(pair_interaction_energy(path), rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
     def test_horizon_not_positive_and_finite(self, monkeypatch, T):
