@@ -10,13 +10,14 @@
 Each option is declared once, with its type and default, on the parser of
 the command that reads it (each ``fk`` quantity and each ``limits`` table is
 a command of its own), so an option a command does not read is a usage
-error; only ``--format`` and ``--output`` belong to every command.  The seed
-defaults to a fixed constant so identical invocations produce byte-identical
-data rows.  Output is CSV (default) or JSON; a record's meta holds the
-command's options and its digest covers them and the package sources; its
-quantity is the command's name (``limits/zeta``, ``fk/vacuum``) and its
-anchor string names the mathematical claim it exercises.  Only ``report``
-keeps a cache, in its ``--cache-dir``, keyed by that digest.
+error; only ``--format`` and ``--output`` belong to every command, and
+they too follow its name.  The seed defaults to a fixed constant so
+identical invocations produce byte-identical data rows.  Output is CSV
+(default) or JSON; a record's meta holds the command's options and its
+digest covers them and the package sources; its quantity is the command's
+name (``limits/zeta``, ``fk/vacuum``) and its anchor string names the
+mathematical claim it exercises.  Only ``report`` keeps a cache, in its
+``--cache-dir``, keyed by that digest.
 
 Exit codes: 0 success (possibly with warnings), 2 usage or constraint
 violation, 3 numerical nonconvergence, 4 a ``report`` check failed (the
@@ -444,10 +445,11 @@ class AcceptanceBattery:
               "fk", "x1", "pull-through", "parity", "kernels")
     # (variant, epsilon) rows of the zeta-limit group, in report order
     ZETA_LIMIT_CASES = (("full", 0.0), ("parity+", 0.0), ("parity-", 0.0), ("asymmetric", 0.25))
+    # Monte Carlo samples of every sampled check
+    N_MC = 100_000
 
-    def __init__(self, seed: int, quick: bool):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.n_mc = 20_000 if quick else 100_000
         self.params = ModelParams(0.5, 1.0)
 
     @cached_property
@@ -467,7 +469,7 @@ class AcceptanceBattery:
         ensemble is a local, garbage once they are formed.
         """
         p = self.params
-        ens = build_ground_ensemble(p, self.n_mc, seed=self.seed)
+        ens = build_ground_ensemble(p, self.N_MC, seed=self.seed)
         return {
             "gibbs(-0.5)": gibbs_number_fk(ens, p, -0.5),
             "gibbs(i pi)": gibbs_number_fk(ens, p, 1j * np.pi),
@@ -526,7 +528,7 @@ class AcceptanceBattery:
                        min(dev[(4.0, *lv)] for lv in levels), ok)]
 
     def _fk(self):
-        p, gs, n, seed = self.params, self.gs, self.n_mc, self.seed
+        p, gs, n, seed = self.params, self.gs, self.N_MC, self.seed
         # the estimators that draw their own paths run before the ensemble is built
         pairs = [
             ("vacuum", vacuum_element_fk(p, 1.0, n, seed), self.vacuum),
@@ -550,10 +552,10 @@ class AcceptanceBattery:
     def _x1(self):
         rows = []
         for delta in (0.5, 1.0, 2.0):
-            x1, x2 = sample_damped_sign_pair(delta, self.n_mc, self.seed)
+            x1, x2 = sample_damped_sign_pair(delta, self.N_MC, self.seed)
             pair = _pair_moment_rows(delta, x1, x2)
-            zs = [row["z"] for row in pair]
-            for m in (1, 2, 3, 4):
+            zs = [row["z"] for row in pair]  # E[X1^2], the m = 1 moment, among them
+            for m in (2, 3, 4):
                 draws = x1 ** (2 * m)
                 stderr = draws.std(ddof=1) / np.sqrt(draws.size)
                 zs.append(_z_score(draws.mean(), stderr, damped_sign_moment(delta, m)))
@@ -564,7 +566,7 @@ class AcceptanceBattery:
             rows.append(_check(f"x1-cov(delta={delta})", "sampled cov(X1,X2) is positive",
                                cov, 0.0, cov > 0))
             ks = damped_sign_ks(delta, x1)
-            crit = ks_critical_value(self.n_mc)
+            crit = ks_critical_value(self.N_MC)
             rows.append(_check(f"x1-law(delta={delta})",
                                "KS statistic below the 1% critical value", ks, crit))
         return rows
@@ -610,11 +612,11 @@ class AcceptanceBattery:
             f = mehler_kernel(t, x, grid) * mehler_kernel(s, grid, y)
             val = step * (f.sum() - 0.5 * (f[0] + f[-1]))
             comp = max(comp, abs(float(val) - float(mehler_kernel(t + s, x, y))))
-        rec = gaussian_overlap_element_fk(self.params, 1.0, 6, n_samples=self.n_mc,
+        rec = gaussian_overlap_element_fk(self.params, 1.0, 6, n_samples=self.N_MC,
                                           seed=self.seed)
         z = rec.z_score(self.vacuum)
         devs = [abs(heat_kernel_flip_sum(ModelParams(0.5, g), 1.0, 0.3, -0.2, 6,
-                                         n_samples=max(self.n_mc // 5, 4000),
+                                         n_samples=max(self.N_MC // 5, 4000),
                                          seed=self.seed).mean)
                 for g in (2.0, 6.0)]
         return [
@@ -626,17 +628,17 @@ class AcceptanceBattery:
         ]
 
 
-def acceptance_rows(seed: int, quick: bool) -> list[list]:
+def acceptance_rows(seed: int) -> list[list]:
     """Every row of every acceptance group, in battery order."""
-    battery = AcceptanceBattery(seed, quick)
+    battery = AcceptanceBattery(seed)
     return [row for group in battery.GROUPS for row in battery.run(group)]
 
 
 def cmd_report(args) -> ResultRecord:
     """The acceptance battery; the one subcommand that reads and writes the cache.
 
-    A record is stored under its digest, which covers the seed, ``--quick``
-    and the source fingerprint, so a cache hit is what this code computes.
+    A record is stored under its digest, which covers the seed and the
+    source fingerprint, so a cache hit is what this code computes.
     An entry is written whole or not at all; one that cannot be read or
     does not parse as a record is a miss, recomputed and overwritten.  An
     entry that cannot be replaced, such as a directory of its name, is a
@@ -656,7 +658,7 @@ def cmd_report(args) -> ResultRecord:
             raise ParameterError(f"cannot create the cache directory: {exc}") from exc
     report = _record(args, "acceptance battery: every check with pass/fail marks",
                      ["check", "anchor", "measured", "threshold", "status"],
-                     acceptance_rows(args.seed, args.quick))
+                     acceptance_rows(args.seed))
     if path:
         # a killed run leaves at most a stray partial file, never a partial entry
         partial = f"{path}.{os.getpid()}.partial"
@@ -733,20 +735,11 @@ _TIME = ("--t", {"type": float, "default": 1.0})
 _HORIZON = ("--T", {"type": float, "help": "path horizon half-width (default: from delta)"})
 
 
-def _add_global_options(parser, suppress: bool):
-    # duplicated on subparsers with SUPPRESS defaults so the flags are
-    # accepted on either side of the subcommand without clobbering
-    parser.add_argument("--format", choices=("csv", "json"),
-                        default=argparse.SUPPRESS if suppress else "csv")
-    parser.add_argument("--output", type=_output_path,
-                        default=argparse.SUPPRESS if suppress else None,
-                        help="write the record here instead of stdout")
-
-
 def _command(group, name: str, run, help: str, *options) -> argparse.ArgumentParser:
     """Add the parser of command ``name`` (``<group>/<leaf>`` for a leaf of a group)."""
     sp = group.add_parser(name.rsplit("/", 1)[-1], help=help)
-    _add_global_options(sp, suppress=True)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--output", type=_output_path, help="write the record here instead of stdout")
     declared = tuple(sp.add_argument(flag, **keywords).dest for flag, keywords in options)
     sp.set_defaults(command=_Command(name, run, declared))
     return sp
@@ -757,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rabizeta",
         description="spectra, spectral zeta functions, and jump-path Monte Carlo",
     )
-    _add_global_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     _command(sub, "spectrum", cmd_spectrum, "eigenvalue table", _DELTA, _G, _EPS,
              ("--levels", {"type": int, "default": 12}),
@@ -801,8 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _command(sub, "x1", cmd_x1, "damped sign integral laws",
              ("--delta", {"type": float, "default": 1.0}), _N, _SEED)
-    report = _command(sub, "report", cmd_report, "acceptance battery with pass/fail marks",
-                      _SEED, ("--quick", {"action": "store_true"}))
+    report = _command(sub, "report", cmd_report, "acceptance battery with pass/fail marks", _SEED)
     # how to run, not what is computed: outside the record's options and digest
     report.add_argument("--cache-dir", help="read and write the record here, under its digest")
     return parser

@@ -169,17 +169,17 @@ def ground_energy_fk(
         first += chunk
     weights *= 0.5 * params.g**2
     weights += params.delta * np.array(t_grid)[:, None]
-    weights = dict(zip(t_grid, weights))
 
-    series = []
-    stable = []
-    for t in t_grid:
-        lw = weights[t]
-        shift = lw.max()
-        w = np.exp(lw - shift)
-        n_eff = w.sum() ** 2 / np.sum(w**2)
-        log_mean = shift + np.log(w.mean()) + np.log(2.0)
-        series.append({"t": t, "log_element": float(log_mean), "n_eff": float(n_eff),
+    series, stable = [], []
+    reduced = {}  # per horizon: w = exp(lw - max lw) in place of its row, the shift, mean, n_eff
+    for t, w in zip(t_grid, weights):
+        shift = w.max()
+        np.exp(np.subtract(w, shift, out=w), out=w)
+        mean = w.mean()
+        n_eff = float(w.sum() ** 2 / np.sum(w**2))
+        reduced[t] = (w, shift, mean, n_eff)
+        log_mean = shift + np.log(mean) + np.log(2.0)
+        series.append({"t": t, "log_element": float(log_mean), "n_eff": n_eff,
                        "energy_running": float(-log_mean / t)})
         if n_eff >= _MIN_N_EFF:
             stable.append(t)
@@ -189,16 +189,11 @@ def ground_energy_fk(
         note = f"fewer than two horizons kept n_eff >= {_MIN_N_EFF}; using first pair"
         stable = t_grid[:2]
     t1, t2 = stable[-2], stable[-1]
-    lw1, lw2 = weights[t1], weights[t2]
-    shift1, shift2 = lw1.max(), lw2.max()
-    w1, w2 = np.exp(lw1 - shift1), np.exp(lw2 - shift2)
-    m1, m2 = w1.mean(), w2.mean()
+    (w1, shift1, m1, _), (w2, shift2, m2, n_eff_final) = reduced[t1], reduced[t2]
     energy = -((shift2 + np.log(m2)) - (shift1 + np.log(m1))) / (t2 - t1)
-    n = len(w1)
-    cov = np.cov(np.stack([w1, w2])) / n
+    cov = np.cov(np.stack([w1, w2])) / n_samples
     var = cov[0, 0] / m1**2 + cov[1, 1] / m2**2 - 2.0 * cov[0, 1] / (m1 * m2)
     stderr = float(np.sqrt(max(var, 0.0))) / (t2 - t1)
-    n_eff_final = float(w2.sum() ** 2 / np.sum(w2**2))
     return MCEstimate(
         float(energy), stderr, n_samples, seed, n_eff=n_eff_final, note=note,
         extras={"series": series, "pair": (t1, t2)},

@@ -252,27 +252,23 @@ def pair_moment_table(
 
 
 def _pair_moment_rows(delta: float, x1: np.ndarray, x2: np.ndarray) -> list[dict]:
-    """``pair_moment_table`` rows for draws already made."""
+    """``pair_moment_table`` rows for draws already made.
+
+    Each moment's draws are formed only while its row is, and the centred
+    product (x1 - mean x1)(x2 - mean x2) of the covariance row once.
+    """
     closed = closed_pair_moments(delta)
     n = float(len(x1))
-    samples = {
-        "E[X1]": x1,
-        "E[X1^2]": x1**2,
-        "E[X2]": x2,
-        "E[X2^2]": x2**2,
-        "E[X1*X2]": x1 * x2,
-    }
-    rows = []
-    for name, draw in samples.items():
-        mc = draw.mean()
-        stderr = draw.std(ddof=1) / np.sqrt(n)
-        rows.append({"moment": name, "closed": closed[name], "mc": float(mc),
-                     "stderr": float(stderr), "z": _z_score(mc, stderr, closed[name])})
-    cov_mc = float(np.mean((x1 - x1.mean()) * (x2 - x2.mean())))
-    spread = (x1 - x1.mean()) * (x2 - x2.mean()) - cov_mc
-    cov_err = float(np.sqrt(np.mean(spread**2) / n))
-    rows.append({
-        "moment": "cov(X1,X2)", "closed": closed["cov(X1,X2)"], "mc": cov_mc,
-        "stderr": cov_err, "z": _z_score(cov_mc, cov_err, closed["cov(X1,X2)"]),
-    })
-    return rows
+    sampled = []  # (moment, mean, stderr)
+    for name, draws in (("E[X1]", lambda: x1), ("E[X1^2]", lambda: x1**2), ("E[X2]", lambda: x2),
+                        ("E[X2^2]", lambda: x2**2), ("E[X1*X2]", lambda: x1 * x2)):
+        draw = draws()
+        sampled.append((name, draw.mean(), draw.std(ddof=1) / np.sqrt(n)))
+        del draw  # before the next moment's draws are formed
+    centred = x1 - x1.mean()
+    centred *= x2 - x2.mean()
+    cov_mc = float(np.mean(centred))
+    centred -= cov_mc  # the spread about the covariance, squared in place
+    sampled.append(("cov(X1,X2)", cov_mc, np.sqrt(np.mean(np.square(centred, out=centred)) / n)))
+    return [{"moment": name, "closed": closed[name], "mc": float(mc), "stderr": float(stderr),
+             "z": _z_score(mc, stderr, closed[name])} for name, mc, stderr in sampled]

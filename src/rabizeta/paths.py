@@ -160,10 +160,10 @@ def _rank_pass(jumps, offsets, lo, horizons, suppression=False):
     most first and stably, so the paths that still have a k-th jump are a
     prefix of the ranking.  Step k gathers that prefix's k-th jumps and
     advances each path by one block (or one jump), on contiguous slices of
-    the rows of one array; the results return to path order once, at the
-    end.  A path carries a few numbers, each updated by terms of size at
-    most about 1: no array over the jumps is formed, and nothing grows like
-    e^{hi - lo}.
+    the rows of one array; each result returns to path order once, that at
+    a horizon h < hi in the step that reaches h and the rest at the end.  A
+    path carries a few numbers, each updated by terms of size at most about
+    1: no array over the jumps is formed, and nothing grows like e^{hi - lo}.
 
     Path i has blocks j = 0..k_i on [s_j, e_j], with s_0 = lo, e_{k_i} = hi
     and its jumps between, of sign c_j = (-1)^j times that of the first.
@@ -186,13 +186,12 @@ def _rank_pass(jumps, offsets, lo, horizons, suppression=False):
       product of the 1 - m_i; its terms are at most e^{-s_j} - e^{-e_j},
       which sum to at most 1.  On [lo, 0] it is sum_j a_j = A after the last
       block, with c_{k_i} = 1, so c_{k_i + 1} = -1 and it is -B.
-    * Horizons h < hi in ``horizons``: the block j that holds h, the last
-      with s_j <= h, clipped to [s_j, h], ends the path, so
+    * Horizons h < hi in ``horizons``: the block j that holds h,
+      s_j <= h < e_j, clipped to [s_j, h], ends the path there, so
       J_h = 2 (h - lo) - 2 sum_{i<j} m_i (1 - B_i) - 2 m' (1 - B_j), with
-      m' = 1 - e^{-(h - s_j)}.  j is the number of jumps at or before h,
-      counted over the ranks before the pass, so step j keeps s_j, the
-      partial sum and B_j of the path for h, and every horizon comes from
-      the one pass.
+      m' = 1 - e^{-(h - s_j)}.  Step j reads it off the path's state before
+      advancing it: a jump at h starts the block that holds h, and a path
+      without jumps holds every h in its one block.
     * Vacuum suppression, with ``suppression``: for jumps x_1 < ... < x_k,
       xi = sum_{j,k} (-1)^{j+k} e^{-|x_j - x_k|} is the variance of
       S_k = sum_j (-1)^{j-1} X_{x_j} for a stationary Ornstein-Uhlenbeck
@@ -212,37 +211,26 @@ def _rank_pass(jumps, offsets, lo, horizons, suppression=False):
     n = offsets.size - 1
     counts = np.diff(offsets)
     most = int(counts.max(initial=0))
-    key = np.min_scalar_type(most)
     # a stable radix sort of a small unsigned key: most jumps first
-    order = np.argsort((most - counts).astype(key), kind="stable")
+    order = np.argsort((most - counts).astype(np.min_scalar_type(most)), kind="stable")
     more = (n - np.cumsum(np.bincount(counts, minlength=most + 1))).tolist()  # paths with > k jumps
     position = offsets[:-1][order]  # each ranked path's next jump
     hi, right = horizons[-1], lo >= 0.0
-    below = len(horizons) - 1  # horizons before hi
-    state = np.zeros((4 * below + 9, n))  # every row of the pass, in one array
+    state = np.zeros((len(horizons) + 8, n))  # every row of the pass, in one array
     start, total, prefix, damped, decay, end, shrink = state[:7]  # prefix: B, or R
-    out = state[7:9 + below]  # the interaction at each horizon, the damped integral
-    kept = state[9 + below:].reshape(below, 3, n)  # start, total and B at each h < hi
-    # the block that holds each h < hi: the jumps at or before h, counted by rank
-    cuts = np.reshape(horizons[:-1], (-1, 1))
-    blocks = np.zeros((below, n), key)
-    for k, ahead in enumerate(more[:-1] if below else ()):
-        blocks[:, :ahead] += jumps.take(position[:ahead] + k) <= cuts
-    held = []  # per horizon h < hi: the ranked paths by block, and where each block's run starts
-    for block in blocks:
-        bounds = [0] + np.cumsum(np.bincount(block, minlength=most + 1)).tolist()
-        held.append((np.argsort(block, kind="stable"), bounds))
+    out = state[7:]  # the interaction at each horizon, the damped integral
     start[:] = lo
     decay[:] = np.exp(-lo) if right else 0.0
     reach = n  # paths with at least k jumps: a block (or a jump) k to take
     for k, ahead in enumerate(more):
-        for (by_block, bounds), keep in zip(held, kept):
-            at = slice(bounds[k], bounds[k + 1])
-            np.take(state[:3], by_block[at], axis=1, out=keep[:, at])
         np.take(jumps, position[:ahead], out=end[:ahead], mode="clip")
         position[:ahead] += 1
         s = slice(0, ahead if suppression else reach)
         end[ahead:s.stop] = hi
+        for row, h in zip(out, horizons[:-1]):  # the ranked paths whose block k holds h
+            held = np.flatnonzero((start[s] <= h) & (h < end[s]))
+            cut = np.expm1(start[held] - h)  # -m'
+            row[order[held]] = total[held] + (1.0 - prefix[held]) * cut + (h - lo)
         np.subtract(start[s], end[s], out=shrink[s])  # -l
         start[s] = end[s]
         np.expm1(shrink[s], out=shrink[s])  # -m, or rho - 1
@@ -264,13 +252,6 @@ def _rank_pass(jumps, offsets, lo, horizons, suppression=False):
     if suppression:
         out[0][order] = total + prefix**2
         return out[0]
-    for row, h, (by_block, _), (begin, done, signed) in zip(out, horizons, held, kept):
-        np.expm1(np.subtract(begin, h, out=begin), out=begin)  # -m', as a pass that ends at h
-        np.subtract(1.0, signed, out=signed)
-        signed *= begin
-        done += signed
-        done += h - lo
-        row[order[by_block]] = done
     total += hi - lo
     out[-2][order] = total
     out[:-1] *= 2.0

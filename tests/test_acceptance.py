@@ -35,7 +35,7 @@ BUDGETS = {
 
 @pytest.fixture(scope="module")
 def battery():
-    return AcceptanceBattery(DEFAULT_SEED, quick=False)
+    return AcceptanceBattery(DEFAULT_SEED)
 
 
 def _hold(label, rows, started, budget):

@@ -23,7 +23,7 @@ from rabizeta.model import ModelParams
 
 def run_cli(tmp_path, *argv, fmt="csv"):
     out = tmp_path / "record.out"
-    code = main(["--format", fmt, "--output", str(out), *argv])
+    code = main([*argv, "--format", fmt, "--output", str(out)])
     text = out.read_text() if out.exists() else ""
     return code, text
 
@@ -98,7 +98,7 @@ OPTION_CASES = [
     (["fk", "spin-corr", "--n", "400"], {"delta", "g", "n", "seed", "T", "lag"}),
     (["fk", "dump", "--n", "40"], {"delta", "g", "n", "seed", "T", "out"}),
     (["x1", "--n", "2000"], {"delta", "n", "seed"}),
-    (["report", "--quick"], {"seed", "quick"}),
+    (["report"], {"seed"}),
 ]
 
 
@@ -107,7 +107,7 @@ OPTION_CASES = [
 def test_meta_is_the_parsed_options(tmp_path, monkeypatch, argv, declared):
     monkeypatch.chdir(tmp_path)
     # the report case checks its options, not the battery's rows
-    monkeypatch.setattr(cli, "acceptance_rows", lambda seed, quick: [])
+    monkeypatch.setattr(cli, "acceptance_rows", lambda seed: [])
     code, text = run_cli(tmp_path, *argv, fmt="json")
     assert code == 0
     record = json.loads(text)
@@ -125,7 +125,8 @@ def test_meta_is_the_parsed_options(tmp_path, monkeypatch, argv, declared):
 #: Usage errors: options a command does not read (``--cache-dir`` belongs to
 #: ``report`` alone), a group without its command (``limits`` with no table),
 #: retired spellings, which have no alias (``--table``, ``--config``,
-#: ``--no-compute`` and a value given to ``--quick``), a bad value, a bad
+#: ``--no-compute``, ``--quick`` with or without a value, and ``--format``
+#: before the command), a bad value, a bad
 #: choice, empty grids, output files in a directory that does not exist
 #: (``MISSING``) and a cache directory that cannot be created because a file
 #: stands in its path (``BLOCKED``).
@@ -156,9 +157,11 @@ USAGE_ERRORS = [
     ("spectrum", "--output", "MISSING"),
     ("--output", "MISSING", "limits"),
     ("fk", "dump", "--out", "MISSING"),
-    ("report", "--quick", "--cache-dir", "BLOCKED"),
+    ("report", "--cache-dir", "BLOCKED"),
     ("report", "--no-compute"),
+    ("report", "--quick"),
     ("report", "--quick=1"),
+    ("--format", "json", "spectrum"),
 ]
 
 
@@ -259,8 +262,9 @@ def test_readme_option_table_matches_the_parser(commands, flags):
     parser = cli.build_parser()
     leaves = _leaf_parsers(parser)
     for command in commands:
-        # every command also takes the top-level options (--format, --output, --help)
-        assert _flags(leaves[command]) - _flags(parser) == flags, command
+        # every command also takes --format and --output, after its name, and --help
+        declared = _flags(leaves[command]) - _flags(parser)
+        assert declared == flags | {"--format", "--output"}, command
 
 
 def test_readme_option_table_names_every_command():
@@ -604,28 +608,28 @@ class TestCache:
         # seed the cache with a fabricated report so no computation happens
         from rabizeta.cli import ResultRecord as RR, config_hash as ch
 
-        digest = ch("report", {"seed": 1, "quick": True})
+        digest = ch("report", {"seed": 1})
         fake = RR(config_hash=digest, quantity="report", anchor="cached",
                   columns=["check"], rows=[["cached-run"]], timestamp="t")
         (cache / f"{digest}.json").write_text(fake.to_json())
         out = tmp_path / "o.json"
-        code = main(["--format", "json", "--output", str(out),
-                     "report", "--cache-dir", str(cache), "--seed", "1", "--quick"])
+        code = main(["report", "--cache-dir", str(cache), "--seed", "1",
+                     "--format", "json", "--output", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["rows"] == [["cached-run"]]
 
     def test_report_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         failing = [["forced", "a check that fails", 1.0, 0.0, "FAIL"]]
-        monkeypatch.setattr(cli, "acceptance_rows", lambda seed, quick: failing)
+        monkeypatch.setattr(cli, "acceptance_rows", lambda seed: failing)
         out = tmp_path / "o.json"
-        argv = ["--format", "json", "--output", str(out),
-                "report", "--cache-dir", str(tmp_path / "cache"), "--seed", "3", "--quick"]
+        argv = ["report", "--cache-dir", str(tmp_path / "cache"), "--seed", "3",
+                "--format", "json", "--output", str(out)]
         assert main(argv) == 4
         cold = json.loads(out.read_text())
         assert cold["rows"][0][-1] == "FAIL"
         assert len(os.listdir(tmp_path / "cache")) == 1
 
-        def recompute(seed, quick):
+        def recompute(seed):
             raise AssertionError("cached report recomputed")
 
         monkeypatch.setattr(cli, "acceptance_rows", recompute)
@@ -637,31 +641,31 @@ class TestCache:
         # a record cached by different code must not be served to this code
         calls = []
 
-        def stub(seed, quick):
-            calls.append((seed, quick))
+        def stub(seed):
+            calls.append(seed)
             return [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
 
         monkeypatch.setattr(cli, "acceptance_rows", stub)
-        argv = ["--format", "json", "--output", str(tmp_path / "o.json"),
-                "report", "--cache-dir", str(tmp_path / "cache"), "--seed", "6", "--quick"]
+        argv = ["report", "--cache-dir", str(tmp_path / "cache"), "--seed", "6",
+                "--format", "json", "--output", str(tmp_path / "o.json")]
         with monkeypatch.context() as older:
             older.setattr(cli, "_source_fingerprint", lambda: "older sources")
             assert main(argv) == 0
         assert main(argv) == 0
-        assert calls == [(6, True), (6, True)]
+        assert calls == [6, 6]
         assert len(os.listdir(tmp_path / "cache")) == 2
 
     def test_truncated_entry_is_recomputed(self, tmp_path, monkeypatch):
         # a run killed while writing must not break every later run with its options
         passing = [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
-        monkeypatch.setattr(cli, "acceptance_rows", lambda seed, quick: passing)
+        monkeypatch.setattr(cli, "acceptance_rows", lambda seed: passing)
         cache = tmp_path / "cache"
         cache.mkdir()
-        entry = cache / f"{config_hash('report', {'seed': 7, 'quick': True})}.json"
+        entry = cache / f"{config_hash('report', {'seed': 7})}.json"
         entry.write_text('{"config_hash": "x", "rows": [')
         out = tmp_path / "o.json"
-        assert main(["--format", "json", "--output", str(out),
-                     "report", "--cache-dir", str(cache), "--seed", "7", "--quick"]) == 0
+        assert main(["report", "--cache-dir", str(cache), "--seed", "7",
+                     "--format", "json", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["rows"] == passing
         assert ResultRecord.from_json(entry.read_text()).rows == passing
         assert os.listdir(cache) == [entry.name]
@@ -670,12 +674,12 @@ class TestCache:
                                                            capsys):
         # unreadable: a miss; irreplaceable: one error line, exit 2, no partial file left
         passing = [["stub", "a check that passes", 0.0, 1.0, "PASS"]]
-        monkeypatch.setattr(cli, "acceptance_rows", lambda seed, quick: passing)
+        monkeypatch.setattr(cli, "acceptance_rows", lambda seed: passing)
         cache = tmp_path / "cache"
-        entry = cache / f"{config_hash('report', {'seed': 8, 'quick': True})}.json"
+        entry = cache / f"{config_hash('report', {'seed': 8})}.json"
         entry.mkdir(parents=True)
-        code = main(["--output", str(tmp_path / "o.csv"),
-                     "report", "--cache-dir", str(cache), "--seed", "8", "--quick"])
+        code = main(["report", "--cache-dir", str(cache), "--seed", "8",
+                     "--output", str(tmp_path / "o.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and entry.name in err
@@ -689,7 +693,7 @@ class TestBatteryWorkingSets:
     def test_fk_leaves_no_ensemble_and_x1_does_not_stack_on_it(self):
         # at 1e5 paths the ensemble alone holds 8.8 MB: it must be garbage
         # once fk returns, and x1's working set must not stack on it
-        battery = cli.AcceptanceBattery(paths.DEFAULT_SEED, quick=False)
+        battery = cli.AcceptanceBattery(paths.DEFAULT_SEED)
         battery.gs, battery.vacuum  # warm: built before the trace
         tracemalloc.start()
         try:
@@ -723,16 +727,18 @@ class TestBatteryWorkingSets:
         return calls
 
     def test_fk_draws_its_own_paths_before_the_ensemble(self, monkeypatch):
+        monkeypatch.setattr(cli.AcceptanceBattery, "N_MC", 20_000)
         calls = self.spy_calls(monkeypatch, ["vacuum_element_fk", "partition_fk",
                                              "ground_energy_fk", "build_ground_ensemble"])
-        cli.AcceptanceBattery(paths.DEFAULT_SEED, quick=True).run("fk")
+        cli.AcceptanceBattery(paths.DEFAULT_SEED).run("fk")
         assert calls == ["vacuum_element_fk", "partition_fk", "ground_energy_fk",
                          "build_ground_ensemble"]
 
     @pytest.mark.parametrize("groups", [("fk", "parity"), ("parity", "fk"), ("parity",)])
     def test_one_ensemble_whatever_the_groups(self, monkeypatch, groups):
+        monkeypatch.setattr(cli.AcceptanceBattery, "N_MC", 20_000)
         calls = self.spy_calls(monkeypatch, ["build_ground_ensemble"])
-        battery = cli.AcceptanceBattery(paths.DEFAULT_SEED, quick=True)
+        battery = cli.AcceptanceBattery(paths.DEFAULT_SEED)
         for group in groups:
             battery.run(group)
         assert calls == ["build_ground_ensemble"]

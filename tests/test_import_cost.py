@@ -24,7 +24,8 @@ def test_kernel_checks_do_not_load_scipy_integrate():
     code = ("import sys\n"
             "from rabizeta.cli import AcceptanceBattery\n"
             "from rabizeta.paths import DEFAULT_SEED\n"
-            "rows = AcceptanceBattery(DEFAULT_SEED, quick=True).run('kernels')\n"
+            "AcceptanceBattery.N_MC = 20_000\n"
+            "rows = AcceptanceBattery(DEFAULT_SEED).run('kernels')\n"
             "assert all(row[-1] == 'PASS' for row in rows), rows\n"
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

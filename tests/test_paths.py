@@ -399,6 +399,21 @@ class TestBlockPassBits:
         jumps, offsets = _sample_segments(rng, 0.5, 12.0, 2000, -12.0)
         check_stream(jumps, offsets, -12.0, 0.0, np.where(np.diff(offsets) % 2 == 0, 1, -1))
 
+    def test_horizons_need_no_side_tables(self):
+        # each horizon h < hi is read off the pass in the step whose block
+        # holds h, so the pass holds one row per horizon beside its working
+        # rows: 2.85 MB traced when it also counted blocks before the pass
+        # and kept three saved-state rows per horizon
+        rng = np.random.default_rng(9)
+        jumps, offsets = _sample_segments(rng, 0.5, 10.0, 12_500, 0.0)
+        tracemalloc.start()
+        try:
+            _rank_pass(jumps, offsets, 0.0, (4.0, 6.0, 8.0, 10.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8e6
+
 
 class TestDampedIntegral:
     def test_vs_quadrature(self):
