@@ -554,11 +554,14 @@ class AcceptanceBattery:
         for delta in (0.5, 1.0, 2.0):
             x1, x2 = sample_damped_sign_pair(delta, self.N_MC, self.seed)
             pair = _pair_moment_rows(delta, x1, x2)
+            x1 = x1.copy()  # x1 and x2 are the rows of one array: it goes with x2
+            del x2
             zs = [row["z"] for row in pair]  # E[X1^2], the m = 1 moment, among them
             for m in (2, 3, 4):
                 draws = x1 ** (2 * m)
                 stderr = draws.std(ddof=1) / np.sqrt(draws.size)
                 zs.append(_z_score(draws.mean(), stderr, damped_sign_moment(delta, m)))
+                del draws  # before the next moment's draws, and the KS
             rows.append(_check(f"x1-moments(delta={delta})",
                                "closed pair moments and E[X1^2m] for m<=4 within 3 sigma",
                                max(zs), 3.0))
@@ -566,6 +569,7 @@ class AcceptanceBattery:
             rows.append(_check(f"x1-cov(delta={delta})", "sampled cov(X1,X2) is positive",
                                cov, 0.0, cov > 0))
             ks = damped_sign_ks(delta, x1)
+            del x1  # before the next delta draws
             crit = ks_critical_value(self.N_MC)
             rows.append(_check(f"x1-law(delta={delta})",
                                "KS statistic below the 1% critical value", ks, crit))
@@ -679,10 +683,21 @@ def cmd_report(args) -> ResultRecord:
 
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ``ParameterError``, which ``main`` turns into exit 2
-    and one stderr line, and matches option names only in full."""
+    and one stderr line, and matches option names only in full.
+
+    A parser with commands refuses an option before the command name: argparse
+    would read that option's value as the command.
+    """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if (self._subparsers is not None and args and args[0].startswith("-")
+                and args[0] not in ("-h", "--help")):
+            self.error(f"{args[0]} comes before the command: options follow the command name")
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise ParameterError(f"{self.prog}: {message}")

@@ -153,6 +153,13 @@ def ground_energy_fk(
     effective sample size stays at or above ``_MIN_N_EFF``, which cancels the
     overlap prefactor exactly.  The full horizon series is attached for
     extrapolation diagnostics.
+
+    No per-path row spans the sample: as each stream's rank pass returns,
+    its weights w = exp(lw - max lw), with the maximum taken over the
+    stream, are reduced per horizon to their sum and their centred cross
+    sums with every horizon, and the streams merge, rescaled to the overall
+    maximum, by the exact shift identity
+    sum (w_i - m_i)(w_j - m_j) = sum_b C_b,ij + n_b (m_b,i - m_i)(m_b,j - m_j).
     """
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 2:
@@ -161,41 +168,53 @@ def ground_energy_fk(
         _check_time(t)
     if len(set(t_grid)) < len(t_grid):
         raise ParameterError(f"t_grid repeats a horizon: {t_grid}")
-    weights = np.empty((len(t_grid), n_samples))  # the interactions, then the log weights
-    first = 0
+    horizons = np.array(t_grid)
+    streams = []  # per stream: its size and, per horizon, its shift, sum and centred cross sums
     for chunk, rng in _seed_streams(seed, n_samples):
         jumps, offsets = _sample_segments(rng, params.delta, t_grid[-1], chunk, 0.0)
-        weights[:, first:first + chunk] = _rank_pass(jumps, offsets, 0.0, t_grid)[0]
-        first += chunk
-    weights *= 0.5 * params.g**2
-    weights += params.delta * np.array(t_grid)[:, None]
+        w = _rank_pass(jumps, offsets, 0.0, t_grid)[0]  # the interactions, then the weights
+        w *= 0.5 * params.g**2
+        w += params.delta * horizons[:, None]
+        shift = w.max(axis=1)
+        np.exp(np.subtract(w, shift[:, None], out=w), out=w)
+        total = w.sum(axis=1)
+        w -= (total / chunk)[:, None]
+        cross = np.array([[np.multiply(a, b).sum() for b in w] for a in w])
+        streams.append((chunk, shift, total, cross))
+        del jumps, offsets, w  # w is a view of its pass's whole state: freed before the next draw
+
+    # w = exp(lw - max lw) over all paths: stream b's weights times exp(shift_b - shift)
+    shift = np.max([stream[1] for stream in streams], axis=0)
+    scales = [np.exp(stream[1] - shift) for stream in streams]
+    mean = sum(f * total for f, (_, _, total, _) in zip(scales, streams)) / n_samples
+    cross = 0.0  # sum (w_i - mean_i)(w_j - mean_j), merged with the exact shift identity
+    for f, (chunk, _, total, stream_cross) in zip(scales, streams):
+        d = f * total / chunk - mean
+        cross = cross + np.outer(f, f) * stream_cross + chunk * np.outer(d, d)
+    # (sum w)^2 / sum w^2, with sum w^2 = sum (w - mean)^2 + n mean^2
+    n_effs = (n_samples * mean) ** 2 / (np.diagonal(cross) + n_samples * mean**2)
 
     series, stable = [], []
-    reduced = {}  # per horizon: w = exp(lw - max lw) in place of its row, the shift, mean, n_eff
-    for t, w in zip(t_grid, weights):
-        shift = w.max()
-        np.exp(np.subtract(w, shift, out=w), out=w)
-        mean = w.mean()
-        n_eff = float(w.sum() ** 2 / np.sum(w**2))
-        reduced[t] = (w, shift, mean, n_eff)
-        log_mean = shift + np.log(mean) + np.log(2.0)
-        series.append({"t": t, "log_element": float(log_mean), "n_eff": n_eff,
+    for i, t in enumerate(t_grid):
+        log_mean = shift[i] + np.log(mean[i]) + np.log(2.0)
+        series.append({"t": t, "log_element": float(log_mean), "n_eff": float(n_effs[i]),
                        "energy_running": float(-log_mean / t)})
-        if n_eff >= _MIN_N_EFF:
-            stable.append(t)
+        if n_effs[i] >= _MIN_N_EFF:
+            stable.append(i)
 
     note = ""
     if len(stable) < 2:
         note = f"fewer than two horizons kept n_eff >= {_MIN_N_EFF}; using first pair"
-        stable = t_grid[:2]
-    t1, t2 = stable[-2], stable[-1]
-    (w1, shift1, m1, _), (w2, shift2, m2, n_eff_final) = reduced[t1], reduced[t2]
-    energy = -((shift2 + np.log(m2)) - (shift1 + np.log(m1))) / (t2 - t1)
-    cov = np.cov(np.stack([w1, w2])) / n_samples
-    var = cov[0, 0] / m1**2 + cov[1, 1] / m2**2 - 2.0 * cov[0, 1] / (m1 * m2)
+        stable = [0, 1]
+    i, j = stable[-2], stable[-1]
+    t1, t2 = t_grid[i], t_grid[j]
+    energy = -((shift[j] + np.log(mean[j])) - (shift[i] + np.log(mean[i]))) / (t2 - t1)
+    cov = cross / ((n_samples - 1.0) * n_samples)
+    var = (cov[i, i] / mean[i] ** 2 + cov[j, j] / mean[j] ** 2
+           - 2.0 * cov[i, j] / (mean[i] * mean[j]))
     stderr = float(np.sqrt(max(var, 0.0))) / (t2 - t1)
     return MCEstimate(
-        float(energy), stderr, n_samples, seed, n_eff=n_eff_final, note=note,
+        float(energy), stderr, n_samples, seed, n_eff=float(n_effs[j]), note=note,
         extras={"series": series, "pair": (t1, t2)},
     )
 
@@ -205,7 +224,8 @@ def ground_energy_fk(
 # ---------------------------------------------------------------------------
 
 
-def _ensemble_estimate(ens: WeightedPathEnsemble, values: np.ndarray) -> MCEstimate:
+def _ensemble_estimate(ens: WeightedPathEnsemble, values) -> MCEstimate:
+    """The weighted mean of ``values(paths)``, formed one slice of paths at a time."""
     mean, stderr = ens.weighted_mean(values)
     if abs(mean.imag) < 1e-300:
         mean = mean.real
@@ -219,12 +239,16 @@ def gibbs_number_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: comple
     mixed-quadrant interaction; beta = i pi gives the number parity.
     """
     factor = -params.g**2 * (1.0 - np.exp(beta))
-    values = ens.cross_interaction
-    if np.iscomplexobj(factor):
-        values = values * factor
-    else:
-        values *= factor
-    return _ensemble_estimate(ens, np.exp(values, out=values))
+
+    def values(paths):
+        v = ens.cross_interaction(paths)
+        if np.iscomplexobj(factor):
+            v = v * factor
+        else:
+            v *= factor
+        return np.exp(v, out=v)
+
+    return _ensemble_estimate(ens, values)
 
 
 def stirling2(m: int, l: int) -> int:
@@ -254,25 +278,28 @@ def number_moments_fk(ens: WeightedPathEnsemble, params: ModelParams, m: int) ->
     reflects the full covariance between powers of the cross integral.
     """
     _check_moment_order(m)
-    jc = ens.cross_interaction
-    power = jc  # Jc^l, one running power
-    values = np.zeros_like(jc)
-    for l in range(1, m + 1):
-        if l > 1:
-            power = power * jc
-        coefficient = stirling2(m, l) * params.g ** (2 * l)
-        if l < m:
-            values += coefficient * power
-        else:  # the last power is not needed again: scaled in place
-            power *= coefficient
-            values += power
-    del jc, power  # freed before the weighted mean takes its scratch
+
+    def values(paths):
+        jc = ens.cross_interaction(paths)
+        power = jc  # Jc^l, one running power
+        v = np.zeros_like(jc)
+        for l in range(1, m + 1):
+            if l > 1:
+                power = power * jc
+            coefficient = stirling2(m, l) * params.g ** (2 * l)
+            if l < m:
+                v += coefficient * power
+            else:  # the last power is not needed again: scaled in place
+                power *= coefficient
+                v += power
+        return v
+
     return _ensemble_estimate(ens, values)
 
 
-def position_shift(ens: WeightedPathEnsemble, params: ModelParams) -> np.ndarray:
-    """Per-path Gaussian shift -(g/sqrt 2) * int T_s e^{-|s|} ds."""
-    k = np.add(ens.damped_left, ens.damped_right)
+def position_shift(ens: WeightedPathEnsemble, params: ModelParams, paths: slice) -> np.ndarray:
+    """Gaussian shift -(g/sqrt 2) * int T_s e^{-|s|} ds of every path of ``paths``."""
+    k = np.add(ens.damped_left[paths], ens.damped_right[paths])
     k *= -params.g / np.sqrt(2.0)
     return k
 
@@ -285,10 +312,13 @@ def x_characteristic_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: fl
     the per-path contribution is cos(beta K), keeping the estimator exactly
     real where the observable is.
     """
-    values = position_shift(ens, params)
-    values *= beta
-    np.cos(values, out=values)
-    values *= np.exp(-(beta**2) / 4.0)
+    def values(paths):
+        v = position_shift(ens, params, paths)
+        v *= beta
+        np.cos(v, out=v)
+        v *= np.exp(-(beta**2) / 4.0)
+        return v
+
     return _ensemble_estimate(ens, values)
 
 
@@ -296,12 +326,16 @@ def gaussian_square_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: flo
     """<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>, |beta| < 1."""
     if abs(beta) >= 1:
         raise DomainError(f"<exp(beta x^2)> requires |beta| < 1, got {beta}")
-    values = position_shift(ens, params)
-    np.square(values, out=values)
-    values *= beta
-    values /= 1.0 - beta
-    np.exp(values, out=values)
-    values /= np.sqrt(1.0 - beta)
+
+    def values(paths):
+        v = position_shift(ens, params, paths)
+        np.square(v, out=v)
+        v *= beta
+        v /= 1.0 - beta
+        np.exp(v, out=v)
+        v /= np.sqrt(1.0 - beta)
+        return v
+
     return _ensemble_estimate(ens, values)
 
 
@@ -321,8 +355,12 @@ def spin_correlation_fk(ens: WeightedPathEnsemble, t: float, s: float) -> MCEsti
     of the finite horizon stay negligible.
     """
     _check_edge_guard(ens.half_width, t, s)
-    values = ens.signs_at(t)
-    values *= ens.signs_at(s)
+
+    def values(paths):
+        v = ens.signs_at(t, paths)
+        v *= ens.signs_at(s, paths)
+        return v
+
     return _ensemble_estimate(ens, values)
 
 

@@ -195,21 +195,29 @@ def damped_sign_ks(delta: float, samples: np.ndarray) -> float:
     wider cells this is the plain statistic, bit for bit as
     ``scipy.stats.kstest`` forms it.
 
-    The edges are evaluated only on the cells that ``_may_be_wide``.
+    The edges are evaluated only on the cells that ``_may_be_wide``.  The
+    distinct values and their counts come from the run boundaries of one
+    sorted copy of the samples.
     """
     n = samples.size
-    values, ecdf = np.unique(samples, return_counts=True)
+    values = np.sort(samples)
+    last = np.empty(n, dtype=bool)  # the last sample of each run of equal values
+    np.not_equal(values[1:], values[:-1], out=last[:-1])
+    last[-1] = True
+    values = values[last]
     law = damped_sign_cdf(delta, values)
-    upper = np.flatnonzero(values > 0)
-    upper = upper[_may_be_wide(delta, values[upper])]
+    positive = np.searchsorted(values, 0.0, side="right")  # the values are ascending
+    upper = positive + np.flatnonzero(_may_be_wide(delta, values[positive:]))
     v = values[upper]
     surv_lo = _damped_sign_survival_near_one(delta, 1.0 - v + (v - np.nextafter(v, -2.0)) / 2.0)
     surv_hi = _damped_sign_survival_near_one(
         delta, np.maximum(1.0 - v - (np.nextafter(v, 2.0) - v) / 2.0, 0.0))
     wide = surv_lo - surv_hi > _CELL_MASS
     cells, law_lo, law_hi = upper[wide], 1.0 - surv_lo[wide], 1.0 - surv_hi[wide]
-    del values
-    np.cumsum(ecdf, out=ecdf)  # samples at or below each value
+    del values, upper, v, surv_lo, surv_hi, wide
+    ecdf = np.flatnonzero(last)  # each value's last sample: one past it counts those at or below
+    del last
+    ecdf += 1
     gap = np.divide(ecdf, n, out=np.empty_like(law))  # F_n(v)
     at_cells = gap[cells]
     gap -= law

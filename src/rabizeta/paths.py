@@ -28,6 +28,7 @@ stream order, so a fixed (seed, n_samples, params) gives identical bits.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,10 +69,16 @@ def _seed_streams(seed: int, n_samples: int, *key: int):
     their variances add.
     """
     _check_draws(seed, n_samples)
-    base, extra = divmod(n_samples, N_STREAMS)
-    for stream in range(min(n_samples, N_STREAMS)):
+    for stream, paths in enumerate(_stream_slices(n_samples)):
         sequence = np.random.SeedSequence(seed, spawn_key=(*key, stream))
-        yield base + (stream < extra), np.random.Generator(np.random.PCG64(sequence))
+        yield paths.stop - paths.start, np.random.Generator(np.random.PCG64(sequence))
+
+
+def _stream_slices(n_samples: int) -> list[slice]:
+    """The samples each stream of ``_seed_streams`` draws, as slices, in stream order."""
+    base, extra = divmod(n_samples, N_STREAMS)
+    return [slice(i * base + min(i, extra), (i + 1) * base + min(i + 1, extra))
+            for i in range(min(n_samples, N_STREAMS))]
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +121,15 @@ def _write_batch(buffer, offsets, first, jumps, batch_offsets) -> np.ndarray:
 
     The batch's jumps go to ``buffer`` from ``offsets[first]`` on, and its
     offsets, shifted there, to ``offsets[first + 1:]``.  A buffer without
-    room is replaced by one at least twice its size holding the same jumps.
+    room is replaced by one at least twice its size holding the same jumps;
+    a batch whose jumps would end past the range of ``offsets``' integers
+    raises ``ParameterError`` first.
     """
     filled = int(offsets[first])
     end = filled + jumps.size
     if end > buffer.size:
+        if end > np.iinfo(offsets.dtype).max:
+            raise ParameterError(f"{end} jumps overflow {offsets.dtype} offsets")
         grown = np.empty(max(2 * buffer.size, end))
         grown[:filled] = buffer[:filled]
         buffer = grown
@@ -336,8 +347,13 @@ class WeightedPathEnsemble:
     ``alpha0``, the sign at -T, is derived on read.  J is not stored
     either: the log weights are the one per-path weight array, and at
     r = delta they are (g^2/2) J.  So the arrays are the two sides' jumps
-    and offsets, the log weights and the two damped integrals: 8.8 MB at
-    delta = 0.5, g = 1 and 100 000 paths.
+    and int32 offsets, the log weights and the two damped integrals:
+    8.0 MB at delta = 0.5, g = 1 and 100 000 paths.
+
+    The paths are stored stream by stream, and an expectation is reduced
+    one stream's slice of paths at a time (``weighted_mean``): an estimate's
+    per-path values never exist at full length, and each estimate stacks
+    0.6 to 0.8 MB of traced allocations on that ensemble.
     """
 
     params: ModelParams
@@ -362,71 +378,96 @@ class WeightedPathEnsemble:
         """Sign of every path at -T: +1 after an even number of left jumps."""
         return np.where(np.diff(self.left_offsets) % 2 == 0, 1, -1)
 
-    @property
-    def cross_interaction(self) -> np.ndarray:
-        """Pair interaction restricted to the mixed quadrant [-T,0] x [0,T]."""
-        return self.damped_left * self.damped_right
-
-    def _weights(self) -> np.ndarray:
-        """w = exp(lw - max lw), the weights scaled to a largest of 1, in one array."""
-        lw = self.log_weights
-        w = np.subtract(lw, lw.max())
-        return np.exp(w, out=w)
+    def cross_interaction(self, paths: slice = slice(None)) -> np.ndarray:
+        """Pair interaction of ``paths`` restricted to the mixed quadrant [-T,0] x [0,T]."""
+        return self.damped_left[paths] * self.damped_right[paths]
 
     @cached_property
     def n_eff(self) -> float:
         """Effective sample size (sum w)^2 / sum w^2, computed on first read.
 
-        Equal log weights give exactly ``n_samples``: every w is 1, so
-        both sums are exact and their ratio is n^2 / n.
+        w = exp(lw - max lw), in one array.  Equal log weights give exactly
+        ``n_samples``: every w is 1, so both sums are exact and their ratio
+        is n^2 / n.
         """
-        w = self._weights()
+        lw = self.log_weights
+        w = np.subtract(lw, lw.max())
+        np.exp(w, out=w)
         total = w.sum()
         return float(total**2 / np.square(w, out=w).sum())
 
-    def normalized_weights(self) -> np.ndarray:
-        """The weights divided by their sum, built in one array."""
-        w = self._weights()
-        w /= w.sum()
-        return w
-
-    def weighted_mean(self, values: np.ndarray) -> tuple[complex, float]:
+    def weighted_mean(self, values: Callable[[slice], np.ndarray]) -> tuple[complex, float]:
         """Self-normalized importance mean and linearized standard error.
 
-        With normalized weights w the mean is sum w v and the standard error
-        sqrt(sum w^2 |v - mean|^2).  A constant estimand is exact regardless
-        of the weights and is reported with zero error.  ``values`` is left
-        as it is; the only scratch is the normalized weights and one real
-        residual buffer.  Complex values go through their real and
-        imaginary parts, each with its own sum, so no complex temporary is
-        made: the variance is the sum of the two parts' sums of w^2 r^2.
-        """
-        values = np.asarray(values)
-        if np.all(values == values.flat[0]):
-            return values.flat[0], 0.0
-        w = self.normalized_weights()
-        parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
-        resid = np.empty_like(w)
-        means = [np.multiply(w, part, out=resid).sum() for part in parts]
-        var = 0.0
-        for part, mean in zip(parts, means):
-            np.subtract(part, mean, out=resid)
-            resid *= w  # w |r|, squared below, is (w r)^2: w >= 0
-            var += np.square(resid, out=resid).sum()
-        mean = means[0] if len(parts) == 1 else complex(*means)
-        return mean, float(np.sqrt(var))
+        ``values(paths)`` returns the values of the paths of one slice, the
+        samples of one stream of ``_seed_streams``; it is called once per
+        stream, in stream order, and what it returns is left as it is.  With
+        w = exp(lw - max lw) and W = sum w, the mean is m = sum w v / W and
+        the standard error sqrt(sum w^2 (v - m)^2) / W, complex values taken
+        as their real and imaginary parts, whose sums add.  A constant
+        estimand is exact regardless of the weights and is reported with
+        zero error.
 
-    def signs_at(self, time: float) -> np.ndarray:
-        """Sign of every path at a fixed time in [-T, T], +1 or -1 in one array."""
+        Slice b gives, about its own rounded mean m_b = S_b / W_b, the sums
+        W_b = sum w, S_b = sum w v, Q_b = sum w^2, and of its residuals
+        r = v - m_b the sums T_b = sum w r, P_b = sum w^2 r and
+        R_b = sum w^2 r^2.  With D_b = m_b - m the exact shift identity
+        sum w^2 (v - m)^2 = sum_b R_b + 2 D_b P_b + Q_b D_b^2 merges them;
+        each D_b is formed as (m_b - m') - (m - m'), with m' the rounded mean
+        sum S_b / W and m - m' = sum_b (T_b + W_b (m_b - m')) / W, so no
+        large raw moments cancel and neither m_b's nor m's rounding enters.
+        The scratch is four real rows of one slice; every sum is numpy's
+        pairwise ``sum``, never a BLAS dot, whose order depends on the
+        thread count.
+        """
+        lw = self.log_weights
+        shift = lw.max()
+        first, constant, weights, moments = None, True, [], []
+        for paths in _stream_slices(self.n_samples):
+            v = values(paths)
+            if first is None:
+                first = v.flat[0]
+            constant = constant and bool(np.all(v == first))
+            w = np.subtract(lw[paths], shift)
+            np.exp(w, out=w)
+            squares, resid, scratch = np.square(w), np.empty_like(w), np.empty_like(w)
+            weight = w.sum()
+            weights.append((weight, squares.sum()))
+            parts = []  # per part: S_b, m_b, T_b, P_b, R_b
+            for part in (v.real, v.imag) if np.iscomplexobj(v) else (v,):
+                total = np.multiply(w, part, out=scratch).sum()
+                mean = total / weight if weight else 0.0  # a slice of zero weight adds nothing
+                np.subtract(part, mean, out=resid)
+                parts.append((total, mean, np.multiply(w, resid, out=scratch).sum(),
+                              np.multiply(squares, resid, out=scratch).sum(),
+                              np.multiply(squares, np.square(resid, out=resid), out=resid).sum()))
+            moments.append(parts)
+            del v, w, squares, resid, scratch  # before the next slice's are made
+        if constant:
+            return first, 0.0
+        (W, Q), (S, M, T, P, R) = np.array(weights).T, np.array(moments).transpose(2, 0, 1)
+        weight = W.sum()
+        rough = S.sum(axis=0) / weight  # m', per part
+        moved = M - rough  # m_b - m'
+        correction = (T + W[:, None] * moved).sum(axis=0) / weight  # m - m'
+        moved -= correction  # D_b
+        var = (R + 2.0 * moved * P + Q[:, None] * moved**2).sum()
+        mean = rough + correction
+        return complex(*mean) if mean.size == 2 else mean[0], float(np.sqrt(var) / weight)
+
+    def signs_at(self, time: float, paths: slice = slice(None)) -> np.ndarray:
+        """Sign at a fixed time in [-T, T] of every path of ``paths``, +1 or -1 in one array."""
         T = self.half_width
         if not -T <= time <= T:
             raise DomainError(f"time {time} outside [-{T}, {T}]")
+        start, stop, _ = paths.indices(self.n_samples)
         if time >= 0.0:
-            flips = _count_upto(self.right_jumps, self.right_offsets, time)
+            flips = _count_upto(self.right_jumps, self.right_offsets[start:stop + 1], time)
         else:  # the left jumps after time, all less those up to it: all plus those, in parity
-            flips = _count_upto(self.left_jumps, self.left_offsets, time)
-            flips += self.left_offsets[1:]
-            flips -= self.left_offsets[:-1]
+            offsets = self.left_offsets[start:stop + 1]
+            flips = _count_upto(self.left_jumps, offsets, time)
+            flips += offsets[1:]
+            flips -= offsets[:-1]
         flips &= 1  # 1 after an odd number of flips
         signs = flips.astype(float)
         signs *= -2.0
@@ -450,52 +491,52 @@ def build_ground_ensemble(
     n_eff below 100 is flagged in ``note`` with a resampling recommendation.
 
     Every per-path array is allocated once, at ``n_samples``, and the jumps
-    of each side go to one buffer: each seed stream writes its slice, so
-    each path is written once and the jump arrays returned are views.  A
-    stream adds each side's J to its rows as soon as that side's rank pass
-    returns, so only one pass's state is alive at a time, and the log
-    weights are formed in place over J.
+    of each side go to one buffer.  Each seed stream draws its left side,
+    writes it into its slice of the buffers, frees the draw and ranks that
+    slice in place (``_rank_pass``), then does the same for its right side,
+    so one side's draw or one pass is alive at a time; its log weights are
+    formed in place over its J.  The offsets are int32: a sample whose
+    jumps may pass that range raises ``ParameterError`` before any draw.
     """
     T = _horizon(params.delta, T)
     rate = _clock_rate(params)
     capacity = _jump_capacity(rate, T, n_samples)
-    left_jumps, right_jumps = np.empty(capacity), np.empty(capacity)
-    left_offsets = np.zeros(n_samples + 1, dtype=np.int64)
-    right_offsets = np.zeros(n_samples + 1, dtype=np.int64)
-    j_full, u_left, v_right = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples)
+    if capacity > np.iinfo(np.int32).max:
+        raise ParameterError(f"{n_samples} paths may draw {capacity} jumps a side, "
+                             "past the range of int32 offsets")
+    jumps = [np.empty(capacity), np.empty(capacity)]  # the left side's, then the right's
+    offsets = [np.zeros(n_samples + 1, dtype=np.int32) for _ in jumps]
+    damped = [np.empty(n_samples) for _ in jumps]
+    log_weights = np.zeros(n_samples)  # J first
     first = 0
     for chunk, rng in _seed_streams(seed, n_samples):
-        rows = slice(first, first + chunk)
-        left = _sample_segments(rng, rate, T, chunk, -T)
-        right = _sample_segments(rng, rate, T, chunk, 0.0)
-        left_jumps = _write_batch(left_jumps, left_offsets, first, *left)
-        right_jumps = _write_batch(right_jumps, right_offsets, first, *right)
-        # each J is a view of its pass's whole state: dropped before the next pass
-        (j_full[rows],), u_left[rows] = _rank_pass(*left, -T, (0.0,))
-        (j_right,), v_right[rows] = _rank_pass(*right, 0.0, (T,))
-        j_full[rows] += j_right
-        del left, right, j_right  # freed before the next stream draws
-        j_full[rows] += 2.0 * u_left[rows] * v_right[rows]
+        rows, bounds = slice(first, first + chunk), slice(first, first + chunk + 1)
+        for side, (lo, hi) in enumerate(((-T, 0.0), (0.0, T))):
+            jumps[side] = _write_batch(jumps[side], offsets[side], first,
+                                       *_sample_segments(rng, rate, T, chunk, lo))
+            (j,), damped[side][rows] = _rank_pass(jumps[side], offsets[side][bounds], lo, (hi,))
+            log_weights[rows] += j
+            del j  # a view of its pass's whole state: freed before the next draw
+        lw = log_weights[rows]
+        lw += 2.0 * damped[0][rows] * damped[1][rows]
+        lw *= 0.5 * params.g**2
+        if rate != params.delta:
+            counts = np.diff(offsets[0][bounds])
+            counts += np.diff(offsets[1][bounds])
+            lw += counts * np.log(params.delta / rate)
         first += chunk
-    log_weights = j_full  # J becomes the log weights, in place
-    log_weights *= 0.5 * params.g**2
-    if rate != params.delta:
-        counts = np.diff(left_offsets)
-        counts += np.diff(right_offsets)
-        log_weights += counts * np.log(params.delta / rate)
-        del counts  # before n_eff takes its scratch array
 
     ens = WeightedPathEnsemble(
         params=params,
         half_width=float(T),
         rate=rate,
-        left_jumps=left_jumps[:left_offsets[-1]],
-        left_offsets=left_offsets,
-        right_jumps=right_jumps[:right_offsets[-1]],
-        right_offsets=right_offsets,
+        left_jumps=jumps[0][:offsets[0][-1]],
+        left_offsets=offsets[0],
+        right_jumps=jumps[1][:offsets[1][-1]],
+        right_offsets=offsets[1],
         log_weights=log_weights,
-        damped_left=u_left,
-        damped_right=v_right,
+        damped_left=damped[0],
+        damped_right=damped[1],
         seed=seed,
     )
     if ens.n_eff < 100:

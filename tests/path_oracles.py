@@ -187,7 +187,7 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
 
     def concat_batches(batches):
         counts = np.concatenate([np.diff(offsets) for _, offsets in batches])
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        offsets = np.zeros(counts.size + 1, dtype=np.int32)  # as the ensemble stores them
         np.cumsum(counts, out=offsets[1:])
         return np.concatenate([jumps for jumps, _ in batches]), offsets
 

@@ -127,16 +127,18 @@ class TestGroundEnergy:
         assert len(est.extras["series"]) == 4
 
     def test_working_set(self):
-        # each horizon's log weights become its scaled weights in place, and
-        # the pair's shifts, means and n_eff are read from there: 9.41 MB
-        # traced at 1e5 paths when every horizon was reduced twice
+        # each stream's weights are reduced to per-horizon sums and centred
+        # cross sums as soon as its rank pass returns, so no per-path row
+        # spans the sample: 7.0 MB traced at 1e5 paths with a full-length
+        # row per horizon and ``np.cov`` on the pair, 9.41 MB when every
+        # horizon was reduced twice
         tracemalloc.start()
         try:
             ground_energy_fk(P_STD, [4.0, 6.0, 8.0, 10.0], 100_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 7.5e6
+        assert peak <= 3.0e6
 
     def test_needs_two_horizons(self):
         with pytest.raises(ParameterError):
@@ -241,7 +243,7 @@ class TestEnsembleEstimators:
 
 
 class TestEnsembleWorkingSets:
-    """An ensemble estimator stacks at most 3.3 MB on the report's ensemble."""
+    """An ensemble estimator stacks at most 1.2 MB on the report's ensemble."""
 
     ESTIMATES = {
         "gibbs(-0.5)": lambda ens: gibbs_number_fk(ens, P_STD, -0.5),
@@ -262,22 +264,25 @@ class TestEnsembleWorkingSets:
 
     @pytest.mark.parametrize("name", list(ESTIMATES))
     def test_at_most_3_3_mb(self, report_ens, name):
-        # 3.2-5.6 MB when the per-path values were built out of place; at
-        # 1e5 paths a real per-path array is 0.8 MB, a complex one 1.6 MB
+        # the values are built and reduced one seed stream's slice of paths
+        # at a time: 2.4-3.2 MB when they were built at full length, 3.2-5.6
+        # MB when built out of place; at 1e5 paths a real per-path array is
+        # 0.8 MB, a complex one 1.6 MB
         tracemalloc.start()
         try:
             self.ESTIMATES[name](report_ens)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.3e6
+        assert peak <= 1.2e6
 
     def test_weighted_mean_leaves_values_alone(self, ens):
         values = np.exp(1j * ens.damped_left)
         kept = values.copy()
-        mean, stderr = ens.weighted_mean(values)
+        mean, stderr = ens.weighted_mean(lambda paths: values[paths])
         assert values.tobytes() == kept.tobytes()
-        w = ens.normalized_weights()
+        w = np.exp(ens.log_weights - ens.log_weights.max())
+        w /= w.sum()
         assert mean == pytest.approx(np.sum(w * kept), rel=1e-14)
         assert stderr == pytest.approx(np.sqrt(np.sum((w * np.abs(kept - mean)) ** 2)),
                                        rel=1e-12)

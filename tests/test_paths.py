@@ -1,6 +1,7 @@
 """Jump-path sampling laws and exact path functionals."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,8 @@ from rabizeta.paths import (
     _rank_pass,
     _sample_segments,
     _seed_streams,
+    _stream_slices,
+    _write_batch,
 )
 
 
@@ -555,7 +558,7 @@ class TestEnsemble:
             assert 0.5 * p.g**2 * full + path.n_jumps * clock == pytest.approx(
                 ens.log_weights[i], abs=0.5 * p.g**2 * 1e-9)
             cross = pair_interaction_energy(path, square=((-T, 0.0), (0.0, T)))
-            assert cross == pytest.approx(ens.cross_interaction[i], abs=1e-10)
+            assert cross == pytest.approx(ens.cross_interaction()[i], abs=1e-10)
             u = damped_sign_integral(path, -T, 0.0)
             v = damped_sign_integral(path, 0.0, T)
             assert u == pytest.approx(ens.damped_left[i], abs=1e-12)
@@ -574,7 +577,7 @@ class TestEnsemble:
 
     def test_cross_interaction_bounded_by_one(self):
         ens = build_ground_ensemble(ModelParams(0.5, 1.0), 5000, T=12.0, seed=26)
-        assert np.abs(ens.cross_interaction).max() <= 1.0
+        assert np.abs(ens.cross_interaction()).max() <= 1.0
 
     def test_reproducible_bitwise(self):
         a = build_ground_ensemble(ModelParams(0.5, 1.0), 500, T=6.0, seed=27)
@@ -583,8 +586,10 @@ class TestEnsemble:
         assert np.array_equal(a.right_jumps, b.right_jumps)
 
     def test_memory_peak(self):
-        # every stream writes into the final arrays, and only one stream's
-        # draws and one rank pass are alive at a time; the log weights are
+        # every stream writes into the final arrays, one side at a time: a
+        # side's draw is freed before its slice is ranked in place, so one
+        # draw or one rank pass is alive at a time (10.9 MB traced when both
+        # sides' draws were alive under both passes); the log weights are
         # formed in place over J, and n_eff takes one scratch array
         tracemalloc.start()
         try:
@@ -594,9 +599,36 @@ class TestEnsemble:
             tracemalloc.stop()
         resident = sum(getattr(ens, field.name).nbytes for field in dataclasses.fields(ens)
                        if isinstance(getattr(ens, field.name), np.ndarray))
-        assert peak <= resident + 2.5e6
-        # on the clock at the ground measure's jump rate and without J: 8.8 MB
-        assert resident <= 9.0e6
+        assert peak <= resident + 1.5e6
+        # on the clock at the ground measure's jump rate, without J and with
+        # int32 offsets: 8.0 MB (8.8 MB with int64 offsets)
+        assert resident <= 8.2e6
+
+    def test_offsets_are_int32(self):
+        ens = build_ground_ensemble(ModelParams(0.5, 1.0), 1000, seed=32)
+        assert ens.left_offsets.dtype == ens.right_offsets.dtype == np.int32
+
+    def test_refuses_jumps_past_int32_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the jump capacity was checked")
+
+        monkeypatch.setattr("rabizeta.paths._seed_streams", no_draw)
+        # 1e9 paths at delta = 0.5, g = 1 need room for about 3e9 jumps a side
+        with pytest.raises(ParameterError, match="int32"):
+            build_ground_ensemble(ModelParams(0.5, 1.0), 10**9)
+
+    def test_a_buffer_never_grows_past_int32_offsets(self):
+        offsets = np.array([2**31 - 10, 0, 0], dtype=np.int32)
+        with pytest.raises(ParameterError, match="int32"):
+            _write_batch(np.empty(4), offsets, 0, np.zeros(20), np.array([0, 5, 20]))
+        assert list(offsets) == [2**31 - 10, 0, 0]
+
+    def test_signs_at_on_a_slice_of_paths(self):
+        ens = build_ground_ensemble(ModelParams(1.0, 0.8), 1001, T=4.0, seed=33)
+        for time in (-4.0, -1.7, 0.0, 0.9, 4.0):
+            signs = ens.signs_at(time)
+            for paths in (slice(0, 126), slice(126, 252), slice(875, 1001)):
+                assert np.array_equal(ens.signs_at(time, paths), signs[paths])
 
     @pytest.mark.parametrize("n", [1, 3, 1001, 20_000])
     @pytest.mark.parametrize("delta", [0.5, 2.0])
@@ -659,3 +691,83 @@ class TestEnsemble:
     def test_low_ess_note(self):
         ens = build_ground_ensemble(ModelParams(0.5, 2.5), 300, T=12.0, seed=28)
         assert "effective sample size" in ens.note
+
+
+class TestWeightedMean:
+    """``weighted_mean`` reduces one seed stream's slice of paths at a time."""
+
+    @pytest.fixture(scope="class")
+    def ens(self):
+        return build_ground_ensemble(ModelParams(0.5, 1.0), 20_000, seed=34)
+
+    @staticmethod
+    def reference(ens, values):
+        """Mean and stderr from exact sums (``math.fsum``) about the mean.
+
+        The residuals about the rounded mean are exact, and their weighted
+        mean moves them onto the unrounded one before they are squared.
+        """
+        w = np.exp(ens.log_weights - ens.log_weights.max())
+        total = math.fsum(w)
+        parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+        means, var = [], 0.0
+        for part in parts:
+            mean = math.fsum(w * part) / total
+            resid = part - mean
+            shift = math.fsum(w * resid) / total
+            var += math.fsum((w * (resid - shift)) ** 2)
+            means.append(mean + shift)
+        mean = complex(*means) if len(parts) == 2 else means[0]
+        return mean, math.sqrt(var) / total
+
+    @pytest.mark.parametrize("make", [
+        lambda ens: ens.cross_interaction(),
+        lambda ens: np.exp(1j * ens.damped_left),
+        lambda ens: 1e8 + ens.damped_right,  # a large mean: no raw moments cancel
+        lambda ens: ens.signs_at(0.5 * ens.half_width) * (1.0 - 2.0j),
+    ], ids=["real", "complex", "offset", "signs"])
+    def test_matches_exact_sums(self, ens, make):
+        values = make(ens)
+        kept = values.copy()
+        mean, stderr = ens.weighted_mean(lambda paths: values[paths])
+        assert values.tobytes() == kept.tobytes()
+        want_mean, want_stderr = self.reference(ens, values)
+        assert abs(mean - want_mean) <= 1e-13 * abs(want_mean)
+        assert abs(stderr - want_stderr) <= 1e-13 * want_stderr
+        assert isinstance(mean, complex if np.iscomplexobj(values) else float)
+
+    def test_a_slice_of_zero_weight_adds_nothing(self, ens):
+        log_weights = ens.log_weights.copy()
+        log_weights[_stream_slices(ens.n_samples)[2]] -= 1e4  # its weights underflow to 0
+        tilted = dataclasses.replace(ens, log_weights=log_weights)
+        values = ens.cross_interaction()
+        mean, stderr = tilted.weighted_mean(lambda paths: values[paths])
+        want_mean, want_stderr = self.reference(tilted, values)
+        assert abs(mean - want_mean) <= 1e-13 * abs(want_mean)
+        assert abs(stderr - want_stderr) <= 1e-13 * want_stderr
+
+    @pytest.mark.parametrize("value", [2.5, 1.0 - 0.5j])
+    def test_a_constant_is_exact_with_zero_error(self, ens, value):
+        mean, stderr = ens.weighted_mean(lambda paths: np.full(paths.stop - paths.start, value))
+        assert mean == value and stderr == 0.0
+
+    def test_constant_only_within_each_slice_is_not_constant(self, ens):
+        # each stream's values are equal, but they differ between streams
+        mean, stderr = ens.weighted_mean(lambda paths: np.full(paths.stop - paths.start,
+                                                               float(paths.start > 0)))
+        assert 0.0 < mean < 1.0 and stderr > 0.0
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 100_003])
+    def test_slices_are_the_seed_stream_chunks(self, n):
+        ens = build_ground_ensemble(ModelParams(0.5, 1.0), n, T=1.0, seed=35)
+        seen = []
+
+        def values(paths):
+            seen.append(paths)
+            return ens.damped_left[paths]
+
+        ens.weighted_mean(values)
+        assert seen == _stream_slices(n)
+        assert [s.stop - s.start for s in seen] == [c for c, _ in _seed_streams(35, n)]
+        assert seen[0].start == 0 and seen[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
