@@ -326,6 +326,8 @@ def _fk_partition(args) -> ResultRecord:
 
 def _fk_energy(args) -> ResultRecord:
     p = _fk_params(args)
+    if args.n < 2:  # refused before any draw, as ground_energy_fk refuses it
+        raise ParameterError(f"n_samples must be at least 2, got {args.n}")
     est = ground_energy_fk(p, args.t_grid, args.n, args.seed)
     return _estimate(args, "ground_energy", est, ground_state(p).energy,
                      "ground energy from the semigroup decay rate",

@@ -160,7 +160,11 @@ def ground_energy_fk(
     sums with every horizon, and the streams merge, rescaled to the overall
     maximum, by the exact shift identity
     sum (w_i - m_i)(w_j - m_j) = sum_b C_b,ij + n_b (m_b,i - m_i)(m_b,j - m_j).
+    Its covariance divides by n - 1, so ``n_samples < 2`` raises
+    ``ParameterError`` before any draw.
     """
+    if n_samples < 2:
+        raise ParameterError(f"n_samples must be at least 2, got {n_samples}")
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 2:
         raise ParameterError("t_grid needs at least two horizons")

@@ -330,11 +330,23 @@ class ZetaLimitRow:
     n_used: int
 
 
-# Tail-bound target of every row of a limit table before refinement, relative
-# to |target|.  At delta = 0.5 the gaps between the deviations of g = 2, 4, ...,
-# 12 are at least 4.6e-4 (parity sectors, g = 10 -> 12), 30 times the bound
-# this allows, so such tables certify on their first evaluation.
-LIMIT_TAIL_REL_TOL = 1e-5
+def _predicted_deviation(
+    s: complex, tau: float, ladder: tuple[float, ...], run: ModelParams
+) -> float:
+    """Deviation from the ladder sum that the centroid shift predicts for a limit-table row.
+
+    Every level's centroid moves by ``-delta^2 / (4 g^2)``, so the ladder sum
+    at ``tau - delta^2 / (4 g^2)`` predicts the row's value.  The Weyl bound
+    of the whole sum caps the prediction and stands in for it at g = 0 or
+    where the moved ladder reaches 0.  It only sizes heads; nothing is
+    certified from it.
+    """
+    weyl = _tail_bound(s, tau, 0, ladder, run.delta)
+    moved = tau - run.delta**2 / (4.0 * run.g**2) if run.g else -np.inf
+    if moved + min(ladder) <= 0:
+        return weyl
+    return min(abs(_model_tail(s, moved, 0, ladder) - _model_tail(s, tau, 0, ladder)), weyl)
+
 
 def zeta_limit_table(
     params: ModelParams,
@@ -348,20 +360,29 @@ def zeta_limit_table(
 
     ``Re(s) > 1`` and the hypothesis ``tau > delta (+ eps)`` are enforced up
     front; deviations along an increasing grid shrink toward zero with no
-    stated rate, so downstream checks are monotonicity checks up to
+    certified rate, so downstream checks are monotonicity checks up to
     ``tail_bound`` slack:
     ``dev[i] + tail[i] < dev[i-1] - tail[i-1]``.
 
-    With ``n_head`` given, every row sums exactly that many levels.  Without
-    it, each row's head is the smallest whose tail bound is at most
-    ``LIMIT_TAIL_REL_TOL * |target|``; it is chosen from the bound alone,
-    before any eigensolve.  Then, for every adjacent pair whose deviations
-    decrease but miss that slack, both rows are evaluated again at tail bound
-    ``(dev[i-1] - dev[i]) / 4``, until no such pair is left or its heads
-    have reached the cap.  A row's head never shrinks, and never exceeds
-    2000 levels (1000 for a parity sector), so a row is never less certified
-    than at that fixed head.  A pair whose deviations do not decrease is left
-    as computed.
+    With ``n_head`` given, every row sums exactly that many levels; a head
+    larger than the default ones gives a fixed, tighter enclosure.  Without
+    it, heads are sized, before any eigensolve, from the deviation each row
+    is predicted to have (``_predicted_deviation``): row i's head is the
+    smallest whose tail bound is at most a quarter of the smallest positive
+    predicted gap ``D(g[i-1]) - D(g[i])`` to a neighbour, or of ``D(g[i])``
+    where neither gap is positive, so each row is enclosed to about a
+    quarter of its predicted gap.  The prediction only sizes heads and never
+    certifies: every certificate is the computed slack above, and certifying
+    the rate itself would need a proven bound on the prediction's error.
+
+    Then, for every adjacent pair predicted to decrease whose slack is
+    missed while its intervals ``dev +- tail`` overlap, both rows are
+    evaluated again at tail bound ``(dev[i-1] - dev[i]) / 4``, or a quarter
+    of the smaller tail bound when the computed deviations do not decrease,
+    until no such pair is left or its heads have reached the cap.  A row's
+    head never shrinks, and never exceeds 2000 levels (1000 for a parity
+    sector).  A pair not predicted to decrease (equal g, or a decreasing
+    grid) is left as computed.
     """
     ladder = _ladder(params, variant)
     s = _require_sum(s)
@@ -388,16 +409,20 @@ def zeta_limit_table(
     def head(tol: float) -> int:
         return _head_for_tail_bound(s, tau, ladder, params.delta, tol, cap)
 
-    first = head(LIMIT_TAIL_REL_TOL * abs(target))
-    rows = [row(run, first) for run in runs]
+    predicted = [_predicted_deviation(s, tau, ladder, run) for run in runs]
+    gaps = [a - b for a, b in zip(predicted, predicted[1:])]  # of pair (i, i + 1) at i
+    tols = [min((gap for gap in gaps[max(i - 1, 0):i + 1] if gap > 0), default=own) / 4.0
+            for i, own in enumerate(predicted)]
+    rows = [row(run, head(tol)) for run, tol in zip(runs, tols)]
     while True:
         wanted: dict[int, float] = {}
         for i in range(1, len(rows)):
             a, b = rows[i - 1], rows[i]
-            if b.deviation < a.deviation and not (
+            drop = a.deviation - b.deviation
+            if gaps[i - 1] > 0 and -drop <= a.tail_bound + b.tail_bound and not (
                 b.deviation + b.tail_bound < a.deviation - a.tail_bound
             ):
-                tol = (a.deviation - b.deviation) / 4.0
+                tol = (drop if drop > 0 else min(a.tail_bound, b.tail_bound)) / 4.0
                 for j in (i - 1, i):
                     wanted[j] = min(wanted.get(j, tol), tol)
         finer = {j: head(tol) for j, tol in wanted.items()}

@@ -154,6 +154,7 @@ USAGE_ERRORS = [
     ("limits", "--g-grid", ""),
     ("limits", "--table", "levels", "--g-grid", ""),
     ("fk", "energy", "--t-grid", ","),
+    ("fk", "energy", "--n", "1"),
     ("spectrum", "--output", "MISSING"),
     ("--output", "MISSING", "limits"),
     ("fk", "dump", "--out", "MISSING"),

@@ -148,6 +148,12 @@ class TestGroundEnergy:
         with pytest.raises(ParameterError):
             ground_energy_fk(P_STD, [4.0, 6.0, 6.0], 100)
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_needs_two_samples(self, no_draw, n):
+        # the covariance divides by n - 1
+        with pytest.raises(ParameterError, match="at least 2"):
+            ground_energy_fk(P_STD, [4.0, 6.0], n)
+
     @pytest.mark.parametrize("grid", [[1.0, np.inf], [np.nan, 4.0], [0.0, 4.0]])
     def test_horizons_not_positive_and_finite(self, no_draw, grid):
         with pytest.raises(DomainError):

@@ -13,13 +13,13 @@ import rabizeta.zeta as zeta
 from rabizeta.errors import ConvergenceError, DomainError, ParameterError
 from rabizeta.model import ModelParams, Spectrum, adaptive_spectrum
 from rabizeta.zeta import (
-    LIMIT_TAIL_REL_TOL,
     _HEAD_REL_TOL,
     _head_bound,
     _require_zeta_shift,
     _head_for_tail_bound,
     _ladder,
     _ladder_points,
+    _predicted_deviation,
     _tail_bound,
     eigenvalue_limit_table,
     hurwitz_zeta,
@@ -207,16 +207,31 @@ class TestSpectralZeta:
 VARIANTS = (("full", 0.0), ("parity+", 0.0), ("parity-", 0.0), ("asymmetric", 0.25))
 
 
-def first_head(params, s, variant):
-    """Head a default limit table starts from, at tau = 1."""
-    tol = LIMIT_TAIL_REL_TOL * abs(variant_target(params, s, 1.0, variant))
-    return _head_for_tail_bound(complex(s), 1.0, _ladder(params, variant), params.delta, tol,
-                                2000)
-
-
 # The benchmark's grids: zeta-limit rows at g = 2..12, level rows at g = 4, 8, 12.
 ZETA_GRID = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
 LEVEL_GRID = [4.0, 8.0, 12.0]
+# (variant, s) of the benchmark's zeta-limit tables (delta = 0.5, tau = 1), and
+# the head every row took when heads were sized to a tail bound of 1e-5 |target|.
+BENCH_TABLES = {("full", 2.0): 349, ("parity+", 2.0): 175, ("parity-", 2.0): 175,
+                ("asymmetric", 2.0): 328, ("full", 2.0 + 1.0j): 427}
+
+
+def bench_table(variant, s):
+    return zeta_limit_table(ModelParams(0.5, 0.0, dict(VARIANTS)[variant]), s, 1.0, ZETA_GRID,
+                            variant)
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Head of every ``zeta_variant_value`` call a limit table makes from now on."""
+    heads = []
+    value = zeta.zeta_variant_value
+
+    def recording(params, s, tau, variant, n_head):
+        heads.append(n_head)
+        return value(params, s, tau, variant, n_head)
+
+    monkeypatch.setattr(zeta, "zeta_variant_value", recording)
+    return heads
 
 
 class TestCutoffStart:
@@ -266,13 +281,12 @@ class TestHeadChooser:
     @pytest.mark.parametrize("s", [2.0, 2.0 + 1.0j])
     @pytest.mark.parametrize("variant,eps", VARIANTS)
     def test_smallest_head_meeting_tol(self, variant, eps, s):
-        p = ModelParams(0.5, 0.0, eps)
-        ladder = _ladder(p, variant)
-        tol = LIMIT_TAIL_REL_TOL * abs(variant_target(p, s, 1.0, variant))
-        head = first_head(p, s, variant)
-        assert 1 < head < 1000
-        assert _tail_bound(complex(s), 1.0, head, ladder, 0.5) <= tol
-        assert _tail_bound(complex(s), 1.0, head - 1, ladder, 0.5) > tol
+        ladder = _ladder(ModelParams(0.5, 0.0, eps), variant)
+        for tol in (1e-3, 3e-5):
+            head = _head_for_tail_bound(complex(s), 1.0, ladder, 0.5, tol, 2000)
+            assert 1 < head < 1000
+            assert _tail_bound(complex(s), 1.0, head, ladder, 0.5) <= tol
+            assert _tail_bound(complex(s), 1.0, head - 1, ladder, 0.5) > tol
 
     def test_bound_matches_spectral_zeta(self, free_spectrum):
         zv = spectral_zeta(free_spectrum, 2.0, 1.0, 0.0, radius=0.25, n_use=400)
@@ -286,23 +300,72 @@ class TestHeadChooser:
         sector = _ladder(ModelParams(0.5, 0.0), "parity-")
         assert _head_for_tail_bound(2.0 + 0j, 1.0, sector, 0.5, 1e-30, 1000) == 1000
 
+    @pytest.mark.parametrize("variant,s", list(BENCH_TABLES))
+    def test_predicted_deviation_at_large_g(self, variant, s):
+        # the centroid shift -delta^2 / (4 g^2) predicts each row's deviation
+        rows = bench_table(variant, s)
+        eps = dict(VARIANTS)[variant]
+        ladder = _ladder(ModelParams(0.5, 0.0, eps), variant)
+        for r in rows[3:]:
+            assert r.g in (8.0, 10.0, 12.0)
+            predicted = _predicted_deviation(complex(s), 1.0, ladder, ModelParams(0.5, r.g, eps))
+            assert abs(predicted - r.deviation) <= 0.01 * r.deviation
+
+    def test_predicted_deviation_capped_by_weyl_bound(self):
+        ladder = _ladder(ModelParams(1.5, 0.0), "parity+")
+        weyl = _tail_bound(1.5 + 0j, 2.5, 0, ladder, 1.5)
+        # at g = 0, and where the moved ladder reaches 0 (2.5 - 2.25 / (4 g^2) <= 0)
+        for g in (0.0, 0.45):
+            assert _predicted_deviation(1.5 + 0j, 2.5, ladder, ModelParams(1.5, g)) == weyl
+        assert _predicted_deviation(1.5 + 0j, 2.5, ladder, ModelParams(1.5, 1.0)) < weyl
+
 
 class TestLimitTables:
     @pytest.mark.parametrize("variant,eps", VARIANTS)
-    def test_default_heads_certify_below_fixed_head(self, variant, eps):
-        p = ModelParams(0.5, 0.0, eps)
-        rows = zeta_limit_table(p, 2.0, 1.0, [2, 4, 6, 8, 10, 12], variant)
-        fixed = 1000 if variant.startswith("parity") else 2000
-        assert all(r.n_used == first_head(p, 2.0, variant) < fixed for r in rows)
-        for a, b in zip(rows, rows[1:]):
-            assert b.deviation + b.tail_bound < a.deviation - a.tail_bound
+    def test_default_heads_certify_below_fixed_head(self, monkeypatch, variant, eps):
+        # the benchmark's tables certify on their first evaluation, below the
+        # heads of a 1e-5 |target| tail bound
+        evaluations = count_evaluations(monkeypatch)
+        tables = [(s, fixed) for (name, s), fixed in BENCH_TABLES.items() if name == variant]
+        for s, fixed in tables:
+            evaluations.clear()
+            rows = bench_table(variant, s)
+            assert len(evaluations) == len(rows)
+            assert all(r.n_used <= fixed for r in rows)
+            for a, b in zip(rows, rows[1:]):
+                assert b.deviation + b.tail_bound < a.deviation - a.tail_bound
 
-    def test_fine_grid_refines_until_certified(self):
-        p = ModelParams(0.5, 0.0)
-        rows = zeta_limit_table(p, 2.0, 1.0, [11.9, 12.0], "full")
-        assert all(first_head(p, 2.0, "full") < r.n_used <= 2000 for r in rows)
+    def test_benchmark_tables_solve_cost(self, solves):
+        # one solve per chain per row, 42 in all; 17 978 516 summed dim^2 with
+        # every head sized to a tail bound of 1e-5 |target|, 5 601 388 from the
+        # predicted gaps
+        for variant, s in BENCH_TABLES:
+            bench_table(variant, s)
+        assert len(solves) == 42
+        assert sum(dim**2 for dim, _ in solves) <= 9.0e6
+
+    def test_fine_grid_refines_until_certified(self, monkeypatch):
+        # at g = 1 the predicted gap overstates the computed one, so the
+        # first heads leave the pair unseparated
+        evaluations = count_evaluations(monkeypatch)
+        rows = zeta_limit_table(ModelParams(0.5, 0.0), 2.0, 1.0, [1.0, 1.1], "parity+")
+        assert len(evaluations) > len(rows)
+        assert all(r.n_used <= 1000 for r in rows)
         a, b = rows
         assert b.deviation + b.tail_bound < a.deviation - a.tail_bound
+
+    @pytest.mark.parametrize("grid", [[6.0, 6.0, 8.0], [8.0, 4.0, 2.0]])
+    def test_pairs_not_predicted_to_decrease_are_not_refined(self, monkeypatch, grid):
+        evaluations = count_evaluations(monkeypatch)
+        rows = zeta_limit_table(ModelParams(0.5, 0.0), 2.0, 1.0, grid, "full")
+        assert len(evaluations) == len(rows)
+
+    def test_overlapping_pair_in_the_wrong_order_is_refined(self):
+        # at g = 0 and 1 the first heads give deviations in the wrong order
+        # whose intervals overlap; refining both separates them
+        rows = zeta_limit_table(ModelParams(1.5, 0.0), 1.5, 2.5, [0.0, 1.0, 2.0, 4.0], "parity+")
+        for a, b in zip(rows, rows[1:]):
+            assert b.deviation + b.tail_bound < a.deviation - a.tail_bound
 
     def test_explicit_head_is_kept(self):
         rows = zeta_limit_table(ModelParams(0.5, 0.0), 2.0, 1.0, [6.0], "full", n_head=2000)
