@@ -273,8 +273,11 @@ def _limits_levels(args) -> ResultRecord:
                    ["g", "n", "parity", "shifted_energy", "target", "deviation"], rows)
 
 
-# Each ``fk`` quantity is its own command.  One on the ground-path ensemble
-# checks its horizon ``--T`` first, then evaluates its exact value, whose
+# Each ``fk`` quantity is its own command.  Each quantity on the ground-path
+# ensemble is one row of ``_OBSERVABLES`` (estimator, oracle, anchor, option
+# and argument check), read by its command and by the battery's ``fk`` rows,
+# so adding one is an estimator, an oracle and a row.  Its command checks
+# the horizon ``--T`` and then its argument, evaluates the exact value, whose
 # domain checks reject bad options, and only then samples the ensemble.
 
 _EST_COLUMNS = ["quantity", "value_re", "value_im", "stderr",
@@ -294,20 +297,78 @@ def _fk_params(args) -> ModelParams:
     return ModelParams(args.delta, args.g)
 
 
-def _on_ensemble(args) -> tuple[ModelParams, float]:
-    """The parameters and the checked horizon of a quantity on the ensemble."""
-    p = _fk_params(args)
-    return p, _horizon(p.delta, args.T)
-
-
 def _ensemble(args):
     return build_ground_ensemble(_fk_params(args), args.n, args.T, args.seed)
 
 
-def _estimate_on_ensemble(args, name: str, estimate, oracle, anchor: str) -> ResultRecord:
-    """An ``fk`` record of ``estimate(ensemble)``; its meta names the clock rate drawn at."""
+def _real(text: str) -> float:
+    """A complex-typed option value (``--beta``) for a quantity that needs it real."""
+    z = complex(text)
+    if z.imag:
+        raise argparse.ArgumentTypeError(f"beta must be real for this quantity, got {text}")
+    return z.real
+
+
+class _Observable(NamedTuple):
+    """A quantity on the ground-path ensemble, read at one argument.
+
+    ``estimate(ens, p, arg)`` forms its estimate on the ensemble ``ens`` of
+    the parameters ``p``, ``exact(gs, arg)`` its value in the ground state
+    ``gs``, and ``check(T, arg)`` refuses an argument the horizon half-width
+    ``T`` cannot take.  The first two reach the layer functions through this
+    module's globals when they run, so wrappers installed on those names see
+    every call.
+    """
+
+    leaf: str
+    quantity: str  # the record's quantity column, formatted with the argument
+    anchor: str
+    help: str
+    option: tuple  # (flag, add_argument keywords) of the argument
+    estimate: object
+    exact: object
+    check: object = lambda T, arg: None
+
+
+_OBSERVABLES = (
+    _Observable("gibbs", "gibbs_number", "<exp(beta n)> = <exp(-g^2 (1 - e^beta) Jc)>_paths",
+                "<exp(beta n)>", ("--beta", {"type": complex, "default": "-0.5"}),
+                lambda ens, p, beta: gibbs_number_fk(ens, p, beta),
+                lambda gs, beta: gibbs_number_ed(gs, beta)),
+    _Observable("number", "number_moment_{}", "<n^m> = sum_l S(m,l) g^(2l) <Jc^l>_paths",
+                "<n^m>", ("--m", {"type": int, "default": 1}),
+                lambda ens, p, m: number_moments_fk(ens, p, m),
+                lambda gs, m: number_moment_ed(gs, m),
+                lambda T, m: _check_moment_order(m)),
+    _Observable("xchar", "x_characteristic",
+                "<exp(i beta x)> = e^(-beta^2/4) <cos(beta K)>_paths",
+                "<exp(i beta x)>", ("--beta", {"type": _real, "default": 1.0}),
+                lambda ens, p, beta: x_characteristic_fk(ens, p, beta),
+                lambda gs, beta: x_characteristic_ed(gs, beta)),
+    _Observable("xsquare", "x_square_exponential",
+                "<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>_paths",
+                "<exp(beta x^2)>", ("--beta", {"type": _real, "default": 0.5}),
+                lambda ens, p, beta: gaussian_square_fk(ens, p, beta),
+                lambda gs, beta: x_square_exponential_ed(gs, beta)),
+    _Observable("spin-corr", "spin_correlation_{}",
+                "<sz exp(-|t-s|(M-E)) sz> = <T_t T_s>_paths",
+                "spin autocorrelation", ("--lag", {"type": float, "default": 1.0}),
+                lambda ens, p, lag: spin_correlation_fk(ens, lag / 2.0, -lag / 2.0),
+                lambda gs, lag: spin_autocorrelation_ed(gs, lag),
+                lambda T, lag: _check_edge_guard(T, lag / 2.0, -lag / 2.0)),
+)
+_OBSERVABLE_BY_LEAF = {row.leaf: row for row in _OBSERVABLES}
+
+
+def _fk_observable(row: _Observable, args) -> ResultRecord:
+    """The ``fk`` record of one ``_OBSERVABLES`` row; its meta names the clock rate drawn at."""
+    p = _fk_params(args)
+    arg = getattr(args, args.command.options[-1])  # the row's option is declared last
+    row.check(_horizon(p.delta, args.T), arg)
+    oracle = row.exact(ground_state(p), arg)
     ens = _ensemble(args)
-    return _estimate(args, name, estimate(ens), oracle, anchor, clock_rate=ens.rate)
+    return _estimate(args, row.quantity.format(arg), row.estimate(ens, p, arg), oracle,
+                     row.anchor, clock_rate=ens.rate)
 
 
 def _fk_vacuum(args) -> ResultRecord:
@@ -342,48 +403,6 @@ def _fk_kernel(args) -> ResultRecord:
              est.stderr, base, 0.0, -1.0, -1.0, "oracle column = Mehler kernel"]]
     return _record(args, "m-flip kernel component (delta t)^m/m! E[CF_bridge] M_t",
                    _EST_COLUMNS, rows)
-
-
-def _fk_gibbs(args) -> ResultRecord:
-    p, _ = _on_ensemble(args)
-    oracle = gibbs_number_ed(ground_state(p), args.beta)
-    return _estimate_on_ensemble(args, "gibbs_number",
-                                 lambda ens: gibbs_number_fk(ens, p, args.beta), oracle,
-                                 "<exp(beta n)> = <exp(-g^2 (1 - e^beta) Jc)>_paths")
-
-
-def _fk_number(args) -> ResultRecord:
-    p, _ = _on_ensemble(args)
-    _check_moment_order(args.m)
-    oracle = number_moment_ed(ground_state(p), args.m)
-    return _estimate_on_ensemble(args, f"number_moment_{args.m}",
-                                 lambda ens: number_moments_fk(ens, p, args.m), oracle,
-                                 "<n^m> = sum_l S(m,l) g^(2l) <Jc^l>_paths")
-
-
-def _fk_xchar(args) -> ResultRecord:
-    p, _ = _on_ensemble(args)
-    oracle = x_characteristic_ed(ground_state(p), args.beta)
-    return _estimate_on_ensemble(args, "x_characteristic",
-                                 lambda ens: x_characteristic_fk(ens, p, args.beta), oracle,
-                                 "<exp(i beta x)> = e^(-beta^2/4) <cos(beta K)>_paths")
-
-
-def _fk_xsquare(args) -> ResultRecord:
-    p, _ = _on_ensemble(args)
-    oracle = x_square_exponential_ed(ground_state(p), args.beta)
-    return _estimate_on_ensemble(args, "x_square_exponential",
-                                 lambda ens: gaussian_square_fk(ens, p, args.beta), oracle,
-                                 "<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>_paths")
-
-
-def _fk_spin_corr(args) -> ResultRecord:
-    (p, T), lag = _on_ensemble(args), args.lag
-    _check_edge_guard(T, lag / 2.0, -lag / 2.0)
-    oracle = spin_autocorrelation_ed(ground_state(p), lag)
-    return _estimate_on_ensemble(args, f"spin_correlation_{lag}",
-                                 lambda ens: spin_correlation_fk(ens, lag / 2.0, -lag / 2.0),
-                                 oracle, "<sz exp(-|t-s|(M-E)) sz> = <T_t T_s>_paths")
 
 
 def _fk_dump(args) -> ResultRecord:
@@ -438,9 +457,13 @@ class AcceptanceBattery:
     built on first use whatever order the groups run in.  The path ensemble
     is the largest Monte Carlo working set: it lives only while
     ``ensemble_estimates`` forms the estimates read from it, so no later
-    group's working set stacks on it.  Group bodies reach the layer
-    functions through this module's globals when they run, so wrappers
-    installed on those names see every call.
+    group's working set stacks on it.  Each of those estimates is a point
+    ``(row name, leaf, argument)`` of ``ENSEMBLE_POINTS``, read through the
+    ``_OBSERVABLES`` row of its leaf, which also gives the ``fk`` group its
+    exact value: an ``fk/<row name>`` row reads the same estimator and
+    oracle as ``rabizeta fk <leaf>`` at that argument.  Group bodies reach
+    the layer functions through this module's globals when they run, so
+    wrappers installed on those names see every call.
     """
 
     GROUPS = ("free-spectrum", "delta0-shift", "zeta-g0", "zeta-limit", "level-limit",
@@ -449,6 +472,11 @@ class AcceptanceBattery:
     ZETA_LIMIT_CASES = (("full", 0.0), ("parity+", 0.0), ("parity-", 0.0), ("asymmetric", 0.25))
     # Monte Carlo samples of every sampled check
     N_MC = 100_000
+    # (row name, leaf, argument) of each estimate on the path ensemble, in report order
+    ENSEMBLE_POINTS = (("gibbs(-0.5)", "gibbs", -0.5), ("gibbs(i pi)", "gibbs", 1j * np.pi),
+                       ("number(1)", "number", 1), ("number(2)", "number", 2),
+                       ("xchar(1)", "xchar", 1.0), ("xsquare(0.5)", "xsquare", 0.5),
+                       ("spin-corr(0.5)", "spin-corr", 0.5), ("spin-corr(1)", "spin-corr", 1.0))
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -472,16 +500,8 @@ class AcceptanceBattery:
         """
         p = self.params
         ens = build_ground_ensemble(p, self.N_MC, seed=self.seed)
-        return {
-            "gibbs(-0.5)": gibbs_number_fk(ens, p, -0.5),
-            "gibbs(i pi)": gibbs_number_fk(ens, p, 1j * np.pi),
-            "number(1)": number_moments_fk(ens, p, 1),
-            "number(2)": number_moments_fk(ens, p, 2),
-            "xchar(1)": x_characteristic_fk(ens, p, 1.0),
-            "xsquare(0.5)": gaussian_square_fk(ens, p, 0.5),
-            "spin-corr(0.5)": spin_correlation_fk(ens, 0.25, -0.25),
-            "spin-corr(1)": spin_correlation_fk(ens, 0.5, -0.5),
-        }
+        return {name: _OBSERVABLE_BY_LEAF[leaf].estimate(ens, p, arg)
+                for name, leaf, arg in self.ENSEMBLE_POINTS}
 
     def run(self, group: str) -> list[list]:
         return getattr(self, "_" + group.replace("-", "_"))()
@@ -537,16 +557,8 @@ class AcceptanceBattery:
             ("partition", partition_fk(p, 2.0, n, seed), partition_ed(p, 2.0)),
             ("energy", ground_energy_fk(p, [4, 6, 8, 10], n, seed), gs.energy),
         ]
-        oracles = {
-            "gibbs(-0.5)": gibbs_number_ed(gs, -0.5),
-            "gibbs(i pi)": gibbs_number_ed(gs, 1j * np.pi),
-            "number(1)": number_moment_ed(gs, 1),
-            "number(2)": number_moment_ed(gs, 2),
-            "xchar(1)": x_characteristic_ed(gs, 1.0),
-            "xsquare(0.5)": x_square_exponential_ed(gs, 0.5),
-            "spin-corr(0.5)": spin_autocorrelation_ed(gs, 0.5),
-            "spin-corr(1)": spin_autocorrelation_ed(gs, 1.0),
-        }
+        oracles = {name: _OBSERVABLE_BY_LEAF[leaf].exact(gs, arg)
+                   for name, leaf, arg in self.ENSEMBLE_POINTS}
         pairs += [(name, est, oracles[name]) for name, est in self.ensemble_estimates.items()]
         return [_check(f"fk/{name}", "jump-path estimator within 3 sigma of the exact value",
                        est.z_score(oracle), 3.0) for name, est, oracle in pairs]
@@ -730,14 +742,6 @@ def _output_path(text: str) -> str:
     return text
 
 
-def _real(text: str) -> float:
-    """A complex-typed option value (``--beta``) for a quantity that needs it real."""
-    z = complex(text)
-    if z.imag:
-        raise argparse.ArgumentTypeError(f"beta must be real for this quantity, got {text}")
-    return z.real
-
-
 # Options that several commands declare: (flag, add_argument keywords).
 _DELTA = ("--delta", {"type": float, "default": 0.5})
 _G = ("--g", {"type": float, "default": 1.0})
@@ -795,16 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
     _command(quantities, "fk/kernel", _fk_kernel, "m-flip heat-kernel component", *paths, _TIME,
              ("--m", {"type": int, "default": 1}), ("--x", {"type": float, "default": 0.3}),
              ("--y", {"type": float, "default": -0.2}))
-    _command(quantities, "fk/gibbs", _fk_gibbs, "<exp(beta n)>", *ensemble,
-             ("--beta", {"type": complex, "default": "-0.5"}))
-    _command(quantities, "fk/number", _fk_number, "<n^m>", *ensemble,
-             ("--m", {"type": int, "default": 1}))
-    _command(quantities, "fk/xchar", _fk_xchar, "<exp(i beta x)>", *ensemble,
-             ("--beta", {"type": _real, "default": 1.0}))
-    _command(quantities, "fk/xsquare", _fk_xsquare, "<exp(beta x^2)>", *ensemble,
-             ("--beta", {"type": _real, "default": 0.5}))
-    _command(quantities, "fk/spin-corr", _fk_spin_corr, "spin autocorrelation", *ensemble,
-             ("--lag", {"type": float, "default": 1.0}))
+    for row in _OBSERVABLES:
+        _command(quantities, f"fk/{row.leaf}", lambda args, row=row: _fk_observable(row, args),
+                 row.help, *ensemble, row.option)
     _command(quantities, "fk/dump", _fk_dump, "write the path ensemble as JSON lines",
              *ensemble, ("--out", {"type": _output_path, "default": "paths.jsonl"}))
 

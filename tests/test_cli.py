@@ -394,6 +394,11 @@ class TestLimitsCommand:
         assert len(record["rows"]) == 2 * 2 * 3
 
 
+#: The argument of each ensemble quantity at which every path gives exactly 1;
+#: ``number`` has none (its order m is at least 1).
+TRIVIAL_ARGUMENTS = {"xchar": "0", "xsquare": "0", "gibbs": "0", "spin-corr": "0"}
+
+
 class TestFkCommand:
     def test_gibbs_trivial(self, tmp_path):
         code, text = run_cli(tmp_path, "fk", "gibbs", "--beta", "0", "--n", "400",
@@ -439,7 +444,7 @@ class TestFkCommand:
     @pytest.mark.parametrize("argv", [
         ("partition", "--t", "nan"), ("vacuum", "--t", "inf"), ("energy", "--t-grid", "1,inf"),
         ("energy", "--t-grid", "4,6,6"),
-        *[(quantity, *options) for quantity in ("gibbs", "number", "xchar", "xsquare", "spin-corr")
+        *[(row.leaf, *options) for row in cli._OBSERVABLES
           for options in (("--T", "nan"), ("--T", "inf"), ("--T", "0"), ("--T", "-1"),
                           ("--delta", "0", "--T", "8"))],
     ], ids=" ".join)
@@ -528,7 +533,7 @@ class TestFkCommand:
         named = dict(zip(record["columns"], record["rows"][0]))
         assert named["rate"] == paths._clock_rate(ModelParams(0.5, 1.0)) == 0.25
 
-    @pytest.mark.parametrize("quantity", ["gibbs", "number", "xchar", "xsquare", "spin-corr"])
+    @pytest.mark.parametrize("quantity", [row.leaf for row in cli._OBSERVABLES])
     @pytest.mark.parametrize("g", ["0.5", "1"])
     def test_ensemble_meta_names_the_clock_rate(self, tmp_path, quantity, g):
         code, text = run_cli(tmp_path, "fk", quantity, "--g", g, "--n", "400", fmt="json")
@@ -537,8 +542,9 @@ class TestFkCommand:
         assert meta["clock_rate"] == paths._clock_rate(ModelParams(0.5, float(g)))
 
     @pytest.mark.parametrize("n", ["1", "400"])
-    @pytest.mark.parametrize("leaf", [("xchar", "--beta", "0"), ("xsquare", "--beta", "0"),
-                                      ("gibbs", "--beta", "0"), ("spin-corr", "--lag", "0")])
+    @pytest.mark.parametrize("leaf", [(row.leaf, row.option[0], TRIVIAL_ARGUMENTS[row.leaf])
+                                      for row in cli._OBSERVABLES
+                                      if row.leaf in TRIVIAL_ARGUMENTS])
     def test_trivial_points_read_z_zero(self, tmp_path, leaf, n):
         # every path gives exactly 1 (stderr 0); the ED value is 1 within its rounding
         code, text = run_cli(tmp_path, "fk", *leaf, "--n", n, fmt="json")
@@ -548,6 +554,27 @@ class TestFkCommand:
         assert (named["value_re"], named["stderr"]) == (1.0, 0.0)
         assert named["oracle_re"] != 1.0 and abs(named["oracle_re"] - 1.0) < 1e-15
         assert named["z"] == 0.0
+
+    def test_battery_rows_are_the_leaves(self, tmp_path, monkeypatch):
+        # each fk row of the battery reads the z of `fk <leaf>` at its argument
+        monkeypatch.setattr(cli.AcceptanceBattery, "N_MC", 20_000)
+        battery = {row[0]: row[2] for row in cli.AcceptanceBattery(paths.DEFAULT_SEED).run("fk")}
+        flags = {row.leaf: row.option[0] for row in cli._OBSERVABLES}
+        for name, leaf, arg in cli.AcceptanceBattery.ENSEMBLE_POINTS:
+            argv = ["fk", leaf, "--g", "1", "--n", "20000", flags[leaf], repr(arg)]
+            parsed = cli.build_parser().parse_args(argv)
+            code, text = run_cli(tmp_path, *argv, fmt="json")
+            assert code == 0
+            record = json.loads(text)
+            z = dict(zip(record["columns"], record["rows"][0]))["z"]
+            if type(getattr(parsed, parsed.command.options[-1])) is type(arg):
+                assert z == battery[f"fk/{name}"], name
+            else:
+                # `fk gibbs` parses --beta -0.5 as complex, the battery holds a
+                # float, and gibbs_number_fk takes the complex exp at a complex
+                # beta: the two z differ in their last digits
+                assert (name, z) == ("gibbs(-0.5)", pytest.approx(battery[f"fk/{name}"],
+                                                                  rel=1e-12))
 
     def test_one_path_misses_the_number_moment(self, tmp_path):
         # one path: a constant estimand with stderr 0, far from the exact value
@@ -745,11 +772,20 @@ class TestBatteryWorkingSets:
 
     def test_fk_draws_its_own_paths_before_the_ensemble(self, monkeypatch):
         monkeypatch.setattr(cli.AcceptanceBattery, "N_MC", 20_000)
+        # the estimators on the ensemble are reached through the module's
+        # globals, so a wrapper installed on each name sees each of its calls
+        on_ensemble = ["gibbs_number_fk", "number_moments_fk", "x_characteristic_fk",
+                       "gaussian_square_fk", "spin_correlation_fk"]
         calls = self.spy_calls(monkeypatch, ["vacuum_element_fk", "partition_fk",
-                                             "ground_energy_fk", "build_ground_ensemble"])
+                                             "ground_energy_fk", "build_ground_ensemble",
+                                             *on_ensemble])
         cli.AcceptanceBattery(paths.DEFAULT_SEED).run("fk")
         assert calls == ["vacuum_element_fk", "partition_fk", "ground_energy_fk",
-                         "build_ground_ensemble"]
+                         "build_ground_ensemble",
+                         "gibbs_number_fk", "gibbs_number_fk",
+                         "number_moments_fk", "number_moments_fk",
+                         "x_characteristic_fk", "gaussian_square_fk",
+                         "spin_correlation_fk", "spin_correlation_fk"]
 
     @pytest.mark.parametrize("groups", [("fk", "parity"), ("parity", "fk"), ("parity",)])
     def test_one_ensemble_whatever_the_groups(self, monkeypatch, groups):
