@@ -88,7 +88,7 @@ from .observables import (
     x_characteristic_ed,
     x_square_exponential_ed,
 )
-from .paths import DEFAULT_SEED, _horizon, build_ground_ensemble
+from .paths import DEFAULT_SEED, _check_draws, _horizon, build_ground_ensemble
 from .zeta import (
     _ladder,
     _require_zeta_shift,
@@ -293,7 +293,10 @@ def _estimate(args, name: str, est, oracle, anchor: str, **result_meta) -> Resul
     return _record(args, anchor, _EST_COLUMNS, [row], **result_meta)
 
 
-def _fk_params(args) -> ModelParams:
+def _fk_params(args, least: int = 1) -> ModelParams:
+    """The model of a ``fk`` leaf, after refusing ``--n`` below ``least`` or a negative
+    ``--seed``; a leaf whose estimator draws its own samples asks ``least=2``."""
+    _check_draws(args.seed, args.n, least)
     return ModelParams(args.delta, args.g)
 
 
@@ -372,23 +375,21 @@ def _fk_observable(row: _Observable, args) -> ResultRecord:
 
 
 def _fk_vacuum(args) -> ResultRecord:
-    p = _fk_params(args)
+    p = _fk_params(args, least=2)
     return _estimate(args, "vacuum_element", vacuum_element_fk(p, args.t, args.n, args.seed),
                      vacuum_element_ed(p, args.t),
                      "vacuum semigroup element: 2 e^t E[delta^N exp(-2 g^2 xi)]")
 
 
 def _fk_partition(args) -> ResultRecord:
-    p = _fk_params(args)
+    p = _fk_params(args, least=2)
     return _estimate(args, "partition", partition_fk(p, args.t, args.n, args.seed),
                      partition_ed(p, args.t),
                      "flat-state element: 2 e^(delta t) E[exp((g^2/2) J)]")
 
 
 def _fk_energy(args) -> ResultRecord:
-    p = _fk_params(args)
-    if args.n < 2:  # refused before any draw, as ground_energy_fk refuses it
-        raise ParameterError(f"n_samples must be at least 2, got {args.n}")
+    p = _fk_params(args, least=2)
     est = ground_energy_fk(p, args.t_grid, args.n, args.seed)
     return _estimate(args, "ground_energy", est, ground_state(p).energy,
                      "ground energy from the semigroup decay rate",
@@ -396,8 +397,8 @@ def _fk_energy(args) -> ResultRecord:
 
 
 def _fk_kernel(args) -> ResultRecord:
-    est = heat_kernel_component(_fk_params(args), args.t, args.m, args.x, args.y, args.n,
-                                args.seed)
+    est = heat_kernel_component(_fk_params(args, least=2), args.t, args.m, args.x, args.y,
+                                args.n, args.seed)
     base = float(mehler_kernel(args.t, args.x, args.y))
     rows = [[f"heat_kernel_m{args.m}", float(np.real(est.mean)), float(np.imag(est.mean)),
              est.stderr, base, 0.0, -1.0, -1.0, "oracle column = Mehler kernel"]]

@@ -16,9 +16,21 @@ an average over jump paths only:
 
 Every estimator draws through ``paths._seed_streams`` and reduces in stream
 order, so it is reproducible bit for bit from (seed, n_samples, params).
-Each stream's path functionals come from one rank pass (``paths._rank_pass``):
-``ground_energy_fk`` takes the interaction at every horizon of its grid from
-the same pass over paths on [0, max(t_grid)].
+Each stream's path functionals come from one rank pass (``paths._rank_pass``).
+
+The estimates that draw their own samples reduce through one function,
+``_exp_moments``: each supplies, per seed stream, the log value L of every
+path, and each stream becomes the sums of e^L and their centred cross sums,
+merged by one exact shift identity.  The L supplied are
+
+* ``vacuum_element_fk``: log 2 + t + N log delta - 2 g^2 xi;
+* ``partition_fk`` and ``ground_energy_fk``: delta h + (g^2/2) J_h at each
+  horizon h, all horizons from one pass over paths on [0, max h];
+* ``kernels._flip_average``: i(ax + by) - q/2 for a heat-kernel component,
+  and the log of the Gaussian overlap for the kernel reconstruction.
+
+Each refuses ``n_samples < 2`` before any draw, through
+``paths._check_draws``: its standard error divides by n - 1.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from .model import ModelParams
 from .paths import (
     DEFAULT_SEED,
     WeightedPathEnsemble,
+    _check_draws,
     _check_time,
     _rank_pass,
     _sample_segments,
@@ -83,11 +96,48 @@ def _z_score(mean: complex, stderr: float, reference: complex) -> float:
     return float(diff / stderr)
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[complex, float]:
-    mean = values.mean()
-    n = values.size
-    var = np.sum(np.abs(values - mean) ** 2) / (n * (n - 1)) if n > 1 else 0.0
-    return complex(mean), float(np.sqrt(var))
+def _exp_moments(streams):
+    """Shift, mean of e^(L - shift) and centred cross sums of e^L over seed streams.
+
+    ``streams`` yields, in stream order, each seed stream's per-path log
+    values L: k real rows, or one complex row.  Each is consumed in place as
+    it comes: its weights w = e^(L - s_b), s_b the stream's largest real part
+    per row, are reduced to their sums and their centred cross sums
+    C_b,ij = sum (w_i - m_b,i)(w_j - m_b,j)*, and the streams merge, rescaled
+    to the overall shift s = max s_b, by the exact identity
+    sum (w_i - m_i)(w_j - m_j)* = sum_b C_b,ij + n_b (m_b,i - m_i)(m_b,j - m_j)*.
+    So no per-path row outlives its stream.  A row whose every L is -inf
+    (every weight 0) takes the smallest double as its shift: it adds zeros,
+    and sets the overall shift only where every stream's row is 0.
+    """
+    parts = []  # per stream: its size and, per row, its shift, sum and centred cross sums
+    for w in streams:
+        w = np.atleast_2d(w)
+        shift = np.maximum(w.real.max(axis=1), np.finfo(float).min)
+        np.exp(np.subtract(w, shift[:, None], out=w), out=w)
+        total = w.sum(axis=1)
+        w -= (total / w.shape[1])[:, None]
+        cross = np.array([[np.multiply(a, b.conj()).sum() for b in w] for a in w])
+        parts.append((w.shape[1], shift, total, cross))
+        del w  # the stream's rows are freed before the next draw
+
+    # w = e^(L - shift) over all paths: stream b's weights times e^(s_b - shift)
+    sizes, shifts, totals, crosses = zip(*parts)
+    shift = np.max(shifts, axis=0)
+    scales = [np.exp(s - shift) for s in shifts]
+    mean = sum(f * total for f, total in zip(scales, totals)) / sum(sizes)
+    cross = 0.0
+    for f, chunk, total, stream_cross in zip(scales, sizes, totals, crosses):
+        d = f * total / chunk - mean
+        cross = cross + np.outer(f, f) * stream_cross + chunk * np.outer(d, d.conj())
+    return shift, mean, cross
+
+
+def _exp_mean(streams, n: int) -> tuple[complex, float]:
+    """Mean and standard error of e^L over the n paths of the one row of ``_exp_moments``."""
+    shift, mean, cross = _exp_moments(streams)
+    scale = np.exp(shift[0])
+    return complex(mean[0] * scale), float(np.sqrt(cross[0, 0].real / (n * (n - 1.0))) * scale)
 
 
 def vacuum_element_fk(
@@ -102,21 +152,32 @@ def vacuum_element_fk(
     2 e^t delta^(jumps) exp(-2 g^2 * suppression), with 0^0 = 1; there is no
     oscillation.
     """
+    _check_draws(seed, n_samples, least=2)
     _check_time(t)
-    values = []
-    for chunk, rng in _seed_streams(seed, n_samples):
+
+    def logs(chunk, rng):
         jumps, offsets = _sample_segments(rng, 1.0, t, chunk, 0.0)
-        counts = np.diff(offsets)
         xi = _rank_pass(jumps, offsets, 0.0, (t,), suppression=True)
-        values.append(2.0 * np.exp(t + xlogy(counts, params.delta) - 2.0 * params.g**2 * xi))
-    mean, stderr = _mean_stderr(np.concatenate(values))
+        return np.log(2.0) + t + xlogy(np.diff(offsets), params.delta) - 2.0 * params.g**2 * xi
+
+    mean, stderr = _exp_mean((logs(chunk, rng) for chunk, rng in _seed_streams(seed, n_samples)),
+                             n_samples)
     return MCEstimate(mean.real, stderr, n_samples, seed)
 
 
-def _partition_samples(params, t, chunk, rng):
-    jumps, offsets = _sample_segments(rng, params.delta, t, chunk, 0.0)
-    (interaction,), _ = _rank_pass(jumps, offsets, 0.0, (t,))
-    return np.log(2.0) + params.delta * t + 0.5 * params.g**2 * interaction
+def _partition_logs(params: ModelParams, horizons: list, n_samples: int, seed: int):
+    """Per seed stream, delta h + (g^2/2) J_h of each path at every horizon h.
+
+    One rank pass over paths on [0, max(horizons)] gives every horizon; its
+    rows are a view of the pass's whole state.
+    """
+    for chunk, rng in _seed_streams(seed, n_samples):
+        jumps, offsets = _sample_segments(rng, params.delta, horizons[-1], chunk, 0.0)
+        logs = _rank_pass(jumps, offsets, 0.0, horizons)[0]
+        logs *= 0.5 * params.g**2
+        logs += params.delta * np.array(horizons)[:, None]
+        yield logs
+        del jumps, offsets, logs  # the pass's whole state is freed before the next draw
 
 
 def partition_fk(
@@ -126,13 +187,10 @@ def partition_fk(
     seed: int = DEFAULT_SEED,
 ) -> MCEstimate:
     """Flat-state semigroup element 2 e^(delta t) E[exp((g^2/2) J)]."""
+    _check_draws(seed, n_samples, least=2)
     _check_time(t)
-    logw = np.concatenate([_partition_samples(params, t, chunk, rng)
-                           for chunk, rng in _seed_streams(seed, n_samples)])
-    shift = logw.max()
-    mean, stderr = _mean_stderr(np.exp(logw - shift))
-    scale = np.exp(shift)
-    return MCEstimate(mean.real * scale, stderr * scale, n_samples, seed)
+    mean, stderr = _exp_mean(_partition_logs(params, [t], n_samples, seed), n_samples)
+    return MCEstimate(2.0 * mean.real, 2.0 * stderr, n_samples, seed)
 
 
 # Effective sample size a horizon needs to enter the ground-energy slope.
@@ -152,19 +210,10 @@ def ground_energy_fk(
     estimate is the log-ratio slope across the last two horizons whose
     effective sample size stays at or above ``_MIN_N_EFF``, which cancels the
     overlap prefactor exactly.  The full horizon series is attached for
-    extrapolation diagnostics.
-
-    No per-path row spans the sample: as each stream's rank pass returns,
-    its weights w = exp(lw - max lw), with the maximum taken over the
-    stream, are reduced per horizon to their sum and their centred cross
-    sums with every horizon, and the streams merge, rescaled to the overall
-    maximum, by the exact shift identity
-    sum (w_i - m_i)(w_j - m_j) = sum_b C_b,ij + n_b (m_b,i - m_i)(m_b,j - m_j).
-    Its covariance divides by n - 1, so ``n_samples < 2`` raises
-    ``ParameterError`` before any draw.
+    extrapolation diagnostics.  The weights of every horizon reduce through
+    ``_exp_moments``, whose covariance divides by n - 1.
     """
-    if n_samples < 2:
-        raise ParameterError(f"n_samples must be at least 2, got {n_samples}")
+    _check_draws(seed, n_samples, least=2)
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 2:
         raise ParameterError("t_grid needs at least two horizons")
@@ -172,29 +221,7 @@ def ground_energy_fk(
         _check_time(t)
     if len(set(t_grid)) < len(t_grid):
         raise ParameterError(f"t_grid repeats a horizon: {t_grid}")
-    horizons = np.array(t_grid)
-    streams = []  # per stream: its size and, per horizon, its shift, sum and centred cross sums
-    for chunk, rng in _seed_streams(seed, n_samples):
-        jumps, offsets = _sample_segments(rng, params.delta, t_grid[-1], chunk, 0.0)
-        w = _rank_pass(jumps, offsets, 0.0, t_grid)[0]  # the interactions, then the weights
-        w *= 0.5 * params.g**2
-        w += params.delta * horizons[:, None]
-        shift = w.max(axis=1)
-        np.exp(np.subtract(w, shift[:, None], out=w), out=w)
-        total = w.sum(axis=1)
-        w -= (total / chunk)[:, None]
-        cross = np.array([[np.multiply(a, b).sum() for b in w] for a in w])
-        streams.append((chunk, shift, total, cross))
-        del jumps, offsets, w  # w is a view of its pass's whole state: freed before the next draw
-
-    # w = exp(lw - max lw) over all paths: stream b's weights times exp(shift_b - shift)
-    shift = np.max([stream[1] for stream in streams], axis=0)
-    scales = [np.exp(stream[1] - shift) for stream in streams]
-    mean = sum(f * total for f, (_, _, total, _) in zip(scales, streams)) / n_samples
-    cross = 0.0  # sum (w_i - mean_i)(w_j - mean_j), merged with the exact shift identity
-    for f, (chunk, _, total, stream_cross) in zip(scales, streams):
-        d = f * total / chunk - mean
-        cross = cross + np.outer(f, f) * stream_cross + chunk * np.outer(d, d)
+    shift, mean, cross = _exp_moments(_partition_logs(params, t_grid, n_samples, seed))
     # (sum w)^2 / sum w^2, with sum w^2 = sum (w - mean)^2 + n mean^2
     n_effs = (n_samples * mean) ** 2 / (np.diagonal(cross) + n_samples * mean**2)
 
@@ -242,6 +269,7 @@ def gibbs_number_fk(ens: WeightedPathEnsemble, params: ModelParams, beta: comple
     Evaluates the weighted mean of exp(-g^2 (1 - e^beta) * Jc) with Jc the
     mixed-quadrant interaction; beta = i pi gives the number parity.
     """
+    beta = np.real(beta) if np.imag(beta) == 0 else beta  # a real value takes real arithmetic
     factor = -params.g**2 * (1.0 - np.exp(beta))
 
     def values(paths):

@@ -41,7 +41,7 @@ from scipy.special import betainc
 
 from .errors import DomainError, ParameterError
 from .estimators import _z_score
-from .paths import DEFAULT_SEED, _seed_streams
+from .paths import DEFAULT_SEED, _check_draws, _seed_streams
 
 
 _SERIES_EPS = 1e-16
@@ -86,8 +86,7 @@ def sample_damped_sign_pair(
     """
     if not 0 < delta < np.inf:  # an infinite or NaN rate never reaches the cutoff
         raise ParameterError(f"delta must be positive and finite, got {delta}")
-    if n_samples < 2:
-        raise ParameterError(f"n_samples must be at least 2, got {n_samples}")
+    _check_draws(seed, n_samples, least=2)
     cutoff, scale = _series_cutoff(), 1.0 / delta
     pair = np.empty((2, n_samples))  # X1 and X2: each stream writes its slice
     first = 0

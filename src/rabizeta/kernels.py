@@ -29,7 +29,7 @@ from scipy.special import gammainc
 from .errors import DomainError, ParameterError
 from .model import ModelParams
 from .paths import DEFAULT_SEED, _check_draws, _check_time, _seed_streams
-from .estimators import MCEstimate, _mean_stderr
+from .estimators import MCEstimate, _exp_mean
 
 _MIN_TIME = 1e-8
 
@@ -103,15 +103,14 @@ def _bridge_characteristic(params: ModelParams, t: float, m: int, rng, chunk: in
 
 
 def _flip_average(params: ModelParams, t: float, m: int, n_samples: int, seed: int,
-                  integrand) -> tuple[complex, float]:
-    """Mean and stderr of ``integrand(a, b, q)`` over m-flip configurations.
+                  log_integrand) -> tuple[complex, float]:
+    """Mean and stderr of ``exp(log_integrand(a, b, q))`` over m-flip configurations.
 
     The draws come from the streams keyed by the flip order m, so averages
     for different m are independent.
     """
-    values = [integrand(*_bridge_characteristic(params, t, m, rng, chunk))
-              for chunk, rng in _seed_streams(seed, n_samples, m)]
-    return _mean_stderr(np.concatenate(values))
+    return _exp_mean((log_integrand(*_bridge_characteristic(params, t, m, rng, chunk))
+                      for chunk, rng in _seed_streams(seed, n_samples, m)), n_samples)
 
 
 def _flip_weight(params: ModelParams, t: float, m: int) -> float:
@@ -137,13 +136,13 @@ def heat_kernel_component(
     """
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
-    _check_draws(seed, n_samples)
+    _check_draws(seed, n_samples, least=2)
     base = float(mehler_kernel(t, x, y))
     if m == 0:
         return MCEstimate(base, 0.0, 0, seed)
     scale = _flip_weight(params, t, m) * base
     mean, stderr = _flip_average(params, t, m, n_samples, seed,
-                                 lambda a, b, q: np.exp(1j * (a * x + b * y) - q / 2.0))
+                                 lambda a, b, q: 1j * (a * x + b * y) - q / 2.0)
     return MCEstimate(mean * scale, stderr * scale, n_samples, seed)
 
 
@@ -168,7 +167,7 @@ def heat_kernel_flip_sum(
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
-    _check_draws(seed, n_samples)
+    _check_draws(seed, n_samples, least=2)
     _check_time(t)
     _check_points(x, y)
     total = 0.0 + 0.0j
@@ -204,12 +203,12 @@ def gaussian_overlap_element_fk(
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
-    _check_draws(seed, n_samples)
+    _check_draws(seed, n_samples, least=2)
     _check_time(t)
     u = np.exp(-t)
 
-    def overlap(a, b, q):
-        return np.exp(-(a * a + b * b + 2.0 * a * b * u) / 4.0 - q / 2.0)
+    def log_overlap(a, b, q):
+        return -(a * a + b * b + 2.0 * a * b * u) / 4.0 - q / 2.0
 
     total = 2.0  # m = 0 term: Gaussian overlap of the Mehler kernel is exactly 1
     if m_max >= 1:
@@ -219,7 +218,7 @@ def gaussian_overlap_element_fk(
         scale = 2.0 * _flip_weight(params, t, m)
         if scale == 0.0:
             continue
-        mean, stderr = _flip_average(params, t, m, n_samples, seed, overlap)
+        mean, stderr = _flip_average(params, t, m, n_samples, seed, log_overlap)
         total += scale * mean.real
         var += (scale * stderr) ** 2
     # residual mass of the flip expansion beyond m_max (scale bound: |CF| <= 1):

@@ -304,6 +304,7 @@ def gibbs_number_ed(gs: GroundState, beta: complex) -> complex:
     cutoff, sized by its energy, is often too short, and the sum is taken
     over the ground vector solved at a larger one.
     """
+    beta = np.real(beta) if np.imag(beta) == 0 else beta  # a real value takes real arithmetic
     return _level_sum(gs, lambda n: np.exp(beta * n), f"<exp({beta}*n)>")
 
 

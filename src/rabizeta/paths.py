@@ -43,10 +43,14 @@ DEFAULT_SEED = 20240915
 N_STREAMS = 8
 
 
-def _check_draws(seed: int, n_samples: int) -> None:
-    """Reject a sample count below 1 or a negative seed with ``ParameterError``."""
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be positive, got {n_samples}")
+def _check_draws(seed: int, n_samples: int, least: int = 1) -> None:
+    """Reject fewer than ``least`` samples or a negative seed with ``ParameterError``.
+
+    Every estimate that draws its own samples asks ``least=2`` before its
+    first draw: its standard error divides by n - 1.
+    """
+    if n_samples < least:
+        raise ParameterError(f"n_samples must be at least {least}, got {n_samples}")
     if seed < 0:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
 

@@ -1,5 +1,6 @@
 """Jump-path estimators against exact diagonalization and closed limits."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from rabizeta.observables import (
     x_characteristic_ed,
     x_square_exponential_ed,
 )
-from rabizeta.paths import build_ground_ensemble
+from rabizeta.paths import _stream_slices, build_ground_ensemble
 
 P_STD = ModelParams(0.5, 1.0)
 N = 40_000
@@ -85,6 +86,30 @@ class TestVacuumElement:
         with pytest.raises(DomainError):
             vacuum_element_fk(P_STD, t, 100)
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_needs_two_samples(self, no_draw, n):
+        # the standard error divides by n - 1
+        with pytest.raises(ParameterError, match="at least 2"):
+            vacuum_element_fk(P_STD, 1.0, n)
+
+    def test_every_path_jumped_at_zero_delta(self):
+        # delta^N is 0 on every path of this sample that jumped, and every
+        # path did: each stream's log weights are all -inf, and add zeros
+        est = vacuum_element_fk(ModelParams(0.0, 1.0), 5.0, 16, seed=1)
+        assert (est.mean, est.stderr) == (0.0, 0.0)
+
+    def test_working_set(self):
+        # each stream's log weights are reduced as soon as they are drawn:
+        # 4.40 MB traced at 1e5 paths when every stream's weights were
+        # concatenated into one row
+        tracemalloc.start()
+        try:
+            vacuum_element_fk(P_STD, 1.0, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
+
 
 class TestPartition:
     def test_uncoupled_zero_variance(self):
@@ -108,6 +133,93 @@ class TestPartition:
     def test_time_not_positive_and_finite(self, no_draw, t):
         with pytest.raises(DomainError):
             partition_fk(P_STD, t, 100)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_needs_two_samples(self, no_draw, n):
+        # the standard error divides by n - 1
+        with pytest.raises(ParameterError, match="at least 2"):
+            partition_fk(P_STD, 2.0, n)
+
+    def test_working_set(self):
+        # 3.20 MB traced at 1e5 paths when every stream's log weights were
+        # concatenated and shifted by their global maximum
+        tracemalloc.start()
+        try:
+            partition_fk(P_STD, 2.0, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
+
+
+def reference_moments(logs):
+    """``_exp_moments`` of the rows ``logs`` taken whole, by two ``math.fsum`` passes."""
+    shift = np.maximum(logs.real.max(axis=1), np.finfo(float).min)
+    w = np.exp(logs - shift[:, None])
+    n = w.shape[1]
+    mean = np.array([math.fsum(row.real) / n + 1j * math.fsum(row.imag) / n for row in w])
+    d = w - mean[:, None]
+    cross = np.array([[math.fsum((a * b.conj()).real) + 1j * math.fsum((a * b.conj()).imag)
+                       for b in d] for a in d])
+    return shift, mean, cross
+
+
+class TestExpMoments:
+    """The one reduction of every self-drawing estimate, against a two-pass reference."""
+
+    def check(self, logs, n):
+        shift, mean, cross = estimators._exp_moments(logs[:, s].copy() for s in _stream_slices(n))
+        ref_shift, ref_mean, ref_cross = reference_moments(logs)
+        assert np.array_equal(shift, ref_shift)
+        assert not np.isnan(mean).any() and not np.isnan(cross).any()
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-13, atol=0.0)
+        # each cross sum within rounding of the sizes of its two rows
+        scale = np.sqrt(np.outer(np.diagonal(ref_cross).real, np.diagonal(ref_cross).real))
+        assert np.all(np.abs(cross - ref_cross) <= 1e-12 * scale)
+        return shift, mean, cross
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 100_003])
+    def test_four_real_rows(self, n):
+        rng = np.random.default_rng(n)
+        logs = rng.normal(size=(4, n)) * np.array([[0.1], [1.0], [3.0], [10.0]])
+        logs[1] += logs[0]  # correlated rows, so the cross sums are not diagonal
+        self.check(logs, n)
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 100_003])
+    def test_one_complex_row(self, n):
+        rng = np.random.default_rng(n)
+        logs = (rng.normal(size=n) + 1j * rng.uniform(-np.pi, np.pi, size=n))[None, :]
+        self.check(logs, n)
+
+    @pytest.mark.parametrize("n", [8, 100_003])
+    def test_streams_far_apart(self, n):
+        # one stream 700 above the rest: their weights merge through
+        # e^(s_b - shift), which underflows only where the reference does
+        logs = np.random.default_rng(n).normal(size=(2, n))
+        hot = _stream_slices(n)[3]
+        logs[0, hot] += 700.0
+        logs[1, hot] -= 700.0
+        shift, _, _ = self.check(logs, n)
+        assert shift[0] > 699.0 and shift[1] < 10.0
+
+    def test_constant_sample_is_exact(self):
+        shift, mean, cross = self.check(np.full((2, 1003), 3.25), 1003)
+        assert np.all(shift == 3.25) and np.all(mean == 1.0) and np.all(cross == 0.0)
+
+    def test_constant_stream(self):
+        logs = np.random.default_rng(5).normal(size=(1, 1003))
+        logs[0, _stream_slices(1003)[2]] = -0.5
+        self.check(logs, 1003)
+
+    def test_stream_of_zero_weights_adds_zeros(self):
+        logs = np.random.default_rng(6).normal(size=(2, 1003))
+        logs[:, _stream_slices(1003)[0]] = -np.inf
+        self.check(logs, 1003)
+
+    def test_every_weight_zero(self):
+        shift, mean, cross = estimators._exp_moments(
+            np.full((1, s.stop - s.start), -np.inf) for s in _stream_slices(100))
+        assert np.exp(shift[0]) * mean[0] == 0.0 and cross[0, 0] == 0.0
 
 
 class TestGroundEnergy:
@@ -169,6 +281,13 @@ class TestEnsembleEstimators:
     def test_gibbs_matches_ed(self, ens, gs):
         est = gibbs_number_fk(ens, P_STD, -0.5)
         assert est.z_score(gibbs_number_ed(gs, -0.5)) < 3
+
+    def test_gibbs_real_beta_whatever_its_type(self, ens, gs):
+        # `fk gibbs --beta -0.5` parses a complex beta, the battery holds a float
+        a = gibbs_number_fk(ens, P_STD, -0.5)
+        b = gibbs_number_fk(ens, P_STD, complex(-0.5))
+        assert (a.mean, a.stderr) == (b.mean, b.stderr)
+        assert gibbs_number_ed(gs, -0.5) == gibbs_number_ed(gs, complex(-0.5))
 
     def test_number_parity_positive_real(self, ens, gs):
         est = gibbs_number_fk(ens, P_STD, 1j * np.pi)

@@ -249,6 +249,22 @@ class TestHeatKernelComponents:
         with pytest.raises(ParameterError):
             heat_kernel_component(p, 1.0, 0, 0.3, -0.2, n_samples=0)
 
+    def test_one_sample_is_refused_without_a_draw(self, monkeypatch):
+        # every standard error divides by n - 1, drawn or not
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the sample count was checked")
+
+        monkeypatch.setattr(kernels, "_seed_streams", no_draw)
+        p = ModelParams(0.5, 1.0)
+        for m in (0, 2):
+            with pytest.raises(ParameterError, match="at least 2"):
+                heat_kernel_component(p, 1.0, m, 0.3, -0.2, n_samples=1)
+        for m_max in (0, 3):
+            with pytest.raises(ParameterError, match="at least 2"):
+                heat_kernel_flip_sum(p, 1.0, 0.3, -0.2, m_max, n_samples=1)
+            with pytest.raises(ParameterError, match="at least 2"):
+                gaussian_overlap_element_fk(p, 1.0, m_max, n_samples=1)
+
     @pytest.mark.parametrize("t", [-1.0, 0.0, np.nan, np.inf])
     def test_rejects_a_time_not_positive_and_finite_without_a_draw(self, monkeypatch, t):
         def no_draw(*args, **kwargs):
