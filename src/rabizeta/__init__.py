@@ -49,7 +49,6 @@ from .kernels import (
     heat_kernel_component,
     heat_kernel_flip_sum,
     mehler_kernel,
-    ou_bridge_coefficients,
 )
 from .model import (
     ModelParams,

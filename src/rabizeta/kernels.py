@@ -13,7 +13,12 @@ from x to y, available in closed form from the bridge mean and covariance:
     mean(s)      = x sinh(t - s)/sinh(t) + y sinh(s)/sinh(t)
     cov(s, u)    = sinh(min) sinh(t - max) / sinh(t)
 
-Only the flip times are Monte Carlo; everything Gaussian is exact.
+Only the flip times are Monte Carlo; everything Gaussian is exact.  One
+sweep over each configuration's sorted flip times forms the pieces of that
+characteristic function, exp(i(ax + by) - q/2): the linear pieces a and b
+and the quadratic q = lam^T C lam by an O(m) recurrence, because the bridge
+covariance C is semiseparable.  The flip times are the only
+(configurations, m) table held.
 
 The couplings are those of a path that starts in spin +1.  Starting in spin
 -1 negates every coupling, and so the bridge's linear pieces a and b but not
@@ -24,7 +29,7 @@ the component at (-x, -y), bit for bit on the same draws.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
@@ -53,53 +58,44 @@ def mehler_kernel(t: float, x, y) -> np.ndarray:
     return np.exp(-quad) / np.sqrt(np.pi * var)
 
 
-def ou_bridge_coefficients(s: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affine bridge mean factors: mean(s) = A(s) x + B(s) y, 0 <= s <= t.
-
-    Stable hyperbolic ratios: A = e^{-s} (1-e^{-2(t-s)})/(1-e^{-2t}) and
-    B = e^{s-t} (1-e^{-2s})/(1-e^{-2t}).
-    """
-    if t <= _MIN_TIME:
-        raise DomainError(f"bridge horizon must exceed {_MIN_TIME}")
-    s = np.asarray(s, dtype=float)
-    denom = -np.expm1(-2.0 * t)
-    a = np.exp(-s) * (-np.expm1(-2.0 * (t - s))) / denom
-    b = np.exp(s - t) * (-np.expm1(-2.0 * s)) / denom
-    return a, b
-
-
 def _flip_couplings(g: float, m: int) -> np.ndarray:
     j = np.arange(m)
     return 2.0 * np.sqrt(2.0) * g * np.where(j % 2 == 0, 1.0, -1.0)
 
 
-def _bridge_quadratic(s: np.ndarray, t: float, lam: np.ndarray) -> np.ndarray:
-    """q = lam^T C lam for the bridge covariance C at sorted times ``s`` (last axis).
-
-    O(m), with no (m, m) matrix: C is semiseparable, for j <= k
-    C_jk = e^{s_j-s_k} (1-e^{-2 s_j}) (1-e^{-2(t-s_k)}) / (2 (1-e^{-2t})).
-    With P_k = sum_{j<k} lam_j e^{s_j-s_k} (1-e^{-2 s_j}), built by
-    P_{k+1} = e^{s_k-s_{k+1}} (P_k + lam_k (1-e^{-2 s_k})) from factors of
-    at most 1, q = sum_k lam_k (1-e^{-2(t-s_k)}) (lam_k (1-e^{-2 s_k}) + 2 P_k)
-    / (2 (1-e^{-2t})).
-    """
-    grow = -np.expm1(-2.0 * s)
-    decay = -np.expm1(-2.0 * (t - s))
-    prefix = np.zeros(s.shape[:-1])
-    q = np.zeros(s.shape[:-1])
-    for k in range(s.shape[-1]):
-        if k:
-            prefix = np.exp(s[..., k - 1] - s[..., k]) * (prefix + lam[k - 1] * grow[..., k - 1])
-        q += lam[k] * decay[..., k] * (lam[k] * grow[..., k] + 2.0 * prefix)
-    return q / (2.0 * -np.expm1(-2.0 * t))
-
-
 def _bridge_characteristic(params: ModelParams, t: float, m: int, rng, chunk: int):
-    """Per-configuration CF pieces (a, b, q): exp(i(ax + by) - q/2)."""
+    """Per-configuration CF pieces (a, b, q): exp(i(ax + by) - q/2), in one sweep over the flips.
+
+    Draws ``chunk`` configurations of m sorted flip times s_k on [0, t].  With
+    D = 1-e^{-2t}, grow_k = 1-e^{-2 s_k} and decay_k = 1-e^{-2(t-s_k)}, each
+    formed once per flip:
+
+    * the bridge mean is A(s) x + B(s) y, with the stable hyperbolic ratios
+      A_k = e^{-s_k} decay_k / D and B_k = e^{s_k-t} grow_k / D, so
+      a = sum_k lam_k A_k and b = sum_k lam_k B_k, added in flip order;
+    * q = lam^T C lam for the bridge covariance C, O(m) with no (m, m)
+      matrix: C is semiseparable, for j <= k C_jk = e^{s_j-s_k} grow_j
+      decay_k / (2D).  With P_k = sum_{j<k} lam_j e^{s_j-s_k} grow_j, built
+      by P_{k+1} = e^{s_k-s_{k+1}} (P_k + lam_k grow_k) from factors of at
+      most 1, q = sum_k lam_k decay_k (lam_k grow_k + 2 P_k) / (2D).
+
+    Only the flip times are held over all m flips; the rest is a few rows.
+    """
+    if t <= _MIN_TIME:
+        raise DomainError(f"bridge horizon must exceed {_MIN_TIME}")
     s = np.sort(rng.uniform(0.0, t, size=(chunk, m)), axis=1)
     lam = _flip_couplings(params.g, m)
-    coef_a, coef_b = ou_bridge_coefficients(s, t)
-    return coef_a @ lam, coef_b @ lam, _bridge_quadratic(s, t, lam)
+    denom = -np.expm1(-2.0 * t)
+    a, b, q, prefix = np.zeros((4, chunk))
+    for k in range(m):
+        grow = -np.expm1(-2.0 * s[:, k])
+        decay = -np.expm1(-2.0 * (t - s[:, k]))
+        a += lam[k] * (np.exp(-s[:, k]) * decay / denom)
+        b += lam[k] * (np.exp(s[:, k] - t) * grow / denom)
+        q += lam[k] * decay * (lam[k] * grow + 2.0 * prefix)
+        if k + 1 < m:
+            prefix = np.exp(s[:, k] - s[:, k + 1]) * (prefix + lam[k] * grow)
+    return a, b, q / (2.0 * denom)
 
 
 def _flip_average(params: ModelParams, t: float, m: int, n_samples: int, seed: int,
@@ -114,9 +110,8 @@ def _flip_average(params: ModelParams, t: float, m: int, n_samples: int, seed: i
 
 
 def _flip_weight(params: ModelParams, t: float, m: int) -> float:
-    """Poisson flip weight (delta t)^m / m! of the m-flip component."""
-    lam = params.delta * t
-    return float(np.exp(m * np.log(lam) - _log_factorial(m))) if lam > 0 else 0.0
+    """Poisson flip weight (delta t)^m / m! of the m-flip component: 1 at m = 0, 0 at delta t = 0."""
+    return float(np.exp(xlogy(m, params.delta * t) - gammaln(m + 1)))
 
 
 def heat_kernel_component(
@@ -130,24 +125,21 @@ def heat_kernel_component(
 ) -> MCEstimate:
     """m-flip component of the coupled heat kernel at (x, y).
 
-    The zero-flip component is the Mehler kernel itself (exact, zero error);
-    for m >= 1 flip times are sampled from the streams keyed by m and the
-    bridge expectation is the closed-form Gaussian characteristic function.
+    The zero-flip component is the Mehler kernel itself (exact, zero error),
+    and a component whose scale is 0 (at delta t = 0, or where the Mehler
+    kernel underflows) is exactly 0; neither draws or counts a sample.  For
+    m >= 1 flip times are sampled from the streams keyed by m and the bridge
+    expectation is the closed-form Gaussian characteristic function.
     """
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
     _check_draws(seed, n_samples, least=2)
-    base = float(mehler_kernel(t, x, y))
-    if m == 0:
-        return MCEstimate(base, 0.0, 0, seed)
-    scale = _flip_weight(params, t, m) * base
+    scale = float(mehler_kernel(t, x, y)) * _flip_weight(params, t, m)
+    if m == 0 or scale == 0.0:
+        return MCEstimate(scale, 0.0, 0, seed)
     mean, stderr = _flip_average(params, t, m, n_samples, seed,
                                  lambda a, b, q: 1j * (a * x + b * y) - q / 2.0)
     return MCEstimate(mean * scale, stderr * scale, n_samples, seed)
-
-
-def _log_factorial(m: int) -> float:
-    return float(np.sum(np.log(np.arange(1, m + 1)))) if m else 0.0
 
 
 def heat_kernel_flip_sum(
@@ -163,20 +155,21 @@ def heat_kernel_flip_sum(
 
     Shrinks to zero with growing coupling; evaluate at fixed seed across
     couplings to compare magnitudes within correlated Monte Carlo error.
-    Each flip order draws from its own streams, so the per-m variances add.
+    Each flip order draws from its own streams, so the per-m variances add;
+    the sample count is the sum of the components' counts.
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
     _check_draws(seed, n_samples, least=2)
     _check_time(t)
     _check_points(x, y)
-    total = 0.0 + 0.0j
-    var = 0.0
+    total, var, drawn = 0.0 + 0.0j, 0.0, 0
     for m in range(1, m_max + 1):
         est = heat_kernel_component(params, t, m, x, y, n_samples, seed)
         total += est.mean
         var += est.stderr**2
-    return MCEstimate(total, float(np.sqrt(var)), n_samples * m_max, seed)
+        drawn += est.n_samples
+    return MCEstimate(total, float(np.sqrt(var)), drawn, seed)
 
 
 def gaussian_overlap_element_fk(
@@ -194,12 +187,14 @@ def gaussian_overlap_element_fk(
     estimates the same quantity as ``observables.vacuum_element_ed``.  The
     truncation error in m is bounded by the remaining (delta t)^m / m! mass.
 
-    The m = 1 term is exact.  With one flip at s, the ground Gaussian is
-    invariant under the free semigroup on either side of the flip, so the
-    overlap does not depend on s.  At s -> 0, A = 1, B = 0 and cov = 0, so
-    a = lam_1 = 2 sqrt(2) g, b = q = 0 and the overlap is
-    exp(-lam_1^2 / 4) = e^{-2 g^2}; the term is 2 delta t e^{-2 g^2} and
-    draws nothing.  Only m >= 2 is sampled, from the streams keyed by m.
+    Per configuration the log overlap is the path route's log vacuum weight:
+    -(a^2 + b^2 + 2ab e^{-t})/4 - q/2 = -2 g^2 xi, with
+    xi = sum_{j,k} (-1)^{j+k} e^{-|s_j - s_k|} the vacuum suppression that
+    ``paths._rank_pass`` forms for the same flip times.  So the m = 1 term is
+    exact: one flip has xi = 1 at every flip time, the overlap is
+    e^{-2 g^2} and the term is 2 delta t e^{-2 g^2}, which draws nothing.
+    Only m >= 2 is sampled, from the streams keyed by m; an order of weight
+    0 draws nothing, and the sample count is the configurations drawn.
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
@@ -213,7 +208,7 @@ def gaussian_overlap_element_fk(
     total = 2.0  # m = 0 term: Gaussian overlap of the Mehler kernel is exactly 1
     if m_max >= 1:
         total += 2.0 * _flip_weight(params, t, 1) * np.exp(-2.0 * params.g**2)
-    var = 0.0
+    var, drawn = 0.0, 0
     for m in range(2, m_max + 1):
         scale = 2.0 * _flip_weight(params, t, m)
         if scale == 0.0:
@@ -221,6 +216,7 @@ def gaussian_overlap_element_fk(
         mean, stderr = _flip_average(params, t, m, n_samples, seed, log_overlap)
         total += scale * mean.real
         var += (scale * stderr) ** 2
+        drawn += n_samples
     # residual mass of the flip expansion beyond m_max (scale bound: |CF| <= 1):
     # 2 sum_{m > m_max} (delta t)^m / m! = 2 e^{delta t} P(m_max + 1, delta t),
     # formed as a logarithm, since e^{delta t} alone overflows past delta t = 709.78
@@ -229,5 +225,5 @@ def gaussian_overlap_element_fk(
         log_tail = np.log(2.0) + lam + np.log(gammainc(m_max + 1, lam))
     bound = (f"{np.exp(log_tail):.2e}" if log_tail < np.log(np.finfo(float).max)
              else f"e^{log_tail:.1f}, beyond the double range")
-    return MCEstimate(float(total), float(np.sqrt(var)), n_samples * max(m_max - 1, 0), seed,
+    return MCEstimate(float(total), float(np.sqrt(var)), drawn, seed,
                       note=f"flip-expansion tail bound {bound}")

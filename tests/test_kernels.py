@@ -1,5 +1,7 @@
 """Oscillator kernels, the conditioned-bridge law, and the flip expansion."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,16 +10,16 @@ from scipy.integrate import dblquad, quad
 import rabizeta.kernels as kernels
 from rabizeta.errors import DomainError, ParameterError
 from rabizeta.kernels import (
-    _bridge_quadratic,
+    _MIN_TIME,
     _flip_couplings,
     gaussian_overlap_element_fk,
     heat_kernel_component,
     heat_kernel_flip_sum,
     mehler_kernel,
-    ou_bridge_coefficients,
 )
 from rabizeta.model import ModelParams
 from rabizeta.observables import vacuum_element_ed
+from rabizeta.paths import _rank_pass
 
 
 def ou_transition_density(t: float, y, x) -> np.ndarray:
@@ -47,6 +49,52 @@ def ou_bridge_covariance(s: np.ndarray, t: float) -> np.ndarray:
         * (-np.expm1(-2.0 * (t - hi)))
         / (2.0 * denom)
     )
+
+
+def ou_bridge_coefficients(s: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Affine bridge mean factors: mean(s) = A(s) x + B(s) y, 0 <= s <= t.
+
+    Stable hyperbolic ratios: A = e^{-s} (1-e^{-2(t-s)})/(1-e^{-2t}) and
+    B = e^{s-t} (1-e^{-2s})/(1-e^{-2t}).
+    """
+    if t <= _MIN_TIME:
+        raise DomainError(f"bridge horizon must exceed {_MIN_TIME}")
+    s = np.asarray(s, dtype=float)
+    denom = -np.expm1(-2.0 * t)
+    a = np.exp(-s) * (-np.expm1(-2.0 * (t - s))) / denom
+    b = np.exp(s - t) * (-np.expm1(-2.0 * s)) / denom
+    return a, b
+
+
+def _bridge_quadratic(s: np.ndarray, t: float, lam: np.ndarray) -> np.ndarray:
+    """q = lam^T C lam for the bridge covariance C at sorted times ``s`` (last axis).
+
+    O(m), with no (m, m) matrix: C is semiseparable, for j <= k
+    C_jk = e^{s_j-s_k} (1-e^{-2 s_j}) (1-e^{-2(t-s_k)}) / (2 (1-e^{-2t})).
+    With P_k = sum_{j<k} lam_j e^{s_j-s_k} (1-e^{-2 s_j}), built by
+    P_{k+1} = e^{s_k-s_{k+1}} (P_k + lam_k (1-e^{-2 s_k})) from factors of
+    at most 1, q = sum_k lam_k (1-e^{-2(t-s_k)}) (lam_k (1-e^{-2 s_k}) + 2 P_k)
+    / (2 (1-e^{-2t})).
+    """
+    grow = -np.expm1(-2.0 * s)
+    decay = -np.expm1(-2.0 * (t - s))
+    prefix = np.zeros(s.shape[:-1])
+    q = np.zeros(s.shape[:-1])
+    for k in range(s.shape[-1]):
+        if k:
+            prefix = np.exp(s[..., k - 1] - s[..., k]) * (prefix + lam[k - 1] * grow[..., k - 1])
+        q += lam[k] * decay[..., k] * (lam[k] * grow[..., k] + 2.0 * prefix)
+    return q / (2.0 * -np.expm1(-2.0 * t))
+
+
+def traced_peak(call) -> int:
+    """Peak of the allocations ``tracemalloc`` traces while ``call()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def bridge_quadratic_mp(s, t, lam) -> float:
@@ -159,7 +207,12 @@ class TestBridge:
 
 
 class TestBridgeQuadratic:
-    """The O(m) form of lam^T C lam against the dense covariance and 50 digits."""
+    """The O(m) form of lam^T C lam against the dense covariance and 50 digits.
+
+    ``ou_bridge_coefficients`` and ``_bridge_quadratic`` above are the
+    table-by-table forms of the pieces that ``kernels._bridge_characteristic``
+    forms in one sweep over the flips.
+    """
 
     @pytest.mark.parametrize("t", [1e-3, 0.5, 2.0, 30.0])
     @pytest.mark.parametrize("m", range(1, 9))
@@ -189,7 +242,12 @@ class TestBridgeQuadratic:
         s = np.sort(np.random.default_rng(7).uniform(0.0, t, size=(50, m)), axis=1)
         lam = _flip_couplings(p.g, m)
         coef_a, coef_b = ou_bridge_coefficients(s, t)
-        assert np.array_equal(a, coef_a @ lam) and np.array_equal(b, coef_b @ lam)
+        ref_a, ref_b = np.zeros(50), np.zeros(50)
+        for k in range(m):  # the sweep adds lam_k A_k and lam_k B_k in flip order
+            ref_a += lam[k] * coef_a[:, k]
+            ref_b += lam[k] * coef_b[:, k]
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+        assert np.array_equal(q, _bridge_quadratic(s, t, lam))
         dense = np.einsum("j,njk,k->n", lam, ou_bridge_covariance(s, t), lam)
         assert np.allclose(q, dense, rtol=0, atol=1e-12 * np.abs(lam).sum() ** 2)
 
@@ -290,6 +348,36 @@ class TestHeatKernelComponents:
         with pytest.raises(DomainError):
             heat_kernel_flip_sum(ModelParams(0.5, 1.0), 1.0, x, y, m_max)
 
+    def test_zero_weight_orders_draw_nothing(self, monkeypatch):
+        # at delta = 0 every m >= 1 order has weight 0: it draws nothing and
+        # counts no sample (1000 and 4000 configurations were once drawn to be
+        # multiplied by 0, and 5000 counted for a reconstruction that drew none)
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew an order of weight 0")
+
+        monkeypatch.setattr(kernels, "_seed_streams", no_draw)
+        p = ModelParams(0.0, 1.0)
+        est = heat_kernel_component(p, 1.0, 3, 0.3, -0.2, n_samples=1000)
+        assert (est.mean, est.stderr, est.n_samples) == (0.0, 0.0, 0)
+        est = heat_kernel_flip_sum(p, 1.0, 0.3, -0.2, 4, n_samples=1000)
+        assert (est.mean, est.stderr, est.n_samples) == (0.0, 0.0, 0)
+        est = gaussian_overlap_element_fk(p, 1.0, 6, n_samples=1000)
+        assert (est.mean, est.stderr, est.n_samples) == (2.0, 0.0, 0)
+
+    def test_sample_counts_are_the_draws(self):
+        # at delta > 0 every order draws: the flip sum counts m_max orders,
+        # the reconstruction m_max - 1 (its m = 1 term is closed)
+        p = ModelParams(0.5, 1.0)
+        assert heat_kernel_component(p, 1.0, 3, 0.3, -0.2, n_samples=300).n_samples == 300
+        assert heat_kernel_flip_sum(p, 1.0, 0.3, -0.2, 4, n_samples=300).n_samples == 1200
+        assert gaussian_overlap_element_fk(p, 1.0, 6, n_samples=300).n_samples == 1500
+
+    def test_working_set(self):
+        # one sweep over the flips holds the (chunk, m) flip times and a few
+        # rows: 3.81 MB traced with the A and B tables of every stream
+        p = ModelParams(0.5, 1.0)
+        assert traced_peak(lambda: heat_kernel_component(p, 1.0, 6, 0.3, -0.2, 100_000)) <= 2.0e6
+
     def test_empty_flip_sum_is_exact_zero(self):
         est = heat_kernel_flip_sum(ModelParams(0.5, 1.0), 1.0, 0.3, -0.2, 0, n_samples=100)
         assert est.mean == 0.0 and est.stderr == 0.0 and est.n_samples == 0
@@ -315,6 +403,27 @@ class TestReconstruction:
         p = ModelParams(0.5, 1.0)
         rec = gaussian_overlap_element_fk(p, 1.0, 6, n_samples=40_000, seed=52)
         assert rec.z_score(vacuum_element_ed(p, 1.0)) < 3
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 5.0, 30.0])
+    @pytest.mark.parametrize("g", [0.3, 1.0, 3.0])
+    def test_log_overlap_is_the_vacuum_suppression(self, g, t):
+        # the two routes to one element: per flip configuration the log
+        # Gaussian overlap -(a^2 + b^2 + 2ab e^{-t})/4 - q/2 equals -2 g^2 xi,
+        # xi the rank pass's vacuum suppression of the same flip times
+        # (2.0e-15 g^2 m at most on this grid)
+        for m in range(1, 9):
+            a, b, q = kernels._bridge_characteristic(ModelParams(0.5, g), t, m,
+                                                     np.random.default_rng(m), 200)
+            s = np.sort(np.random.default_rng(m).uniform(0.0, t, size=(200, m)), axis=1)
+            xi = _rank_pass(s.ravel(), m * np.arange(201), 0.0, (t,), suppression=True)
+            log_overlap = -(a * a + b * b + 2.0 * a * b * np.exp(-t)) / 4.0 - q / 2.0
+            assert np.abs(log_overlap + 2.0 * g**2 * xi).max() <= 1e-13 * g**2 * m
+
+    def test_working_set(self):
+        # 3.81 MB traced at 1e5 configurations per order when each stream
+        # built its (chunk, m) A and B tables
+        p = ModelParams(0.5, 1.0)
+        assert traced_peak(lambda: gaussian_overlap_element_fk(p, 1.0, 6, 100_000)) <= 2.0e6
 
     def test_single_flip_term_is_closed_form(self, monkeypatch):
         # one flip: the overlap is e^{-2 g^2} at every flip time, so nothing is drawn
