@@ -572,11 +572,16 @@ class AcceptanceBattery:
             x1 = x1.copy()  # x1 and x2 are the rows of one array: it goes with x2
             del x2
             zs = [row["z"] for row in pair]  # E[X1^2], the m = 1 moment, among them
-            for m in (2, 3, 4):
-                draws = x1 ** (2 * m)
+            # x^4 = (x^2)^2, x^6 = x^4 x^2 and x^8 = (x^4)^2 by multiplication, not pow
+            square = x1 * x1
+            quartic = square * square
+            for m, power in ((2, lambda: quartic),
+                             (3, lambda: np.multiply(quartic, square, out=square)),
+                             (4, lambda: np.multiply(quartic, quartic, out=quartic))):
+                draws = power()
                 stderr = draws.std(ddof=1) / np.sqrt(draws.size)
                 zs.append(_z_score(draws.mean(), stderr, damped_sign_moment(delta, m)))
-                del draws  # before the next moment's draws, and the KS
+            del square, quartic, draws  # before the KS
             rows.append(_check(f"x1-moments(delta={delta})",
                                "closed pair moments and E[X1^2m] for m<=4 within 3 sigma",
                                max(zs), 3.0))

@@ -16,7 +16,8 @@ an average over jump paths only:
 
 Every estimator draws through ``paths._seed_streams`` and reduces in stream
 order, so it is reproducible bit for bit from (seed, n_samples, params).
-Each stream's path functionals come from one rank pass (``paths._rank_pass``).
+Each stream's paths are drawn and integrated in one sweep (``paths._sweep``),
+which forms only the functionals its estimator reads.
 
 The estimates that draw their own samples reduce through one function,
 ``_exp_moments``: each supplies, per seed stream, the log value L of every
@@ -47,9 +48,8 @@ from .paths import (
     WeightedPathEnsemble,
     _check_draws,
     _check_time,
-    _rank_pass,
-    _sample_segments,
     _seed_streams,
+    _sweep,
 )
 
 
@@ -156,9 +156,9 @@ def vacuum_element_fk(
     _check_time(t)
 
     def logs(chunk, rng):
-        jumps, offsets = _sample_segments(rng, 1.0, t, chunk, 0.0)
-        xi = _rank_pass(jumps, offsets, 0.0, (t,), suppression=True)
-        return np.log(2.0) + t + xlogy(np.diff(offsets), params.delta) - 2.0 * params.g**2 * xi
+        xi, counts = np.empty(chunk), np.empty(chunk, dtype=np.intp)
+        _sweep(rng, chunk, 1.0, t, suppression=xi, counts=counts)
+        return np.log(2.0) + t + xlogy(counts, params.delta) - 2.0 * params.g**2 * xi
 
     mean, stderr = _exp_mean((logs(chunk, rng) for chunk, rng in _seed_streams(seed, n_samples)),
                              n_samples)
@@ -168,16 +168,15 @@ def vacuum_element_fk(
 def _partition_logs(params: ModelParams, horizons: list, n_samples: int, seed: int):
     """Per seed stream, delta h + (g^2/2) J_h of each path at every horizon h.
 
-    One rank pass over paths on [0, max(horizons)] gives every horizon; its
-    rows are a view of the pass's whole state.
+    One sweep over paths on [0, max(horizons)] gives every horizon, and
+    forms no damped integral.
     """
     for chunk, rng in _seed_streams(seed, n_samples):
-        jumps, offsets = _sample_segments(rng, params.delta, horizons[-1], chunk, 0.0)
-        logs = _rank_pass(jumps, offsets, 0.0, horizons)[0]
+        logs = np.empty((len(horizons), chunk))
+        _sweep(rng, chunk, params.delta, horizons[-1], interactions=logs, horizons=horizons)
         logs *= 0.5 * params.g**2
         logs += params.delta * np.array(horizons)[:, None]
         yield logs
-        del jumps, offsets, logs  # the pass's whole state is freed before the next draw
 
 
 def partition_fk(

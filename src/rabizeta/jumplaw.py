@@ -23,8 +23,9 @@ function of X1 is I_{(1+t)/2}(delta + 1, delta), a regularized incomplete
 Beta function.
 
 X2 is the time-weighted partner entering the ground state's mean photon
-number.  Sampling sweeps the jump times of every path in a seed stream
-together.  A jump at or beyond the cutoff T with (1 + T) e^(-T) <
+number.  The samples come from the sweep that draws every path of the
+package (``paths._sweep``), so the exact law of X1 checks the sampler of
+every path estimate.  A jump at or beyond the cutoff T with (1 + T) e^(-T) <
 ``_SERIES_EPS`` = 1e-16, so T is about 40.6, is never added: such a path
 retires, and its time only grows, so its mask stays false.  Each dropped
 term is below ``_SERIES_EPS`` in size, and the dropped tail of an
@@ -41,7 +42,7 @@ from scipy.special import betainc
 
 from .errors import DomainError, ParameterError
 from .estimators import _z_score
-from .paths import DEFAULT_SEED, _check_draws, _seed_streams
+from .paths import DEFAULT_SEED, _check_draws, _seed_streams, _sweep
 
 
 _SERIES_EPS = 1e-16
@@ -62,64 +63,37 @@ def sample_damped_sign_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X1, X2) samples; X1 always lands in [-1, 1].
 
-    Each seed stream keeps, in buffers it reuses, every path's running jump
-    time and its two partial sums.  One step draws the next wait of every
-    path still in the buffers, in buffer order, and adds the jump's signed
-    terms masked by ``t < cutoff``, so a retired path adds an exact 0 from
-    then on.  The buffers are compacted, through one ``flatnonzero``, only
-    once at most half of their paths are live, so a step draws at most
-    about twice the live paths: at 100 000 samples a sample costs 1.02 to
-    1.18 times the ideal delta * cutoff + 1 waits, for delta from 20 down
-    to 0.05.  Each stream writes its samples straight into its slice of
-    one (2, n_samples) array.  Memory is O(chunk) beyond the result.  A wait
-    is ``standard_exponential()`` times 1 / delta, the value
-    ``exponential(1 / delta)`` draws, and a test generator can hand the
-    sampler exact waits.  numpy's ziggurat draws its tail as r - log1p(-U),
-    with r about 7.697 and U on a 2^-53 grid, so it caps a standard
-    exponential at about 44.43, and a wait at 44.43 / delta, which for
-    delta > 1.094 lies below the series cutoff; but the capped mass is
-    e^-44.43, about 5e-20 per draw.  Inversion, -log1p(-U) / delta from one
-    uniform, ran about 10% faster in the sampler alone, but caps a standard
-    exponential at 36.74, a mass of 2^-53, about 1.1e-16 per draw, so the
-    ziggurat stays.  Fewer than two samples have no standard error, so
-    ``n_samples < 2`` raises ``ParameterError`` before any draw.
+    Each seed stream's paths are walked by the package's one Poisson sweep,
+    ``paths._sweep``, at rate delta out to the series cutoff, which forms
+    only the two series and writes them straight into the stream's slice of
+    one (2, n_samples) array.  Memory is O(chunk) beyond the result.  A
+    step of the sweep draws one wait per path it still holds, and it
+    compacts them once at most half are live: at 100 000 samples a sample
+    costs 1.02 to 1.18 times the ideal delta * cutoff + 1 waits, for delta
+    from 20 down to 0.05.  A wait is ``standard_exponential()`` times
+    1 / delta, the value ``exponential(1 / delta)`` draws, and a test
+    generator can hand the sampler exact waits.  numpy's ziggurat draws its
+    tail as r - log1p(-U), with r about 7.697 and U on a 2^-53 grid, so it
+    caps a standard exponential at about 44.43, and a wait at
+    44.43 / delta, which for delta > 1.094 lies below the series cutoff;
+    but the capped mass is e^-44.43, about 5e-20 per draw.  Inversion,
+    -log1p(-U) / delta from one uniform, ran about 10% faster in the
+    sampler alone, but caps a standard exponential at 36.74, a mass of
+    2^-53, about 1.1e-16 per draw, so the ziggurat stays.  Fewer than two
+    samples have no standard error, so ``n_samples < 2`` raises
+    ``ParameterError`` before any draw.
     """
     if not 0 < delta < np.inf:  # an infinite or NaN rate never reaches the cutoff
         raise ParameterError(f"delta must be positive and finite, got {delta}")
     _check_draws(seed, n_samples, least=2)
-    cutoff, scale = _series_cutoff(), 1.0 / delta
+    cutoff = _series_cutoff()
     pair = np.empty((2, n_samples))  # X1 and X2: each stream writes its slice
     first = 0
     for chunk, rng in _seed_streams(seed, n_samples):
-        sums = pair[:, first:first + chunk]  # the X1 and X2 series of every path
-        path = np.arange(chunk)  # the path held in each buffer slot
-        t, acc1, acc2 = np.zeros(chunk), np.zeros(chunk), np.zeros(chunk)
-        wait, term, live = np.empty(chunk), np.empty(chunk), np.empty(chunk, dtype=bool)
-        n, step = chunk, np.add  # step adds the k-th jump's terms with sign (-1)^k
-        while n:
-            tn, a1, a2, w, e, lv = (b[:n] for b in (t, acc1, acc2, wait, term, live))
-            rng.standard_exponential(out=w)
-            w *= scale
-            tn += w
-            np.less(tn, cutoff, out=lv)
-            np.exp(np.negative(tn, out=e), out=e)
-            n_live = np.count_nonzero(lv)
-            if n_live < n:
-                e *= lv
-            np.add(tn, 1.0, out=w)
-            w *= e
-            step = np.subtract if step is np.add else np.add
-            step(a1, e, out=a1)
-            step(a2, w, out=a2)
-            if 2 * n_live <= n:
-                sums[0, path[:n]], sums[1, path[:n]] = a1, a2
-                keep = np.flatnonzero(lv)
-                for buffer in (path, t, acc1, acc2):
-                    buffer[:n_live] = buffer[keep]
-                n = n_live
-        sums *= 2.0
-        sums += 1.0
+        _sweep(rng, chunk, delta, cutoff, series=pair[:, first:first + chunk])
         first += chunk
+    pair *= 2.0
+    pair += 1.0
     return tuple(pair)
 
 

@@ -190,7 +190,7 @@ def gaussian_overlap_element_fk(
     Per configuration the log overlap is the path route's log vacuum weight:
     -(a^2 + b^2 + 2ab e^{-t})/4 - q/2 = -2 g^2 xi, with
     xi = sum_{j,k} (-1)^{j+k} e^{-|s_j - s_k|} the vacuum suppression that
-    ``paths._rank_pass`` forms for the same flip times.  So the m = 1 term is
+    ``paths._sweep`` forms for the same flip times.  So the m = 1 term is
     exact: one flip has xi = 1 at every flip time, the overlap is
     e^{-2 g^2} and the term is 2 delta t e^{-2 g^2}, which draws nothing.
     Only m >= 2 is sampled, from the streams keyed by m; an order of weight

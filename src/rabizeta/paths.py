@@ -7,12 +7,15 @@ order, plus ``offsets`` with path i owning ``jumps[offsets[i]:offsets[i+1]]``.
 Every functional the estimators need is integrated in closed form over the
 piecewise-constant sign pattern, so the only randomness is in the jump times
 themselves: the square pair interaction int int T_s T_r e^{-|s-r|} (at every
-horizon of a path), the damped sign integral int T_s e^{-|s|} ds and the
-vacuum suppression that damps jumpy paths in the vacuum element.  They come
-from one forward pass over jump rank, ``_rank_pass``, which carries a few
-numbers per path through recurrences whose terms stay of size about 1, so a
-path's value rounds at its own scale, not at that of its stream.  Samplers
-form them stream by stream.
+horizon of a path), the damped sign integral int T_s e^{-|s|} ds, the
+vacuum suppression that damps jumpy paths in the vacuum element, and the
+X1 and X2 series of ``jumplaw``.  Every path of the package is drawn and
+integrated by one sweep, ``_sweep``, which walks a stream's paths out from
+0 one exponential wait at a time and advances, in the same step, only the
+functionals its caller reads.  Each jump time is its own path's running sum
+of waits, and each functional is carried through recurrences whose terms
+stay of size about 1, so a path's value rounds at its own scale, not at
+that of its stream.
 
 The ground-state ensemble draws its paths on a Poisson clock of rate r, an
 estimate of the ground measure's own jump rate (``_clock_rate``), not the
@@ -86,27 +89,173 @@ def _stream_slices(n_samples: int) -> list[slice]:
 
 
 # ---------------------------------------------------------------------------
-# Batched sampling and segment reductions
+# The Poisson sweep and flat batches
 # ---------------------------------------------------------------------------
 
 
-def _sample_segments(rng, rate: float, length: float, n: int, lo: float):
-    """Jumps of n independent Poisson paths on [lo, lo+length], flat + offsets."""
-    counts = rng.poisson(rate * length, size=n) if rate > 0 else np.zeros(n, dtype=np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
+def _sweep(rng, n: int, rate: float, end: float, *, series=None, interactions=None,
+           horizons=(), damped=None, suppression=None, counts=None, jumps=None) -> None:
+    """Walk n rate-``rate`` Poisson paths out from 0 to ``end``, one wait at a time.
+
+    Every sampler of the package draws its jump times here.  Each path is
+    held in a slot of buffers the sweep reuses, in path order.  One step
+    draws ``standard_exponential()`` for every held slot, in slot order,
+    times 1 / rate (the value ``exponential(1 / rate)`` draws), and adds it
+    to the slot's time, so a jump time is its own path's running sum of
+    waits.  A time at or past ``end`` retires its slot, which keeps drawing
+    and adding exact zeros until the slots are compacted, through one
+    ``flatnonzero``, once at most half of them are live: a step draws at
+    most about twice the live paths.  Rate 0 draws nothing; every path
+    retires at its first step.
+
+    The same step advances only the functionals given an output row, and
+    writes each path's value there, by path, when its slot is compacted:
+
+    * ``series`` (2, n): the sums of (-1)^k e^{-t_k} and of
+      (-1)^k (1 + t_k) e^{-t_k} over the jumps t_k < ``end``, each term
+      masked by ``t_k < end``; the X1 and X2 series of ``jumplaw``.
+    * ``interactions`` (len(horizons), n): J_h = int int T_s T_r e^{-|s-r|}
+      over [0, h]^2 at each h of ``horizons`` (ascending, the last one
+      ``end``).
+    * ``damped`` (n): int_0^end T_s e^{-s} ds, with the sign +1 at 0.
+    * ``suppression`` (n): the vacuum suppression
+      xi = sum_{j,k} (-1)^{j+k} e^{-|x_j - x_k|} of the jumps x_j < ``end``;
+      not together with ``interactions``, whose two running rows it uses.
+    * ``counts`` (n): the number of jumps before ``end``.
+    * ``jumps``, a list: each step appends the times of the paths that jumped
+      in it, ascending by path, so step k holds the k-th jumps of the paths
+      with more than k (``_path_major`` lays them out by path).
+
+    Outside ``series`` a time is clipped to ``end``, so the step that
+    retires a slot takes its last block [s, end] and every later step a
+    block of length 0, which adds exact zeros.  Path i has blocks j on
+    [s_j, e_j], from s_0 = 0 to the block that ends at ``end``, of sign
+    c_j = (-1)^j, and l_j = e_j - s_j, m_j = 1 - e^{-l_j}, formed as
+    -expm1(-l_j).  Every running value is updated by terms of size at most
+    about 1, so a path's value rounds at its own scale:
+
+    * J: a block's own square gives 2 (l_j - m_j), and blocks i < j give
+      2 c_i c_j int int e^{r-s} = 2 a_i b_j, with a_i = c_i m_i e^{e_i} and
+      b_j = c_j m_j e^{-s_j}.  With A_j = e^{-s_j} sum_{i<j} a_i the pairs of
+      block j sum to 2 c_j m_j A_j, and e^{-s_{j+1}} = (1 - m_j) e^{-s_j}
+      gives A_0 = 0 and A_{j+1} = (1 - m_j) A_j + c_j m_j, a convex
+      combination of A_j and c_j, so |A_j| <= 1 and a rounding error of A
+      is damped, never amplified.  The sweep carries B_j = c_j A_j, for
+      which B_{j+1} = -m_j (1 - B_j) - B_j; the l_j sum to h, so
+      J_h = 2 h - 2 sum_j m_j (1 - B_j), with terms in [0, 2].  A horizon
+      h < ``end`` is read in the step whose block holds it, s_j <= h < e_j,
+      clipped to [s_j, h]: J_h = 2 h - 2 sum_{i<j} m_i (1 - B_i)
+      - 2 m' (1 - B_j), with m' = 1 - e^{-(h - s_j)}.  A jump at h starts
+      the block that holds h.
+    * Damped integral: sum_j b_j = sum_j c_j m_j e^{-s_j}, with e^{-s_j}
+      formed from s_j; its terms are e^{-s_j} - e^{-e_j} in size, which sum
+      to at most 1.
+    * Suppression: xi is the variance of S_k = sum_j (-1)^{j-1} X_{x_j} for
+      a stationary Ornstein-Uhlenbeck process X of unit variance.  Time
+      reversal gives X_{x_{j-1}} = rho_j X_{x_j} + sqrt(1 - rho_j^2) Z_j with
+      rho_j = e^{-(x_j - x_{j-1})} and Z_j independent of X on [x_j, oo).
+      So S_j = R_j X_{x_j} + N_j with N_j independent of X_{x_j}, where
+      R_1 = 1, Var N_1 = Q_1 = 0, R_j = rho_j R_{j-1} + (-1)^{j-1} and
+      Q_j = Q_{j-1} + (1 - rho_j^2) R_{j-1}^2; xi = Q_k + R_k^2, and 0 for
+      a path without jumps.  Every term is nonnegative, so near-coincident
+      jumps lose nothing to cancellation.  Only a jump advances them: the
+      terms of a step without one are masked to 0.
+    """
+    scale = 1.0 / rate if rate > 0.0 else 1.0
+    path = np.arange(n, dtype=np.int32)  # the path held in each slot
+    times, fresh, scratch = np.zeros(n), np.empty(n), np.empty(n)
+    # each slot's running values, compacted with the slots: the two series,
+    # or J's running sum and B (Q and R for the suppression), then the damped integral
+    state = np.zeros((2 + (damped is not None), n))
+    count = np.zeros(n, dtype=np.int32)
+    last = interactions[-1:] if interactions is not None else None  # J/2 - end at end, then J
+    held, k = n, 0
+    while held:
+        t, w, e = times[:held], fresh[:held], scratch[:held]
+        one, two, *rest = state[:, :held]
+        if rate > 0.0:
+            rng.standard_exponential(out=w)
+        else:  # rate 0 draws nothing
+            w.fill(np.inf)
+        w *= scale
+        w += t  # each slot's next time
+        lv = w < end
+        n_live = np.count_nonzero(lv)
+        step = np.add if k & 1 else np.subtract  # -(-1)^k: jump k + 1's sign, less block k's
+        if series is not None:
+            np.exp(np.negative(w, out=e), out=e)
+            if n_live < held:
+                e *= lv
+            np.add(w, 1.0, out=t)
+            t *= e
+            step(one, e, out=one)
+            step(two, t, out=two)
+        else:
+            np.minimum(w, end, out=w)
+            for row, h in zip(interactions if interactions is not None else (), horizons[:-1]):
+                at = np.flatnonzero((t <= h) & (h < w))  # the slots whose block holds h
+                row[path[at]] = one[at] + (1.0 - two[at]) * np.expm1(t[at] - h) + h
+            np.subtract(t, w, out=e)
+            np.expm1(e, out=e)  # -m, or rho - 1
+            if damped is not None:
+                np.exp(np.negative(t, out=t), out=t)  # e^{-s}
+                t *= e  # -m e^{-s}
+                step(rest[0], t, out=rest[0])
+            if suppression is not None:
+                e *= lv  # no jump, no term
+                one -= (e + 2.0) * e * two**2  # + (1 - rho^2) R^2
+                np.multiply(e, two, out=t)
+                t += -1.0 if k & 1 else 1.0
+                two += t * lv
+            if interactions is not None:
+                np.subtract(1.0, two, out=t)
+                t *= e  # -m (1 - B)
+                one += t
+                np.subtract(t, two, out=two)
+        if counts is not None:
+            count[:held] += lv
+        if jumps is not None and n_live:
+            jumps.append(w[lv])
+        times, fresh = fresh, times
+        if 2 * n_live <= held:
+            slots = path[:held]
+            if series is not None:
+                series[0, slots], series[1, slots] = one, two
+            for out, row in ((last, state[:1]), (damped, state[-1]), (counts, count)):
+                if out is not None:
+                    out[..., slots] = row[..., :held]
+            if suppression is not None:
+                suppression[slots] = one + two**2
+            keep = np.flatnonzero(lv)
+            for row in (path, times, count, *state):
+                row[:n_live] = row[keep]
+            held = n_live
+        k += 1
+    if interactions is not None:
+        interactions[-1] += end
+        interactions *= 2.0
+
+
+def _path_major(steps, counts, mirror=False):
+    """The jumps a sweep recorded, laid out by path: ``(jumps, offsets)``.
+
+    ``steps[k]`` holds the k-th jumps, ascending by path, of the paths with
+    more than k jumps, and ``counts`` each path's number.  With ``mirror``
+    the times are distances back from 0, and each path's jumps are stored
+    negated in ascending order, its k-th jump last but k; the steps are
+    negated in place.
+    """
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    u = rng.uniform(0.0, length, size=total)
-    if total:
-        # sort on the key seg * span + u, formed in place: seg is the path of
-        # each jump, and span keeps the paths' keys apart
-        shift = np.repeat(np.arange(n) * (length + 1.0), counts)
-        u += shift
-        u.sort()
-        u -= shift
-        np.clip(u, 0.0, length, out=u)
-    u += lo
-    return u, offsets
+    flat = np.empty(int(offsets[-1]))
+    at = offsets[1:] - 1 if mirror else offsets[:-1].copy()  # each path's next place
+    left = counts  # and its jumps still to place
+    for times in steps:
+        more = left > 0
+        at, left = at[more], left[more] - 1
+        flat[at] = np.negative(times, out=times) if mirror else times
+        at += -1 if mirror else 1
+    return flat, offsets
 
 
 def _jump_capacity(rate: float, length: float, n: int) -> int:
@@ -166,114 +315,6 @@ def _count_upto(jumps: np.ndarray, offsets: np.ndarray, time: float) -> np.ndarr
             step >>= 1
     end -= start
     return end
-
-
-def _rank_pass(jumps, offsets, lo, horizons, suppression=False):
-    """Per-path functionals of a flat batch on [lo, hi], hi = ``horizons[-1]``.
-
-    One forward pass over jump rank.  The paths are ranked by jump count,
-    most first and stably, so the paths that still have a k-th jump are a
-    prefix of the ranking.  Step k gathers that prefix's k-th jumps and
-    advances each path by one block (or one jump), on contiguous slices of
-    the rows of one array; each result returns to path order once, that at
-    a horizon h < hi in the step that reaches h and the rest at the end.  A
-    path carries a few numbers, each updated by terms of size at most about
-    1: no array over the jumps is formed, and nothing grows like e^{hi - lo}.
-
-    Path i has blocks j = 0..k_i on [s_j, e_j], with s_0 = lo, e_{k_i} = hi
-    and its jumps between, of sign c_j = (-1)^j times that of the first.
-    The interaction is even in the signs; the damped integral is odd, and is
-    taken with the sign +1 at 0, on the block that touches it.  Let
-    l_j = e_j - s_j and m_j = 1 - e^{-l_j}, formed as -expm1(-l_j).
-
-    * Interaction J = int int T_s T_r e^{-|s-r|} over [lo, hi]^2.  A block's
-      own square gives 2 (l_j - m_j).  Blocks i < j give
-      2 c_i c_j int int e^{r-s} = 2 a_i b_j, with a_i = c_i m_i e^{e_i} and
-      b_j = c_j m_j e^{-s_j}.  With A_j = e^{-s_j} sum_{i<j} a_i the pairs
-      of block j sum to 2 c_j m_j A_j, and e^{-s_{j+1}} = (1 - m_j) e^{-s_j}
-      gives A_0 = 0 and A_{j+1} = (1 - m_j) A_j + c_j m_j.  Each A_{j+1} is a
-      convex combination of A_j and c_j, so |A_j| <= 1, and a rounding error
-      of A is damped, never amplified.  The pass carries B_j = c_j A_j, for
-      which B_{j+1} = m_j (1 - B_j) - B_j; the l_j sum to hi - lo, so
-      J = 2 (hi - lo) - 2 sum_j m_j (1 - B_j), with terms in [0, 2].
-    * Damped integral int T_s e^{-|s|} ds, for [lo, hi] on one side of 0:
-      on [0, hi] it is sum_j b_j with c_0 = 1, and e^{-s_j} is carried as the
-      product of the 1 - m_i; its terms are at most e^{-s_j} - e^{-e_j},
-      which sum to at most 1.  On [lo, 0] it is sum_j a_j = A after the last
-      block, with c_{k_i} = 1, so c_{k_i + 1} = -1 and it is -B.
-    * Horizons h < hi in ``horizons``: the block j that holds h,
-      s_j <= h < e_j, clipped to [s_j, h], ends the path there, so
-      J_h = 2 (h - lo) - 2 sum_{i<j} m_i (1 - B_i) - 2 m' (1 - B_j), with
-      m' = 1 - e^{-(h - s_j)}.  Step j reads it off the path's state before
-      advancing it: a jump at h starts the block that holds h, and a path
-      without jumps holds every h in its one block.
-    * Vacuum suppression, with ``suppression``: for jumps x_1 < ... < x_k,
-      xi = sum_{j,k} (-1)^{j+k} e^{-|x_j - x_k|} is the variance of
-      S_k = sum_j (-1)^{j-1} X_{x_j} for a stationary Ornstein-Uhlenbeck
-      process X of unit variance.  Time reversal gives
-      X_{x_{j-1}} = rho_j X_{x_j} + sqrt(1 - rho_j^2) Z_j with
-      rho_j = e^{-(x_j - x_{j-1})} and Z_j independent of X on [x_j, oo).
-      So S_j = R_j X_{x_j} + N_j with N_j independent of X_{x_j}, where
-      R_1 = 1, Var N_1 = Q_1 = 0, R_j = rho_j R_{j-1} + (-1)^{j-1} and
-      Q_j = Q_{j-1} + (1 - rho_j^2) R_{j-1}^2; xi = Q_k + R_k^2, and 0 for
-      a path without jumps.  Every term is nonnegative, so near-coincident
-      jumps lose nothing to cancellation.
-
-    Returns the suppression with ``suppression``, else ``(interactions,
-    damped)``: one row per h of ``horizons`` (ascending) of the interaction
-    over [lo, h]^2, and the damped integral over [lo, hi].
-    """
-    n = offsets.size - 1
-    counts = np.diff(offsets)
-    most = int(counts.max(initial=0))
-    # a stable radix sort of a small unsigned key: most jumps first
-    order = np.argsort((most - counts).astype(np.min_scalar_type(most)), kind="stable")
-    more = (n - np.cumsum(np.bincount(counts, minlength=most + 1))).tolist()  # paths with > k jumps
-    position = offsets[:-1][order]  # each ranked path's next jump
-    hi, right = horizons[-1], lo >= 0.0
-    state = np.zeros((len(horizons) + 8, n))  # every row of the pass, in one array
-    start, total, prefix, damped, decay, end, shrink = state[:7]  # prefix: B, or R
-    out = state[7:]  # the interaction at each horizon, the damped integral
-    start[:] = lo
-    decay[:] = np.exp(-lo) if right else 0.0
-    reach = n  # paths with at least k jumps: a block (or a jump) k to take
-    for k, ahead in enumerate(more):
-        np.take(jumps, position[:ahead], out=end[:ahead], mode="clip")
-        position[:ahead] += 1
-        s = slice(0, ahead if suppression else reach)
-        end[ahead:s.stop] = hi
-        for row, h in zip(out, horizons[:-1]):  # the ranked paths whose block k holds h
-            held = np.flatnonzero((start[s] <= h) & (h < end[s]))
-            cut = np.expm1(start[held] - h)  # -m'
-            row[order[held]] = total[held] + (1.0 - prefix[held]) * cut + (h - lo)
-        np.subtract(start[s], end[s], out=shrink[s])  # -l
-        start[s] = end[s]
-        np.expm1(shrink[s], out=shrink[s])  # -m, or rho - 1
-        t = end[s]
-        if suppression:  # Q in ``total``, R in ``prefix``
-            total[s] -= (shrink[s] + 2.0) * shrink[s] * prefix[s] ** 2  # + (1 - rho^2) R^2
-            prefix[s] += shrink[s] * prefix[s] + (-1.0 if k & 1 else 1.0)
-        else:
-            np.subtract(1.0, prefix[s], out=t)
-            t *= shrink[s]  # -m (1 - B)
-            total[s] += t
-            np.subtract(t, prefix[s], out=prefix[s])
-            if right:
-                np.multiply(shrink[s], decay[s], out=t)  # -m e^{-s}
-                (np.add if k & 1 else np.subtract)(damped[s], t, out=damped[s])
-                decay[s] += t
-        reach = ahead
-
-    if suppression:
-        out[0][order] = total + prefix**2
-        return out[0]
-    total += hi - lo
-    out[-2][order] = total
-    out[:-1] *= 2.0
-    if not right:
-        np.negative(prefix, out=damped)
-    out[-1][order] = damped
-    return out[:-1], out[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +536,16 @@ def build_ground_ensemble(
     n_eff below 100 is flagged in ``note`` with a resampling recommendation.
 
     Every per-path array is allocated once, at ``n_samples``, and the jumps
-    of each side go to one buffer.  Each seed stream draws its left side,
-    writes it into its slice of the buffers, frees the draw and ranks that
-    slice in place (``_rank_pass``), then does the same for its right side,
-    so one side's draw or one pass is alive at a time; its log weights are
-    formed in place over its J.  The offsets are int32: a sample whose
-    jumps may pass that range raises ``ParameterError`` before any draw.
+    of each side go to one buffer.  Each seed stream sweeps its left side,
+    then its right (``_sweep``), each on [0, T]: the left side is the mirror
+    of a right side, since the sign is +1 at 0, the clock is reversible and
+    J and the damped integral are even under s -> -s.  A side's sweep writes
+    its damped integral and jump counts straight into the ensemble's arrays
+    and its J into the log weights, which are then formed in place; its
+    jumps go to the buffer by path (``_write_batch``), the left side's
+    negated, before the next side draws.  The offsets are int32: a sample
+    whose jumps may pass that range raises ``ParameterError`` before any
+    draw.
     """
     T = _horizon(params.delta, T)
     rate = _clock_rate(params)
@@ -511,24 +556,25 @@ def build_ground_ensemble(
     jumps = [np.empty(capacity), np.empty(capacity)]  # the left side's, then the right's
     offsets = [np.zeros(n_samples + 1, dtype=np.int32) for _ in jumps]
     damped = [np.empty(n_samples) for _ in jumps]
-    log_weights = np.zeros(n_samples)  # J first
-    first = 0
-    for chunk, rng in _seed_streams(seed, n_samples):
-        rows, bounds = slice(first, first + chunk), slice(first, first + chunk + 1)
-        for side, (lo, hi) in enumerate(((-T, 0.0), (0.0, T))):
-            jumps[side] = _write_batch(jumps[side], offsets[side], first,
-                                       *_sample_segments(rng, rate, T, chunk, lo))
-            (j,), damped[side][rows] = _rank_pass(jumps[side], offsets[side][bounds], lo, (hi,))
-            log_weights[rows] += j
-            del j  # a view of its pass's whole state: freed before the next draw
+    log_weights = np.empty(n_samples)  # J first
+    for rows, (chunk, rng) in zip(_stream_slices(n_samples), _seed_streams(seed, n_samples)):
+        bounds = slice(rows.start, rows.stop + 1)
+        for side in (0, 1):
+            j = log_weights[None, rows] if side == 0 else np.empty((1, chunk))
+            counts, steps = offsets[side][bounds][1:], []
+            _sweep(rng, chunk, rate, T, interactions=j, horizons=(T,),
+                   damped=damped[side][rows], counts=counts, jumps=steps)
+            jumps[side] = _write_batch(jumps[side], offsets[side], rows.start,
+                                       *_path_major(steps, counts, mirror=side == 0))
+            if side:
+                log_weights[rows] += j[0]
+            del j, steps  # before the next draw, and before n_eff's scratch row
         lw = log_weights[rows]
         lw += 2.0 * damped[0][rows] * damped[1][rows]
         lw *= 0.5 * params.g**2
         if rate != params.delta:
-            counts = np.diff(offsets[0][bounds])
-            counts += np.diff(offsets[1][bounds])
+            counts = np.diff(offsets[0][bounds]) + np.diff(offsets[1][bounds])  # m
             lw += counts * np.log(params.delta / rate)
-        first += chunk
 
     ens = WeightedPathEnsemble(
         params=params,

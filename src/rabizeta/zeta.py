@@ -377,9 +377,10 @@ def zeta_limit_table(
 
     Then, for every adjacent pair predicted to decrease whose slack is
     missed while its intervals ``dev +- tail`` overlap, both rows are
-    evaluated again at tail bound ``(dev[i-1] - dev[i]) / 4``, or a quarter
-    of the smaller tail bound when the computed deviations do not decrease,
-    until no such pair is left or its heads have reached the cap.  A row's
+    evaluated again at tail bound ``|dev[i-1] - dev[i]| / 4``, until no such
+    pair is left or its heads have reached the cap.  Tails of a quarter of
+    the computed drop separate the intervals in one round, in the right
+    order, or in the wrong one where the deviation truly rises.  A row's
     head never shrinks, and never exceeds 2000 levels (1000 for a parity
     sector).  A pair not predicted to decrease (equal g, or a decreasing
     grid) is left as computed.
@@ -422,7 +423,7 @@ def zeta_limit_table(
             if gaps[i - 1] > 0 and -drop <= a.tail_bound + b.tail_bound and not (
                 b.deviation + b.tail_bound < a.deviation - a.tail_bound
             ):
-                tol = (drop if drop > 0 else min(a.tail_bound, b.tail_bound)) / 4.0
+                tol = abs(drop) / 4.0
                 for j in (i - 1, i):
                     wanted[j] = min(wanted.get(j, tol), tol)
         finer = {j: head(tol) for j, tol in wanted.items()}

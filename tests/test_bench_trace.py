@@ -40,5 +40,5 @@ def test_traced_fk_crosscheck_pass(bench):
     assert ledger.failures == []
     assert ledger.attempted > 0
     # both couplings' ensembles at the default seed, on the clock _clock_rate gives
-    assert metrics["paths.build_ground_ensemble.jumps"] == 1_798_351
+    assert metrics["paths.build_ground_ensemble.jumps"] == 1_803_143
     assert metrics["paths.build_ground_ensemble.n_eff_frac"] > 0.0

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import beta, betaln
 from scipy.stats import kstest
 
+from path_oracles import WaitStub
 from rabizeta import jumplaw
 from rabizeta.errors import DomainError, ParameterError
 from rabizeta.jumplaw import (
@@ -164,25 +165,6 @@ class TestSampling:
         a, _ = sample_damped_sign_pair(0.7, 1000, seed=44)
         b, _ = sample_damped_sign_pair(0.7, 1000, seed=44)
         assert np.array_equal(a, b)
-
-
-class WaitStub:
-    """A generator that hands the sampler known standard-exponential waits.
-
-    ``steps[i]`` is the whole draw of the sampler's i-th step, one wait per
-    path still in its buffers, so its length pins the compaction schedule.
-    """
-
-    def __init__(self, steps):
-        self.steps = [np.asarray(step, dtype=float) for step in steps]
-        self.calls = 0
-
-    def standard_exponential(self, out):
-        step = self.steps[self.calls]
-        self.calls += 1
-        assert out.shape == step.shape
-        out[:] = step
-        return out
 
 
 class CountingGenerator:

@@ -19,7 +19,7 @@ from rabizeta.kernels import (
 )
 from rabizeta.model import ModelParams
 from rabizeta.observables import vacuum_element_ed
-from rabizeta.paths import _rank_pass
+from path_oracles import _rank_pass
 
 
 def ou_transition_density(t: float, y, x) -> np.ndarray:

@@ -12,10 +12,13 @@ from scipy.integrate import dblquad, quad
 
 from path_oracles import (
     JumpPath,
+    WaitStub,
+    _rank_pass,
     damped_sign_integral,
     ensemble_paths,
     pair_interaction_energy,
     reference_ground_ensemble,
+    replayed_waits,
     vacuum_suppression,
 )
 from rabizeta.errors import DomainError, ParameterError
@@ -28,10 +31,10 @@ from rabizeta.paths import (
     default_horizon,
     _clock_rate,
     _count_upto,
-    _rank_pass,
-    _sample_segments,
+    _path_major,
     _seed_streams,
     _stream_slices,
+    _sweep,
     _write_batch,
 )
 
@@ -40,11 +43,9 @@ def path_on(jumps, horizon=(0.0, 1.0), alpha0=1):
     return JumpPath(alpha0=alpha0, horizon=horizon, jumps=np.asarray(jumps, dtype=float))
 
 
-def flat_batch(paths):
-    """``(jumps, offsets)`` of per-path jump arrays, in order."""
-    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
-    np.cumsum([len(j) for j in paths], out=offsets[1:])
-    return np.concatenate([np.zeros(0), *paths]), offsets
+def waits_of(jumps):
+    """The waits whose running sums are ``jumps``, up to rounding."""
+    return np.diff(np.asarray(jumps, dtype=float), prepend=0.0)
 
 
 @st.composite
@@ -59,17 +60,15 @@ def random_paths(draw):
 
 
 @st.composite
-def path_batches(draw):
-    """(hi, per-path jump arrays on (0, hi), left-end signs) of one to six paths."""
+def wait_batches(draw):
+    """(hi, per-path waits) of one to six paths whose running sums fall in (0, hi)."""
     hi = draw(st.floats(0.5, 6.0))
-    n = draw(st.integers(1, 6))
-    paths = []
-    for _ in range(n):
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
         k = draw(st.integers(0, 8))
-        fractions = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=k, max_size=k, unique=True))
-        paths.append(np.unique([hi * f for f in fractions]))
-    alpha0 = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
-    return hi, paths, alpha0
+        parts = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k + 1, max_size=k + 1)))
+        batch.append(hi * parts[:k] / parts.sum())  # the last part keeps the sum below hi
+    return hi, batch
 
 
 class TestJumpPath:
@@ -97,31 +96,114 @@ def one_stream(seed):
     return rng
 
 
+def drawn(rng, rate, length, n, mirror=False):
+    """``(jumps, offsets)`` of n paths the sweep draws on [0, length] (mirrored: [-length, 0])."""
+    counts, steps = np.empty(n, dtype=np.int64), []
+    _sweep(rng, n, rate, length, counts=counts, jumps=steps)
+    return _path_major(steps, counts, mirror)
+
+
+def swept(per_path, end, horizons=(), mirror=False, rng=None, rate=1.0):
+    """The sweep's block functionals of n paths on [0, ``end``] and the jumps it recorded.
+
+    The paths are given by their waits and walked at rate 1 through a
+    ``WaitStub``, or, with ``rng``, drawn at ``rate`` (``per_path`` is then
+    their number).  Returns the interaction rows at ``horizons`` and
+    ``end``, the damped integral and ``(jumps, offsets)``.
+    """
+    n = per_path if rng is not None else len(per_path)
+    stub = rng if rng is not None else WaitStub(replayed_waits(per_path, end))
+    horizons = (*horizons, end)
+    inters, damped, counts, steps = np.empty((len(horizons), n)), np.empty(n), np.empty(n, int), []
+    _sweep(stub, n, rate, end, interactions=inters, horizons=horizons, damped=damped,
+           counts=counts, jumps=steps)
+    if rng is None:
+        assert stub.calls == len(stub.steps)
+    return inters, damped, _path_major(steps, counts, mirror)
+
+
+def suppression(per_path, end):
+    """The sweep's vacuum suppression of paths given by their waits, on [0, end]."""
+    xi = np.empty(len(per_path))
+    _sweep(WaitStub(replayed_waits(per_path, end)), len(per_path), 1.0, end, suppression=xi)
+    return xi
+
+
+class NoDraws:
+    def standard_exponential(self, out):
+        raise AssertionError("drew at rate 0")
+
+
+class Recording:
+    """A generator that keeps a copy of every draw it hands the sweep."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def standard_exponential(self, out):
+        self.rng.standard_exponential(out=out)
+        self.draws.append(out.copy())
+        return out
+
+
 class TestSamplingLaw:
     def test_poisson_mean(self):
         rate, t, n = 2.0, 3.0, 20_000
-        _, offsets = _sample_segments(one_stream(11), rate, t, n, 0.0)
+        _, offsets = drawn(one_stream(11), rate, t, n)
         mean = np.diff(offsets).mean()
         sigma = np.sqrt(rate * t / n)
         assert abs(mean - rate * t) < 3 * sigma
 
     def test_no_jump_probability(self):
         rate, t, n = 1.0, 1.0, 20_000
-        _, offsets = _sample_segments(one_stream(12), rate, t, n, 0.0)
+        _, offsets = drawn(one_stream(12), rate, t, n)
         empty = np.mean(np.diff(offsets) == 0)
         p = np.exp(-rate * t)
         assert abs(empty - p) < 3 * np.sqrt(p * (1 - p) / n)
 
     def test_waiting_time_mean(self):
         rate = 1.5
-        jumps, offsets = _sample_segments(one_stream(13), rate, 20.0, 4000, 0.0)
+        jumps, offsets = drawn(one_stream(13), rate, 20.0, 4000)
         nonempty = offsets[:-1] < offsets[1:]
         waits = jumps[offsets[:-1][nonempty]]
         assert abs(waits.mean() - 1 / rate) < 3 * waits.std() / np.sqrt(len(waits))
 
     def test_zero_rate_degenerate(self):
-        jumps, offsets = _sample_segments(one_stream(14), 0.0, 5.0, 10, 0.0)
+        jumps, offsets = drawn(NoDraws(), 0.0, 5.0, 10)
         assert jumps.size == 0 and np.all(offsets == 0)
+
+    def test_zero_rate_paths_have_the_jump_free_values(self):
+        n, t = 4, 3.0
+        inters, damped = np.empty((2, n)), np.empty(n)
+        _sweep(NoDraws(), n, 0.0, t, interactions=inters, horizons=(1.0, t), damped=damped)
+        for h, row in zip((1.0, t), inters):
+            assert row == pytest.approx(2 * (h - 1 + np.exp(-h)), abs=1e-14)
+        assert damped == pytest.approx(1 - np.exp(-t), abs=1e-15)
+
+    def test_jump_times_are_running_sums_of_waits(self):
+        # each jump time is its own path's running sum of scaled waits; the
+        # keyed sort that drew these paths before rounded every time to the
+        # ulp of its stream position: up to 1.46e-11 off on such a stream
+        n, rate, length = 12_500, 0.5, 12.0
+        rng = Recording(one_stream(19))
+        jumps, offsets = drawn(rng, rate, length, n)
+        counts = np.diff(offsets)
+        per_path, held = [[] for _ in range(n)], np.arange(n)
+        for k, draw in enumerate(rng.draws):  # the draw rule, replayed
+            assert draw.size == held.size
+            for i, wait in zip(held.tolist(), draw.tolist()):
+                per_path[i].append(wait)
+            live = held[counts[held] > k]
+            if 2 * live.size <= held.size:
+                held = live
+        assert held.size == 0
+        for i in range(n):
+            times = np.cumsum(np.array(per_path[i][:counts[i] + 1]) * (1.0 / rate))
+            assert times[:-1].tobytes() == jumps[offsets[i]:offsets[i + 1]].tobytes()
+            assert times[-1] >= length
+        # the same waits replayed through a stub give the same jumps
+        replayed = drawn(WaitStub(rng.draws), rate, length, n)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(replayed, (jumps, offsets)))
 
 
 class TestSeedStreams:
@@ -164,7 +246,7 @@ class TestSeedStreams:
 
 class TestCountUpto:
     def test_matches_per_path_count(self):
-        jumps, offsets = _sample_segments(one_stream(16), 1.5, 4.0, 300, 0.0)
+        jumps, offsets = drawn(one_stream(16), 1.5, 4.0, 300)
         for time in (-1.0, 0.0, 0.7, 2.5, 4.0):
             counts = _count_upto(jumps, offsets, time)
             for i in range(300):
@@ -228,81 +310,71 @@ class TestPairInteraction:
     @settings(max_examples=40, deadline=None)
     @given(random_paths())
     def test_batch_matches_reference(self, path):
-        lo, hi = path.horizon
-        offsets = np.array([0, path.n_jumps], dtype=np.int64)
-        (batch,), _ = _rank_pass(path.jumps, offsets, lo, (hi,))
-        assert batch[0] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
+        hi = path.horizon[1]
+        (inter,), _, (jumps, _) = swept([waits_of(path.jumps)], hi)
+        walked = path_on(jumps, horizon=(0.0, hi))
+        assert inter[0] == pytest.approx(pair_interaction_energy(walked), abs=1e-10)
 
     @settings(max_examples=60, deadline=None)
-    @given(path_batches(), st.booleans())
+    @given(wait_batches(), st.booleans())
     def test_every_path_of_a_batch_matches_the_oracles(self, batch, left):
-        # one rank pass gives the interaction and the damped integral of every
+        # one sweep gives the interaction and the damped integral of every
         # path in the batch, on either side of 0
-        hi, paths, alpha0 = batch
-        lo, top = (-hi, 0.0) if left else (0.0, hi)
-        if left:
-            paths = [np.sort(-jumps) for jumps in paths]
-        offsets = flat_batch(paths)[1]
-        (inter,), damped = _rank_pass(*flat_batch(paths), lo, (top,))
-        damped *= sign_at_zero(alpha0, offsets, left)
-        for i, jumps in enumerate(paths):
-            path = JumpPath(alpha0=int(alpha0[i]), horizon=(lo, top), jumps=jumps)
-            assert inter[i] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
-            assert damped[i] == pytest.approx(damped_sign_integral(path, lo, top), abs=1e-12)
+        hi, waits = batch
+        check_sweep(*swept(waits, hi, mirror=left), hi, left)
 
     @settings(max_examples=60, deadline=None)
-    @given(path_batches(), st.lists(st.floats(0.01, 1.0), max_size=4), st.booleans())
+    @given(wait_batches(), st.lists(st.floats(0.01, 1.0), max_size=4), st.booleans())
     def test_horizons_match_a_restricted_batch(self, batch, fractions, at_a_jump):
-        hi, paths, _ = batch
-        jumps, offsets = flat_batch(paths)
-        horizons = {hi * f for f in fractions} | {hi}
-        if at_a_jump and jumps.size:
-            horizons.add(float(jumps[0]))  # a horizon exactly at a jump
-        horizons = sorted(horizons)
-        for t, inter in zip(horizons, _rank_pass(jumps, offsets, 0.0, horizons)[0]):
-            (restricted,), _ = _rank_pass(*restricted_batch(jumps, offsets, t), 0.0, (t,))
+        hi, waits = batch
+        horizons = horizons_of(hi, waits, fractions, at_a_jump)
+        inters, damped, flat = swept(waits, hi, horizons[:-1])
+        check_sweep(inters, damped, flat, hi, horizons=horizons[:-1])
+        for t, inter in zip(horizons, inters):
+            (restricted,), _, _ = swept(restricted_waits(waits, t), t)
             assert inter == pytest.approx(restricted, abs=1e-12)
-            for i, path_jumps in enumerate(paths):
-                path = path_on(path_jumps[path_jumps < t], horizon=(0.0, t))
-                assert inter[i] == pytest.approx(pair_interaction_energy(path), abs=1e-10)
 
 
-def sign_at_zero(alpha0, offsets, left):
-    """The sign at 0 of paths with sign ``alpha0`` at their left end."""
-    return alpha0 * np.where(np.diff(offsets) % 2, -1, 1) if left else alpha0
+def horizons_of(hi, waits, fractions, at_a_jump):
+    """Ascending horizons: ``hi`` times the fractions, ``hi``, and maybe the first jump."""
+    horizons = {hi * f for f in fractions} | {hi}
+    jumps = [np.cumsum(w) for w in waits if len(w)]
+    if at_a_jump and jumps:
+        horizons.add(float(jumps[0][0]))  # a horizon exactly at a jump
+    return sorted(horizons)
 
 
-def restricted_batch(jumps, offsets, t):
-    """The jumps at or before ``t`` of every path of a flat batch, flat + offsets."""
-    kept = np.zeros_like(offsets)
-    np.cumsum(_count_upto(jumps, offsets, t), out=kept[1:])
-    return jumps[jumps <= t], kept
+def restricted_waits(waits, t):
+    """The waits of every path whose running sums stay below ``t``."""
+    return [w[:int(np.count_nonzero(np.cumsum(w) < t))] for w in waits]
 
 
-def suppression(jumps, offsets):
-    """Vacuum suppression of every path of a flat batch on [0, t], t past every jump."""
-    top = float(jumps.max(initial=0.0)) + 1.0
-    return _rank_pass(jumps, offsets, 0.0, (top,), suppression=True)
+def check_sweep(inters, damped, flat, hi, left=False, horizons=()):
+    """Every path a sweep walked on [0, hi] against the scalar oracles and the rank pass.
 
-
-def one_at_a_time(jumps, offsets, lo, horizons):
-    """The rank pass on every path of a flat batch alone, in path order."""
-    alone = [_rank_pass(path, np.array([0, path.size]), lo, horizons)
-             for path in np.split(jumps, offsets[1:-1])]
-    return np.hstack([inter for inter, _ in alone]), np.concatenate([d for _, d in alone])
-
-
-def check_stream(jumps, offsets, lo, hi, alpha0, horizons=()):
-    """Every path of a stream against the scalar oracles, at every horizon."""
-    inters, damped = _rank_pass(jumps, offsets, lo, (*horizons, hi))
-    damped *= sign_at_zero(alpha0, offsets, hi <= 0.0)
+    ``inters`` holds the interaction at each of ``horizons`` and at ``hi``,
+    and ``flat`` the recorded jumps, negated with ``left``: a left side on
+    [-hi, 0], with the sign +1 at 0.  The rank pass on the recorded jumps
+    gives the right side's interactions bit for bit; it walks a left side
+    inward from -hi, the sweep outward from 0, so their sums round apart,
+    within 4 ulps of the largest J, 2 hi.
+    """
+    jumps, offsets = flat
+    lo, top = (-hi, 0.0) if left else (0.0, hi)
+    ref, ref_damped = _rank_pass(jumps, offsets, lo, (top,) if left else (*horizons, hi))
+    if left:
+        assert np.abs(ref - inters[-1]).max(initial=0.0) <= 4 * np.spacing(2 * hi)
+    else:
+        assert ref.tobytes() == inters.tobytes()
+    assert np.abs(ref_damped - damped).max(initial=0.0) <= 1e-14
     for i in range(len(offsets) - 1):
         path = jumps[offsets[i]:offsets[i + 1]]
-        whole = JumpPath(alpha0=int(alpha0[i]), horizon=(lo, hi), jumps=path)
+        alpha0 = (-1) ** path.size if left else 1  # the sign +1 at 0
+        whole = JumpPath(alpha0=alpha0, horizon=(lo, top), jumps=path)
         assert inters[-1][i] == pytest.approx(pair_interaction_energy(whole), abs=1e-10)
-        assert damped[i] == pytest.approx(damped_sign_integral(whole, lo, hi), abs=1e-12)
+        assert damped[i] == pytest.approx(damped_sign_integral(whole, lo, top), abs=1e-12)
         for t, inter in zip(horizons, inters):
-            part = JumpPath(alpha0=int(alpha0[i]), horizon=(lo, t), jumps=path[path < t])
+            part = JumpPath(alpha0=1, horizon=(0.0, t), jumps=path[path < t])
             assert inter[i] == pytest.approx(pair_interaction_energy(part), abs=1e-10)
 
 
@@ -310,8 +382,9 @@ class TestBlockPassBits:
     """Each path's blocks take the same float operations alone and in any batch.
 
     So every functional of a path keeps its bits whatever the batch, its
-    order or the horizon it ends at; on whole sampled streams the functionals
-    match the scalar oracles.
+    order, the compaction schedule or the horizon it ends at; on whole
+    sampled streams the functionals match the scalar oracles and the rank
+    pass of ``path_oracles``.
     """
 
     @staticmethod
@@ -322,100 +395,171 @@ class TestBlockPassBits:
             assert g.tobytes() == w.tobytes()
 
     @settings(max_examples=80, deadline=None)
-    @given(path_batches(), st.booleans())
+    @given(wait_batches(), st.booleans())
     def test_block_terms(self, batch, left):
         # a path alone gives the bits it has in its batch
-        hi, paths, _ = batch
-        lo, top = (-hi, 0.0) if left else (0.0, hi)
-        if left:
-            paths = [np.sort(-jumps) for jumps in paths]
-        jumps, offsets = flat_batch(paths)
-        inter, damped = _rank_pass(jumps, offsets, lo, (top,))
-        alone, alone_damped = one_at_a_time(jumps, offsets, lo, (top,))
-        self.assert_same_bits([*inter, damped], [*alone, alone_damped])
+        hi, waits = batch
+        inter, damped, (jumps, _) = swept(waits, hi, mirror=left)
+        alone = [swept([w], hi, mirror=left) for w in waits]
+        self.assert_same_bits([*inter, damped, jumps],
+                              [np.hstack([a[0] for a in alone])[0],
+                               np.concatenate([a[1] for a in alone]),
+                               np.concatenate([a[2][0] for a in alone])])
 
     @settings(max_examples=80, deadline=None)
-    @given(path_batches(), st.booleans())
-    def test_square_functionals(self, batch, left):
-        # the ranking does not depend on the order of the paths in the batch
-        hi, paths, _ = batch
-        lo, top = (-hi, 0.0) if left else (0.0, hi)
-        if left:
-            paths = [np.sort(-jumps) for jumps in paths]
-        inter, damped = _rank_pass(*flat_batch(paths), lo, (top,))
-        back, back_damped = _rank_pass(*flat_batch(paths[::-1]), lo, (top,))
+    @given(wait_batches())
+    def test_square_functionals(self, batch):
+        # the bits do not depend on the order of the paths in the batch
+        hi, waits = batch
+        inter, damped, _ = swept(waits, hi)
+        back, back_damped, _ = swept(waits[::-1], hi)
         self.assert_same_bits([*inter, damped], [back[0][::-1], back_damped[::-1]])
 
     @settings(max_examples=60, deadline=None)
-    @given(path_batches(), st.lists(st.floats(0.01, 1.0), max_size=4), st.booleans())
+    @given(wait_batches(), st.lists(st.floats(0.01, 1.0), max_size=4), st.booleans())
     def test_horizon_interactions(self, batch, fractions, at_a_jump):
-        # every horizon keeps the bits of a pass that ends there
-        hi, paths, _ = batch
-        jumps, offsets = flat_batch(paths)
-        horizons = {hi * f for f in fractions} | {hi}
-        if at_a_jump and jumps.size:
-            horizons.add(float(jumps[-1]))
-        horizons = sorted(horizons)
-        inters, _ = _rank_pass(jumps, offsets, 0.0, horizons)
-        restricted = [_rank_pass(*restricted_batch(jumps, offsets, t), 0.0, (t,))[0][0]
-                      for t in horizons]
+        # every horizon keeps the bits of a sweep that ends there
+        hi, waits = batch
+        horizons = horizons_of(hi, waits, fractions, at_a_jump)
+        inters, _, _ = swept(waits, hi, horizons[:-1])
+        restricted = [swept(restricted_waits(waits, t), t)[0][0] for t in horizons]
         self.assert_same_bits(inters, restricted)
 
     @settings(max_examples=80, deadline=None)
-    @given(path_batches())
+    @given(wait_batches())
     def test_vacuum_suppression(self, batch):
-        _, paths, _ = batch
-        jumps, offsets = flat_batch(paths)
-        alone = [suppression(*flat_batch([path])) for path in paths]
-        self.assert_same_bits([suppression(jumps, offsets)], [np.concatenate(alone)])
+        hi, waits = batch
+        alone = [suppression([w], hi) for w in waits]
+        self.assert_same_bits([suppression(waits, hi)], [np.concatenate(alone)])
 
     @pytest.mark.parametrize("paths", [[np.zeros(0)], [np.zeros(0)] * 3, [np.array([0.4])],
                                        [np.array([0.1, 0.7, 1.3])]])
     def test_empty_and_single_paths(self, paths):
-        jumps, offsets = flat_batch(paths)
-        alpha0 = np.array([-1] * len(paths))
-        for lo in (0.0, -2.0):
-            check_stream(jumps + lo, offsets, lo, lo + 2.0, alpha0, horizons=(0.5 + lo,))
-        for value, path in zip(suppression(jumps, offsets), paths):
+        waits = [waits_of(path) for path in paths]
+        for left in (False, True):
+            check_sweep(*swept(waits, 2.0, (0.5,) if not left else (), mirror=left), 2.0, left,
+                        horizons=(0.5,) if not left else ())
+        for value, path in zip(suppression(waits, 2.0), paths):
             assert value == pytest.approx(vacuum_suppression(path_on(path, horizon=(0.0, 2.0))),
                                           abs=1e-12)
 
     def test_sampled_ensemble_sides(self):
-        # whole streams of sampled paths, as the ensemble builds them
+        # whole drawn streams, as the ensemble sweeps its two sides
         rng = np.random.default_rng(7)
-        for lo in (-12.0, 0.0):
-            jumps, offsets = _sample_segments(rng, 0.5, 12.0, 500, lo)
-            alpha0 = np.where(np.diff(offsets) % 2 == 0, 1, -1) if lo < 0 else np.ones(500)
-            check_stream(jumps, offsets, lo, lo + 12.0, alpha0)
-        # the right side's paths as vacuum paths on [0, 12]
-        for i, value in enumerate(suppression(jumps, offsets)):
+        for left in (True, False):
+            check_sweep(*swept(500, 12.0, mirror=left, rng=rng, rate=0.5), 12.0, left)
+        # drawn vacuum paths on [0, 12]
+        xi, counts, steps = np.empty(500), np.empty(500, int), []
+        _sweep(rng, 500, 0.5, 12.0, suppression=xi, counts=counts, jumps=steps)
+        jumps, offsets = _path_major(steps, counts)
+        for i, value in enumerate(xi):
             path = path_on(jumps[offsets[i]:offsets[i + 1]], horizon=(0.0, 12.0))
             assert value == pytest.approx(vacuum_suppression(path), abs=1e-12)
 
     def test_sampled_stream_functionals(self):
-        # whole streams of sampled paths, as the ensemble and the energy estimate use them
+        # whole drawn streams, as the ensemble and the energy estimate use them
         rng = np.random.default_rng(8)
-        jumps, offsets = _sample_segments(rng, 0.5, 12.0, 2000, 0.0)
-        alpha0 = np.where(np.diff(offsets) % 2 == 0, 1, -1)
-        check_stream(jumps, offsets, 0.0, 12.0, alpha0,
-                     horizons=sorted([4.0, 6.0, float(jumps[5])]))
-        jumps, offsets = _sample_segments(rng, 0.5, 12.0, 2000, -12.0)
-        check_stream(jumps, offsets, -12.0, 0.0, np.where(np.diff(offsets) % 2 == 0, 1, -1))
+        check_sweep(*swept(2000, 12.0, (4.0, 6.0, 8.0), rng=rng, rate=0.5), 12.0,
+                    horizons=(4.0, 6.0, 8.0))
+        check_sweep(*swept(2000, 12.0, mirror=True, rng=rng, rate=0.5), 12.0, left=True)
 
     def test_horizons_need_no_side_tables(self):
-        # each horizon h < hi is read off the pass in the step whose block
-        # holds h, so the pass holds one row per horizon beside its working
-        # rows: 2.85 MB traced when it also counted blocks before the pass
-        # and kept three saved-state rows per horizon
+        # each horizon h < hi is read off the sweep in the step whose block
+        # holds h, so a 12 500-path stream holds one row per horizon beside
+        # its slots (2.85 MB traced when the rank pass also counted blocks
+        # before the pass and kept three saved-state rows per horizon)
         rng = np.random.default_rng(9)
-        jumps, offsets = _sample_segments(rng, 0.5, 10.0, 12_500, 0.0)
+        logs = np.empty((4, 12_500))
         tracemalloc.start()
         try:
-            _rank_pass(jumps, offsets, 0.0, (4.0, 6.0, 8.0, 10.0))
+            _sweep(rng, 12_500, 0.5, 10.0, interactions=logs, horizons=(4.0, 6.0, 8.0, 10.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.8e6
+
+
+class TestSweep:
+    """The one Poisson sweep against the rank pass, on the streams its callers draw."""
+
+    @pytest.mark.parametrize("g", [0.5, 1.0])
+    def test_ensemble_sides_match_the_rank_pass(self, g):
+        # every stream of the ensemble, swept again as its build sweeps it
+        p = ModelParams(0.5, g)
+        ens = build_ground_ensemble(p, 20_000)
+        T, rate = ens.half_width, ens.rate
+        for paths, (chunk, rng) in zip(_stream_slices(20_000), _seed_streams(ens.seed, 20_000)):
+            for left in (True, False):
+                inters, damped, (jumps, offsets) = swept(chunk, T, mirror=left, rng=rng, rate=rate)
+                check = ens.damped_left if left else ens.damped_right
+                stored = ((ens.left_jumps, ens.left_offsets) if left else
+                          (ens.right_jumps, ens.right_offsets))
+                bounds = stored[1][paths.start:paths.stop + 1]
+                assert jumps.tobytes() == stored[0][bounds[0]:bounds[-1]].tobytes()
+                assert damped.tobytes() == check[paths].tobytes()
+                lo, top = (-T, 0.0) if left else (0.0, T)
+                (ref,), ref_damped = _rank_pass(jumps, offsets, lo, (top,))
+                assert np.abs(ref_damped - damped).max() <= 1e-14
+                if left:
+                    assert np.abs(ref - inters[0]).max() <= 1e-14
+                else:
+                    assert ref.tobytes() == inters[0].tobytes()
+
+    def test_partition_logs_match_the_rank_pass(self, monkeypatch):
+        from rabizeta import estimators
+
+        horizons, compared = (4.0, 6.0, 8.0, 10.0), []
+
+        def checked(rng, n, rate, end, **rows):
+            counts, steps = np.empty(n, int), []
+            _sweep(rng, n, rate, end, counts=counts, jumps=steps, **rows)
+            ref, _ = _rank_pass(*_path_major(steps, counts), 0.0, horizons)
+            assert ref.tobytes() == rows["interactions"].tobytes()
+            compared.append(n)
+
+        monkeypatch.setattr(estimators, "_sweep", checked)
+        for _ in estimators._partition_logs(ModelParams(0.5, 1.0), list(horizons), 20_000, 3):
+            pass
+        assert sum(compared) == 20_000
+
+    def test_vacuum_suppression_matches_the_rank_pass(self, monkeypatch):
+        from rabizeta import estimators
+
+        compared = []
+
+        def checked(rng, n, rate, end, **rows):
+            steps = []
+            _sweep(rng, n, rate, end, jumps=steps, **rows)
+            ref = _rank_pass(*_path_major(steps, rows["counts"]), 0.0, (end,), suppression=True)
+            assert np.abs(ref - rows["suppression"]).max() <= 1e-14
+            compared.append(n)
+
+        monkeypatch.setattr(estimators, "_sweep", checked)
+        estimators.vacuum_element_fk(ModelParams(0.5, 1.0), 1.0, 20_000)
+        assert sum(compared) == 20_000
+
+    def test_known_waits_give_an_ensemble_side(self):
+        # 300 paths of known waits, one sweep's side, against the scalar oracles
+        waits = known_waits(300, rate=0.25, end=12.0, seed=61)
+        for left in (False, True):
+            check_sweep(*swept(waits, 12.0, mirror=left), 12.0, left)
+
+    def test_known_waits_give_every_horizon_of_a_stream(self):
+        waits = known_waits(300, rate=0.5, end=10.0, seed=62)
+        check_sweep(*swept(waits, 10.0, (4.0, 6.0, 8.0)), 10.0, horizons=(4.0, 6.0, 8.0))
+        for value, w in zip(suppression(waits, 10.0), waits):
+            path = path_on(np.cumsum(w), horizon=(0.0, 10.0))
+            assert value == pytest.approx(vacuum_suppression(path), abs=1e-12)
+
+
+def known_waits(n, rate, end, seed):
+    """Waits of n rate-``rate`` paths whose running sums stay below ``end``."""
+    rng = np.random.default_rng(seed)
+    waits = []
+    for _ in range(n):
+        times = np.cumsum(rng.exponential(1.0 / rate, size=int(4 * rate * end) + 20))
+        waits.append(np.diff(times[times < end], prepend=0.0))
+    return waits
 
 
 class TestDampedIntegral:
@@ -427,8 +571,7 @@ class TestDampedIntegral:
 
     def test_batch_matches_reference(self):
         path = path_on([0.2, 0.8, 1.4], horizon=(0.0, 2.0))
-        offsets = np.array([0, 3], dtype=np.int64)
-        _, right = _rank_pass(path.jumps, offsets, 0.0, (2.0,))
+        _, right, _ = swept([waits_of(path.jumps)], 2.0)
         assert right[0] == pytest.approx(damped_sign_integral(path, 0.0, 2.0), abs=1e-12)
 
 
@@ -450,25 +593,24 @@ class TestVacuumSuppression:
 
     def test_batch_matches_reference(self):
         jumps = np.array([0.2, 0.5, 0.6, 1.3])
-        offsets = np.array([0, 4], dtype=np.int64)
-        batch = suppression(jumps, offsets)
+        batch = suppression([waits_of(jumps)], 2.0)
         ref = vacuum_suppression(path_on(jumps, horizon=(0.0, 2.0)))
         assert batch[0] == pytest.approx(ref, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(path_batches())
+    @given(wait_batches())
     def test_batch_positive_with_jumps(self, batch):
-        _, paths, _ = batch
-        values = suppression(*flat_batch(paths))
-        for value, jumps in zip(values, paths):
+        hi, waits = batch
+        for value, w in zip(suppression(waits, hi), waits):
             assert value >= 0.0
-            if jumps.size:
+            if len(w):
                 assert value > 0.0
 
     def test_near_coincident_jumps(self):
         # the expanded sums of the first batch rounded this to -8.7e-19
         jumps = np.array([0.001, np.nextafter(0.001, 1.0)])
-        batch = suppression(jumps, np.array([0, 2], dtype=np.int64))
+        batch = suppression([waits_of(jumps)], 1.0)
+        assert np.cumsum(waits_of(jumps)).tobytes() == jumps.tobytes()
         ref = vacuum_suppression(path_on(jumps))
         assert batch[0] >= 0.0
         assert batch[0] == pytest.approx(ref, rel=1e-15, abs=0.0)
@@ -689,8 +831,12 @@ class TestEnsemble:
             build_ground_ensemble(ModelParams(0.5, 1.0), 100, T=T)
 
     def test_low_ess_note(self):
+        # n_eff of 300 paths at g = 2.5 scatters around 100 from seed to
+        # seed, so the note follows n_eff; below 100 paths n_eff is below 100
         ens = build_ground_ensemble(ModelParams(0.5, 2.5), 300, T=12.0, seed=28)
-        assert "effective sample size" in ens.note
+        assert ("effective sample size" in ens.note) == (ens.n_eff < 100)
+        assert "effective sample size" in build_ground_ensemble(ModelParams(0.5, 2.5), 99,
+                                                                T=12.0, seed=28).note
 
 
 class TestWeightedMean:

@@ -1,10 +1,14 @@
-"""Source guard: ``rabizeta.paths`` is the only module that makes random generators.
+"""Source guards: ``rabizeta.paths`` makes every random generator and draws every wait.
 
 Every sampler draws through ``paths._seed_streams``, so one rule decides
 which stream every sample comes from.  A module that built its own generator
-or split its own samples into streams would bypass that rule.
+or split its own samples into streams would bypass that rule.  Every Poisson
+path is walked by ``paths._sweep``, one exponential wait at a time, so the
+X1 law that tests certify is the law of every path estimate; a module that
+drew its own waits or Poisson counts would be a second sampler.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -12,6 +16,7 @@ import rabizeta
 
 PACKAGE = Path(rabizeta.__file__).parent
 FORBIDDEN = re.compile(r"\b(SeedSequence|PCG64|default_rng|stream_chunks)\b|\bnp\.random\b")
+WAIT_DRAWS = {"standard_exponential", "exponential", "poisson"}
 
 
 def test_only_paths_makes_generators():
@@ -23,3 +28,35 @@ def test_only_paths_makes_generators():
             if FORBIDDEN.search(line):
                 offenders.append(f"{source.name}:{number}: {line.strip()}")
     assert not offenders, "random generators outside paths.py:\n" + "\n".join(offenders)
+
+
+def wait_draws(source: Path) -> list[tuple[str, int, str]]:
+    """(enclosing function, line, name) of every call of a wait or count draw in ``source``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in WAIT_DRAWS:
+                    found.append((function, child.lineno, name))
+            visit(child, function)
+
+    visit(ast.parse(source.read_text()), "<module>")
+    return found
+
+
+def test_only_paths_draws_waits():
+    offenders = [f"{source.name}:{line}: {name}" for source in sorted(PACKAGE.glob("*.py"))
+                 if source.name != "paths.py" for _, line, name in wait_draws(source)]
+    assert not offenders, "wait or Poisson draws outside paths.py:\n" + "\n".join(offenders)
+
+
+def test_paths_draws_waits_in_one_function():
+    draws = wait_draws(PACKAGE / "paths.py")
+    assert {name for _, _, name in draws} == {"standard_exponential"}
+    assert len({function for function, _, _ in draws}) == 1

@@ -367,6 +367,17 @@ class TestLimitTables:
         for a, b in zip(rows, rows[1:]):
             assert b.deviation + b.tail_bound < a.deviation - a.tail_bound
 
+    def test_pair_that_truly_rises_is_refined_once(self, monkeypatch):
+        # from g = 1.5 to 1.6 the deviation rises, 0.0453215 to 0.0453274;
+        # refining at a quarter of the smaller tail bound took five rounds
+        # and 12 evaluations to separate the pair in the wrong order
+        evaluations = count_evaluations(monkeypatch)
+        rows = zeta_limit_table(ModelParams(0.5, 0.0), 2.0, 1.0, [1.5, 1.6], "parity+")
+        assert len(evaluations) < 12
+        a, b = rows
+        assert b.deviation > a.deviation
+        assert not b.deviation + b.tail_bound < a.deviation - a.tail_bound
+
     def test_explicit_head_is_kept(self):
         rows = zeta_limit_table(ModelParams(0.5, 0.0), 2.0, 1.0, [6.0], "full", n_head=2000)
         zv = zeta_variant_value(ModelParams(0.5, 6.0), 2.0, 1.0, "full", 2000)
