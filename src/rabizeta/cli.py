@@ -409,15 +409,13 @@ def _fk_kernel(args) -> ResultRecord:
 def _fk_dump(args) -> ResultRecord:
     ens = _ensemble(args)
     T = ens.half_width
-    lefts = np.split(ens.left_jumps, ens.left_offsets[1:-1])
-    rights = np.split(ens.right_jumps, ens.right_offsets[1:-1])
     with open(args.out, "w") as fh:
-        for alpha0, left, right, log_weight in zip(ens.alpha0.tolist(), lefts, rights,
-                                                   ens.log_weights.tolist()):
+        for i, (alpha0, log_weight) in enumerate(zip(ens.alpha0.tolist(),
+                                                     ens.log_weights.tolist())):
             fh.write(json.dumps({
                 "alpha0": alpha0,
                 "horizon": [-T, T],
-                "jumps": left.tolist() + right.tolist(),
+                "jumps": ens.jump_times(i).tolist(),
                 "log_weight": log_weight,
             }) + "\n")
     return _record(args, "ensemble dump: one record per weighted path",

@@ -140,6 +140,12 @@ def _exp_mean(streams, n: int) -> tuple[complex, float]:
     return complex(mean[0] * scale), float(np.sqrt(cross[0, 0].real / (n * (n - 1.0))) * scale)
 
 
+# Stream key of ``vacuum_element_fk``, which no other sampler draws: under the
+# empty key its paths would be partition_fk's waits at another rate, and the
+# kernels key by flip order m >= 1.
+_VACUUM_KEY = 0
+
+
 def vacuum_element_fk(
     params: ModelParams,
     t: float,
@@ -150,7 +156,8 @@ def vacuum_element_fk(
 
     Every path contributes the nonnegative weight
     2 e^t delta^(jumps) exp(-2 g^2 * suppression), with 0^0 = 1; there is no
-    oscillation.
+    oscillation.  The paths come from the streams keyed ``_VACUUM_KEY``,
+    which no other sampler draws.
     """
     _check_draws(seed, n_samples, least=2)
     _check_time(t)
@@ -160,8 +167,8 @@ def vacuum_element_fk(
         _sweep(rng, chunk, 1.0, t, suppression=xi, counts=counts)
         return np.log(2.0) + t + xlogy(counts, params.delta) - 2.0 * params.g**2 * xi
 
-    mean, stderr = _exp_mean((logs(chunk, rng) for chunk, rng in _seed_streams(seed, n_samples)),
-                             n_samples)
+    streams = _seed_streams(seed, n_samples, _VACUUM_KEY)
+    mean, stderr = _exp_mean((logs(chunk, rng) for chunk, rng in streams), n_samples)
     return MCEstimate(mean.real, stderr, n_samples, seed)
 
 

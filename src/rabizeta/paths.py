@@ -22,6 +22,9 @@ estimate of the ground measure's own jump rate (``_clock_rate``), not the
 rate delta of the spin term.  The importance weight of a path on [-T, T]
 with m jumps is (delta/r)^m * exp((g^2/2) * J), with J the full square
 interaction; the effective sample size is tracked from the log weights.
+Each path is two halves glued at 0, and both are stored as flat batches in
+the one format the sweep records: each path's jumps as ascending distances
+from 0.
 
 Every sampler of the package draws through ``_seed_streams``: its samples
 are split into ``N_STREAMS`` fixed chunks, chunk i draws from
@@ -72,8 +75,9 @@ def _seed_streams(seed: int, n_samples: int, *key: int):
     samples use one stream each.  Stream i draws from
     ``SeedSequence(seed, spawn_key=(*key, i))``.  A sampler that makes several
     independent Monte Carlo averages from one seed gives each its own ``key``
-    (the kernels use the flip order m), so their streams never coincide and
-    their variances add.
+    (the kernels use the flip order m >= 1, ``vacuum_element_fk`` the key 0,
+    ``estimators._VACUUM_KEY``), so their streams never coincide and their
+    variances add.
     """
     _check_draws(seed, n_samples)
     for stream, paths in enumerate(_stream_slices(n_samples)):
@@ -124,7 +128,7 @@ def _sweep(rng, n: int, rate: float, end: float, *, series=None, interactions=No
     * ``counts`` (n): the number of jumps before ``end``.
     * ``jumps``, a list: each step appends the times of the paths that jumped
       in it, ascending by path, so step k holds the k-th jumps of the paths
-      with more than k (``_path_major`` lays them out by path).
+      with more than k (``_write_batch`` places them by path).
 
     Outside ``series`` a time is clipped to ``end``, so the step that
     retires a slot takes its last block [s, end] and every later step a
@@ -236,28 +240,6 @@ def _sweep(rng, n: int, rate: float, end: float, *, series=None, interactions=No
         interactions *= 2.0
 
 
-def _path_major(steps, counts, mirror=False):
-    """The jumps a sweep recorded, laid out by path: ``(jumps, offsets)``.
-
-    ``steps[k]`` holds the k-th jumps, ascending by path, of the paths with
-    more than k jumps, and ``counts`` each path's number.  With ``mirror``
-    the times are distances back from 0, and each path's jumps are stored
-    negated in ascending order, its k-th jump last but k; the steps are
-    negated in place.
-    """
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    flat = np.empty(int(offsets[-1]))
-    at = offsets[1:] - 1 if mirror else offsets[:-1].copy()  # each path's next place
-    left = counts  # and its jumps still to place
-    for times in steps:
-        more = left > 0
-        at, left = at[more], left[more] - 1
-        flat[at] = np.negative(times, out=times) if mirror else times
-        at += -1 if mirror else 1
-    return flat, offsets
-
-
 def _jump_capacity(rate: float, length: float, n: int) -> int:
     """Room for the jumps of n rate-``rate`` Poisson paths on ``length``.
 
@@ -269,52 +251,53 @@ def _jump_capacity(rate: float, length: float, n: int) -> int:
     return int(mean + 10.0 * np.sqrt(mean)) + 1
 
 
-def _write_batch(buffer, offsets, first, jumps, batch_offsets) -> np.ndarray:
-    """Write a batch as paths ``first:`` of a flat batch; return the buffer.
+def _write_batch(buffer, offsets, steps) -> np.ndarray:
+    """Place the jumps a sweep recorded by path in a side's buffer; return the buffer.
 
-    The batch's jumps go to ``buffer`` from ``offsets[first]`` on, and its
-    offsets, shifted there, to ``offsets[first + 1:]``.  A buffer without
-    room is replaced by one at least twice its size holding the same jumps;
-    a batch whose jumps would end past the range of ``offsets``' integers
-    raises ``ParameterError`` first.
+    ``offsets`` is the batch's view of the side's offsets: its first entry
+    is where the batch starts in ``buffer``, and the rest hold the jump
+    counts the sweep wrote, which become the paths' ends in place.
+    ``steps[k]`` holds the k-th jumps, ascending by path, of the paths with
+    more than k, and each goes straight to its path's next place.  A buffer
+    without room is replaced by one at least twice its size holding the
+    same jumps; a batch whose jumps would end past the range of
+    ``offsets``' integers raises ``ParameterError`` first, with the offsets
+    untouched.
     """
-    filled = int(offsets[first])
-    end = filled + jumps.size
+    filled = int(offsets[0])
+    end = filled + int(offsets[1:].sum(dtype=np.int64))
     if end > buffer.size:
         if end > np.iinfo(offsets.dtype).max:
             raise ParameterError(f"{end} jumps overflow {offsets.dtype} offsets")
         grown = np.empty(max(2 * buffer.size, end))
         grown[:filled] = buffer[:filled]
         buffer = grown
-    buffer[filled:end] = jumps
-    offsets[first + 1:first + batch_offsets.size] = batch_offsets[1:] + filled
+    stop = offsets[1:]
+    np.cumsum(stop, out=stop)
+    stop += filled
+    at = offsets[:-1].copy()  # each path's next place
+    for times in steps:
+        more = at < stop
+        at, stop = at[more], stop[more]
+        buffer[at] = times
+        at += 1
     return buffer
 
 
 def _count_upto(jumps: np.ndarray, offsets: np.ndarray, time: float) -> np.ndarray:
     """Per-path number of jumps at or before ``time``.
 
-    Jumps are sorted within each path, so these are also the first jumps of
-    each path, and one binary search over every path at once finds their
-    number: a path takes ``step`` more jumps when the last of them is still
-    at or before ``time``.  O(paths) memory, one index array and a gather
-    at a time, and log2(most jumps) passes.
+    One running count, ``np.cumsum`` of ``jumps <= time`` over the jumps of
+    the paths of ``offsets``, read at each path's ends: no order within a
+    path is needed.  O(jumps) memory for the slice: a boolean row and the
+    running count in ``offsets``' integers.
     """
-    start, stop = offsets[:-1], offsets[1:]
-    most = int((stop - start).max(initial=0))
-    end = start.copy()  # one past each path's last jump at or before ``time``
-    if most:
-        take = np.empty(end.size, dtype=bool)
-        step = 1 << (most.bit_length() - 1)
-        while step:
-            end += step - 1  # the last of the next ``step`` jumps, probed
-            np.less(end, stop, out=take)
-            take &= jumps.take(end, mode="clip") <= time
-            end -= step - 1
-            np.add(end, step, out=end, where=take)
-            step >>= 1
-    end -= start
-    return end
+    first, last = offsets[0], offsets[-1]
+    seen = np.zeros(last - first + 1, dtype=offsets.dtype)
+    np.cumsum(jumps[first:last] <= time, out=seen[1:])
+    counts = seen[offsets[1:] - first]
+    counts -= seen[offsets[:-1] - first]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +378,11 @@ class WeightedPathEnsemble:
     and int32 offsets, the log weights and the two damped integrals:
     8.0 MB at delta = 0.5, g = 1 and 100 000 paths.
 
+    Both sides are stored in one format, a flat batch of each path's jumps
+    as ascending distances from 0 in (0, T): a right jump at distance d
+    is at time d, a left one at -d.  Only this module reads it; a path's
+    jumps on [-T, T] are read whole through ``jump_times``.
+
     The paths are stored stream by stream, and an expectation is reduced
     one stream's slice of paths at a time (``weighted_mean``): an estimate's
     per-path values never exist at full length, and each estimate stacks
@@ -422,6 +410,15 @@ class WeightedPathEnsemble:
     def alpha0(self) -> np.ndarray:
         """Sign of every path at -T: +1 after an even number of left jumps."""
         return np.where(np.diff(self.left_offsets) % 2 == 0, 1, -1)
+
+    def jump_times(self, i: int) -> np.ndarray:
+        """Path i's jump times on [-T, T], ascending.
+
+        Its left jumps negated and reversed, then its right ones.
+        """
+        left = self.left_jumps[self.left_offsets[i]:self.left_offsets[i + 1]]
+        right = self.right_jumps[self.right_offsets[i]:self.right_offsets[i + 1]]
+        return np.concatenate([np.negative(left[::-1]), right])
 
     def cross_interaction(self, paths: slice = slice(None)) -> np.ndarray:
         """Pair interaction of ``paths`` restricted to the mixed quadrant [-T,0] x [0,T]."""
@@ -507,12 +504,10 @@ class WeightedPathEnsemble:
             raise DomainError(f"time {time} outside [-{T}, {T}]")
         start, stop, _ = paths.indices(self.n_samples)
         if time >= 0.0:
-            flips = _count_upto(self.right_jumps, self.right_offsets[start:stop + 1], time)
-        else:  # the left jumps after time, all less those up to it: all plus those, in parity
-            offsets = self.left_offsets[start:stop + 1]
-            flips = _count_upto(self.left_jumps, offsets, time)
-            flips += offsets[1:]
-            flips -= offsets[:-1]
+            jumps, offsets, upto = self.right_jumps, self.right_offsets, time
+        else:  # the left jumps strictly nearer 0 than time
+            jumps, offsets, upto = self.left_jumps, self.left_offsets, np.nextafter(-time, 0.0)
+        flips = _count_upto(jumps, offsets[start:stop + 1], upto)
         flips &= 1  # 1 after an odd number of flips
         signs = flips.astype(float)
         signs *= -2.0
@@ -542,10 +537,10 @@ def build_ground_ensemble(
     J and the damped integral are even under s -> -s.  A side's sweep writes
     its damped integral and jump counts straight into the ensemble's arrays
     and its J into the log weights, which are then formed in place; its
-    jumps go to the buffer by path (``_write_batch``), the left side's
-    negated, before the next side draws.  The offsets are int32: a sample
-    whose jumps may pass that range raises ``ParameterError`` before any
-    draw.
+    jumps go to the buffer by path (``_write_batch``), as distances from 0
+    on either side, before the next side draws.  The offsets are int32: a
+    sample whose jumps may pass that range raises ``ParameterError`` before
+    any draw.
     """
     T = _horizon(params.delta, T)
     rate = _clock_rate(params)
@@ -561,11 +556,10 @@ def build_ground_ensemble(
         bounds = slice(rows.start, rows.stop + 1)
         for side in (0, 1):
             j = log_weights[None, rows] if side == 0 else np.empty((1, chunk))
-            counts, steps = offsets[side][bounds][1:], []
+            batch, steps = offsets[side][bounds], []
             _sweep(rng, chunk, rate, T, interactions=j, horizons=(T,),
-                   damped=damped[side][rows], counts=counts, jumps=steps)
-            jumps[side] = _write_batch(jumps[side], offsets[side], rows.start,
-                                       *_path_major(steps, counts, mirror=side == 0))
+                   damped=damped[side][rows], counts=batch[1:], jumps=steps)
+            jumps[side] = _write_batch(jumps[side], batch, steps)
             if side:
                 log_weights[rows] += j[0]
             del j, steps  # before the next draw, and before n_eff's scratch row
@@ -573,8 +567,9 @@ def build_ground_ensemble(
         lw += 2.0 * damped[0][rows] * damped[1][rows]
         lw *= 0.5 * params.g**2
         if rate != params.delta:
-            counts = np.diff(offsets[0][bounds]) + np.diff(offsets[1][bounds])  # m
-            lw += counts * np.log(params.delta / rate)
+            m = np.diff(offsets[0][bounds]) + np.diff(offsets[1][bounds])
+            lw += m * np.log(params.delta / rate)
+            del m  # the jump counts, freed before the next stream draws
 
     ens = WeightedPathEnsemble(
         params=params,

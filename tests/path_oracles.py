@@ -5,6 +5,8 @@ share no code with the sweep of ``rabizeta.paths`` that the tests compare
 against them.  ``_rank_pass`` is the batched reference between the two: the
 functionals of given jumps, by a forward pass over jump rank, the route the
 package took before its sweep drew and integrated the paths in one walk.
+``_path_major`` lays a sweep's recorded jumps out by path in an array of
+their own, mirrored onto [-T, 0] on request: the layout the rank pass reads.
 ``reference_ground_ensemble`` checks the ensemble's assembly, not its
 functionals, and shares the sweep.
 """
@@ -95,13 +97,51 @@ def replayed_waits(per_path, end):
     return steps
 
 
+def _path_major(steps, counts, mirror=False):
+    """The jumps a sweep recorded, laid out by path: ``(jumps, offsets)``.
+
+    ``steps[k]`` holds the k-th jumps, ascending by path, of the paths with
+    more than k jumps, and ``counts`` each path's number.  With ``mirror``
+    the times are distances back from 0, and each path's jumps are stored
+    negated in ascending order, its k-th jump last but k; the steps are
+    negated in place.
+    """
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    flat = np.empty(int(offsets[-1]))
+    at = offsets[1:] - 1 if mirror else offsets[:-1].copy()  # each path's next place
+    left = counts  # and its jumps still to place
+    for times in steps:
+        more = left > 0
+        at, left = at[more], left[more] - 1
+        flat[at] = np.negative(times, out=times) if mirror else times
+        at += -1 if mirror else 1
+    return flat, offsets
+
+
+def mirror_batch(jumps, offsets):
+    """A flat batch from 0, reflected through 0: each path's jumps negated and reversed.
+
+    It takes the distances from 0 that the ensemble stores for its left
+    side to their ascending times on [-T, 0], the layout ``_rank_pass``
+    reads.  ``offsets`` starts at 0.
+    """
+    counts = np.diff(offsets)
+    owner = np.repeat(np.arange(counts.size), counts)
+    return np.negative(jumps[(offsets[:-1] + offsets[1:] - 1)[owner] - np.arange(jumps.size)])
+
+
 def ensemble_paths(ens) -> list[JumpPath]:
-    """The paths of a ``WeightedPathEnsemble`` on [-T, T] (left-end convention)."""
+    """The paths of a ``WeightedPathEnsemble`` on [-T, T] (left-end convention).
+
+    Read from the stored arrays, independently of ``jump_times``: both
+    sides hold each path's jumps as ascending distances from 0.
+    """
     T = ens.half_width
     lefts = np.split(ens.left_jumps, ens.left_offsets[1:-1])
     rights = np.split(ens.right_jumps, ens.right_offsets[1:-1])
     return [
-        JumpPath(alpha0=int(a), horizon=(-T, T), jumps=np.concatenate([left, right]))
+        JumpPath(alpha0=int(a), horizon=(-T, T), jumps=np.concatenate([-left[::-1], right]))
         for a, left, right in zip(ens.alpha0, lefts, rights)
     ]
 
@@ -328,12 +368,12 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
     streams = []
     for chunk, rng in paths._seed_streams(seed, n_samples):
         sides = []
-        for mirror in (True, False):  # the left side, swept on [0, T], then the right
+        for _ in range(2):  # the left side, swept on [0, T], then the right
             j, damped, steps = np.empty((1, chunk)), np.empty(chunk), []
             counts = np.empty(chunk, dtype=int)
             paths._sweep(rng, chunk, rate, T, interactions=j, horizons=(T,), damped=damped,
                          counts=counts, jumps=steps)
-            sides.append((paths._path_major(steps, counts, mirror), j[0], damped))
+            sides.append((_path_major(steps, counts), j[0], damped))
         (left, j_left, u_left), (right, j_right, v_right) = sides
         alpha0 = np.where(np.diff(left[1]) % 2 == 0, 1, -1)
         streams.append((left, right, alpha0, j_left + j_right + 2.0 * u_left * v_right,

@@ -529,6 +529,25 @@ class TestFkCommand:
         assert rec["alpha0"] in (-1, 1)
         assert rec["horizon"] == [-4.0, 4.0]
 
+    def test_dump_round_trips_the_ensemble(self, tmp_path):
+        # each record is one whole path on [-T, T], read back as the oracle's
+        # path: its signs, weight and sign at -T are the ensemble's
+        from path_oracles import JumpPath
+
+        dump = tmp_path / "paths.jsonl"
+        code, _ = run_cli(tmp_path, "fk", "dump", "--g", "1", "--n", "300", "--T", "4",
+                          "--seed", "5", "--out", str(dump))
+        assert code == 0
+        ens = paths.build_ground_ensemble(ModelParams(0.5, 1.0), 300, 4.0, seed=5)
+        records = [json.loads(line) for line in dump.read_text().splitlines()]
+        walked = [JumpPath(alpha0=r["alpha0"], horizon=tuple(r["horizon"]), jumps=r["jumps"])
+                  for r in records]
+        assert [r["log_weight"] for r in records] == ens.log_weights.tolist()
+        assert [path.alpha0 for path in walked] == ens.alpha0.tolist()
+        T = ens.half_width
+        for time in (-T / 2, T / 2, -1.0, 1.0, -1e-3, 1e-3):
+            assert [path.sign_at(time) for path in walked] == ens.signs_at(time).tolist()
+
     def test_dump_row_names_the_clock_rate(self, tmp_path):
         code, text = run_cli(tmp_path, "fk", "dump", "--g", "1", "--n", "50", "--T", "4",
                              "--out", str(tmp_path / "paths.jsonl"), fmt="json")

@@ -424,6 +424,37 @@ class TestReproducibility:
         b = vacuum_element_fk(P_STD, 1.0, 5000, seed=32)
         assert a.mean != b.mean
 
+    def test_vacuum_draws_streams_no_other_sampler_draws(self, monkeypatch):
+        # with partition_fk's key, its paths would be partition's waits at rate 1
+        import rabizeta.jumplaw as jumplaw
+        import rabizeta.kernels as kernels
+        import rabizeta.paths as paths
+        from rabizeta.paths import _seed_streams
+
+        keys = []
+
+        def recorded(seed, n_samples, *key):
+            keys.append(key)
+            return _seed_streams(seed, n_samples, *key)
+
+        for module in (estimators, kernels, jumplaw, paths):
+            monkeypatch.setattr(module, "_seed_streams", recorded)
+
+        def keys_of(estimate):
+            keys.clear()
+            estimate()
+            return set(keys)
+
+        vacuum = keys_of(lambda: vacuum_element_fk(P_STD, 1.0, 100))
+        assert len(vacuum) == 1
+        others = keys_of(lambda: partition_fk(P_STD, 2.0, 100))
+        others |= keys_of(lambda: ground_energy_fk(P_STD, [1.0, 2.0], 100))
+        others |= keys_of(lambda: kernels.heat_kernel_flip_sum(P_STD, 1.0, 0.0, 0.0, 6, 100))
+        others |= keys_of(lambda: jumplaw.sample_damped_sign_pair(0.5, 100))
+        others |= keys_of(lambda: build_ground_ensemble(P_STD, 100))
+        assert others >= {(), *((m,) for m in range(1, 7))}
+        assert not vacuum & others
+
 
 class TestStirling:
     def test_small_table(self):

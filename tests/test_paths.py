@@ -13,9 +13,11 @@ from scipy.integrate import dblquad, quad
 from path_oracles import (
     JumpPath,
     WaitStub,
+    _path_major,
     _rank_pass,
     damped_sign_integral,
     ensemble_paths,
+    mirror_batch,
     pair_interaction_energy,
     reference_ground_ensemble,
     replayed_waits,
@@ -31,7 +33,6 @@ from rabizeta.paths import (
     default_horizon,
     _clock_rate,
     _count_upto,
-    _path_major,
     _seed_streams,
     _stream_slices,
     _sweep,
@@ -259,7 +260,7 @@ class TestCountUpto:
         assert list(_count_upto(jumps, offsets, 1.0)) == [2, 0, 2]
 
     def test_paths_of_every_length(self):
-        # the search takes power-of-two steps: lengths around powers of two
+        # empty paths, and lengths on and around powers of two
         lengths = [0, 1, 2, 3, 7, 8, 9, 0, 63, 64, 65, 100]
         rng = np.random.default_rng(17)
         per_path = [np.sort(rng.uniform(0.0, 1.0, k)) for k in lengths]
@@ -490,14 +491,17 @@ class TestSweep:
         T, rate = ens.half_width, ens.rate
         for paths, (chunk, rng) in zip(_stream_slices(20_000), _seed_streams(ens.seed, 20_000)):
             for left in (True, False):
-                inters, damped, (jumps, offsets) = swept(chunk, T, mirror=left, rng=rng, rate=rate)
+                inters, damped, (jumps, offsets) = swept(chunk, T, rng=rng, rate=rate)
                 check = ens.damped_left if left else ens.damped_right
                 stored = ((ens.left_jumps, ens.left_offsets) if left else
                           (ens.right_jumps, ens.right_offsets))
                 bounds = stored[1][paths.start:paths.stop + 1]
                 assert jumps.tobytes() == stored[0][bounds[0]:bounds[-1]].tobytes()
+                assert np.array_equal(bounds - bounds[0], offsets)
                 assert damped.tobytes() == check[paths].tobytes()
                 lo, top = (-T, 0.0) if left else (0.0, T)
+                if left:  # the rank pass walks the left side's times on [-T, 0]
+                    jumps = mirror_batch(jumps, offsets)
                 (ref,), ref_damped = _rank_pass(jumps, offsets, lo, (top,))
                 assert np.abs(ref_damped - damped).max() <= 1e-14
                 if left:
@@ -713,6 +717,20 @@ class TestEnsemble:
             for i, path in enumerate(ensemble_paths(ens)):
                 assert signs[i] == path.sign_at(time)
 
+    def test_a_jump_at_the_time_counts_as_the_oracle_does(self):
+        # both sides hold distances from 0: a right jump at t counts at t,
+        # and a left jump at distance |t| sits at t < 0 itself, so the sign
+        # there counts only the left jumps strictly nearer 0
+        ens = build_ground_ensemble(ModelParams(0.5, 1.0), 3, T=4.0, seed=36)
+        ens = dataclasses.replace(
+            ens,  # jumps at -2.5, -1, 1; none; -1, 0.5, 2.5
+            left_jumps=np.array([1.0, 2.5, 1.0]), left_offsets=np.array([0, 2, 2, 3], np.int32),
+            right_jumps=np.array([1.0, 0.5, 2.5]), right_offsets=np.array([0, 1, 1, 3], np.int32))
+        want = {1.0: [-1, 1, -1], 2.5: [-1, 1, 1], -1.0: [1, 1, 1], -2.5: [-1, 1, -1]}
+        for time, signs in want.items():
+            assert ens.signs_at(time).tolist() == signs
+            assert [path.sign_at(time) for path in ensemble_paths(ens)] == signs
+
     def test_sign_at_origin_fixed(self):
         ens = build_ground_ensemble(ModelParams(1.0, 0.8), 100, T=4.0, seed=25)
         assert np.all(ens.signs_at(0.0) == 1.0)
@@ -760,10 +778,12 @@ class TestEnsemble:
             build_ground_ensemble(ModelParams(0.5, 1.0), 10**9)
 
     def test_a_buffer_never_grows_past_int32_offsets(self):
-        offsets = np.array([2**31 - 10, 0, 0], dtype=np.int32)
+        # two paths of 5 and 15 jumps, as the sweep records their steps and counts
+        offsets = np.array([2**31 - 10, 5, 15], dtype=np.int32)
+        steps = [np.zeros(2)] * 5 + [np.zeros(1)] * 10
         with pytest.raises(ParameterError, match="int32"):
-            _write_batch(np.empty(4), offsets, 0, np.zeros(20), np.array([0, 5, 20]))
-        assert list(offsets) == [2**31 - 10, 0, 0]
+            _write_batch(np.empty(4), offsets, steps)
+        assert list(offsets) == [2**31 - 10, 5, 15]
 
     def test_signs_at_on_a_slice_of_paths(self):
         ens = build_ground_ensemble(ModelParams(1.0, 0.8), 1001, T=4.0, seed=33)
@@ -815,10 +835,7 @@ class TestEnsemble:
         *_, j = reference_ground_ensemble(ModelParams(0.5, 1.0), 100_000)
         T, alpha0 = ens.half_width, ens.alpha0
         for i in range(12_000, 12_500):
-            left = ens.left_jumps[ens.left_offsets[i]:ens.left_offsets[i + 1]]
-            right = ens.right_jumps[ens.right_offsets[i]:ens.right_offsets[i + 1]]
-            path = JumpPath(alpha0=int(alpha0[i]), horizon=(-T, T),
-                            jumps=np.concatenate([left, right]))
+            path = JumpPath(alpha0=int(alpha0[i]), horizon=(-T, T), jumps=ens.jump_times(i))
             assert j[i] == pytest.approx(pair_interaction_energy(path), rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])

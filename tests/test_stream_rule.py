@@ -1,11 +1,14 @@
-"""Source guards: ``rabizeta.paths`` makes every random generator and draws every wait.
+"""Source guards: ``rabizeta.paths`` makes every random generator, draws every wait
+and alone reads the ensemble's jump format.
 
 Every sampler draws through ``paths._seed_streams``, so one rule decides
 which stream every sample comes from.  A module that built its own generator
 or split its own samples into streams would bypass that rule.  Every Poisson
 path is walked by ``paths._sweep``, one exponential wait at a time, so the
 X1 law that tests certify is the law of every path estimate; a module that
-drew its own waits or Poisson counts would be a second sampler.
+drew its own waits or Poisson counts would be a second sampler.  The
+ensemble stores both sides of a path as distances from 0; a module that
+read those arrays would be a second owner of that format.
 """
 
 import ast
@@ -17,6 +20,7 @@ import rabizeta
 PACKAGE = Path(rabizeta.__file__).parent
 FORBIDDEN = re.compile(r"\b(SeedSequence|PCG64|default_rng|stream_chunks)\b|\bnp\.random\b")
 WAIT_DRAWS = {"standard_exponential", "exponential", "poisson"}
+JUMP_FIELDS = {"left_jumps", "right_jumps", "left_offsets", "right_offsets"}
 
 
 def test_only_paths_makes_generators():
@@ -60,3 +64,11 @@ def test_paths_draws_waits_in_one_function():
     draws = wait_draws(PACKAGE / "paths.py")
     assert {name for _, _, name in draws} == {"standard_exponential"}
     assert len({function for function, _, _ in draws}) == 1
+
+
+def test_only_paths_reads_the_jump_format():
+    offenders = [f"{source.name}:{node.lineno}: {node.attr}"
+                 for source in sorted(PACKAGE.glob("*.py")) if source.name != "paths.py"
+                 for node in ast.walk(ast.parse(source.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in JUMP_FIELDS]
+    assert not offenders, "ensemble jump arrays read outside paths.py:\n" + "\n".join(offenders)
