@@ -14,8 +14,10 @@ an average over jump paths only:
   characteristic/Gaussian moments, spin correlation) are weighted means over
   a ``WeightedPathEnsemble``.
 
-Every estimator draws through ``paths._seed_streams`` and reduces in stream
-order, so it is reproducible bit for bit from (seed, n_samples, params).
+Every estimator draws through ``paths._seed_streams``, under its own name
+in ``paths._STREAM_KEYS``, and reduces in stream order, so it is
+reproducible bit for bit from (seed, n_samples, params), and no two
+estimators walk the same waits.
 Each stream's paths are drawn and integrated in one sweep (``paths._sweep``),
 which forms only the functionals its estimator reads.
 
@@ -140,12 +142,6 @@ def _exp_mean(streams, n: int) -> tuple[complex, float]:
     return complex(mean[0] * scale), float(np.sqrt(cross[0, 0].real / (n * (n - 1.0))) * scale)
 
 
-# Stream key of ``vacuum_element_fk``, which no other sampler draws: under the
-# empty key its paths would be partition_fk's waits at another rate, and the
-# kernels key by flip order m >= 1.
-_VACUUM_KEY = 0
-
-
 def vacuum_element_fk(
     params: ModelParams,
     t: float,
@@ -156,8 +152,8 @@ def vacuum_element_fk(
 
     Every path contributes the nonnegative weight
     2 e^t delta^(jumps) exp(-2 g^2 * suppression), with 0^0 = 1; there is no
-    oscillation.  The paths come from the streams keyed ``_VACUUM_KEY``,
-    which no other sampler draws.
+    oscillation.  The paths come from the streams named ``"vacuum"`` in
+    ``paths._STREAM_KEYS``, which no other sampler draws.
     """
     _check_draws(seed, n_samples, least=2)
     _check_time(t)
@@ -167,18 +163,18 @@ def vacuum_element_fk(
         _sweep(rng, chunk, 1.0, t, suppression=xi, counts=counts)
         return np.log(2.0) + t + xlogy(counts, params.delta) - 2.0 * params.g**2 * xi
 
-    streams = _seed_streams(seed, n_samples, _VACUUM_KEY)
+    streams = _seed_streams(seed, n_samples, "vacuum")
     mean, stderr = _exp_mean((logs(chunk, rng) for chunk, rng in streams), n_samples)
     return MCEstimate(mean.real, stderr, n_samples, seed)
 
 
-def _partition_logs(params: ModelParams, horizons: list, n_samples: int, seed: int):
-    """Per seed stream, delta h + (g^2/2) J_h of each path at every horizon h.
+def _partition_logs(params: ModelParams, horizons: list, n_samples: int, seed: int, sampler: str):
+    """Per seed stream of ``sampler``, delta h + (g^2/2) J_h of each path at every horizon h.
 
     One sweep over paths on [0, max(horizons)] gives every horizon, and
     forms no damped integral.
     """
-    for chunk, rng in _seed_streams(seed, n_samples):
+    for chunk, rng in _seed_streams(seed, n_samples, sampler):
         logs = np.empty((len(horizons), chunk))
         _sweep(rng, chunk, params.delta, horizons[-1], interactions=logs, horizons=horizons)
         logs *= 0.5 * params.g**2
@@ -195,7 +191,7 @@ def partition_fk(
     """Flat-state semigroup element 2 e^(delta t) E[exp((g^2/2) J)]."""
     _check_draws(seed, n_samples, least=2)
     _check_time(t)
-    mean, stderr = _exp_mean(_partition_logs(params, [t], n_samples, seed), n_samples)
+    mean, stderr = _exp_mean(_partition_logs(params, [t], n_samples, seed, "partition"), n_samples)
     return MCEstimate(2.0 * mean.real, 2.0 * stderr, n_samples, seed)
 
 
@@ -227,7 +223,7 @@ def ground_energy_fk(
         _check_time(t)
     if len(set(t_grid)) < len(t_grid):
         raise ParameterError(f"t_grid repeats a horizon: {t_grid}")
-    shift, mean, cross = _exp_moments(_partition_logs(params, t_grid, n_samples, seed))
+    shift, mean, cross = _exp_moments(_partition_logs(params, t_grid, n_samples, seed, "energy"))
     # (sum w)^2 / sum w^2, with sum w^2 = sum (w - mean)^2 + n mean^2
     n_effs = (n_samples * mean) ** 2 / (np.diagonal(cross) + n_samples * mean**2)
 

@@ -63,6 +63,9 @@ def sample_damped_sign_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X1, X2) samples; X1 always lands in [-1, 1].
 
+    The draws come from the "x1" streams of ``paths._STREAM_KEYS``, the
+    same at every delta, on purpose: X1's rows at several delta then move
+    together, and no other sampler of the package walks these waits.
     Each seed stream's paths are walked by the package's one Poisson sweep,
     ``paths._sweep``, at rate delta out to the series cutoff, which forms
     only the two series and writes them straight into the stream's slice of
@@ -89,7 +92,7 @@ def sample_damped_sign_pair(
     cutoff = _series_cutoff()
     pair = np.empty((2, n_samples))  # X1 and X2: each stream writes its slice
     first = 0
-    for chunk, rng in _seed_streams(seed, n_samples):
+    for chunk, rng in _seed_streams(seed, n_samples, "x1"):
         _sweep(rng, chunk, delta, cutoff, series=pair[:, first:first + chunk])
         first += chunk
     pair *= 2.0

@@ -99,14 +99,15 @@ def _bridge_characteristic(params: ModelParams, t: float, m: int, rng, chunk: in
 
 
 def _flip_average(params: ModelParams, t: float, m: int, n_samples: int, seed: int,
-                  log_integrand) -> tuple[complex, float]:
+                  sampler: str, log_integrand) -> tuple[complex, float]:
     """Mean and stderr of ``exp(log_integrand(a, b, q))`` over m-flip configurations.
 
-    The draws come from the streams keyed by the flip order m, so averages
-    for different m are independent.
+    The draws come from ``sampler``'s streams of the flip order m, so
+    averages for different m are independent, and so are those of the two
+    kernel samplers.
     """
     return _exp_mean((log_integrand(*_bridge_characteristic(params, t, m, rng, chunk))
-                      for chunk, rng in _seed_streams(seed, n_samples, m)), n_samples)
+                      for chunk, rng in _seed_streams(seed, n_samples, sampler, m)), n_samples)
 
 
 def _flip_weight(params: ModelParams, t: float, m: int) -> float:
@@ -128,8 +129,9 @@ def heat_kernel_component(
     The zero-flip component is the Mehler kernel itself (exact, zero error),
     and a component whose scale is 0 (at delta t = 0, or where the Mehler
     kernel underflows) is exactly 0; neither draws or counts a sample.  For
-    m >= 1 flip times are sampled from the streams keyed by m and the bridge
-    expectation is the closed-form Gaussian characteristic function.
+    m >= 1 flip times are sampled from the "heat-kernel" streams of order m
+    and the bridge expectation is the closed-form Gaussian characteristic
+    function.
     """
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
@@ -137,7 +139,7 @@ def heat_kernel_component(
     scale = float(mehler_kernel(t, x, y)) * _flip_weight(params, t, m)
     if m == 0 or scale == 0.0:
         return MCEstimate(scale, 0.0, 0, seed)
-    mean, stderr = _flip_average(params, t, m, n_samples, seed,
+    mean, stderr = _flip_average(params, t, m, n_samples, seed, "heat-kernel",
                                  lambda a, b, q: 1j * (a * x + b * y) - q / 2.0)
     return MCEstimate(mean * scale, stderr * scale, n_samples, seed)
 
@@ -154,9 +156,11 @@ def heat_kernel_flip_sum(
     """Sum of all m >= 1 components: the deviation of the kernel from Mehler.
 
     Shrinks to zero with growing coupling; evaluate at fixed seed across
-    couplings to compare magnitudes within correlated Monte Carlo error.
-    Each flip order draws from its own streams, so the per-m variances add;
-    the sample count is the sum of the components' counts.
+    couplings to compare magnitudes within correlated Monte Carlo error:
+    the flip times do not depend on g, so every coupling draws the same
+    streams, on purpose.  Each flip order draws from its own streams, so the
+    per-m variances add; the sample count is the sum of the components'
+    counts.
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
@@ -193,8 +197,9 @@ def gaussian_overlap_element_fk(
     ``paths._sweep`` forms for the same flip times.  So the m = 1 term is
     exact: one flip has xi = 1 at every flip time, the overlap is
     e^{-2 g^2} and the term is 2 delta t e^{-2 g^2}, which draws nothing.
-    Only m >= 2 is sampled, from the streams keyed by m; an order of weight
-    0 draws nothing, and the sample count is the configurations drawn.
+    Only m >= 2 is sampled, from the "overlap" streams of order m, which no
+    heat-kernel component draws; an order of weight 0 draws nothing, and
+    the sample count is the configurations drawn.
     """
     if m_max < 0:
         raise ParameterError(f"m_max must be >= 0, got {m_max}")
@@ -213,7 +218,7 @@ def gaussian_overlap_element_fk(
         scale = 2.0 * _flip_weight(params, t, m)
         if scale == 0.0:
             continue
-        mean, stderr = _flip_average(params, t, m, n_samples, seed, log_overlap)
+        mean, stderr = _flip_average(params, t, m, n_samples, seed, "overlap", log_overlap)
         total += scale * mean.real
         var += (scale * stderr) ** 2
         drawn += n_samples

@@ -28,8 +28,9 @@ from 0.
 
 Every sampler of the package draws through ``_seed_streams``: its samples
 are split into ``N_STREAMS`` fixed chunks, chunk i draws from
-``SeedSequence(seed, spawn_key=(*key, i))``, and results are reduced in
-stream order, so a fixed (seed, n_samples, params) gives identical bits.
+``SeedSequence(seed, spawn_key=(*prefix, *order, i))`` with the entry
+point's prefix from ``_STREAM_KEYS``, and results are reduced in stream
+order, so a fixed (seed, n_samples, params) gives identical bits.
 """
 
 from __future__ import annotations
@@ -67,21 +68,37 @@ def _check_time(t: float) -> None:
         raise DomainError(f"t must be positive and finite, got {t}")
 
 
-def _seed_streams(seed: int, n_samples: int, *key: int):
-    """Yield ``(chunk, rng)`` for every stream of one sampler call.
+#: Spawn-key prefix of every entry point that draws samples, by the name it
+#: passes ``_seed_streams``: one entry point, one prefix.  "ensemble" is
+#: ``build_ground_ensemble``; "vacuum", "partition" and "energy" are
+#: ``vacuum_element_fk``, ``partition_fk`` and ``ground_energy_fk``; "x1" is
+#: ``sample_damped_sign_pair``; "heat-kernel" is ``heat_kernel_component``
+#: (and ``heat_kernel_flip_sum`` through it) and "overlap"
+#: ``gaussian_overlap_element_fk``, each followed by the flip order m >= 1.
+#: With the stream index appended, no two entry points can give the same
+#: spawn key (the ensemble's keys are one word long, the heat kernel's two),
+#: so no two checks of one seed walk the same waits; an entry point draws the
+#: same streams at every parameter (X1 at every delta, the flip sums at
+#: every g).
+_STREAM_KEYS = {"ensemble": (), "vacuum": (0,), "heat-kernel": (), "x1": (0, 1),
+                "partition": (0, 2), "energy": (0, 3), "overlap": (0, 4)}
+
+
+def _seed_streams(seed: int, n_samples: int, sampler: str, *order: int):
+    """Yield ``(chunk, rng)`` for every stream of one call of ``sampler``.
 
     ``n_samples`` is split into ``N_STREAMS`` fixed, order-stable chunks;
     streams that would draw nothing are dropped, so fewer than ``N_STREAMS``
     samples use one stream each.  Stream i draws from
-    ``SeedSequence(seed, spawn_key=(*key, i))``.  A sampler that makes several
-    independent Monte Carlo averages from one seed gives each its own ``key``
-    (the kernels use the flip order m >= 1, ``vacuum_element_fk`` the key 0,
-    ``estimators._VACUUM_KEY``), so their streams never coincide and their
-    variances add.
+    ``SeedSequence(seed, spawn_key=(*_STREAM_KEYS[sampler], *order, i))``.
+    ``sampler`` names the entry point, and is required: no stream is drawn
+    under a key the table does not give.  An entry point that makes several
+    independent averages from one seed tells them apart by ``order`` (the
+    kernels pass the flip order m), so their variances add.
     """
     _check_draws(seed, n_samples)
     for stream, paths in enumerate(_stream_slices(n_samples)):
-        sequence = np.random.SeedSequence(seed, spawn_key=(*key, stream))
+        sequence = np.random.SeedSequence(seed, spawn_key=(*_STREAM_KEYS[sampler], *order, stream))
         yield paths.stop - paths.start, np.random.Generator(np.random.PCG64(sequence))
 
 
@@ -305,18 +322,11 @@ def _count_upto(jumps: np.ndarray, offsets: np.ndarray, time: float) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def default_horizon(delta: float) -> float:
-    """Half-width T of the sampling window, max(8, 6/delta)."""
-    if delta <= 0:
-        raise ParameterError("the two-sided spin process requires delta > 0")
-    return max(8.0, 6.0 / delta)
-
-
 def _horizon(delta: float, T: float | None) -> float:
-    """The half-width T at rate delta > 0, checked; ``default_horizon(delta)`` when None."""
+    """The half-width T at rate delta > 0, checked; max(8, 6/delta) when None."""
     if delta <= 0:
         raise ParameterError("a rate-delta spin process requires delta > 0")
-    T = default_horizon(delta) if T is None else T
+    T = max(8.0, 6.0 / delta) if T is None else T
     if not 0.0 < T < np.inf:
         raise ParameterError(f"T must be positive and finite, got {T}")
     return T
@@ -540,9 +550,11 @@ def build_ground_ensemble(
     jumps go to the buffer by path (``_write_batch``), as distances from 0
     on either side, before the next side draws.  The offsets are int32: a
     sample whose jumps may pass that range raises ``ParameterError`` before
-    any draw.
+    any draw, and so do fewer than one path and a negative seed, before
+    anything is sized.
     """
     T = _horizon(params.delta, T)
+    _check_draws(seed, n_samples)
     rate = _clock_rate(params)
     capacity = _jump_capacity(rate, T, n_samples)
     if capacity > np.iinfo(np.int32).max:
@@ -552,7 +564,8 @@ def build_ground_ensemble(
     offsets = [np.zeros(n_samples + 1, dtype=np.int32) for _ in jumps]
     damped = [np.empty(n_samples) for _ in jumps]
     log_weights = np.empty(n_samples)  # J first
-    for rows, (chunk, rng) in zip(_stream_slices(n_samples), _seed_streams(seed, n_samples)):
+    streams = _seed_streams(seed, n_samples, "ensemble")
+    for rows, (chunk, rng) in zip(_stream_slices(n_samples), streams):
         bounds = slice(rows.start, rows.stop + 1)
         for side in (0, 1):
             j = log_weights[None, rows] if side == 0 else np.empty((1, chunk))

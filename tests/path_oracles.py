@@ -363,10 +363,10 @@ def reference_ground_ensemble(params, n_samples: int, T: float | None = None,
     m log(delta/r) to the log weights, as the ensemble does.
     """
     if T is None:
-        T = paths.default_horizon(params.delta)
+        T = paths._horizon(params.delta, None)
     rate = paths._clock_rate(params)
     streams = []
-    for chunk, rng in paths._seed_streams(seed, n_samples):
+    for chunk, rng in paths._seed_streams(seed, n_samples, "ensemble"):
         sides = []
         for _ in range(2):  # the left side, swept on [0, T], then the right
             j, damped, steps = np.empty((1, chunk)), np.empty(chunk), []

@@ -433,9 +433,9 @@ class TestReproducibility:
 
         keys = []
 
-        def recorded(seed, n_samples, *key):
-            keys.append(key)
-            return _seed_streams(seed, n_samples, *key)
+        def recorded(seed, n_samples, sampler, *order):
+            keys.append((*paths._STREAM_KEYS[sampler], *order))
+            return _seed_streams(seed, n_samples, sampler, *order)
 
         for module in (estimators, kernels, jumplaw, paths):
             monkeypatch.setattr(module, "_seed_streams", recorded)

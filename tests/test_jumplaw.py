@@ -211,7 +211,7 @@ class TestRetirement:
                     [0.1875, 0.0625, 0.125, 0.125, 0.25, 0.375]]
         stub = WaitStub(waits)
         monkeypatch.setattr(jumplaw, "_series_cutoff", lambda: 2.0)
-        monkeypatch.setattr(jumplaw, "_seed_streams", lambda seed, n: iter([(4, stub)]))
+        monkeypatch.setattr(jumplaw, "_seed_streams", lambda seed, n, sampler: iter([(4, stub)]))
         x1, x2 = sample_damped_sign_pair(0.5, 4)
         assert stub.calls == len(waits)
         times = [np.cumsum(np.asarray(w) / 0.5) for w in per_path]
@@ -227,7 +227,7 @@ class TestRetirement:
         # one just below it moves X2, since 2 (1 + T) e^(-T) is a 1-ulp term
         cutoff = _series_cutoff()
         stub = WaitStub([[cutoff, np.nextafter(cutoff, 0.0)], [1.0]])
-        monkeypatch.setattr(jumplaw, "_seed_streams", lambda seed, n: iter([(2, stub)]))
+        monkeypatch.setattr(jumplaw, "_seed_streams", lambda seed, n, sampler: iter([(2, stub)]))
         x1, x2 = sample_damped_sign_pair(1.0, 2)
         assert x1[0] == 1.0 and x2[0] == 1.0
         assert x2[1] < 1.0
@@ -240,8 +240,8 @@ class TestRetirement:
         counters = []
         streams = jumplaw._seed_streams
 
-        def counting_streams(seed, n_samples):
-            for chunk, rng in streams(seed, n_samples):
+        def counting_streams(seed, n_samples, sampler):
+            for chunk, rng in streams(seed, n_samples, sampler):
                 counters.append(CountingGenerator(rng))
                 yield chunk, counters[-1]
 

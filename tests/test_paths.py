@@ -30,9 +30,9 @@ from rabizeta.observables import ground_state, number_parity_expectation
 from rabizeta.paths import (
     N_STREAMS,
     build_ground_ensemble,
-    default_horizon,
     _clock_rate,
     _count_upto,
+    _horizon,
     _seed_streams,
     _stream_slices,
     _sweep,
@@ -93,7 +93,7 @@ class TestJumpPath:
 
 
 def one_stream(seed):
-    ((_, rng),) = _seed_streams(seed, 1)
+    ((_, rng),) = _seed_streams(seed, 1, "ensemble")
     return rng
 
 
@@ -209,7 +209,8 @@ class TestSamplingLaw:
 
 class TestSeedStreams:
     def draws(self, seed, n, *key):
-        return [(chunk, rng.uniform(size=3)) for chunk, rng in _seed_streams(seed, n, *key)]
+        return [(chunk, rng.uniform(size=3))
+                for chunk, rng in _seed_streams(seed, n, "ensemble", *key)]
 
     def test_same_seed_and_key_repeat_bits(self):
         a, b = self.draws(31, 1000, 2), self.draws(31, 1000, 2)
@@ -217,7 +218,7 @@ class TestSeedStreams:
         assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
 
     def test_empty_key_is_the_stream_index(self):
-        for stream, (_, rng) in enumerate(_seed_streams(32, 100)):
+        for stream, (_, rng) in enumerate(_seed_streams(32, 100, "ensemble")):
             ref = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence(32, spawn_key=(stream,))))
             assert np.array_equal(rng.uniform(size=3), ref.uniform(size=3))
@@ -232,17 +233,18 @@ class TestSeedStreams:
         assert len(seen) == 4 * N_STREAMS
 
     def test_chunks_split_in_order(self):
-        assert [c for c, _ in _seed_streams(1, 1003)] == [126, 126, 126, 125, 125, 125, 125, 125]
+        assert ([c for c, _ in _seed_streams(1, 1003, "ensemble")]
+                == [126, 126, 126, 125, 125, 125, 125, 125])
 
     def test_small_counts_drop_empty_chunks(self):
-        assert [c for c, _ in _seed_streams(1, 5)] == [1, 1, 1, 1, 1]
-        assert [c for c, _ in _seed_streams(1, N_STREAMS)] == [1] * N_STREAMS
+        assert [c for c, _ in _seed_streams(1, 5, "ensemble")] == [1, 1, 1, 1, 1]
+        assert [c for c, _ in _seed_streams(1, N_STREAMS, "ensemble")] == [1] * N_STREAMS
 
     def test_rejects_bad_input(self):
         with pytest.raises(ParameterError):
-            list(_seed_streams(1, 0))
+            list(_seed_streams(1, 0, "ensemble"))
         with pytest.raises(ParameterError):
-            list(_seed_streams(-1, 10))
+            list(_seed_streams(-1, 10, "ensemble"))
 
 
 class TestCountUpto:
@@ -489,7 +491,8 @@ class TestSweep:
         p = ModelParams(0.5, g)
         ens = build_ground_ensemble(p, 20_000)
         T, rate = ens.half_width, ens.rate
-        for paths, (chunk, rng) in zip(_stream_slices(20_000), _seed_streams(ens.seed, 20_000)):
+        streams = _seed_streams(ens.seed, 20_000, "ensemble")
+        for paths, (chunk, rng) in zip(_stream_slices(20_000), streams):
             for left in (True, False):
                 inters, damped, (jumps, offsets) = swept(chunk, T, rng=rng, rate=rate)
                 check = ens.damped_left if left else ens.damped_right
@@ -522,7 +525,8 @@ class TestSweep:
             compared.append(n)
 
         monkeypatch.setattr(estimators, "_sweep", checked)
-        for _ in estimators._partition_logs(ModelParams(0.5, 1.0), list(horizons), 20_000, 3):
+        for _ in estimators._partition_logs(ModelParams(0.5, 1.0), list(horizons), 20_000, 3,
+                                            "partition"):
             pass
         assert sum(compared) == 20_000
 
@@ -666,10 +670,10 @@ class TestClockRate:
 
 class TestEnsemble:
     def test_default_horizon(self):
-        assert default_horizon(0.5) == 12.0
-        assert default_horizon(2.0) == 8.0
+        assert _horizon(0.5, None) == 12.0
+        assert _horizon(2.0, None) == 8.0
         with pytest.raises(ParameterError):
-            default_horizon(0.0)
+            _horizon(0.0, None)
 
     def test_uniform_weights_at_zero_coupling(self):
         ens = build_ground_ensemble(ModelParams(0.5, 0.0), 2000, T=6.0, seed=21)
@@ -776,6 +780,16 @@ class TestEnsemble:
         # 1e9 paths at delta = 0.5, g = 1 need room for about 3e9 jumps a side
         with pytest.raises(ParameterError, match="int32"):
             build_ground_ensemble(ModelParams(0.5, 1.0), 10**9)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_refuses_no_paths_before_any_draw(self, monkeypatch, n):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sized or drew before n_samples was checked")
+
+        monkeypatch.setattr("rabizeta.paths._jump_capacity", no_draw)
+        monkeypatch.setattr("rabizeta.paths._seed_streams", no_draw)
+        with pytest.raises(ParameterError, match="n_samples"):
+            build_ground_ensemble(ModelParams(0.5, 1.0), n)
 
     def test_a_buffer_never_grows_past_int32_offsets(self):
         # two paths of 5 and 15 jumps, as the sweep records their steps and counts
@@ -931,6 +945,7 @@ class TestWeightedMean:
 
         ens.weighted_mean(values)
         assert seen == _stream_slices(n)
-        assert [s.stop - s.start for s in seen] == [c for c, _ in _seed_streams(35, n)]
+        assert [s.stop - s.start for s in seen] == [c for c, _ in
+                                                    _seed_streams(35, n, "ensemble")]
         assert seen[0].start == 0 and seen[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
