@@ -77,6 +77,7 @@ from .kernels import (
 )
 from .model import ModelParams, adaptive_spectrum
 from .observables import (
+    _AUTO_REL_TOL,
     gibbs_number_ed,
     ground_state,
     number_moment_ed,
@@ -312,6 +313,21 @@ def _real(text: str) -> float:
     return z.real
 
 
+def _check_xchar_beta(T: float, beta: float):
+    """Refuse a ``fk xchar`` beta whose estimate the oracle cannot resolve.
+
+    The estimate e^(-beta^2/4) <cos(beta K)> has a standard error below
+    e^(-beta^2/4), and the oracle is certified only to ``_AUTO_REL_TOL``
+    (of a value at most 1), so past |beta| = 2 sqrt(ln(1/_AUTO_REL_TOL)),
+    where e^(-beta^2/4) falls below that tolerance, z would measure the
+    oracle's rounding, not the sampling error.
+    """
+    limit = 2.0 * np.sqrt(np.log(1.0 / _AUTO_REL_TOL))
+    if not abs(beta) <= limit:
+        raise DomainError(f"|beta| must be <= {limit:.4g}, where the oracle's tolerance "
+                          f"still resolves <exp(i beta x)>, got {beta}")
+
+
 class _Observable(NamedTuple):
     """A quantity on the ground-path ensemble, read at one argument.
 
@@ -347,7 +363,7 @@ _OBSERVABLES = (
                 "<exp(i beta x)> = e^(-beta^2/4) <cos(beta K)>_paths",
                 "<exp(i beta x)>", ("--beta", {"type": _real, "default": 1.0}),
                 lambda ens, p, beta: x_characteristic_fk(ens, p, beta),
-                lambda gs, beta: x_characteristic_ed(gs, beta)),
+                lambda gs, beta: x_characteristic_ed(gs, beta), _check_xchar_beta),
     _Observable("xsquare", "x_square_exponential",
                 "<exp(beta x^2)> = (1-beta)^(-1/2) <exp(beta K^2/(1-beta))>_paths",
                 "<exp(beta x^2)>", ("--beta", {"type": _real, "default": 0.5}),
@@ -378,7 +394,7 @@ def _fk_vacuum(args) -> ResultRecord:
     p = _fk_params(args, least=2)
     return _estimate(args, "vacuum_element", vacuum_element_fk(p, args.t, args.n, args.seed),
                      vacuum_element_ed(p, args.t),
-                     "vacuum semigroup element: 2 e^t E[delta^N exp(-2 g^2 xi)]")
+                     "vacuum semigroup element: 2 e^(delta t) E[exp(-2 g^2 xi)]")
 
 
 def _fk_partition(args) -> ResultRecord:

@@ -4,15 +4,15 @@ Each estimator targets a semigroup matrix element or ground-state expectation
 for which the Gaussian mode has been integrated out in closed form, leaving
 an average over jump paths only:
 
-* ``vacuum_element_fk``:  2 e^t E[ delta^N_t exp(-2 g^2 xi) ]  over unit-rate
+* ``vacuum_element_fk``:  2 e^(delta t) E[ exp(-2 g^2 xi) ]  over rate-delta
   paths on [0, t]; the exact counterpart is ``vacuum_element_ed``.
 * ``partition_fk``:  2 e^(delta t) E[ exp((g^2/2) J) ]  over rate-delta
   paths, J the square interaction integral; counterpart ``partition_ed``.
 * ``ground_energy_fk``:  log-ratio of two partition estimates on a common
   path sample, cancelling the overlap prefactor.
 * Ensemble estimators (Gibbs number weight, number moments, position
-  characteristic/Gaussian moments, spin correlation) are weighted means over
-  a ``WeightedPathEnsemble``.
+  characteristic/Gaussian moments, spin correlation) are self-normalized
+  means over a ``WeightedPathEnsemble``, which only draws and stores paths.
 
 Every estimator draws through ``paths._seed_streams``, under its own name
 in ``paths._STREAM_KEYS``, and reduces in stream order, so it is
@@ -21,19 +21,23 @@ estimators walk the same waits.
 Each stream's paths are drawn and integrated in one sweep (``paths._sweep``),
 which forms only the functionals its estimator reads.
 
-The estimates that draw their own samples reduce through one function,
-``_exp_moments``: each supplies, per seed stream, the log value L of every
-path, and each stream becomes the sums of e^L and their centred cross sums,
-merged by one exact shift identity.  The L supplied are
+Every mean and standard error reduces through one merge,
+``_merged_moments``: each seed stream supplies rows of per-path weights and
+becomes their sums and centred cross sums, merged by one exact identity.
+The estimates that draw their own samples supply, through ``_exp_moments``,
+the log value L of every path, and the rows are e^L; the L supplied are
 
-* ``vacuum_element_fk``: log 2 + t + N log delta - 2 g^2 xi;
+* ``vacuum_element_fk``: log 2 + delta t - 2 g^2 xi;
 * ``partition_fk`` and ``ground_energy_fk``: delta h + (g^2/2) J_h at each
   horizon h, all horizons from one pass over paths on [0, max h];
 * ``kernels._flip_average``: i(ax + by) - q/2 for a heat-kernel component,
   and the log of the Gaussian overlap for the kernel reconstruction.
 
-Each refuses ``n_samples < 2`` before any draw, through
-``paths._check_draws``: its standard error divides by n - 1.
+Each of these refuses ``n_samples < 2`` before any draw, through
+``paths._check_draws``: its standard error divides by n - 1.  The ensemble
+estimates (``_ensemble_estimate``) supply the importance weights w and
+w (v - c) of the values v about a sample value c, whose merged moments
+give the self-normalized mean and its standard error.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
@@ -51,6 +54,7 @@ from .paths import (
     _check_draws,
     _check_time,
     _seed_streams,
+    _stream_slices,
     _sweep,
 )
 
@@ -83,7 +87,7 @@ _REFERENCE_ULPS = 4
 def _z_score(mean: complex, stderr: float, reference: complex) -> float:
     """``|mean - reference| / stderr``; at zero stderr 0 within the reference's rounding.
 
-    Zero stderr comes from a constant estimand, which ``weighted_mean``
+    Zero stderr comes from a constant estimand, which ``_ensemble_estimate``
     reports exactly, such as the value 1 of every path at beta = 0 or at
     lag 0.  The reference is a floating-point evaluation (an ED oracle, a
     sum over eigenvectors) that reads such a value only to within its
@@ -98,33 +102,31 @@ def _z_score(mean: complex, stderr: float, reference: complex) -> float:
     return float(diff / stderr)
 
 
-def _exp_moments(streams):
-    """Shift, mean of e^(L - shift) and centred cross sums of e^L over seed streams.
+def _merged_moments(parts):
+    """Shift, mean of the rows and their centred cross sums, merged over seed streams.
 
-    ``streams`` yields, in stream order, each seed stream's per-path log
-    values L: k real rows, or one complex row.  Each is consumed in place as
-    it comes: its weights w = e^(L - s_b), s_b the stream's largest real part
-    per row, are reduced to their sums and their centred cross sums
+    ``parts`` yields, in stream order, each seed stream's ``(shift, rows)``:
+    k real rows, or one complex row, of per-path values w, row i scaled by
+    e^(-s_b,i), s_b the stream's shift.  Each is consumed in place as it
+    comes: its rows are reduced to their sums and their centred cross sums
     C_b,ij = sum (w_i - m_b,i)(w_j - m_b,j)*, and the streams merge, rescaled
     to the overall shift s = max s_b, by the exact identity
-    sum (w_i - m_i)(w_j - m_j)* = sum_b C_b,ij + n_b (m_b,i - m_i)(m_b,j - m_j)*.
-    So no per-path row outlives its stream.  A row whose every L is -inf
-    (every weight 0) takes the smallest double as its shift: it adds zeros,
-    and sets the overall shift only where every stream's row is 0.
+    sum (w_i - m_i)(w_j - m_j)* = sum_b C_b,ij + n_b (m_b,i - m_i)(m_b,j - m_j)*
+    of Chan, Golub & LeVeque (1979).  So no per-path row outlives its
+    stream.  Every Monte Carlo mean and standard error of the package comes
+    from this one merge: the self-drawing estimates through
+    ``_exp_moments``, the ensemble's through ``_ensemble_estimate``.
     """
-    parts = []  # per stream: its size and, per row, its shift, sum and centred cross sums
-    for w in streams:
-        w = np.atleast_2d(w)
-        shift = np.maximum(w.real.max(axis=1), np.finfo(float).min)
-        np.exp(np.subtract(w, shift[:, None], out=w), out=w)
+    moments = []  # per stream: its size and, per row, its shift, sum and centred cross sums
+    for shift, w in parts:
         total = w.sum(axis=1)
         w -= (total / w.shape[1])[:, None]
         cross = np.array([[np.multiply(a, b.conj()).sum() for b in w] for a in w])
-        parts.append((w.shape[1], shift, total, cross))
+        moments.append((w.shape[1], shift, total, cross))
         del w  # the stream's rows are freed before the next draw
 
-    # w = e^(L - shift) over all paths: stream b's weights times e^(s_b - shift)
-    sizes, shifts, totals, crosses = zip(*parts)
+    # every row at the overall shift: stream b's rows times e^(s_b - shift)
+    sizes, shifts, totals, crosses = zip(*moments)
     shift = np.max(shifts, axis=0)
     scales = [np.exp(s - shift) for s in shifts]
     mean = sum(f * total for f, total in zip(scales, totals)) / sum(sizes)
@@ -133,6 +135,25 @@ def _exp_moments(streams):
         d = f * total / chunk - mean
         cross = cross + np.outer(f, f) * stream_cross + chunk * np.outer(d, d.conj())
     return shift, mean, cross
+
+
+def _exp_rows(w):
+    """One seed stream's ``(shift, rows)`` of e^L from its log values L, formed in place.
+
+    ``w`` holds k real rows or one complex row of L.  Each row is shifted by
+    its largest real part s_b; a row whose every L is -inf (every weight 0)
+    takes the smallest double as its shift: it adds zeros, and sets the
+    overall shift only where every stream's row is 0.
+    """
+    w = np.atleast_2d(w)
+    shift = np.maximum(w.real.max(axis=1), np.finfo(float).min)
+    np.exp(np.subtract(w, shift[:, None], out=w), out=w)
+    return shift, w
+
+
+def _exp_moments(streams):
+    """``_merged_moments`` of e^L, from each seed stream's log values L in stream order."""
+    return _merged_moments(map(_exp_rows, streams))
 
 
 def _exp_mean(streams, n: int) -> tuple[complex, float]:
@@ -148,20 +169,23 @@ def vacuum_element_fk(
     n_samples: int,
     seed: int = DEFAULT_SEED,
 ) -> MCEstimate:
-    """Shifted vacuum semigroup element from unit-rate jump paths.
+    """Shifted vacuum semigroup element from rate-delta jump paths.
 
-    Every path contributes the nonnegative weight
-    2 e^t delta^(jumps) exp(-2 g^2 * suppression), with 0^0 = 1; there is no
-    oscillation.  The paths come from the streams named ``"vacuum"`` in
-    ``paths._STREAM_KEYS``, which no other sampler draws.
+    The element is 2 e^t E_1[delta^N exp(-2 g^2 xi)] over unit-rate paths
+    with N jumps, and E_1[delta^N f] = e^((delta - 1) t) E_delta[f], so
+    every rate-delta path contributes the nonnegative weight
+    2 e^(delta t) exp(-2 g^2 xi), the form of ``partition_fk``; there is no
+    oscillation.  At delta = 0 no path jumps, and the estimate is the exact
+    2 with zero error.  The paths come from the streams named ``"vacuum"``
+    in ``paths._STREAM_KEYS``, which no other sampler draws.
     """
     _check_draws(seed, n_samples, least=2)
     _check_time(t)
 
     def logs(chunk, rng):
-        xi, counts = np.empty(chunk), np.empty(chunk, dtype=np.intp)
-        _sweep(rng, chunk, 1.0, t, suppression=xi, counts=counts)
-        return np.log(2.0) + t + xlogy(counts, params.delta) - 2.0 * params.g**2 * xi
+        xi = np.empty(chunk)
+        _sweep(rng, chunk, params.delta, t, suppression=xi)
+        return np.log(2.0) + params.delta * t - 2.0 * params.g**2 * xi
 
     streams = _seed_streams(seed, n_samples, "vacuum")
     mean, stderr = _exp_mean((logs(chunk, rng) for chunk, rng in streams), n_samples)
@@ -258,8 +282,54 @@ def ground_energy_fk(
 
 
 def _ensemble_estimate(ens: WeightedPathEnsemble, values) -> MCEstimate:
-    """The weighted mean of ``values(paths)``, formed one slice of paths at a time."""
-    mean, stderr = ens.weighted_mean(values)
+    """Self-normalized importance mean of ``values(paths)`` and its linearized standard error.
+
+    ``values(paths)`` returns the values v of the paths of one slice, the
+    samples of one stream of ``_seed_streams``; it is called once per
+    stream, in stream order, and what it returns is left as it is.  With
+    w = exp(lw - max lw) the mean is m = sum w v / sum w and the standard
+    error sqrt(sum w^2 (v - m)^2) / sum w, complex values taken as their
+    real and imaginary parts, whose sums add.
+
+    Each slice becomes the rows a = w and, per part, b = w (v - c), c the
+    first value of the first slice, built in one (k, chunk) buffer and
+    merged by ``_merged_moments`` with shift 0, as every weight is already
+    at most 1.  With the merged means a', b' and centred cross sums C,
+    m = c + m', m' = b' / a', and since b - m' a = w (v - m) has mean 0,
+    sum w^2 (v - m)^2 = C_bb - 2 m' C_ab + m'^2 C_aa, which divided by
+    n a' = sum w gives the standard error.  A constant estimand makes every
+    b exactly 0, and so comes back as c exactly with zero error.
+
+    Precision.  The three terms are formed to a few ulps of their sizes,
+    at most about sum w^2 (v - c)^2 and (m - c)^2 sum w^2, so they cancel
+    by at most a factor of about 1 + (m - c)^2 / s^2, with
+    s^2 = sum w^2 (v - m)^2 / sum w^2 the spread of the values under the
+    weights w^2.  c is a sample value and every ensemble estimator's values
+    are bounded, so where the weight is spread over many paths m - c is a
+    few s and the factor is small.  Where a handful of paths holds all the
+    weight, s can fall far below |m - c|, and the standard error loses about
+    that factor in relative precision (the mean does not).
+    """
+    lw, top, first = ens.log_weights, ens.log_weights.max(), []
+
+    def rows():
+        for paths in _stream_slices(ens.n_samples):
+            v = values(paths)
+            if not first:
+                first.append(v.flat[0])
+            parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+            r = np.empty((1 + len(parts), paths.stop - paths.start))
+            np.exp(np.subtract(lw[paths], top, out=r[0]), out=r[0])
+            for row, part, c in zip(r[1:], parts, (first[0].real, first[0].imag)):
+                np.subtract(part, c, out=row)
+                row *= r[0]
+            yield np.zeros(len(r)), r
+
+    _, (a, *b), cross = _merged_moments(rows())
+    m = np.array(b) / a
+    var = (np.diagonal(cross)[1:] - 2.0 * m * cross[0, 1:] + m**2 * cross[0, 0]).sum()
+    stderr = float(np.sqrt(max(var, 0.0)) / (ens.n_samples * a))
+    mean = first[0] + (m[0] if m.size == 1 else complex(*m))
     if abs(mean.imag) < 1e-300:
         mean = mean.real
     return MCEstimate(mean, stderr, ens.n_samples, ens.seed, n_eff=ens.n_eff, note=ens.note)

@@ -401,6 +401,18 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
     ``vector_error``); and the tail ``sum_{n>N} |psi_n| a_n`` (``_tail``
     with growth sqrt(rho)).  All three are formed in the log domain, since
     a_n passes the double range long before the value does.
+
+    Hopeless cutoffs.  The rounding part holds the floor
+    ``F_N = tiny sum_{n<=N} a_n``, which only grows with the cutoff N: near
+    beta = 1, rho nears infinity and F_N passes any value.  So
+    ``ConvergenceError`` is raised once the solve at N proves that no
+    cutoff N' >= N can certify.  Every D' there is at least F_N, and
+    ``U = sqrt(value) + D`` bounds ``||A^(1/2) psi||`` from the solve at N.
+    A certified value V' at N' has ``D' (2 sqrt(V') + D') <= tau max(1, V')``
+    (tau = ``_AUTO_REL_TOL``): below V' = 1 that needs ``D'^2 <= tau``; above
+    it, ``sqrt(V') >= 2 D' / tau``, with ``sqrt(V') <= ||A^(1/2) psi|| + D'``,
+    so ``U >= D' (2 / tau - 1)``.  Both fail when ``F_N > sqrt(tau)`` and
+    ``U < F_N (2 / tau - 1)``.
     """
     if abs(beta) >= 1:
         raise DomainError(f"<exp(beta*x^2)> diverges for |beta| >= 1, got {beta}")
@@ -414,6 +426,11 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
             logsumexp(log_a + np.log(_rounding(state.n_levels) * np.abs(state.chain) + _TINY)),
             np.log(state.vector_error) + 0.5 * logsumexp(2.0 * log_a),
             log_a[-1] + np.log(_tail(state, 1, np.sqrt(rho)))])
+        log_floor = np.log(_TINY) + logsumexp(log_a)
+        if (log_floor > 0.5 * np.log(_AUTO_REL_TOL) and np.logaddexp(0.5 * log_value, log_dist)
+                < log_floor + np.log(2.0 / _AUTO_REL_TOL - 1.0)):
+            raise ConvergenceError(f"<exp({beta}*x^2)>: the rounding floor of underflowed "
+                                   "components alone misses the tolerance at every cutoff")
         dist = np.exp(log_dist)
         return float(np.exp(log_value)), dist * (2.0 * np.exp(0.5 * log_value) + dist)
 

@@ -30,12 +30,13 @@ Every sampler of the package draws through ``_seed_streams``: its samples
 are split into ``N_STREAMS`` fixed chunks, chunk i draws from
 ``SeedSequence(seed, spawn_key=(*prefix, *order, i))`` with the entry
 point's prefix from ``_STREAM_KEYS``, and results are reduced in stream
-order, so a fixed (seed, n_samples, params) gives identical bits.
+order, so a fixed (seed, n_samples, params) gives identical bits.  This
+module only draws and stores paths: every mean and standard error over
+them is reduced in ``estimators``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -378,11 +379,11 @@ class WeightedPathEnsemble:
     weights tilt that law by (delta/r)^m exp((g^2/2) J), with m the path's
     jump count and J the pair-interaction integral over the full square;
     the constant e^{-2T(delta - r)} of the clock change cancels in the
-    self-normalized mean.  Expectations under the tilted law follow from
-    ``weighted_mean``.  ``n_eff`` collapses when g^2 * T grows; consumers
-    should compare against the sample count.  The sign at 0 is +1, so every
-    sign follows from the jumps: no per-path sign is stored, and
-    ``alpha0``, the sign at -T, is derived on read.  J is not stored
+    self-normalized mean.  Expectations under the tilted law are reduced
+    by ``estimators._ensemble_estimate``.  ``n_eff`` collapses when g^2 * T
+    grows; consumers should compare against the sample count.  The sign at
+    0 is +1, so every sign follows from the jumps: no per-path sign is
+    stored, and ``alpha0``, the sign at -T, is derived on read.  J is not stored
     either: the log weights are the one per-path weight array, and at
     r = delta they are (g^2/2) J.  So the arrays are the two sides' jumps
     and int32 offsets, the log weights and the two damped integrals:
@@ -393,10 +394,9 @@ class WeightedPathEnsemble:
     is at time d, a left one at -d.  Only this module reads it; a path's
     jumps on [-T, T] are read whole through ``jump_times``.
 
-    The paths are stored stream by stream, and an expectation is reduced
-    one stream's slice of paths at a time (``weighted_mean``): an estimate's
-    per-path values never exist at full length, and each estimate stacks
-    0.6 to 0.8 MB of traced allocations on that ensemble.
+    The paths are stored stream by stream, and the functionals read one
+    stream's slice of paths at a time (``cross_interaction``, ``signs_at``),
+    so an estimate's per-path values need never exist at full length.
     """
 
     params: ModelParams
@@ -447,65 +447,6 @@ class WeightedPathEnsemble:
         np.exp(w, out=w)
         total = w.sum()
         return float(total**2 / np.square(w, out=w).sum())
-
-    def weighted_mean(self, values: Callable[[slice], np.ndarray]) -> tuple[complex, float]:
-        """Self-normalized importance mean and linearized standard error.
-
-        ``values(paths)`` returns the values of the paths of one slice, the
-        samples of one stream of ``_seed_streams``; it is called once per
-        stream, in stream order, and what it returns is left as it is.  With
-        w = exp(lw - max lw) and W = sum w, the mean is m = sum w v / W and
-        the standard error sqrt(sum w^2 (v - m)^2) / W, complex values taken
-        as their real and imaginary parts, whose sums add.  A constant
-        estimand is exact regardless of the weights and is reported with
-        zero error.
-
-        Slice b gives, about its own rounded mean m_b = S_b / W_b, the sums
-        W_b = sum w, S_b = sum w v, Q_b = sum w^2, and of its residuals
-        r = v - m_b the sums T_b = sum w r, P_b = sum w^2 r and
-        R_b = sum w^2 r^2.  With D_b = m_b - m the exact shift identity
-        sum w^2 (v - m)^2 = sum_b R_b + 2 D_b P_b + Q_b D_b^2 merges them;
-        each D_b is formed as (m_b - m') - (m - m'), with m' the rounded mean
-        sum S_b / W and m - m' = sum_b (T_b + W_b (m_b - m')) / W, so no
-        large raw moments cancel and neither m_b's nor m's rounding enters.
-        The scratch is four real rows of one slice; every sum is numpy's
-        pairwise ``sum``, never a BLAS dot, whose order depends on the
-        thread count.
-        """
-        lw = self.log_weights
-        shift = lw.max()
-        first, constant, weights, moments = None, True, [], []
-        for paths in _stream_slices(self.n_samples):
-            v = values(paths)
-            if first is None:
-                first = v.flat[0]
-            constant = constant and bool(np.all(v == first))
-            w = np.subtract(lw[paths], shift)
-            np.exp(w, out=w)
-            squares, resid, scratch = np.square(w), np.empty_like(w), np.empty_like(w)
-            weight = w.sum()
-            weights.append((weight, squares.sum()))
-            parts = []  # per part: S_b, m_b, T_b, P_b, R_b
-            for part in (v.real, v.imag) if np.iscomplexobj(v) else (v,):
-                total = np.multiply(w, part, out=scratch).sum()
-                mean = total / weight if weight else 0.0  # a slice of zero weight adds nothing
-                np.subtract(part, mean, out=resid)
-                parts.append((total, mean, np.multiply(w, resid, out=scratch).sum(),
-                              np.multiply(squares, resid, out=scratch).sum(),
-                              np.multiply(squares, np.square(resid, out=resid), out=resid).sum()))
-            moments.append(parts)
-            del v, w, squares, resid, scratch  # before the next slice's are made
-        if constant:
-            return first, 0.0
-        (W, Q), (S, M, T, P, R) = np.array(weights).T, np.array(moments).transpose(2, 0, 1)
-        weight = W.sum()
-        rough = S.sum(axis=0) / weight  # m', per part
-        moved = M - rough  # m_b - m'
-        correction = (T + W[:, None] * moved).sum(axis=0) / weight  # m - m'
-        moved -= correction  # D_b
-        var = (R + 2.0 * moved * P + Q[:, None] * moved**2).sum()
-        mean = rough + correction
-        return complex(*mean) if mean.size == 2 else mean[0], float(np.sqrt(var) / weight)
 
     def signs_at(self, time: float, paths: slice = slice(None)) -> np.ndarray:
         """Sign at a fixed time in [-T, T] of every path of ``paths``, +1 or -1 in one array."""

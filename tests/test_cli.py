@@ -18,6 +18,7 @@ import rabizeta.estimators as estimators
 import rabizeta.paths as paths
 import rabizeta.zeta as zeta
 from rabizeta.cli import ResultRecord, config_hash, main
+from rabizeta.errors import DomainError
 from rabizeta.model import ModelParams
 
 
@@ -497,10 +498,34 @@ class TestFkCommand:
         assert "Traceback" not in err
         assert len([dim for dim, k in solves if k is None]) <= 8
 
+    @pytest.mark.parametrize("g, beta", [(1.0, "0.99"), (1.5, "0.98"), (2.0, "0.98")])
+    def test_xsquare_rounding_floor_exit_code(self, tmp_path, capsys, solves, g, beta):
+        # the oracle's rounding floor of underflowed components only grows
+        # with the cutoff here, by sqrt(rho) a level (rho = 99 and 199), and
+        # passes sqrt(tol) only near level 300: the tenth cutoff from the start
+        code, text = run_cli(tmp_path, "fk", "xsquare", "--g", str(g), "--beta", beta,
+                             "--n", "400")
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "rounding floor" in err
+        assert "Traceback" not in err
+        assert len([dim for dim, k in solves if k is None]) <= 10
+
+    def test_xchar_beta_limit(self):
+        # e^(-beta^2/4) reaches the oracle's tolerance at 2 sqrt(ln(1/tol))
+        limit = 2.0 * np.sqrt(np.log(1e10))
+        cli._check_xchar_beta(8.0, limit)
+        cli._check_xchar_beta(8.0, -9.5)
+        for beta in (np.nextafter(limit, 20.0), -16.0, np.nan):
+            with pytest.raises(DomainError):
+                cli._check_xchar_beta(8.0, beta)
+
     @pytest.mark.parametrize("argv", [
         ("xsquare", "--beta", "0.5+1j"),
         ("xsquare", "--beta", "1.5"),
         ("xchar", "--beta", "1j"),
+        ("xchar", "--beta", "12"),
         ("number", "--m", "9"),
         ("spin-corr", "--lag", "-1"),
         ("number", "--m", "0"),

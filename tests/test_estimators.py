@@ -1,10 +1,13 @@
 """Jump-path estimators against exact diagonalization and closed limits."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rabizeta.estimators as estimators
 from rabizeta.errors import DomainError, ParameterError
@@ -92,11 +95,10 @@ class TestVacuumElement:
         with pytest.raises(ParameterError, match="at least 2"):
             vacuum_element_fk(P_STD, 1.0, n)
 
-    def test_every_path_jumped_at_zero_delta(self):
-        # delta^N is 0 on every path of this sample that jumped, and every
-        # path did: each stream's log weights are all -inf, and add zeros
+    def test_no_path_jumps_at_zero_delta(self):
+        # rate-0 paths never jump, so every path has xi = 0 and the weight 2
         est = vacuum_element_fk(ModelParams(0.0, 1.0), 5.0, 16, seed=1)
-        assert (est.mean, est.stderr) == (0.0, 0.0)
+        assert (est.mean, est.stderr) == (2.0, 0.0)
 
     def test_working_set(self):
         # each stream's log weights are reduced as soon as they are drawn:
@@ -220,6 +222,70 @@ class TestExpMoments:
         shift, mean, cross = estimators._exp_moments(
             np.full((1, s.stop - s.start), -np.inf) for s in _stream_slices(100))
         assert np.exp(shift[0]) * mean[0] == 0.0 and cross[0, 0] == 0.0
+
+
+@st.composite
+def weighted_values(draw):
+    """Log weights anywhere in +-700 and values about an offset up to 1e8, real or complex.
+
+    The first value, the c of ``_ensemble_estimate``, is drawn up to eight
+    spreads of the values from their offset.
+    """
+    n = draw(st.sampled_from([1, 7, 8, 100_003]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centre, span = draw(st.floats(-700.0, 700.0)), draw(st.sampled_from([0.0, 1.0, 5.0, 700.0]))
+    log_weights = np.clip(centre + span * rng.uniform(-1.0, 1.0, n), -700.0, 700.0)
+    offset, spread = draw(st.floats(-1e8, 1e8)), draw(st.floats(1e-3, 1e3))
+    far = draw(st.floats(-8.0, 8.0)) * spread
+    values = offset + spread * rng.normal(size=n)
+    first = offset + far
+    if draw(st.booleans()):
+        values = values + 1j * (offset / 3.0 + spread * rng.normal(size=n))
+        first = complex(first, offset / 3.0 + far)
+    values[0] = first
+    return log_weights, values
+
+
+def reference_about_first(log_weights, values):
+    """Mean, standard error and first-value distance F by two ``math.fsum`` passes.
+
+    Each part is taken about its first value c, r = v - c: the first pass
+    gives m' = sum w r / sum w, the second sum (w (r - m'))^2, with no
+    cancellation.  F = |m - c| sqrt(sum w^2) / sum w is the scale of the
+    terms that ``_ensemble_estimate`` combines beside the standard error.
+    """
+    w = np.exp(log_weights - log_weights.max())
+    total, c = math.fsum(w), values[0]
+    parts = (((values.real, c.real), (values.imag, c.imag)) if np.iscomplexobj(values)
+             else ((values, c),))
+    means, var, moved = [], 0.0, []
+    for part, first in parts:
+        r = part - first
+        m = math.fsum(w * r) / total
+        var += math.fsum((w * (r - m)) ** 2)
+        means.append(first + m)
+        moved.append(m)
+    mean = complex(*means) if len(parts) == 2 else means[0]
+    far = math.hypot(*moved) * math.sqrt(math.fsum(w * w)) / total
+    return mean, math.sqrt(var) / total, far
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_values())
+def test_ensemble_estimate_matches_two_passes(sample):
+    # the stderr is within 1e-12 relative while c lies within ten spreads
+    # (under the weights w^2) of the mean; farther out, the three terms
+    # cancel, and the error is at most a few ulps of their scale F^2
+    log_weights, values = sample
+    base = build_ground_ensemble(P_STD, 8, seed=SEED)
+    ens = dataclasses.replace(base, log_weights=log_weights)
+    est = estimators._ensemble_estimate(ens, lambda paths: values[paths])
+    mean, stderr, far = reference_about_first(log_weights, values)
+    assert abs(est.mean - mean) <= 1e-12 * np.abs(values).max()
+    if far <= 10.0 * stderr:
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr
+    else:
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr + 1e-7 * far
 
 
 class TestGroundEnergy:
@@ -401,10 +467,11 @@ class TestEnsembleWorkingSets:
             tracemalloc.stop()
         assert peak <= 1.2e6
 
-    def test_weighted_mean_leaves_values_alone(self, ens):
+    def test_ensemble_estimate_leaves_values_alone(self, ens):
         values = np.exp(1j * ens.damped_left)
         kept = values.copy()
-        mean, stderr = ens.weighted_mean(lambda paths: values[paths])
+        est = estimators._ensemble_estimate(ens, lambda paths: values[paths])
+        mean, stderr = est.mean, est.stderr
         assert values.tobytes() == kept.tobytes()
         w = np.exp(ens.log_weights - ens.log_weights.max())
         w /= w.sum()

@@ -23,6 +23,7 @@ from path_oracles import (
     replayed_waits,
     vacuum_suppression,
 )
+from rabizeta import estimators
 from rabizeta.errors import DomainError, ParameterError
 from rabizeta.estimators import number_moments_fk
 from rabizeta.model import ModelParams
@@ -536,9 +537,9 @@ class TestSweep:
         compared = []
 
         def checked(rng, n, rate, end, **rows):
-            steps = []
-            _sweep(rng, n, rate, end, jumps=steps, **rows)
-            ref = _rank_pass(*_path_major(steps, rows["counts"]), 0.0, (end,), suppression=True)
+            counts, steps = np.empty(n, int), []
+            _sweep(rng, n, rate, end, counts=counts, jumps=steps, **rows)
+            ref = _rank_pass(*_path_major(steps, counts), 0.0, (end,), suppression=True)
             assert np.abs(ref - rows["suppression"]).max() <= 1e-14
             compared.append(n)
 
@@ -871,7 +872,8 @@ class TestEnsemble:
 
 
 class TestWeightedMean:
-    """``weighted_mean`` reduces one seed stream's slice of paths at a time."""
+    """An ensemble's weighted means, which ``estimators._ensemble_estimate`` reduces
+    one seed stream's slice of paths at a time."""
 
     @pytest.fixture(scope="class")
     def ens(self):
@@ -906,7 +908,8 @@ class TestWeightedMean:
     def test_matches_exact_sums(self, ens, make):
         values = make(ens)
         kept = values.copy()
-        mean, stderr = ens.weighted_mean(lambda paths: values[paths])
+        est = estimators._ensemble_estimate(ens, lambda paths: values[paths])
+        mean, stderr = est.mean, est.stderr
         assert values.tobytes() == kept.tobytes()
         want_mean, want_stderr = self.reference(ens, values)
         assert abs(mean - want_mean) <= 1e-13 * abs(want_mean)
@@ -918,20 +921,24 @@ class TestWeightedMean:
         log_weights[_stream_slices(ens.n_samples)[2]] -= 1e4  # its weights underflow to 0
         tilted = dataclasses.replace(ens, log_weights=log_weights)
         values = ens.cross_interaction()
-        mean, stderr = tilted.weighted_mean(lambda paths: values[paths])
+        est = estimators._ensemble_estimate(tilted, lambda paths: values[paths])
+        mean, stderr = est.mean, est.stderr
         want_mean, want_stderr = self.reference(tilted, values)
         assert abs(mean - want_mean) <= 1e-13 * abs(want_mean)
         assert abs(stderr - want_stderr) <= 1e-13 * want_stderr
 
     @pytest.mark.parametrize("value", [2.5, 1.0 - 0.5j])
     def test_a_constant_is_exact_with_zero_error(self, ens, value):
-        mean, stderr = ens.weighted_mean(lambda paths: np.full(paths.stop - paths.start, value))
+        est = estimators._ensemble_estimate(
+            ens, lambda paths: np.full(paths.stop - paths.start, value))
+        mean, stderr = est.mean, est.stderr
         assert mean == value and stderr == 0.0
 
     def test_constant_only_within_each_slice_is_not_constant(self, ens):
         # each stream's values are equal, but they differ between streams
-        mean, stderr = ens.weighted_mean(lambda paths: np.full(paths.stop - paths.start,
-                                                               float(paths.start > 0)))
+        est = estimators._ensemble_estimate(ens, lambda paths: np.full(paths.stop - paths.start,
+                                                                       float(paths.start > 0)))
+        mean, stderr = est.mean, est.stderr
         assert 0.0 < mean < 1.0 and stderr > 0.0
 
     @pytest.mark.parametrize("n", [1, 7, 8, 100_003])
@@ -943,7 +950,7 @@ class TestWeightedMean:
             seen.append(paths)
             return ens.damped_left[paths]
 
-        ens.weighted_mean(values)
+        estimators._ensemble_estimate(ens, values)
         assert seen == _stream_slices(n)
         assert [s.stop - s.start for s in seen] == [c for c, _ in
                                                     _seed_streams(35, n, "ensemble")]
