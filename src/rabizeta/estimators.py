@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .model import ModelParams
+from .model import _AUTO_REL_TOL, ModelParams
 from .paths import (
     DEFAULT_SEED,
     WeightedPathEnsemble,
@@ -80,25 +80,19 @@ class MCEstimate:
         return _z_score(self.mean, self.stderr, reference)
 
 
-#: Ulps of max(1, |reference|) within which an estimate with zero stderr matches it.
-_REFERENCE_ULPS = 4
-
-
 def _z_score(mean: complex, stderr: float, reference: complex) -> float:
-    """``|mean - reference| / stderr``; at zero stderr 0 within the reference's rounding.
+    """``|mean - reference| / stderr``; at zero stderr 0 within the oracles' tolerance.
 
     Zero stderr comes from a constant estimand, which ``_ensemble_estimate``
     reports exactly, such as the value 1 of every path at beta = 0 or at
-    lag 0.  The reference is a floating-point evaluation (an ED oracle, a
-    sum over eigenvectors) that reads such a value only to within its
-    rounding: 1 comes out 1 to 2 ulps off.  So a difference of at most
-    ``_REFERENCE_ULPS`` ulps of max(1, |reference|) is no sampling error and
-    reads 0; any larger difference at zero stderr reads inf.
+    lag 0, or from a clock that never jumps (delta = 0).  An exact oracle
+    is certified only to within ``_AUTO_REL_TOL`` of max(1, |reference|)
+    (``observables._refined``), so a difference within that is no sampling
+    error and reads 0; any larger difference at zero stderr reads inf.
     """
     diff = abs(mean - reference)
     if stderr == 0.0:
-        rounding = _REFERENCE_ULPS * np.spacing(max(1.0, abs(reference)))
-        return 0.0 if diff <= rounding else float("inf")
+        return 0.0 if diff <= _AUTO_REL_TOL * max(1.0, abs(reference)) else float("inf")
     return float(diff / stderr)
 
 
@@ -330,7 +324,7 @@ def _ensemble_estimate(ens: WeightedPathEnsemble, values) -> MCEstimate:
     var = (np.diagonal(cross)[1:] - 2.0 * m * cross[0, 1:] + m**2 * cross[0, 0]).sum()
     stderr = float(np.sqrt(max(var, 0.0)) / (ens.n_samples * a))
     mean = first[0] + (m[0] if m.size == 1 else complex(*m))
-    if abs(mean.imag) < 1e-300:
+    if mean.imag == 0:  # a complex mean stays complex however small its imaginary part
         mean = mean.real
     return MCEstimate(mean, stderr, ens.n_samples, ens.seed, n_eff=ens.n_eff, note=ens.note)
 

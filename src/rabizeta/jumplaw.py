@@ -213,11 +213,12 @@ def ks_critical_value(n: int, alpha: float = 0.01) -> float:
 
 
 def closed_pair_moments(delta: float) -> dict[str, float]:
-    """All closed first/second moments of (X1, X2) and their covariance."""
+    """Closed first/second moments of (X1, X2), their covariance and E[X1^2m] for m <= 4."""
     d = delta
     return {
         "E[X1]": 1.0 / (1.0 + 2 * d),
         "E[X1^2]": 1.0 / (1.0 + 2 * d),
+        **{f"E[X1^{2 * m}]": damped_sign_moment(d, m) for m in (2, 3, 4)},
         "E[X2]": 1.0 / (1.0 + 2 * d) ** 2,
         "E[X2^2]": (1.0 + d) / (1.0 + 2 * d) ** 2,
         "E[X1*X2]": (1.0 + d) / (1.0 + 2 * d) ** 2,
@@ -238,15 +239,28 @@ def pair_moment_table(
 def _pair_moment_rows(delta: float, x1: np.ndarray, x2: np.ndarray) -> list[dict]:
     """``pair_moment_table`` rows for draws already made.
 
-    Each moment's draws are formed only while its row is, and the centred
-    product (x1 - mean x1)(x2 - mean x2) of the covariance row once.
+    Each moment's draws are formed only while its row is, X1's even powers
+    by multiplication from one square: x^4 = (x^2)^2, x^6 = x^4 x^2 and
+    x^8 = (x^4)^2.  The centred product (x1 - mean x1)(x2 - mean x2) of the
+    covariance row is formed once.
     """
+    def draws():
+        yield "E[X1]", x1
+        square = x1 * x1
+        yield "E[X1^2]", square
+        quartic = square * square
+        yield "E[X1^4]", quartic
+        yield "E[X1^6]", np.multiply(quartic, square, out=square)
+        yield "E[X1^8]", np.multiply(quartic, quartic, out=quartic)
+        del square, quartic  # before X2's draws
+        yield "E[X2]", x2
+        yield "E[X2^2]", x2**2
+        yield "E[X1*X2]", x1 * x2
+
     closed = closed_pair_moments(delta)
     n = float(len(x1))
     sampled = []  # (moment, mean, stderr)
-    for name, draws in (("E[X1]", lambda: x1), ("E[X1^2]", lambda: x1**2), ("E[X2]", lambda: x2),
-                        ("E[X2^2]", lambda: x2**2), ("E[X1*X2]", lambda: x1 * x2)):
-        draw = draws()
+    for name, draw in draws():
         sampled.append((name, draw.mean(), draw.std(ddof=1) / np.sqrt(n)))
         del draw  # before the next moment's draws are formed
     centred = x1 - x1.mean()

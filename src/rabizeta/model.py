@@ -459,6 +459,10 @@ def turning_point_cutoff(levels: int, g: float) -> int:
     return int(np.ceil(r * r + 4.0 * r + 16.0))
 
 
+#: Relative error every oracle certifies, rounding included (absolute below 1).
+_AUTO_REL_TOL = 1e-10
+
+
 def refine(solve, start: int, certified, states_per_level: int, what: str):
     """Solve at growing Fock cutoffs until the caller certifies a result.
 

@@ -603,6 +603,18 @@ class TestFkCommand:
         assert named["oracle_re"] != 1.0 and abs(named["oracle_re"] - 1.0) < 1e-15
         assert named["z"] == 0.0
 
+    def test_exact_estimate_reads_z_zero_within_the_oracle_tolerance(self, tmp_path):
+        # delta = 0: no path jumps, so the estimate is exactly 2 with stderr 0;
+        # the oracle reads 2 six ulps off, well inside its certified 1e-10
+        code, text = run_cli(tmp_path, "fk", "vacuum", "--delta", "0", "--t", "5", "--n", "16",
+                             fmt="json")
+        assert code == 0
+        record = json.loads(text)
+        named = dict(zip(record["columns"], record["rows"][0]))
+        assert (named["value_re"], named["stderr"]) == (2.0, 0.0)
+        assert named["oracle_re"] != 2.0 and abs(named["oracle_re"] - 2.0) < 1e-10
+        assert (named["z"], named["note"]) == (0.0, "ok")
+
     def test_battery_rows_are_the_leaves(self, tmp_path, monkeypatch):
         # each fk row of the battery reads the z of `fk <leaf>` at its argument
         monkeypatch.setattr(cli.AcceptanceBattery, "N_MC", 20_000)
@@ -659,6 +671,19 @@ class TestX1Command:
                 assert named["z_or_ratio"] < 3
         ks = dict(zip(record["columns"], record["rows"][-1]))
         assert ks["mc"] < ks["closed_or_critical"]
+
+    def test_battery_moment_rows_are_the_command(self, tmp_path):
+        # each x1-moments row of the battery is the largest moment z that
+        # `x1 --delta d --n 100000` prints, X1's even moments to the 8th among them
+        n = cli.AcceptanceBattery.N_MC
+        battery = {row[0]: row[2] for row in cli.AcceptanceBattery(paths.DEFAULT_SEED).run("x1")}
+        for delta in (0.5, 1.0, 2.0):
+            code, text = run_cli(tmp_path, "x1", "--delta", repr(delta), "--n", str(n), fmt="json")
+            assert code == 0
+            rows = {row[0]: row[4] for row in json.loads(text)["rows"]}
+            assert {"E[X1^4]", "E[X1^6]", "E[X1^8]"} <= rows.keys()
+            del rows["KS_statistic"]
+            assert max(rows.values()) == battery[f"x1-moments(delta={delta})"], delta
 
 
 class TestRecordContracts:

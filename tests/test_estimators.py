@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabizeta.estimators as estimators
@@ -272,6 +272,7 @@ def reference_about_first(log_weights, values):
 
 @settings(max_examples=40, deadline=None)
 @given(weighted_values())
+@example((np.array([0.0]), np.array([5e-324 + 5e-324j])))  # a subnormal imaginary part
 def test_ensemble_estimate_matches_two_passes(sample):
     # the stderr is within 1e-12 relative while c lies within ten spreads
     # (under the weights w^2) of the mean; farther out, the three terms

@@ -457,6 +457,15 @@ class TestEnclosures:
         _, _, cutoffs = certified(monkeypatch, lambda: partition_ed(p, 2.0))
         assert cutoffs == [133, 173, 225, 293]
 
+    def test_long_time_partition_certifies(self, monkeypatch):
+        # the Gauss cut reads about 4e45 at N = 37 here; on it alone the cutoff
+        # grew until level rounding missed the tolerance, and the oracle raised
+        p = ModelParams(0.5, 1.0)
+        value, (_, bound), cutoffs = certified(monkeypatch, lambda: partition_ed(p, 20.0))
+        assert cutoffs == [28, 37]
+        assert bound <= 1e-10 * value
+        assert encloses(value, bound, _partition_at(p, 20.0, 2 * cutoffs[-1]))
+
 
 # Reference values at delta = 0.5, computed outside the package.  Partition
 # element 2 (exp(-2 T))_00 on the odd chain T: the mpmath Taylor series of
