@@ -51,6 +51,7 @@ from .errors import (
 )
 from .estimators import (
     _check_edge_guard,
+    _check_horizons,
     _check_moment_order,
     gaussian_square_fk,
     gibbs_number_fk,
@@ -86,7 +87,7 @@ from .observables import (
     x_characteristic_ed,
     x_square_exponential_ed,
 )
-from .paths import DEFAULT_SEED, _check_draws, _horizon, build_ground_ensemble
+from .paths import DEFAULT_SEED, _check_draws, _check_time, _horizon, build_ground_ensemble
 from .zeta import (
     _ladder,
     _require_zeta_shift,
@@ -276,14 +277,21 @@ def _limits_levels(args) -> ResultRecord:
 # and argument check), read by its command and by the battery's ``fk`` rows,
 # so adding one is an estimator, an oracle and a row.  Its command checks
 # the horizon ``--T`` and then its argument, evaluates the exact value, whose
-# domain checks reject bad options, and only then samples the ensemble.
+# domain checks reject bad options, and only then samples the ensemble.  The
+# quantities that draw their own paths check their times, then evaluate the
+# exact value, and only then draw.
 
 _EST_COLUMNS = ["quantity", "value_re", "value_im", "stderr",
                 "oracle_re", "oracle_im", "z", "n_eff", "note"]
 
 
-def _estimate(args, name: str, est, oracle, anchor: str, **result_meta) -> ResultRecord:
-    """An ``fk`` record: one Monte Carlo estimate beside its exact value."""
+def _estimate(args, name: str, oracle, est, anchor: str, **result_meta) -> ResultRecord:
+    """An ``fk`` record: one Monte Carlo estimate beside its exact value.
+
+    The exact value comes first, so a leaf that calls its oracle and its
+    estimator in the arguments refuses a value its oracle cannot certify
+    before any draw.
+    """
     oracle = complex(oracle)
     row = [name, float(np.real(est.mean)), float(np.imag(est.mean)),
            est.stderr, oracle.real, oracle.imag, est.z_score(oracle),
@@ -383,30 +391,33 @@ def _fk_observable(row: _Observable, args) -> ResultRecord:
     row.check(_horizon(p.delta, args.T), arg)
     oracle = row.exact(ground_state(p), arg)
     ens = _ensemble(args)
-    return _estimate(args, row.quantity.format(arg), row.estimate(ens, p, arg), oracle,
+    return _estimate(args, row.quantity.format(arg), oracle, row.estimate(ens, p, arg),
                      row.anchor, clock_rate=ens.rate)
 
 
 def _fk_vacuum(args) -> ResultRecord:
     p = _fk_params(args, least=2)
-    return _estimate(args, "vacuum_element", vacuum_element_fk(p, args.t, args.n, args.seed),
-                     vacuum_element_ed(p, args.t),
+    _check_time(args.t)
+    return _estimate(args, "vacuum_element", vacuum_element_ed(p, args.t),
+                     vacuum_element_fk(p, args.t, args.n, args.seed),
                      "vacuum semigroup element: 2 e^(delta t) E[exp(-2 g^2 xi)]")
 
 
 def _fk_partition(args) -> ResultRecord:
     p = _fk_params(args, least=2)
-    return _estimate(args, "partition", partition_fk(p, args.t, args.n, args.seed),
-                     partition_ed(p, args.t),
+    _check_time(args.t)
+    return _estimate(args, "partition", partition_ed(p, args.t),
+                     partition_fk(p, args.t, args.n, args.seed),
                      "flat-state element: 2 e^(delta t) E[exp((g^2/2) J)]")
 
 
 def _fk_energy(args) -> ResultRecord:
     p = _fk_params(args, least=2)
+    _check_horizons(args.t_grid)
+    exact = ground_state(p).energy
     est = ground_energy_fk(p, args.t_grid, args.n, args.seed)
-    return _estimate(args, "ground_energy", est, ground_state(p).energy,
-                     "ground energy from the semigroup decay rate",
-                     series=est.extras["series"])
+    return _estimate(args, "ground_energy", exact, est,
+                     "ground energy from the semigroup decay rate", series=est.extras["series"])
 
 
 def _fk_kernel(args) -> ResultRecord:

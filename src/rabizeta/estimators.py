@@ -21,9 +21,11 @@ estimators walk the same waits.
 Each stream's paths are drawn and integrated in one sweep (``paths._sweep``),
 which forms only the functionals its estimator reads.
 
-Every mean and standard error reduces through one merge,
-``_merged_moments``: each seed stream supplies rows of per-path weights and
-becomes their sums and centred cross sums, merged by one exact identity.
+Every mean and standard error of these estimators reduces through one
+merge, ``_merged_moments``: each seed stream supplies rows of per-path
+weights and becomes their sums and centred cross sums, merged by one exact
+identity.  (The X1 pair moments of ``jumplaw._pair_moment_rows`` are plain
+unweighted means of one array and do not go through it.)
 The estimates that draw their own samples supply, through ``_exp_moments``,
 the log value L of every path, and the rows are e^L; the L supplied are
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError
 from .model import _AUTO_REL_TOL, ModelParams
 from .paths import (
     DEFAULT_SEED,
@@ -107,9 +109,11 @@ def _merged_moments(parts):
     to the overall shift s = max s_b, by the exact identity
     sum (w_i - m_i)(w_j - m_j)* = sum_b C_b,ij + n_b (m_b,i - m_i)(m_b,j - m_j)*
     of Chan, Golub & LeVeque (1979).  So no per-path row outlives its
-    stream.  Every Monte Carlo mean and standard error of the package comes
-    from this one merge: the self-drawing estimates through
-    ``_exp_moments``, the ensemble's through ``_ensemble_estimate``.
+    stream.  Every path estimator's mean and standard error comes from this
+    one merge: the self-drawing estimates through ``_exp_moments``, the
+    ensemble's through ``_ensemble_estimate``.  The X1 pair moment table
+    (``jumplaw._pair_moment_rows``) does not: it takes plain means and
+    ``std(ddof=1) / sqrt(n)`` of its unweighted draws.
     """
     moments = []  # per stream: its size and, per row, its shift, sum and centred cross sums
     for shift, w in parts:
@@ -151,10 +155,20 @@ def _exp_moments(streams):
 
 
 def _exp_mean(streams, n: int) -> tuple[complex, float]:
-    """Mean and standard error of e^L over the n paths of the one row of ``_exp_moments``."""
+    """Mean and standard error of e^L over the n paths of the one row of ``_exp_moments``.
+
+    Both are formed at the merged shift and scaled back by its exponential;
+    one that lands past the double range raises ``NumericalError``.
+    """
     shift, mean, cross = _exp_moments(streams)
-    scale = np.exp(shift[0])
-    return complex(mean[0] * scale), float(np.sqrt(cross[0, 0].real / (n * (n - 1.0))) * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(shift[0])
+        value = complex(mean[0] * scale)
+        stderr = float(np.sqrt(cross[0, 0].real / (n * (n - 1.0))) * scale)
+    if not np.isfinite([value, stderr]).all():
+        raise NumericalError(f"a Monte Carlo mean of e^L with max Re L = {shift[0]:.6g} "
+                             "is past the double range")
+    return value, stderr
 
 
 def vacuum_element_fk(
@@ -217,6 +231,18 @@ def partition_fk(
 _MIN_N_EFF = 100.0
 
 
+def _check_horizons(t_grid) -> list[float]:
+    """``t_grid`` sorted; refused unless it holds two or more distinct positive finite times."""
+    t_grid = sorted(float(t) for t in t_grid)
+    if len(t_grid) < 2:
+        raise ParameterError("t_grid needs at least two horizons")
+    for t in t_grid:
+        _check_time(t)
+    if len(set(t_grid)) < len(t_grid):
+        raise ParameterError(f"t_grid repeats a horizon: {t_grid}")
+    return t_grid
+
+
 def ground_energy_fk(
     params: ModelParams,
     t_grid,
@@ -234,13 +260,7 @@ def ground_energy_fk(
     ``_exp_moments``, whose covariance divides by n - 1.
     """
     _check_draws(seed, n_samples, least=2)
-    t_grid = sorted(float(t) for t in t_grid)
-    if len(t_grid) < 2:
-        raise ParameterError("t_grid needs at least two horizons")
-    for t in t_grid:
-        _check_time(t)
-    if len(set(t_grid)) < len(t_grid):
-        raise ParameterError(f"t_grid repeats a horizon: {t_grid}")
+    t_grid = _check_horizons(t_grid)
     shift, mean, cross = _exp_moments(_partition_logs(params, t_grid, n_samples, seed, "energy"))
     # (sum w)^2 / sum w^2, with sum w^2 = sum (w - mean)^2 + n mean^2
     n_effs = (n_samples * mean) ** 2 / (np.diagonal(cross) + n_samples * mean**2)

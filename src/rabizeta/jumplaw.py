@@ -242,7 +242,9 @@ def _pair_moment_rows(delta: float, x1: np.ndarray, x2: np.ndarray) -> list[dict
     Each moment's draws are formed only while its row is, X1's even powers
     by multiplication from one square: x^4 = (x^2)^2, x^6 = x^4 x^2 and
     x^8 = (x^4)^2.  The centred product (x1 - mean x1)(x2 - mean x2) of the
-    covariance row is formed once.
+    covariance row is formed once.  The draws are unweighted and held whole,
+    so each row is a plain mean and ``std(ddof=1) / sqrt(n)``, not the
+    stream merge of ``estimators._merged_moments``.
     """
     def draws():
         yield "E[X1]", x1

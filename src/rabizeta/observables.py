@@ -21,14 +21,14 @@ The ground state of K is the lowest level of the odd chain; that it lies
 below the lowest even level is read from the brackets of the two chains'
 levels, as the ``parity`` row of ``rabizeta report`` checks, not from a
 vector.  Odd-chain position n holds boson level n with spin -1 at even n
-and spin +1 at odd n; the ground vector is stored in that lab frame over
-(boson level, spin), spin column 0 for spin +1 and column 1 for spin -1.
-Two exact frame identities put the other oracles on the chains too.  The Monte Carlo side works in the
-spin-boson frame ``-delta*sx + g*sz (x) (b + b^dag) + b^dag b``, whose sz is
-the lab sx: it flips the spin at fixed boson level and so carries odd-chain
-position n onto even-chain position n.  Its flat spin state on the boson
-vacuum is sqrt(2) times the lab state (spin -1, level 0), position 0 of the
-odd chain.
+and spin +1 at odd n, so the ground vector is stored as the odd chain's
+vector, ``GroundState.chain``, one amplitude per boson level, and that map
+reads it in the lab frame.  Two exact frame identities put the other oracles
+on the chains too.  The Monte Carlo side works in the spin-boson frame
+``-delta*sx + g*sz (x) (b + b^dag) + b^dag b``, whose sz is the lab sx: it
+flips the spin at fixed boson level and so carries odd-chain position n onto
+even-chain position n.  Its flat spin state on the boson vacuum is sqrt(2)
+times the lab state (spin -1, level 0), position 0 of the odd chain.
 """
 
 from __future__ import annotations
@@ -80,19 +80,18 @@ def _rounding(n_levels: int) -> float:
 
 @dataclass
 class GroundState:
-    """Normalized ground vector of K at ``eps = 0``, in the lab frame.
+    """Normalized ground vector of K at ``eps = 0``, as the odd chain's vector.
 
-    ``coeffs[n, s]`` is the amplitude on boson level ``n`` and spin
-    ``+1 (s=0) / -1 (s=1)``.  It is the odd chain's lowest eigenvector ``v``
-    with ``v[0] > 0``, so each level has one nonzero spin amplitude: spin -1
-    at even n, spin +1 at odd n.  The untruncated ground energy lies within
+    ``chain`` is the odd chain's lowest eigenvector ``v`` with ``v[0] > 0``,
+    whose entry n is the amplitude of boson level n (the module docstring
+    gives its spin).  The untruncated ground energy lies within
     ``error_bound`` of ``energy``, and the untruncated ground vector within
     ``vector_error`` (l2) of the exact eigenvector of the cut chain, whose
     components the stored ones give to the relative error ``_rounding``.
     """
 
     energy: float
-    coeffs: np.ndarray
+    chain: np.ndarray
     params: ModelParams
     truncation: Truncation
     error_bound: float
@@ -100,16 +99,11 @@ class GroundState:
 
     @property
     def n_levels(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def chain(self) -> np.ndarray:
-        """The odd-chain vector ``v``: one nonzero amplitude per level."""
-        return self.coeffs.sum(axis=1)
+        return self.chain.size
 
     def level_weights(self) -> np.ndarray:
-        """Probability of each boson level, summed over spin."""
-        return (self.coeffs**2).sum(axis=1)
+        """Probability of each boson level."""
+        return self.chain**2
 
 
 def _refined(solve, params: ModelParams, what: str, start: int | None = None,
@@ -205,11 +199,9 @@ def _ground_state_at(params: ModelParams, n_max: int) -> GroundState:
     spec = _variant_spectrum(params, n_max, "parity-", 1)
     w, widths = spec.eigenvalues, spec.error_bound
     v = _chain_vectors(build_parity_tridiagonal(params, Truncation(n_max), -1), w[:1])[:, 0]
-    coeffs = np.zeros((n_max + 1, 2))
-    coeffs[1::2, 0], coeffs[::2, 1] = v[1::2], v[::2]
     gap = w[1] - widths[1] - w[0] - spec.backward_error
     resid = abs(params.g) * np.sqrt(2.0 * n_max + 2.0) * max(abs(v[-1]), _TINY)  # sqrt(2) r
-    return GroundState(float(w[0]), coeffs, params, Truncation(n_max), float(widths[0]),
+    return GroundState(float(w[0]), v, params, Truncation(n_max), float(widths[0]),
                        float(resid / gap) if gap > 0 else np.inf)
 
 
@@ -306,47 +298,50 @@ def gibbs_number_ed(gs: GroundState, beta: complex) -> complex:
     return _level_sum(gs, lambda n: np.exp(beta * n), f"<exp({beta}*n)>")
 
 
-def _hermite_sums(x: np.ndarray, coeffs: np.ndarray):
-    """Scaled values of sum_n coeffs[n, s] h_n(x) at the points ``x``.
+def _hermite_sums(x: np.ndarray, chain: np.ndarray):
+    """Scaled values of the two spin components of sum_n chain[n] h_n(x) at the points ``x``.
 
     ``h_n`` are the Hermite polynomials orthonormal under exp(-x^2), so that
     h_n(x) exp(-x^2/2) are the normalized Hermite functions; they follow the
     recurrence h_{n+1} = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_{n-1}.  Each
     point carries its own log scale, raised whenever h_n grows past 1e100, so
     nothing overflows at any node.  Returns ``(last, sums, log_scale)`` with
-    h_{N-1}(x) = last * exp(log_scale) and the coefficient sums
-    sums[:, s] * exp(log_scale), where N = coeffs.shape[0].
+    h_{N-1}(x) = last * exp(log_scale) and the sums over even n (spin -1)
+    and over odd n (spin +1), sums[0] and sums[1] times exp(log_scale),
+    where N = chain.size.
     """
     h_prev = np.zeros_like(x)
     h = np.full_like(x, np.pi**-0.25)
-    sums = h[:, None] * coeffs[0]
+    sums = np.zeros((2, x.size))
+    sums[0] = h * chain[0]
     log_scale = np.zeros_like(x)
-    for n in range(1, coeffs.shape[0]):
+    for n in range(1, chain.size):
         h_prev, h = h, np.sqrt(2.0 / n) * x * h - np.sqrt((n - 1) / n) * h_prev
-        sums += h[:, None] * coeffs[n]
+        sums[n % 2] += h * chain[n]
         big = np.abs(h) > 1e100
         if big.any():
             scale = np.where(big, np.abs(h), 1.0)
             h, h_prev = h / scale, h_prev / scale
-            sums /= scale[:, None]
+            sums /= scale
             log_scale += np.log(scale)
     return h, sums, log_scale
 
 
-def _hermite_density(coeffs: np.ndarray, n_nodes: int, stretch: float):
-    """Gauss-Hermite nodes y_j and ``log(w_j |sum_n coeffs[n] h_n(y_j / stretch)|^2)``.
+def _hermite_density(chain: np.ndarray, n_nodes: int, stretch: float):
+    """Gauss-Hermite nodes y_j and ``log(w_j |psi(y_j / stretch)|^2)``, psi the ``chain``'s.
 
     The ``n_nodes`` nodes come from ``roots_hermite`` (Golub & Welsch 1969);
     the weights ``1/(n_nodes h_{n_nodes-1}(y_j)^2)`` are formed in the log
     domain, so they keep relative accuracy where they fall far below the
-    smallest double.  The squared sum runs over the spin columns.
+    smallest double.  The squared modulus adds the two spin components of
+    ``_hermite_sums``.
     """
     y, _ = roots_hermite(n_nodes)
-    last, _, log_scale = _hermite_sums(y, np.empty((n_nodes, 0)))
+    last, _, log_scale = _hermite_sums(y, np.zeros(n_nodes))
     log_w = -np.log(n_nodes) - 2.0 * (np.log(np.abs(last)) + log_scale)
     log_w -= logsumexp(log_w) - 0.5 * np.log(np.pi)  # sum of weights is sqrt(pi)
-    _, sums, log_scale = _hermite_sums(y / stretch, coeffs)
-    return y, log_w + 2.0 * log_scale + np.log((sums**2).sum(axis=1))
+    _, sums, log_scale = _hermite_sums(y / stretch, chain)
+    return y, log_w + 2.0 * log_scale + np.log(sums[0]**2 + sums[1]**2)
 
 
 def x_characteristic_ed(gs: GroundState, beta: float) -> complex:
@@ -369,7 +364,7 @@ def x_characteristic_ed(gs: GroundState, beta: float) -> complex:
     """
     def evaluate(state):
         half = int(np.ceil(max(state.n_levels, 55.0 * beta * beta, 20.0)))
-        y, log_terms = _hermite_density(state.coeffs, state.n_levels + half, 1.0)
+        y, log_terms = _hermite_density(state.chain, state.n_levels + half, 1.0)
         return complex(np.sum(np.exp(log_terms + 1j * beta * y))), 2.0 * (
             np.exp(-2.0 * half) + state.vector_error + 1.5 * _rounding(state.n_levels))
 
@@ -418,7 +413,7 @@ def x_square_exponential_ed(gs: GroundState, beta: float) -> float:
 
     def evaluate(state):
         log_a = 0.5 * (np.arange(state.n_levels) * np.log(rho) - 0.5 * np.log1p(-beta))
-        log_value = (logsumexp(_hermite_density(state.coeffs, state.n_levels,
+        log_value = (logsumexp(_hermite_density(state.chain, state.n_levels,
                                                 np.sqrt(1.0 - beta))[1]) - 0.5 * np.log1p(-beta))
         log_dist = logsumexp([
             logsumexp(log_a + np.log(_rounding(state.n_levels) * np.abs(state.chain) + _TINY)),

@@ -477,9 +477,8 @@ def build_ground_ensemble(
     Paths are Poisson sign paths of rate r = ``_clock_rate(params)`` on
     [-T, T], built from independent halves glued at 0 (sign fixed to +1
     there); a path with m jumps has log weight m log(delta/r) +
-    (g^2/2) J_full, the first term being added only where r < delta, so an
-    ensemble drawn at r = delta keeps the bits of a rate-delta draw.  An
-    n_eff below 100 is flagged in ``note`` with a resampling recommendation.
+    (g^2/2) J_full.  An n_eff below 100 is flagged in ``note`` with a
+    resampling recommendation.
 
     Every per-path array is allocated once, at ``n_samples``, and the jumps
     of each side go to one buffer.  Each seed stream sweeps its left side,
@@ -520,10 +519,9 @@ def build_ground_ensemble(
         lw = log_weights[rows]
         lw += 2.0 * damped[0][rows] * damped[1][rows]
         lw *= 0.5 * params.g**2
-        if rate != params.delta:
-            m = np.diff(offsets[0][bounds]) + np.diff(offsets[1][bounds])
-            lw += m * np.log(params.delta / rate)
-            del m  # the jump counts, freed before the next stream draws
+        m = np.diff(offsets[0][bounds]) + np.diff(offsets[1][bounds])
+        lw += m * np.log(params.delta / rate)
+        del m  # the jump counts, freed before the next stream draws
 
     ens = WeightedPathEnsemble(
         params=params,

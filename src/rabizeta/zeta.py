@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError, NumericalError, ParameterError
 from .model import ModelParams, Spectrum, adaptive_spectrum
 
 # Bernoulli numbers B_2, B_4, ..., B_12 over (2k)! for the correction terms.
@@ -225,7 +225,8 @@ def spectral_zeta(
     level from the ladder point of its rank, and the tail bound is that of
     ``_tail_bound``.  When the spectrum carries brackets
     (``Spectrum.error_bound``), the bound also holds the worst-case effect of
-    each head level's bracket on its term.
+    each head level's bracket on its term.  A value past the double range
+    (a head level below 1 at a large Re s) raises ``NumericalError``.
     """
     s = _require_sum(s)
     if tau <= 0:
@@ -242,12 +243,15 @@ def spectral_zeta(
     shifted = spectrum.eigenvalues[:n_use] + shift + tau
     if np.any(shifted <= 0):
         raise DomainError("every E_n + shift + tau must be positive; increase tau")
-    head = complex(np.sum(np.exp(-s * np.log(shifted))))
-    tail = _model_tail(s, tau, n_use, ladder)
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = complex(np.sum(np.exp(-s * np.log(shifted))))
+    value = head + _model_tail(s, tau, n_use, ladder)
+    if not cmath.isfinite(value):
+        raise NumericalError(f"the spectral zeta at s={s} is {value}, past the double range")
     bound = _tail_bound(s, tau, n_use, ladder, radius)
     if spectrum.error_bound is not None:
         bound += _head_bound(s, shifted, spectrum.error_bound[:n_use])
-    return ZetaValue(value=head + tail, tail_bound=bound, n_used=n_use)
+    return ZetaValue(value=value, tail_bound=bound, n_used=n_use)
 
 
 def _head_bound(s: complex, shifted: np.ndarray, brackets: np.ndarray) -> float:

@@ -337,6 +337,13 @@ class TestZetaCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "Re(s) > 1" in err[0]
 
+    def test_past_the_double_range_exit_code(self, tmp_path, capsys):
+        # the ground level's term (E_0 + g^2 + tau)^(-s) overflows at s = 1e6
+        code, text = run_cli(tmp_path, "zeta", "--s", "1e6")
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "past the double range" in err
+
     def test_untilted_variant_refuses_eps(self, tmp_path, capsys):
         # the full tail model of radius delta does not bound levels split by +-eps
         code, text = run_cli(tmp_path, "zeta", "--variant", "full", "--eps", "0.25")
@@ -512,6 +519,24 @@ class TestFkCommand:
         assert "Traceback" not in err
         assert len([dim for dim, k in solves if k is None]) <= 10
 
+    @pytest.mark.parametrize("argv, estimator", [
+        (("vacuum", "--t", "2000", "--n", "20000"), "vacuum_element_fk"),
+        (("partition", "--t", "2000", "--n", "100000"), "partition_fk"),
+        (("energy", "--g", "1000", "--n", "100"), "ground_energy_fk"),
+    ])
+    def test_exact_value_refused_before_any_draw(self, tmp_path, monkeypatch, capsys,
+                                                 argv, estimator):
+        # the oracle refuses (level rounding at t = 2000, the cutoff cap at
+        # g = 1000) before the estimator is called
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the exact value was evaluated")
+
+        monkeypatch.setattr(cli, estimator, no_draw)
+        code, text = run_cli(tmp_path, "fk", *argv)
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
     def test_xchar_beta_limit(self):
         # e^(-beta^2/4) reaches the oracle's tolerance at 2 sqrt(ln(1/tol))
         limit = 2.0 * np.sqrt(np.log(1e10))
@@ -620,8 +645,13 @@ class TestFkCommand:
         monkeypatch.setattr(cli.AcceptanceBattery, "N_MC", 20_000)
         battery = {row[0]: row[2] for row in cli.AcceptanceBattery(paths.DEFAULT_SEED).run("fk")}
         flags = {row.leaf: row.option[0] for row in cli._OBSERVABLES}
-        for name, leaf, arg in cli.AcceptanceBattery.ENSEMBLE_POINTS:
-            argv = ["fk", leaf, "--g", "1", "--n", "20000", flags[leaf], repr(arg)]
+        points = [(name, leaf, flags[leaf], repr(arg))
+                  for name, leaf, arg in cli.AcceptanceBattery.ENSEMBLE_POINTS]
+        # the estimates that draw their own paths, at the battery's horizons
+        points += [("vacuum", "vacuum", "--t", "1"), ("partition", "partition", "--t", "2"),
+                   ("energy", "energy", "--t-grid", "4,6,8,10")]
+        for name, leaf, flag, arg in points:
+            argv = ["fk", leaf, "--g", "1", "--n", "20000", flag, arg]
             code, text = run_cli(tmp_path, *argv, fmt="json")
             assert code == 0
             record = json.loads(text)

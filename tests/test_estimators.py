@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabizeta.estimators as estimators
-from rabizeta.errors import DomainError, ParameterError
+from rabizeta.errors import DomainError, NumericalError, ParameterError
 from rabizeta.estimators import (
     gaussian_square_fk,
     gibbs_number_fk,
@@ -152,6 +153,17 @@ class TestPartition:
         finally:
             tracemalloc.stop()
         assert peak <= 2.0e6
+
+
+@pytest.mark.parametrize("estimator, params", [(partition_fk, ModelParams(0.5, 1.0)),
+                                               (vacuum_element_fk, ModelParams(0.5, 0.1))])
+def test_past_the_double_range_is_refused(estimator, params):
+    # the largest log weight reads about 2071 and 992 at t = 2000: the scaled
+    # mean is refused, with no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="past the double range"):
+            estimator(params, 2000.0, 2000)
 
 
 def reference_moments(logs):

@@ -103,24 +103,35 @@ def parity_expectation_lab(params: ModelParams, trunc: Truncation) -> float:
     return float(np.sum(z2 * vec[:, 0] ** 2))
 
 
+def lab_frame(gs):
+    """The ground vector over (boson level n, spin): column 0 spin +1, column 1 spin -1.
+
+    Odd-chain position n holds level n with spin -1 at even n and spin +1 at odd n.
+    """
+    coeffs = np.zeros((gs.n_levels, 2))
+    coeffs[1::2, 0], coeffs[::2, 1] = gs.chain[1::2], gs.chain[::2]
+    return coeffs
+
+
 def charge(gs):
     """Z2 charge sum of spin * (-1)^n * |c|^2 of a lab-frame ground state."""
     signs = np.where(np.arange(gs.n_levels) % 2 == 0, 1.0, -1.0)
-    return float(np.sum(signs * (gs.coeffs[:, 0] ** 2 - gs.coeffs[:, 1] ** 2)))
+    coeffs = lab_frame(gs)
+    return float(np.sum(signs * (coeffs[:, 0] ** 2 - coeffs[:, 1] ** 2)))
 
 
 class TestGroundState:
     def test_uncoupled_closed_form(self, gs_free):
         # g = 0: spin -1 on the boson vacuum
         assert gs_free.energy == pytest.approx(-0.5, abs=1e-12)
-        c = gs_free.coeffs
+        c = lab_frame(gs_free)
         assert c[0, 0] == 0.0
         assert c[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(c[1:]).max() < 1e-10
 
     def test_normalized_and_sign_fixed(self, gs_std):
-        assert np.linalg.norm(gs_std.coeffs) == pytest.approx(1.0, abs=1e-12)
-        assert gs_std.coeffs[0, 1] > 0
+        assert np.linalg.norm(lab_frame(gs_std)) == pytest.approx(1.0, abs=1e-12)
+        assert lab_frame(gs_std)[0, 1] > 0
 
     def test_parity_is_odd(self, gs_std):
         lab = parity_expectation_lab(gs_std.params, gs_std.truncation)
